@@ -8,18 +8,17 @@ from .errors import (BhfiError, DivergenceError, InsufficientArityError,
                      NotEquivalentError, ParseError, RelationViolation)
 from .strands import (AlgebraElement, PointedMatchedCircle, StrandDiagram,
                       algebra, algebra_basis, chord_element,
-                      chord_nilpotency_bound, differential, include_split,
-                      multiply, project_split, split_pmc)
+                      chord_nilpotency_bound, include_split, project_split,
+                      split_pmc)
 from .homology import (ChainComplex, ChainMap, F2Matrix, homology,
                        is_quasi_isomorphism, mapping_cone, reduce)
 from .structures import (AInfModule, BorderedObject, DABimodule, DDBimodule,
                          Morphism, TypeDStructure, box_tensor, box_tensor_AD,
                          box_tensor_DA_D, box_tensor_DD_side, check_structure,
-                         compose, dual_type_d, identity_da,
-                         identity_morphism, is_contractible, mor_complex_DD,
-                         reduce_structure, tensor_id_left, to_chain_complex,
-                         validate_bounded)
-from .standard import (cfa_zero_handlebody, cfaa_az_as_algebra, cfd_solid_torus,
+                         dual_type_d, identity_da, identity_morphism,
+                         is_contractible, mor_complex_DD, reduce_structure,
+                         to_chain_complex, validate_bounded)
+from .standard import (cfa_zero_handlebody, cfd_solid_torus,
                        cfd_zero_handlebody, cfda_az, cfda_azbar, dd_identity,
                        surgery_maps)
 from .equivalence import (EquivalenceCertificate, find_homotopy_equivalence,

@@ -141,8 +141,6 @@ def build_parser():
                        help="builtin structure name; known: "
                             + ", ".join(BUILTIN_NAMES))
         p.add_argument("--out", help="also write the JSON report here")
-        p.add_argument("--json", action="store_true",
-                       help="machine output (reports are always JSON)")
         p.add_argument("--max-sum-size", type=int, default=4,
                        help="cap on equivalence-search combinations")
 

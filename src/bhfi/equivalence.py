@@ -17,11 +17,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InsufficientArityError, NotEquivalentError
-from .homology import homology
+from .homology import F2Matrix, _bits, homology
 from .strands import chord_nilpotency_bound
-from .structures import (Morphism, box_tensor_DD_side, compose,
-                         mor_complex_DD, morphism_from_generator_map,
-                         reduce_structure)
+from .structures import (Morphism, box_tensor_DD_side, mor_complex_DD,
+                         morphism_from_generator_map, reduce_structure)
 
 
 @dataclass(frozen=True)
@@ -186,35 +185,18 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
                 for w in words:
                     unknowns.append((src, w, out, dst))
     unknowns.sort(key=A.op_sort_key)
-    columns = []
-    for e in unknowns:
-        img = Morphism(A, B, {e}).differential()
-        columns.append(frozenset(img.comps))
-    # F2 elimination on sparse columns of residue terms
-    pivots = {}
-    reduced_cols = []
-    combos = []
-    kernel = []
-    for j, col in enumerate(columns):
-        cur, combo = set(col), {j}
-        while cur:
-            pick = min(cur, key=B.op_sort_key)
-            hit = pivots.get(pick)
-            if hit is None:
-                pivots[pick] = (cur, combo)
-                break
-            cur, combo = cur ^ hit[0], combo ^ hit[1]
-        if not cur:
-            kernel.append(frozenset(combo))
+    residues = [Morphism(A, B, {e}).differential().comps for e in unknowns]
+    # rows in residue-term order, so elimination pivots on the least term
+    terms = sorted(set().union(*residues), key=B.op_sort_key)
+    row = {t: i for i, t in enumerate(terms)}
+    cols = tuple(sum(1 << row[t] for t in img) for img in residues)
+    kernel = F2Matrix(len(terms), len(unknowns), cols).nullspace_basis()
     for size in range(1, max_sum_size + 1):
         for pick in itertools.combinations(range(len(kernel)), size):
-            comps = set()
+            mask = 0
             for i in pick:
-                for j in kernel[i]:
-                    comps ^= {unknowns[j]}
-            if not comps:
-                continue
-            cand = Morphism(A, B, comps)
+                mask ^= kernel[i]
+            cand = Morphism(A, B, {unknowns[j] for j in _bits(mask)})
             trace = _acyclic_cone_trace(cand)
             if trace is not None:
                 return EquivalenceCertificate(cand, trace, pick)
@@ -242,7 +224,7 @@ def find_structure_equivalence(A, B, max_arity=3):
         cert = search_small_equivalence(red_a.reduced, red_b.reduced,
                                         max_arity=max_arity)
         bridge, index = cert.forward, cert.search_index
-    forward = compose(compose(red_a.to_reduced, bridge), red_b.from_reduced)
+    forward = red_a.to_reduced.then(bridge).then(red_b.from_reduced)
     trace = _acyclic_cone_trace(forward)
     if trace is None:
         raise NotEquivalentError("composite through reduced models has a "

@@ -2,8 +2,10 @@
 
 Matrices are stored column-major as Python integers (bit i of column j is
 the (i, j) entry), which makes row operations single XORs of arbitrary
-width.  All eliminations pivot on the first available row in index order, so
-every result is reproducible across runs.
+width.  Every elimination in the package (rank, kernel, image, solving,
+homology representatives) is ``F2Matrix._echelon``, which pivots on the
+first available row in index order, so every result is reproducible across
+runs.
 """
 from __future__ import annotations
 
@@ -257,12 +259,6 @@ class ChainMap:
                 self.target.d * self.matrix).is_zero():
             raise ValueError("not a chain map")
 
-    def compose(self, then):
-        if then.source is not self.target and \
-           then.source.generators != self.target.generators:
-            raise ValueError("endpoint mismatch")
-        return ChainMap(self.source, then.target, then.matrix * self.matrix)
-
 
 @dataclass(frozen=True)
 class HomologyData:
@@ -270,27 +266,28 @@ class HomologyData:
     cycles: tuple        # explicit cycle representatives, one per class
     blocks: tuple        # generator-index blocks the classes live in
 
-    def __iter__(self):
-        return iter((self.dimension, list(self.cycles)))
-
 
 def homology(C):
     """Homology dimension plus explicit, deterministic cycle representatives.
 
     Representatives are found block by block in the support graph of the
     differential, so each comes from a single block (the grading surrogate
-    used downstream by the equivalence search).
+    used downstream by the equivalence search).  Within a block, the kernel
+    vectors that are independent of the boundaries and of the kernel
+    vectors before them are kept: the pivot columns of ``[im | ker]``.
     """
     cycles = []
     block_of = []
     for block in C.support_blocks():
-        sub = _restrict_columns(C.d, block)
-        ker = sub.nullspace_basis()
-        im = sub.image_basis()
-        chosen = _complete_basis(im, ker)
-        for v in chosen:
-            cycles.append(_unrestrict(v, block))
-            block_of.append(block)
+        _, cols, trans, order = _restrict_columns(C.d, block)._echelon()
+        im = [cols[j] for _, j in order]
+        ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
+        both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
+        _, _, _, both_order = both._echelon()
+        for _, j in both_order:
+            if j >= len(im):
+                cycles.append(_unrestrict(ker[j - len(im)], block))
+                block_of.append(block)
     return HomologyData(len(cycles), tuple(cycles), tuple(block_of))
 
 
@@ -313,31 +310,6 @@ def _unrestrict(vec, block):
         i = _lowbit(m)
         m &= m - 1
         out ^= 1 << block[i]
-    return out
-
-
-def _complete_basis(inside, ambient):
-    """Extend a basis of the boundary space to the cycle space; returns the
-    new vectors only (homology representatives)."""
-    basis = {}
-
-    def insert(vec):
-        cur = vec
-        while cur:
-            r = _lowbit(cur)
-            if r in basis:
-                cur ^= basis[r]
-            else:
-                basis[r] = cur
-                return True
-        return False
-
-    for v in inside:
-        insert(v)
-    out = []
-    for v in ambient:
-        if insert(v):
-            out.append(v)
     return out
 
 

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 from .equivalence import (find_homotopy_equivalence,
                           find_structure_equivalence)
 from .errors import RelationViolation
-from .homology import (ChainComplex, F2Matrix, express_in_homology, homology)
+from .homology import (ChainComplex, ChainMap, F2Matrix, express_in_homology,
+                       homology, mapping_cone)
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left,
-                         box_morphism_right, compose, identity_da,
+                         box_morphism_right, identity_da, identity_morphism,
                          mor_complex_DD, morphism_from_generator_map,
-                         tensor_id_left, to_chain_complex, validate_bounded)
+                         reduce_structure, to_chain_complex, validate_bounded)
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,8 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
                                          max_sum_size=max_sum_size).forward
     psi1 = find_homotopy_equivalence(az_p1, P1,
                                      max_sum_size=max_sum_size).forward
-    images = []
-    for f in reps:
-        twisted = tensor_id_left(az, f)
-        images.append(compose(compose(psi0_inv, twisted), psi1))
+    images = [psi0_inv.then(box_morphism_right(az, f)).then(psi1)
+              for f in reps]
     return mc, hom, reps, images
 
 
@@ -178,14 +177,61 @@ def cfi_hat(P0, P1, max_sum_size=4):
 
 
 # ---------------------------------------------------------------------------
+# the conjugation composite, shared by the involutive pairing, the mapping
+# class group action and the surgery triangle
+
+
+def conjugation_composite(M, P, omega_p, theta_p, theta_m):
+    """The map  M boxtimes P -> M boxtimes P'  through an inserted
+    equivalence, as a morphism of chain-complex structures.
+
+    The five steps: relabel M x P as M x (Id x P); apply Id_M x omega_p,
+    where omega_p: Id x P -> (L x R) x P is the inserted equivalence
+    already paired with P; reassociate to (M x L) x (R x P), checked to
+    hold strictly; apply Id x theta_p with theta_p: R x P -> P'; apply
+    theta_m x Id with theta_m: M x L -> M.  L and R are read off the
+    sources of theta_m and theta_p, so the strict check also certifies
+    that the two halves fit the target of omega_p.  With theta_p a
+    twisted-to-plain equivalence (P' = P) this is the conjugation map;
+    with theta_p a homotopy into another framing it realizes that
+    homotopy on the paired complexes.
+    """
+    base = box_tensor(M, P)
+    step2 = box_morphism_right(M, omega_p)
+    generators = set(base.generators)
+    relabel = {f"{m}|{p}": f"{m}|e_{_idem_label(P, p)}|{p}"
+               for m in M.generators for p in P.generators
+               if f"{m}|{p}" in generators}
+    step1 = morphism_from_generator_map(base, step2.source, relabel)
+    step4 = box_morphism_right(theta_m.source, theta_p)
+    regrouped = step4.source
+    if set(step2.target.generators) != set(regrouped.generators) or \
+       step2.target.ops != regrouped.ops:
+        raise RelationViolation("box tensor failed to reassociate strictly")
+    step3 = Morphism(step2.target, regrouped,
+                     identity_morphism(step2.target).comps)
+    step5 = box_morphism_left(theta_m, theta_p.target)
+    return step1.then(step2).then(step3).then(step4).then(step5)
+
+
+def _idem_label(P, p):
+    alg = P.out_alg
+    return alg.label_of(alg.idem_element(P.out_idem[p]))
+
+
+def conjugation_cone(cx, conj):
+    """The cone of (identity + conj) on a based complex, over F2[Q]/(Q^2):
+    Q carries the source copy identically onto the target copy."""
+    n = cx.dim
+    cone = mapping_cone(ChainMap(cx, cx, conj + F2Matrix.identity(n)))
+    q_cols = tuple(1 << (n + j) for j in range(n)) + (0,) * n
+    q = F2Matrix(2 * n, 2 * n, q_cols)
+    return ChainComplex(cone.generators, cone.d, actions={"Q": q},
+                        shift=cone.shift)
+
+
+# ---------------------------------------------------------------------------
 # the involutive pairing route
-
-
-def _cx_matrix(mor, source_cx, target_cx):
-    spos = {g: i for i, g in enumerate(source_cx.generators)}
-    tpos = {g: i for i, g in enumerate(target_cx.generators)}
-    entries = [(tpos[dst], spos[src]) for src, _, _, dst in mor.comps]
-    return F2Matrix.from_entries(len(tpos), len(spos), entries)
 
 
 def involutive_pair(A, D):
@@ -199,65 +245,16 @@ def involutive_pair(A, D):
     the bimodule-level equivalence (whose component count explodes at
     genus two).
     """
-    from .equivalence import find_homotopy_equivalence
-    from .structures import reduce_structure
-    M, psi_m = A.module, A.psi
-    P, psi_p = D.structure, D.psi
+    M, P = A.module, D.structure
     circle = P.out_alg.circle
-    az = cfda_az(circle)
-    azb = cfda_azbar(circle)
-    ident = identity_da(circle)
-
-    base = box_tensor(M, P)
-    id_p = box_tensor(ident, P)
-    composite = box_tensor(azb, az)
-    paired = box_tensor(composite, P)
-    red = reduce_structure(paired, track_from=True)
-    bridge = find_homotopy_equivalence(id_p, red.reduced)
-    omega_p = bridge.forward.then(red.from_reduced)
-
-    m_idp = box_tensor(M, id_p)
-    relabel = {f"{m}|{p}": f"{m}|e_{_idem_label(P, p)}|{p}"
-               for m in M.generators for p in P.generators
-               if f"{m}|{p}" in set(base.generators)}
-    step1 = morphism_from_generator_map(base, m_idp, relabel)
-    step2 = box_morphism_right(M, omega_p)
-    # strict associativity: M x (T x P) equals (M x azbar) x (az x P)
-    m_azb = box_tensor(M, azb)
-    az_p = box_tensor(az, P)
-    regrouped = box_tensor(m_azb, az_p)
-    if set(step2.target.generators) != set(regrouped.generators) or \
-       step2.target.ops != regrouped.ops:
-        raise RelationViolation("box tensor failed to reassociate strictly")
-    step3 = Morphism(step2.target, regrouped,
-                     identity_components(step2.target))
-    step4 = box_morphism_right(m_azb, psi_p)
-    step5 = box_morphism_left(psi_m, P)
-    conj = step1.then(step2).then(step3).then(step4).then(step5)
-
-    cx = to_chain_complex(base)
-    conj_mat = _cx_matrix(conj, cx, cx)
-    n = cx.dim
-    gens = tuple(f"S:{g}" for g in cx.generators) + \
-        tuple(f"T:{g}" for g in cx.generators)
-    one_plus = conj_mat + F2Matrix.identity(n)
-    cols = [cx.d.cols[j] | (one_plus.cols[j] << n) for j in range(n)]
-    cols += [cx.d.cols[j] << n for j in range(n)]
-    d = F2Matrix(2 * n, 2 * n, tuple(cols))
-    q_cols = [(1 << (n + j)) for j in range(n)] + [0] * n
-    q = F2Matrix(2 * n, 2 * n, tuple(q_cols))
-    return ChainComplex(gens, d, actions={"Q": q}, shift=-1)
-
-
-def _idem_label(P, p):
-    alg = P.out_alg
-    return alg.label_of(alg.idem_element(P.out_idem[p]))
-
-
-def identity_components(A):
-    """Identity components between equal structures with equal labels."""
-    return {(g, (), A.out_alg.idem_element(A.out_idem[g]), g)
-            for g in A.generators}
+    composite = box_tensor(cfda_azbar(circle), cfda_az(circle))
+    red = reduce_structure(box_tensor(composite, P), track_from=True)
+    bridge = find_homotopy_equivalence(box_tensor(identity_da(circle), P),
+                                       red.reduced)
+    conj = conjugation_composite(M, P, bridge.forward.then(red.from_reduced),
+                                 D.psi, A.psi)
+    cx = to_chain_complex(conj.source)
+    return conjugation_cone(cx, conj.to_matrix(cx, cx))
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +269,14 @@ def mcg_action(M, P, chi, chi_inv):
     equivalences; the result is the induced matrix on the homology of the
     pairing complex.
     """
-    circle = P.out_alg.circle
-    ident = identity_da(circle)
-    composite = box_tensor(chi, chi_inv)
-    insertion = find_structure_equivalence(ident, composite).forward
+    ident = identity_da(P.out_alg.circle)
+    insertion = find_structure_equivalence(ident, box_tensor(chi, chi_inv))
     theta1 = find_homotopy_equivalence(box_tensor(chi_inv, P), P).forward
     theta0 = find_structure_equivalence(box_tensor(M, chi), M).forward
-
-    base = box_tensor(M, P)
-    id_p = box_tensor(ident, P)
-    m_idp = box_tensor(M, id_p)
-    relabel = {f"{m}|{p}": f"{m}|e_{_idem_label(P, p)}|{p}"
-               for m in M.generators for p in P.generators
-               if f"{m}|{p}" in set(base.generators)}
-    step1 = morphism_from_generator_map(base, m_idp, relabel)
-    step2 = box_morphism_right(M, box_morphism_left(insertion, P))
-    m_chi = box_tensor(M, chi)
-    chi_inv_p = box_tensor(chi_inv, P)
-    regrouped = box_tensor(m_chi, chi_inv_p)
-    if set(step2.target.generators) != set(regrouped.generators) or \
-       step2.target.ops != regrouped.ops:
-        raise RelationViolation("box tensor failed to reassociate strictly")
-    step3 = Morphism(step2.target, regrouped,
-                     identity_components(step2.target))
-    step4 = box_morphism_right(m_chi, theta1)
-    step5 = box_morphism_left(theta0, P)
-    action = step1.then(step2).then(step3).then(step4).then(step5)
-
-    cx = to_chain_complex(base)
-    mat = _cx_matrix(action, cx, cx)
+    action = conjugation_composite(
+        M, P, box_morphism_left(insertion.forward, P), theta1, theta0)
+    cx = to_chain_complex(action.source)
+    mat = action.to_matrix(cx, cx)
     if not (mat * cx.d + cx.d * mat).is_zero():
         raise RelationViolation("mapping class composite is not a chain map")
     hom = homology(cx)

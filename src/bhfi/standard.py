@@ -262,20 +262,6 @@ def _internal_diff(alg, a, dualized):
     return sorted(alg.diff_preimages(a), key=alg.sort_key)
 
 
-def cfaa_az_as_algebra(circle):
-    """The interpolating piece in its two-action form: the algebra itself,
-    with left/right actions by multiplication and its own differential.
-    Used for documentation-level cross-checks only."""
-    alg = algebra(circle)
-    return {
-        "dimension": len(alg.basis),
-        "basis": list(alg.basis),
-        "left_action": alg.mul_basis,
-        "right_action": alg.mul_basis,
-        "differential": alg.diff_basis,
-    }
-
-
 def surgery_maps():
     """The two morphisms of the solid-torus short exact sequence."""
     inf = cfd_solid_torus("infinity")

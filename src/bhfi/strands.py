@@ -512,14 +512,6 @@ def chord_element(circle, i, j):
     return algebra(circle).chord(i, j)
 
 
-def multiply(x, y):
-    return x * y
-
-
-def differential(x):
-    return x.d()
-
-
 def chord_nilpotency_bound(circle):
     """Any product of more than 2k(4k-1) chords vanishes."""
     return 2 * circle.k * (4 * circle.k - 1)

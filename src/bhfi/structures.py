@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, RelationViolation
-from .homology import ChainComplex, ChainMap, F2Matrix
+from .homology import ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
 
 
@@ -367,10 +367,6 @@ class DDBimodule(BorderedObject):
                 for tb in _coefficient_terms(cb):
                     ops ^= {(src, (), (ta, tb), dst)}
         super().__init__(out_alg, TRIVIAL, gens, out_idem, in_idem, ops)
-
-
-def as_bordered(out_alg, in_alg, generators, out_idem, in_idem, ops):
-    return BorderedObject(out_alg, in_alg, generators, out_idem, in_idem, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -736,17 +732,14 @@ class Morphism:
         return BorderedObject(S.out_alg, S.in_alg, gens, out_idem,
                               in_idem, ops)
 
-    def as_chain_map(self, source_cx=None, target_cx=None):
-        """Realize a morphism of both-sides-trivial structures as a ChainMap."""
-        if self.source.kind != "CX":
-            raise ValueError("not a morphism of chain complexes")
-        source_cx = source_cx or to_chain_complex(self.source)
-        target_cx = target_cx or to_chain_complex(self.target)
+    def to_matrix(self, source_cx, target_cx):
+        """The matrix of a morphism of both-sides-trivial structures between
+        the given based complexes, matched by generator label.  Nothing is
+        checked: callers test the chain-map identity themselves."""
         spos = {g: i for i, g in enumerate(source_cx.generators)}
         tpos = {g: i for i, g in enumerate(target_cx.generators)}
         entries = [(tpos[dst], spos[src]) for src, _, _, dst in self.comps]
-        mat = F2Matrix.from_entries(len(tpos), len(spos), entries)
-        return ChainMap(source_cx, target_cx, mat)
+        return F2Matrix.from_entries(len(tpos), len(spos), entries)
 
     def __repr__(self):
         return f"<morphism: {len(self.comps)} components>"
@@ -768,11 +761,6 @@ def elementary_morphism(P, Q, src, coeff, dst):
     for term in _coefficient_terms(coeff):
         comps ^= {(src, (), term, dst)}
     return Morphism(P, Q, comps)
-
-
-def compose(f, g):
-    """Apply f first, then g."""
-    return f.then(g)
 
 
 def morphism_from_generator_map(S, T, mapping):
@@ -834,11 +822,6 @@ def box_morphism_right(B, f):
     return Morphism(box1, box2, comps)
 
 
-def tensor_id_left(B, f):
-    """Spec-facing alias: Id_B boxtimes f for a DA bimodule B."""
-    return box_morphism_right(B, f)
-
-
 # ---------------------------------------------------------------------------
 # morphism complexes of type D structures
 
@@ -872,10 +855,7 @@ class MorComplex:
 
     def morphism_of(self, vec):
         comps = set()
-        m = vec
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
+        for i in _bits(vec):
             p, a, q = self.basis[i]
             comps.add((p, (), a, q))
         return Morphism(self.P, self.Q, comps)

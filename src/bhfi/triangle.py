@@ -7,20 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivalence import omega_equivalence
+from .equivalence import find_structure_equivalence, omega_equivalence
 from .errors import RelationViolation
-from .homology import ChainComplex, F2Matrix, express_in_homology, homology
-from .standard import cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps
+from .homology import F2Matrix, express_in_homology, homology
+from .involutive import conjugation_composite, conjugation_cone
+from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
+                       torus_chord)
 from .strands import split_pmc
 from .structures import (Morphism, box_morphism_left, box_morphism_right,
-                         box_tensor, compose, identity_da, is_contractible,
-                         morphism_from_generator_map, tensor_id_left,
-                         to_chain_complex)
-
-
-def _tc(i, j):
-    from .standard import torus_chord
-    return torus_chord(i, j)
+                         box_tensor, is_contractible, to_chain_complex)
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ def build_triangle_data():
 
     psi_inf = Morphism(az_inf, d_inf, {
         ("r3.4|r", (), i1, "r"),
-        ("r2.4|r", (), _tc(3, 4), "r"),
+        ("r2.4|r", (), torus_chord(3, 4), "r"),
     })
     psi_m1 = Morphism(az_m1, d_m1, {
         ("h2|b", (), i0, "a"),
@@ -70,16 +65,16 @@ def build_triangle_data():
     })
     psi_0 = Morphism(az_0, d_0, {
         ("r2.3|n", (), i0, "n"),
-        ("r1.3|n", (), _tc(2, 3), "n"),
+        ("r1.3|n", (), torus_chord(2, 3), "n"),
     })
     G = Morphism(az_inf, d_m1, {
         ("r2.4|r", (), i0, "a"),
         ("r1.4|r", (), i1, "b"),
-        ("r1.2|r", (), _tc(2, 4), "b"),
+        ("r1.2|r", (), torus_chord(2, 4), "b"),
     })
     H = Morphism(az_m1, d_0, {
         ("r2.4|b", (), i0, "n"),
-        ("r1.4|b", (), _tc(2, 3), "n"),
+        ("r1.4|b", (), torus_chord(2, 3), "n"),
     })
 
     for name, mor in (("phi", phi), ("psi", psi), ("Psi_inf", psi_inf),
@@ -95,16 +90,16 @@ def build_triangle_data():
             raise RelationViolation(f"{name} is not an equivalence")
 
     square_1 = G.differential() + \
-        compose(tensor_id_left(az, phi), psi_m1) + compose(psi_inf, phi)
+        box_morphism_right(az, phi).then(psi_m1) + psi_inf.then(phi)
     if square_1.comps:
         raise RelationViolation(
             f"left square does not commute up to G: {square_1.comps}")
     square_2 = H.differential() + \
-        compose(tensor_id_left(az, psi), psi_0) + compose(psi_m1, psi)
+        box_morphism_right(az, psi).then(psi_0) + psi_m1.then(psi)
     if square_2.comps:
         raise RelationViolation(
             f"right square does not commute up to H: {square_2.comps}")
-    mixed = compose(G, psi) + compose(tensor_id_left(az, phi), H)
+    mixed = G.then(psi) + box_morphism_right(az, phi).then(H)
     if mixed.comps:
         raise RelationViolation(
             f"homotopies fail psi.G = H.(Id x phi): {mixed.comps}")
@@ -116,82 +111,16 @@ def build_triangle_data():
 # the involutive exact-sequence verification
 
 
-def _cx_matrix(mor, source_cx, target_cx):
-    spos = {g: i for i, g in enumerate(source_cx.generators)}
-    tpos = {g: i for i, g in enumerate(target_cx.generators)}
-    entries = [(tpos[dst], spos[src]) for src, _, _, dst in mor.comps]
-    return F2Matrix.from_entries(len(tpos), len(spos), entries)
-
-
-def _conjugation_matrix(X, psi_x, az, azb, P, psi_p, omega):
-    """The conjugation chain map on X boxtimes P through the interpolating
-    pieces, as a matrix; also returns the pairing complex."""
-    ident = identity_da(P.out_alg.circle)
-    base = box_tensor(X, P)
-    id_p = box_tensor(ident, P)
-    m_idp = box_tensor(X, id_p)
-    alg = P.out_alg
-    relabel = {}
-    for p in P.generators:
-        tag = alg.label_of(alg.idem_element(P.out_idem[p]))
-        for m in X.generators:
-            if f"{m}|{p}" in set(base.generators):
-                relabel[f"{m}|{p}"] = f"{m}|e_{tag}|{p}"
-    step1 = morphism_from_generator_map(base, m_idp, relabel)
-    step2 = box_morphism_right(X, box_morphism_left(omega, P))
-    x_azb = box_tensor(X, azb)
-    az_p = box_tensor(az, P)
-    regrouped = box_tensor(x_azb, az_p)
-    if set(step2.target.generators) != set(regrouped.generators) or \
-       step2.target.ops != regrouped.ops:
-        raise RelationViolation("box tensor failed to reassociate strictly")
-    from .involutive import identity_components
-    step3 = Morphism(step2.target, regrouped,
-                     identity_components(step2.target))
-    step4 = box_morphism_right(x_azb, psi_p)
-    step5 = box_morphism_left(psi_x, P)
-    conj = step1.then(step2).then(step3).then(step4).then(step5)
-    cx = to_chain_complex(base)
-    return cx, _cx_matrix(conj, cx, cx)
-
-
-def _homotopy_matrix(X, azb, az, P_src, P_dst, hom, omega, psi_x):
-    """Realize a connecting homotopy on the paired complexes: the same
-    composite as the conjugation map with the homotopy in place of the
-    twisted-to-plain equivalence."""
-    ident = identity_da(P_src.out_alg.circle)
-    base = box_tensor(X, P_src)
-    id_p = box_tensor(ident, P_src)
-    alg = P_src.out_alg
-    relabel = {}
-    for p in P_src.generators:
-        tag = alg.label_of(alg.idem_element(P_src.out_idem[p]))
-        for m in X.generators:
-            if f"{m}|{p}" in set(base.generators):
-                relabel[f"{m}|{p}"] = f"{m}|e_{tag}|{p}"
-    step1 = morphism_from_generator_map(base, box_tensor(X, id_p), relabel)
-    step2 = box_morphism_right(X, box_morphism_left(omega, P_src))
-    x_azb = box_tensor(X, azb)
-    regrouped = box_tensor(x_azb, box_tensor(az, P_src))
-    from .involutive import identity_components
-    step3 = Morphism(step2.target, regrouped,
-                     identity_components(step2.target))
-    step4 = box_morphism_right(x_azb, hom)
-    step5 = box_morphism_left(psi_x, P_dst)
-    total = step1.then(step2).then(step3).then(step4).then(step5)
-    src_cx = to_chain_complex(base)
-    dst_cx = to_chain_complex(box_tensor(X, P_dst))
-    return _cx_matrix(total, src_cx, dst_cx)
-
-
 def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
-    """Correct candidate homotopies so that the involutive-cone block maps
-    are chain maps and compose to zero.
+    """Homotopies G and H over F2 with  dG + Gd = iota.i + i.iota,
+    dH + Hd = iota.p + p.iota and p.G + H.i = 0, so that the
+    involutive-cone block maps are chain maps and compose to zero.
 
-    Solves, over F2, for G and H with  dG + Gd = iota.i + i.iota,
-    dH + Hd = iota.p + p.iota and p.G + H.i = 0, seeded at the candidate
-    realizations.  Existence follows from the square identities holding up
-    to homotopy; failure raises.
+    The candidate realizations G0, H0 are returned when they satisfy the
+    identities.  Otherwise the linear system in the entries of G and H is
+    solved afresh (the candidates are not used), and the solution with
+    every free unknown zero is returned.  Existence follows from the square
+    identities holding up to homotopy; failure raises.
     """
     c_inf, c_m1, c_0 = cxs
     r1 = iotas[1] * i_mat + i_mat * iotas[0]
@@ -212,11 +141,12 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
 
     nvars = nG[0] * nG[1] + nH[0] * nH[1]
     rows = []
-    rhs = []
+    rhs = 0
 
     def add_eq(row, b):
+        nonlocal rhs
+        rhs |= b << len(rows)
         rows.append(row)
-        rhs.append(b)
 
     # dG + Gd = r1
     for r in range(nG[0]):
@@ -251,7 +181,7 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
                 if i_mat.entry(s, c):
                     row ^= 1 << h_idx(r, s)
             add_eq(row, 0)
-    sol = _solve_linear(rows, rhs, nvars)
+    sol = F2Matrix.from_rows(rows, nvars).solve(rhs)
     if sol is None:
         raise RelationViolation("no homotopies make the cone maps chain maps")
     G = F2Matrix.from_entries(
@@ -261,38 +191,6 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
         nH[0], nH[1], [(r, c) for r in range(nH[0]) for c in range(nH[1])
                        if (sol >> h_idx(r, c)) & 1])
     return G, H
-
-
-def _solve_linear(rows, rhs, nvars):
-    """One solution of a sparse F2 system, or None."""
-    pivots = {}
-    for row, b in zip(rows, rhs):
-        cur, curb = row, b
-        while cur:
-            lead = (cur & -cur).bit_length() - 1
-            if lead in pivots:
-                prow, pb = pivots[lead]
-                cur ^= prow
-                curb ^= pb
-            else:
-                pivots[lead] = (cur, curb)
-                cur = 0
-                curb = 0
-                break
-        if cur == 0 and curb:
-            return None
-    sol = 0
-    for lead in sorted(pivots, reverse=True):
-        prow, pb = pivots[lead]
-        val = pb
-        m = prow & ~(1 << lead)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            val ^= (sol >> j) & 1
-        if val:
-            sol |= 1 << lead
-    return sol
 
 
 @dataclass(frozen=True)
@@ -323,10 +221,12 @@ def _subspace_eq(vectors_a, vectors_b, dim):
     return ra == rb == rab
 
 
-def _triangle_exact(cxA, cxB, cxC, f_mat, g_mat, node_names, failures):
+def _triangle_exact(cxs, homs, f_mat, g_mat, node_names, failures):
     """Exactness of the homology triangle of a levelwise short exact
-    sequence, with the connecting map built from explicit lifts."""
-    hA, hB, hC = homology(cxA), homology(cxB), homology(cxC)
+    sequence of the complexes ``cxs`` with homologies ``homs``, with the
+    connecting map built from explicit lifts."""
+    cxA, cxB, cxC = cxs
+    hA, hB, hC = homs
     fa = [f_mat.apply(z) for z in hA.cycles]
     fa_classes = [express_in_homology(cxB, hB, v) for v in fa]
     gb = [g_mat.apply(z) for z in hB.cycles]
@@ -372,33 +272,33 @@ def verify_hfi_triangle(X):
     Builds the three paired complexes, the involutions through the
     interpolating pieces, the cone complexes with their block maps, and
     checks: chain-map property, levelwise short exactness, and exactness
-    of both homology triangles.
+    of both homology triangles.  The involutions and the two connecting
+    homotopies are all the conjugation composite of ``bhfi.involutive``.
     """
     z1 = split_pmc(1)
     data = build_triangle_data()
-    az, azb = cfda_az(z1), cfda_azbar(z1)
+    azb = cfda_azbar(z1)
     omega = omega_equivalence(z1).forward
-    from .equivalence import find_structure_equivalence
     psi_x = find_structure_equivalence(box_tensor(X, azb), X).forward
 
     framings = [cfd_solid_torus("infinity"), cfd_solid_torus("minus_one"),
                 cfd_solid_torus("zero")]
+    omegas = [box_morphism_left(omega, P) for P in framings]
     psis = [data.psi_inf, data.psi_m1, data.psi_0]
     cxs = []
     iotas = []
-    for P, psi_p in zip(framings, psis):
-        cx, conj = _conjugation_matrix(X, psi_x, az, azb, P, psi_p, omega)
+    for P, omega_p, psi_p in zip(framings, omegas, psis):
+        conj = conjugation_composite(X, P, omega_p, psi_p, psi_x)
+        cx = to_chain_complex(conj.source)
         cxs.append(cx)
-        iotas.append(conj)
+        iotas.append(conj.to_matrix(cx, cx))
     failures = []
     for idx, (cx, conj) in enumerate(zip(cxs, iotas)):
         if not (conj * cx.d + cx.d * conj).is_zero():
             failures.append(f"node {idx}: involution is not a chain map")
 
-    i_mor = box_morphism_right(X, data.phi)
-    p_mor = box_morphism_right(X, data.psi)
-    i_mat = _cx_matrix(i_mor, cxs[0], cxs[1])
-    p_mat = _cx_matrix(p_mor, cxs[1], cxs[2])
+    i_mat = box_morphism_right(X, data.phi).to_matrix(cxs[0], cxs[1])
+    p_mat = box_morphism_right(X, data.psi).to_matrix(cxs[1], cxs[2])
     chain_maps_ok = (i_mat * cxs[0].d + cxs[1].d * i_mat).is_zero() and \
         (p_mat * cxs[1].d + cxs[2].d * p_mat).is_zero()
     if not chain_maps_ok:
@@ -413,25 +313,17 @@ def verify_hfi_triangle(X):
 
     # homotopies realized through the same composite, then corrected if the
     # realization only commutes up to homotopy
-    G0 = _homotopy_matrix(X, azb, az, framings[0], framings[1], data.G,
-                          omega, psi_x)
-    H0 = _homotopy_matrix(X, azb, az, framings[1], framings[2], data.H,
-                          omega, psi_x)
-    G_mat, H_mat = _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0)
+    G0 = conjugation_composite(X, framings[0], omegas[0], data.G, psi_x)
+    H0 = conjugation_composite(X, framings[1], omegas[1], data.H, psi_x)
+    G_mat, H_mat = _solve_homotopy_pair(
+        cxs, i_mat, p_mat, iotas, G0.to_matrix(cxs[0], cxs[1]),
+        H0.to_matrix(cxs[1], cxs[2]))
 
-    hat_exact = _triangle_exact(cxs[0], cxs[1], cxs[2], i_mat, p_mat,
+    hat_homs = [homology(cx) for cx in cxs]
+    hat_exact = _triangle_exact(cxs, hat_homs, i_mat, p_mat,
                                 ("inf", "minus_one", "zero"), failures)
 
-    cones = []
-    for cx, conj in zip(cxs, iotas):
-        n = cx.dim
-        one_plus = conj + F2Matrix.identity(n)
-        cols = [cx.d.cols[j] | (one_plus.cols[j] << n) for j in range(n)]
-        cols += [cx.d.cols[j] << n for j in range(n)]
-        gens = tuple(f"S:{g}" for g in cx.generators) + \
-            tuple(f"T:{g}" for g in cx.generators)
-        cones.append(ChainComplex(gens, F2Matrix(2 * n, 2 * n, tuple(cols)),
-                                  shift=-1))
+    cones = [conjugation_cone(cx, conj) for cx, conj in zip(cxs, iotas)]
 
     def block_map(f_mat, h_mat, src, dst):
         ns, nt = src.dim // 2, dst.dim // 2
@@ -454,14 +346,15 @@ def verify_hfi_triangle(X):
                      I_blk.rank() + P_blk.rank() == cones[1].dim)
     if not inv_levelwise:
         failures.append("involutive levelwise exactness fails")
-    inv_exact = _triangle_exact(cones[0], cones[1], cones[2], I_blk, P_blk,
+    cone_homs = [homology(cone) for cone in cones]
+    inv_exact = _triangle_exact(cones, cone_homs, I_blk, P_blk,
                                 ("HFI inf", "HFI minus_one", "HFI zero"),
                                 failures)
     if failures:
         raise RelationViolation("; ".join(failures))
     return TriangleReport(
-        hat_dims=tuple(homology(c).dimension for c in cxs),
-        involutive_dims=tuple(homology(c).dimension for c in cones),
+        hat_dims=tuple(h.dimension for h in hat_homs),
+        involutive_dims=tuple(h.dimension for h in cone_homs),
         hat_exact=hat_exact,
         involutive_exact=inv_exact,
         levelwise_exact=levelwise and inv_levelwise,

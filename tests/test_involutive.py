@@ -1,4 +1,4 @@
-from bhfi import (F2Matrix, box_tensor, cfi_hat, compose,
+from bhfi import (F2Matrix, box_tensor, cfi_hat,
                   find_homotopy_equivalence, homology, identity_da,
                   involutive_pair, iota_on_mor, mcg_action,
                   standard_involutive_a, standard_involutive_d)
@@ -99,7 +99,7 @@ class TestInvolutivePair:
         A = standard_involutive_a(cfa1)
         D = standard_involutive_d(cfd0)
         auto = find_homotopy_equivalence(cfd0, cfd0).forward
-        D2 = InvolutiveTypeD(cfd0, compose(D.psi, auto))
+        D2 = InvolutiveTypeD(cfd0, D.psi.then(auto))
         assert homology(involutive_pair(A, D2)).dimension == \
             homology(involutive_pair(A, D)).dimension
 

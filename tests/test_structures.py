@@ -4,13 +4,13 @@ import pytest
 
 from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
                   box_tensor, box_tensor_AD, box_tensor_DA_D,
-                  box_tensor_DD_side, check_structure, compose, dd_identity,
+                  box_tensor_DD_side, check_structure, dd_identity,
                   dual_type_d, homology, identity_da, identity_morphism,
                   is_contractible, mor_complex_DD, reduce_structure,
-                  tensor_id_left, validate_bounded)
+                  validate_bounded)
 from bhfi.standard import torus_chord
-from bhfi.structures import (box_morphism_left, elementary_morphism,
-                             zero_morphism)
+from bhfi.structures import (box_morphism_left, box_morphism_right,
+                             elementary_morphism, zero_morphism)
 
 
 def labels(morphism):
@@ -218,17 +218,17 @@ class TestDual:
 class TestMorphisms:
     def test_compose_with_identity(self, cfd0, cfd_m1):
         f = elementary_morphism(cfd0, cfd_m1, "n", torus_chord(1, 2), "b")
-        assert compose(identity_morphism(cfd0), f).comps == f.comps
-        assert compose(f, identity_morphism(cfd_m1)).comps == f.comps
+        assert identity_morphism(cfd0).then(f).comps == f.comps
+        assert f.then(identity_morphism(cfd_m1)).comps == f.comps
 
     def test_composition_associative(self, cfd0):
         from bhfi.standard import surgery_maps
         phi, psi = surgery_maps()
-        lhs = compose(compose(phi, psi), identity_morphism(cfd0))
-        rhs = compose(phi, compose(psi, identity_morphism(cfd0)))
+        lhs = phi.then(psi).then(identity_morphism(cfd0))
+        rhs = phi.then(psi.then(identity_morphism(cfd0)))
         assert lhs.comps == rhs.comps
 
-    def test_tensor_id_left_is_chain_map(self, az1, cfd0, cfd_m1, z1):
+    def test_box_morphism_right_is_chain_map(self, az1, cfd0, cfd_m1, z1):
         # d(Id x f) = Id x df, on random not-necessarily-cycle morphisms
         rng = random.Random(31)
         alg = algebra(z1)
@@ -242,12 +242,12 @@ class TestMorphisms:
                 if between:
                     comps ^= {(src, (), rng.choice(between), dst)}
             f = Morphism(cfd0, cfd_m1, comps)
-            lhs = tensor_id_left(az1, f).differential()
-            rhs = tensor_id_left(az1, f.differential())
+            lhs = box_morphism_right(az1, f).differential()
+            rhs = box_morphism_right(az1, f.differential())
             assert lhs.comps == rhs.comps
 
-    def test_tensor_id_left_of_identity(self, az1, cfd0):
-        f = tensor_id_left(az1, identity_morphism(cfd0))
+    def test_box_morphism_right_of_identity(self, az1, cfd0):
+        f = box_morphism_right(az1, identity_morphism(cfd0))
         box = box_tensor(az1, cfd0)
         assert f.comps == identity_morphism(box).comps
 
@@ -279,7 +279,7 @@ class TestReduceStructure:
         assert red.from_reduced.is_cycle()
         assert red.to_reduced.is_cycle()
         # to . from is the identity of the reduced structure
-        round_trip = compose(red.from_reduced, red.to_reduced)
+        round_trip = red.from_reduced.then(red.to_reduced)
         assert round_trip.comps == identity_morphism(red.reduced).comps
 
     def test_no_input_reduction_reaches_zero_idempotent_ops(self, az1,
@@ -322,5 +322,5 @@ class TestTrackedLoopReduction:
         assert len(red.reduced.generators) == 2
         assert red.from_reduced.is_cycle()
         assert red.to_reduced.is_cycle()
-        round_trip = compose(red.from_reduced, red.to_reduced)
+        round_trip = red.from_reduced.then(red.to_reduced)
         assert round_trip.comps == identity_morphism(red.reduced).comps

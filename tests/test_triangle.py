@@ -1,7 +1,12 @@
-from bhfi import (build_triangle_data, check_structure, compose,
-                  is_contractible, tensor_id_left, verify_hfi_triangle)
+import random
+
+import pytest
+
+from bhfi import (F2Matrix, build_triangle_data, check_structure,
+                  is_contractible, verify_hfi_triangle)
+from bhfi.errors import RelationViolation
 from bhfi.standard import cfa_zero_handlebody
-from bhfi.structures import AInfModule
+from bhfi.structures import AInfModule, box_morphism_right
 
 
 def comp_labels(morphism):
@@ -31,14 +36,14 @@ class TestTriangleData:
     def test_squares_commute_up_to_homotopy(self, az1):
         data = build_triangle_data()
         lhs = data.G.differential()
-        rhs = compose(tensor_id_left(az1, data.phi), data.psi_m1) + \
-            compose(data.psi_inf, data.phi)
+        rhs = box_morphism_right(az1, data.phi).then(data.psi_m1) + \
+            data.psi_inf.then(data.phi)
         assert lhs.comps == rhs.comps
 
     def test_interchange_identity(self, az1):
         data = build_triangle_data()
-        assert compose(data.G, data.psi).comps == \
-            compose(tensor_id_left(az1, data.phi), data.H).comps
+        assert data.G.then(data.psi).comps == \
+            box_morphism_right(az1, data.phi).then(data.H).comps
 
     def test_equivalences_have_acyclic_cones(self):
         data = build_triangle_data()
@@ -73,3 +78,68 @@ class TestHfiTriangle:
         report = verify_hfi_triangle(M)
         assert report.hat_dims == (2, 2, 4)
         assert report.hat_exact and report.involutive_exact
+
+
+class TestHomotopySolve:
+    """The linear-solve branch of the homotopy correction, reached by
+    handing it candidates that fail the identities."""
+
+    @staticmethod
+    def captured_system(cfa1, monkeypatch):
+        import bhfi.triangle as triangle
+        seen = []
+        original = triangle._solve_homotopy_pair
+
+        def capture(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(triangle, "_solve_homotopy_pair", capture)
+        verify_hfi_triangle(cfa1)
+        (args,) = seen
+        return original, args[:4]
+
+    @staticmethod
+    def residues(cxs, i_mat, p_mat, iotas, G, H):
+        c_inf, c_m1, c_0 = cxs
+        r1 = iotas[1] * i_mat + i_mat * iotas[0]
+        r2 = iotas[2] * p_mat + p_mat * iotas[1]
+        return (c_m1.d * G + G * c_inf.d + r1,
+                c_0.d * H + H * c_m1.d + r2,
+                p_mat * G + H * i_mat)
+
+    @staticmethod
+    def garbage(rng, nrows, ncols):
+        return F2Matrix(nrows, ncols,
+                        tuple(rng.getrandbits(nrows) for _ in range(ncols)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solution_satisfies_the_identities(self, cfa1, monkeypatch, seed):
+        solve, (cxs, i_mat, p_mat, iotas) = \
+            self.captured_system(cfa1, monkeypatch)
+        rng = random.Random(seed)
+        # a null-homotopic change of the involutions keeps the system
+        # solvable while making its right-hand sides nonzero
+        iotas = [iota + cx.d * k + k * cx.d for iota, cx, k in
+                 zip(iotas, cxs, [self.garbage(rng, c.dim, c.dim)
+                                  for c in cxs])]
+        G0 = self.garbage(rng, cxs[1].dim, cxs[0].dim)
+        H0 = self.garbage(rng, cxs[2].dim, cxs[1].dim)
+        before = self.residues(cxs, i_mat, p_mat, iotas, G0, H0)
+        assert not all(m.is_zero() for m in before)
+        G, H = solve(cxs, i_mat, p_mat, iotas, G0, H0)
+        assert (G.nrows, G.ncols) == (G0.nrows, G0.ncols)
+        assert (H.nrows, H.ncols) == (H0.nrows, H0.ncols)
+        after = self.residues(cxs, i_mat, p_mat, iotas, G, H)
+        assert all(m.is_zero() for m in after)
+
+    def test_unsolvable_system_raises(self, cfa1, monkeypatch):
+        solve, (cxs, i_mat, p_mat, _) = \
+            self.captured_system(cfa1, monkeypatch)
+        # iota.i + i.iota = i, which is not null-homotopic
+        iotas = [F2Matrix.identity(cxs[0].dim)] + \
+            [F2Matrix.zero(c.dim, c.dim) for c in cxs[1:]]
+        with pytest.raises(RelationViolation):
+            solve(cxs, i_mat, p_mat, iotas,
+                  F2Matrix.zero(cxs[1].dim, cxs[0].dim),
+                  F2Matrix.zero(cxs[2].dim, cxs[1].dim))

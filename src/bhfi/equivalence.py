@@ -14,13 +14,16 @@ side by pairing with the DD identity, where cancellation always terminates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import InsufficientArityError, NotEquivalentError
+from .errors import (DivergenceError, InsufficientArityError,
+                     NotEquivalentError)
 from .homology import F2Matrix, _bits, homology
 from .strands import chord_nilpotency_bound
-from .structures import (Morphism, box_tensor_DD_side, mor_complex_DD,
-                         morphism_from_generator_map, reduce_structure)
+from .structures import (Morphism, box_tensor_DD_side, generator_cap,
+                         mor_complex_DD, morphism_from_generator_map,
+                         reduce_structure)
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,9 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
 
     Solves the morphism-cycle condition as a linear system over the
     elementary components with at most ``max_arity - 1`` inputs, then walks
-    combinations of the solution space looking for an acyclic cone.
+    combinations of the solution space looking for an acyclic cone.  The
+    cones reduced may hold at most ``BHFI_MAX_GENERATORS`` generators in
+    total; past that the search raises DivergenceError.
     """
     out_alg, in_alg = A.out_alg, A.in_alg
     unknowns = []
@@ -191,8 +196,20 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
     row = {t: i for i, t in enumerate(terms)}
     cols = tuple(sum(1 << row[t] for t in img) for img in residues)
     kernel = F2Matrix(len(terms), len(unknowns), cols).nullspace_basis()
+    cap = generator_cap()
+    cone_size = len(A.generators) + len(B.generators)
+    tried = 0
     for size in range(1, max_sum_size + 1):
         for pick in itertools.combinations(range(len(kernel)), size):
+            if (tried + 1) * cone_size > cap:
+                candidates = sum(math.comb(len(kernel), k)
+                                 for k in range(1, max_sum_size + 1))
+                raise DivergenceError(
+                    f"search_small_equivalence: {tried} of {candidates} "
+                    f"candidates reduced ({len(kernel)}-vector kernel, sums "
+                    f"of up to {max_sum_size}); the next cone would pass "
+                    f"BHFI_MAX_GENERATORS={cap} generators in total")
+            tried += 1
             mask = 0
             for i in pick:
                 mask ^= kernel[i]

@@ -17,7 +17,7 @@ import json
 
 from .errors import ParseError
 from .strands import (AlgebraElement, PointedMatchedCircle, StrandDiagram,
-                      split_pmc)
+                      algebra, split_pmc)
 from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
 
 
@@ -40,7 +40,7 @@ def diagram_from_json(circle, data):
     try:
         moving = tuple(tuple(s) for s in data["moving"])
         horizontal = frozenset(data["horizontal"])
-        diag = StrandDiagram(circle, moving, horizontal)
+        diag = algebra(circle).diagram(moving, horizontal)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc
     if sorted(diag.left_idem) != sorted(data.get("left_idem",

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import itertools
 
-from .strands import (AlgebraElement, StrandDiagram, algebra, split_pmc,
-                      split_factors)
+from .strands import AlgebraElement, algebra, split_pmc, split_factors
 from .structures import (AInfModule, DABimodule, DDBimodule, Morphism,
                          TypeDStructure)
 
 
 def _diagram(circle, moving=(), horizontal=()):
-    return StrandDiagram(circle, tuple(moving), frozenset(horizontal))
+    return algebra(circle).diagram(moving, horizontal)
 
 
 def torus_chord(i, j):

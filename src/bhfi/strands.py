@@ -40,6 +40,9 @@ class PointedMatchedCircle:
             raise ValueError("matching must pair up the points 1..4k")
         if len(matching) != 2 * self.k:
             raise ValueError("matching must consist of 2k pairs")
+        object.__setattr__(self, "_pair_of", {
+            p: idx for idx, pair in enumerate(matching, start=1)
+            for p in pair})
 
     @property
     def n_points(self):
@@ -51,10 +54,10 @@ class PointedMatchedCircle:
         return tuple(range(1, 2 * self.k + 1))
 
     def pair_label(self, point):
-        for idx, pair in enumerate(self.matching, start=1):
-            if point in pair:
-                return idx
-        raise ValueError(f"no such point: {point}")
+        try:
+            return self._pair_of[point]
+        except (KeyError, TypeError):
+            raise ValueError(f"no such point: {point}") from None
 
     def pair_points(self, label):
         return self.matching[label - 1]
@@ -135,13 +138,15 @@ def _diff_points(x):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrandDiagram:
     """Basis element of the weight-0 strands algebra of a matched circle.
 
     ``moving`` holds the strictly increasing strands on points; ``horizontal``
     the matched-pair labels carrying a smeared horizontal strand.  The left
-    and right idempotents are derived data.
+    and right idempotents, the sort key and the hash are derived once, at
+    construction.  ``StrandsAlgebra.diagram`` hands out one shared object
+    per diagram; a directly constructed copy compares and hashes equal.
     """
 
     circle: PointedMatchedCircle
@@ -168,24 +173,33 @@ class StrandDiagram:
             raise ValueError("horizontal pair clashes with a moving strand")
         if len(moving) + len(horizontal) != Z.k:
             raise ValueError("not a weight-0 diagram (need k occupied pairs)")
+        left = frozenset(srcs) | horizontal
+        object.__setattr__(self, "left_idem", left)
+        object.__setattr__(self, "right_idem", frozenset(dsts) | horizontal)
+        object.__setattr__(self, "_sort_key", (
+            tuple(sorted(left)), moving, tuple(sorted(horizontal))))
+        # exactly the hash of the field tuple: set iteration orders, and
+        # with them the report bytes, depend on it
+        object.__setattr__(self, "_hash", hash((Z, moving, horizontal)))
 
-    @property
-    def left_idem(self):
-        Z = self.circle
-        return frozenset(Z.pair_label(i) for i, _ in self.moving) | self.horizontal
+    def __hash__(self):
+        return self._hash
 
-    @property
-    def right_idem(self):
-        Z = self.circle
-        return frozenset(Z.pair_label(j) for _, j in self.moving) | self.horizontal
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.moving == other.moving
+                and self.horizontal == other.horizontal
+                and self.circle == other.circle)
 
     @property
     def is_idempotent(self):
         return not self.moving
 
     def sort_key(self):
-        return (tuple(sorted(self.left_idem)), self.moving,
-                tuple(sorted(self.horizontal)))
+        return self._sort_key
 
     def expansions(self):
         """All point-level placements of the smeared horizontal strands."""
@@ -210,7 +224,7 @@ class StrandDiagram:
         moving = tuple(sorted((Z.reflect_point(j), Z.reflect_point(i))
                               for i, j in self.moving))
         horizontal = frozenset(Z.reflect_pair_label(p) for p in self.horizontal)
-        return StrandDiagram(Z, moving, horizontal)
+        return algebra(Z).diagram(moving, horizontal)
 
     def to_json(self):
         return {"left_idem": sorted(self.left_idem),
@@ -273,7 +287,7 @@ class AlgebraElement:
         return " + ".join(t.label for t in self.sorted_terms())
 
 
-def _collect(circle, point_diagrams):
+def _collect(alg, point_diagrams):
     """Regroup an F2 set of point-level diagrams into smeared basis terms.
 
     The weight-0 algebra is closed under product and differential, so every
@@ -282,11 +296,11 @@ def _collect(circle, point_diagrams):
     groups = {}
     for pd in point_diagrams:
         moving = tuple(sorted((i, j) for i, j in pd if i < j))
-        horiz = frozenset(circle.pair_label(i) for i, j in pd if i == j)
+        horiz = frozenset(alg.circle.pair_label(i) for i, j in pd if i == j)
         groups.setdefault((moving, horiz), set()).add(pd)
     out = set()
     for (moving, horiz), got in groups.items():
-        diag = StrandDiagram(circle, moving, horiz)
+        diag = alg.diagram(moving, horiz)
         if set(diag.expansions()) != got:
             raise AssertionError("incomplete smeared group; not in the algebra")
         out.add(diag)
@@ -296,15 +310,26 @@ def _collect(circle, point_diagrams):
 class StrandsAlgebra:
     """The weight-0 summand of the strands algebra of a matched circle.
 
-    Caches the canonical basis together with product / differential tables
-    and the reverse lookups the relation checkers need.
+    Interns its diagrams, one object per diagram, and caches the canonical
+    basis, products, differentials and the idempotent grouping; the reverse
+    lookups the relation checkers need are built on first request.
     """
 
     def __init__(self, circle):
         self.circle = circle
+        self._diagrams = {}
         self._mul_cache = {}
         self._diff_cache = {}
+        self._between = None
         self._tables = None
+
+    def diagram(self, moving=(), horizontal=()):
+        """The interned diagram with these strands, built on first request."""
+        key = (tuple(sorted(tuple(s) for s in moving)), frozenset(horizontal))
+        diag = self._diagrams.get(key)
+        if diag is None:
+            diag = self._diagrams[key] = StrandDiagram(self.circle, *key)
+        return diag
 
     # -- basis ---------------------------------------------------------
 
@@ -334,7 +359,7 @@ class StrandsAlgebra:
                     continue
                 free = [p for p in Z.pairs if p not in srcs and p not in dsts]
                 for horiz in itertools.combinations(free, Z.k - m):
-                    out.append(StrandDiagram(Z, combo, frozenset(horiz)))
+                    out.append(self.diagram(combo, horiz))
         return out
 
     @property
@@ -343,7 +368,7 @@ class StrandsAlgebra:
 
     def idempotent(self, pairs):
         """The basic idempotent occupying the given matched pairs."""
-        return StrandDiagram(self.circle, (), frozenset(pairs))
+        return self.diagram((), pairs)
 
     def unit(self):
         return AlgebraElement(self.circle,
@@ -369,7 +394,7 @@ class StrandsAlgebra:
                     prod = _mul_points(xa, xb)
                     if prod is not None:
                         acc ^= {prod}
-        out = _collect(self.circle, acc)
+        out = _collect(self, acc)
         self._mul_cache[key] = out
         return out
 
@@ -381,7 +406,7 @@ class StrandsAlgebra:
         for xa in a.expansions():
             for res in _diff_points(xa):
                 acc ^= {res}
-        out = _collect(self.circle, acc)
+        out = _collect(self, acc)
         self._diff_cache[a] = out
         return out
 
@@ -434,7 +459,11 @@ class StrandsAlgebra:
 
     def basis_between(self, left, right):
         """Canonically ordered basis elements with the given idempotents."""
-        self._ensure_tables()
+        if self._between is None:
+            between = {}
+            for a in self.basis:
+                between.setdefault((a.left_idem, a.right_idem), []).append(a)
+            self._between = {k: tuple(v) for k, v in between.items()}
         return self._between.get((frozenset(left), frozenset(right)), ())
 
     # -- reverse lookup tables for relation checking ----------------------
@@ -444,9 +473,7 @@ class StrandsAlgebra:
             return
         mul_pre = {}
         diff_pre = {}
-        between = {}
         for a in self.basis:
-            between.setdefault((a.left_idem, a.right_idem), []).append(a)
             for c in self.diff_basis(a):
                 diff_pre.setdefault(c, []).append(a)
         for a in self.basis:
@@ -455,7 +482,6 @@ class StrandsAlgebra:
                     continue
                 for c in self.mul_basis(a, b):
                     mul_pre.setdefault(c, []).append((a, b))
-        self._between = {k: tuple(v) for k, v in between.items()}
         self._mul_pre = {k: tuple(v) for k, v in mul_pre.items()}
         self._diff_pre = {k: tuple(v) for k, v in diff_pre.items()}
         self._tables = True
@@ -477,7 +503,7 @@ class StrandsAlgebra:
             raise ValueError("chord endpoints must satisfy 1 <= i < j <= 4k")
         occupied = {Z.pair_label(i), Z.pair_label(j)}
         free = [p for p in Z.pairs if p not in occupied]
-        terms = [StrandDiagram(Z, ((i, j),), frozenset(h))
+        terms = [self.diagram(((i, j),), h)
                  for h in itertools.combinations(free, Z.k - 1)]
         return AlgebraElement(Z, frozenset(terms))
 
@@ -527,6 +553,7 @@ def include_split(elements):
         if e.circle != z1:
             raise ValueError("factors must lie over the genus-1 split circle")
     zk = split_pmc(k)
+    alg = algebra(zk)
     acc = {()}
     for e in elements:
         acc = {prefix + (t,) for prefix in acc for t in e.terms}
@@ -537,7 +564,7 @@ def include_split(elements):
         for idx, diag in enumerate(combo):
             moving += [(i + 4 * idx, j + 4 * idx) for i, j in diag.moving]
             horiz |= {p + 2 * idx for p in diag.horizontal}
-        out ^= {StrandDiagram(zk, tuple(moving), frozenset(horiz))}
+        out ^= {alg.diagram(moving, horiz)}
     return AlgebraElement(zk, frozenset(out))
 
 
@@ -549,7 +576,7 @@ def split_factors(diagram):
     """
     Z = diagram.circle
     k = Z.k
-    z1 = split_pmc(1)
+    alg = algebra(split_pmc(1))
     factors = [[[], set()] for _ in range(k)]
     for i, j in diagram.moving:
         block = (i - 1) // 4
@@ -561,8 +588,7 @@ def split_factors(diagram):
         factors[block][1].add(p - 2 * block)
     if any(len(m) + len(h) != 1 for m, h in factors):
         return None
-    return tuple(StrandDiagram(z1, tuple(m), frozenset(h))
-                 for m, h in factors)
+    return tuple(alg.diagram(m, h) for m, h in factors)
 
 
 def project_split(x):

@@ -16,6 +16,7 @@ written once against this shape.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -956,29 +957,43 @@ def reduce_structure(S, track_from=False, track_to=False):
     ops = set(S.ops)
     alive = list(S.generators)
     by_src, by_dst = {}, {}
-    cancellable = set()
+    # the cancellable operations as (op_sort_key, op), kept sorted; sort
+    # keys are unique, so the ops themselves are never compared
+    queue = []
+    ranks = {}
 
     def is_candidate(op):
         return not op[1] and op[0] != op[3] and out_alg.is_idem(op[2])
+
+    def enqueue(op):
+        if is_candidate(op):
+            rank = ranks.get(op)
+            if rank is None:
+                rank = ranks[op] = S.op_sort_key(op)
+            bisect.insort(queue, (rank, op))
+
+    def dequeue(op):
+        if is_candidate(op):
+            del queue[bisect.bisect_left(queue, (ranks[op],))]
 
     def add_op(op):
         if op in ops:
             ops.discard(op)
             by_src[op[0]].discard(op)
             by_dst[op[3]].discard(op)
-            cancellable.discard(op)
+            dequeue(op)
         else:
             ops.add(op)
             by_src.setdefault(op[0], set()).add(op)
             by_dst.setdefault(op[3], set()).add(op)
-            if is_candidate(op):
-                cancellable.add(op)
+            enqueue(op)
 
     for op in S.ops:
         by_src.setdefault(op[0], set()).add(op)
         by_dst.setdefault(op[3], set()).add(op)
         if is_candidate(op):
-            cancellable.add(op)
+            ranks[op] = S.op_sort_key(op)
+    queue.extend(sorted((rank, op) for op, rank in ranks.items()))
 
     # accumulated morphisms, indexed for cheap composition
     from_comps = {g: {(g, (), out_alg.idem_element(S.out_idem[g]), g)}
@@ -1013,7 +1028,7 @@ def reduce_structure(S, track_from=False, track_to=False):
 
     while True:
         step = None
-        for op in sorted(cancellable, key=S.op_sort_key):
+        for _, op in queue:
             x, _, unit_coeff, y = op
             loops = [o for o in by_src.get(x, ()) if o[3] == y and o != op]
             if any(out_alg.is_idem(l[2]) for l in loops):
@@ -1079,7 +1094,7 @@ def reduce_structure(S, track_from=False, track_to=False):
                 ops.discard(op)
                 by_src[op[0]].discard(op)
                 by_dst[op[3]].discard(op)
-                cancellable.discard(op)
+                dequeue(op)
         for op in corrections:
             add_op(op)
         alive = [g for g in alive if g not in (x, y)]

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
-from bhfi import (InsufficientArityError, Morphism, NotEquivalentError,
-                  algebra, box_tensor, box_tensor_DA_D,
+from bhfi import (DivergenceError, InsufficientArityError, Morphism,
+                  NotEquivalentError, algebra, box_tensor, box_tensor_DA_D,
                   find_homotopy_equivalence, find_structure_equivalence,
                   homology, homology_basis_of_mor, identity_da,
                   identity_morphism, is_contractible, mor_complex_DD,
@@ -166,6 +168,22 @@ class TestSmallSearch:
         with pytest.raises(NotEquivalentError):
             search_small_equivalence(identity_da(z1), az1, max_arity=1,
                                      max_sum_size=1)
+
+
+class TestSearchGuard:
+    def test_candidate_cones_bounded_by_generator_cap(self, monkeypatch, z1,
+                                                       az1, azbar1):
+        # a 60-vector kernel: 523,685 candidate sums of up to four
+        from bhfi.equivalence import search_small_equivalence
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "320")
+        start = time.monotonic()
+        with pytest.raises(DivergenceError) as err:
+            search_small_equivalence(identity_da(z1), box_tensor(azbar1, az1))
+        assert time.monotonic() - start < 1.0
+        message = str(err.value)
+        assert message.startswith("search_small_equivalence:")
+        assert "10 of 523685 candidates" in message
+        assert "60-vector kernel" in message
 
 
 class TestCertificateSerialization:

@@ -6,7 +6,7 @@ import pytest
 from bhfi import (algebra, algebra_basis, chord_element,
                   chord_nilpotency_bound, include_split, project_split,
                   split_pmc)
-from bhfi.strands import PointedMatchedCircle, StrandDiagram
+from bhfi.strands import PointedMatchedCircle, StrandDiagram, StrandsAlgebra
 
 
 def brute_force_basis_count(circle):
@@ -245,3 +245,80 @@ class TestSplitMaps:
     def test_inclusion_length_mismatch(self):
         with pytest.raises(ValueError):
             include_split([])
+
+
+class TestInterning:
+    def test_one_object_per_diagram(self, z2):
+        alg = algebra(z2)
+        assert alg.diagram(((1, 6), (2, 3))) is alg.diagram([(2, 3), (1, 6)])
+        assert alg.diagram((), {1, 2}) is alg.idempotent({1, 2})
+
+    def test_products_and_differentials_return_basis_objects(self, z2):
+        alg = algebra(z2)
+        own = {d: d for d in alg.basis}
+        for a in alg.basis:
+            for c in alg.diff_basis(a):
+                assert own[c] is c
+            for b in alg.basis:
+                for c in alg.mul_basis(a, b):
+                    assert own[c] is c
+
+    def test_hash_is_the_field_tuple_hash(self, z1, z2):
+        for z in (z1, z2):
+            for d in algebra(z).basis:
+                assert hash(d) == hash((d.circle, d.moving, d.horizontal))
+
+    def test_direct_construction_equals_interned(self, z2):
+        alg = algebra(z2)
+        for d in alg.basis:
+            copy = StrandDiagram(z2, d.moving, d.horizontal)
+            assert copy is not d
+            assert copy == d and hash(copy) == hash(d)
+            assert alg.mul_basis(copy, copy) == alg.mul_basis(d, d)
+
+    def test_different_circles_are_unequal(self, z1):
+        other = z1.reverse()
+        assert StrandDiagram(z1, (), {1}) != StrandDiagram(other, (), {1})
+        assert algebra(z1).idempotent({1}) != algebra(other).idempotent({1})
+
+    def test_cached_derived_data(self, z2):
+        for d in algebra(z2).basis:
+            left = frozenset(z2.pair_label(i) for i, _ in d.moving)
+            right = frozenset(z2.pair_label(j) for _, j in d.moving)
+            assert d.left_idem == left | d.horizontal
+            assert d.right_idem == right | d.horizontal
+            assert d.sort_key() == (tuple(sorted(d.left_idem)), d.moving,
+                                    tuple(sorted(d.horizontal)))
+
+    def test_invalid_diagram_is_not_interned(self, z1):
+        alg = algebra(z1)
+        with pytest.raises(ValueError):
+            alg.diagram(((1, 3),), {2})
+        assert (((1, 3),), frozenset({2})) not in alg._diagrams
+
+
+class TestLazyTables:
+    def test_basis_between_builds_no_products(self):
+        alg = StrandsAlgebra(split_pmc(2))
+        keys = alg.idem_keys
+        total = sum(len(alg.basis_between(x, y)) for x in keys for y in keys)
+        assert total == len(alg.basis)
+        assert alg._mul_cache == {}
+        assert alg._tables is None
+
+    def test_preimages_in_basis_order(self):
+        # the order the tables had when basis_between built them: a, then
+        # b, each over the canonical basis
+        alg = StrandsAlgebra(split_pmc(2))
+        basis = alg.basis
+        mul_pre = {c: [] for c in basis}
+        diff_pre = {c: [] for c in basis}
+        for a in basis:
+            for c in alg.diff_basis(a):
+                diff_pre[c].append(a)
+            for b in basis:
+                for c in alg.mul_basis(a, b):
+                    mul_pre[c].append((a, b))
+        for c in basis:
+            assert alg.mul_preimages(c) == tuple(mul_pre[c])
+            assert alg.diff_preimages(c) == tuple(diff_pre[c])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -287,6 +288,39 @@ class TestReduceStructure:
         red = reduce_structure(box_tensor(az1, cfd_m1)).reduced
         assert all(op[1] or not red.out_alg.is_idem(op[2])
                    for op in red.ops)
+
+
+def _trace_digest(red):
+    return hashlib.sha256(repr(red.trace).encode()).hexdigest()
+
+
+class TestPivotOrder:
+    """Cancellation traces pinned when every step re-sorted the cancellable
+    operations by ``op_sort_key``; the ranked queue must pick the same
+    pivots."""
+
+    def test_relabelled_twisted_handlebody(self, z2, cfd0_k2):
+        from bhfi.standard import cfda_az
+        az = cfda_az(z2)
+        S = box_tensor(az, box_tensor(az, cfd0_k2))
+        fresh = [f"r{i}" for i in range(len(S.generators))]
+        random.Random(7).shuffle(fresh)
+        red = reduce_structure(S.relabeled(dict(zip(S.generators, fresh))))
+        assert (len(S.generators), len(red.reduced.generators)) == (1561, 1)
+        assert _trace_digest(red) == \
+            "199b650d090f6a25841baac4dba525496fe827caacd75d17926189adb48b7c35"
+
+    def test_involutive_a_certificate_cone(self, z2, cfa2):
+        # the cone that standard_involutive_a(cfa0_k2) certifies
+        from bhfi import find_structure_equivalence
+        from bhfi.standard import cfda_azbar
+        cert = find_structure_equivalence(
+            box_tensor(cfa2, cfda_azbar(z2)), cfa2)
+        cone = box_tensor_DD_side(cert.forward.cone(), dd_identity(z2))
+        red = reduce_structure(cone)
+        assert (len(cone.generators), len(red.reduced.generators)) == (334, 0)
+        assert _trace_digest(red) == \
+            "7da0b51b982205160761bad82b6f899e85dc2edb9882afaa8a635e0a3e3d752a"
 
 
 class TestJsonRoundTrip:

@@ -141,8 +141,6 @@ def build_parser():
                        help="builtin structure name; known: "
                             + ", ".join(BUILTIN_NAMES))
         p.add_argument("--out", help="also write the JSON report here")
-        p.add_argument("--max-sum-size", type=int, default=4,
-                       help="cap on equivalence-search combinations")
 
     for name, fn in (("hfhat", _cmd_hfhat), ("hfihat", _cmd_hfihat),
                      ("verify", _cmd_verify), ("triangle", _cmd_triangle),
@@ -150,6 +148,10 @@ def build_parser():
         p = sub.add_parser(name)
         common(p)
         p.set_defaults(fn=fn)
+        if name == "hfihat":
+            p.add_argument("--max-sum-size", type=int, default=4,
+                           help="cap on the sums the equivalence search "
+                                "tries for the two conjugating maps")
     return parser
 
 

@@ -16,13 +16,8 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .strands import (AlgebraElement, PointedMatchedCircle, StrandDiagram,
-                      algebra, split_pmc)
+from .strands import AlgebraElement, PointedMatchedCircle, algebra, split_pmc
 from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
-
-
-def circle_to_json(circle):
-    return circle.to_json()
 
 
 def circle_from_json(data):
@@ -30,10 +25,6 @@ def circle_from_json(data):
         return PointedMatchedCircle.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad circle payload: {exc}") from exc
-
-
-def diagram_to_json(diagram):
-    return diagram.to_json()
 
 
 def diagram_from_json(circle, data):
@@ -47,12 +38,6 @@ def diagram_from_json(circle, data):
                                                  sorted(diag.left_idem))):
         raise ParseError("diagram left idempotent disagrees with its strands")
     return diag
-
-
-def element_to_json(value):
-    if isinstance(value, StrandDiagram):
-        return [value.to_json()]
-    return value.to_json()
 
 
 def element_from_json(circle, data):

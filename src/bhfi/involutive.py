@@ -113,10 +113,10 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
                                      max_sum_size=max_sum_size).forward
     images = [psi0_inv.then(box_morphism_right(az, f)).then(psi1)
               for f in reps]
-    return mc, hom, reps, images
+    return mc, hom, images
 
 
-def _involutive_cone(mc, hom, reps, images):
+def _involutive_cone(mc, hom, images):
     """The involutive complex: cone of (inclusion + involution) from the
     homology of the morphism complex into the morphism complex, with the
     Q-action recorded as a named endomorphism."""
@@ -139,7 +139,7 @@ def _involutive_cone(mc, hom, reps, images):
 def iota_on_mor(P0, P1, max_sum_size=4):
     """The involution report for the pairing encoded by two type D
     structures over one circle."""
-    mc, hom, reps, images = _iota_pipeline(P0, P1, max_sum_size)
+    mc, hom, images = _iota_pipeline(P0, P1, max_sum_size)
     n = len(hom.cycles)
     cols = []
     for g in images:
@@ -151,7 +151,7 @@ def iota_on_mor(P0, P1, max_sum_size=4):
     one_plus = iota + F2Matrix.identity(n)
     ker_dim = len(one_plus.nullspace_basis())
     coker_dim = n - one_plus.rank()
-    cone = _involutive_cone(mc, hom, reps, images)
+    cone = _involutive_cone(mc, hom, images)
     cone_h = homology(cone)
     hfi_dim = cone_h.dimension
     if hfi_dim != ker_dim + coker_dim:
@@ -172,8 +172,8 @@ def iota_on_mor(P0, P1, max_sum_size=4):
 
 def cfi_hat(P0, P1, max_sum_size=4):
     """The involutive complex of the pairing, a complex over F2[Q]/(Q^2)."""
-    mc, hom, reps, images = _iota_pipeline(P0, P1, max_sum_size)
-    return _involutive_cone(mc, hom, reps, images)
+    mc, hom, images = _iota_pipeline(P0, P1, max_sum_size)
+    return _involutive_cone(mc, hom, images)
 
 
 # ---------------------------------------------------------------------------

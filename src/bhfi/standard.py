@@ -101,7 +101,7 @@ def cfa_zero_handlebody(k):
                     new.append(img)
             if new is not None:
                 operations.append(("".join(word), [b], "".join(new)))
-    return AInfModule(zk, gens, operations, max_arity=2)
+    return AInfModule(zk, gens, operations)
 
 
 def dd_identity(circle):
@@ -112,55 +112,28 @@ def dd_identity(circle):
     circle; the second factor carries the reflected coefficients.
     """
     alg = algebra(circle)
-    all_pairs = set(circle.pairs)
-
-    def refl(labels):
-        return frozenset(circle.reflect_pair_label(p) for p in labels)
-
-    gens = []
-    subsets = sorted(itertools.combinations(sorted(all_pairs), circle.k))
-    for s in subsets:
-        s = frozenset(s)
-        comp = refl(all_pairs - s)
-        gens.append((_gen_label(s), s, comp))
+    all_pairs = frozenset(circle.pairs)
+    subsets = [frozenset(s) for s in
+               itertools.combinations(sorted(all_pairs), circle.k)]
+    # the right idempotent of each generator is the reflected complement
+    # of its left idempotent
+    paired = {s: frozenset(circle.reflect_pair_label(p)
+                           for p in all_pairs - s) for s in subsets}
+    gens = [(_gen_label(s), s, paired[s]) for s in subsets]
     delta = []
-    chords = [(i, j) for i in range(1, circle.n_points + 1)
-              for j in range(i + 1, circle.n_points + 1)]
-    for s in subsets:
-        s = frozenset(s)
-        for t in subsets:
-            t = frozenset(t)
-            for (i, j) in chords:
-                left = _compress(alg.chord(i, j), s, t)
-                if left is None:
-                    continue
-                refl_chord = AlgebraElement(
-                    circle, frozenset(d.reflect()
-                                      for d in alg.chord(i, j).terms))
-                right = _compress(refl_chord, refl(all_pairs - s),
-                                  refl(all_pairs - t))
-                if right is None:
-                    continue
-                delta.append((_gen_label(s), (left, right), _gen_label(t)))
+    for chord in alg.chords():
+        mirror = {(r.left_idem, r.right_idem): r
+                  for r in (d.reflect() for d in chord.terms)}
+        for d in chord.terms:
+            r = mirror.get((paired[d.left_idem], paired[d.right_idem]))
+            if r is not None:
+                delta.append((_gen_label(d.left_idem), (d, r),
+                              _gen_label(d.right_idem)))
     return DDBimodule(circle, circle, gens, delta)
 
 
 def _gen_label(pairs):
     return "i" + ".".join(str(p) for p in sorted(pairs))
-
-
-def _compress(element, left, right):
-    """The single diagram of an element with the stated idempotents."""
-    hits = [d for d in element.terms
-            if d.left_idem == left and d.right_idem == right]
-    if not hits:
-        return None
-    assert len(hits) == 1
-    return hits[0]
-
-
-def _complement_idem(circle, idem):
-    return frozenset(set(circle.pairs) - set(idem))
 
 
 _AZ_CACHE = {}
@@ -185,80 +158,45 @@ def cfda_azbar(circle):
     return _AZ_CACHE[key]
 
 
-def _az_gen_label(a, alg, dualized):
-    star = "'" if dualized else ""
-    return f"{alg.label_of(a)}{star}"
-
-
 def _cfda_interpolating(circle, dualized):
+    """One walk over the product triples u.v -> w and the differential
+    pairs x -> w of the algebra, read in one of two directions.
+
+    az reads a triple as u (x) [v] -> w and, when u is a chord, as v -> w
+    with u's partner as coefficient; a differential pair is x -> w.  azbar
+    reads them backwards: w' (x) [u] -> v', w' -> u' with v's partner, and
+    w' -> x'.  Operations without a chord coefficient carry the idempotent
+    complementary to the source's anchor (left side for az, right for
+    azbar).
+    """
     alg = algebra(circle)
-    gens = []
+    all_pairs = frozenset(circle.pairs)
+    star = "'" if dualized else ""
+    name, unit, partner, gens = {}, {}, {}, []
     for a in alg.basis:
-        anchor = a.right_idem if dualized else a.left_idem
-        out = _complement_idem(circle, anchor)
-        inn = a.left_idem if dualized else a.right_idem
-        gens.append((_az_gen_label(a, alg, dualized), out, inn))
+        anchor, inn = (a.right_idem, a.left_idem) if dualized \
+            else (a.left_idem, a.right_idem)
+        name[a] = a.label + star
+        unit[a] = alg.idempotent(all_pairs - anchor)
+        gens.append((name[a], unit[a].left_idem, inn))
+        if len(a.moving) == 1:
+            ends = {circle.pair_label(p) for p in a.moving[0]}
+            if len(ends) == 2:
+                # a's strand, starting from the complement of a.right_idem
+                partner[a] = alg.diagram(a.moving,
+                                         all_pairs - a.horizontal - ends)
     ops = []
-    # two-input operations: the (dual) right action, idempotent output
-    for a in alg.basis:
-        src = _az_gen_label(a, alg, dualized)
-        anchor = a.right_idem if dualized else a.left_idem
-        out_idem_diag = alg.idempotent(_complement_idem(circle, anchor))
-        if dualized:
-            pairs = alg.mul_preimages(a)
-        else:
-            pairs = [(b, c) for b in alg.basis
-                     for c in alg.mul_basis(a, b)]
-        for b, c in pairs:
-            ops.append((src, [b], out_idem_diag,
-                        _az_gen_label(c, alg, dualized)))
-    # one-input-free operations: internal differential plus the chord sum
-    for a in alg.basis:
-        src = _az_gen_label(a, alg, dualized)
-        anchor = a.right_idem if dualized else a.left_idem
-        J = _complement_idem(circle, anchor)
-        out_idem_diag = alg.idempotent(J)
-        for c in _internal_diff(alg, a, dualized):
-            ops.append((src, [], out_idem_diag,
-                        _az_gen_label(c, alg, dualized)))
-        for i in range(1, circle.n_points + 1):
-            for j in range(i + 1, circle.n_points + 1):
-                chord = alg.chord(i, j)
-                for jp in _complement_pairs(circle):
-                    Jp, Ip = jp
-                    coeffs = [d for d in chord.terms
-                              if d.left_idem == J and d.right_idem == Jp]
-                    if not coeffs:
-                        continue
-                    assert len(coeffs) == 1
-                    feeds = [d for d in chord.terms if d.left_idem == Ip]
-                    for feed in feeds:
-                        for c in _left_action(alg, a, feed, dualized):
-                            ops.append((src, [], coeffs[0],
-                                        _az_gen_label(c, alg, dualized)))
+    for w in alg.basis:
+        for u, v in alg.mul_preimages(w):
+            src, feed, dst = (w, u, v) if dualized else (u, v, w)
+            ops.append((name[src], [feed], unit[src], name[dst]))
+            chord, src, dst = (v, w, u) if dualized else (u, v, w)
+            if chord in partner:
+                ops.append((name[src], [], partner[chord], name[dst]))
+        for x in alg.diff_preimages(w):
+            src, dst = (w, x) if dualized else (x, w)
+            ops.append((name[src], [], unit[src], name[dst]))
     return DABimodule(circle, circle, gens, ops)
-
-
-def _complement_pairs(circle):
-    out = []
-    for combo in itertools.combinations(circle.pairs, circle.k):
-        s = frozenset(combo)
-        out.append((s, _complement_idem(circle, s)))
-    return out
-
-
-def _left_action(alg, a, feed, dualized):
-    """Generators reached from a by left multiplication with ``feed``."""
-    if not dualized:
-        return sorted(alg.mul_basis(feed, a), key=alg.sort_key)
-    out = [c for (c, f2) in alg.mul_preimages(a) if f2 == feed]
-    return sorted(out, key=alg.sort_key)
-
-
-def _internal_diff(alg, a, dualized):
-    if not dualized:
-        return sorted(alg.diff_basis(a), key=alg.sort_key)
-    return sorted(alg.diff_preimages(a), key=alg.sort_key)
 
 
 def surgery_maps():

@@ -309,7 +309,7 @@ class TypeDStructure(BorderedObject):
 class AInfModule(BorderedObject):
     """A-infinity module: operations m_{1+j} against algebra inputs."""
 
-    def __init__(self, circle, generators, operations, max_arity=None):
+    def __init__(self, circle, generators, operations):
         self.circle = circle
         alg = algebra(circle)
         gens = [g for g, _ in generators]
@@ -325,8 +325,6 @@ class AInfModule(BorderedObject):
             for w in words:
                 ops ^= {(src, w, TRIVIAL.UNIT, dst)}
         super().__init__(TRIVIAL, alg, gens, out_idem, in_idem, ops)
-        self.declared_arity = max_arity if max_arity is not None \
-            else self.max_arity
 
 
 class DABimodule(BorderedObject):

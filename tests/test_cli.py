@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from bhfi.cli import main
 from bhfi.files import builtin_structure, dump_structure, load_structure
 
@@ -84,6 +86,21 @@ class TestErrors:
     def test_wrong_input_count(self, capsys):
         code, _, err = run(capsys, "hfhat", "--builtin", "cfd0")
         assert code == 2
+
+
+class TestMaxSumSize:
+    def test_hfihat_accepts_it(self, capsys):
+        code, out, _ = run(capsys, "hfihat", "--builtin", "cfd0",
+                           "--builtin", "cfd0", "--max-sum-size", "2")
+        assert code == 0
+        assert json.loads(out)["hfi_dim"] == 4
+
+    def test_other_commands_reject_it(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hfhat", "--builtin", "cfd0", "--builtin", "cfd0",
+                  "--max-sum-size", "2"])
+        assert exc.value.code == 2
+        assert "--max-sum-size" in capsys.readouterr().err
 
 
 class TestTriangleCommand:

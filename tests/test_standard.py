@@ -1,10 +1,21 @@
+import hashlib
+import json
+import os
+
 import pytest
 
-from bhfi import (algebra, algebra_basis, check_structure, chord_element,
-                  dd_identity, include_split, split_pmc)
-from bhfi.standard import (cfa_zero_handlebody,
+from bhfi import (PointedMatchedCircle, algebra, algebra_basis,
+                  check_structure, chord_element, dd_identity, homology,
+                  include_split, split_pmc, strands)
+from bhfi.cli import main
+from bhfi.files import structure_to_json
+from bhfi.standard import (_cfda_interpolating, cfa_zero_handlebody,
                            cfd_solid_torus, cfd_zero_handlebody, cfda_az,
                            cfda_azbar, surgery_maps)
+from bhfi.structures import mor_complex_DD
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "fixtures")
 
 
 class TestSolidTori:
@@ -119,6 +130,11 @@ class TestDDIdentity:
         assert len(DD.generators) == 6
         assert check_structure(DD) == []
 
+    def test_genus_3_relations(self):
+        DD = dd_identity(split_pmc(3))
+        assert len(DD.generators) == 20
+        assert check_structure(DD) == []
+
 
 class TestInterpolatingPiece:
     def test_generator_count_is_basis_size(self, z1, z2):
@@ -162,6 +178,76 @@ class TestInterpolatingPiece:
     def test_higher_operations_vanish(self, az1, azbar1):
         assert az1.max_arity <= 2
         assert azbar1.max_arity <= 2
+
+
+class TestBuildersAreLinearInTheTables:
+    def test_az_multiplies_composable_pairs_only(self, monkeypatch):
+        # a fresh algebra, so that the count is az's alone
+        monkeypatch.setattr(strands, "_ALGEBRAS", {})
+        z2 = split_pmc(2)
+        _cfda_interpolating(z2, False)
+        keys = algebra(z2)._mul_cache
+        assert all(a.right_idem == b.left_idem for a, b in keys)
+        assert len(keys) == 5286
+
+
+# SHA-256 of the sorted-key JSON of structure_to_json, recorded from an
+# independent implementation of the builders (one that rescanned every chord
+# per generator), so that these pin the operation sets, not the code
+PINNED_SHA256 = {
+    ("az", "reversed split"):
+        "d23255b82ff8596c6c371a8c1fec3fa2f9dd94ba41a3b28d1ca9a56c8db84ee4",
+    ("azbar", "reversed split"):
+        "e37f609d7e73d629206b175149bb802bf1344196ee79e076e930206e4a58b807",
+    ("az", "antipodal"):
+        "7a67f2fa7d2ca99bdd2d8115007de4b9677c42db21495c6850ac49516169df44",
+    ("azbar", "antipodal"):
+        "2fab4ce0e21753ebb7db7e1d0b7cd5566e0b897ec446a2251762d5656e74e473",
+    ("az", "mixed"):
+        "d859d016b66d5e50837d67447cc8eb8dee667ae0f70d374a3ed8b96bfc87c017",
+    ("azbar", "mixed"):
+        "397c15602d4d14d43ef9a6f9444d02d920d189e37ae0f1821228e99061260a93",
+    ("ddid", "split genus 3"):
+        "83374ed6e97d3d26d5193076e5cb98142791bf9b6648cdc74afee955ee68a1bb",
+}
+
+CIRCLES = {
+    "reversed split": lambda: split_pmc(2).reverse(),
+    "antipodal": lambda: PointedMatchedCircle(
+        2, ((1, 5), (2, 6), (3, 7), (4, 8))),
+    "mixed": lambda: PointedMatchedCircle(
+        2, ((1, 6), (2, 4), (3, 8), (5, 7))),
+    "split genus 3": lambda: split_pmc(3),
+}
+
+BUILDERS = {"az": cfda_az, "azbar": cfda_azbar, "ddid": dd_identity}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("kind,circle", sorted(PINNED_SHA256))
+    def test_structure_json_hash(self, kind, circle):
+        S = BUILDERS[kind](CIRCLES[circle]())
+        text = json.dumps(structure_to_json(S), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            PINNED_SHA256[kind, circle]
+
+    def test_dump_standard_matches_fixtures(self, capsys, tmp_path):
+        assert main(["dump-standard", "--out", str(tmp_path)]) == 0
+        written = json.loads(capsys.readouterr().out)["written"]
+        names = sorted(os.path.basename(p) for p in written)
+        assert names == sorted(f for f in os.listdir(FIXTURES)
+                               if f.endswith(".json"))
+        for name in names:
+            with open(os.path.join(tmp_path, name), "rb") as fh:
+                got = fh.read()
+            with open(os.path.join(FIXTURES, name), "rb") as fh:
+                assert got == fh.read(), name
+
+
+class TestGenusThree:
+    def test_handlebody_pairing_homology(self):
+        P = cfd_zero_handlebody(3)
+        assert homology(mor_complex_DD(P, P).complex).dimension == 8
 
 
 class TestAlgebraAsPairing:

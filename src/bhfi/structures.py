@@ -201,7 +201,7 @@ class BorderedObject:
                 raise ValueError(f"operation references unknown generator "
                                  f"{src!r} or {dst!r}")
         self._by_src = None
-        self._by_dst = None
+        self._by_out = None
         self._by_src_out = None
 
     # -- structural views ---------------------------------------------------
@@ -232,24 +232,26 @@ class BorderedObject:
 
     def _indexes(self):
         if self._by_src is None:
-            by_src, by_dst, by_src_out = {}, {}, {}
+            by_src, by_src_out = {}, {}
             for op in self.ops:
                 by_src.setdefault(op[0], []).append(op)
-                by_dst.setdefault(op[3], []).append(op)
                 by_src_out.setdefault((op[0], op[2]), []).append(op)
             self._by_src = by_src
-            self._by_dst = by_dst
             self._by_src_out = by_src_out
-        return self._by_src, self._by_dst, self._by_src_out
+        return self._by_src, self._by_src_out
 
     def ops_from(self, src):
         return self._indexes()[0].get(src, ())
 
-    def ops_into(self, dst):
-        return self._indexes()[1].get(dst, ())
-
     def ops_from_with_out(self, src, out):
-        return self._indexes()[2].get((src, out), ())
+        return self._indexes()[1].get((src, out), ())
+
+    def ops_with_out(self, out):
+        if self._by_out is None:
+            self._by_out = {}
+            for op in self.ops:
+                self._by_out.setdefault(op[2], []).append(op)
+        return self._by_out.get(out, ())
 
     def relabeled(self, mapping):
         return BorderedObject(
@@ -403,7 +405,7 @@ def structure_residue(S):
 def idempotent_violations(S):
     """Operations whose coefficients do not match the generator idempotents."""
     bad = []
-    for op in S.sorted_ops():
+    for op in S.ops:
         src, ins, out, dst = op
         if S.out_alg.left_idem_of(out) != S.out_idem[src] or \
            S.out_alg.right_idem_of(out) != S.out_idem[dst]:
@@ -418,7 +420,7 @@ def idempotent_violations(S):
         else:
             if chain[-1] != S.in_idem[dst]:
                 bad.append(op)
-    return bad
+    return sorted(bad, key=S.op_sort_key)
 
 
 def check_structure(S):
@@ -444,15 +446,35 @@ def require_valid(S, what="structure"):
     return S
 
 
+def _generator_graph_is_acyclic(S):
+    """Kahn's algorithm on the graph with one edge per operation."""
+    indegree = dict.fromkeys(S.generators, 0)
+    for op in S.ops:
+        indegree[op[3]] += 1
+    ready = [g for g, n in indegree.items() if not n]
+    removed = 0
+    while ready:
+        removed += 1
+        for op in S.ops_from(ready.pop()):
+            indegree[op[3]] -= 1
+            if not indegree[op[3]]:
+                ready.append(op[3])
+    return removed == len(indegree)
+
+
 def validate_bounded(S):
     """Check operational boundedness of a no-input structure.
 
-    Walks the state graph of (generator, accumulated coefficient product)
-    pairs; a directed cycle there is exactly an infinite delta iteration with
-    nonvanishing product.
+    A directed cycle in the state graph of (generator, accumulated
+    coefficient product) pairs is exactly an infinite delta iteration with
+    nonvanishing product.  Every such cycle projects to a cycle of the
+    generator graph, so an acyclic generator graph proves boundedness
+    without a single product; otherwise the state graph is walked.
     """
     if not S.in_alg.is_trivial:
         raise ValueError("boundedness applies to no-input structures")
+    if _generator_graph_is_acyclic(S):
+        return True
     out_alg = S.out_alg
     edges = {}
 
@@ -516,32 +538,60 @@ def _chains_consuming(B2, start, outs):
     return results
 
 
+def _chains_reading(B2, starts, word):
+    """All op-chains in B2 from one of ``starts`` (generators sharing one
+    idempotent) whose outputs read ``word``, as (start, concatenated inputs,
+    end generator).  Chains grow from the operations that output
+    ``word[0]``, so a start with no such operation costs nothing."""
+    if not word:
+        return [(g2, (), g2) for g2 in starts]
+    if not starts:
+        return []
+    idem = B2.out_idem[starts[0]]
+    return [(op[0], op[1] + ins, end)
+            for op in B2.ops_with_out(word[0]) if B2.out_idem[op[0]] == idem
+            for ins, end in _chains_consuming(B2, op[3], word[1:])]
+
+
+def _partners(gens1, idem1, gens2, idem2):
+    """Map each of ``gens1`` to the generators ``g2`` of ``gens2`` with
+    ``idem2[g2] == idem1[g1]``, in the order of ``gens2``: the pairs that
+    survive in a box tensor product."""
+    buckets = {}
+    for g2 in gens2:
+        buckets.setdefault(idem2[g2], []).append(g2)
+    return {g1: buckets.get(idem1[g1], ()) for g1 in gens1}
+
+
+def _check_size(stage, partners):
+    """Raise DivergenceError before a pairing with too many generators is
+    built."""
+    size = sum(map(len, partners.values()))
+    cap = generator_cap()
+    if size > cap:
+        raise DivergenceError(f"{stage}: {size} generators exceed "
+                              f"BHFI_MAX_GENERATORS={cap}")
+
+
 def box_tensor(B1, B2):
     """Box tensor product pairing B1's algebra inputs with B2's outputs."""
     if B1.in_alg is not B2.out_alg:
         raise ValueError("input algebra of the first factor must match the "
                          "output algebra of the second")
+    partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
+    _check_size("box_tensor", partners)
     gens = []
     out_idem, in_idem = {}, {}
     for g1 in B1.generators:
-        for g2 in B2.generators:
-            if B1.in_idem[g1] != B2.out_idem[g2]:
-                continue
+        for g2 in partners[g1]:
             label = f"{g1}|{g2}"
             gens.append(label)
             out_idem[label] = B1.out_idem[g1]
             in_idem[label] = B2.in_idem[g2]
-    if len(gens) > generator_cap():
-        raise DivergenceError("box tensor exceeds BHFI_MAX_GENERATORS")
-    gen_set = set(gens)
     ops = set()
-    for op in B1.ops:
-        x, word, a, x2 = op
-        for g2 in B2.generators:
-            if f"{x}|{g2}" not in gen_set:
-                continue
-            for ins, end in _chains_consuming(B2, g2, word):
-                _toggle(ops, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+    for x, word, a, x2 in B1.ops:
+        for g2, ins, end in _chains_reading(B2, partners[x], word):
+            _toggle(ops, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
     return BorderedObject(B1.out_alg, B2.in_alg, tuple(gens),
                           out_idem, in_idem, ops)
 
@@ -586,18 +636,18 @@ def box_tensor_DD_side(B, X):
     trivial_out = B.out_alg.is_trivial
     res_alg = carried if trivial_out else tensor_algebra(B.out_alg, carried)
 
+    partners = _partners(B.generators, B.in_idem, X.generators,
+                         {x: idem[0] for x, idem in X.out_idem.items()})
+    _check_size("box_tensor_DD_side", partners)
     gens, out_idem, in_idem = [], {}, {}
     for b in B.generators:
-        for x in X.generators:
-            if B.in_idem[b] != X.out_idem[x][0]:
-                continue
+        for x in partners[b]:
             label = f"{b}|{x}"
             gens.append(label)
             oi = X.out_idem[x][1] if trivial_out \
                 else (B.out_idem[b], X.out_idem[x][1])
             out_idem[label] = oi
             in_idem[label] = TRIVIAL.UNIT
-    gen_set = set(gens)
 
     # delta paths in X indexed by the left-factor coefficient sequence
     by_src_left = {}
@@ -607,9 +657,7 @@ def box_tensor_DD_side(B, X):
     ops = set()
     for op in B.ops:
         bsrc, word, a, bdst = op
-        for x in X.generators:
-            if f"{bsrc}|{x}" not in gen_set:
-                continue
+        for x in partners[bsrc]:
 
             def walk(at, idx, prods):
                 if idx == len(word):
@@ -778,14 +826,11 @@ def box_morphism_left(f, P):
     B1, B2 = f.source, f.target
     box1 = box_tensor(B1, P)
     box2 = box_tensor(B2, P)
-    gen1 = set(box1.generators)
+    partners = _partners(B1.generators, B1.in_idem, P.generators, P.out_idem)
     comps = set()
     for (b, word, a, b2) in f.comps:
-        for p in P.generators:
-            if f"{b}|{p}" not in gen1:
-                continue
-            for ins, end in _chains_consuming(P, p, word):
-                _toggle(comps, (f"{b}|{p}", ins, a, f"{b2}|{end}"))
+        for p, ins, end in _chains_reading(P, partners[b], word):
+            _toggle(comps, (f"{b}|{p}", ins, a, f"{b2}|{end}"))
     return Morphism(box1, box2, comps)
 
 
@@ -794,15 +839,13 @@ def box_morphism_right(B, f):
     P1, P2 = f.source, f.target
     box1 = box_tensor(B, P1)
     box2 = box_tensor(B, P2)
-    gen1 = set(box1.generators)
+    partners = _partners(B.generators, B.in_idem, P1.generators, P1.out_idem)
     fcomps_by_out = {}
     for comp in f.comps:
         fcomps_by_out.setdefault((comp[0], comp[2]), []).append(comp)
     comps = set()
     for (b, word, a, b2) in B.ops:
-        for p in P1.generators:
-            if f"{b}|{p}" not in gen1:
-                continue
+        for p in partners[b]:
             # insert exactly one f component at position t of the chain
             def walk(at, idx, ins_acc, used):
                 if idx == len(word):

@@ -1,5 +1,7 @@
+import graphlib
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -9,14 +11,207 @@ from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
                   dual_type_d, homology, identity_da, identity_morphism,
                   is_contractible, mor_complex_DD, reduce_structure,
                   validate_bounded)
-from bhfi.standard import torus_chord
-from bhfi.structures import (box_morphism_left, box_morphism_right,
-                             elementary_morphism, zero_morphism)
+from bhfi.standard import cfda_az, cfda_azbar, torus_chord
+from bhfi.strands import StrandsAlgebra
+from bhfi.structures import (BorderedObject, box_morphism_left,
+                             box_morphism_right, elementary_morphism,
+                             zero_morphism)
 
 
 def labels(morphism):
     return sorted((s, tuple(b.label for b in i), o.label, d)
                   for s, i, o, d in morphism.comps)
+
+
+@pytest.fixture(scope="module")
+def az2(z2):
+    return cfda_az(z2)
+
+
+@pytest.fixture(scope="module")
+def az2_twice(az2, cfd0_k2):
+    return box_tensor(az2, box_tensor(az2, cfd0_k2))
+
+
+@pytest.fixture(scope="module")
+def involutive_a_cone(z2, cfa2):
+    # the cone that standard_involutive_a(cfa0_k2) certifies, before pairing
+    # with the DD identity
+    from bhfi import find_structure_equivalence
+    cert = find_structure_equivalence(box_tensor(cfa2, cfda_azbar(z2)), cfa2)
+    return cert.forward.cone()
+
+
+def shuffled(S, seed):
+    """A copy of ``S`` with fresh generator labels in a shuffled order."""
+    rng = random.Random(seed)
+    fresh = [f"s{i}" for i in range(len(S.generators))]
+    rng.shuffle(fresh)
+    T = S.relabeled(dict(zip(S.generators, fresh)))
+    rng.shuffle(fresh)
+    return BorderedObject(T.out_alg, T.in_alg, fresh, T.out_idem, T.in_idem,
+                          T.ops)
+
+
+def count_products(monkeypatch):
+    """Count every strands-algebra product from now on."""
+    calls = []
+    real = StrandsAlgebra.mul_basis
+
+    def counted(self, a, b):
+        calls.append(None)
+        return real(self, a, b)
+
+    monkeypatch.setattr(StrandsAlgebra, "mul_basis", counted)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the whole state-graph walk for boundedness and
+# the nested generator scans of the pairings, as they stood before the
+# topological certificate and the idempotent buckets
+
+
+def state_walk_bounded(S):
+    """True when the (generator, coefficient product) graph has no cycle."""
+    out_alg = S.out_alg
+    edges = {}
+
+    def successors(state):
+        g, c = state
+        hit = edges.get(state)
+        if hit is None:
+            hit = []
+            for _, _, b, g2 in S.ops_from(g):
+                for c2 in out_alg.mul_basis(c, b):
+                    hit.append((g2, c2))
+            edges[state] = hit
+        return hit
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {}
+    for g in S.generators:
+        for op in S.ops_from(g):
+            start = (op[3], op[2])
+            if color.get(start, WHITE) == BLACK:
+                continue
+            stack = [(start, iter(successors(start)))]
+            color[start] = GRAY
+            while stack:
+                state, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    col = color.get(nxt, WHITE)
+                    if col == GRAY:
+                        return False
+                    if col == WHITE:
+                        color[nxt] = GRAY
+                        stack.append((nxt, iter(successors(nxt))))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[state] = BLACK
+                    stack.pop()
+    return True
+
+
+def generator_graph_has_cycle(S):
+    sorter = graphlib.TopologicalSorter({g: () for g in S.generators})
+    for src, _, _, dst in S.ops:
+        sorter.add(dst, src)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return True
+    return False
+
+
+def toggle(acc, item):
+    acc ^= {item}
+
+
+def chains_scan(B2, start, outs):
+    if not outs:
+        return [((), start)]
+    return [(op[1] + ins, end)
+            for op in B2.ops_from_with_out(start, outs[0])
+            for ins, end in chains_scan(B2, op[3], outs[1:])]
+
+
+def nested_scan_ops(left_ops, gen_set, B2):
+    ops = set()
+    for x, word, a, x2 in left_ops:
+        for g2 in B2.generators:
+            if f"{x}|{g2}" not in gen_set:
+                continue
+            for ins, end in chains_scan(B2, g2, word):
+                toggle(ops, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+    return ops
+
+
+def nested_scan_box_tensor(B1, B2):
+    """(generators, out_idem, in_idem, ops) of the box tensor product."""
+    gens, out_idem, in_idem = [], {}, {}
+    for g1 in B1.generators:
+        for g2 in B2.generators:
+            if B1.in_idem[g1] != B2.out_idem[g2]:
+                continue
+            label = f"{g1}|{g2}"
+            gens.append(label)
+            out_idem[label] = B1.out_idem[g1]
+            in_idem[label] = B2.in_idem[g2]
+    return (tuple(gens), out_idem, in_idem,
+            nested_scan_ops(B1.ops, set(gens), B2))
+
+
+def nested_scan_dd_side(B, X):
+    """(generators, out_idem, ops) of box_tensor_DD_side(B, X)."""
+    carried = X.out_alg.right
+    trivial_out = B.out_alg.is_trivial
+    gens, out_idem = [], {}
+    for b in B.generators:
+        for x in X.generators:
+            if B.in_idem[b] != X.out_idem[x][0]:
+                continue
+            label = f"{b}|{x}"
+            gens.append(label)
+            out_idem[label] = X.out_idem[x][1] if trivial_out \
+                else (B.out_idem[b], X.out_idem[x][1])
+    gen_set = set(gens)
+    by_src_left = {}
+    for op in X.ops:
+        by_src_left.setdefault((op[0], op[2][0]), []).append(op)
+    ops = set()
+    for bsrc, word, a, bdst in B.ops:
+        for x in X.generators:
+            if f"{bsrc}|{x}" not in gen_set:
+                continue
+
+            def walk(at, idx, prods):
+                if idx == len(word):
+                    for prod in prods:
+                        coeff = prod if trivial_out else (a, prod)
+                        toggle(ops, (f"{bsrc}|{x}", (), coeff,
+                                     f"{bdst}|{at}"))
+                    return
+                for xop in by_src_left.get((at, word[idx]), ()):
+                    carry = xop[2][1]
+                    nxt = set()
+                    for p in prods:
+                        nxt ^= carried.mul_basis(p, carry) if p is not None \
+                            else {carry}
+                    if nxt:
+                        walk(xop[3], idx + 1, nxt)
+
+            walk(x, 0, {None})
+    fixed = set()
+    for (src, ins, out, dst) in ops:
+        if trivial_out and out is None:
+            out = carried.idem_element(out_idem[dst])
+        elif not trivial_out and out[1] is None:
+            out = (out[0], carried.idem_element(out_idem[dst][1]))
+        toggle(fixed, (src, ins, out, dst))
+    return tuple(gens), out_idem, fixed
 
 
 class TestCheckStructure:
@@ -30,6 +225,16 @@ class TestCheckStructure:
                              [("n", torus_chord(1, 2), "n")])
         violations = check_structure(bad)
         assert violations and violations[0][0] == "idempotent"
+
+    def test_idempotent_violations_in_sorted_order(self, az1):
+        bad = BorderedObject(az1.out_alg, az1.in_alg, az1.generators,
+                             az1.out_idem,
+                             {g: frozenset() for g in az1.generators},
+                             az1.ops)
+        violations = check_structure(bad)
+        assert {v[0] for v in violations} == {"idempotent"}
+        assert [v[1] for v in violations] == \
+            [op for op in bad.sorted_ops() if op[1]]
 
     def test_broken_relation_reported(self, z1):
         # a lone arrow whose square term survives
@@ -51,11 +256,65 @@ class TestBoundedness:
         bad = TypeDStructure(z1, [("x", {1}), ("y", {1})],
                              [("x", alg.idempotent({1}), "y"),
                               ("y", alg.idempotent({1}), "x")])
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=re.escape(
+                "structure is not operationally bounded: delta iteration "
+                "loops through")):
             validate_bounded(bad)
 
     def test_dd_identity_is_bounded(self, z1):
         assert validate_bounded(dd_identity(z1))
+
+    def test_vanishing_cycle_passes_through_the_walk(self, z1, monkeypatch):
+        # x -> y -> x is a cycle of generators, but every product around it
+        # dies: r3.4 * r2.3 = 0 and r2.3 * r3.4 * r2.3 = r2.4 * r2.3 = 0
+        S = TypeDStructure(z1, [("x", {1}), ("y", {2})],
+                           [("x", torus_chord(3, 4), "y"),
+                            ("y", torus_chord(2, 3), "x")])
+        assert generator_graph_has_cycle(S)
+        assert state_walk_bounded(S)
+        calls = count_products(monkeypatch)
+        assert validate_bounded(S)
+        assert calls
+
+    def test_agrees_with_state_walk_on_random_structures(self, z1):
+        from test_acceptance import random_bounded_type_d
+        rng = random.Random(20260809)
+        alg = algebra(z1)
+        seen = set()
+        for trial in range(200):
+            P = random_bounded_type_d(rng, z1)
+            # unchecked extra operations close cycles, bounded or not
+            ops = set(P.ops)
+            for _ in range(rng.randrange(0, 3)):
+                x, y = rng.choice(P.generators), rng.choice(P.generators)
+                between = alg.basis_between(P.out_idem[x], P.out_idem[y])
+                if between:
+                    ops ^= {(x, (), rng.choice(between), y)}
+            Q = BorderedObject(P.out_alg, P.in_alg, P.generators,
+                               P.out_idem, P.in_idem, ops)
+            for S in (P, Q):
+                expected = state_walk_bounded(S)
+                try:
+                    got = validate_bounded(S)
+                except DivergenceError:
+                    got = False
+                assert got == expected, trial
+                seen.add((expected, generator_graph_has_cycle(S)))
+        assert seen == {(True, False), (True, True), (False, True)}
+
+    def test_agrees_with_state_walk_on_twisted_ladder(self, az1, cfd0):
+        P = cfd0
+        for _ in range(4):
+            assert state_walk_bounded(P)
+            assert validate_bounded(P)
+            P = box_tensor(az1, P)
+
+    def test_acyclic_generator_graph_needs_no_products(self, az2_twice,
+                                                       monkeypatch):
+        assert not generator_graph_has_cycle(az2_twice)
+        calls = count_products(monkeypatch)
+        assert validate_bounded(az2_twice)
+        assert calls == []
 
 
 class TestBoxTensor:
@@ -135,9 +394,56 @@ class TestBoxTensor:
         assert left.ops == right.ops
 
     def test_generator_cap(self, az1, cfd0, monkeypatch):
+        n = len(box_tensor(az1, cfd0).generators)
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "2")
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"box_tensor: {n} generators exceed BHFI_MAX_GENERATORS=2")):
             box_tensor(az1, cfd0)
+
+    def test_dd_side_generator_cap(self, z1, monkeypatch):
+        ident, ddid = identity_da(z1), dd_identity(z1)
+        n = len(box_tensor_DD_side(ident, ddid).generators)
+        assert n == 2
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "1")
+        with pytest.raises(DivergenceError, match=re.escape(
+                "box_tensor_DD_side: 2 generators exceed "
+                "BHFI_MAX_GENERATORS=1")):
+            box_tensor_DD_side(ident, ddid)
+
+    @pytest.mark.parametrize("case", ["az.cfd0_k2", "az.az.cfd0_k2",
+                                      "cfa0_k2.az.az.cfd0_k2"])
+    def test_matches_nested_scan(self, case, az2, az2_twice, cfa2, cfd0_k2):
+        left, right = {"az.cfd0_k2": (az2, cfd0_k2),
+                       "az.az.cfd0_k2": (az2, box_tensor(az2, cfd0_k2)),
+                       "cfa0_k2.az.az.cfd0_k2": (cfa2, az2_twice)}[case]
+        B1, B2 = shuffled(left, 11), shuffled(right, 12)
+        out = box_tensor(B1, B2)
+        gens, out_idem, in_idem, ops = nested_scan_box_tensor(B1, B2)
+        assert out.generators == gens
+        assert out.out_idem == out_idem and out.in_idem == in_idem
+        assert out.ops == ops
+
+    def test_mismatched_idempotents_match_nested_scan(self, cfa1, cfd_m1,
+                                                      az1):
+        # every operation of M starts at the wrong idempotent
+        swap = {frozenset({1}): frozenset({2}), frozenset({2}): frozenset({1})}
+        M = BorderedObject(cfa1.out_alg, cfa1.in_alg, cfa1.generators,
+                           cfa1.out_idem,
+                           {g: swap[i] for g, i in cfa1.in_idem.items()},
+                           cfa1.ops)
+        for P in (cfd_m1, box_tensor(az1, cfd_m1)):
+            out = box_tensor(M, P)
+            gens, _, _, ops = nested_scan_box_tensor(M, P)
+            assert out.generators == gens
+            assert out.ops == ops
+
+    def test_morphism_tensor_matches_nested_scan(self, az1, z1, cfd_m1):
+        from bhfi.equivalence import omega_equivalence
+        P = shuffled(box_tensor(az1, cfd_m1), 13)
+        f = omega_equivalence(z1).forward
+        gen_set = set(box_tensor(f.source, P).generators)
+        assert box_morphism_left(f, P).comps == \
+            nested_scan_ops(f.comps, gen_set, P)
 
 
 def _idem_label(P, p):
@@ -160,6 +466,15 @@ class TestDDSide:
         out = box_tensor_DD_side(cfa1, ddid)
         assert out.kind == "D"
         assert check_structure(out) == []
+
+    def test_matches_nested_scan(self, z1, z2, involutive_a_cone):
+        for B, X in ((identity_da(z1), dd_identity(z1)),
+                     (shuffled(involutive_a_cone, 14), dd_identity(z2))):
+            out = box_tensor_DD_side(B, X)
+            gens, out_idem, ops = nested_scan_dd_side(B, X)
+            assert out.generators == gens
+            assert out.out_idem == out_idem
+            assert out.ops == ops
 
 
 class TestMorComplex:
@@ -310,13 +625,8 @@ class TestPivotOrder:
         assert _trace_digest(red) == \
             "199b650d090f6a25841baac4dba525496fe827caacd75d17926189adb48b7c35"
 
-    def test_involutive_a_certificate_cone(self, z2, cfa2):
-        # the cone that standard_involutive_a(cfa0_k2) certifies
-        from bhfi import find_structure_equivalence
-        from bhfi.standard import cfda_azbar
-        cert = find_structure_equivalence(
-            box_tensor(cfa2, cfda_azbar(z2)), cfa2)
-        cone = box_tensor_DD_side(cert.forward.cone(), dd_identity(z2))
+    def test_involutive_a_certificate_cone(self, z2, involutive_a_cone):
+        cone = box_tensor_DD_side(involutive_a_cone, dd_identity(z2))
         red = reduce_structure(cone)
         assert (len(cone.generators), len(red.reduced.generators)) == (334, 0)
         assert _trace_digest(red) == \

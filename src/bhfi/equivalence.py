@@ -13,6 +13,7 @@ side by pairing with the DD identity, where cancellation always terminates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 from .errors import (DivergenceError, InsufficientArityError,
                      NotEquivalentError)
 from .homology import F2Matrix, _bits, homology
+from .standard import cfda_az, cfda_azbar, dd_identity
 from .strands import chord_nilpotency_bound
-from .structures import (Morphism, box_tensor_DD_side, generator_cap,
-                         mor_complex_DD, morphism_from_generator_map,
-                         reduce_structure)
+from .structures import (Morphism, box_tensor, box_tensor_DD_side,
+                         generator_cap, identity_da, mor_complex_DD,
+                         morphism_from_generator_map, reduce_structure)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ def _acyclic_cone_trace(f):
     """Reduction trace of the cone when it cancels away; None otherwise."""
     cone = f.cone()
     if not cone.in_alg.is_trivial:
-        from .standard import dd_identity
         cone = box_tensor_DD_side(cone, dd_identity(cone.in_alg.circle))
     red = reduce_structure(cone)
     if red.reduced.generators:
@@ -75,26 +76,52 @@ def _acyclic_cone_trace(f):
     return red.trace
 
 
+def _first_acyclic_sum(stage, basis, what, to_morphism, cone_size,
+                      max_sum_size):
+    """Walk F2 sums of the ``basis`` bit-vectors, singletons first, in
+    combination order, and certify the first candidate whose cone cancels
+    to nothing.  The cones reduced may hold at most ``BHFI_MAX_GENERATORS``
+    generators in total; past that the walk raises DivergenceError, and
+    NotEquivalentError when every sum fails.  Both errors name ``stage``."""
+    cap = generator_cap()
+    tried = 0
+    for size in range(1, max_sum_size + 1):
+        for pick in itertools.combinations(range(len(basis)), size):
+            if (tried + 1) * cone_size > cap:
+                candidates = sum(math.comb(len(basis), k)
+                                 for k in range(1, max_sum_size + 1))
+                raise DivergenceError(
+                    f"{stage}: {tried} of {candidates} candidates reduced "
+                    f"({len(basis)}-vector {what}, sums of up to "
+                    f"{max_sum_size}); the next cone would pass "
+                    f"BHFI_MAX_GENERATORS={cap} generators in total")
+            tried += 1
+            mask = 0
+            for i in pick:
+                mask ^= basis[i]
+            candidate = to_morphism(mask)
+            trace = _acyclic_cone_trace(candidate)
+            if trace is not None:
+                return EquivalenceCertificate(candidate, trace, pick)
+    raise NotEquivalentError(
+        f"{stage}: no acyclic cone among sums of up to {max_sum_size} of "
+        f"the {len(basis)}-vector {what}")
+
+
 def find_homotopy_equivalence(P, Q, max_sum_size=4):
     """The unique-up-to-homotopy equivalence between two type D structures.
 
     Walks F2 combinations of morphism-homology classes, singletons first,
     in canonical order; the first candidate whose cone cancels to nothing
-    wins.  Raises NotEquivalentError when combinations up to the cap fail,
-    which signals that the caller's equivalence claim was wrong.
+    wins.  Raises NotEquivalentError when sums of up to ``max_sum_size``
+    classes fail, which signals that the caller's equivalence claim was
+    wrong, and DivergenceError past the cone cap of the walk.
     """
-    classes = homology_basis_of_mor(P, Q)
-    for size in range(1, max_sum_size + 1):
-        for combo in itertools.combinations(range(len(classes)), size):
-            candidate = classes[combo[0]]
-            for i in combo[1:]:
-                candidate = candidate + classes[i]
-            trace = _acyclic_cone_trace(candidate)
-            if trace is not None:
-                return EquivalenceCertificate(candidate, trace, combo)
-    raise NotEquivalentError(
-        f"no equivalence among sums of up to {max_sum_size} of "
-        f"{len(classes)} morphism homology classes")
+    mc = mor_complex_DD(P, Q)
+    return _first_acyclic_sum(
+        "find_homotopy_equivalence", homology(mc.complex).cycles,
+        "homology basis", mc.morphism_of,
+        len(P.generators) + len(Q.generators), max_sum_size)
 
 
 def verify_morphism_bounded(f, ell):
@@ -196,30 +223,10 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
     row = {t: i for i, t in enumerate(terms)}
     cols = tuple(sum(1 << row[t] for t in img) for img in residues)
     kernel = F2Matrix(len(terms), len(unknowns), cols).nullspace_basis()
-    cap = generator_cap()
-    cone_size = len(A.generators) + len(B.generators)
-    tried = 0
-    for size in range(1, max_sum_size + 1):
-        for pick in itertools.combinations(range(len(kernel)), size):
-            if (tried + 1) * cone_size > cap:
-                candidates = sum(math.comb(len(kernel), k)
-                                 for k in range(1, max_sum_size + 1))
-                raise DivergenceError(
-                    f"search_small_equivalence: {tried} of {candidates} "
-                    f"candidates reduced ({len(kernel)}-vector kernel, sums "
-                    f"of up to {max_sum_size}); the next cone would pass "
-                    f"BHFI_MAX_GENERATORS={cap} generators in total")
-            tried += 1
-            mask = 0
-            for i in pick:
-                mask ^= kernel[i]
-            cand = Morphism(A, B, {unknowns[j] for j in _bits(mask)})
-            trace = _acyclic_cone_trace(cand)
-            if trace is not None:
-                return EquivalenceCertificate(cand, trace, pick)
-    raise NotEquivalentError(
-        f"no bounded-arity equivalence (arity {max_arity}, "
-        f"{len(kernel)} cycle-space vectors)")
+    return _first_acyclic_sum(
+        "search_small_equivalence", kernel, "kernel",
+        lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),
+        len(A.generators) + len(B.generators), max_sum_size)
 
 
 def find_structure_equivalence(A, B, max_arity=3):
@@ -249,24 +256,15 @@ def find_structure_equivalence(A, B, max_arity=3):
     return EquivalenceCertificate(forward, trace, index)
 
 
+@functools.lru_cache(maxsize=None)
 def omega_equivalence(circle):
     """The equivalence from the identity DA bimodule into the composite of
     the two interpolating-piece bimodules (reversed then standard).
 
-    Tractable at genus one, where the composite cancels onto the identity
-    bimodule on the nose.  At higher genus the tracked cancellation of the
-    composite explodes; the involutive pairing avoids this operation by
-    searching for the paired equivalence on the type D side instead.
+    No pipeline calls this: they all insert the paired equivalence of
+    ``bhfi.involutive.paired_insertion`` instead, because the tracked
+    cancellation of the composite explodes past genus one.  It stays public
+    only because the golden tests pin its certificate digest.
     """
-    from .standard import cfda_az, cfda_azbar
-    from .structures import box_tensor, identity_da
-    key = circle
-    cert = _OMEGA_CACHE.get(key)
-    if cert is None:
-        composite = box_tensor(cfda_azbar(circle), cfda_az(circle))
-        cert = find_structure_equivalence(identity_da(circle), composite)
-        _OMEGA_CACHE[key] = cert
-    return cert
-
-
-_OMEGA_CACHE = {}
+    composite = box_tensor(cfda_azbar(circle), cfda_az(circle))
+    return find_structure_equivalence(identity_da(circle), composite)

@@ -116,6 +116,16 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
     return mc, hom, images
 
 
+def _on_homology(cx, hom, cycles, failure):
+    """The square matrix, on the homology basis ``hom`` of ``cx``, whose
+    columns are the classes of ``cycles``; raises ``failure`` when one of
+    them is not a cycle."""
+    cols = tuple(express_in_homology(cx, hom, z) for z in cycles)
+    if None in cols:
+        raise RelationViolation(failure)
+    return F2Matrix(hom.dimension, hom.dimension, cols)
+
+
 def _involutive_cone(mc, hom, images):
     """The involutive complex: cone of (inclusion + involution) from the
     homology of the morphism complex into the morphism complex, with the
@@ -141,13 +151,8 @@ def iota_on_mor(P0, P1, max_sum_size=4):
     structures over one circle."""
     mc, hom, images = _iota_pipeline(P0, P1, max_sum_size)
     n = len(hom.cycles)
-    cols = []
-    for g in images:
-        vec = express_in_homology(mc.complex, hom, mc.vector_of(g))
-        if vec is None:
-            raise RelationViolation("conjugated class is not a cycle class")
-        cols.append(vec)
-    iota = F2Matrix(n, n, tuple(cols))
+    iota = _on_homology(mc.complex, hom, map(mc.vector_of, images),
+                        "conjugated class is not a cycle class")
     one_plus = iota + F2Matrix.identity(n)
     ker_dim = len(one_plus.nullspace_basis())
     coker_dim = n - one_plus.rank()
@@ -157,14 +162,9 @@ def iota_on_mor(P0, P1, max_sum_size=4):
     if hfi_dim != ker_dim + coker_dim:
         raise RelationViolation(
             "involutive homology disagrees with the kernel/cokernel count")
-    q_cols = []
-    for z in cone_h.cycles:
-        qz = cone.actions["Q"].apply(z)
-        vec = express_in_homology(cone, cone_h, qz)
-        if vec is None:
-            raise RelationViolation("Q does not descend to homology")
-        q_cols.append(vec)
-    q_matrix = F2Matrix(hfi_dim, hfi_dim, tuple(q_cols))
+    q_matrix = _on_homology(cone, cone_h,
+                            map(cone.actions["Q"].apply, cone_h.cycles),
+                            "Q does not descend to homology")
     return IotaReport(hf_dim=n, iota_matrix=iota, ker_dim=ker_dim,
                       coker_dim=coker_dim, hfi_dim=hfi_dim,
                       q_action=q_matrix)
@@ -234,25 +234,26 @@ def conjugation_cone(cx, conj):
 # the involutive pairing route
 
 
+def paired_insertion(L, R, P):
+    """The equivalence  Id x P -> (L x R) x P  that every conjugation,
+    mapping class action and triangle homotopy inserts.  By rigidity its
+    class is unique, so it is searched for after pairing with P, from
+    Id x P into the cancelled (L x R) x P, and carried back along the
+    tracked inclusion; the bimodule-level equivalence Id -> L x R is never
+    built (its tracked cancellation explodes at genus two)."""
+    red = reduce_structure(box_tensor(box_tensor(L, R), P), track_from=True)
+    bridge = find_homotopy_equivalence(
+        box_tensor(identity_da(P.out_alg.circle), P), red.reduced)
+    return bridge.forward.then(red.from_reduced)
+
+
 def involutive_pair(A, D):
     """The pairing of involutive structures: the cone of (identity plus the
-    conjugation composite) on the box tensor complex, over F2[Q]/(Q^2).
-
-    The insertion of the identity-to-composite equivalence is realized
-    after pairing with the type D side: by rigidity there is a unique
-    equivalence class from the paired identity into the paired composite,
-    so it is found by the morphism-space search instead of materializing
-    the bimodule-level equivalence (whose component count explodes at
-    genus two).
-    """
+    conjugation composite) on the box tensor complex, over F2[Q]/(Q^2)."""
     M, P = A.module, D.structure
     circle = P.out_alg.circle
-    composite = box_tensor(cfda_azbar(circle), cfda_az(circle))
-    red = reduce_structure(box_tensor(composite, P), track_from=True)
-    bridge = find_homotopy_equivalence(box_tensor(identity_da(circle), P),
-                                       red.reduced)
-    conj = conjugation_composite(M, P, bridge.forward.then(red.from_reduced),
-                                 D.psi, A.psi)
+    omega_p = paired_insertion(cfda_azbar(circle), cfda_az(circle), P)
+    conj = conjugation_composite(M, P, omega_p, D.psi, A.psi)
     cx = to_chain_complex(conj.source)
     return conjugation_cone(cx, conj.to_matrix(cx, cx))
 
@@ -264,26 +265,19 @@ def involutive_pair(A, D):
 def mcg_action(M, P, chi, chi_inv):
     """The homology action of a mapping class supplied as a bimodule pair.
 
-    Inserts the certified equivalence from the identity bimodule into
-    chi boxtimes chi_inv, then contracts both halves with their unique
+    Inserts the equivalence from the identity into chi boxtimes chi_inv,
+    paired with P, then contracts both halves with their unique
     equivalences; the result is the induced matrix on the homology of the
     pairing complex.
     """
-    ident = identity_da(P.out_alg.circle)
-    insertion = find_structure_equivalence(ident, box_tensor(chi, chi_inv))
     theta1 = find_homotopy_equivalence(box_tensor(chi_inv, P), P).forward
     theta0 = find_structure_equivalence(box_tensor(M, chi), M).forward
     action = conjugation_composite(
-        M, P, box_morphism_left(insertion.forward, P), theta1, theta0)
+        M, P, paired_insertion(chi, chi_inv, P), theta1, theta0)
     cx = to_chain_complex(action.source)
     mat = action.to_matrix(cx, cx)
     if not (mat * cx.d + cx.d * mat).is_zero():
         raise RelationViolation("mapping class composite is not a chain map")
     hom = homology(cx)
-    cols = []
-    for z in hom.cycles:
-        vec = express_in_homology(cx, hom, mat.apply(z))
-        if vec is None:
-            raise RelationViolation("action does not descend to homology")
-        cols.append(vec)
-    return F2Matrix(hom.dimension, hom.dimension, tuple(cols))
+    return _on_homology(cx, hom, map(mat.apply, hom.cycles),
+                        "action does not descend to homology")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DivergenceError, RelationViolation
@@ -910,6 +911,14 @@ def mor_complex_DD(P, Q):
         raise ValueError("morphism complexes need type D structures over "
                          "one algebra")
     alg = P.out_alg
+    p_idems = Counter(P.out_idem[p] for p in P.generators)
+    q_idems = Counter(Q.out_idem[q] for q in Q.generators)
+    size = sum(m * n * len(alg.basis_between(i, j))
+               for i, m in p_idems.items() for j, n in q_idems.items())
+    cap = generator_cap()
+    if size > cap:
+        raise DivergenceError(f"mor_complex_DD: {size} basis morphisms "
+                              f"exceed BHFI_MAX_GENERATORS={cap}")
     basis = []
     for p in P.generators:
         for q in Q.generators:
@@ -996,7 +1005,7 @@ def reduce_structure(S, track_from=False, track_to=False):
     """
     out_alg, in_alg = S.out_alg, S.in_alg
     ops = set(S.ops)
-    alive = list(S.generators)
+    alive = dict.fromkeys(S.generators)      # insertion-ordered set
     by_src, by_dst = {}, {}
     # the cancellable operations as (op_sort_key, op), kept sorted; sort
     # keys are unique, so the ops themselves are never compared
@@ -1138,14 +1147,13 @@ def reduce_structure(S, track_from=False, track_to=False):
                 dequeue(op)
         for op in corrections:
             add_op(op)
-        alive = [g for g in alive if g not in (x, y)]
+        del alive[x], alive[y]
 
     reduced = BorderedObject(out_alg, in_alg, tuple(alive),
                              {g: S.out_idem[g] for g in alive},
                              {g: S.in_idem[g] for g in alive}, ops)
     from_mor = None
     to_mor = None
-    alive_set = set(alive)
     if track_from:
         comps = set()
         for g in alive:
@@ -1154,7 +1162,7 @@ def reduce_structure(S, track_from=False, track_to=False):
     if track_to:
         comps = set()
         for g, bucket in to_by_dst.items():
-            if g in alive_set:
+            if g in alive:
                 comps ^= bucket
         to_mor = Morphism(S, reduced, comps)
     return StructureReduction(reduced, from_mor, to_mor, tuple(trace))

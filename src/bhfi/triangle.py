@@ -7,15 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivalence import find_structure_equivalence, omega_equivalence
+from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
 from .homology import F2Matrix, express_in_homology, homology
-from .involutive import conjugation_composite, conjugation_cone
+from .involutive import (conjugation_composite, conjugation_cone,
+                         paired_insertion)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
                        torus_chord)
 from .strands import split_pmc
-from .structures import (Morphism, box_morphism_left, box_morphism_right,
-                         box_tensor, is_contractible, to_chain_complex)
+from .structures import (Morphism, box_morphism_right, box_tensor,
+                         is_contractible, to_chain_complex)
 
 
 @dataclass(frozen=True)
@@ -277,13 +278,12 @@ def verify_hfi_triangle(X):
     """
     z1 = split_pmc(1)
     data = build_triangle_data()
-    azb = cfda_azbar(z1)
-    omega = omega_equivalence(z1).forward
+    az, azb = cfda_az(z1), cfda_azbar(z1)
     psi_x = find_structure_equivalence(box_tensor(X, azb), X).forward
 
     framings = [cfd_solid_torus("infinity"), cfd_solid_torus("minus_one"),
                 cfd_solid_torus("zero")]
-    omegas = [box_morphism_left(omega, P) for P in framings]
+    omegas = [paired_insertion(azb, az, P) for P in framings]
     psis = [data.psi_inf, data.psi_m1, data.psi_0]
     cxs = []
     iotas = []

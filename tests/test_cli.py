@@ -88,6 +88,20 @@ class TestErrors:
         assert code == 2
 
 
+class TestGeneratorCap:
+    def test_hfihat_morphism_complex_over_cap(self, capsys, monkeypatch):
+        # the box tensors (21 generators) fit; Mor(P0, az x P0) does not
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "100")
+        code, out, err = run(capsys, "hfihat", "--builtin", "cfd0_k2",
+                             "--builtin", "cfd0_k2")
+        assert code == 5
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "divergence",
+            "detail": "mor_complex_DD: 304 basis morphisms exceed "
+                      "BHFI_MAX_GENERATORS=100"}
+
+
 class TestMaxSumSize:
     def test_hfihat_accepts_it(self, capsys):
         code, out, _ = run(capsys, "hfihat", "--builtin", "cfd0",

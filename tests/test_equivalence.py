@@ -185,6 +185,26 @@ class TestSearchGuard:
         assert "10 of 523685 candidates" in message
         assert "60-vector kernel" in message
 
+    def test_homology_walk_bounded_by_generator_cap(self, monkeypatch, cfd0):
+        # Mor(cfd0, cfd0 + cfd0) has four classes and no equivalence; each
+        # candidate cone has three generators
+        doubled = BorderedObject(
+            cfd0.out_alg, cfd0.in_alg, ("n0", "n1"),
+            {"n0": cfd0.out_idem["n"], "n1": cfd0.out_idem["n"]},
+            {"n0": cfd0.in_idem["n"], "n1": cfd0.in_idem["n"]},
+            {(f"n{i}", ins, out, f"n{i}") for i in (0, 1)
+             for _, ins, out, _ in cfd0.ops})
+        with pytest.raises(NotEquivalentError) as err:
+            find_homotopy_equivalence(cfd0, doubled)
+        assert str(err.value).startswith("find_homotopy_equivalence:")
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "4")
+        with pytest.raises(DivergenceError) as err:
+            find_homotopy_equivalence(cfd0, doubled)
+        assert str(err.value) == (
+            "find_homotopy_equivalence: 1 of 15 candidates reduced "
+            "(4-vector homology basis, sums of up to 4); the next cone would "
+            "pass BHFI_MAX_GENERATORS=4 generators in total")
+
 
 class TestCertificateSerialization:
     def test_round_trippable_record(self, cfd0, az1):

@@ -1,8 +1,13 @@
-from bhfi import (F2Matrix, box_tensor, cfi_hat,
-                  find_homotopy_equivalence, homology, identity_da,
-                  involutive_pair, iota_on_mor, mcg_action,
+import pytest
+
+from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
+                  find_homotopy_equivalence, find_structure_equivalence,
+                  homology, identity_da, involutive_pair, iota_on_mor,
+                  is_contractible, mcg_action, mor_complex_DD,
                   standard_involutive_a, standard_involutive_d)
-from bhfi.involutive import InvolutiveTypeD
+from bhfi.files import builtin_structure
+from bhfi.involutive import InvolutiveTypeD, paired_insertion
+from bhfi.structures import box_morphism_left
 
 
 class TestIotaOnMor:
@@ -123,6 +128,49 @@ class TestMcgAction:
         ident = identity_da(z1)
         mat = mcg_action(cfa1, cfd0, ident, ident)
         assert (mat * mat).cols == mat.cols
+
+
+class TestPairedInsertion:
+    """Every pipeline inserts Id ~ L x R after pairing with P.  The
+    bimodule-level insertion it replaced, the equivalence Id -> L x R
+    tensored with P, is kept here as the oracle."""
+
+    @pytest.mark.parametrize("framing", ["infinity", "minus_one", "zero"])
+    @pytest.mark.parametrize("order", ["azbar,az", "az,azbar"])
+    def test_homotopic_to_bimodule_insertion(self, framing, order, z1, az1,
+                                             azbar1):
+        P = cfd_solid_torus(framing)
+        L, R = (azbar1, az1) if order == "azbar,az" else (az1, azbar1)
+        paired = paired_insertion(L, R, P)
+        assert is_contractible(paired.cone())
+        old = find_structure_equivalence(identity_da(z1), box_tensor(L, R))
+        diff = paired + box_morphism_left(old.forward, P)
+        mc = mor_complex_DD(diff.source, diff.target)
+        vec = mc.vector_of(diff)
+        assert vec == 0 or mc.complex.d.solve(vec) is not None
+
+    def test_every_pipeline_inserts_through_it(self, monkeypatch, cfa1,
+                                               cfd0, az1, azbar1):
+        import bhfi.involutive
+        import bhfi.triangle
+        framings = []
+
+        def counted(L, R, P):
+            framings.append(P)
+            return paired_insertion(L, R, P)
+
+        for module in (bhfi.involutive, bhfi.triangle):
+            monkeypatch.setattr(module, "paired_insertion", counted)
+        mcg_action(cfa1, cfd0, az1, azbar1)
+        involutive_pair(standard_involutive_a(cfa1),
+                        standard_involutive_d(cfd0))
+        bhfi.triangle.verify_hfi_triangle(cfa1)
+        assert len(framings) == 5
+
+    def test_genus_2_mapping_class_acts_by_identity(self):
+        mat = mcg_action(*map(builtin_structure, (
+            "cfa0_k2", "cfd0_k2", "az_k2", "azbar_k2")))
+        assert mat.cols == F2Matrix.identity(4).cols
 
 
 class TestInvolutiveWrappers:

@@ -506,6 +506,28 @@ class TestMorComplex:
         with pytest.raises(ValueError):
             mor_complex_DD(cfd0, cfd0_k2)
 
+    def test_size_cap_counts_the_basis(self, monkeypatch, az1, cfd_m1):
+        twisted = box_tensor(az1, cfd_m1)
+        n = len(mor_complex_DD(cfd_m1, twisted).basis)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(n))
+        assert len(mor_complex_DD(cfd_m1, twisted).basis) == n
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(n - 1))
+        with pytest.raises(DivergenceError) as err:
+            mor_complex_DD(cfd_m1, twisted)
+        assert str(err.value) == (f"mor_complex_DD: {n} basis morphisms "
+                                  f"exceed BHFI_MAX_GENERATORS={n - 1}")
+
+    def test_size_cap_raises_before_building(self, monkeypatch, az2,
+                                             cfd0_k2):
+        # the genus-2 ladder's Mor(21 -> 1561): counted, never built
+        P0 = box_tensor(az2, cfd0_k2)
+        Q = box_tensor(az2, P0)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "147231")
+        with pytest.raises(DivergenceError) as err:
+            mor_complex_DD(P0, Q)
+        assert str(err.value) == ("mor_complex_DD: 147232 basis morphisms "
+                                  "exceed BHFI_MAX_GENERATORS=147231")
+
 
 class TestDual:
     def test_dual_of_zero_framing(self, cfd0):

@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DivergenceError, InsufficientArityError,
-                     NotEquivalentError)
+                     NotEquivalentError, generator_cap)
 from .homology import F2Matrix, _bits, homology
 from .standard import cfda_az, cfda_azbar, dd_identity
 from .strands import chord_nilpotency_bound
 from .structures import (Morphism, box_tensor, box_tensor_DD_side,
-                         generator_cap, identity_da, mor_complex_DD,
+                         identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
 
 
@@ -179,15 +179,12 @@ def find_isomorphism(A, B):
 
 def _chained_words(alg, start, end, max_len):
     """Idempotent-chained input words from ``start`` to ``end``."""
-    by_left = {}
-    for b in alg.basis:
-        by_left.setdefault(alg.left_idem_of(b), []).append(b)
     words = []
     frontier = [((), start)]
     for _ in range(max_len):
         nxt = []
         for word, at in frontier:
-            for b in by_left.get(at, ()):
+            for b in alg.basis_from(at):
                 nxt.append((word + (b,), alg.right_idem_of(b)))
         frontier = nxt
         words += frontier

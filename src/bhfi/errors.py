@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size cap that
+DivergenceError enforces."""
+
+import os
+
+
+def generator_cap():
+    """The largest object a stage may build: ``BHFI_MAX_GENERATORS``."""
+    return int(os.environ.get("BHFI_MAX_GENERATORS", "200000"))
 
 
 class BhfiError(Exception):

@@ -3,14 +3,19 @@
 Everything is exact arithmetic over F2.  A basis element of the algebra is a
 strand diagram: a set of moving strands (strictly increasing arcs between
 marked points) together with a set of "smeared" horizontal strands, one per
-matched pair.  Products and differentials are computed by expanding each
-smeared diagram into its point-level placements, applying the usual strands
-composition / crossing-resolution rules there, and re-collecting.
+matched pair.  Products are computed on the smeared diagrams themselves:
+the product of two basis elements is zero or one basis element, found by
+composing strands pair by pair and checking that crossings add.  Only the
+differential expands a smeared diagram into its point-level placements,
+resolves crossings there and re-collects.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+
+from .errors import DivergenceError, generator_cap
 
 
 def _as_pairs(matching):
@@ -106,21 +111,15 @@ def split_pmc(k):
 
 def _inversions(strands):
     inv = 0
-    for (i1, j1), (i2, j2) in itertools.combinations(sorted(strands), 2):
+    for (i1, j1), (i2, j2) in itertools.combinations(strands, 2):
         if (i1 - i2) * (j1 - j2) < 0:
             inv += 1
     return inv
 
 
-def _mul_points(x, y):
-    """Compose two point-level diagrams; None when the product vanishes."""
-    if {j for _, j in x} != {i for i, _ in y}:
-        return None
-    cont = {i: j for i, j in y}
-    out = frozenset((i, cont[j]) for i, j in x)
-    if _inversions(out) != _inversions(x) + _inversions(y):
-        return None
-    return out
+def _over(strands, q):
+    """How many of the strands cross a horizontal strand pinned at q."""
+    return sum(i < q < j for i, j in strands)
 
 
 def _diff_points(x):
@@ -178,6 +177,10 @@ class StrandDiagram:
         object.__setattr__(self, "right_idem", frozenset(dsts) | horizontal)
         object.__setattr__(self, "_sort_key", (
             tuple(sorted(left)), moving, tuple(sorted(horizontal))))
+        # what a product needs: the moving strand leaving each pair, and
+        # the crossings among the moving strands
+        object.__setattr__(self, "_leaving", dict(zip(srcs, moving)))
+        object.__setattr__(self, "_crossings", _inversions(moving))
         # exactly the hash of the field tuple: set iteration orders, and
         # with them the report bytes, depend on it
         object.__setattr__(self, "_hash", hash((Z, moving, horizontal)))
@@ -287,11 +290,14 @@ class AlgebraElement:
         return " + ".join(t.label for t in self.sorted_terms())
 
 
+_ZERO = frozenset()
+
+
 def _collect(alg, point_diagrams):
     """Regroup an F2 set of point-level diagrams into smeared basis terms.
 
-    The weight-0 algebra is closed under product and differential, so every
-    group of placements must be complete; anything else is a logic error.
+    The weight-0 algebra is closed under the differential, so every group
+    of placements must be complete; anything else is a logic error.
     """
     groups = {}
     for pd in point_diagrams:
@@ -311,8 +317,10 @@ class StrandsAlgebra:
     """The weight-0 summand of the strands algebra of a matched circle.
 
     Interns its diagrams, one object per diagram, and caches the canonical
-    basis, products, differentials and the idempotent grouping; the reverse
-    lookups the relation checkers need are built on first request.
+    basis, products, differentials and the idempotent groupings; the
+    reverse lookups the relation checkers need are built on first request.
+    Products are composed on the smeared diagrams; only the differential
+    expands placements.
     """
 
     def __init__(self, circle):
@@ -321,6 +329,7 @@ class StrandsAlgebra:
         self._mul_cache = {}
         self._diff_cache = {}
         self._between = None
+        self._from = None
         self._tables = None
 
     def diagram(self, moving=(), horizontal=()):
@@ -339,9 +348,42 @@ class StrandsAlgebra:
 
     def _basis(self):
         if not hasattr(self, "_basis_cached"):
+            size, cap = self._count_basis(), generator_cap()
+            if size > cap:
+                raise DivergenceError(f"strands basis: {size} diagrams "
+                                      f"exceed BHFI_MAX_GENERATORS={cap}")
             self._basis_cached = tuple(sorted(self._enumerate_basis(),
                                               key=StrandDiagram.sort_key))
         return self._basis_cached
+
+    def _count_basis(self):
+        """The number of basis diagrams, counted without building one.
+
+        Walks the points in order, keeping for each state (source pairs,
+        target pairs, open strands) the number of ways to reach it: a point
+        may end one open strand, start a new one, or both.  Each closed
+        state then takes every horizontal completion on its free pairs.
+        """
+        Z = self.circle
+        states = {(0, 0, 0): 1}
+        for point in range(1, Z.n_points + 1):
+            bit = 1 << Z.pair_label(point)
+            nxt = {}
+            for (srcs, dsts, open_), ways in states.items():
+                ends = [(dsts, open_, ways)]
+                if open_ and not dsts & bit:
+                    ends.append((dsts | bit, open_ - 1, ways * open_))
+                for d, o, w in ends:
+                    key = (srcs, d, o)
+                    nxt[key] = nxt.get(key, 0) + w
+                    if not srcs & bit and srcs.bit_count() < Z.k:
+                        key = (srcs | bit, d, o + 1)
+                        nxt[key] = nxt.get(key, 0) + w
+            states = nxt
+        return sum(
+            ways * math.comb(2 * Z.k - (srcs | dsts).bit_count(),
+                             Z.k - srcs.bit_count())
+            for (srcs, dsts, open_), ways in states.items() if not open_)
 
     def _enumerate_basis(self):
         Z = self.circle
@@ -383,20 +425,58 @@ class StrandsAlgebra:
     # -- ring operations -------------------------------------------------
 
     def mul_basis(self, a, b):
+        """The product of two basis elements: an F2 set of at most one."""
         key = (a, b)
         hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        acc = set()
-        if a.right_idem == b.left_idem:
-            for xa in a.expansions():
-                for xb in b.expansions():
-                    prod = _mul_points(xa, xb)
-                    if prod is not None:
-                        acc ^= {prod}
-        out = _collect(self, acc)
-        self._mul_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._mul_cache[key] = (
+                self._mul_smeared(a, b) if a.right_idem == b.left_idem
+                else _ZERO)
+        return hit
+
+    def _mul_smeared(self, a, b):
+        """Compose two diagrams whose idempotents match, pair by pair.
+
+        On each occupied middle pair, a's strand into point j and b's
+        strand out of j compose; b's strand out of j's partner kills the
+        product; a horizontal meeting a strand sits where the strand meets
+        the middle; two horizontals stay one smeared horizontal.  Crossings must
+        add for every placement of those shared horizontals, or for none.
+        """
+        pair_of = self.circle._pair_of
+        leaving = b._leaving
+        moving = []
+        pinned_a = []   # where a's horizontals sit, against b's strands
+        pinned_b = []   # where b's horizontals sit, against a's strands
+        for i, j in a.moving:
+            strand = leaving.get(pair_of[j])
+            if strand is None:
+                moving.append((i, j))
+                pinned_b.append(j)
+            elif strand[0] == j:
+                moving.append((i, strand[1]))
+            else:
+                return _ZERO
+        shared = []
+        for p in a.horizontal:
+            strand = leaving.get(p)
+            if strand is None:
+                shared.append(p)
+            else:
+                moving.append(strand)
+                pinned_a.append(strand[0])
+        excess = [_inversions(moving) - a._crossings - b._crossings
+                  - sum(_over(a.moving, q) for q in pinned_a)
+                  - sum(_over(b.moving, q) for q in pinned_b)]
+        for p in shared:
+            excess = [e + _over(moving, q) - _over(a.moving, q)
+                      - _over(b.moving, q)
+                      for e in excess for q in self.circle.pair_points(p)]
+        if all(excess):
+            return _ZERO
+        if any(excess):
+            raise AssertionError("incomplete smeared group; not in the algebra")
+        return frozenset((self.diagram(moving, shared),))
 
     def diff_basis(self, a):
         hit = self._diff_cache.get(a)
@@ -459,12 +539,22 @@ class StrandsAlgebra:
 
     def basis_between(self, left, right):
         """Canonically ordered basis elements with the given idempotents."""
+        self._group_basis()
+        return self._between.get((frozenset(left), frozenset(right)), ())
+
+    def basis_from(self, left):
+        """Canonically ordered basis elements with left idempotent ``left``."""
+        self._group_basis()
+        return self._from.get(frozenset(left), ())
+
+    def _group_basis(self):
         if self._between is None:
-            between = {}
+            between, from_ = {}, {}
             for a in self.basis:
                 between.setdefault((a.left_idem, a.right_idem), []).append(a)
+                from_.setdefault(a.left_idem, []).append(a)
             self._between = {k: tuple(v) for k, v in between.items()}
-        return self._between.get((frozenset(left), frozenset(right)), ())
+            self._from = {k: tuple(v) for k, v in from_.items()}
 
     # -- reverse lookup tables for relation checking ----------------------
 
@@ -477,9 +567,7 @@ class StrandsAlgebra:
             for c in self.diff_basis(a):
                 diff_pre.setdefault(c, []).append(a)
         for a in self.basis:
-            for b in self.basis:
-                if a.right_idem != b.left_idem:
-                    continue
+            for b in self.basis_from(a.right_idem):
                 for c in self.mul_basis(a, b):
                     mul_pre.setdefault(c, []).append((a, b))
         self._mul_pre = {k: tuple(v) for k, v in mul_pre.items()}

@@ -18,17 +18,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DivergenceError, RelationViolation
+from .errors import DivergenceError, RelationViolation, generator_cap
 from .homology import ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
-
-
-def generator_cap():
-    return int(os.environ.get("BHFI_MAX_GENERATORS", "200000"))
 
 
 # ---------------------------------------------------------------------------

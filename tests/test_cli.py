@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -90,8 +91,9 @@ class TestErrors:
 
 class TestGeneratorCap:
     def test_hfihat_morphism_complex_over_cap(self, capsys, monkeypatch):
-        # the box tensors (21 generators) fit; Mor(P0, az x P0) does not
-        monkeypatch.setenv("BHFI_MAX_GENERATORS", "100")
+        # the genus-2 basis (238 diagrams) and the box tensors (21
+        # generators) fit; Mor(P0, az x P0) does not
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "300")
         code, out, err = run(capsys, "hfihat", "--builtin", "cfd0_k2",
                              "--builtin", "cfd0_k2")
         assert code == 5
@@ -99,7 +101,21 @@ class TestGeneratorCap:
         assert json.loads(err) == {
             "error": "divergence",
             "detail": "mor_complex_DD: 304 basis morphisms exceed "
-                      "BHFI_MAX_GENERATORS=100"}
+                      "BHFI_MAX_GENERATORS=300"}
+
+    def test_hfhat_genus_4_basis_over_cap(self, capsys, monkeypatch):
+        # 948,390 diagrams are counted, never enumerated
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, "hfhat", "--builtin", "cfd0_k4",
+                             "--builtin", "cfd0_k4")
+        assert time.monotonic() - start < 10.0
+        assert code == 5
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "divergence",
+            "detail": "strands basis: 948390 diagrams exceed "
+                      "BHFI_MAX_GENERATORS=200000"}
 
 
 class TestMaxSumSize:

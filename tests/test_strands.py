@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from bhfi import (algebra, algebra_basis, chord_element,
+from bhfi import (DivergenceError, algebra, algebra_basis, chord_element,
                   chord_nilpotency_bound, include_split, project_split,
                   split_pmc)
-from bhfi.strands import PointedMatchedCircle, StrandDiagram, StrandsAlgebra
+from bhfi.strands import (PointedMatchedCircle, StrandDiagram, StrandsAlgebra,
+                          _collect, _inversions)
 
 
 def brute_force_basis_count(circle):
@@ -322,3 +323,103 @@ class TestLazyTables:
         for c in basis:
             assert alg.mul_preimages(c) == tuple(mul_pre[c])
             assert alg.diff_preimages(c) == tuple(diff_pre[c])
+
+
+# The product as it was computed before products were composed on smeared
+# diagrams: expand both factors into point-level placements, multiply every
+# pair of placements, and regroup.  Kept here as the oracle.
+
+def _mul_points(x, y):
+    """Compose two point-level diagrams; None when the product vanishes."""
+    if {j for _, j in x} != {i for i, _ in y}:
+        return None
+    cont = {i: j for i, j in y}
+    out = frozenset((i, cont[j]) for i, j in x)
+    if _inversions(out) != _inversions(x) + _inversions(y):
+        return None
+    return out
+
+
+def expanded_product(alg, a, b):
+    acc = set()
+    if a.right_idem == b.left_idem:
+        for xa in a.expansions():
+            for xb in b.expansions():
+                prod = _mul_points(xa, xb)
+                if prod is not None:
+                    acc ^= {prod}
+    return _collect(alg, acc)
+
+
+ORACLE_CIRCLES = {
+    "split genus 1": lambda: split_pmc(1),
+    "split genus 2": lambda: split_pmc(2),
+    "reversed split genus 2": lambda: split_pmc(2).reverse(),
+    "antipodal genus 2": lambda: PointedMatchedCircle(
+        2, ((1, 5), (2, 6), (3, 7), (4, 8))),
+    "mixed genus 2": lambda: PointedMatchedCircle(
+        2, ((1, 6), (2, 4), (3, 8), (5, 7))),
+}
+
+
+class TestSmearedProducts:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
+    def test_every_ordered_pair_matches_the_expansion(self, name):
+        alg = StrandsAlgebra(ORACLE_CIRCLES[name]())
+        for a in alg.basis:
+            for b in alg.basis:
+                got = alg.mul_basis(a, b)
+                assert got == expanded_product(alg, a, b), (a, b)
+                assert len(got) <= 1
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
+    def test_preimages_in_full_scan_order(self, name):
+        alg = StrandsAlgebra(ORACLE_CIRCLES[name]())
+        basis = alg.basis
+        mul_pre = {c: [] for c in basis}
+        for a in basis:
+            for b in basis:
+                for c in expanded_product(alg, a, b):
+                    mul_pre[c].append((a, b))
+        for c in basis:
+            assert alg.mul_preimages(c) == tuple(mul_pre[c])
+
+    def test_sampled_genus_3_composable_pairs(self):
+        alg = StrandsAlgebra(split_pmc(3))
+        rng = random.Random(20261018)
+        nonzero = 0
+        for _ in range(1500):
+            a = rng.choice(alg.basis)
+            b = rng.choice(alg.basis_from(a.right_idem))
+            got = alg.mul_basis(a, b)
+            assert got == expanded_product(alg, a, b), (a, b)
+            nonzero += len(got)
+        assert nonzero > 100
+
+    def test_basis_from_groups_by_left_idempotent(self, z2):
+        alg = StrandsAlgebra(z2)
+        for idem in alg.idem_keys:
+            assert alg.basis_from(idem) == tuple(
+                d for d in alg.basis if d.left_idem == idem)
+
+
+class TestBasisGuard:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
+    def test_count_matches_the_basis(self, name):
+        alg = StrandsAlgebra(ORACLE_CIRCLES[name]())
+        assert alg._count_basis() == len(alg.basis)
+
+    def test_counts_at_genus_3_and_4(self):
+        assert StrandsAlgebra(split_pmc(3))._count_basis() == 12448
+        assert StrandsAlgebra(split_pmc(4))._count_basis() == 948390
+
+    def test_cap_below_the_basis_raises(self, monkeypatch, z2):
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "237")
+        alg = StrandsAlgebra(z2)
+        with pytest.raises(DivergenceError) as err:
+            alg.basis
+        assert str(err.value) == ("strands basis: 238 diagrams exceed "
+                                  "BHFI_MAX_GENERATORS=237")
+        assert alg._diagrams == {}
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "238")
+        assert len(alg.basis) == 238

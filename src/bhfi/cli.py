@@ -4,8 +4,9 @@ Subcommands: hfhat, hfihat, verify, triangle, mcg, dump-standard.  Inputs
 are JSON structure files or builtin names (--builtin).  Reports are printed
 as JSON with sorted keys, so identical inputs give byte-identical output.
 
-Exit codes: 0 success, 2 parse error, 3 relation violation, 4 equivalence
-search failure, 5 divergence.
+Exit codes: 0 success, 2 parse error (including inputs of the wrong kind or
+over the wrong circle), 3 relation violation, 4 equivalence search failure,
+5 divergence.
 """
 from __future__ import annotations
 
@@ -19,19 +20,47 @@ from .errors import (DivergenceError, NotEquivalentError, ParseError,
 from .files import BUILTIN_NAMES, builtin_structure, dump_structure, \
     load_structure
 from .homology import homology
-from .structures import check_structure
+from .strands import algebra, split_pmc
+from .structures import check_structure, require_valid
 
 
-def _resolve_inputs(args, expected=None):
-    inputs = [("builtin", name) for name in (args.builtin or [])]
-    inputs += [("file", path) for path in args.inputs]
-    if expected is not None and len(inputs) != expected:
-        raise ParseError(f"expected {expected} inputs "
-                         f"(files or --builtin), got {len(inputs)}")
+def _resolve_inputs(args, kinds=None, genus=None):
+    """The input structures, builtins first, then files.
+
+    ``kinds`` lists the kind sequences the subcommand accepts; with None
+    any inputs load unchecked.  Otherwise the count, each input's kind and
+    the one algebra all inputs share (that of ``split_pmc(genus)`` when
+    ``genus`` is given) are checked, raising ParseError, and then the
+    structure relations of each input, raising RelationViolation.
+    """
+    refs = [(builtin_structure, name) for name in args.builtin or []]
+    refs += [(load_structure, path) for path in args.inputs]
+    if kinds is None:
+        return [load(ref) for load, ref in refs]
+    cmd = args.command
+    if len(refs) != len(kinds[0]):
+        raise ParseError(f"{cmd}: expected {len(kinds[0])} inputs "
+                         f"(files or --builtin), got {len(refs)}")
+    home = None if genus is None else algebra(split_pmc(genus))
+    where = "the circle of input 1" if genus is None \
+        else f"split_pmc({genus})"
     out = []
-    for kind, ref in inputs:
-        out.append(builtin_structure(ref) if kind == "builtin"
-                   else load_structure(ref))
+    for i, (load, ref) in enumerate(refs):
+        S = load(ref)
+        allowed = sorted({seq[i] for seq in kinds})
+        if S.kind not in allowed:
+            raise ParseError(f"{cmd}: input {i + 1} has kind {S.kind}, "
+                             f"expected {' or '.join(allowed)}")
+        kinds = [seq for seq in kinds if seq[i] == S.kind]
+        algs = [a for a in (S.out_alg, S.in_alg) if not a.is_trivial]
+        if home is None:
+            home = algs[0]
+        if any(a is not home for a in algs):
+            raise ParseError(f"{cmd}: input {i + 1} has kind {S.kind} over "
+                             f"another circle, expected {S.kind} over {where}")
+        out.append(S)
+    for i, S in enumerate(out):
+        require_valid(S, f"{cmd} input {i + 1}")
     return out
 
 
@@ -44,9 +73,7 @@ def _emit(args, payload):
 
 
 def _cmd_hfhat(args):
-    P0, P1 = _resolve_inputs(args, expected=2)
-    _require_clean(P0, "first input")
-    _require_clean(P1, "second input")
+    P0, P1 = _resolve_inputs(args, (("D", "D"), ("DD", "DD")))
     from .structures import mor_complex_DD
     mc = mor_complex_DD(P0, P1)
     _emit(args, {"hf_dim": homology(mc.complex).dimension})
@@ -54,9 +81,7 @@ def _cmd_hfhat(args):
 
 
 def _cmd_hfihat(args):
-    P0, P1 = _resolve_inputs(args, expected=2)
-    _require_clean(P0, "first input")
-    _require_clean(P1, "second input")
+    P0, P1 = _resolve_inputs(args, (("D", "D"),))
     from .involutive import iota_on_mor
     report = iota_on_mor(P0, P1, max_sum_size=args.max_sum_size)
     _emit(args, report.to_json())
@@ -66,10 +91,8 @@ def _cmd_hfihat(args):
 def _cmd_verify(args):
     results = {}
     bad = 0
-    for kind, ref in [("builtin", n) for n in (args.builtin or [])] + \
-            [("file", p) for p in args.inputs]:
-        S = builtin_structure(ref) if kind == "builtin" \
-            else load_structure(ref)
+    refs = (args.builtin or []) + args.inputs
+    for ref, S in zip(refs, _resolve_inputs(args)):
         violations = check_structure(S)
         results[ref] = {
             "generators": len(S.generators),
@@ -84,8 +107,7 @@ def _cmd_verify(args):
 
 
 def _cmd_triangle(args):
-    (X,) = _resolve_inputs(args, expected=1)
-    _require_clean(X, "input module")
+    (X,) = _resolve_inputs(args, (("A",),), genus=1)
     from .triangle import verify_hfi_triangle
     report = verify_hfi_triangle(X)
     _emit(args, report.to_json())
@@ -93,10 +115,7 @@ def _cmd_triangle(args):
 
 
 def _cmd_mcg(args):
-    M, P, chi, chi_inv = _resolve_inputs(args, expected=4)
-    for S, tag in ((M, "module"), (P, "structure"), (chi, "mapping class"),
-                   (chi_inv, "inverse mapping class")):
-        _require_clean(S, tag)
+    M, P, chi, chi_inv = _resolve_inputs(args, (("A", "D", "DA", "DA"),))
     from .involutive import mcg_action
     matrix = mcg_action(M, P, chi, chi_inv)
     _emit(args, {"action": matrix.to_lists()})
@@ -117,14 +136,6 @@ def _cmd_dump_standard(args):
         written.append(path)
     print(json.dumps({"written": written}, sort_keys=True))
     return 0
-
-
-def _require_clean(S, tag):
-    violations = check_structure(S)
-    if violations:
-        raise RelationViolation(
-            f"{tag} fails {len(violations)} structure relations; "
-            f"first: {violations[0]}")
 
 
 def build_parser():

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .errors import (DivergenceError, InsufficientArityError,
                      NotEquivalentError, generator_cap)
 from .homology import F2Matrix, _bits, homology
-from .standard import cfda_az, cfda_azbar, dd_identity
+from .standard import cfda_az, cfda_azbar
 from .strands import chord_nilpotency_bound
-from .structures import (Morphism, box_tensor, box_tensor_DD_side,
+from .structures import (Morphism, box_tensor, contraction_trace,
                          identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
 
@@ -67,13 +67,7 @@ def homology_basis_of_mor(P, Q):
 
 def _acyclic_cone_trace(f):
     """Reduction trace of the cone when it cancels away; None otherwise."""
-    cone = f.cone()
-    if not cone.in_alg.is_trivial:
-        cone = box_tensor_DD_side(cone, dd_identity(cone.in_alg.circle))
-    red = reduce_structure(cone)
-    if red.reduced.generators:
-        return None
-    return red.trace
+    return contraction_trace(f.cone())
 
 
 def _first_acyclic_sum(stage, basis, what, to_morphism, cone_size,

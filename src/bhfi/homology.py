@@ -3,9 +3,9 @@
 Matrices are stored column-major as Python integers (bit i of column j is
 the (i, j) entry), which makes row operations single XORs of arbitrary
 width.  Every elimination in the package (rank, kernel, image, solving,
-homology representatives) is ``F2Matrix._echelon``, which pivots on the
-first available row in index order, so every result is reproducible across
-runs.
+homology representatives, cancellation) is ``F2Matrix._echelon``, which
+pivots on the first available row in index order, so every result is
+reproducible across runs.
 """
 from __future__ import annotations
 
@@ -356,77 +356,31 @@ def reduce(C):
 
     Returns the reduced complex (zero differential), the mutually inverse
     homotopy equivalences, and a homotopy h on the original complex with
-    dh + hd = id + from_reduced . to_reduced.  One Gaussian cancellation per
-    step; the maps compose via the usual transfer bookkeeping, all in the
-    coordinates of the original complex.
+    dh + hd = id + from_reduced . to_reduced.  One echelon of d gives the
+    boundaries d(c_j) of its pivot columns and their lifts c_j; with the
+    cycle representatives z_i of ``homology(C)`` they form a basis of C.
+    h sends d(c_j) to c_j, ``to_reduced`` sends z_i to e_i, both send the
+    rest of the basis to 0, and ``from_reduced`` is the matrix of the z_i.
+    Reduced generator i is named after the top bit of z_i, its own column.
     """
     n = C.dim
-    dcols = list(C.d.cols)
-    alive = list(range(n))
-    P = [1 << g for g in range(n)]   # to_reduced so far, column per orig gen
-    I = [1 << g for g in range(n)]   # from_reduced so far, column per alive gen
-    H = [0] * n
-
-    while True:
-        pair = None
-        for x in alive:
-            m = dcols[x] & ~(1 << x)
-            if m:
-                pair = (x, _lowbit(m))
-                break
-        if pair is None:
-            break
-        x, y = pair
-        dx = dcols[x]
-        removed = (1 << x) | (1 << y)
-        eps = (dx ^ (1 << y)) & ~removed
-        betas = [s for s in alive if s != x and (dcols[s] >> y) & 1]
-        # homotopy step folds in as I_prev . (y -> x) . P_prev
-        Ix = I[x]
-        for g in range(n):
-            if (P[g] >> y) & 1:
-                H[g] ^= Ix
-        # from_reduced: i(s) = s + x whenever d(s) hits y
-        for s in betas:
-            I[s] ^= Ix
-        # to_reduced: kill x, reroute y through the rest of d(x)
-        py = 0
-        m = eps
-        while m:
-            t = _lowbit(m)
-            m &= m - 1
-            py ^= P[t]
-        for g in range(n):
-            col = P[g]
-            if (col >> x) & 1:
-                col ^= 1 << x
-            if (col >> y) & 1:
-                col ^= (1 << y) ^ py
-            P[g] = col
-        # differential: d'(s) = d(s) + d(x), away from the cancelled pair
-        for s in betas:
-            dcols[s] ^= dx
-        for s in alive:
-            dcols[s] &= ~removed
-        dcols[x] = dcols[y] = 0
-        alive = [g for g in alive if g != x and g != y]
-
-    pos = {g: i for i, g in enumerate(alive)}
-    m_red = len(alive)
-    red = ChainComplex(tuple(C.generators[g] for g in alive),
-                       F2Matrix.zero(m_red, m_red), shift=C.shift)
-
-    def project(col):
-        out, mm = 0, col
-        while mm:
-            g = _lowbit(mm)
-            mm &= mm - 1
-            out ^= 1 << pos[g]
-        return out
-
-    to_mat = F2Matrix(m_red, n, tuple(project(P[g]) for g in range(n)))
-    from_mat = F2Matrix(n, m_red, tuple(I[g] for g in alive))
+    _, cols, trans, order = C.d._echelon()
+    bounds = [cols[j] for _, j in order]
+    lifts = [trans[j] for _, j in order]
+    cycles = list(homology(C).cycles)
+    k = len(cycles)
+    # the kernel of [basis | identity] holds the basis coordinates of
+    # each generator, one vector per identity column
+    units = [1 << g for g in range(n)]
+    coords = F2Matrix(n, 2 * n, tuple(bounds + cycles + lifts + units)) \
+        .nullspace_basis()
+    red = ChainComplex(tuple(C.generators[z.bit_length() - 1]
+                             for z in cycles),
+                       F2Matrix.zero(k, k), shift=C.shift)
+    to_mat = F2Matrix(k, n, tuple(x >> len(bounds) for x in coords))
+    homotopy = F2Matrix(n, n, tuple(lifts) + (0,) * (n - len(lifts))) * \
+        F2Matrix(n, n, tuple(coords))
     return Reduction(red,
                      ChainMap(C, red, to_mat),
-                     ChainMap(red, C, from_mat),
-                     F2Matrix(n, n, tuple(H)))
+                     ChainMap(red, C, F2Matrix(n, k, tuple(cycles))),
+                     homotopy)

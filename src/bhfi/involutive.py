@@ -14,9 +14,10 @@ from .homology import (ChainComplex, ChainMap, F2Matrix, express_in_homology,
                        homology, mapping_cone)
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left,
-                         box_morphism_right, identity_da, identity_morphism,
-                         mor_complex_DD, morphism_from_generator_map,
-                         reduce_structure, to_chain_complex, validate_bounded)
+                         box_morphism_right, contraction_trace, identity_da,
+                         identity_morphism, mor_complex_DD,
+                         morphism_from_generator_map, reduce_structure,
+                         to_chain_complex, validate_bounded)
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,9 @@ class InvolutiveAInf:
 
 
 def _certify_psi(psi):
-    from .structures import is_contractible
     if not psi.is_cycle():
         raise RelationViolation("psi is not a morphism cycle")
-    if not is_contractible(psi.cone()):
+    if contraction_trace(psi.cone()) is None:
         raise RelationViolation("psi is not a homotopy equivalence "
                                 "(its cone does not cancel)")
 
@@ -96,7 +96,8 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
 
     Computes the homology basis of the morphism complex, conjugates each
     representative through the interpolating piece using the two certified
-    equivalences, and returns the basis data together with the images.
+    equivalences.  Returns the morphism complex, its homology basis and
+    the vectors of the conjugated representatives.
     """
     validate_bounded(P0)
     validate_bounded(P1)
@@ -111,9 +112,9 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
                                          max_sum_size=max_sum_size).forward
     psi1 = find_homotopy_equivalence(az_p1, P1,
                                      max_sum_size=max_sum_size).forward
-    images = [psi0_inv.then(box_morphism_right(az, f)).then(psi1)
+    images = [mc.vector_of(psi0_inv.then(box_morphism_right(az, f)).then(psi1))
               for f in reps]
-    return mc, hom, images
+    return mc.complex, hom, images
 
 
 def _on_homology(cx, hom, cycles, failure):
@@ -126,37 +127,28 @@ def _on_homology(cx, hom, cycles, failure):
     return F2Matrix(hom.dimension, hom.dimension, cols)
 
 
-def _involutive_cone(mc, hom, images):
-    """The involutive complex: cone of (inclusion + involution) from the
-    homology of the morphism complex into the morphism complex, with the
-    Q-action recorded as a named endomorphism."""
-    n = len(hom.cycles)
-    m = mc.complex.dim
-    gens = tuple(f"H:{i}" for i in range(n)) + \
-        tuple(f"M:{g}" for g in mc.complex.generators)
-    cols = []
-    for i in range(n):
-        blocked = hom.cycles[i] ^ mc.vector_of(images[i])
-        cols.append(blocked << n)
-    for j in range(m):
-        cols.append(mc.complex.d.cols[j] << n)
-    d = F2Matrix(n + m, n + m, tuple(cols))
-    q_cols = [hom.cycles[i] << n for i in range(n)] + [0] * m
-    q = F2Matrix(n + m, n + m, tuple(q_cols))
-    return ChainComplex(gens, d, actions={"Q": q}, shift=-1)
+def _involutive_cone(cx, hom, images):
+    """The involutive complex: the conjugation cone from the homology of
+    ``cx``, a complex with zero differential, into ``cx``, with the cycle
+    representatives as the inclusion and ``images`` as the involution."""
+    n, m = hom.dimension, cx.dim
+    classes = ChainComplex(tuple(f"H:{i}" for i in range(n)),
+                           F2Matrix.zero(n, n))
+    return conjugation_cone(classes, cx, F2Matrix(m, n, hom.cycles),
+                            F2Matrix(m, n, tuple(images)))
 
 
 def iota_on_mor(P0, P1, max_sum_size=4):
     """The involution report for the pairing encoded by two type D
     structures over one circle."""
-    mc, hom, images = _iota_pipeline(P0, P1, max_sum_size)
-    n = len(hom.cycles)
-    iota = _on_homology(mc.complex, hom, map(mc.vector_of, images),
+    cx, hom, images = _iota_pipeline(P0, P1, max_sum_size)
+    n = hom.dimension
+    iota = _on_homology(cx, hom, images,
                         "conjugated class is not a cycle class")
     one_plus = iota + F2Matrix.identity(n)
     ker_dim = len(one_plus.nullspace_basis())
     coker_dim = n - one_plus.rank()
-    cone = _involutive_cone(mc, hom, images)
+    cone = _involutive_cone(cx, hom, images)
     cone_h = homology(cone)
     hfi_dim = cone_h.dimension
     if hfi_dim != ker_dim + coker_dim:
@@ -172,8 +164,7 @@ def iota_on_mor(P0, P1, max_sum_size=4):
 
 def cfi_hat(P0, P1, max_sum_size=4):
     """The involutive complex of the pairing, a complex over F2[Q]/(Q^2)."""
-    mc, hom, images = _iota_pipeline(P0, P1, max_sum_size)
-    return _involutive_cone(mc, hom, images)
+    return _involutive_cone(*_iota_pipeline(P0, P1, max_sum_size))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +210,14 @@ def _idem_label(P, p):
     return alg.label_of(alg.idem_element(P.out_idem[p]))
 
 
-def conjugation_cone(cx, conj):
-    """The cone of (identity + conj) on a based complex, over F2[Q]/(Q^2):
-    Q carries the source copy identically onto the target copy."""
-    n = cx.dim
-    cone = mapping_cone(ChainMap(cx, cx, conj + F2Matrix.identity(n)))
-    q_cols = tuple(1 << (n + j) for j in range(n)) + (0,) * n
-    q = F2Matrix(2 * n, 2 * n, q_cols)
+def conjugation_cone(src, tgt, incl, conj):
+    """The cone of (incl + conj): src -> tgt over F2[Q]/(Q^2), where Q
+    carries the source copy onto the target copy by ``incl``.  With
+    ``incl`` the identity of one complex this is the involutive complex of
+    the conjugation ``conj``."""
+    cone = mapping_cone(ChainMap(src, tgt, incl + conj))
+    q = F2Matrix(cone.dim, cone.dim,
+                 tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim)
     return ChainComplex(cone.generators, cone.d, actions={"Q": q},
                         shift=cone.shift)
 
@@ -255,7 +247,8 @@ def involutive_pair(A, D):
     omega_p = paired_insertion(cfda_azbar(circle), cfda_az(circle), P)
     conj = conjugation_composite(M, P, omega_p, D.psi, A.psi)
     cx = to_chain_complex(conj.source)
-    return conjugation_cone(cx, conj.to_matrix(cx, cx))
+    return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim),
+                            conj.to_matrix(cx, cx))
 
 
 # ---------------------------------------------------------------------------

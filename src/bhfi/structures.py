@@ -37,7 +37,6 @@ class TrivialAlgebra:
     UNIT = "1"
 
     basis = (UNIT,)
-    idem_keys = (UNIT,)
 
     @staticmethod
     def mul_basis(a, b):
@@ -72,14 +71,6 @@ class TrivialAlgebra:
     @staticmethod
     def idem_element(idem_key):
         return TrivialAlgebra.UNIT
-
-    @staticmethod
-    def mul_preimages(c):
-        return ((TrivialAlgebra.UNIT, TrivialAlgebra.UNIT),)
-
-    @staticmethod
-    def diff_preimages(c):
-        return ()
 
     @staticmethod
     def basis_between(left, right):
@@ -136,21 +127,6 @@ class TensorAlgebra:
     def idem_element(self, idem_key):
         return (self.left.idem_element(idem_key[0]),
                 self.right.idem_element(idem_key[1]))
-
-    @property
-    def idem_keys(self):
-        return tuple(itertools.product(self.left.idem_keys,
-                                       self.right.idem_keys))
-
-    def mul_preimages(self, c):
-        return tuple(((a1, a2), (b1, b2))
-                     for a1, b1 in self.left.mul_preimages(c[0])
-                     for a2, b2 in self.right.mul_preimages(c[1]))
-
-    def diff_preimages(self, c):
-        out = [((s, c[1])) for s in self.left.diff_preimages(c[0])]
-        out += [((c[0], s)) for s in self.right.diff_preimages(c[1])]
-        return tuple(out)
 
     def basis_between(self, left, right):
         return tuple(itertools.product(
@@ -329,8 +305,6 @@ class DABimodule(BorderedObject):
     """Type DA bimodule: algebra output on one circle, inputs on another."""
 
     def __init__(self, out_circle, in_circle, generators, operations):
-        self.out_circle = out_circle
-        self.in_circle = in_circle
         out_alg = algebra(out_circle)
         in_alg = algebra(in_circle)
         gens = [g for g, _, _ in generators]
@@ -352,8 +326,6 @@ class DDBimodule(BorderedObject):
     """Type DD bimodule: a type D structure over a tensor of two algebras."""
 
     def __init__(self, circle_left, circle_right, generators, delta):
-        self.circle_left = circle_left
-        self.circle_right = circle_right
         out_alg = tensor_algebra(algebra(circle_left), algebra(circle_right))
         gens = [g for g, _, _ in generators]
         out_idem = {g: (frozenset(a), frozenset(b)) for g, a, b in generators}
@@ -435,10 +407,12 @@ def check_structure(S):
 
 
 def require_valid(S, what="structure"):
+    """Raise RelationViolation naming ``what`` unless S passes
+    ``check_structure``."""
     bad = check_structure(S)
     if bad:
-        raise RelationViolation(f"{what} fails {len(bad)} relation checks; "
-                                f"first: {bad[0]}")
+        raise RelationViolation(f"{what} fails {len(bad)} structure "
+                                f"relations; first: {bad[0]}")
     return S
 
 
@@ -584,12 +558,20 @@ def box_tensor(B1, B2):
             gens.append(label)
             out_idem[label] = B1.out_idem[g1]
             in_idem[label] = B2.in_idem[g2]
-    ops = set()
-    for x, word, a, x2 in B1.ops:
-        for g2, ins, end in _chains_reading(B2, partners[x], word):
-            _toggle(ops, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
     return BorderedObject(B1.out_alg, B2.in_alg, tuple(gens),
-                          out_idem, in_idem, ops)
+                          out_idem, in_idem,
+                          _pair_with_chains(B1.ops, B2, partners))
+
+
+def _pair_with_chains(ops, B2, partners):
+    """Pair each operation (or morphism component) (x, word, a, x2) of a
+    left factor with the chains of B2 from ``partners[x]`` that read
+    ``word``: the terms of its box tensor with B2."""
+    out = set()
+    for x, word, a, x2 in ops:
+        for g2, ins, end in _chains_reading(B2, partners[x], word):
+            _toggle(out, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+    return out
 
 
 def to_chain_complex(S, actions=(), shift=0):
@@ -819,15 +801,10 @@ def morphism_from_generator_map(S, T, mapping):
 
 def box_morphism_left(f, P):
     """(f boxtimes Id_P): f between left-hand structures, P on the right."""
-    B1, B2 = f.source, f.target
-    box1 = box_tensor(B1, P)
-    box2 = box_tensor(B2, P)
+    B1 = f.source
     partners = _partners(B1.generators, B1.in_idem, P.generators, P.out_idem)
-    comps = set()
-    for (b, word, a, b2) in f.comps:
-        for p, ins, end in _chains_reading(P, partners[b], word):
-            _toggle(comps, (f"{b}|{p}", ins, a, f"{b2}|{end}"))
-    return Morphism(box1, box2, comps)
+    return Morphism(box_tensor(B1, P), box_tensor(f.target, P),
+                    _pair_with_chains(f.comps, P, partners))
 
 
 def box_morphism_right(B, f):
@@ -1163,8 +1140,9 @@ def reduce_structure(S, track_from=False, track_to=False):
     return StructureReduction(reduced, from_mor, to_mor, tuple(trace))
 
 
-def is_contractible(S):
-    """True when the structure cancels away completely.
+def contraction_trace(S):
+    """The reduction trace when the structure cancels away completely;
+    None otherwise.
 
     Structures with algebra inputs are first converted to the no-input side
     by pairing with the DD identity of the input circle, where cancellation
@@ -1173,4 +1151,10 @@ def is_contractible(S):
     if not S.in_alg.is_trivial:
         from .standard import dd_identity
         S = box_tensor_DD_side(S, dd_identity(S.in_alg.circle))
-    return not reduce_structure(S).reduced.generators
+    red = reduce_structure(S)
+    return None if red.reduced.generators else red.trace
+
+
+def is_contractible(S):
+    """True when the structure cancels away completely."""
+    return contraction_trace(S) is not None

@@ -323,7 +323,8 @@ def verify_hfi_triangle(X):
     hat_exact = _triangle_exact(cxs, hat_homs, i_mat, p_mat,
                                 ("inf", "minus_one", "zero"), failures)
 
-    cones = [conjugation_cone(cx, conj) for cx, conj in zip(cxs, iotas)]
+    cones = [conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
+             for cx, conj in zip(cxs, iotas)]
 
     def block_map(f_mat, h_mat, src, dst):
         ns, nt = src.dim // 2, dst.dim // 2

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -173,3 +175,72 @@ class TestGenusTwoEndToEnd:
         data = json.loads(out)
         assert data["hf_dim"] == 4
         assert data["hfi_dim"] == 8
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
+                                              else ""))
+    proc = subprocess.run([sys.executable, "-m", "bhfi.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def builtins(command, *names):
+    return [command] + [arg for name in names for arg in ("--builtin", name)]
+
+
+WRONG_KIND = [
+    (builtins("hfhat", "cfd0", "cfd0_k2"), "input 2 has kind D over another"),
+    (builtins("hfihat", "cfa0_k1", "cfd0"), "input 1 has kind A, expected D"),
+    (builtins("hfihat", "ddid_k1", "ddid_k1"),
+     "input 1 has kind DD, expected D"),
+    (builtins("triangle", "cfd0"), "input 1 has kind D, expected A"),
+    (builtins("triangle", "cfa0_k2"), "expected A over split_pmc(1)"),
+    (builtins("mcg", "cfd0", "cfd0", "az_k1", "azbar_k1"),
+     "input 1 has kind D, expected A"),
+    (builtins("mcg", "cfa0_k1", "cfd0", "cfd0", "azbar_k1"),
+     "input 3 has kind D, expected DA"),
+]
+
+
+class TestWrongKindInputs:
+    @pytest.mark.parametrize("argv, detail", WRONG_KIND,
+                             ids=[" ".join(a) for a, _ in WRONG_KIND])
+    def test_typed_parse_error(self, argv, detail):
+        code, out, err = run_process(*argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        report = json.loads(err)
+        assert report["error"] == "parse"
+        assert report["detail"].startswith(argv[0] + ": ")
+        assert detail in report["detail"]
+
+    def test_hfhat_on_dd_identities(self, capsys):
+        code, out, _ = run(capsys, *builtins("hfhat", "ddid_k1", "ddid_k1"))
+        assert code == 0
+        assert out == '{"hf_dim": 4}\n'
+
+    def test_relation_failure_names_the_input(self, capsys, tmp_path):
+        payload = {
+            "kind": "D",
+            "circle": {"k": 1, "matching": [[1, 3], [2, 4]]},
+            "generators": [{"label": "n", "idem": [1]}],
+            "ops": [{"src": "n", "inputs": [],
+                     "out": [{"left_idem": [1], "moving": [[1, 2]],
+                              "horizontal": []}],
+                     "dst": "n"}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "hfhat", "--builtin", "cfd0", str(path))
+        assert code == 3
+        assert json.loads(err)["detail"].startswith(
+            "hfhat input 2 fails 1 structure relations; first: ")

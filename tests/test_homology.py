@@ -201,3 +201,71 @@ class TestJson:
         assert data["generators"] == ["x", "Qx"]
         assert data["differential"] == [[], []]
         assert data["actions"]["Q"] == [[1], []]
+
+
+def random_chain_map(rng, C):
+    """A uniformly random chain self-map of C: a random vector of the
+    kernel of f -> fd + df on the entries of f."""
+    n = C.dim
+    cols = []
+    for r in range(n):
+        for c in range(n):
+            img = 0
+            for s in range(n):          # E_rc d: row c of d moved to row r
+                if C.d.entry(c, s):
+                    img ^= 1 << (r * n + s)
+            for t in range(n):          # d E_rc: column r of d moved to c
+                if C.d.entry(t, r):
+                    img ^= 1 << (t * n + c)
+            cols.append(img)
+    vec = 0
+    for v in F2Matrix(n * n, n * n, tuple(cols)).nullspace_basis():
+        if rng.getrandbits(1):
+            vec ^= v
+    return ChainMap(C, C, F2Matrix.from_entries(
+        n, n, [(r, c) for r in range(n) for c in range(n)
+               if (vec >> (r * n + c)) & 1]))
+
+
+def random_cone(rng, max_dim=9):
+    """The cone of a random chain self-map of a random complex; its
+    differential usually has several support blocks."""
+    return mapping_cone(random_chain_map(rng, random_two_term_complex(
+        rng, max_dim=max_dim)))
+
+
+class TestReduceOnCones:
+    def test_identities_on_seeded_cones(self):
+        rng = random.Random(31)
+        blocks = 0
+        for _ in range(60):
+            C = random_cone(rng)
+            blocks = max(blocks, len(C.support_blocks()))
+            red = reduce(C)
+            assert red.reduced.d.is_zero()
+            assert red.reduced.dim == homology(C).dimension
+            to_m, from_m = red.to_reduced.matrix, red.from_reduced.matrix
+            lhs = C.d * red.homotopy + red.homotopy * C.d
+            rhs = F2Matrix.identity(C.dim) + from_m * to_m
+            assert lhs.cols == rhs.cols
+            assert (to_m * from_m).cols == \
+                F2Matrix.identity(red.reduced.dim).cols
+        assert blocks > 1
+
+    def test_reduced_names_are_distinct_cycle_tops(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            C = random_cone(rng)
+            red = reduce(C)
+            names = red.reduced.generators
+            assert len(set(names)) == len(names)
+            tops = [C.generators[z.bit_length() - 1]
+                    for z in red.from_reduced.matrix.cols]
+            assert list(names) == tops
+
+    def test_acyclic_cone_reduces_to_nothing(self):
+        rng = random.Random(41)
+        C = random_two_term_complex(rng)
+        red = reduce(mapping_cone(ChainMap(C, C, F2Matrix.identity(C.dim))))
+        assert red.reduced.dim == 0
+        assert red.homotopy.rank() == C.dim

@@ -6,7 +6,7 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   is_contractible, mcg_action, mor_complex_DD,
                   standard_involutive_a, standard_involutive_d)
 from bhfi.files import builtin_structure
-from bhfi.involutive import InvolutiveTypeD, paired_insertion
+from bhfi.involutive import InvolutiveTypeD, _iota_pipeline, paired_insertion
 from bhfi.structures import box_morphism_left
 
 
@@ -220,3 +220,37 @@ def _double(P):
     delta = [(f"{s}0", c, f"{t}0") for s, _, c, t in P.ops]
     delta += [(f"{s}1", c, f"{t}1") for s, _, c, t in P.ops]
     return TypeDStructure(P.out_alg.circle, gens, delta)
+
+
+def hand_built_cfi(cx, hom, images):
+    """The involutive complex written out block by block, independently of
+    ``conjugation_cone``: (d, Q) of the cone of (inclusion + involution)
+    from the homology of ``cx`` into ``cx``."""
+    n, m = len(hom.cycles), cx.dim
+    cols = [(hom.cycles[i] ^ images[i]) << n for i in range(n)]
+    cols += [cx.d.cols[j] << n for j in range(m)]
+    q_cols = [hom.cycles[i] << n for i in range(n)] + [0] * m
+    return (F2Matrix(n + m, n + m, tuple(cols)),
+            F2Matrix(n + m, n + m, tuple(q_cols)))
+
+
+class TestCfiHatOracle:
+    @pytest.mark.parametrize("left", ["cfd_inf", "cfd_m1", "cfd0"])
+    @pytest.mark.parametrize("right", ["cfd_inf", "cfd_m1", "cfd0"])
+    def test_genus_1_matches_hand_built_cone(self, left, right):
+        self._check(builtin_structure(left), builtin_structure(right))
+
+    def test_genus_2_matches_hand_built_cone(self, cfd0_k2):
+        self._check(cfd0_k2, cfd0_k2)
+
+    @staticmethod
+    def _check(P0, P1):
+        cone = cfi_hat(P0, P1)
+        cx, hom, images = _iota_pipeline(P0, P1)
+        d, q = hand_built_cfi(cx, hom, images)
+        assert cone.d.cols == d.cols
+        assert cone.actions["Q"].cols == q.cols
+        assert cone.shift == -1
+        n = hom.dimension
+        assert all(g.startswith("S:H:") for g in cone.generators[:n])
+        assert all(g.startswith("T:") for g in cone.generators[n:])

@@ -23,8 +23,8 @@ from .errors import (DivergenceError, InsufficientArityError,
 from .homology import F2Matrix, _bits, homology
 from .standard import cfda_az, cfda_azbar
 from .strands import chord_nilpotency_bound
-from .structures import (Morphism, box_tensor, contraction_trace,
-                         identity_da, mor_complex_DD,
+from .structures import (Morphism, box_tensor, component_differential,
+                         contraction_trace, identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
 
 
@@ -208,7 +208,7 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
                 for w in words:
                     unknowns.append((src, w, out, dst))
     unknowns.sort(key=A.op_sort_key)
-    residues = [Morphism(A, B, {e}).differential().comps for e in unknowns]
+    residues = [component_differential(A, B, e) for e in unknowns]
     # rows in residue-term order, so elimination pivots on the least term
     terms = sorted(set().union(*residues), key=B.op_sort_key)
     row = {t: i for i, t in enumerate(terms)}

@@ -49,18 +49,6 @@ class F2Matrix:
             cols[c] ^= 1 << r
         return F2Matrix(nrows, ncols, tuple(cols))
 
-    @staticmethod
-    def from_rows(rows, ncols):
-        nrows = len(rows)
-        cols = [0] * ncols
-        for r, rowmask in enumerate(rows):
-            m = rowmask
-            while m:
-                c = _lowbit(m)
-                m &= m - 1
-                cols[c] ^= 1 << r
-        return F2Matrix(nrows, ncols, tuple(cols))
-
     # -- basic operations ----------------------------------------------------
 
     def entry(self, r, c):

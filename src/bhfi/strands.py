@@ -348,13 +348,29 @@ class StrandsAlgebra:
 
     def _basis(self):
         if not hasattr(self, "_basis_cached"):
-            size, cap = self._count_basis(), generator_cap()
+            cap = generator_cap()
+            size, what = self._basis_lower_bound(), "at least "
+            if size <= cap:         # the exact count is exponential in k
+                size, what = self._count_basis(), ""
             if size > cap:
-                raise DivergenceError(f"strands basis: {size} diagrams "
+                raise DivergenceError(f"strands basis: {what}{size} diagrams "
                                       f"exceed BHFI_MAX_GENERATORS={cap}")
             self._basis_cached = tuple(sorted(self._enumerate_basis(),
                                               key=StrandDiagram.sort_key))
         return self._basis_cached
+
+    def _basis_lower_bound(self):
+        """A closed-form lower bound on the basis size, cheap at any genus:
+        the idempotents, the diagrams with one moving strand (between two
+        pairs, or within one), and the diagrams whose two moving strands end
+        on four distinct pairs (three ways to join four such points)."""
+        k, comb = self.circle.k, math.comb
+        bound = comb(2 * k, k) + \
+            (comb(4 * k, 2) - 2 * k) * comb(2 * k - 2, k - 1) + \
+            2 * k * comb(2 * k - 1, k - 1)
+        if k >= 2:
+            bound += 3 * 16 * comb(2 * k, 4) * comb(2 * k - 4, k - 2)
+        return bound
 
     def _count_basis(self):
         """The number of basis diagrams, counted without building one.
@@ -465,13 +481,15 @@ class StrandsAlgebra:
             else:
                 moving.append(strand)
                 pinned_a.append(strand[0])
-        excess = [_inversions(moving) - a._crossings - b._crossings
+        # the distinct excesses over all placements: a set, so the work
+        # stays polynomial in the number of shared horizontals
+        excess = {_inversions(moving) - a._crossings - b._crossings
                   - sum(_over(a.moving, q) for q in pinned_a)
-                  - sum(_over(b.moving, q) for q in pinned_b)]
+                  - sum(_over(b.moving, q) for q in pinned_b)}
         for p in shared:
-            excess = [e + _over(moving, q) - _over(a.moving, q)
+            excess = {e + _over(moving, q) - _over(a.moving, q)
                       - _over(b.moving, q)
-                      for e in excess for q in self.circle.pair_points(p)]
+                      for e in excess for q in self.circle.pair_points(p)}
         if all(excess):
             return _ZERO
         if any(excess):
@@ -482,6 +500,11 @@ class StrandsAlgebra:
         hit = self._diff_cache.get(a)
         if hit is not None:
             return hit
+        placements, cap = 1 << len(a.horizontal), generator_cap()
+        if placements > cap:
+            raise DivergenceError(f"strands diff_basis: {placements} "
+                                  f"horizontal placements exceed "
+                                  f"BHFI_MAX_GENERATORS={cap}")
         acc = set()
         for xa in a.expansions():
             for res in _diff_points(xa):

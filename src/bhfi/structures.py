@@ -20,6 +20,7 @@ import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DivergenceError, RelationViolation, generator_cap
 from .homology import ChainComplex, F2Matrix, _bits
@@ -156,6 +157,15 @@ def _coefficient_terms(value):
     return [value]
 
 
+_SRC, _OUT, _DST = itemgetter(0), itemgetter(2), itemgetter(3)
+_SRC_OUT = itemgetter(0, 2)
+
+
+def _SRC_LEFT(op):
+    """Index key: the source and the coefficient's left tensor factor."""
+    return op[0], op[2][0]
+
+
 class BorderedObject:
     """Common container for all structure kinds; see the module docstring."""
 
@@ -172,9 +182,7 @@ class BorderedObject:
             if src not in self.out_idem or dst not in self.out_idem:
                 raise ValueError(f"operation references unknown generator "
                                  f"{src!r} or {dst!r}")
-        self._by_src = None
-        self._by_out = None
-        self._by_src_out = None
+        self._index = {}
 
     # -- structural views ---------------------------------------------------
 
@@ -202,28 +210,27 @@ class BorderedObject:
     def sorted_ops(self):
         return sorted(self.ops, key=self.op_sort_key)
 
-    def _indexes(self):
-        if self._by_src is None:
-            by_src, by_src_out = {}, {}
+    def _lookup(self, key, value):
+        """The operations whose ``key`` reads ``value``; each index is
+        built on its first lookup."""
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = {}
             for op in self.ops:
-                by_src.setdefault(op[0], []).append(op)
-                by_src_out.setdefault((op[0], op[2]), []).append(op)
-            self._by_src = by_src
-            self._by_src_out = by_src_out
-        return self._by_src, self._by_src_out
+                index.setdefault(key(op), []).append(op)
+        return index.get(value, ())
 
     def ops_from(self, src):
-        return self._indexes()[0].get(src, ())
+        return self._lookup(_SRC, src)
 
-    def ops_from_with_out(self, src, out):
-        return self._indexes()[1].get((src, out), ())
+    def ops_into(self, dst):
+        return self._lookup(_DST, dst)
 
     def ops_with_out(self, out):
-        if self._by_out is None:
-            self._by_out = {}
-            for op in self.ops:
-                self._by_out.setdefault(op[2], []).append(op)
-        return self._by_out.get(out, ())
+        return self._lookup(_OUT, out)
+
+    def ops_from_with_out(self, src, out):
+        return self._lookup(_SRC_OUT, (src, out))
 
     def relabeled(self, mapping):
         return BorderedObject(
@@ -350,23 +357,44 @@ def _toggle(acc, op):
         acc.add(op)
 
 
+def _terms_after(T, op, acc):
+    """Toggle into ``acc`` the relation terms that start with ``op`` (an
+    operation or a morphism component into T): op followed by each
+    operation of T out of its target, the differential of its coefficient,
+    and the differential or a split of each of its inputs."""
+    x, w, a, y = op
+    out_alg, in_alg = T.out_alg, T.in_alg
+    for _, w2, b, z in T.ops_from(y):
+        for c in out_alg.mul_basis(a, b):
+            _toggle(acc, (x, w + w2, c, z))
+    for c in out_alg.diff_basis(a):
+        _toggle(acc, (x, w, c, y))
+    for pos, b in enumerate(w):
+        head, tail = w[:pos], w[pos + 1:]
+        for b0 in in_alg.diff_preimages(b):
+            _toggle(acc, (x, head + (b0,) + tail, a, y))
+        for b1, b2 in in_alg.mul_preimages(b):
+            _toggle(acc, (x, head + (b1, b2) + tail, a, y))
+
+
 def structure_residue(S):
     """Leftover terms of the structure relation, as operations."""
     acc = set()
-    out_alg, in_alg = S.out_alg, S.in_alg
-    for op1 in S.ops:
-        x, w1, a, y = op1
-        for op2 in S.ops_from(y):
-            _, w2, b, z = op2
-            for c in out_alg.mul_basis(a, b):
-                _toggle(acc, (x, w1 + w2, c, z))
-        for c in out_alg.diff_basis(a):
-            _toggle(acc, (x, w1, c, y))
-        for pos in range(len(w1)):
-            for b in in_alg.diff_preimages(w1[pos]):
-                _toggle(acc, (x, w1[:pos] + (b,) + w1[pos + 1:], a, y))
-            for b1, b2 in in_alg.mul_preimages(w1[pos]):
-                _toggle(acc, (x, w1[:pos] + (b1, b2) + w1[pos + 1:], a, y))
+    for op in S.ops:
+        _terms_after(S, op, acc)
+    return acc
+
+
+def component_differential(S, T, comp):
+    """The morphism-complex differential of one component (x, w, a, y) of
+    a morphism S -> T, as an F2 set of components: each operation of S into
+    x composed before it, then the terms of ``_terms_after``."""
+    x, w, a, y = comp
+    acc = set()
+    for s, w0, b, _ in S.ops_into(x):
+        for c in S.out_alg.mul_basis(b, a):
+            _toggle(acc, (s, w0 + w, c, y))
+    _terms_after(T, comp, acc)
     return acc
 
 
@@ -494,18 +522,13 @@ def validate_bounded(S):
 
 def _chains_consuming(B2, start, outs):
     """All op-chains in B2 from ``start`` whose outputs read ``outs`` in
-    order; yields (concatenated inputs, end generator)."""
-    results = []
-
-    def walk(at, idx, ins_acc):
-        if idx == len(outs):
-            results.append((ins_acc, at))
-            return
-        for op in B2.ops_from_with_out(at, outs[idx]):
-            walk(op[3], idx + 1, ins_acc + op[1])
-
-    walk(start, 0, ())
-    return results
+    order, as (concatenated inputs, end generator) in the order of a
+    depth-first walk."""
+    chains = [((), start)]
+    for out in outs:
+        chains = [(ins + op[1], op[3]) for ins, at in chains
+                  for op in B2.ops_from_with_out(at, out)]
+    return chains
 
 
 def _chains_reading(B2, starts, word):
@@ -574,15 +597,14 @@ def _pair_with_chains(ops, B2, partners):
     return out
 
 
-def to_chain_complex(S, actions=(), shift=0):
+def to_chain_complex(S):
     """View a both-sides-trivial structure as a based chain complex."""
     if S.kind != "CX":
         raise ValueError("structure still carries algebra actions")
     n = len(S.generators)
     pos = {g: i for i, g in enumerate(S.generators)}
     entries = [(pos[dst], pos[src]) for src, _, _, dst in S.ops]
-    return ChainComplex(S.generators, F2Matrix.from_entries(n, n, entries),
-                        actions=dict(actions), shift=shift)
+    return ChainComplex(S.generators, F2Matrix.from_entries(n, n, entries))
 
 
 def box_tensor_AD(M, P):
@@ -594,8 +616,7 @@ def box_tensor_AD(M, P):
 def box_tensor_DA_D(B, P):
     """Pair a DA bimodule with a type D structure; a type D structure."""
     validate_bounded(P)
-    out = box_tensor(B, P)
-    return out
+    return box_tensor(B, P)
 
 
 def box_tensor_DD_side(B, X):
@@ -627,43 +648,29 @@ def box_tensor_DD_side(B, X):
             out_idem[label] = oi
             in_idem[label] = TRIVIAL.UNIT
 
-    # delta paths in X indexed by the left-factor coefficient sequence
-    by_src_left = {}
-    for op in X.ops:
-        by_src_left.setdefault((op[0], op[2][0]), []).append(op)
-
+    # each walk reads the word along X's left coefficients, multiplying
+    # the carried coefficients onto the carried idempotent it starts from
     ops = set()
-    for op in B.ops:
-        bsrc, word, a, bdst = op
+    for bsrc, word, a, bdst in B.ops:
         for x in partners[bsrc]:
-
-            def walk(at, idx, prods):
-                if idx == len(word):
-                    for prod in prods:
-                        coeff = prod if trivial_out else (a, prod)
-                        _toggle(ops, (f"{bsrc}|{x}", (), coeff,
-                                      f"{bdst}|{at}"))
-                    return
-                for xop in by_src_left.get((at, word[idx]), ()):
-                    carry = xop[2][1]
-                    nxt = set()
-                    for p in prods:
-                        nxt ^= carried.mul_basis(p, carry) if p is not None \
-                            else {carry}
-                    if nxt:
-                        walk(xop[3], idx + 1, nxt)
-
-            walk(x, 0, {None})
-    # normalize: None product (no steps) means the carried idempotent
-    fixed = set()
-    for (src, ins, out, dst) in ops:
-        if trivial_out and out is None:
-            out = carried.idem_element(out_idem[dst])
-        elif not trivial_out and out[1] is None:
-            out = (out[0], carried.idem_element(out_idem[dst][1]))
-        _toggle(fixed, (src, ins, out, dst))
+            walks = [(x, {carried.idem_element(X.out_idem[x][1])})]
+            for left in word:
+                nxt = []
+                for at, prods in walks:
+                    for xop in X._lookup(_SRC_LEFT, (at, left)):
+                        prod = set()
+                        for p in prods:
+                            prod ^= carried.mul_basis(p, xop[2][1])
+                        if prod:
+                            nxt.append((xop[3], prod))
+                walks = nxt
+            for at, prods in walks:
+                for prod in prods:
+                    _toggle(ops, (f"{bsrc}|{x}", (),
+                                  prod if trivial_out else (a, prod),
+                                  f"{bdst}|{at}"))
     return BorderedObject(res_alg, TRIVIAL, tuple(gens), out_idem,
-                          in_idem, fixed)
+                          in_idem, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -715,29 +722,12 @@ class Morphism:
         return Morphism(self.source, other.target, acc)
 
     def differential(self):
-        """The morphism-complex differential of this collection of maps."""
-        S, T = self.source, self.target
-        out_alg, in_alg = S.out_alg, S.in_alg
-        comps_by_src = {}
-        for comp in self.comps:
-            comps_by_src.setdefault(comp[0], []).append(comp)
+        """The morphism-complex differential: by linearity, the sum of the
+        ``component_differential`` of each component."""
         acc = set()
-        for (x, w1, a, y) in S.ops:
-            for (_, w2, b, z) in comps_by_src.get(y, ()):
-                for c in out_alg.mul_basis(a, b):
-                    _toggle(acc, (x, w1 + w2, c, z))
-        for (x, w1, a, y) in self.comps:
-            for (_, w2, b, z) in T.ops_from(y):
-                for c in out_alg.mul_basis(a, b):
-                    _toggle(acc, (x, w1 + w2, c, z))
-            for c in out_alg.diff_basis(a):
-                _toggle(acc, (x, w1, c, y))
-            for pos in range(len(w1)):
-                for b in in_alg.diff_preimages(w1[pos]):
-                    _toggle(acc, (x, w1[:pos] + (b,) + w1[pos + 1:], a, y))
-                for b1, b2 in in_alg.mul_preimages(w1[pos]):
-                    _toggle(acc, (x, w1[:pos] + (b1, b2) + w1[pos + 1:], a, y))
-        return Morphism(S, T, acc)
+        for comp in self.comps:
+            acc ^= component_differential(self.source, self.target, comp)
+        return Morphism(self.source, self.target, acc)
 
     def is_cycle(self):
         return not self.differential().comps
@@ -808,33 +798,27 @@ def box_morphism_left(f, P):
 
 
 def box_morphism_right(B, f):
-    """(Id_B boxtimes f): B on the left, f between right-hand structures."""
-    P1, P2 = f.source, f.target
-    box1 = box_tensor(B, P1)
-    box2 = box_tensor(B, P2)
-    partners = _partners(B.generators, B.in_idem, P1.generators, P1.out_idem)
-    fcomps_by_out = {}
-    for comp in f.comps:
-        fcomps_by_out.setdefault((comp[0], comp[2]), []).append(comp)
-    comps = set()
-    for (b, word, a, b2) in B.ops:
-        for p in partners[b]:
-            # insert exactly one f component at position t of the chain
-            def walk(at, idx, ins_acc, used):
-                if idx == len(word):
-                    if used:
-                        _toggle(comps, (f"{b}|{p}", ins_acc, a,
-                                        f"{b2}|{at}"))
-                    return
-                struct = P2 if used else P1
-                for op in struct.ops_from_with_out(at, word[idx]):
-                    walk(op[3], idx + 1, ins_acc + op[1], used)
-                if not used:
-                    for comp in fcomps_by_out.get((at, word[idx]), ()):
-                        walk(comp[3], idx + 1, ins_acc + comp[1], True)
+    """(Id_B boxtimes f): B on the left, f between right-hand structures.
 
-            walk(p, 0, (), False)
-    return Morphism(box1, box2, comps)
+    Each operation of B reads its word along a chain of P1 operations
+    (the prefix), exactly one component of f, then a chain of P2
+    operations (the suffix)."""
+    P1, P2 = f.source, f.target
+    partners = _partners(B.generators, B.in_idem, P1.generators, P1.out_idem)
+    f_by_out = {}
+    for comp in f.comps:
+        f_by_out.setdefault((comp[0], comp[2]), []).append(comp)
+    comps = set()
+    for b, word, a, b2 in B.ops:
+        for p in partners[b]:
+            for t, out in enumerate(word):
+                for ins1, at in _chains_consuming(P1, p, word[:t]):
+                    for _, ins2, _, mid in f_by_out.get((at, out), ()):
+                        for ins3, end in _chains_consuming(P2, mid,
+                                                           word[t + 1:]):
+                            _toggle(comps, (f"{b}|{p}", ins1 + ins2 + ins3,
+                                            a, f"{b2}|{end}"))
+    return Morphism(box_tensor(B, P1), box_tensor(B, P2), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +834,6 @@ class MorComplex:
     Q: BorderedObject
     basis: tuple              # (p, coefficient diagram, q) triples
     complex: ChainComplex
-
-    def index(self, comp):
-        src, _, out, dst = comp
-        return self._pos[(src, out, dst)]
 
     @property
     def _pos(self):
@@ -901,8 +881,7 @@ def mor_complex_DD(P, Q):
     n = len(basis)
     entries = []
     for i, (p, a, q) in enumerate(basis):
-        img = Morphism(P, Q, {(p, (), a, q)}).differential()
-        for (src, _, out, dst) in img.comps:
+        for src, _, out, dst in component_differential(P, Q, (p, (), a, q)):
             entries.append((pos[(src, out, dst)], i))
     gens = tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in basis)
     cx = ChainComplex(gens, F2Matrix.from_entries(n, n, entries))
@@ -1089,34 +1068,23 @@ def reduce_structure(S, track_from=False, track_to=False):
                 acc = from_comps[s]
                 for (_, w2, c2, orig) in tail_x:
                     for c in out_alg.mul_basis(c1, c2):
-                        comp = (s, w1 + w2, c, orig)
-                        if comp in acc:
-                            acc.discard(comp)
-                        else:
-                            acc.add(comp)
+                        _toggle(acc, (s, w1 + w2, c, orig))
             del from_comps[x]
             del from_comps[y]
         if track_to:
             for (orig, w0, c0, _) in list(to_by_dst.get(y, ())):
                 for (w1, c1, tgt) in pieces:
                     for c in out_alg.mul_basis(c0, c1):
-                        comp = (orig, w0 + w1, c, tgt)
-                        bucket = to_by_dst.setdefault(tgt, set())
-                        if comp in bucket:
-                            bucket.discard(comp)
-                        else:
-                            bucket.add(comp)
+                        _toggle(to_by_dst.setdefault(tgt, set()),
+                                (orig, w0 + w1, c, tgt))
             to_by_dst[y] = set()
             to_by_dst[x] = set()
 
-        # apply corrections and drop the cancelled pair
-        for op in list(by_src.get(x, set()) | by_dst.get(x, set())
-                       | by_src.get(y, set()) | by_dst.get(y, set())):
-            if op in ops:
-                ops.discard(op)
-                by_src[op[0]].discard(op)
-                by_dst[op[3]].discard(op)
-                dequeue(op)
+        # drop the cancelled pair (add_op toggles each operation off),
+        # then apply the corrections
+        for op in (by_src.get(x, set()) | by_dst.get(x, set())
+                   | by_src.get(y, set()) | by_dst.get(y, set())):
+            add_op(op)
         for op in corrections:
             add_op(op)
         del alive[x], alive[y]

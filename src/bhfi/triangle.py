@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
-from .homology import F2Matrix, express_in_homology, homology
+from .homology import F2Matrix, _bits, express_in_homology, homology
 from .involutive import (conjugation_composite, conjugation_cone,
                          paired_insertion)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
@@ -130,67 +130,45 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
        (c_0.d * H0 + H0 * c_m1.d + r2).is_zero() and \
        (p_mat * G0 + H0 * i_mat).is_zero():
         return G0, H0
-    # linear solve: unknowns are the entries of G and H
-    nG = (c_m1.dim, c_inf.dim)
-    nH = (c_0.dim, c_m1.dim)
+    # linear solve, assembled column by column.  Unknowns: the entries of
+    # G (n1 x n0), then of H (n2 x n1); equations: the entries of dG + Gd,
+    # dH + Hd and pG + Hi, at offsets 0, e1 and e12; all row by row.
+    # G[t][c] enters equation (r, c) of dG + Gd and of pG + Hi for each 1
+    # in column t of d_m1 and of p (spread with stride n0), and equation
+    # (t, c') of dG + Gd for each 1 in row c of d_inf; H likewise.
+    n0, n1, n2 = c_inf.dim, c_m1.dim, c_0.dim
+    e1, e12 = n1 * n0, n1 * n0 + n2 * n1     # e1 is also the size of G
 
-    def g_idx(r, c):
-        return r * nG[1] + c
+    def spread(col, stride, offset):
+        return sum(1 << (offset + r * stride) for r in _bits(col))
 
-    def h_idx(r, c):
-        return nG[0] * nG[1] + r * nH[1] + c
+    def rows(mat):
+        return mat.transpose().cols
 
-    nvars = nG[0] * nG[1] + nH[0] * nH[1]
-    rows = []
+    d_inf_rows, d_m1_rows, i_rows = rows(c_inf.d), rows(c_m1.d), rows(i_mat)
+    cols = []
+    for t in range(n1):                 # G[t][c]
+        for c in range(n0):
+            cols.append(spread(c_m1.d.cols[t], n0, c)
+                        ^ d_inf_rows[c] << t * n0
+                        ^ spread(p_mat.cols[t], n0, e12 + c))
+    for t in range(n2):                 # H[t][c]
+        for c in range(n1):
+            cols.append(spread(c_0.d.cols[t], n1, e1 + c)
+                        ^ d_m1_rows[c] << e1 + t * n1
+                        ^ i_rows[c] << e12 + t * n0)
     rhs = 0
-
-    def add_eq(row, b):
-        nonlocal rhs
-        rhs |= b << len(rows)
-        rows.append(row)
-
-    # dG + Gd = r1
-    for r in range(nG[0]):
-        for c in range(nG[1]):
-            row = 0
-            for t in range(nG[0]):
-                if c_m1.d.entry(r, t):
-                    row ^= 1 << g_idx(t, c)
-            for s in range(nG[1]):
-                if c_inf.d.entry(s, c):
-                    row ^= 1 << g_idx(r, s)
-            add_eq(row, r1.entry(r, c))
-    # dH + Hd = r2
-    for r in range(nH[0]):
-        for c in range(nH[1]):
-            row = 0
-            for t in range(nH[0]):
-                if c_0.d.entry(r, t):
-                    row ^= 1 << h_idx(t, c)
-            for s in range(nH[1]):
-                if c_m1.d.entry(s, c):
-                    row ^= 1 << h_idx(r, s)
-            add_eq(row, r2.entry(r, c))
-    # pG + Hi = 0
-    for r in range(nH[0]):
-        for c in range(nG[1]):
-            row = 0
-            for t in range(nG[0]):
-                if p_mat.entry(r, t):
-                    row ^= 1 << g_idx(t, c)
-            for s in range(nH[1]):
-                if i_mat.entry(s, c):
-                    row ^= 1 << h_idx(r, s)
-            add_eq(row, 0)
-    sol = F2Matrix.from_rows(rows, nvars).solve(rhs)
+    for r, row in enumerate(rows(r1)):
+        rhs ^= row << r * n0
+    for r, row in enumerate(rows(r2)):
+        rhs ^= row << e1 + r * n1
+    sol = F2Matrix(e12 + n2 * n0, len(cols), tuple(cols)).solve(rhs)
     if sol is None:
         raise RelationViolation("no homotopies make the cone maps chain maps")
-    G = F2Matrix.from_entries(
-        nG[0], nG[1], [(r, c) for r in range(nG[0]) for c in range(nG[1])
-                       if (sol >> g_idx(r, c)) & 1])
-    H = F2Matrix.from_entries(
-        nH[0], nH[1], [(r, c) for r in range(nH[0]) for c in range(nH[1])
-                       if (sol >> h_idx(r, c)) & 1])
+    G = F2Matrix.from_entries(n1, n0, [divmod(j, n0) for j in _bits(sol)
+                                       if j < e1])
+    H = F2Matrix.from_entries(n2, n1, [divmod(j - e1, n1) for j in _bits(sol)
+                                       if j >= e1])
     return G, H
 
 

@@ -244,3 +244,34 @@ class TestWrongKindInputs:
         assert code == 3
         assert json.loads(err)["detail"].startswith(
             "hfhat input 2 fails 1 structure relations; first: ")
+
+
+class TestStrandsGuards:
+    """Oversized circles are refused before any exponential work, each in
+    a fresh process so that no cached algebra helps."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (builtins("hfhat", "cfd0_k7", "cfd0_k7"),
+         "strands basis: at least 12471888 diagrams exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("hfhat", "cfd0_k12", "cfd0_k12"),
+         "strands basis: at least 95048379244 diagrams exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "cfd0_k40"),
+         "strands diff_basis: 549755813888 horizontal placements exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40"])
+    def test_refused_within_seconds(self, monkeypatch, argv, detail):
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        start = time.monotonic()
+        code, out, err = run_process(*argv)
+        assert time.monotonic() - start < 10.0
+        assert code == 5
+        assert out == ""
+        assert json.loads(err) == {"error": "divergence", "detail": detail}
+
+    def test_genus_12_handlebody_still_verifies(self):
+        code, out, _ = run_process(*builtins("verify", "cfd0_k12"))
+        assert code == 0
+        assert json.loads(out) == {
+            "cfd0_k12": {"generators": 1, "operations": 12, "violations": 0}}

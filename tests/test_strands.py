@@ -423,3 +423,49 @@ class TestBasisGuard:
         assert alg._diagrams == {}
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "238")
         assert len(alg.basis) == 238
+
+
+class TestOversizedCircles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
+    def test_lower_bound_below_the_count(self, name):
+        alg = StrandsAlgebra(ORACLE_CIRCLES[name]())
+        assert alg._basis_lower_bound() <= alg._count_basis()
+
+    def test_lower_bound_at_genus_1_to_5(self):
+        bounds = [StrandsAlgebra(split_pmc(k))._basis_lower_bound()
+                  for k in range(1, 6)]
+        # exact at genus 1; below the counts 238, 12448, 948390 after it,
+        # and past the default cap from genus 5 on
+        assert bounds == [8, 114, 1880, 22750, 215712]
+
+    def test_basis_refused_from_the_bound(self, monkeypatch):
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        alg = StrandsAlgebra(split_pmc(30))
+        with pytest.raises(DivergenceError) as err:
+            alg.basis
+        assert str(err.value).startswith("strands basis: at least ")
+        assert str(err.value).endswith(" diagrams exceed "
+                                       "BHFI_MAX_GENERATORS=200000")
+        assert alg._diagrams == {}
+
+    def test_diff_basis_refuses_too_many_placements(self, monkeypatch, z2):
+        alg = StrandsAlgebra(z2)
+        idem = alg.idempotent({1, 2})
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "3")
+        with pytest.raises(DivergenceError) as err:
+            alg.diff_basis(idem)
+        assert str(err.value) == ("strands diff_basis: 4 horizontal "
+                                  "placements exceed BHFI_MAX_GENERATORS=3")
+        assert alg._diff_cache == {}
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "4")
+        assert alg.diff_basis(idem) == frozenset()
+
+    def test_product_with_many_shared_horizontals(self):
+        # 18 shared horizontal pairs: the placements are never expanded
+        k = 20
+        alg = StrandsAlgebra(split_pmc(k))
+        odd = frozenset(range(1, 2 * k + 1, 2))
+        a = alg.diagram(((1, 3),), odd - {1})
+        b = alg.diagram(((5, 7),), odd - {3})
+        both = alg.diagram(((1, 3), (5, 7)), odd - {1, 3})
+        assert alg.mul_basis(a, b) == alg.mul_basis(b, a) == {both}

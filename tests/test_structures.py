@@ -13,7 +13,7 @@ from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
                   validate_bounded)
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.strands import StrandsAlgebra
-from bhfi.structures import (BorderedObject, box_morphism_left,
+from bhfi.structures import (TRIVIAL, BorderedObject, box_morphism_left,
                              box_morphism_right, elementary_morphism,
                              zero_morphism)
 
@@ -690,3 +690,243 @@ class TestTrackedLoopReduction:
         assert red.to_reduced.is_cycle()
         round_trip = red.from_reduced.then(red.to_reduced)
         assert round_trip.comps == identity_morphism(red.reduced).comps
+
+
+# ---------------------------------------------------------------------------
+# the morphism calculus as it stood before ``component_differential`` and the
+# prefix / f / suffix chain walk, kept as oracles
+
+
+def two_loop_differential(f):
+    """The morphism differential as two loops: every operation of the
+    source into a component, then every component with its own terms."""
+    S, T = f.source, f.target
+    out_alg, in_alg = S.out_alg, S.in_alg
+    comps_by_src = {}
+    for comp in f.comps:
+        comps_by_src.setdefault(comp[0], []).append(comp)
+    acc = set()
+    for (x, w1, a, y) in S.ops:
+        for (_, w2, b, z) in comps_by_src.get(y, ()):
+            for c in out_alg.mul_basis(a, b):
+                toggle(acc, (x, w1 + w2, c, z))
+    for (x, w1, a, y) in f.comps:
+        for (_, w2, b, z) in T.ops_from(y):
+            for c in out_alg.mul_basis(a, b):
+                toggle(acc, (x, w1 + w2, c, z))
+        for c in out_alg.diff_basis(a):
+            toggle(acc, (x, w1, c, y))
+        for pos in range(len(w1)):
+            for b in in_alg.diff_preimages(w1[pos]):
+                toggle(acc, (x, w1[:pos] + (b,) + w1[pos + 1:], a, y))
+            for b1, b2 in in_alg.mul_preimages(w1[pos]):
+                toggle(acc, (x, w1[:pos] + (b1, b2) + w1[pos + 1:], a, y))
+    return acc
+
+
+def per_element_mor_columns(mc):
+    """The Mor differential assembled from one one-component morphism per
+    basis element."""
+    pos = {t: i for i, t in enumerate(mc.basis)}
+    cols = []
+    for p, a, q in mc.basis:
+        img = two_loop_differential(Morphism(mc.P, mc.Q, {(p, (), a, q)}))
+        cols.append(sum(1 << pos[(s, o, d)] for s, _, o, d in img))
+    return tuple(cols)
+
+
+def per_element_search_system(A, B, max_arity):
+    """(rows, unknowns, columns) of the bounded search's linear system,
+    from one one-component morphism per unknown."""
+    from bhfi.equivalence import _chained_words
+    out_alg, in_alg = A.out_alg, A.in_alg
+    unknowns = []
+    for src in A.generators:
+        for dst in B.generators:
+            for out in out_alg.basis_between(A.out_idem[src],
+                                             B.out_idem[dst]):
+                words = [()] if in_alg.is_trivial else _chained_words(
+                    in_alg, A.in_idem[src], B.in_idem[dst], max_arity - 1)
+                unknowns += [(src, w, out, dst) for w in words]
+    unknowns.sort(key=A.op_sort_key)
+    residues = [two_loop_differential(Morphism(A, B, {e})) for e in unknowns]
+    terms = sorted(set().union(*residues), key=B.op_sort_key)
+    row = {t: i for i, t in enumerate(terms)}
+    return (len(terms), len(unknowns),
+            tuple(sum(1 << row[t] for t in img) for img in residues))
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_search_system(monkeypatch, run):
+    """The arguments and the (rows, unknowns, columns) of the first bounded
+    search system that ``run`` assembles; the search stops there."""
+    import bhfi.equivalence as equivalence
+    seen = []
+    real = equivalence.search_small_equivalence
+
+    def search(A, B, max_arity=2, max_sum_size=4):
+        seen.append((A, B, max_arity))
+        return real(A, B, max_arity, max_sum_size)
+
+    def matrix(nrows, ncols, cols):
+        seen.append((nrows, ncols, tuple(cols)))
+        raise _Captured
+
+    monkeypatch.setattr(equivalence, "search_small_equivalence", search)
+    monkeypatch.setattr(equivalence, "F2Matrix", matrix)
+    with pytest.raises(_Captured):
+        run(equivalence)
+    return seen[0], seen[1]
+
+
+def walker_box_morphism_right(B, f):
+    """(Id_B x f) by the recursive walker with a used flag: at each letter
+    of an operation's word, step along P1 (before f is used) or P2 (after),
+    or insert one f component.  Also returns the insertion positions."""
+    P1, P2 = f.source, f.target
+    partners = {b: [p for p in P1.generators
+                    if P1.out_idem[p] == B.in_idem[b]] for b in B.generators}
+    fcomps_by_out = {}
+    for comp in f.comps:
+        fcomps_by_out.setdefault((comp[0], comp[2]), []).append(comp)
+    comps, positions = set(), set()
+    for (b, word, a, b2) in B.ops:
+        for p in partners[b]:
+            def walk(at, idx, ins_acc, used):
+                if idx == len(word):
+                    if used is not None:
+                        positions.add((used, len(word)))
+                        toggle(comps, (f"{b}|{p}", ins_acc, a, f"{b2}|{at}"))
+                    return
+                struct = P1 if used is None else P2
+                for op in struct.ops_from_with_out(at, word[idx]):
+                    walk(op[3], idx + 1, ins_acc + op[1], used)
+                if used is None:
+                    for comp in fcomps_by_out.get((at, word[idx]), ()):
+                        walk(comp[3], idx + 1, ins_acc + comp[1], idx)
+
+            walk(p, 0, (), None)
+    return comps, positions
+
+
+def seeded_right_factors(z1, seed, kind):
+    """Random genus-1 B (A or DA, words of one to three chords) and a random
+    f between random type D structures P1, P2.  Idempotents match, so the
+    box tensors exist; the structure relations are not imposed."""
+    rng = random.Random(seed)
+    alg = algebra(z1)
+    idems = [d.left_idem for d in alg.idempotent_diagrams]
+    chords = [d for d in alg.basis if not d.is_idempotent]
+
+    def at(idem_of, idem):
+        return rng.choice([g for g, i in idem_of.items() if i == idem])
+
+    def type_d(prefix):
+        idem_of = {f"{prefix}{i}": idems[i % 2] for i in range(4)}
+        ops = set()
+        for a in rng.choices(chords, k=24):
+            ops.add((at(idem_of, a.left_idem), (), a,
+                     at(idem_of, a.right_idem)))
+        return BorderedObject(alg, TRIVIAL, list(idem_of), idem_of,
+                              dict.fromkeys(idem_of, TRIVIAL.UNIT), ops)
+
+    P1, P2 = type_d("p"), type_d("q")
+    f = Morphism(P1, P2, {(at(P1.out_idem, a.left_idem), (), a,
+                           at(P2.out_idem, a.right_idem))
+                          for a in rng.choices(alg.basis, k=8)})
+    in_idem = {f"b{i}": idems[i % 2] for i in range(4)}
+    out_idem = {g: rng.choice(idems) if kind == "DA" else TRIVIAL.UNIT
+                for g in in_idem}
+    out_alg = alg if kind == "DA" else TRIVIAL
+    ops = set()
+    for _ in range(24):
+        word = [rng.choice(chords)]
+        while len(word) < 3 and rng.random() < 0.8:
+            word.append(rng.choice(alg.basis_from(word[-1].right_idem)))
+        src = at(in_idem, word[0].left_idem)
+        dst = at(in_idem, word[-1].right_idem)
+        out = rng.choice(out_alg.basis_between(out_idem[src], out_idem[dst]))
+        ops.add((src, tuple(word), out, dst))
+    B = BorderedObject(out_alg, alg, list(in_idem), out_idem, in_idem, ops)
+    return B, f
+
+
+@pytest.fixture(scope="module")
+def rungs(az1, cfd0):
+    """az^n x cfd0 for n = 0..3."""
+    out = [cfd0]
+    for _ in range(3):
+        out.append(box_tensor(az1, out[-1]))
+    return out
+
+
+class TestComponentDifferential:
+    def test_mor_complex_on_the_rungs(self, rungs, cfd0, cfd_inf, cfd_m1):
+        for rung in rungs:
+            for torus in (cfd_inf, cfd_m1, cfd0):
+                for P, Q in ((rung, torus), (torus, rung)):
+                    mc = mor_complex_DD(P, Q)
+                    assert mc.complex.d.cols == per_element_mor_columns(mc)
+
+    def test_mor_complex_on_relabelled_genus_2_twist(self, az2, cfd0_k2):
+        P = shuffled(box_tensor(az2, cfd0_k2), 21)
+        for A, B in ((P, cfd0_k2), (cfd0_k2, P), (P, P)):
+            mc = mor_complex_DD(A, B)
+            assert mc.complex.d.cols == per_element_mor_columns(mc)
+
+    def test_differential_of_sums(self, rungs, cfd_m1):
+        rng = random.Random(5)
+        mc = mor_complex_DD(rungs[3], cfd_m1)
+        for _ in range(20):
+            f = mc.morphism_of(rng.getrandbits(len(mc.basis)))
+            assert f.differential().comps == two_loop_differential(f)
+
+    def test_differential_with_inputs(self, z1, az1, azbar1):
+        from bhfi import find_structure_equivalence
+        f = find_structure_equivalence(identity_da(z1),
+                                       box_tensor(az1, azbar1)).forward
+        rng = random.Random(6)
+        comps = sorted(f.comps, key=f.source.op_sort_key)
+        for _ in range(10):
+            g = Morphism(f.source, f.target,
+                         {c for c in comps if rng.random() < 0.5})
+            assert g.differential().comps == two_loop_differential(g)
+        assert two_loop_differential(f) == set()
+
+    def test_search_system_identity_to_composite(self, monkeypatch, z1, az1,
+                                                 azbar1):
+        target = box_tensor(az1, azbar1)
+        (A, B, arity), system = captured_search_system(
+            monkeypatch, lambda eq: eq.search_small_equivalence(
+                identity_da(z1), target))
+        assert system == per_element_search_system(A, B, arity)
+
+    def test_search_system_genus_2_theta(self, monkeypatch, z2, cfa2, az2):
+        (A, B, arity), system = captured_search_system(
+            monkeypatch, lambda eq: eq.find_structure_equivalence(
+                box_tensor(cfa2, az2), cfa2))
+        assert arity == 3
+        assert system == per_element_search_system(A, B, arity)
+
+
+class TestBoxMorphismRightChains:
+    def test_surgery_map(self, az1):
+        from bhfi.standard import surgery_maps
+        phi, _ = surgery_maps()
+        comps, _ = walker_box_morphism_right(az1, phi)
+        assert box_morphism_right(az1, phi).comps == comps
+
+    @pytest.mark.parametrize("kind", ["A", "DA"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_structures(self, z1, kind, seed):
+        B, f = seeded_right_factors(z1, seed, kind)
+        comps, positions = walker_box_morphism_right(B, f)
+        got = box_morphism_right(B, f)
+        assert got.comps == comps
+        assert got.source.generators == box_tensor(B, f.source).generators
+        assert got.target.generators == box_tensor(B, f.target).generators
+        # f inserted mid-word: a non-empty prefix and a non-empty suffix
+        assert (1, 3) in positions

@@ -143,3 +143,108 @@ class TestHomotopySolve:
             solve(cxs, i_mat, p_mat, iotas,
                   F2Matrix.zero(cxs[1].dim, cxs[0].dim),
                   F2Matrix.zero(cxs[2].dim, cxs[1].dim))
+
+
+def rowwise_homotopy_solve(cxs, i_mat, p_mat, iotas):
+    """The row-by-row assembly of the homotopy system that the column-wise
+    one replaced, kept as an oracle: one equation row at a time, then
+    transposed into columns."""
+    c_inf, c_m1, c_0 = cxs
+    r1 = iotas[1] * i_mat + i_mat * iotas[0]
+    r2 = iotas[2] * p_mat + p_mat * iotas[1]
+    nG = (c_m1.dim, c_inf.dim)
+    nH = (c_0.dim, c_m1.dim)
+
+    def g_idx(r, c):
+        return r * nG[1] + c
+
+    def h_idx(r, c):
+        return nG[0] * nG[1] + r * nH[1] + c
+
+    nvars = nG[0] * nG[1] + nH[0] * nH[1]
+    rows = []
+    rhs = 0
+
+    def add_eq(row, b):
+        nonlocal rhs
+        rhs |= b << len(rows)
+        rows.append(row)
+
+    for r in range(nG[0]):
+        for c in range(nG[1]):
+            row = 0
+            for t in range(nG[0]):
+                if c_m1.d.entry(r, t):
+                    row ^= 1 << g_idx(t, c)
+            for s in range(nG[1]):
+                if c_inf.d.entry(s, c):
+                    row ^= 1 << g_idx(r, s)
+            add_eq(row, r1.entry(r, c))
+    for r in range(nH[0]):
+        for c in range(nH[1]):
+            row = 0
+            for t in range(nH[0]):
+                if c_0.d.entry(r, t):
+                    row ^= 1 << h_idx(t, c)
+            for s in range(nH[1]):
+                if c_m1.d.entry(s, c):
+                    row ^= 1 << h_idx(r, s)
+            add_eq(row, r2.entry(r, c))
+    for r in range(nH[0]):
+        for c in range(nG[1]):
+            row = 0
+            for t in range(nG[0]):
+                if p_mat.entry(r, t):
+                    row ^= 1 << g_idx(t, c)
+            for s in range(nH[1]):
+                if i_mat.entry(s, c):
+                    row ^= 1 << h_idx(r, s)
+            add_eq(row, 0)
+    cols = [0] * nvars
+    for r, row in enumerate(rows):
+        for c in range(nvars):
+            if (row >> c) & 1:
+                cols[c] ^= 1 << r
+    sol = F2Matrix(len(rows), nvars, tuple(cols)).solve(rhs)
+    assert sol is not None
+    G = F2Matrix.from_entries(
+        nG[0], nG[1], [(r, c) for r in range(nG[0]) for c in range(nG[1])
+                       if (sol >> g_idx(r, c)) & 1])
+    H = F2Matrix.from_entries(
+        nH[0], nH[1], [(r, c) for r in range(nH[0]) for c in range(nH[1])
+                       if (sol >> h_idx(r, c)) & 1])
+    return G, H
+
+
+class TestColumnwiseHomotopySystem:
+    """The column-wise assembly returns exactly the oracle's G and H: the
+    same system in the same equation and unknown order, so the same
+    solution with every free unknown zero."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rowwise_on_perturbed_systems(self, cfa1, monkeypatch,
+                                                  seed):
+        T = TestHomotopySolve
+        solve, (cxs, i_mat, p_mat, iotas) = \
+            T.captured_system(cfa1, monkeypatch)
+        rng = random.Random(seed)
+        iotas = [iota + cx.d * k + k * cx.d for iota, cx, k in
+                 zip(iotas, cxs, [T.garbage(rng, c.dim, c.dim)
+                                  for c in cxs])]
+        G0 = T.garbage(rng, cxs[1].dim, cxs[0].dim)
+        H0 = T.garbage(rng, cxs[2].dim, cxs[1].dim)
+        assert solve(cxs, i_mat, p_mat, iotas, G0, H0) == \
+            rowwise_homotopy_solve(cxs, i_mat, p_mat, iotas)
+
+    def test_matches_rowwise_on_the_real_system(self, cfa1, monkeypatch):
+        solve, (cxs, i_mat, p_mat, iotas) = \
+            TestHomotopySolve.captured_system(cfa1, monkeypatch)
+        # candidates that fail the identities send the real system, whose
+        # right-hand sides vanish, to the solver
+        rng = random.Random(0)
+        G0 = TestHomotopySolve.garbage(rng, cxs[1].dim, cxs[0].dim)
+        H0 = TestHomotopySolve.garbage(rng, cxs[2].dim, cxs[1].dim)
+        before = TestHomotopySolve.residues(cxs, i_mat, p_mat, iotas, G0, H0)
+        assert not all(m.is_zero() for m in before)
+        assert solve(cxs, i_mat, p_mat, iotas, G0, H0) == \
+            rowwise_homotopy_solve(cxs, i_mat, p_mat, iotas)

@@ -24,7 +24,7 @@ from .homology import F2Matrix, _bits, homology
 from .standard import cfda_az, cfda_azbar
 from .strands import chord_nilpotency_bound
 from .structures import (Morphism, box_tensor, component_differential,
-                         contraction_trace, identity_da, mor_complex_DD,
+                         identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
 
 
@@ -66,8 +66,10 @@ def homology_basis_of_mor(P, Q):
 
 
 def _acyclic_cone_trace(f):
-    """Reduction trace of the cone when it cancels away; None otherwise."""
-    return contraction_trace(f.cone())
+    """Reduction trace of the cone when it cancels away; None otherwise.
+    Each call is one candidate of a search; certificates of a morphism
+    already searched read ``Morphism.cone_trace`` directly."""
+    return f.cone_trace()
 
 
 def _first_acyclic_sum(stage, basis, what, to_morphism, cone_size,

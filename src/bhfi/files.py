@@ -92,6 +92,15 @@ def structure_to_json(S):
     return {"kind": kind, **circle, "generators": gens, "ops": ops}
 
 
+def _refuse_inputs(kind, ops):
+    """Type D and DD operations take no algebra inputs; a file that gives
+    one some would otherwise have them silently dropped."""
+    for i, o in enumerate(ops):
+        if o.get("inputs"):
+            raise ParseError(f"operation {i} of a kind-{kind} structure "
+                             f"carries algebra inputs")
+
+
 def structure_from_json(data):
     try:
         kind = data["kind"]
@@ -104,6 +113,7 @@ def structure_from_json(data):
             circle = circle_from_json(data["circle"])
             delta = [(o["src"], element_from_json(circle, o["out"]), o["dst"])
                      for o in ops]
+            _refuse_inputs(kind, ops)
             return TypeDStructure(
                 circle, [(g["label"], frozenset(g["idem"])) for g in gens],
                 delta)
@@ -136,6 +146,7 @@ def structure_from_json(data):
                       (element_from_json(left, o["out"][0]),
                        element_from_json(right, o["out"][1])),
                       o["dst"]) for o in ops]
+            _refuse_inputs(kind, ops)
             return DDBimodule(
                 left, right,
                 [(g["label"], frozenset(g["idem"][0]),
@@ -150,12 +161,16 @@ def structure_from_json(data):
 
 def load_structure(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests its JSON too deeply: {exc}") from exc
     return structure_from_json(data)
 
 

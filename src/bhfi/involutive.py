@@ -14,8 +14,8 @@ from .homology import (ChainComplex, ChainMap, F2Matrix, express_in_homology,
                        homology, mapping_cone)
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left,
-                         box_morphism_right, contraction_trace, identity_da,
-                         identity_morphism, mor_complex_DD,
+                         box_morphism_right, box_morphism_right_comps,
+                         identity_da, identity_morphism, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure,
                          to_chain_complex, validate_bounded)
 
@@ -53,7 +53,7 @@ class InvolutiveAInf:
 def _certify_psi(psi):
     if not psi.is_cycle():
         raise RelationViolation("psi is not a morphism cycle")
-    if contraction_trace(psi.cone()) is None:
+    if psi.cone_trace() is None:
         raise RelationViolation("psi is not a homotopy equivalence "
                                 "(its cone does not cancel)")
 
@@ -95,9 +95,11 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
     """Steps shared by the involution report and the involutive complex.
 
     Computes the homology basis of the morphism complex, conjugates each
-    representative through the interpolating piece using the two certified
-    equivalences.  Returns the morphism complex, its homology basis and
-    the vectors of the conjugated representatives.
+    representative f through the interpolating piece using the two certified
+    equivalences, as psi1 . (Id_az x f) . psi0^-1.  The pairings az x P0
+    and az x P1 are built once and are the endpoints of every Id_az x f.
+    Returns the morphism complex, its homology basis and the vectors of the
+    conjugated representatives.
     """
     validate_bounded(P0)
     validate_bounded(P1)
@@ -112,8 +114,10 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
                                          max_sum_size=max_sum_size).forward
     psi1 = find_homotopy_equivalence(az_p1, P1,
                                      max_sum_size=max_sum_size).forward
-    images = [mc.vector_of(psi0_inv.then(box_morphism_right(az, f)).then(psi1))
-              for f in reps]
+    images = []
+    for f in reps:
+        id_f = Morphism(az_p0, az_p1, box_morphism_right_comps(az, f))
+        images.append(mc.vector_of(psi0_inv.then(id_f).then(psi1)))
     return mc.complex, hom, images
 
 

@@ -232,6 +232,17 @@ class BorderedObject:
     def ops_from_with_out(self, src, out):
         return self._lookup(_SRC_OUT, (src, out))
 
+    def ops_reading(self, letter):
+        """The operations whose input word contains ``letter``, once per
+        occurrence; the index is built on the first lookup."""
+        index = self._index.get("letters")
+        if index is None:
+            index = self._index["letters"] = {}
+            for op in self.ops:
+                for b in op[1]:
+                    index.setdefault(b, []).append(op)
+        return index.get(letter, ())
+
     def relabeled(self, mapping):
         return BorderedObject(
             self.out_alg, self.in_alg,
@@ -732,6 +743,16 @@ class Morphism:
     def is_cycle(self):
         return not self.differential().comps
 
+    def cone_trace(self):
+        """``contraction_trace`` of the cone: its reduction trace when it
+        cancels away, None otherwise.  Computed on the first call and kept
+        with this morphism, so a search and a later certificate of the
+        same morphism reduce its cone once."""
+        if not hasattr(self, "_cone_trace"):
+            object.__setattr__(self, "_cone_trace",
+                               contraction_trace(self.cone()))
+        return self._cone_trace
+
     def cone(self):
         """Mapping cone, a structure of the same kind."""
         S, T = self.source, self.target
@@ -798,27 +819,39 @@ def box_morphism_left(f, P):
 
 
 def box_morphism_right(B, f):
-    """(Id_B boxtimes f): B on the left, f between right-hand structures.
+    """(Id_B boxtimes f): B on the left, f between right-hand structures."""
+    return Morphism(box_tensor(B, f.source), box_tensor(B, f.target),
+                    box_morphism_right_comps(B, f))
+
+
+def box_morphism_right_comps(B, f):
+    """The components of (Id_B boxtimes f), for callers that already hold
+    its endpoints B x f.source and B x f.target.
 
     Each operation of B reads its word along a chain of P1 operations
     (the prefix), exactly one component of f, then a chain of P2
-    operations (the suffix)."""
+    operations (the suffix).  Only a word letter that some component of f
+    outputs can take the component, so the walk visits just the operations
+    that read such a letter, at those positions."""
     P1, P2 = f.source, f.target
     partners = _partners(B.generators, B.in_idem, P1.generators, P1.out_idem)
     f_by_out = {}
     for comp in f.comps:
         f_by_out.setdefault((comp[0], comp[2]), []).append(comp)
+    letters = {comp[2] for comp in f.comps}
     comps = set()
-    for b, word, a, b2 in B.ops:
-        for p in partners[b]:
-            for t, out in enumerate(word):
+    for b, word, a, b2 in {op for c in letters for op in B.ops_reading(c)}:
+        for t, out in enumerate(word):
+            if out not in letters:
+                continue
+            for p in partners[b]:
                 for ins1, at in _chains_consuming(P1, p, word[:t]):
                     for _, ins2, _, mid in f_by_out.get((at, out), ()):
                         for ins3, end in _chains_consuming(P2, mid,
                                                            word[t + 1:]):
                             _toggle(comps, (f"{b}|{p}", ins1 + ins2 + ins3,
                                             a, f"{b2}|{end}"))
-    return Morphism(box_tensor(B, P1), box_tensor(B, P2), comps)
+    return comps
 
 
 # ---------------------------------------------------------------------------

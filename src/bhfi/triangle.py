@@ -15,8 +15,8 @@ from .involutive import (conjugation_composite, conjugation_cone,
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
                        torus_chord)
 from .strands import split_pmc
-from .structures import (Morphism, box_morphism_right, box_tensor,
-                         is_contractible, to_chain_complex)
+from .structures import (Morphism, box_morphism_right_comps, box_tensor,
+                         to_chain_complex)
 
 
 @dataclass(frozen=True)
@@ -87,20 +87,20 @@ def build_triangle_data():
                 f"{sorted(residue.comps, key=mor.source.op_sort_key)[:3]}")
     for name, mor in (("Psi_inf", psi_inf), ("Psi_m1", psi_m1),
                       ("Psi_0", psi_0)):
-        if not is_contractible(mor.cone()):
+        if mor.cone_trace() is None:
             raise RelationViolation(f"{name} is not an equivalence")
 
-    square_1 = G.differential() + \
-        box_morphism_right(az, phi).then(psi_m1) + psi_inf.then(phi)
+    az_phi = Morphism(az_inf, az_m1, box_morphism_right_comps(az, phi))
+    az_psi = Morphism(az_m1, az_0, box_morphism_right_comps(az, psi))
+    square_1 = G.differential() + az_phi.then(psi_m1) + psi_inf.then(phi)
     if square_1.comps:
         raise RelationViolation(
             f"left square does not commute up to G: {square_1.comps}")
-    square_2 = H.differential() + \
-        box_morphism_right(az, psi).then(psi_0) + psi_m1.then(psi)
+    square_2 = H.differential() + az_psi.then(psi_0) + psi_m1.then(psi)
     if square_2.comps:
         raise RelationViolation(
             f"right square does not commute up to H: {square_2.comps}")
-    mixed = G.then(psi) + box_morphism_right(az, phi).then(H)
+    mixed = G.then(psi) + az_phi.then(H)
     if mixed.comps:
         raise RelationViolation(
             f"homotopies fail psi.G = H.(Id x phi): {mixed.comps}")
@@ -263,20 +263,20 @@ def verify_hfi_triangle(X):
                 cfd_solid_torus("zero")]
     omegas = [paired_insertion(azb, az, P) for P in framings]
     psis = [data.psi_inf, data.psi_m1, data.psi_0]
-    cxs = []
-    iotas = []
-    for P, omega_p, psi_p in zip(framings, omegas, psis):
-        conj = conjugation_composite(X, P, omega_p, psi_p, psi_x)
-        cx = to_chain_complex(conj.source)
-        cxs.append(cx)
-        iotas.append(conj.to_matrix(cx, cx))
+    conjs = [conjugation_composite(X, P, omega_p, psi_p, psi_x)
+             for P, omega_p, psi_p in zip(framings, omegas, psis)]
+    cxs = [to_chain_complex(conj.source) for conj in conjs]
+    iotas = [conj.to_matrix(cx, cx) for conj, cx in zip(conjs, cxs)]
     failures = []
     for idx, (cx, conj) in enumerate(zip(cxs, iotas)):
         if not (conj * cx.d + cx.d * conj).is_zero():
             failures.append(f"node {idx}: involution is not a chain map")
 
-    i_mat = box_morphism_right(X, data.phi).to_matrix(cxs[0], cxs[1])
-    p_mat = box_morphism_right(X, data.psi).to_matrix(cxs[1], cxs[2])
+    pairs = [conj.source for conj in conjs]
+    i_mat = Morphism(pairs[0], pairs[1], box_morphism_right_comps(
+        X, data.phi)).to_matrix(cxs[0], cxs[1])
+    p_mat = Morphism(pairs[1], pairs[2], box_morphism_right_comps(
+        X, data.psi)).to_matrix(cxs[1], cxs[2])
     chain_maps_ok = (i_mat * cxs[0].d + cxs[1].d * i_mat).is_zero() and \
         (p_mat * cxs[1].d + cxs[2].d * p_mat).is_zero()
     if not chain_maps_ok:

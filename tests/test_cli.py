@@ -180,12 +180,13 @@ class TestGenusTwoEndToEnd:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
+def run_process(*argv, **env_vars):
+    """Run the CLI in a fresh interpreter, with ``env_vars`` added to the
+    environment; returns (code, stdout, stderr)."""
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
-                                              else ""))
+                                              else ""), **env_vars)
     proc = subprocess.run([sys.executable, "-m", "bhfi.cli", *argv],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
@@ -275,3 +276,48 @@ class TestStrandsGuards:
         assert code == 0
         assert json.loads(out) == {
             "cfd0_k12": {"generators": 1, "operations": 12, "violations": 0}}
+
+
+class TestMalformedFiles:
+    """Malformed structure files exit 2 with a parse error, never with a
+    traceback; each is read by a fresh process."""
+
+    def refused(self, path, detail):
+        code, out, err = run_process("verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        report = json.loads(err)
+        assert report["error"] == "parse"
+        assert detail in report["detail"]
+
+    def test_non_utf8_bytes(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{\"kind\": \"D\"}\x80")
+        self.refused(path, "is not UTF-8 text")
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        self.refused(path, "nests its JSON too deeply")
+
+    @pytest.mark.parametrize("name", ["cfd0", "ddid_k1"])
+    def test_inputs_on_a_no_input_kind(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        dump_structure(builtin_structure(name), path)
+        payload = json.loads(path.read_text())
+        op = payload["ops"][0]
+        op["inputs"] = [op["out"] if name == "cfd0" else op["out"][0]]
+        path.write_text(json.dumps(payload))
+        self.refused(path, f"operation 0 of a kind-{payload['kind']} "
+                           "structure carries algebra inputs")
+
+
+def test_genus_2_hfihat_bytes_across_hash_seeds():
+    argv = builtins("hfihat", "cfd0_k2", "cfd0_k2")
+    runs = [run_process(*argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0
+    report = json.loads(out)
+    assert (report["hf_dim"], report["hfi_dim"], report["ker"]) == (4, 8, 4)

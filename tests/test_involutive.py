@@ -1,13 +1,18 @@
+import sys
+
 import pytest
 
+from bhfi import structures
 from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   find_homotopy_equivalence, find_structure_equivalence,
                   homology, identity_da, involutive_pair, iota_on_mor,
                   is_contractible, mcg_action, mor_complex_DD,
                   standard_involutive_a, standard_involutive_d)
 from bhfi.files import builtin_structure
-from bhfi.involutive import InvolutiveTypeD, _iota_pipeline, paired_insertion
-from bhfi.structures import box_morphism_left
+from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
+                             paired_insertion)
+from bhfi.standard import cfda_az
+from bhfi.structures import box_morphism_left, zero_morphism
 
 
 class TestIotaOnMor:
@@ -190,6 +195,57 @@ class TestInvolutiveWrappers:
         chi2_inv = box_tensor(azbar1, azbar1)
         double = mcg_action(cfa1, cfd0, chi2, chi2_inv)
         assert double.cols == (single * single).cols
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` in every ``bhfi`` namespace that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "bhfi" or name.startswith("bhfi."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
+class TestPairOnceCertifyOnce:
+    def test_iota_on_mor_pairs_az_twice(self, monkeypatch, z2, cfd0_k2):
+        P0 = cfd0_k2.relabeled({g: f"p{g}" for g in cfd0_k2.generators})
+        P1 = cfd0_k2.relabeled({g: f"q{g}" for g in cfd0_k2.generators})
+        az, real, paired = cfda_az(z2), structures.box_tensor, []
+
+        def counted(B1, B2):
+            if B1 is az:
+                paired.append(B2)
+            return real(B1, B2)
+
+        patch_everywhere(monkeypatch, real, counted)
+        rep = iota_on_mor(P0, P1)
+        assert rep.hf_dim == 4
+        assert len(paired) == 2
+        assert paired[0] is P0 and paired[1] is P1
+
+    @pytest.mark.parametrize("build, name", [
+        (standard_involutive_a, "cfa0_k1"), (standard_involutive_d, "cfd0")])
+    def test_psi_cone_reduced_once(self, monkeypatch, build, name):
+        real, reduced = structures.contraction_trace, []
+
+        def counted(S):
+            reduced.append(S.ops)
+            return real(S)
+
+        patch_everywhere(monkeypatch, real, counted)
+        inv = build(builtin_structure(name))
+        assert reduced.count(inv.psi.cone().ops) == 1
+
+    def test_a_refused_certificate_stays_refused(self, cfa1, cfd0, az1,
+                                                 azbar1):
+        from bhfi import RelationViolation
+        psi_d = zero_morphism(box_tensor(az1, cfd0), cfd0)
+        psi_a = zero_morphism(box_tensor(cfa1, azbar1), cfa1)
+        for _ in range(2):      # the second time reads the kept trace
+            with pytest.raises(RelationViolation, match="cone does not"):
+                InvolutiveTypeD(cfd0, psi_d)
+            with pytest.raises(RelationViolation, match="cone does not"):
+                InvolutiveAInf(cfa1, psi_a)
 
 
 class TestPipelineInvariance:

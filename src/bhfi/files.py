@@ -92,13 +92,14 @@ def structure_to_json(S):
     return {"kind": kind, **circle, "generators": gens, "ops": ops}
 
 
-def _refuse_inputs(kind, ops):
-    """Type D and DD operations take no algebra inputs; a file that gives
-    one some would otherwise have them silently dropped."""
+def _refuse(kind, ops, key, what):
+    """Type D and DD operations take no algebra inputs, and type A
+    operations give no algebra output; a file that fills ``key`` anyway
+    would otherwise have it silently dropped."""
     for i, o in enumerate(ops):
-        if o.get("inputs"):
+        if o.get(key):
             raise ParseError(f"operation {i} of a kind-{kind} structure "
-                             f"carries algebra inputs")
+                             f"carries {what}")
 
 
 def structure_from_json(data):
@@ -113,7 +114,7 @@ def structure_from_json(data):
             circle = circle_from_json(data["circle"])
             delta = [(o["src"], element_from_json(circle, o["out"]), o["dst"])
                      for o in ops]
-            _refuse_inputs(kind, ops)
+            _refuse(kind, ops, "inputs", "algebra inputs")
             return TypeDStructure(
                 circle, [(g["label"], frozenset(g["idem"])) for g in gens],
                 delta)
@@ -123,6 +124,7 @@ def structure_from_json(data):
                            [element_from_json(circle, e)
                             for e in o["inputs"]],
                            o["dst"]) for o in ops]
+            _refuse(kind, ops, "out", "an algebra output")
             return AInfModule(
                 circle, [(g["label"], frozenset(g["idem"])) for g in gens],
                 operations)
@@ -146,7 +148,7 @@ def structure_from_json(data):
                       (element_from_json(left, o["out"][0]),
                        element_from_json(right, o["out"][1])),
                       o["dst"]) for o in ops]
-            _refuse_inputs(kind, ops)
+            _refuse(kind, ops, "inputs", "algebra inputs")
             return DDBimodule(
                 left, right,
                 [(g["label"], frozenset(g["idem"][0]),

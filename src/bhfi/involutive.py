@@ -13,7 +13,7 @@ from .errors import RelationViolation
 from .homology import (ChainComplex, ChainMap, F2Matrix, express_in_homology,
                        homology, mapping_cone)
 from .standard import cfda_az, cfda_azbar
-from .structures import (Morphism, box_tensor, box_morphism_left,
+from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          box_morphism_right, box_morphism_right_comps,
                          identity_da, identity_morphism, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure,
@@ -205,7 +205,12 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
         raise RelationViolation("box tensor failed to reassociate strictly")
     step3 = Morphism(step2.target, regrouped,
                      identity_morphism(step2.target).comps)
-    step5 = box_morphism_left(theta_m, theta_p.target)
+    # step 4's target is step 5's source, and M x P' is the base when
+    # the two thetas land in M and P
+    ends = (theta_m.target, theta_p.target)
+    step5 = Morphism(step4.target,
+                     base if ends == (M, P) else box_tensor(*ends),
+                     box_morphism_left_comps(theta_m, theta_p.target))
     return step1.then(step2).then(step3).then(step4).then(step5)
 
 
@@ -236,8 +241,10 @@ def paired_insertion(L, R, P):
     class is unique, so it is searched for after pairing with P, from
     Id x P into the cancelled (L x R) x P, and carried back along the
     tracked inclusion; the bimodule-level equivalence Id -> L x R is never
-    built (its tracked cancellation explodes at genus two)."""
-    red = reduce_structure(box_tensor(box_tensor(L, R), P), track_from=True)
+    built (its tracked cancellation explodes at genus two).  The target is
+    paired as L x (R x P), which has the same generators and operations as
+    (L x R) x P without building the bimodule L x R."""
+    red = reduce_structure(box_tensor(L, box_tensor(R, P)), track_from=True)
     bridge = find_homotopy_equivalence(
         box_tensor(identity_da(P.out_alg.circle), P), red.reduced)
     return bridge.forward.then(red.from_reduced)

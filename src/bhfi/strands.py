@@ -3,11 +3,12 @@
 Everything is exact arithmetic over F2.  A basis element of the algebra is a
 strand diagram: a set of moving strands (strictly increasing arcs between
 marked points) together with a set of "smeared" horizontal strands, one per
-matched pair.  Products are computed on the smeared diagrams themselves:
-the product of two basis elements is zero or one basis element, found by
-composing strands pair by pair and checking that crossings add.  Only the
-differential expands a smeared diagram into its point-level placements,
-resolves crossings there and re-collects.
+matched pair.  Products and the differential are both computed on the
+smeared diagrams themselves: the product of two basis elements is zero or
+one basis element, found by composing strands pair by pair and checking
+that crossings add; the differential resolves one crossing at a time and
+checks that crossings drop by one.  Nothing expands the placements of the
+horizontal strands.
 """
 from __future__ import annotations
 
@@ -106,8 +107,7 @@ def split_pmc(k):
 
 
 # ---------------------------------------------------------------------------
-# point-level diagrams: frozensets of strands (i, j) with i <= j; i == j is a
-# horizontal strand pinned at one point.
+# crossing counts
 
 def _inversions(strands):
     inv = 0
@@ -120,21 +120,6 @@ def _inversions(strands):
 def _over(strands, q):
     """How many of the strands cross a horizontal strand pinned at q."""
     return sum(i < q < j for i, j in strands)
-
-
-def _diff_points(x):
-    """Single-crossing resolutions that drop the crossing number by one."""
-    strands = sorted(x)
-    inv_x = _inversions(x)
-    out = []
-    for s1, s2 in itertools.combinations(strands, 2):
-        (i1, j1), (i2, j2) = s1, s2
-        if (i1 - i2) * (j1 - j2) >= 0:
-            continue
-        res = (x - {s1, s2}) | {(i1, j2), (i2, j1)}
-        if len(res) == len(x) and _inversions(res) == inv_x - 1:
-            out.append(res)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,16 +188,6 @@ class StrandDiagram:
 
     def sort_key(self):
         return self._sort_key
-
-    def expansions(self):
-        """All point-level placements of the smeared horizontal strands."""
-        Z = self.circle
-        choices = [Z.pair_points(p) for p in sorted(self.horizontal)]
-        out = []
-        for pick in itertools.product(*choices):
-            out.append(frozenset(self.moving) |
-                       frozenset((p, p) for p in pick))
-        return out
 
     @property
     def label(self):
@@ -293,34 +268,13 @@ class AlgebraElement:
 _ZERO = frozenset()
 
 
-def _collect(alg, point_diagrams):
-    """Regroup an F2 set of point-level diagrams into smeared basis terms.
-
-    The weight-0 algebra is closed under the differential, so every group
-    of placements must be complete; anything else is a logic error.
-    """
-    groups = {}
-    for pd in point_diagrams:
-        moving = tuple(sorted((i, j) for i, j in pd if i < j))
-        horiz = frozenset(alg.circle.pair_label(i) for i, j in pd if i == j)
-        groups.setdefault((moving, horiz), set()).add(pd)
-    out = set()
-    for (moving, horiz), got in groups.items():
-        diag = alg.diagram(moving, horiz)
-        if set(diag.expansions()) != got:
-            raise AssertionError("incomplete smeared group; not in the algebra")
-        out.add(diag)
-    return frozenset(out)
-
-
 class StrandsAlgebra:
     """The weight-0 summand of the strands algebra of a matched circle.
 
     Interns its diagrams, one object per diagram, and caches the canonical
     basis, products, differentials and the idempotent groupings; the
     reverse lookups the relation checkers need are built on first request.
-    Products are composed on the smeared diagrams; only the differential
-    expands placements.
+    Products and differentials are composed on the smeared diagrams.
     """
 
     def __init__(self, circle):
@@ -481,37 +435,62 @@ class StrandsAlgebra:
             else:
                 moving.append(strand)
                 pinned_a.append(strand[0])
-        # the distinct excesses over all placements: a set, so the work
-        # stays polynomial in the number of shared horizontals
-        excess = {_inversions(moving) - a._crossings - b._crossings
-                  - sum(_over(a.moving, q) for q in pinned_a)
-                  - sum(_over(b.moving, q) for q in pinned_b)}
+        if not self._all_or_none(
+                _inversions(moving) - a._crossings - b._crossings
+                - sum(_over(a.moving, q) for q in pinned_a)
+                - sum(_over(b.moving, q) for q in pinned_b),
+                shared, a.moving + b.moving, moving):
+            return _ZERO
+        return frozenset((self.diagram(moving, shared),))
+
+    def _all_or_none(self, excess, shared, before, after):
+        """Whether the crossing-count ``excess``, counted without the
+        ``shared`` horizontals, is 0 for every placement of them (True) or
+        for none (False).  A shared pair placed at q adds what the ``after``
+        strands cross at q less what the ``before`` strands cross there;
+        only the distinct excesses are kept, so the work stays polynomial.
+        """
+        excess = {excess}
         for p in shared:
-            excess = {e + _over(moving, q) - _over(a.moving, q)
-                      - _over(b.moving, q)
+            excess = {e + _over(after, q) - _over(before, q)
                       for e in excess for q in self.circle.pair_points(p)}
         if all(excess):
-            return _ZERO
+            return False
         if any(excess):
             raise AssertionError("incomplete smeared group; not in the algebra")
-        return frozenset((self.diagram(moving, shared),))
+        return True
 
     def diff_basis(self, a):
         hit = self._diff_cache.get(a)
-        if hit is not None:
-            return hit
-        placements, cap = 1 << len(a.horizontal), generator_cap()
-        if placements > cap:
-            raise DivergenceError(f"strands diff_basis: {placements} "
-                                  f"horizontal placements exceed "
-                                  f"BHFI_MAX_GENERATORS={cap}")
-        acc = set()
-        for xa in a.expansions():
-            for res in _diff_points(xa):
-                acc ^= {res}
-        out = _collect(self, acc)
-        self._diff_cache[a] = out
-        return out
+        if hit is None:
+            hit = self._diff_cache[a] = self._diff_smeared(a)
+        return hit
+
+    def _diff_smeared(self, a):
+        """Resolve one crossing of a at a time, on the smeared diagram.
+
+        Two crossing moving strands swap their ends; a moving strand
+        (i, j) over a point q of a horizontal pair p breaks into (i, q) and
+        (q, j), consuming p's horizontal.  A resolution stays when it drops
+        the crossing count by one for every placement of the remaining
+        horizontals, and goes when it does for none.
+        """
+        moving, horizontal = a.moving, a.horizontal
+        # (strands resolved, strands made, horizontals left, crossings at q)
+        found = [((s, t), [(s[0], t[1]), (t[0], s[1])], horizontal, 0)
+                 for s, t in itertools.combinations(moving, 2)
+                 if t[1] < s[1]]        # sorted, so s[0] < t[0]
+        found += [((s,), [(s[0], q), (q, s[1])], horizontal - {p},
+                   _over(moving, q))
+                  for s in moving for p in horizontal
+                  for q in self.circle.pair_points(p) if s[0] < q < s[1]]
+        out = []
+        for gone, made, rest, pinned in found:
+            res = [s for s in moving if s not in gone] + made
+            if self._all_or_none(_inversions(res) + 1 - a._crossings - pinned,
+                                 rest, moving, res):
+                out.append(self.diagram(res, rest))
+        return frozenset(out)
 
     def mul_many(self, factors):
         """Fold a nonempty list of basis elements; F2 set of basis terms."""

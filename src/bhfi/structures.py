@@ -812,10 +812,16 @@ def morphism_from_generator_map(S, T, mapping):
 
 def box_morphism_left(f, P):
     """(f boxtimes Id_P): f between left-hand structures, P on the right."""
+    return Morphism(box_tensor(f.source, P), box_tensor(f.target, P),
+                    box_morphism_left_comps(f, P))
+
+
+def box_morphism_left_comps(f, P):
+    """The components of (f boxtimes Id_P), for callers that already hold
+    its endpoints f.source x P and f.target x P."""
     B1 = f.source
     partners = _partners(B1.generators, B1.in_idem, P.generators, P.out_idem)
-    return Morphism(box_tensor(B1, P), box_tensor(f.target, P),
-                    _pair_with_chains(f.comps, P, partners))
+    return _pair_with_chains(f.comps, P, partners)
 
 
 def box_morphism_right(B, f):

@@ -258,10 +258,7 @@ class TestStrandsGuards:
         (builtins("hfhat", "cfd0_k12", "cfd0_k12"),
          "strands basis: at least 95048379244 diagrams exceed "
          "BHFI_MAX_GENERATORS=200000"),
-        (builtins("verify", "cfd0_k40"),
-         "strands diff_basis: 549755813888 horizontal placements exceed "
-         "BHFI_MAX_GENERATORS=200000"),
-    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40"])
+    ], ids=["hfhat genus 7", "hfhat genus 12"])
     def test_refused_within_seconds(self, monkeypatch, argv, detail):
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()
@@ -271,11 +268,18 @@ class TestStrandsGuards:
         assert out == ""
         assert json.loads(err) == {"error": "divergence", "detail": detail}
 
-    def test_genus_12_handlebody_still_verifies(self):
-        code, out, _ = run_process(*builtins("verify", "cfd0_k12"))
-        assert code == 0
-        assert json.loads(out) == {
-            "cfd0_k12": {"generators": 1, "operations": 12, "violations": 0}}
+    def test_genus_12_handlebody_still_verifies(self, monkeypatch):
+        # and genus 17 and 40: the differential of a diagram with h
+        # horizontal strands costs no 2^h placements, so nothing refuses
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        for k in (12, 17, 40):
+            name = f"cfd0_k{k}"
+            start = time.monotonic()
+            code, out, _ = run_process(*builtins("verify", name))
+            assert time.monotonic() - start < 10.0
+            assert code == 0
+            assert json.loads(out) == {
+                name: {"generators": 1, "operations": k, "violations": 0}}
 
 
 class TestMalformedFiles:
@@ -311,6 +315,16 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, f"operation 0 of a kind-{payload['kind']} "
                            "structure carries algebra inputs")
+
+    def test_output_on_a_kind_a_operation(self, tmp_path):
+        path = tmp_path / "cfa0_k1.json"
+        dump_structure(builtin_structure("cfa0_k1"), path)
+        payload = json.loads(path.read_text())
+        op = next(o for o in payload["ops"] if o["inputs"])
+        op["out"] = op["inputs"][0]
+        path.write_text(json.dumps(payload))
+        self.refused(path, f"operation {payload['ops'].index(op)} of a "
+                           "kind-A structure carries an algebra output")
 
 
 def test_genus_2_hfihat_bytes_across_hash_seeds():

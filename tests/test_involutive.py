@@ -11,7 +11,7 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
 from bhfi.files import builtin_structure
 from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
                              paired_insertion)
-from bhfi.standard import cfda_az
+from bhfi.standard import cfda_az, cfda_azbar
 from bhfi.structures import box_morphism_left, zero_morphism
 
 
@@ -172,6 +172,26 @@ class TestPairedInsertion:
         bhfi.triangle.verify_hfi_triangle(cfa1)
         assert len(framings) == 5
 
+    @pytest.mark.parametrize("framing", ["infinity", "minus_one", "zero"])
+    @pytest.mark.parametrize("order", ["azbar,az", "az,azbar"])
+    def test_target_reassociates_at_genus_1(self, framing, order, az1,
+                                            azbar1):
+        L, R = (azbar1, az1) if order == "azbar,az" else (az1, azbar1)
+        self._check_reassociation(L, R, cfd_solid_torus(framing))
+
+    def test_target_reassociates_at_genus_2(self, z2, cfd0_k2):
+        self._check_reassociation(cfda_azbar(z2), cfda_az(z2), cfd0_k2)
+
+    @staticmethod
+    def _check_reassociation(L, R, P):
+        # the insertion pairs L x (R x P); the bimodule-first (L x R) x P
+        # is the same structure
+        left_first = box_tensor(box_tensor(L, R), P)
+        right_first = box_tensor(L, box_tensor(R, P))
+        assert right_first.generators == left_first.generators
+        assert right_first.ops == left_first.ops
+        assert right_first == left_first
+
     def test_genus_2_mapping_class_acts_by_identity(self):
         mat = mcg_action(*map(builtin_structure, (
             "cfa0_k2", "cfd0_k2", "az_k2", "azbar_k2")))
@@ -222,6 +242,21 @@ class TestPairOnceCertifyOnce:
         assert rep.hf_dim == 4
         assert len(paired) == 2
         assert paired[0] is P0 and paired[1] is P1
+
+    def test_involutive_pair_builds_each_pairing_once(self, monkeypatch,
+                                                       cfa1, cfd0):
+        A, D = standard_involutive_a(cfa1), standard_involutive_d(cfd0)
+        real, pairs = structures.box_tensor, []
+
+        def counted(B1, B2):
+            pairs.append((B1, B2))
+            return real(B1, B2)
+
+        patch_everywhere(monkeypatch, real, counted)
+        involutive_pair(A, D)
+        # each structure hashes and compares by value, so no operand pair
+        # is built twice, not even as a copy
+        assert len(pairs) == len(set(pairs)) == 8
 
     @pytest.mark.parametrize("build, name", [
         (standard_involutive_a, "cfa0_k1"), (standard_involutive_d, "cfd0")])

@@ -7,7 +7,7 @@ from bhfi import (DivergenceError, algebra, algebra_basis, chord_element,
                   chord_nilpotency_bound, include_split, project_split,
                   split_pmc)
 from bhfi.strands import (PointedMatchedCircle, StrandDiagram, StrandsAlgebra,
-                          _collect, _inversions)
+                          _inversions)
 
 
 def brute_force_basis_count(circle):
@@ -325,9 +325,35 @@ class TestLazyTables:
             assert alg.diff_preimages(c) == tuple(diff_pre[c])
 
 
-# The product as it was computed before products were composed on smeared
-# diagrams: expand both factors into point-level placements, multiply every
-# pair of placements, and regroup.  Kept here as the oracle.
+# Products and differentials as they were computed before both were composed
+# on smeared diagrams: expand each factor into its point-level placements
+# (frozensets of strands (i, j), i <= j, where (q, q) is a horizontal strand
+# pinned at q), work there, and regroup.  Kept here as the oracle.
+
+def expansions(diag):
+    """All point-level placements of the smeared horizontal strands."""
+    Z = diag.circle
+    choices = [Z.pair_points(p) for p in sorted(diag.horizontal)]
+    return [frozenset(diag.moving) | frozenset((p, p) for p in pick)
+            for pick in itertools.product(*choices)]
+
+
+def _collect(alg, point_diagrams):
+    """Regroup an F2 set of point-level diagrams into smeared basis terms;
+    every group of placements must be complete."""
+    groups = {}
+    for pd in point_diagrams:
+        moving = tuple(sorted((i, j) for i, j in pd if i < j))
+        horiz = frozenset(alg.circle.pair_label(i) for i, j in pd if i == j)
+        groups.setdefault((moving, horiz), set()).add(pd)
+    out = set()
+    for (moving, horiz), got in groups.items():
+        diag = alg.diagram(moving, horiz)
+        if set(expansions(diag)) != got:
+            raise AssertionError("incomplete smeared group; not in the algebra")
+        out.add(diag)
+    return frozenset(out)
+
 
 def _mul_points(x, y):
     """Compose two point-level diagrams; None when the product vanishes."""
@@ -343,11 +369,33 @@ def _mul_points(x, y):
 def expanded_product(alg, a, b):
     acc = set()
     if a.right_idem == b.left_idem:
-        for xa in a.expansions():
-            for xb in b.expansions():
+        for xa in expansions(a):
+            for xb in expansions(b):
                 prod = _mul_points(xa, xb)
                 if prod is not None:
                     acc ^= {prod}
+    return _collect(alg, acc)
+
+
+def _diff_points(x):
+    """Single-crossing resolutions that drop the crossing number by one."""
+    inv_x = _inversions(x)
+    out = []
+    for s1, s2 in itertools.combinations(sorted(x), 2):
+        (i1, j1), (i2, j2) = s1, s2
+        if (i1 - i2) * (j1 - j2) >= 0:
+            continue
+        res = (x - {s1, s2}) | {(i1, j2), (i2, j1)}
+        if len(res) == len(x) and _inversions(res) == inv_x - 1:
+            out.append(res)
+    return out
+
+
+def expanded_diff(alg, a):
+    acc = set()
+    for xa in expansions(a):
+        for res in _diff_points(xa):
+            acc ^= {res}
     return _collect(alg, acc)
 
 
@@ -448,17 +496,15 @@ class TestOversizedCircles:
                                        "BHFI_MAX_GENERATORS=200000")
         assert alg._diagrams == {}
 
-    def test_diff_basis_refuses_too_many_placements(self, monkeypatch, z2):
+    def test_diff_basis_needs_no_placement_cap(self, monkeypatch, z2):
+        # the differential never expands the 2^h placements, so a cap below
+        # them does not bind it
         alg = StrandsAlgebra(z2)
-        idem = alg.idempotent({1, 2})
+        elements = alg.basis_from({1, 2})
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "3")
-        with pytest.raises(DivergenceError) as err:
-            alg.diff_basis(idem)
-        assert str(err.value) == ("strands diff_basis: 4 horizontal "
-                                  "placements exceed BHFI_MAX_GENERATORS=3")
-        assert alg._diff_cache == {}
-        monkeypatch.setenv("BHFI_MAX_GENERATORS", "4")
-        assert alg.diff_basis(idem) == frozenset()
+        for a in elements:
+            assert alg.diff_basis(a) == expanded_diff(alg, a), a
+        assert alg.diff_basis(alg.idempotent({1, 2})) == frozenset()
 
     def test_product_with_many_shared_horizontals(self):
         # 18 shared horizontal pairs: the placements are never expanded
@@ -469,3 +515,34 @@ class TestOversizedCircles:
         b = alg.diagram(((5, 7),), odd - {3})
         both = alg.diagram(((1, 3), (5, 7)), odd - {1, 3})
         assert alg.mul_basis(a, b) == alg.mul_basis(b, a) == {both}
+
+    def test_differential_with_many_shared_horizontals(self):
+        # 19 horizontals under one long strand, 2^19 placements, never
+        # expanded: breaking the strand at either point of one pair drops
+        # one crossing for every placement of the other 18
+        k = 20
+        alg = StrandsAlgebra(split_pmc(k))
+        under = frozenset(range(3, 2 * k, 2))
+        long = alg.diagram(((1, 4 * k),), under)
+        assert alg.diff_basis(long) == {
+            alg.diagram(((1, q), (q, 4 * k)), under - {p})
+            for p in under for q in alg.circle.pair_points(p)}
+        # 18 horizontals beside a crossing: the one swap stays
+        beside = frozenset(range(5, 2 * k + 1, 2))
+        crossing = alg.diagram(((1, 4), (2, 3)), beside)
+        assert alg.diff_basis(crossing) == {
+            alg.diagram(((1, 3), (2, 4)), beside)}
+
+
+class TestSmearedDifferential:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES) + ["split genus 3"])
+    def test_every_basis_element_matches_the_expansion(self, name):
+        circle = (ORACLE_CIRCLES[name] if name in ORACLE_CIRCLES
+                  else lambda: split_pmc(3))()
+        alg = StrandsAlgebra(circle)
+        nonzero = 0
+        for a in alg.basis:
+            got = alg.diff_basis(a)
+            assert got == expanded_diff(alg, a), a
+            nonzero += bool(got)
+        assert nonzero or name == "split genus 1"

@@ -258,7 +258,11 @@ class TestStrandsGuards:
         (builtins("hfhat", "cfd0_k12", "cfd0_k12"),
          "strands basis: at least 95048379244 diagrams exceed "
          "BHFI_MAX_GENERATORS=200000"),
-    ], ids=["hfhat genus 7", "hfhat genus 12"])
+        # cfd0_k40 verifies (below); az_k40 needs the whole strands basis
+        (builtins("verify", "az_k40"),
+         "strands basis: at least 523607517210398580621908974420 diagrams "
+         "exceed BHFI_MAX_GENERATORS=200000"),
+    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40"])
     def test_refused_within_seconds(self, monkeypatch, argv, detail):
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()

@@ -210,12 +210,13 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
                 for w in words:
                     unknowns.append((src, w, out, dst))
     unknowns.sort(key=A.op_sort_key)
-    residues = [component_differential(A, B, e) for e in unknowns]
-    # rows in residue-term order, so elimination pivots on the least term
-    terms = sorted(set().union(*residues), key=B.op_sort_key)
-    row = {t: i for i, t in enumerate(terms)}
-    cols = tuple(sum(1 << row[t] for t in img) for img in residues)
-    kernel = F2Matrix(len(terms), len(unknowns), cols).nullspace_basis()
+    # rows in first-seen order: each kernel vector is its own column plus
+    # the unique sum of earlier independent columns, whatever the row order
+    row = {}
+    cols = tuple(sum(1 << row.setdefault(t, len(row))
+                     for t in component_differential(A, B, e))
+                 for e in unknowns)
+    kernel = F2Matrix(len(row), len(unknowns), cols).nullspace_basis()
     return _first_acyclic_sum(
         "search_small_equivalence", kernel, "kernel",
         lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),

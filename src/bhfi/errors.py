@@ -9,6 +9,14 @@ def generator_cap():
     return int(os.environ.get("BHFI_MAX_GENERATORS", "200000"))
 
 
+def refuse_past_cap(stage, size, what):
+    """Raise DivergenceError, naming ``stage``, if ``size`` passes the cap."""
+    cap = generator_cap()
+    if size > cap:
+        raise DivergenceError(f"{stage}: {size} {what} exceed "
+                              f"BHFI_MAX_GENERATORS={cap}")
+
+
 class BhfiError(Exception):
     """Base class for package errors."""
 

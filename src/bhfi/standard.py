@@ -5,8 +5,11 @@ bimodules, and the surgery morphisms between the three solid-torus framings.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .strands import AlgebraElement, algebra, split_pmc, split_factors
+from .errors import refuse_past_cap
+from .strands import (AlgebraElement, algebra, chord_term_count, split_pmc,
+                      split_factors)
 from .structures import (AInfModule, DABimodule, DDBimodule, Morphism,
                          TypeDStructure)
 
@@ -69,6 +72,7 @@ def cfa_zero_handlebody(k):
     if k < 1:
         raise ValueError("genus must be a positive integer")
     zk = split_pmc(k)
+    basis = algebra(zk).basis      # refuses oversized genera before 3^k words
     gens = []
     for word in itertools.product("tuv", repeat=k):
         label = "".join(word)
@@ -81,7 +85,7 @@ def cfa_zero_handlebody(k):
             if x == "u":
                 out = "".join(word[:i] + ("v",) + word[i + 1:])
                 operations.append((label, [], out))
-    for b in algebra(zk).basis:
+    for b in basis:
         factors = split_factors(b)
         if factors is None:
             continue
@@ -109,8 +113,13 @@ def dd_identity(circle):
     pairs, differential the sum over chords paired with their reverses.
 
     Both output factors are written over the same reflection-symmetric
-    circle; the second factor carries the reflected coefficients.
+    circle; the second factor carries the reflected coefficients.  Both
+    sizes, C(2k, k) generators and the terms of every chord, are checked
+    against the cap before anything is listed.
     """
+    refuse_past_cap("dd_identity", math.comb(2 * circle.k, circle.k),
+                    "generators")
+    refuse_past_cap("dd_identity", chord_term_count(circle), "chord terms")
     alg = algebra(circle)
     all_pairs = frozenset(circle.pairs)
     subsets = [frozenset(s) for s in

@@ -319,9 +319,7 @@ class StrandsAlgebra:
         pairs, or within one), and the diagrams whose two moving strands end
         on four distinct pairs (three ways to join four such points)."""
         k, comb = self.circle.k, math.comb
-        bound = comb(2 * k, k) + \
-            (comb(4 * k, 2) - 2 * k) * comb(2 * k - 2, k - 1) + \
-            2 * k * comb(2 * k - 1, k - 1)
+        bound = comb(2 * k, k) + chord_term_count(self.circle)
         if k >= 2:
             bound += 3 * 16 * comb(2 * k, 4) * comb(2 * k - 4, k - 2)
         return bound
@@ -626,6 +624,15 @@ def algebra_basis(circle):
 
 def chord_element(circle, i, j):
     return algebra(circle).chord(i, j)
+
+
+def chord_term_count(circle):
+    """The number of diagrams with one moving strand, which are the terms
+    of all the chords: a strand between two pairs leaves k - 1 of the other
+    2k - 2 pairs horizontal, a strand within one pair k - 1 of 2k - 1."""
+    k, comb = circle.k, math.comb
+    return (comb(4 * k, 2) - 2 * k) * comb(2 * k - 2, k - 1) + \
+        2 * k * comb(2 * k - 1, k - 1)
 
 
 def chord_nilpotency_bound(circle):

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import DivergenceError, RelationViolation, generator_cap
+from .errors import DivergenceError, RelationViolation, refuse_past_cap
 from .homology import ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
 
@@ -159,11 +159,6 @@ def _coefficient_terms(value):
 
 _SRC, _OUT, _DST = itemgetter(0), itemgetter(2), itemgetter(3)
 _SRC_OUT = itemgetter(0, 2)
-
-
-def _SRC_LEFT(op):
-    """Index key: the source and the coefficient's left tensor factor."""
-    return op[0], op[2][0]
 
 
 class BorderedObject:
@@ -567,23 +562,14 @@ def _partners(gens1, idem1, gens2, idem2):
     return {g1: buckets.get(idem1[g1], ()) for g1 in gens1}
 
 
-def _check_size(stage, partners):
-    """Raise DivergenceError before a pairing with too many generators is
-    built."""
-    size = sum(map(len, partners.values()))
-    cap = generator_cap()
-    if size > cap:
-        raise DivergenceError(f"{stage}: {size} generators exceed "
-                              f"BHFI_MAX_GENERATORS={cap}")
-
-
 def box_tensor(B1, B2):
     """Box tensor product pairing B1's algebra inputs with B2's outputs."""
     if B1.in_alg is not B2.out_alg:
         raise ValueError("input algebra of the first factor must match the "
                          "output algebra of the second")
     partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
-    _check_size("box_tensor", partners)
+    refuse_past_cap("box_tensor", sum(map(len, partners.values())),
+                    "generators")
     gens = []
     out_idem, in_idem = {}, {}
     for g1 in B1.generators:
@@ -608,14 +594,21 @@ def _pair_with_chains(ops, B2, partners):
     return out
 
 
+def _incidence(ops, sources, targets):
+    """The F2 matrix with a 1 at (target, source) for each operation or
+    component (source, inputs, coefficient, target) of ``ops``."""
+    spos = {g: i for i, g in enumerate(sources)}
+    tpos = {g: i for i, g in enumerate(targets)}
+    return F2Matrix.from_entries(len(tpos), len(spos), [
+        (tpos[dst], spos[src]) for src, _, _, dst in ops])
+
+
 def to_chain_complex(S):
     """View a both-sides-trivial structure as a based chain complex."""
     if S.kind != "CX":
         raise ValueError("structure still carries algebra actions")
-    n = len(S.generators)
-    pos = {g: i for i, g in enumerate(S.generators)}
-    entries = [(pos[dst], pos[src]) for src, _, _, dst in S.ops]
-    return ChainComplex(S.generators, F2Matrix.from_entries(n, n, entries))
+    return ChainComplex(S.generators,
+                        _incidence(S.ops, S.generators, S.generators))
 
 
 def box_tensor_AD(M, P):
@@ -637,51 +630,35 @@ def box_tensor_DD_side(B, X):
     ``X`` is a no-input structure over a tensor algebra whose left factor is
     ``B``'s input algebra.  The result is a no-input structure over
     ``B.out_alg`` tensor the carried factor (the trivial output of an
-    A-infinity module is dropped).
+    A-infinity module is dropped).  It is the ``box_tensor`` of B with the
+    carried view of X, whose operations output X's left coefficients and
+    read the right ones as one-letter inputs; each carried word is then
+    multiplied out from the carried idempotent of its source.
     """
     if not isinstance(X.out_alg, TensorAlgebra) or \
        X.out_alg.left is not B.in_alg:
         raise ValueError("left output factor must match the input algebra")
     carried = X.out_alg.right
+    view = BorderedObject(
+        B.in_alg, carried, X.generators,
+        {x: idem[0] for x, idem in X.out_idem.items()},
+        {x: idem[1] for x, idem in X.out_idem.items()},
+        [(x, (right,), left, y) for x, _, (left, right), y in X.ops])
+    partners = _partners(B.generators, B.in_idem, X.generators, view.out_idem)
+    refuse_past_cap("box_tensor_DD_side", sum(map(len, partners.values())),
+                    "generators")
+    paired = box_tensor(B, view)
     trivial_out = B.out_alg.is_trivial
     res_alg = carried if trivial_out else tensor_algebra(B.out_alg, carried)
-
-    partners = _partners(B.generators, B.in_idem, X.generators,
-                         {x: idem[0] for x, idem in X.out_idem.items()})
-    _check_size("box_tensor_DD_side", partners)
-    gens, out_idem, in_idem = [], {}, {}
-    for b in B.generators:
-        for x in partners[b]:
-            label = f"{b}|{x}"
-            gens.append(label)
-            oi = X.out_idem[x][1] if trivial_out \
-                else (B.out_idem[b], X.out_idem[x][1])
-            out_idem[label] = oi
-            in_idem[label] = TRIVIAL.UNIT
-
-    # each walk reads the word along X's left coefficients, multiplying
-    # the carried coefficients onto the carried idempotent it starts from
+    out_idem = {g: idem if trivial_out else (paired.out_idem[g], idem)
+                for g, idem in paired.in_idem.items()}
     ops = set()
-    for bsrc, word, a, bdst in B.ops:
-        for x in partners[bsrc]:
-            walks = [(x, {carried.idem_element(X.out_idem[x][1])})]
-            for left in word:
-                nxt = []
-                for at, prods in walks:
-                    for xop in X._lookup(_SRC_LEFT, (at, left)):
-                        prod = set()
-                        for p in prods:
-                            prod ^= carried.mul_basis(p, xop[2][1])
-                        if prod:
-                            nxt.append((xop[3], prod))
-                walks = nxt
-            for at, prods in walks:
-                for prod in prods:
-                    _toggle(ops, (f"{bsrc}|{x}", (),
-                                  prod if trivial_out else (a, prod),
-                                  f"{bdst}|{at}"))
-    return BorderedObject(res_alg, TRIVIAL, tuple(gens), out_idem,
-                          in_idem, ops)
+    for src, word, a, dst in paired.ops:
+        start = carried.idem_element(paired.in_idem[src])
+        for prod in carried.mul_many((start,) + word):
+            _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
+    return BorderedObject(res_alg, TRIVIAL, paired.generators, out_idem,
+                          dict.fromkeys(paired.generators, TRIVIAL.UNIT), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -772,20 +749,15 @@ class Morphism:
         """The matrix of a morphism of both-sides-trivial structures between
         the given based complexes, matched by generator label.  Nothing is
         checked: callers test the chain-map identity themselves."""
-        spos = {g: i for i, g in enumerate(source_cx.generators)}
-        tpos = {g: i for i, g in enumerate(target_cx.generators)}
-        entries = [(tpos[dst], spos[src]) for src, _, _, dst in self.comps]
-        return F2Matrix.from_entries(len(tpos), len(spos), entries)
+        return _incidence(self.comps, source_cx.generators,
+                          target_cx.generators)
 
     def __repr__(self):
         return f"<morphism: {len(self.comps)} components>"
 
 
 def identity_morphism(S):
-    comps = set()
-    for g in S.generators:
-        comps.add((g, (), S.out_alg.idem_element(S.out_idem[g]), g))
-    return Morphism(S, S, comps)
+    return morphism_from_generator_map(S, S, {g: g for g in S.generators})
 
 
 def zero_morphism(S, T):
@@ -799,12 +771,15 @@ def elementary_morphism(P, Q, src, coeff, dst):
     return Morphism(P, Q, comps)
 
 
+def _generator_map_comps(S, mapping):
+    """The components g -> mapping[g] with identity coefficients."""
+    return [(g, (), S.out_alg.idem_element(S.out_idem[g]), mapping[g])
+            for g in S.generators]
+
+
 def morphism_from_generator_map(S, T, mapping):
     """The morphism induced by a label bijection (identity coefficients)."""
-    comps = set()
-    for g in S.generators:
-        comps.add((g, (), S.out_alg.idem_element(S.out_idem[g]), mapping[g]))
-    return Morphism(S, T, comps)
+    return Morphism(S, T, _generator_map_comps(S, mapping))
 
 
 # -- tensoring morphisms with identities -------------------------------------
@@ -904,12 +879,10 @@ def mor_complex_DD(P, Q):
     alg = P.out_alg
     p_idems = Counter(P.out_idem[p] for p in P.generators)
     q_idems = Counter(Q.out_idem[q] for q in Q.generators)
-    size = sum(m * n * len(alg.basis_between(i, j))
-               for i, m in p_idems.items() for j, n in q_idems.items())
-    cap = generator_cap()
-    if size > cap:
-        raise DivergenceError(f"mor_complex_DD: {size} basis morphisms "
-                              f"exceed BHFI_MAX_GENERATORS={cap}")
+    refuse_past_cap("mor_complex_DD", sum(
+        m * n * len(alg.basis_between(i, j))
+        for i, m in p_idems.items() for j, n in q_idems.items()),
+        "basis morphisms")
     basis = []
     for p in P.generators:
         for q in Q.generators:
@@ -1035,11 +1008,11 @@ def reduce_structure(S, track_from=False, track_to=False):
             ranks[op] = S.op_sort_key(op)
     queue.extend(sorted((rank, op) for op, rank in ranks.items()))
 
-    # accumulated morphisms, indexed for cheap composition
-    from_comps = {g: {(g, (), out_alg.idem_element(S.out_idem[g]), g)}
-                  for g in S.generators} if track_from else None
-    to_by_dst = {g: {(g, (), out_alg.idem_element(S.out_idem[g]), g)}
-                 for g in S.generators} if track_to else None
+    # accumulated morphisms, both starting from the identity, indexed for
+    # cheap composition
+    identity = _generator_map_comps(S, {g: g for g in S.generators})
+    from_comps = {c[0]: {c} for c in identity} if track_from else None
+    to_by_dst = {c[3]: {c} for c in identity} if track_to else None
 
     trace = []
 

@@ -262,7 +262,19 @@ class TestStrandsGuards:
         (builtins("verify", "az_k40"),
          "strands basis: at least 523607517210398580621908974420 diagrams "
          "exceed BHFI_MAX_GENERATORS=200000"),
-    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40"])
+        # the DD identity counts its generators and chord terms, and the
+        # handlebody asks for the strands basis, before listing anything
+        (builtins("verify", "ddid_k12"),
+         "dd_identity: 2704156 generators exceed BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "ddid_k40"),
+         "dd_identity: 107507208733336176461620 generators exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "cfa0_k40"),
+         "strands basis: at least 523607517210398580621908974420 diagrams "
+         "exceed BHFI_MAX_GENERATORS=200000"),
+    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40",
+            "verify ddid genus 12", "verify ddid genus 40",
+            "verify cfa0 genus 40"])
     def test_refused_within_seconds(self, monkeypatch, argv, detail):
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()

@@ -48,6 +48,29 @@ class TestF2Matrix:
                 assert m.apply(v) == 0
             assert len(m.nullspace_basis()) == c - m.rank()
 
+    def test_nullspace_independent_of_row_order(self):
+        # each kernel vector is its own column plus the unique sum of
+        # earlier independent columns that cancels it
+        rng = random.Random(9)
+        for _ in range(60):
+            r, c = rng.randrange(1, 12), rng.randrange(1, 14)
+            span = [rng.getrandbits(r)
+                    for _ in range(rng.randrange(1, r + 1))]
+            cols = []
+            for _ in range(c):
+                col = 0
+                for v in span:
+                    if rng.random() < 0.5:
+                        col ^= v
+                cols.append(col)
+            m = F2Matrix(r, c, tuple(cols))
+            perm = list(range(r))
+            rng.shuffle(perm)
+            permuted = F2Matrix.from_entries(r, c, [
+                (perm[i], j) for j in range(c) for i in range(r)
+                if m.entry(i, j)])
+            assert permuted.nullspace_basis() == m.nullspace_basis()
+
 
 class TestHomology:
     def test_zero_differential(self):

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
-from bhfi import (PointedMatchedCircle, algebra, algebra_basis,
-                  check_structure, chord_element, dd_identity, homology,
-                  include_split, split_pmc, strands)
+from bhfi import (DivergenceError, PointedMatchedCircle, algebra,
+                  algebra_basis, check_structure, chord_element, dd_identity,
+                  homology, include_split, split_pmc, strands)
 from bhfi.cli import main
 from bhfi.files import structure_to_json
 from bhfi.standard import (_cfda_interpolating, cfa_zero_handlebody,
@@ -134,6 +135,22 @@ class TestDDIdentity:
         DD = dd_identity(split_pmc(3))
         assert len(DD.generators) == 20
         assert check_structure(DD) == []
+
+    def test_chord_term_count(self):
+        for k in (1, 2, 3):
+            Z = split_pmc(k)
+            assert strands.chord_term_count(Z) == \
+                sum(len(c.terms) for c in algebra(Z).chords())
+        assert [strands.chord_term_count(split_pmc(k)) for k in (5, 6, 7)] \
+            == [13860, 72072, 360360]
+
+    @pytest.mark.parametrize("cap, what", [(5, "6 generators"),
+                                           (59, "60 chord terms")])
+    def test_refused_before_listing(self, z2, monkeypatch, cap, what):
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(cap))
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"dd_identity: {what} exceed BHFI_MAX_GENERATORS={cap}")):
+            dd_identity(z2)
 
 
 class TestInterpolatingPiece:

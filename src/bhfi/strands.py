@@ -122,27 +122,24 @@ def _over(strands, q):
     return sum(i < q < j for i, j in strands)
 
 
-@dataclass(frozen=True, eq=False)
-class StrandDiagram:
+class StrandDiagram(int):
     """Basis element of the weight-0 strands algebra of a matched circle.
 
     ``moving`` holds the strictly increasing strands on points; ``horizontal``
-    the matched-pair labels carrying a smeared horizontal strand.  The left
-    and right idempotents, the sort key and the hash are derived once, at
-    construction.  ``StrandsAlgebra.diagram`` hands out one shared object
-    per diagram; a directly constructed copy compares and hashes equal.
+    the matched-pair labels carrying a smeared horizontal strand.  The
+    diagram is an ``int``: its value is a code of its strands, injective on
+    the diagrams of one circle and the same in every process, so it hashes
+    in C.  The left and right idempotents and the sort key are derived
+    once, at construction.  ``StrandsAlgebra.diagram`` hands out one shared
+    object per diagram; a directly constructed copy compares and hashes
+    equal, and a diagram never equals a bare int or a diagram of another
+    circle.
     """
 
-    circle: PointedMatchedCircle
-    moving: tuple = ()
-    horizontal: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        moving = tuple(sorted(tuple(s) for s in self.moving))
-        horizontal = frozenset(self.horizontal)
-        object.__setattr__(self, "moving", moving)
-        object.__setattr__(self, "horizontal", horizontal)
-        Z = self.circle
+    def __new__(cls, circle, moving=(), horizontal=frozenset()):
+        moving = tuple(sorted(tuple(s) for s in moving))
+        horizontal = frozenset(horizontal)
+        Z = circle
         srcs = [Z.pair_label(i) for i, _ in moving]
         dsts = [Z.pair_label(j) for _, j in moving]
         for i, j in moving:
@@ -157,30 +154,37 @@ class StrandDiagram:
             raise ValueError("horizontal pair clashes with a moving strand")
         if len(moving) + len(horizontal) != Z.k:
             raise ValueError("not a weight-0 diagram (need k occupied pairs)")
+        # one bit per horizontal pair, then one digit per point: the end of
+        # the strand leaving it; nonzero, since k >= 1 pairs are occupied
+        width = Z.n_points.bit_length()
+        code = sum(1 << (p - 1) for p in horizontal)
+        for i, j in moving:
+            code |= j << (2 * Z.k + width * (i - 1))
+        self = super().__new__(cls, code)
         left = frozenset(srcs) | horizontal
-        object.__setattr__(self, "left_idem", left)
-        object.__setattr__(self, "right_idem", frozenset(dsts) | horizontal)
-        object.__setattr__(self, "_sort_key", (
-            tuple(sorted(left)), moving, tuple(sorted(horizontal))))
-        # what a product needs: the moving strand leaving each pair, and
-        # the crossings among the moving strands
-        object.__setattr__(self, "_leaving", dict(zip(srcs, moving)))
-        object.__setattr__(self, "_crossings", _inversions(moving))
-        # exactly the hash of the field tuple: set iteration orders, and
-        # with them the report bytes, depend on it
-        object.__setattr__(self, "_hash", hash((Z, moving, horizontal)))
+        self.__dict__.update(
+            circle=Z, moving=moving, horizontal=horizontal, left_idem=left,
+            right_idem=frozenset(dsts) | horizontal,
+            _sort_key=(tuple(sorted(left)), moving, tuple(sorted(horizontal))),
+            # what a product needs: the moving strand leaving each pair,
+            # and the crossings among the moving strands
+            _leaving=dict(zip(srcs, moving)), _crossings=_inversions(moving))
+        return self
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = int.__hash__
 
     def __eq__(self, other):
         if self is other:
             return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self._hash == other._hash and self.moving == other.moving
-                and self.horizontal == other.horizontal
+        return (other.__class__ is StrandDiagram and int.__eq__(self, other)
                 and self.circle == other.circle)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __setattr__(self, name, value):
+        # frozen: the code, and with it the hash, is fixed by the fields
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def is_idempotent(self):

@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .errors import DivergenceError, RelationViolation, refuse_past_cap
 from .homology import ChainComplex, F2Matrix, _bits
-from .strands import AlgebraElement, algebra
+from .strands import _ZERO, AlgebraElement, algebra
 
 
 # ---------------------------------------------------------------------------
@@ -82,24 +82,26 @@ TRIVIAL = TrivialAlgebra()
 
 
 class TensorAlgebra:
-    """Tensor product of two strands algebras; basis = pairs of diagrams."""
+    """Tensor product of two strands algebras; basis = pairs of diagrams.
+
+    Products are not cached here: each is the product of the two factors'
+    own cached products.
+    """
 
     is_trivial = False
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self._mul_cache = {}
 
     def mul_basis(self, a, b):
-        key = (a, b)
-        hit = self._mul_cache.get(key)
-        if hit is None:
-            hit = frozenset(itertools.product(
-                self.left.mul_basis(a[0], b[0]),
-                self.right.mul_basis(a[1], b[1])))
-            self._mul_cache[key] = hit
-        return hit
+        left = self.left.mul_basis(a[0], b[0])
+        if not left:
+            return _ZERO
+        right = self.right.mul_basis(a[1], b[1])
+        if not right:
+            return _ZERO
+        return frozenset(itertools.product(left, right))
 
     def diff_basis(self, a):
         out = {(c, a[1]) for c in self.left.diff_basis(a[0])}

@@ -136,6 +136,21 @@ class TestDDIdentity:
         assert len(DD.generators) == 20
         assert check_structure(DD) == []
 
+    def test_tensor_product_is_the_factorwise_product(self, z2):
+        DD = dd_identity(z2)
+        alg = algebra(z2)
+        coeffs = sorted({c for _, _, c, _ in DD.ops}, key=DD.out_alg.sort_key)
+        nonzero = 0
+        for a in coeffs:
+            for b in coeffs:
+                left = alg.element([a[0]]) * alg.element([b[0]])
+                right = alg.element([a[1]]) * alg.element([b[1]])
+                got = DD.out_alg.mul_basis(a, b)
+                assert got == {(x, y) for x in left.terms
+                               for y in right.terms}, (a, b)
+                nonzero += len(got)
+        assert (len(coeffs), nonzero) == (48, 128)
+
     def test_chord_term_count(self):
         for k in (1, 2, 3):
             Z = split_pmc(k)

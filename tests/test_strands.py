@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -248,6 +252,34 @@ class TestSplitMaps:
             include_split([])
 
 
+_HASH_SCRIPT = """
+import json, sys
+from bhfi.strands import PointedMatchedCircle, algebra
+specs, reverse = json.load(sys.stdin)
+out = {}
+order = reversed if reverse else iter
+for index, (k, matching, flipped, diagrams) in order(list(enumerate(specs))):
+    alg = algebra(PointedMatchedCircle(k, tuple(map(tuple, matching)),
+                                       flipped))
+    for moving, horizontal in order(diagrams):
+        d = alg.diagram(moving, horizontal)
+        out[repr((index, d.moving, sorted(d.horizontal)))] = hash(d)
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def _hashes_in_fresh_process(specs, hash_seed, reverse):
+    """The hash of every listed diagram, made in a fresh interpreter under
+    ``PYTHONHASHSEED=hash_seed``, in reverse order when ``reverse``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _HASH_SCRIPT],
+                          input=json.dumps([specs, reverse]), env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 class TestInterning:
     def test_one_object_per_diagram(self, z2):
         alg = algebra(z2)
@@ -264,17 +296,25 @@ class TestInterning:
                 for c in alg.mul_basis(a, b):
                     assert own[c] is c
 
-    def test_hash_is_the_field_tuple_hash(self, z1, z2):
-        for z in (z1, z2):
-            for d in algebra(z).basis:
-                assert hash(d) == hash((d.circle, d.moving, d.horizontal))
+    def test_hashes_repeat_across_seeds_and_creation_order(self):
+        # set iteration orders, and with them the report bytes, follow the
+        # diagram hashes: they must not depend on the hash seed or on the
+        # order the diagrams are made in
+        circles = [ORACLE_CIRCLES[name]() for name in sorted(ORACLE_CIRCLES)]
+        specs = [[z.k, z.matching, z.reversed_orientation,
+                  [[d.moving, sorted(d.horizontal)]
+                   for d in StrandsAlgebra(z).basis]] for z in circles]
+        runs = [_hashes_in_fresh_process(specs, "0", reverse=False),
+                _hashes_in_fresh_process(specs, "1", reverse=True)]
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == sum(len(s[3]) for s in specs)
 
     def test_direct_construction_equals_interned(self, z2):
         alg = algebra(z2)
         for d in alg.basis:
             copy = StrandDiagram(z2, d.moving, d.horizontal)
             assert copy is not d
-            assert copy == d and hash(copy) == hash(d)
+            assert copy == d and not copy != d and hash(copy) == hash(d)
             assert alg.mul_basis(copy, copy) == alg.mul_basis(d, d)
 
     def test_different_circles_are_unequal(self, z1):
@@ -296,6 +336,36 @@ class TestInterning:
         with pytest.raises(ValueError):
             alg.diagram(((1, 3),), {2})
         assert (((1, 3),), frozenset({2})) not in alg._diagrams
+
+
+class TestIntegerDiagrams:
+    def test_hash_is_the_int_hash(self):
+        assert StrandDiagram.__hash__ is int.__hash__
+
+    def test_codes_are_distinct_within_a_circle(self):
+        circles = [make() for make in ORACLE_CIRCLES.values()]
+        for z in circles + [split_pmc(3)]:
+            basis = StrandsAlgebra(z).basis
+            assert len(set(map(int, basis))) == len(basis)
+        assert len(basis) == 12448
+
+    def test_every_diagram_is_truthy(self):
+        for make in ORACLE_CIRCLES.values():
+            assert all(StrandsAlgebra(make()).basis)
+
+    def test_never_equal_to_a_bare_int(self, z2):
+        for d in algebra(z2).basis:
+            code = int(d)
+            assert d != code and code != d
+            assert not d == code and not code == d
+            assert type(code) is int and hash(code) == hash(d)
+
+    def test_equal_codes_on_two_circles_are_unequal(self, z2):
+        other = z2.reverse()
+        for d in algebra(z2).basis:
+            twin = algebra(other).diagram(d.moving, d.horizontal)
+            assert int(twin) == int(d)
+            assert twin != d and not twin == d
 
 
 class TestLazyTables:

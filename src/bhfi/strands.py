@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DivergenceError, generator_cap
+from .errors import refuse_past_cap
 
 
 def _as_pairs(matching):
@@ -41,11 +41,12 @@ class PointedMatchedCircle:
             raise ValueError("genus must be a positive integer")
         matching = _as_pairs(self.matching)
         object.__setattr__(self, "matching", matching)
+        # counted first, so that a huge k lists no 4k points
+        if len(matching) != 2 * self.k:
+            raise ValueError("matching must consist of 2k pairs")
         points = [p for pair in matching for p in pair]
         if sorted(points) != list(range(1, 4 * self.k + 1)):
             raise ValueError("matching must pair up the points 1..4k")
-        if len(matching) != 2 * self.k:
-            raise ValueError("matching must consist of 2k pairs")
         object.__setattr__(self, "_pair_of", {
             p: idx for idx, pair in enumerate(matching, start=1)
             for p in pair})
@@ -99,6 +100,7 @@ def split_pmc(k):
     """The split circle of genus k: pairs {4i+1, 4i+3} and {4i+2, 4i+4}."""
     if k < 1:
         raise ValueError("genus must be a positive integer")
+    refuse_past_cap("split_pmc", 4 * k, "points")
     matching = []
     for i in range(k):
         matching.append((4 * i + 1, 4 * i + 3))
@@ -306,13 +308,10 @@ class StrandsAlgebra:
 
     def _basis(self):
         if not hasattr(self, "_basis_cached"):
-            cap = generator_cap()
-            size, what = self._basis_lower_bound(), "at least "
-            if size <= cap:         # the exact count is exponential in k
-                size, what = self._count_basis(), ""
-            if size > cap:
-                raise DivergenceError(f"strands basis: {what}{size} diagrams "
-                                      f"exceed BHFI_MAX_GENERATORS={cap}")
+            # the exact count is exponential in k: the bound refuses first
+            refuse_past_cap("strands basis", self._basis_lower_bound(),
+                            "diagrams", lower_bound=True)
+            refuse_past_cap("strands basis", self._count_basis(), "diagrams")
             self._basis_cached = tuple(sorted(self._enumerate_basis(),
                                               key=StrandDiagram.sort_key))
         return self._basis_cached

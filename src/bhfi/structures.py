@@ -207,27 +207,27 @@ class BorderedObject:
     def sorted_ops(self):
         return sorted(self.ops, key=self.op_sort_key)
 
-    def _lookup(self, key, value):
-        """The operations whose ``key`` reads ``value``; each index is
-        built on its first lookup."""
+    def _grouped(self, key):
+        """The operations grouped by ``key``; each index is built on its
+        first request."""
         index = self._index.get(key)
         if index is None:
             index = self._index[key] = {}
             for op in self.ops:
                 index.setdefault(key(op), []).append(op)
-        return index.get(value, ())
+        return index
 
     def ops_from(self, src):
-        return self._lookup(_SRC, src)
+        return self._grouped(_SRC).get(src, ())
 
     def ops_into(self, dst):
-        return self._lookup(_DST, dst)
+        return self._grouped(_DST).get(dst, ())
 
     def ops_with_out(self, out):
-        return self._lookup(_OUT, out)
+        return self._grouped(_OUT).get(out, ())
 
     def ops_from_with_out(self, src, out):
-        return self._lookup(_SRC_OUT, (src, out))
+        return self._grouped(_SRC_OUT).get((src, out), ())
 
     def ops_reading(self, letter):
         """The operations whose input word contains ``letter``, once per
@@ -452,75 +452,45 @@ def require_valid(S, what="structure"):
     return S
 
 
-def _generator_graph_is_acyclic(S):
-    """Kahn's algorithm on the graph with one edge per operation."""
-    indegree = dict.fromkeys(S.generators, 0)
-    for op in S.ops:
-        indegree[op[3]] += 1
-    ready = [g for g, n in indegree.items() if not n]
-    removed = 0
+def _unsortable(ops):
+    """The generators that Kahn's algorithm cannot remove from the graph
+    with one edge per operation: those on a cycle or downstream of one."""
+    succ, indegree = {}, {}
+    for op in ops:
+        succ.setdefault(op[0], []).append(op[3])
+        indegree[op[3]] = indegree.get(op[3], 0) + 1
+    ready = [g for g in succ if g not in indegree]
     while ready:
-        removed += 1
-        for op in S.ops_from(ready.pop()):
-            indegree[op[3]] -= 1
-            if not indegree[op[3]]:
-                ready.append(op[3])
-    return removed == len(indegree)
+        for dst in succ.pop(ready.pop(), ()):
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    return {g for g, n in indegree.items() if n}
 
 
 def validate_bounded(S):
     """Check operational boundedness of a no-input structure.
 
-    A directed cycle in the state graph of (generator, accumulated
-    coefficient product) pairs is exactly an infinite delta iteration with
-    nonvanishing product.  Every such cycle projects to a cycle of the
-    generator graph, so an acyclic generator graph proves boundedness
-    without a single product; otherwise the state graph is walked.
+    The delta iteration runs forever exactly when some cycle of operations
+    carries one and the same idempotent coefficient: a nonzero product of
+    basis elements has the total strand length of its factors, so a product
+    that comes back around a cycle was multiplied only by idempotents, and
+    two different idempotents multiply to zero.  So the operations of each
+    idempotent coefficient (grouped by coefficient, not by their
+    generators' idempotents) are sorted topologically, with no product
+    taken; the error names the first generator on or below a cycle.
     """
     if not S.in_alg.is_trivial:
         raise ValueError("boundedness applies to no-input structures")
-    if _generator_graph_is_acyclic(S):
-        return True
-    out_alg = S.out_alg
-    edges = {}
-
-    def successors(state):
-        g, c = state
-        hit = edges.get(state)
-        if hit is None:
-            hit = []
-            for _, _, b, g2 in S.ops_from(g):
-                for c2 in out_alg.mul_basis(c, b):
-                    hit.append((g2, c2))
-            edges[state] = hit
-        return hit
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
+    is_idem = S.out_alg.is_idem
+    looping = set()
+    for coeff, ops in S._grouped(_OUT).items():
+        if is_idem(coeff):
+            looping |= _unsortable(ops)
     for g in S.generators:
-        for op in S.ops_from(g):
-            start = (op[3], op[2])
-            if color.get(start, WHITE) == BLACK:
-                continue
-            stack = [(start, iter(successors(start)))]
-            color[start] = GRAY
-            while stack:
-                state, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    col = color.get(nxt, WHITE)
-                    if col == GRAY:
-                        raise DivergenceError(
-                            "structure is not operationally bounded: "
-                            f"delta iteration loops through {nxt[0]!r}")
-                    if col == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(successors(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[state] = BLACK
-                    stack.pop()
+        if g in looping:
+            raise DivergenceError("structure is not operationally bounded: "
+                                  f"delta iteration loops through {g!r}")
     return True
 
 
@@ -1018,16 +988,16 @@ def reduce_structure(S, track_from=False, track_to=False):
 
     trace = []
 
-    def chain_products(first_word, first_coeff, loops, cap=200):
+    def chain_products(first_word, first_coeff, loops):
         """Fold coefficient products along first.(loops)*; yields
-        (input word, coefficient basis term) pairs."""
+        (input word, coefficient basis term) pairs.
+
+        The series ends: no loop carries an idempotent, and a nonzero
+        product of basis elements has the total strand length of its
+        factors, so each fold adds length until the products vanish."""
         results = []
         frontier = [(first_word, frozenset({first_coeff}))]
-        depth = 0
         while frontier:
-            depth += 1
-            if depth > cap:
-                raise DivergenceError("cancellation series does not terminate")
             nxt = []
             for word, coeffs in frontier:
                 for c in coeffs:

@@ -200,6 +200,13 @@ def _subspace_eq(vectors_a, vectors_b, dim):
     return ra == rb == rab
 
 
+def _levelwise_exact(f_mat, g_mat, cxs):
+    """0 -> A -f-> B -g-> C -> 0 is exact at each level, given g f = 0:
+    f injective, g surjective and the ranks adding up to dim B."""
+    rf, rg = f_mat.rank(), g_mat.rank()
+    return rf == cxs[0].dim and rg == cxs[2].dim and rf + rg == cxs[1].dim
+
+
 def _triangle_exact(cxs, homs, f_mat, g_mat, node_names, failures):
     """Exactness of the homology triangle of a levelwise short exact
     sequence of the complexes ``cxs`` with homologies ``homs``, with the
@@ -283,9 +290,7 @@ def verify_hfi_triangle(X):
         failures.append("i or p fails the chain map identity")
     if not (p_mat * i_mat).is_zero():
         failures.append("p after i is nonzero")
-    levelwise = (i_mat.rank() == cxs[0].dim and
-                 p_mat.rank() == cxs[2].dim and
-                 i_mat.rank() + p_mat.rank() == cxs[1].dim)
+    levelwise = _levelwise_exact(i_mat, p_mat, cxs)
     if not levelwise:
         failures.append("levelwise short exactness fails")
 
@@ -320,9 +325,7 @@ def verify_hfi_triangle(X):
         (P_blk * I_blk).is_zero()
     if not blocks_ok:
         failures.append("involutive cone block maps fail")
-    inv_levelwise = (I_blk.rank() == cones[0].dim and
-                     P_blk.rank() == cones[2].dim and
-                     I_blk.rank() + P_blk.rank() == cones[1].dim)
+    inv_levelwise = _levelwise_exact(I_blk, P_blk, cones)
     if not inv_levelwise:
         failures.append("involutive levelwise exactness fails")
     cone_homs = [homology(cone) for cone in cones]

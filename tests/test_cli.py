@@ -272,9 +272,27 @@ class TestStrandsGuards:
         (builtins("verify", "cfa0_k40"),
          "strands basis: at least 523607517210398580621908974420 diagrams "
          "exceed BHFI_MAX_GENERATORS=200000"),
+        # sizes past 4,300 digits, which Python refuses to print, are
+        # bounded by a power of ten
+        (builtins("verify", "az_k7500"),
+         "strands basis: at least 10^4529 diagrams exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "ddid_k7500"),
+         "dd_identity: at least 10^4513 generators exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "cfa0_k7500"),
+         "strands basis: at least 10^4529 diagrams exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        # the circle itself is refused before its matching is listed
+        (builtins("verify", "cfd0_k1000000000"),
+         "split_pmc: 4000000000 points exceed BHFI_MAX_GENERATORS=200000"),
+        (builtins("verify", "az_k1000000"),
+         "split_pmc: 4000000 points exceed BHFI_MAX_GENERATORS=200000"),
     ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40",
             "verify ddid genus 12", "verify ddid genus 40",
-            "verify cfa0 genus 40"])
+            "verify cfa0 genus 40", "verify genus 7500",
+            "verify ddid genus 7500", "verify cfa0 genus 7500",
+            "verify cfd0 genus 10^9", "verify genus 10^6"])
     def test_refused_within_seconds(self, monkeypatch, argv, detail):
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()
@@ -315,6 +333,15 @@ class TestMalformedFiles:
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\"kind\": \"D\"}\x80")
         self.refused(path, "is not UTF-8 text")
+
+    def test_huge_genus_with_two_pairs(self, tmp_path):
+        # the pairs are counted before the 4k points are listed
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "kind": "D",
+            "circle": {"k": 1000000000, "matching": [[1, 3], [2, 4]]},
+            "generators": [{"label": "n", "idem": [1]}], "ops": []}))
+        self.refused(path, "matching must consist of 2k pairs")
 
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -1,7 +1,9 @@
 import itertools
 import json
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -47,6 +49,13 @@ class TestCircle:
     def test_invalid_genus(self):
         with pytest.raises(ValueError):
             split_pmc(0)
+
+    def test_genus_50000_fits_the_default_cap(self, monkeypatch):
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        assert split_pmc(50000).n_points == 200000
+        with pytest.raises(DivergenceError, match=re.escape(
+                "split_pmc: 200004 points exceed BHFI_MAX_GENERATORS=200000")):
+            split_pmc(50001)
 
     def test_matching_must_be_fixed_point_free(self):
         with pytest.raises(ValueError):
@@ -565,6 +574,19 @@ class TestOversizedCircles:
         assert str(err.value).endswith(" diagrams exceed "
                                        "BHFI_MAX_GENERATORS=200000")
         assert alg._diagrams == {}
+
+    def test_sizes_past_100_digits_print_as_a_bound(self):
+        from bhfi.errors import size_text
+        assert size_text(12471888) == "12471888"
+        assert size_text(12471888, lower_bound=True) == "at least 12471888"
+        assert size_text(10 ** 100 - 1) == "9" * 100
+        for size in (10 ** 100, 10 ** 100 + 1, 2 * 10 ** 100):
+            assert size_text(size) == "at least 10^100"
+        assert size_text(10 ** 101 - 1, lower_bound=True) == "at least 10^100"
+        assert size_text(10 ** 5000 - 1) == "at least 10^4999"
+        assert size_text(10 ** 5000) == "at least 10^5000"
+        assert size_text(2 ** 100000) == "at least 10^30102"
+        assert size_text(math.comb(15000, 7500)) == "at least 10^4513"
 
     def test_diff_basis_needs_no_placement_cap(self, monkeypatch, z2):
         # the differential never expands the 2^h placements, so a cap below

@@ -1,7 +1,11 @@
 import graphlib
 import hashlib
+import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -10,12 +14,12 @@ from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
                   box_tensor_DD_side, check_structure, dd_identity,
                   dual_type_d, homology, identity_da, identity_morphism,
                   is_contractible, mor_complex_DD, reduce_structure,
-                  validate_bounded)
+                  split_pmc, validate_bounded)
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.strands import StrandsAlgebra
-from bhfi.structures import (TRIVIAL, BorderedObject, box_morphism_left,
-                             box_morphism_right, elementary_morphism,
-                             zero_morphism)
+from bhfi.structures import (TRIVIAL, BorderedObject, TensorAlgebra,
+                             box_morphism_left, box_morphism_right,
+                             elementary_morphism, zero_morphism)
 
 
 def labels(morphism):
@@ -113,6 +117,41 @@ def state_walk_bounded(S):
                     color[state] = BLACK
                     stack.pop()
     return True
+
+
+def any_basis_element(alg):
+    """Every basis element of a no-input structure's output algebra."""
+    if isinstance(alg, TensorAlgebra):
+        return tuple(itertools.product(alg.left.basis, alg.right.basis))
+    return tuple(alg.basis)
+
+
+def with_random_ops(rng, S, count, anywhere=0.3):
+    """S with up to ``count`` random operations toggled on: a share
+    ``anywhere`` of them carry any basis element, its idempotents
+    unchecked, the rest one between their generators' idempotents."""
+    alg, pool = S.out_alg, any_basis_element(S.out_alg)
+    ops = set(S.ops)
+    for _ in range(count):
+        x, y = rng.choice(S.generators), rng.choice(S.generators)
+        between = pool if rng.random() < anywhere else \
+            alg.basis_between(S.out_idem[x], S.out_idem[y])
+        if between:
+            ops ^= {(x, (), rng.choice(between), y)}
+    return BorderedObject(S.out_alg, S.in_alg, S.generators, S.out_idem,
+                          S.in_idem, ops)
+
+
+def bounded_by_both(S):
+    """The boundedness of S, asserting that the check and the state walk
+    agree on it."""
+    expected = state_walk_bounded(S)
+    try:
+        got = validate_bounded(S)
+    except DivergenceError:
+        got = False
+    assert got == expected, S
+    return expected
 
 
 def generator_graph_has_cycle(S):
@@ -266,7 +305,9 @@ class TestBoundedness:
 
     def test_vanishing_cycle_passes_through_the_walk(self, z1, monkeypatch):
         # x -> y -> x is a cycle of generators, but every product around it
-        # dies: r3.4 * r2.3 = 0 and r2.3 * r3.4 * r2.3 = r2.4 * r2.3 = 0
+        # dies: r3.4 * r2.3 = 0 and r2.3 * r3.4 * r2.3 = r2.4 * r2.3 = 0.
+        # No coefficient on it is an idempotent, so no product is needed
+        # to see that: each factor adds strand length.
         S = TypeDStructure(z1, [("x", {1}), ("y", {2})],
                            [("x", torus_chord(3, 4), "y"),
                             ("y", torus_chord(2, 3), "x")])
@@ -274,7 +315,7 @@ class TestBoundedness:
         assert state_walk_bounded(S)
         calls = count_products(monkeypatch)
         assert validate_bounded(S)
-        assert calls
+        assert calls == []
 
     def test_agrees_with_state_walk_on_random_structures(self, z1):
         from test_acceptance import random_bounded_type_d
@@ -302,6 +343,60 @@ class TestBoundedness:
                 seen.add((expected, generator_graph_has_cycle(S)))
         assert seen == {(True, False), (True, True), (False, True)}
 
+    def test_agrees_with_state_walk_on_unchecked_coefficients(self, z1):
+        from test_acceptance import random_bounded_type_d
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(1500):
+            P = random_bounded_type_d(rng, z1)
+            for S in (P, with_random_ops(rng, P, rng.randrange(1, 6))):
+                seen.add(bounded_by_both(S))
+        assert seen == {True, False}
+
+    def test_agrees_with_state_walk_at_genus_2(self, z2):
+        rng = random.Random(20261019)
+        alg = algebra(z2)
+        idems = sorted({d.left_idem for d in alg.idempotent_diagrams},
+                       key=sorted)
+        seen = set()
+        for _ in range(1000):
+            gens = [f"g{i}" for i in range(rng.randrange(1, 6))]
+            # two idempotents between them, so that loops close often
+            pick = rng.sample(idems, 2)
+            out_idem = {g: rng.choice(pick) for g in gens}
+            S = BorderedObject(alg, TRIVIAL, gens, out_idem,
+                               dict.fromkeys(gens, TRIVIAL.UNIT), ())
+            seen.add(bounded_by_both(
+                with_random_ops(rng, S, rng.randrange(1, 9))))
+        assert seen == {True, False}
+
+    def test_agrees_with_state_walk_on_standard_dd_and_chain_complexes(
+            self, z1, az1, az2, az2_twice, cfa1, cfa2, cfd0, cfd_inf, cfd_m1,
+            cfd0_k2):
+        from bhfi import cfd_zero_handlebody
+        ladder = [cfd0]
+        for _ in range(3):
+            ladder.append(box_tensor(az1, ladder[-1]))
+        structures = ladder + [
+            cfd_inf, cfd_m1, cfd_zero_handlebody(1), cfd0_k2,
+            cfd_zero_handlebody(3), box_tensor(az2, cfd0_k2), az2_twice,
+            dd_identity(z1), dd_identity(split_pmc(2)),
+            box_tensor_DD_side(az1, dd_identity(z1)),
+            box_tensor(cfa1, cfd0), box_tensor(cfa1, cfd_inf),
+            box_tensor(cfa1, cfd_m1), box_tensor(cfa1, ladder[2]),
+            box_tensor(cfa2, cfd0_k2)]
+        assert {S.kind for S in structures} == {"D", "DD", "CX"}
+        rng = random.Random(20261020)
+        seen = set()
+        for S in structures:
+            assert bounded_by_both(S)
+            if len(S.ops) < 1000:     # the walk is the slow side
+                for _ in range(8):
+                    seen.add((S.kind, bounded_by_both(
+                        with_random_ops(rng, S, rng.randrange(1, 4)))))
+        assert seen == {(kind, answer) for kind in ("D", "DD", "CX")
+                        for answer in (True, False)}
+
     def test_agrees_with_state_walk_on_twisted_ladder(self, az1, cfd0):
         P = cfd0
         for _ in range(4):
@@ -315,6 +410,69 @@ class TestBoundedness:
         calls = count_products(monkeypatch)
         assert validate_bounded(az2_twice)
         assert calls == []
+
+    def test_cyclic_generator_graphs_need_no_products(self, cfd_inf,
+                                                      cfd0_k2, z1,
+                                                      monkeypatch):
+        for S in (cfd_inf, cfd0_k2, dd_identity(z1)):
+            assert generator_graph_has_cycle(S)
+            calls = count_products(monkeypatch)
+            assert validate_bounded(S)
+            assert calls == []
+
+    def test_names_the_first_generator_left_by_the_sort(self, z1):
+        # y -> z -> y loops on e1 and w sits downstream of it; x -> v -> x
+        # changes idempotent on the way, so it is no loop
+        alg = algebra(z1)
+        e1, e2 = alg.idempotent({1}), alg.idempotent({2})
+        S = TypeDStructure(z1, [(g, {1}) for g in "xvwyz"],
+                           [("y", e1, "z"), ("z", e1, "y"), ("z", e1, "w"),
+                            ("x", e2, "v"), ("v", e1, "x")])
+        assert state_walk_bounded(S) is False
+        with pytest.raises(DivergenceError, match=re.escape(
+                "delta iteration loops through 'w'")):
+            validate_bounded(S)
+        # a loop on one generator
+        T = TypeDStructure(z1, [(g, {1}) for g in "xyz"],
+                           [("y", e1, "z"), ("z", e2, "y"), ("x", e1, "x")])
+        assert state_walk_bounded(T) is False
+        with pytest.raises(DivergenceError, match=re.escape(
+                "delta iteration loops through 'x'")):
+            validate_bounded(T)
+
+    def test_refusal_is_the_same_across_hash_seeds(self):
+        # two loops, on two idempotents, over generators whose string
+        # hashes (and with them the set orders) change with the seed
+        runs = [_refusal_in_fresh_process(seed) for seed in ("0", "1")]
+        assert runs[0] == runs[1] == (
+            "structure is not operationally bounded: delta iteration loops "
+            "through 'g1'")
+
+
+_TWO_LOOPS_SCRIPT = """
+from bhfi import DivergenceError, TypeDStructure, algebra, split_pmc
+from bhfi import validate_bounded
+from bhfi.standard import torus_chord
+z1 = split_pmc(1)
+alg = algebra(z1)
+e1, e2 = alg.idempotent({1}), alg.idempotent({2})
+S = TypeDStructure(z1, [(f"g{i}", {1 + i % 2}) for i in range(8)], [
+    ("g0", torus_chord(1, 2), "g1"), ("g1", e2, "g7"), ("g7", e2, "g1"),
+    ("g4", e1, "g6"), ("g6", e1, "g4"), ("g2", e1, "g3"), ("g6", e1, "g3")])
+try:
+    validate_bounded(S)
+except DivergenceError as exc:
+    print(exc)
+"""
+
+
+def _refusal_in_fresh_process(hash_seed):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _TWO_LOOPS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
 
 
 class TestBoxTensor:

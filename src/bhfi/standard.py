@@ -46,10 +46,12 @@ def cfd_solid_torus(framing):
 
 def cfd_zero_handlebody(k):
     """The standard one-generator type D structure of the 0-framed
-    genus-k handlebody."""
+    genus-k handlebody: k diagrams of k - 1 horizontals each, a size
+    checked against the cap before any is listed."""
     if k < 1:
         raise ValueError("genus must be a positive integer")
     zk = split_pmc(k)
+    refuse_past_cap("cfd_zero_handlebody", k * (k - 1), "horizontal entries")
     odd = frozenset(range(1, 2 * k + 1, 2))
     delta = []
     for i in range(k):

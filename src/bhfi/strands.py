@@ -88,8 +88,10 @@ class PointedMatchedCircle:
 
     @staticmethod
     def from_json(data):
-        return PointedMatchedCircle(int(data["k"]),
-                                    tuple(map(tuple, data["matching"])))
+        k = data["k"]
+        if type(k) is not int:      # no float, string or bool genus
+            raise ValueError(f"genus must be a JSON integer, not {k!r}")
+        return PointedMatchedCircle(k, tuple(map(tuple, data["matching"])))
 
     def __repr__(self):
         tag = "-" if self.reversed_orientation else ""
@@ -242,7 +244,8 @@ class AlgebraElement:
         acc = set()
         for a in self.terms:
             for b in other.terms:
-                acc ^= alg.mul_basis(a, b)
+                if (c := alg.mul_basis(a, b)) is not None:
+                    acc ^= {c}
         return AlgebraElement(self.circle, frozenset(acc))
 
     def d(self):
@@ -271,7 +274,7 @@ class AlgebraElement:
         return " + ".join(t.label for t in self.sorted_terms())
 
 
-_ZERO = frozenset()
+_MISS = object()     # not cached yet; a cached None is a zero product
 
 
 class StrandsAlgebra:
@@ -396,13 +399,14 @@ class StrandsAlgebra:
     # -- ring operations -------------------------------------------------
 
     def mul_basis(self, a, b):
-        """The product of two basis elements: an F2 set of at most one."""
+        """The product of two basis elements: the interned diagram, or
+        None when it is zero (cached as None too)."""
         key = (a, b)
-        hit = self._mul_cache.get(key)
-        if hit is None:
+        hit = self._mul_cache.get(key, _MISS)
+        if hit is _MISS:
             hit = self._mul_cache[key] = (
                 self._mul_smeared(a, b) if a.right_idem == b.left_idem
-                else _ZERO)
+                else None)
         return hit
 
     def _mul_smeared(self, a, b):
@@ -427,7 +431,7 @@ class StrandsAlgebra:
             elif strand[0] == j:
                 moving.append((i, strand[1]))
             else:
-                return _ZERO
+                return None
         shared = []
         for p in a.horizontal:
             strand = leaving.get(p)
@@ -441,8 +445,8 @@ class StrandsAlgebra:
                 - sum(_over(a.moving, q) for q in pinned_a)
                 - sum(_over(b.moving, q) for q in pinned_b),
                 shared, a.moving + b.moving, moving):
-            return _ZERO
-        return frozenset((self.diagram(moving, shared),))
+            return None
+        return self.diagram(moving, shared)
 
     def _all_or_none(self, excess, shared, before, after):
         """Whether the crossing-count ``excess``, counted without the
@@ -494,16 +498,13 @@ class StrandsAlgebra:
         return frozenset(out)
 
     def mul_many(self, factors):
-        """Fold a nonempty list of basis elements; F2 set of basis terms."""
-        acc = {factors[0]}
+        """Fold a nonempty list of basis elements: one diagram or None."""
+        acc = factors[0]
         for b in factors[1:]:
-            nxt = set()
-            for a in acc:
-                nxt ^= self.mul_basis(a, b)
-            acc = nxt
-            if not acc:
+            acc = self.mul_basis(acc, b)
+            if acc is None:
                 break
-        return frozenset(acc)
+        return acc
 
     # -- idempotent bookkeeping (generic-algebra interface) ---------------
 
@@ -571,7 +572,7 @@ class StrandsAlgebra:
                 diff_pre.setdefault(c, []).append(a)
         for a in self.basis:
             for b in self.basis_from(a.right_idem):
-                for c in self.mul_basis(a, b):
+                if (c := self.mul_basis(a, b)) is not None:
                     mul_pre.setdefault(c, []).append((a, b))
         self._mul_pre = {k: tuple(v) for k, v in mul_pre.items()}
         self._diff_pre = {k: tuple(v) for k, v in diff_pre.items()}

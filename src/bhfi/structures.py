@@ -17,14 +17,13 @@ written once against this shape.
 from __future__ import annotations
 
 import bisect
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DivergenceError, RelationViolation, refuse_past_cap
 from .homology import ChainComplex, F2Matrix, _bits
-from .strands import _ZERO, AlgebraElement, algebra
+from .strands import AlgebraElement, algebra
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ class TrivialAlgebra:
 
     @staticmethod
     def mul_basis(a, b):
-        return frozenset({TrivialAlgebra.UNIT})
+        return TrivialAlgebra.UNIT
 
     @staticmethod
     def diff_basis(a):
@@ -84,8 +83,8 @@ TRIVIAL = TrivialAlgebra()
 class TensorAlgebra:
     """Tensor product of two strands algebras; basis = pairs of diagrams.
 
-    Products are not cached here: each is the product of the two factors'
-    own cached products.
+    A product is the pair of the two factors' own cached products, or
+    None when either is zero; it is not cached here.
     """
 
     is_trivial = False
@@ -96,12 +95,12 @@ class TensorAlgebra:
 
     def mul_basis(self, a, b):
         left = self.left.mul_basis(a[0], b[0])
-        if not left:
-            return _ZERO
+        if left is None:
+            return None
         right = self.right.mul_basis(a[1], b[1])
-        if not right:
-            return _ZERO
-        return frozenset(itertools.product(left, right))
+        if right is None:
+            return None
+        return (left, right)
 
     def diff_basis(self, a):
         out = {(c, a[1]) for c in self.left.diff_basis(a[0])}
@@ -132,9 +131,9 @@ class TensorAlgebra:
                 self.right.idem_element(idem_key[1]))
 
     def basis_between(self, left, right):
-        return tuple(itertools.product(
-            self.left.basis_between(left[0], right[0]),
-            self.right.basis_between(left[1], right[1])))
+        return tuple((a, b)
+                     for a in self.left.basis_between(left[0], right[0])
+                     for b in self.right.basis_between(left[1], right[1]))
 
 
 _TENSOR_CACHE = {}
@@ -373,7 +372,7 @@ def _terms_after(T, op, acc):
     x, w, a, y = op
     out_alg, in_alg = T.out_alg, T.in_alg
     for _, w2, b, z in T.ops_from(y):
-        for c in out_alg.mul_basis(a, b):
+        if (c := out_alg.mul_basis(a, b)) is not None:
             _toggle(acc, (x, w + w2, c, z))
     for c in out_alg.diff_basis(a):
         _toggle(acc, (x, w, c, y))
@@ -400,7 +399,7 @@ def component_differential(S, T, comp):
     x, w, a, y = comp
     acc = set()
     for s, w0, b, _ in S.ops_into(x):
-        for c in S.out_alg.mul_basis(b, a):
+        if (c := S.out_alg.mul_basis(b, a)) is not None:
             _toggle(acc, (s, w0 + w, c, y))
     _terms_after(T, comp, acc)
     return acc
@@ -627,7 +626,7 @@ def box_tensor_DD_side(B, X):
     ops = set()
     for src, word, a, dst in paired.ops:
         start = carried.idem_element(paired.in_idem[src])
-        for prod in carried.mul_many((start,) + word):
+        if (prod := carried.mul_many((start,) + word)) is not None:
             _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
     return BorderedObject(res_alg, TRIVIAL, paired.generators, out_idem,
                           dict.fromkeys(paired.generators, TRIVIAL.UNIT), ops)
@@ -677,7 +676,7 @@ class Morphism:
         acc = set()
         for (x, w1, a, m) in self.comps:
             for (_, w2, b, z) in by_src.get(m, ()):
-                for c in out_alg.mul_basis(a, b):
+                if (c := out_alg.mul_basis(a, b)) is not None:
                     _toggle(acc, (x, w1 + w2, c, z))
         return Morphism(self.source, other.target, acc)
 
@@ -996,19 +995,12 @@ def reduce_structure(S, track_from=False, track_to=False):
         product of basis elements has the total strand length of its
         factors, so each fold adds length until the products vanish."""
         results = []
-        frontier = [(first_word, frozenset({first_coeff}))]
+        frontier = [(first_word, first_coeff)]
         while frontier:
-            nxt = []
-            for word, coeffs in frontier:
-                for c in coeffs:
-                    results.append((word, c))
-                for ell in loops:
-                    folded = set()
-                    for c in coeffs:
-                        folded ^= out_alg.mul_basis(c, ell[2])
-                    if folded:
-                        nxt.append((word + ell[1], frozenset(folded)))
-            frontier = nxt
+            results += frontier
+            frontier = [(word + ell[1], c)
+                        for word, coeff in frontier for ell in loops
+                        if (c := out_alg.mul_basis(coeff, ell[2])) is not None]
         return results
 
     while True:
@@ -1036,14 +1028,14 @@ def reduce_structure(S, track_from=False, track_to=False):
         corrections = []
         for (src, word_a, coeff_a) in heads:
             for B in from_x:
-                for c in out_alg.mul_basis(coeff_a, B[2]):
+                if (c := out_alg.mul_basis(coeff_a, B[2])) is not None:
                     corrections.append((src, word_a + B[1], c, B[3]))
         pieces = None
         if track_to:
             pieces = []              # (loops)*.B  chains
             for word_l, coeff_l in chain_products((), unit_coeff, loops):
                 for B in from_x:
-                    for c in out_alg.mul_basis(coeff_l, B[2]):
+                    if (c := out_alg.mul_basis(coeff_l, B[2])) is not None:
                         pieces.append((word_l + B[1], c, B[3]))
 
         if track_from:
@@ -1051,14 +1043,14 @@ def reduce_structure(S, track_from=False, track_to=False):
             for (s, w1, c1) in heads:
                 acc = from_comps[s]
                 for (_, w2, c2, orig) in tail_x:
-                    for c in out_alg.mul_basis(c1, c2):
+                    if (c := out_alg.mul_basis(c1, c2)) is not None:
                         _toggle(acc, (s, w1 + w2, c, orig))
             del from_comps[x]
             del from_comps[y]
         if track_to:
             for (orig, w0, c0, _) in list(to_by_dst.get(y, ())):
                 for (w1, c1, tgt) in pieces:
-                    for c in out_alg.mul_basis(c0, c1):
+                    if (c := out_alg.mul_basis(c0, c1)) is not None:
                         _toggle(to_by_dst.setdefault(tgt, set()),
                                 (orig, w0 + w1, c, tgt))
             to_by_dst[y] = set()

@@ -228,13 +228,13 @@ def _try_transvection(P, rng, alg):
     ops = set(P.ops)
     for (s, _, b, t) in P.ops:
         if s == y:
-            for c in alg.mul_basis(a, b):
+            if (c := alg.mul_basis(a, b)) is not None:
                 ops ^= {(x, (), c, t)}
         if t == x:
-            for c in alg.mul_basis(b, a):
+            if (c := alg.mul_basis(b, a)) is not None:
                 ops ^= {(s, (), c, y)}
         if s == y and t == x:
-            for c in alg.mul_many([a, b, a]):
+            if (c := alg.mul_many([a, b, a])) is not None:
                 ops ^= {(x, (), c, y)}
     twisted = BorderedObject(P.out_alg, P.in_alg, P.generators,
                              P.out_idem, P.in_idem, ops)

@@ -288,11 +288,19 @@ class TestStrandsGuards:
          "split_pmc: 4000000000 points exceed BHFI_MAX_GENERATORS=200000"),
         (builtins("verify", "az_k1000000"),
          "split_pmc: 4000000 points exceed BHFI_MAX_GENERATORS=200000"),
+        # the handlebody counts its k(k - 1) horizontals before listing them
+        (builtins("verify", "cfd0_k3000"),
+         "cfd_zero_handlebody: 8997000 horizontal entries exceed "
+         "BHFI_MAX_GENERATORS=200000"),
+        (builtins("hfhat", "cfd0_k7500", "cfd0_k7500"),
+         "cfd_zero_handlebody: 56242500 horizontal entries exceed "
+         "BHFI_MAX_GENERATORS=200000"),
     ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40",
             "verify ddid genus 12", "verify ddid genus 40",
             "verify cfa0 genus 40", "verify genus 7500",
             "verify ddid genus 7500", "verify cfa0 genus 7500",
-            "verify cfd0 genus 10^9", "verify genus 10^6"])
+            "verify cfd0 genus 10^9", "verify genus 10^6",
+            "verify cfd0 genus 3000", "hfhat cfd0 genus 7500"])
     def test_refused_within_seconds(self, monkeypatch, argv, detail):
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()
@@ -342,6 +350,16 @@ class TestMalformedFiles:
             "circle": {"k": 1000000000, "matching": [[1, 3], [2, 4]]},
             "generators": [{"label": "n", "idem": [1]}], "ops": []}))
         self.refused(path, "matching must consist of 2k pairs")
+
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_genus_that_is_not_an_integer(self, tmp_path, k):
+        # once read as int(k), that is genus 1, and the file verified
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({
+            "kind": "D",
+            "circle": {"k": k, "matching": [[1, 3], [2, 4]]},
+            "generators": [{"label": "n", "idem": [1]}], "ops": []}))
+        self.refused(path, "bad circle payload: genus must be a JSON integer")
 
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -146,9 +146,9 @@ class TestDDIdentity:
                 left = alg.element([a[0]]) * alg.element([b[0]])
                 right = alg.element([a[1]]) * alg.element([b[1]])
                 got = DD.out_alg.mul_basis(a, b)
-                assert got == {(x, y) for x in left.terms
-                               for y in right.terms}, (a, b)
-                nonzero += len(got)
+                assert (set() if got is None else {got}) == {
+                    (x, y) for x in left.terms for y in right.terms}, (a, b)
+                nonzero += got is not None
         assert (len(coeffs), nonzero) == (48, 128)
 
     def test_chord_term_count(self):
@@ -194,8 +194,8 @@ class TestInterpolatingPiece:
             if len(ins) != 1:
                 continue
             a = next(d for d in alg.basis if d.label == src)
-            assert alg.mul_basis(a, ins[0]) == \
-                {next(d for d in alg.basis if d.label == dst)}
+            assert alg.mul_basis(a, ins[0]) is \
+                next(d for d in alg.basis if d.label == dst)
 
     def test_azbar_uses_transpose_differential(self, z2):
         alg = algebra(z2)
@@ -291,7 +291,7 @@ class TestAlgebraAsPairing:
         alg = algebra(z1)
         for b in alg.basis:
             right = alg.mul_basis(b, alg.idempotent(b.right_idem))
-            assert right == {b}
+            assert right is b
 
 
 class TestSurgeryMaps:

@@ -14,6 +14,7 @@ from bhfi import (DivergenceError, algebra, algebra_basis, chord_element,
                   split_pmc)
 from bhfi.strands import (PointedMatchedCircle, StrandDiagram, StrandsAlgebra,
                           _inversions)
+from bhfi.structures import TRIVIAL, TrivialAlgebra, tensor_algebra
 
 
 def brute_force_basis_count(circle):
@@ -302,8 +303,8 @@ class TestInterning:
             for c in alg.diff_basis(a):
                 assert own[c] is c
             for b in alg.basis:
-                for c in alg.mul_basis(a, b):
-                    assert own[c] is c
+                c = alg.mul_basis(a, b)
+                assert c is None or own[c] is c
 
     def test_hashes_repeat_across_seeds_and_creation_order(self):
         # set iteration orders, and with them the report bytes, follow the
@@ -397,7 +398,7 @@ class TestLazyTables:
             for c in alg.diff_basis(a):
                 diff_pre[c].append(a)
             for b in basis:
-                for c in alg.mul_basis(a, b):
+                if (c := alg.mul_basis(a, b)) is not None:
                     mul_pre[c].append((a, b))
         for c in basis:
             assert alg.mul_preimages(c) == tuple(mul_pre[c])
@@ -496,8 +497,9 @@ class TestSmearedProducts:
         for a in alg.basis:
             for b in alg.basis:
                 got = alg.mul_basis(a, b)
-                assert got == expanded_product(alg, a, b), (a, b)
-                assert len(got) <= 1
+                assert (set() if got is None else {got}) == \
+                    expanded_product(alg, a, b), (a, b)
+                assert got is None or isinstance(got, StrandDiagram)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
     def test_preimages_in_full_scan_order(self, name):
@@ -519,8 +521,9 @@ class TestSmearedProducts:
             a = rng.choice(alg.basis)
             b = rng.choice(alg.basis_from(a.right_idem))
             got = alg.mul_basis(a, b)
-            assert got == expanded_product(alg, a, b), (a, b)
-            nonzero += len(got)
+            assert (set() if got is None else {got}) == \
+                expanded_product(alg, a, b), (a, b)
+            nonzero += got is not None
         assert nonzero > 100
 
     def test_basis_from_groups_by_left_idempotent(self, z2):
@@ -528,6 +531,70 @@ class TestSmearedProducts:
         for idem in alg.idem_keys:
             assert alg.basis_from(idem) == tuple(
                 d for d in alg.basis if d.left_idem == idem)
+
+
+class TestPartialProducts:
+    """A product of basis elements is one basis element or None, in every
+    algebra of the generic interface; the strands cache keeps None for a
+    zero product and the interned diagram otherwise."""
+
+    @staticmethod
+    def assert_cache_holds_interned_or_none(alg):
+        own = {d: d for d in alg.basis}
+        values = list(alg._mul_cache.values())
+        assert None in values
+        assert all(v is None or own[v] is v for v in values)
+        return values
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
+    def test_tables_cache_interned_diagrams_or_none(self, name):
+        alg = StrandsAlgebra(ORACLE_CIRCLES[name]())
+        alg._ensure_tables()
+        values = self.assert_cache_holds_interned_or_none(alg)
+        assert len(values) == sum(len(alg.basis_from(a.right_idem))
+                                  for a in alg.basis)
+
+    def test_sampled_genus_3_cache(self):
+        alg = StrandsAlgebra(split_pmc(3))
+        rng = random.Random(20261019)
+        for _ in range(1000):
+            a = rng.choice(alg.basis)
+            alg.mul_basis(a, rng.choice(alg.basis))
+            alg.mul_basis(a, rng.choice(alg.basis_from(a.right_idem)))
+        values = self.assert_cache_holds_interned_or_none(alg)
+        assert any(v is not None for v in values)
+
+    def test_mul_many_folds_to_one_element_or_none(self, z2):
+        alg = algebra(z2)
+        rng = random.Random(7)
+        for _ in range(300):
+            a, b, c = (rng.choice(alg.basis) for _ in range(3))
+            ab = alg.mul_basis(a, b)
+            want = None if ab is None else alg.mul_basis(ab, c)
+            assert alg.mul_many([a, b, c]) is want
+        assert alg.mul_many([alg.basis[-1]]) is alg.basis[-1]
+
+    def test_tensor_product_is_a_pair_or_none(self, z2):
+        alg = algebra(z2)
+        tensor = tensor_algebra(alg, alg)
+        rng = random.Random(11)
+        nonzero = 0
+        for _ in range(500):
+            a, b = [(rng.choice(alg.basis), rng.choice(alg.basis))
+                    for _ in range(2)]
+            left, right = (alg.mul_basis(a[i], b[i]) for i in (0, 1))
+            got = tensor.mul_basis(a, b)
+            if left is None or right is None:
+                assert got is None
+            else:
+                assert type(got) is tuple
+                assert got[0] is left and got[1] is right
+                nonzero += 1
+        assert nonzero > 0
+
+    def test_trivial_product_is_the_unit(self):
+        unit = TrivialAlgebra.UNIT
+        assert TRIVIAL.mul_basis(unit, unit) is unit
 
 
 class TestBasisGuard:
@@ -606,7 +673,7 @@ class TestOversizedCircles:
         a = alg.diagram(((1, 3),), odd - {1})
         b = alg.diagram(((5, 7),), odd - {3})
         both = alg.diagram(((1, 3), (5, 7)), odd - {1, 3})
-        assert alg.mul_basis(a, b) == alg.mul_basis(b, a) == {both}
+        assert alg.mul_basis(a, b) is alg.mul_basis(b, a) is both
 
     def test_differential_with_many_shared_horizontals(self):
         # 19 horizontals under one long strand, 2^19 placements, never

@@ -87,7 +87,7 @@ def state_walk_bounded(S):
         if hit is None:
             hit = []
             for _, _, b, g2 in S.ops_from(g):
-                for c2 in out_alg.mul_basis(c, b):
+                if (c2 := out_alg.mul_basis(c, b)) is not None:
                     hit.append((g2, c2))
             edges[state] = hit
         return hit
@@ -237,8 +237,9 @@ def nested_scan_dd_side(B, X):
                     carry = xop[2][1]
                     nxt = set()
                     for p in prods:
-                        nxt ^= carried.mul_basis(p, carry) if p is not None \
-                            else {carry}
+                        q = carried.mul_basis(p, carry) if p is not None \
+                            else carry
+                        nxt ^= set() if q is None else {q}
                     if nxt:
                         walk(xop[3], idx + 1, nxt)
 
@@ -872,11 +873,11 @@ def two_loop_differential(f):
     acc = set()
     for (x, w1, a, y) in S.ops:
         for (_, w2, b, z) in comps_by_src.get(y, ()):
-            for c in out_alg.mul_basis(a, b):
+            if (c := out_alg.mul_basis(a, b)) is not None:
                 toggle(acc, (x, w1 + w2, c, z))
     for (x, w1, a, y) in f.comps:
         for (_, w2, b, z) in T.ops_from(y):
-            for c in out_alg.mul_basis(a, b):
+            if (c := out_alg.mul_basis(a, b)) is not None:
                 toggle(acc, (x, w1 + w2, c, z))
         for c in out_alg.diff_basis(a):
             toggle(acc, (x, w1, c, y))

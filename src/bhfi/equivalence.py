@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (DivergenceError, InsufficientArityError,
                      NotEquivalentError, generator_cap)
 from .homology import F2Matrix, _bits, homology
@@ -28,7 +28,7 @@ from .structures import (Morphism, box_tensor, component_differential,
                          morphism_from_generator_map, reduce_structure)
 
 
-@dataclass(frozen=True)
+@record
 class EquivalenceCertificate:
     """A certified homotopy equivalence: the morphism, the elimination
     trace of its acyclic cone, and which basis combination produced it."""

@@ -9,14 +9,14 @@ reproducible across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import record
 
 
 def _lowbit(x):
     return (x & -x).bit_length() - 1
 
 
-@dataclass(frozen=True)
+@record
 class F2Matrix:
     """A dense F2 matrix; columns as bitmasks."""
 
@@ -147,7 +147,7 @@ class F2Matrix:
         return x
 
 
-@dataclass(frozen=True)
+@record
 class ChainComplex:
     """A based F2 chain complex with optional named scalar actions.
 
@@ -157,11 +157,12 @@ class ChainComplex:
 
     generators: tuple
     d: F2Matrix
-    actions: dict = field(default_factory=dict)
+    actions: dict = {}         # __post_init__ copies it
     shift: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "actions", dict(self.actions))
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
@@ -233,7 +234,7 @@ def _bits(mask):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ChainMap:
     source: ChainComplex
     target: ChainComplex
@@ -248,7 +249,7 @@ class ChainMap:
             raise ValueError("not a chain map")
 
 
-@dataclass(frozen=True)
+@record
 class HomologyData:
     dimension: int
     cycles: tuple        # explicit cycle representatives, one per class
@@ -331,7 +332,7 @@ def is_quasi_isomorphism(f):
     return homology(mapping_cone(f)).dimension == 0
 
 
-@dataclass(frozen=True)
+@record
 class Reduction:
     reduced: ChainComplex
     to_reduced: ChainMap

@@ -5,8 +5,7 @@ class group action pipeline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .equivalence import (find_homotopy_equivalence,
                           find_structure_equivalence)
 from .errors import RelationViolation
@@ -20,7 +19,7 @@ from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          to_chain_complex, validate_bounded)
 
 
-@dataclass(frozen=True)
+@record
 class InvolutiveTypeD:
     """A type D structure with a certified equivalence from its twist by
     the interpolating piece.  Construction checks the certificate: the
@@ -35,7 +34,7 @@ class InvolutiveTypeD:
         _certify_psi(self.psi)
 
 
-@dataclass(frozen=True)
+@record
 class InvolutiveAInf:
     """An A-infinity module with a certified equivalence from its twist by
     the reversed interpolating piece.  Construction checks the certificate
@@ -70,7 +69,7 @@ def standard_involutive_a(M):
     return InvolutiveAInf(M, cert.forward)
 
 
-@dataclass(frozen=True)
+@record
 class IotaReport:
     """Everything the involutive pipeline reports for one pairing."""
 

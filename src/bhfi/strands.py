@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
+from ._record import record
 from .errors import refuse_past_cap
 
 
@@ -23,7 +23,7 @@ def _as_pairs(matching):
     return tuple(sorted(tuple(sorted(p)) for p in matching))
 
 
-@dataclass(frozen=True)
+@record
 class PointedMatchedCircle:
     """A circle with 4k marked points and a 2-to-1 matching.
 
@@ -50,6 +50,12 @@ class PointedMatchedCircle:
         object.__setattr__(self, "_pair_of", {
             p: idx for idx, pair in enumerate(matching, start=1)
             for p in pair})
+        # every algebra(circle) lookup hashes the circle
+        object.__setattr__(self, "_hash", hash(
+            (self.k, matching, self.reversed_orientation)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n_points(self):
@@ -91,7 +97,11 @@ class PointedMatchedCircle:
         k = data["k"]
         if type(k) is not int:      # no float, string or bool genus
             raise ValueError(f"genus must be a JSON integer, not {k!r}")
-        return PointedMatchedCircle(k, tuple(map(tuple, data["matching"])))
+        matching = tuple(map(tuple, data["matching"]))
+        for p in itertools.chain.from_iterable(matching):
+            if type(p) is not int:  # 1.0 == True == 1 would pass as point 1
+                raise ValueError(f"points must be JSON integers, not {p!r}")
+        return PointedMatchedCircle(k, matching)
 
     def __repr__(self):
         tag = "-" if self.reversed_orientation else ""
@@ -221,12 +231,12 @@ class StrandDiagram(int):
         return self.label
 
 
-@dataclass(frozen=True)
+@record
 class AlgebraElement:
     """An F2 linear combination of strand diagrams over one circle."""
 
     circle: PointedMatchedCircle
-    terms: frozenset = field(default_factory=frozenset)
+    terms: frozenset = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", frozenset(self.terms))

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 
+from ._record import record
 from .errors import DivergenceError, RelationViolation, refuse_past_cap
 from .homology import ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
@@ -385,11 +385,17 @@ def _terms_after(T, op, acc):
 
 
 def structure_residue(S):
-    """Leftover terms of the structure relation, as operations."""
-    acc = set()
-    for op in S.ops:
-        _terms_after(S, op, acc)
-    return acc
+    """Leftover terms of the structure relation, as operations.  Every term
+    starts at its operation's source, so terms cancel only among the
+    operations out of one generator: each generator's terms are summed on
+    their own, and only their leftovers are kept."""
+    residue = set()
+    for ops in S._grouped(_SRC).values():
+        acc = set()
+        for op in ops:
+            _terms_after(S, op, acc)
+        residue |= acc
+    return residue
 
 
 def component_differential(S, T, comp):
@@ -636,14 +642,14 @@ def box_tensor_DD_side(B, X):
 # morphisms
 
 
-@dataclass(frozen=True)
+@record
 class Morphism:
     """A degree-0 collection of component maps between structures of one
     kind, stored exactly like structure operations."""
 
     source: BorderedObject
     target: BorderedObject
-    comps: frozenset = field(default_factory=frozenset)
+    comps: frozenset = frozenset()
 
     def __post_init__(self):
         if self.source.out_alg is not self.target.out_alg or \
@@ -810,7 +816,7 @@ def box_morphism_right_comps(B, f):
 # morphism complexes of type D structures
 
 
-@dataclass(frozen=True)
+@record
 class MorComplex:
     """The chain complex of type D structure morphisms P -> Q, with its
     basis of elementary morphisms."""
@@ -914,7 +920,7 @@ def identity_da(circle):
 # cancellation
 
 
-@dataclass(frozen=True)
+@record
 class StructureReduction:
     reduced: BorderedObject
     from_reduced: Morphism | None

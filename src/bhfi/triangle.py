@@ -5,8 +5,7 @@ sequences are exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
 from .homology import F2Matrix, _bits, express_in_homology, homology
@@ -19,7 +18,7 @@ from .structures import (Morphism, box_morphism_right_comps, box_tensor,
                          to_chain_complex)
 
 
-@dataclass(frozen=True)
+@record
 class TriangleData:
     """All arrows of the framing-change diagram, machine verified."""
 
@@ -172,7 +171,7 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
     return G, H
 
 
-@dataclass(frozen=True)
+@record
 class TriangleReport:
     hat_dims: tuple
     involutive_dims: tuple

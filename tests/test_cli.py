@@ -361,6 +361,16 @@ class TestMalformedFiles:
             "generators": [{"label": "n", "idem": [1]}], "ops": []}))
         self.refused(path, "bad circle payload: genus must be a JSON integer")
 
+    @pytest.mark.parametrize("point", [1.0, True, "1"])
+    def test_point_that_is_not_an_integer(self, tmp_path, point):
+        # 1.0 and true once equalled point 1, and the file verified
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({
+            "kind": "D",
+            "circle": {"k": 1, "matching": [[point, 3], [2, 4]]},
+            "generators": [{"label": "n", "idem": [1]}], "ops": []}))
+        self.refused(path, "bad circle payload: points must be JSON integers")
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)

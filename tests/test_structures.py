@@ -18,8 +18,9 @@ from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.strands import StrandsAlgebra
 from bhfi.structures import (TRIVIAL, BorderedObject, TensorAlgebra,
-                             box_morphism_left, box_morphism_right,
-                             elementary_morphism, zero_morphism)
+                             _terms_after, box_morphism_left,
+                             box_morphism_right, elementary_morphism,
+                             structure_residue, zero_morphism)
 
 
 def labels(morphism):
@@ -35,6 +36,24 @@ def az2(z2):
 @pytest.fixture(scope="module")
 def az2_twice(az2, cfd0_k2):
     return box_tensor(az2, box_tensor(az2, cfd0_k2))
+
+
+@pytest.fixture(scope="module")
+def standard_corpus(z1, az1, az2, az2_twice, cfa1, cfa2, cfd0, cfd_inf, cfd_m1,
+                    cfd0_k2):
+    """Valid type D, DD and chain-complex structures of genus 1 to 3."""
+    from bhfi import cfd_zero_handlebody
+    ladder = [cfd0]
+    for _ in range(3):
+        ladder.append(box_tensor(az1, ladder[-1]))
+    return ladder + [
+        cfd_inf, cfd_m1, cfd_zero_handlebody(1), cfd0_k2,
+        cfd_zero_handlebody(3), box_tensor(az2, cfd0_k2), az2_twice,
+        dd_identity(z1), dd_identity(split_pmc(2)),
+        box_tensor_DD_side(az1, dd_identity(z1)),
+        box_tensor(cfa1, cfd0), box_tensor(cfa1, cfd_inf),
+        box_tensor(cfa1, cfd_m1), box_tensor(cfa1, ladder[2]),
+        box_tensor(cfa2, cfd0_k2)]
 
 
 @pytest.fixture(scope="module")
@@ -372,24 +391,11 @@ class TestBoundedness:
         assert seen == {True, False}
 
     def test_agrees_with_state_walk_on_standard_dd_and_chain_complexes(
-            self, z1, az1, az2, az2_twice, cfa1, cfa2, cfd0, cfd_inf, cfd_m1,
-            cfd0_k2):
-        from bhfi import cfd_zero_handlebody
-        ladder = [cfd0]
-        for _ in range(3):
-            ladder.append(box_tensor(az1, ladder[-1]))
-        structures = ladder + [
-            cfd_inf, cfd_m1, cfd_zero_handlebody(1), cfd0_k2,
-            cfd_zero_handlebody(3), box_tensor(az2, cfd0_k2), az2_twice,
-            dd_identity(z1), dd_identity(split_pmc(2)),
-            box_tensor_DD_side(az1, dd_identity(z1)),
-            box_tensor(cfa1, cfd0), box_tensor(cfa1, cfd_inf),
-            box_tensor(cfa1, cfd_m1), box_tensor(cfa1, ladder[2]),
-            box_tensor(cfa2, cfd0_k2)]
-        assert {S.kind for S in structures} == {"D", "DD", "CX"}
+            self, standard_corpus):
+        assert {S.kind for S in standard_corpus} == {"D", "DD", "CX"}
         rng = random.Random(20261020)
         seen = set()
-        for S in structures:
+        for S in standard_corpus:
             assert bounded_by_both(S)
             if len(S.ops) < 1000:     # the walk is the slow side
                 for _ in range(8):
@@ -474,6 +480,55 @@ def _refusal_in_fresh_process(hash_seed):
     done = subprocess.run([sys.executable, "-c", _TWO_LOOPS_SCRIPT], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def one_set_residue(S):
+    """The relation residue with the terms of every operation toggled
+    into one set: the oracle for the sums per source generator."""
+    acc = set()
+    for op in S.ops:
+        _terms_after(S, op, acc)
+    return acc
+
+
+def with_op_from_each(rng, S):
+    """S with one random operation toggled on out of every generator, with
+    no inputs and its coefficient between the generators' idempotents."""
+    ops = set(S.ops)
+    for x in S.generators:
+        y = rng.choice([y for y in S.generators
+                        if S.in_idem[y] == S.in_idem[x]])
+        between = S.out_alg.basis_between(S.out_idem[x], S.out_idem[y])
+        if between:
+            ops ^= {(x, (), rng.choice(between), y)}
+    return BorderedObject(S.out_alg, S.in_alg, S.generators, S.out_idem,
+                          S.in_idem, ops)
+
+
+class TestStructureResidue:
+    def test_matches_one_set_on_the_bounded_corpus(self, standard_corpus,
+                                                    z1, az1, azbar1, cfa1):
+        for S in standard_corpus + [az1, azbar1, cfa1, identity_da(z1)]:
+            assert structure_residue(S) == one_set_residue(S) == set()
+
+    def test_matches_one_set_on_broken_structures(self, standard_corpus,
+                                                   z1, az1, azbar1, cfa1):
+        rng = random.Random(20261018)
+        every_source_broken = set()
+        for S in standard_corpus + [az1, azbar1, cfa1, identity_da(z1)]:
+            if len(S.ops) >= 1000:
+                continue
+            for _ in range(4):
+                B = with_op_from_each(rng, S)
+                residue = one_set_residue(B)
+                assert structure_residue(B) == residue
+                assert check_structure(B) == [
+                    ("relation", op)
+                    for op in sorted(residue, key=B.op_sort_key)]
+                if {op[0] for op in residue} == set(B.generators):
+                    every_source_broken.add((B.kind, len(B.generators) > 1))
+        assert every_source_broken >= {("D", True), ("DA", True),
+                                       ("CX", True)}
 
 
 class TestBoxTensor:

@@ -83,7 +83,7 @@ def _cmd_hfhat(args):
 def _cmd_hfihat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"),))
     from .involutive import iota_on_mor
-    report = iota_on_mor(P0, P1, max_sum_size=args.max_sum_size)
+    report = iota_on_mor(P0, P1)
     _emit(args, report.to_json())
     return 0
 
@@ -159,10 +159,6 @@ def build_parser():
         p = sub.add_parser(name)
         common(p)
         p.set_defaults(fn=fn)
-        if name == "hfihat":
-            p.add_argument("--max-sum-size", type=int, default=4,
-                           help="cap on the sums the equivalence search "
-                                "tries for the two conjugating maps")
     return parser
 
 

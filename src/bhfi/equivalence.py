@@ -27,6 +27,11 @@ from .structures import (Morphism, box_tensor, component_differential,
                          identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
 
+# the largest sums of basis vectors that the searches try, and the inputs
+# plus one that a component of a bridge between reduced models may read
+MAX_SUM_SIZE = 4
+BRIDGE_ARITY = 3
+
 
 @record
 class EquivalenceCertificate:
@@ -104,12 +109,12 @@ def _first_acyclic_sum(stage, basis, what, to_morphism, cone_size,
         f"the {len(basis)}-vector {what}")
 
 
-def find_homotopy_equivalence(P, Q, max_sum_size=4):
+def find_homotopy_equivalence(P, Q):
     """The unique-up-to-homotopy equivalence between two type D structures.
 
     Walks F2 combinations of morphism-homology classes, singletons first,
     in canonical order; the first candidate whose cone cancels to nothing
-    wins.  Raises NotEquivalentError when sums of up to ``max_sum_size``
+    wins.  Raises NotEquivalentError when sums of up to ``MAX_SUM_SIZE``
     classes fail, which signals that the caller's equivalence claim was
     wrong, and DivergenceError past the cone cap of the walk.
     """
@@ -117,7 +122,7 @@ def find_homotopy_equivalence(P, Q, max_sum_size=4):
     return _first_acyclic_sum(
         "find_homotopy_equivalence", homology(mc.complex).cycles,
         "homology basis", mc.morphism_of,
-        len(P.generators) + len(Q.generators), max_sum_size)
+        len(P.generators) + len(Q.generators), MAX_SUM_SIZE)
 
 
 def verify_morphism_bounded(f, ell):
@@ -187,7 +192,7 @@ def _chained_words(alg, start, end, max_len):
     return [w for w, at in [((), start)] + words if at == end]
 
 
-def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
+def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
     """Bounded-arity equivalence search between two small structures.
 
     Solves the morphism-cycle condition as a linear system over the
@@ -223,7 +228,7 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=4):
         len(A.generators) + len(B.generators), max_sum_size)
 
 
-def find_structure_equivalence(A, B, max_arity=3):
+def find_structure_equivalence(A, B):
     """An equivalence A -> B for input-carrying structures.
 
     Both sides are cancelled as far as the series-free reduction reaches;
@@ -240,7 +245,7 @@ def find_structure_equivalence(A, B, max_arity=3):
         index = ()
     else:
         cert = search_small_equivalence(red_a.reduced, red_b.reduced,
-                                        max_arity=max_arity)
+                                        max_arity=BRIDGE_ARITY)
         bridge, index = cert.forward, cert.search_index
     forward = red_a.to_reduced.then(bridge).then(red_b.from_reduced)
     trace = _acyclic_cone_trace(forward)

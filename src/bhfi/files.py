@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .strands import AlgebraElement, PointedMatchedCircle, algebra, split_pmc
+from .strands import (AlgebraElement, PointedMatchedCircle, _pair_labels,
+                      algebra, split_pmc)
 from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
 
 
@@ -30,7 +31,7 @@ def circle_from_json(data):
 def diagram_from_json(circle, data):
     try:
         moving = tuple(tuple(s) for s in data["moving"])
-        horizontal = frozenset(data["horizontal"])
+        horizontal = _pair_labels(circle, data["horizontal"])
         diag = algebra(circle).diagram(moving, horizontal)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc
@@ -92,6 +93,12 @@ def structure_to_json(S):
     return {"kind": kind, **circle, "generators": gens, "ops": ops}
 
 
+def _idempotent(circle, pairs):
+    """A generator idempotent: k pair labels of its circle, read as the
+    basic idempotent of the circle's algebra."""
+    return algebra(circle).idempotent(_pair_labels(circle, pairs)).left_idem
+
+
 def _refuse(kind, ops, key, what):
     """Type D and DD operations take no algebra inputs, and type A
     operations give no algebra output; a file that fills ``key`` anyway
@@ -116,7 +123,8 @@ def structure_from_json(data):
                      for o in ops]
             _refuse(kind, ops, "inputs", "algebra inputs")
             return TypeDStructure(
-                circle, [(g["label"], frozenset(g["idem"])) for g in gens],
+                circle, [(g["label"], _idempotent(circle, g["idem"]))
+                         for g in gens],
                 delta)
         if kind == "A":
             circle = circle_from_json(data["circle"])
@@ -126,7 +134,8 @@ def structure_from_json(data):
                            o["dst"]) for o in ops]
             _refuse(kind, ops, "out", "an algebra output")
             return AInfModule(
-                circle, [(g["label"], frozenset(g["idem"])) for g in gens],
+                circle, [(g["label"], _idempotent(circle, g["idem"]))
+                         for g in gens],
                 operations)
         if kind == "DA":
             out_circle = circle_from_json(data["circle"]["out"])
@@ -138,8 +147,8 @@ def structure_from_json(data):
                            o["dst"]) for o in ops]
             return DABimodule(
                 out_circle, in_circle,
-                [(g["label"], frozenset(g["idem"][0]),
-                  frozenset(g["idem"][1])) for g in gens],
+                [(g["label"], _idempotent(out_circle, g["idem"][0]),
+                  _idempotent(in_circle, g["idem"][1])) for g in gens],
                 operations)
         if kind == "DD":
             left = circle_from_json(data["circle"]["left"])
@@ -151,8 +160,8 @@ def structure_from_json(data):
             _refuse(kind, ops, "inputs", "algebra inputs")
             return DDBimodule(
                 left, right,
-                [(g["label"], frozenset(g["idem"][0]),
-                  frozenset(g["idem"][1])) for g in gens],
+                [(g["label"], _idempotent(left, g["idem"][0]),
+                  _idempotent(right, g["idem"][1])) for g in gens],
                 delta)
     except ParseError:
         raise

@@ -149,16 +149,11 @@ class F2Matrix:
 
 @record
 class ChainComplex:
-    """A based F2 chain complex with optional named scalar actions.
-
-    ``shift`` is bookkeeping only (mapping cones tag a degree shift); no
-    absolute grading is computed.
-    """
+    """A based F2 chain complex with optional named scalar actions."""
 
     generators: tuple
     d: F2Matrix
     actions: dict = {}         # __post_init__ copies it
-    shift: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -253,7 +248,6 @@ class ChainMap:
 class HomologyData:
     dimension: int
     cycles: tuple        # explicit cycle representatives, one per class
-    blocks: tuple        # generator-index blocks the classes live in
 
 
 def homology(C):
@@ -266,7 +260,6 @@ def homology(C):
     vectors before them are kept: the pivot columns of ``[im | ker]``.
     """
     cycles = []
-    block_of = []
     for block in C.support_blocks():
         _, cols, trans, order = _restrict_columns(C.d, block)._echelon()
         im = [cols[j] for _, j in order]
@@ -276,8 +269,7 @@ def homology(C):
         for _, j in both_order:
             if j >= len(im):
                 cycles.append(_unrestrict(ker[j - len(im)], block))
-                block_of.append(block)
-    return HomologyData(len(cycles), tuple(cycles), tuple(block_of))
+    return HomologyData(len(cycles), tuple(cycles))
 
 
 def _restrict_columns(mat, block):
@@ -315,7 +307,8 @@ def express_in_homology(C, hom, vec):
 
 
 def mapping_cone(f):
-    """Cone of a chain map; source copy shifted, f in the off-diagonal block."""
+    """Cone of a chain map: the source copy first, f in the off-diagonal
+    block."""
     ns, nt = f.source.dim, f.target.dim
     gens = tuple(f"S:{g}" for g in f.source.generators) + \
         tuple(f"T:{g}" for g in f.target.generators)
@@ -324,8 +317,7 @@ def mapping_cone(f):
         cols.append(f.source.d.cols[j] | (f.matrix.cols[j] << ns))
     for j in range(nt):
         cols.append(f.target.d.cols[j] << ns)
-    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)),
-                        shift=f.source.shift - 1)
+    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)))
 
 
 def is_quasi_isomorphism(f):
@@ -365,7 +357,7 @@ def reduce(C):
         .nullspace_basis()
     red = ChainComplex(tuple(C.generators[z.bit_length() - 1]
                              for z in cycles),
-                       F2Matrix.zero(k, k), shift=C.shift)
+                       F2Matrix.zero(k, k))
     to_mat = F2Matrix(k, n, tuple(x >> len(bounds) for x in coords))
     homotopy = F2Matrix(n, n, tuple(lifts) + (0,) * (n - len(lifts))) * \
         F2Matrix(n, n, tuple(coords))

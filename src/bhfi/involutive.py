@@ -90,7 +90,7 @@ class IotaReport:
         }
 
 
-def _iota_pipeline(P0, P1, max_sum_size=4):
+def _iota_pipeline(P0, P1):
     """Steps shared by the involution report and the involutive complex.
 
     Computes the homology basis of the morphism complex, conjugates each
@@ -109,10 +109,8 @@ def _iota_pipeline(P0, P1, max_sum_size=4):
     mc = mor_complex_DD(P0, P1)
     hom = homology(mc.complex)
     reps = [mc.morphism_of(v) for v in hom.cycles]
-    psi0_inv = find_homotopy_equivalence(P0, az_p0,
-                                         max_sum_size=max_sum_size).forward
-    psi1 = find_homotopy_equivalence(az_p1, P1,
-                                     max_sum_size=max_sum_size).forward
+    psi0_inv = find_homotopy_equivalence(P0, az_p0).forward
+    psi1 = find_homotopy_equivalence(az_p1, P1).forward
     images = []
     for f in reps:
         id_f = Morphism(az_p0, az_p1, box_morphism_right_comps(az, f))
@@ -141,10 +139,10 @@ def _involutive_cone(cx, hom, images):
                             F2Matrix(m, n, tuple(images)))
 
 
-def iota_on_mor(P0, P1, max_sum_size=4):
+def iota_on_mor(P0, P1):
     """The involution report for the pairing encoded by two type D
     structures over one circle."""
-    cx, hom, images = _iota_pipeline(P0, P1, max_sum_size)
+    cx, hom, images = _iota_pipeline(P0, P1)
     n = hom.dimension
     iota = _on_homology(cx, hom, images,
                         "conjugated class is not a cycle class")
@@ -165,9 +163,9 @@ def iota_on_mor(P0, P1, max_sum_size=4):
                       q_action=q_matrix)
 
 
-def cfi_hat(P0, P1, max_sum_size=4):
+def cfi_hat(P0, P1):
     """The involutive complex of the pairing, a complex over F2[Q]/(Q^2)."""
-    return _involutive_cone(*_iota_pipeline(P0, P1, max_sum_size))
+    return _involutive_cone(*_iota_pipeline(P0, P1))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +224,7 @@ def conjugation_cone(src, tgt, incl, conj):
     cone = mapping_cone(ChainMap(src, tgt, incl + conj))
     q = F2Matrix(cone.dim, cone.dim,
                  tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim)
-    return ChainComplex(cone.generators, cone.d, actions={"Q": q},
-                        shift=cone.shift)
+    return ChainComplex(cone.generators, cone.d, actions={"Q": q})
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,18 @@ def split_pmc(k):
     return PointedMatchedCircle(k, tuple(matching))
 
 
+def _pair_labels(circle, labels):
+    """The matched-pair labels as a frozenset: each a JSON integer in
+    1..2k.  A bool or a float would equal a label, and so find the
+    interned diagram of that label."""
+    labels = frozenset(labels)
+    for p in labels:
+        if type(p) is not int or not 1 <= p <= 2 * circle.k:
+            raise ValueError(f"no matched pair {p!r} on a genus-{circle.k} "
+                             f"circle")
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # crossing counts
 
@@ -152,7 +164,7 @@ class StrandDiagram(int):
 
     def __new__(cls, circle, moving=(), horizontal=frozenset()):
         moving = tuple(sorted(tuple(s) for s in moving))
-        horizontal = frozenset(horizontal)
+        horizontal = _pair_labels(circle, horizontal)
         Z = circle
         srcs = [Z.pair_label(i) for i, _ in moving]
         dsts = [Z.pair_label(j) for _, j in moving]

@@ -993,26 +993,18 @@ def reduce_structure(S, track_from=False, track_to=False):
 
     trace = []
 
-    def chain_products(first_word, first_coeff, loops):
-        """Fold coefficient products along first.(loops)*; yields
-        (input word, coefficient basis term) pairs.
-
-        The series ends: no loop carries an idempotent, and a nonzero
-        product of basis elements has the total strand length of its
-        factors, so each fold adds length until the products vanish."""
-        results = []
-        frontier = [(first_word, first_coeff)]
-        while frontier:
-            results += frontier
-            frontier = [(word + ell[1], c)
-                        for word, coeff in frontier for ell in loops
-                        if (c := out_alg.mul_basis(coeff, ell[2])) is not None]
-        return results
+    def compose(firsts, seconds):
+        """Each nonzero product of an operation in ``firsts`` followed by
+        one in ``seconds``, as (source, word, coefficient, target); the
+        generators in the middle are not matched."""
+        return [(s, w1 + w2, c, t) for s, w1, a, _ in firsts
+                for _, w2, b, t in seconds
+                if (c := out_alg.mul_basis(a, b)) is not None]
 
     while True:
         step = None
         for _, op in queue:
-            x, _, unit_coeff, y = op
+            x, _, _, y = op
             loops = [o for o in by_src.get(x, ()) if o[3] == y and o != op]
             if any(out_alg.is_idem(l[2]) for l in loops):
                 continue            # series provably fails to terminate
@@ -1021,72 +1013,49 @@ def reduce_structure(S, track_from=False, track_to=False):
         if step is None:
             break
         cancel_op, loops = step
-        x, _, unit_coeff, y = cancel_op
+        x, _, _, y = cancel_op
         into_y = [o for o in by_dst.get(y, ()) if o[0] not in (x, y)]
         from_x = [o for o in by_src.get(x, ()) if o[3] not in (x, y)]
         trace.append((x, y))
 
-        # everything that needs the series, computed before any mutation
-        heads = []                   # A.(loops)*  chains
-        for A in into_y:
-            for word_a, coeff_a in chain_products(A[1], A[2], loops):
-                heads.append((A[0], word_a, coeff_a))
-        corrections = []
-        for (src, word_a, coeff_a) in heads:
-            for B in from_x:
-                if (c := out_alg.mul_basis(coeff_a, B[2])) is not None:
-                    corrections.append((src, word_a + B[1], c, B[3]))
-        pieces = None
-        if track_to:
-            pieces = []              # (loops)*.B  chains
-            for word_l, coeff_l in chain_products((), unit_coeff, loops):
-                for B in from_x:
-                    if (c := out_alg.mul_basis(coeff_l, B[2])) is not None:
-                        pieces.append((word_l + B[1], c, B[3]))
-
+        # the zig-zag series e.(loops)*, seeded with the cancelled operation,
+        # whose coefficient e is the idempotent at y.  It ends: no loop
+        # carries an idempotent, and a nonzero product of basis elements
+        # has the total strand length of its factors, so each fold adds
+        # length until the products vanish.
+        series, frontier = [], [cancel_op]
+        while frontier:
+            series += frontier
+            frontier = compose(frontier, loops)
+        heads = compose(into_y, series)
         if track_from:
-            tail_x = from_comps[x]
-            for (s, w1, c1) in heads:
-                acc = from_comps[s]
-                for (_, w2, c2, orig) in tail_x:
-                    if (c := out_alg.mul_basis(c1, c2)) is not None:
-                        _toggle(acc, (s, w1 + w2, c, orig))
-            del from_comps[x]
+            for comp in compose(heads, from_comps.pop(x)):
+                _toggle(from_comps[comp[0]], comp)
             del from_comps[y]
         if track_to:
-            for (orig, w0, c0, _) in list(to_by_dst.get(y, ())):
-                for (w1, c1, tgt) in pieces:
-                    if (c := out_alg.mul_basis(c0, c1)) is not None:
-                        _toggle(to_by_dst.setdefault(tgt, set()),
-                                (orig, w0 + w1, c, tgt))
-            to_by_dst[y] = set()
-            to_by_dst[x] = set()
+            for comp in compose(to_by_dst.pop(y), compose(series, from_x)):
+                _toggle(to_by_dst[comp[3]], comp)
+            del to_by_dst[x]
 
         # drop the cancelled pair (add_op toggles each operation off),
         # then apply the corrections
         for op in (by_src.get(x, set()) | by_dst.get(x, set())
                    | by_src.get(y, set()) | by_dst.get(y, set())):
             add_op(op)
-        for op in corrections:
+        for op in compose(heads, from_x):
             add_op(op)
         del alive[x], alive[y]
 
     reduced = BorderedObject(out_alg, in_alg, tuple(alive),
                              {g: S.out_idem[g] for g in alive},
                              {g: S.in_idem[g] for g in alive}, ops)
-    from_mor = None
-    to_mor = None
+    # the buckets of a cancelled pair are dropped, so each tracked
+    # morphism is the union of the buckets left
+    from_mor = to_mor = None
     if track_from:
-        comps = set()
-        for g in alive:
-            comps ^= from_comps[g]
-        from_mor = Morphism(reduced, S, comps)
+        from_mor = Morphism(reduced, S, set().union(*from_comps.values()))
     if track_to:
-        comps = set()
-        for g, bucket in to_by_dst.items():
-            if g in alive:
-                comps ^= bucket
-        to_mor = Morphism(S, reduced, comps)
+        to_mor = Morphism(S, reduced, set().union(*to_by_dst.values()))
     return StructureReduction(reduced, from_mor, to_mor, tuple(trace))
 
 

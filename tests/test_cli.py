@@ -121,18 +121,13 @@ class TestGeneratorCap:
 
 
 class TestMaxSumSize:
-    def test_hfihat_accepts_it(self, capsys):
-        code, out, _ = run(capsys, "hfihat", "--builtin", "cfd0",
-                           "--builtin", "cfd0", "--max-sum-size", "2")
-        assert code == 0
-        assert json.loads(out)["hfi_dim"] == 4
-
     def test_other_commands_reject_it(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["hfhat", "--builtin", "cfd0", "--builtin", "cfd0",
-                  "--max-sum-size", "2"])
-        assert exc.value.code == 2
-        assert "--max-sum-size" in capsys.readouterr().err
+        for command in ("hfhat", "hfihat"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--builtin", "cfd0", "--builtin", "cfd0",
+                      "--max-sum-size", "2"])
+            assert exc.value.code == 2
+            assert "--max-sum-size" in capsys.readouterr().err
 
 
 class TestTriangleCommand:
@@ -328,14 +323,48 @@ class TestMalformedFiles:
     """Malformed structure files exit 2 with a parse error, never with a
     traceback; each is read by a fresh process."""
 
-    def refused(self, path, detail):
-        code, out, err = run_process("verify", str(path))
+    def refused(self, path, detail, *argv):
+        code, out, err = run_process(*(argv or ("verify",)), str(path))
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         report = json.loads(err)
         assert report["error"] == "parse"
         assert detail in report["detail"]
+
+    @staticmethod
+    def cfd0_with_extra(tmp_path, idem, horizontal=None):
+        """cfd0 with one more generator, of idempotent ``idem``, and, when
+        ``horizontal`` is given, an operation from it to itself whose
+        coefficient is the diagram with those horizontal strands."""
+        path = tmp_path / "extra.json"
+        dump_structure(builtin_structure("cfd0"), path)
+        payload = json.loads(path.read_text())
+        payload["generators"].append({"label": "extra", "idem": idem})
+        if horizontal is not None:
+            payload["ops"].append({
+                "src": "extra", "inputs": [], "dst": "extra",
+                "out": [{"moving": [], "horizontal": horizontal}]})
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("idem", [[99], ["x"], [1, 2], [True]],
+                             ids=json.dumps)
+    def test_idempotent_that_is_not_k_pair_labels(self, tmp_path, idem):
+        # each once verified; hfihat then raised a TypeError or a
+        # ValueError, or failed its search, and true passed as pair 1
+        path = self.cfd0_with_extra(tmp_path, idem)
+        self.refused(path, "bad structure payload")
+        self.refused(path, "bad structure payload",
+                     "hfihat", "--builtin", "cfd0")
+
+    @pytest.mark.parametrize("label", [99, True])
+    def test_horizontal_that_is_not_a_pair_label(self, tmp_path, label):
+        # 99 once raised an IndexError out of verify, hfhat and hfihat
+        path = self.cfd0_with_extra(tmp_path, [label], [label])
+        self.refused(path, f"bad diagram payload: no matched pair {label}")
+        self.refused(path, "bad diagram payload",
+                     "hfhat", "--builtin", "cfd0")
 
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -115,7 +115,9 @@ class TestHomology:
         C = ChainComplex(("a", "b", "c", "d"), d)
         data = homology(C)
         assert data.dimension == 2
-        assert all(len(set(b)) in (1, 2) for b in data.blocks)
+        # each cycle lies inside one block of the differential's support
+        blocks = [sum(1 << g for g in b) for b in C.support_blocks()]
+        assert all(any(z & ~b == 0 for b in blocks) for z in data.cycles)
 
 
 class TestQAction:
@@ -150,11 +152,6 @@ class TestMappingCone:
         f = ChainMap(C, C, F2Matrix.zero(3, 3))
         assert homology(mapping_cone(f)).dimension == 6
         assert not is_quasi_isomorphism(f)
-
-    def test_cone_shift_tag(self):
-        C = ChainComplex(("a",), F2Matrix.zero(1, 1))
-        cone = mapping_cone(ChainMap(C, C, F2Matrix.zero(1, 1)))
-        assert cone.shift == -1
 
     def test_cone_of_one_plus_identity_involution(self):
         # direct 4x4 check: involution = identity on a two-dimensional

@@ -71,9 +71,6 @@ class TestCfiHat:
             q = cone.actions["Q"]
             assert (q * q).is_zero()
 
-    def test_shift_tag(self, cfd0):
-        assert cfi_hat(cfd0, cfd0).shift == -1
-
 
 class TestInvolutivePair:
     def test_standard_genus_1(self, cfa1, cfd0):
@@ -341,7 +338,6 @@ class TestCfiHatOracle:
         d, q = hand_built_cfi(cx, hom, images)
         assert cone.d.cols == d.cols
         assert cone.actions["Q"].cols == q.cols
-        assert cone.shift == -1
         n = hom.dimension
         assert all(g.startswith("S:H:") for g in cone.generators[:n])
         assert all(g.startswith("T:") for g in cone.generators[n:])

@@ -48,8 +48,8 @@ def samples(z2, cfd0):
         Morphism: (identity_morphism(cfd0), identity_morphism(cfd0),
                    Morphism(cfd0, cfd0)),
         ChainComplex: (ChainComplex(("a", "b"), d),
-                       ChainComplex(["a", "b"], d, actions={}, shift=0),
-                       ChainComplex(("a", "b"), d, shift=1)),
+                       ChainComplex(["a", "b"], d, actions={}),
+                       ChainComplex(("a", "c"), d)),
     }
 
 
@@ -100,9 +100,9 @@ class TestRecordSemantics:
 def test_repr_is_the_dataclass_repr():
     m = F2Matrix(2, 3, (1, 2, 3))
     assert repr(m) == "F2Matrix(nrows=2, ncols=3, cols=(1, 2, 3))"
-    h = HomologyData(1, (3,), ((0, 1),))
+    h = HomologyData(1, (3,))
     assert repr(h) == repr(twin(h)) == \
-        "HomologyData(dimension=1, cycles=(3,), blocks=((0, 1),))"
+        "HomologyData(dimension=1, cycles=(3,))"
 
 
 def test_a_repr_of_its_own_is_kept(z1):

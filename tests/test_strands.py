@@ -327,6 +327,12 @@ class TestInterning:
             assert copy == d and not copy != d and hash(copy) == hash(d)
             assert alg.mul_basis(copy, copy) == alg.mul_basis(d, d)
 
+    @pytest.mark.parametrize("label", [0, 3, 99, True, 1.0, "1", None])
+    def test_horizontal_labels_are_pairs_of_the_circle(self, z1, label):
+        # 99 once built a diagram whose products raised an IndexError
+        with pytest.raises(ValueError, match="no matched pair"):
+            StrandDiagram(z1, (), {label})
+
     def test_different_circles_are_unequal(self, z1):
         other = z1.reverse()
         assert StrandDiagram(z1, (), {1}) != StrandDiagram(other, (), {1})

@@ -1162,3 +1162,179 @@ class TestBoxMorphismRightChains:
         assert got.target.generators == box_tensor(B, f.target).generators
         # f inserted mid-word: a non-empty prefix and a non-empty suffix
         assert (1, 3) in positions
+
+
+# ---------------------------------------------------------------------------
+# the cancellation as it stood with five hand-written product loops over
+# three chain shapes, kept as the oracle of ``reduce_structure``
+
+
+def five_loop_reduce_structure(S, track_from=False, track_to=False):
+    import bisect
+
+    from bhfi.structures import (StructureReduction, _generator_map_comps,
+                                 _toggle)
+    out_alg, in_alg = S.out_alg, S.in_alg
+    ops = set(S.ops)
+    alive = dict.fromkeys(S.generators)
+    by_src, by_dst = {}, {}
+    queue = []
+    ranks = {}
+
+    def is_candidate(op):
+        return not op[1] and op[0] != op[3] and out_alg.is_idem(op[2])
+
+    def enqueue(op):
+        if is_candidate(op):
+            rank = ranks.get(op)
+            if rank is None:
+                rank = ranks[op] = S.op_sort_key(op)
+            bisect.insort(queue, (rank, op))
+
+    def dequeue(op):
+        if is_candidate(op):
+            del queue[bisect.bisect_left(queue, (ranks[op],))]
+
+    def add_op(op):
+        if op in ops:
+            ops.discard(op)
+            by_src[op[0]].discard(op)
+            by_dst[op[3]].discard(op)
+            dequeue(op)
+        else:
+            ops.add(op)
+            by_src.setdefault(op[0], set()).add(op)
+            by_dst.setdefault(op[3], set()).add(op)
+            enqueue(op)
+
+    for op in S.ops:
+        by_src.setdefault(op[0], set()).add(op)
+        by_dst.setdefault(op[3], set()).add(op)
+        if is_candidate(op):
+            ranks[op] = S.op_sort_key(op)
+    queue.extend(sorted((rank, op) for op, rank in ranks.items()))
+
+    identity = _generator_map_comps(S, {g: g for g in S.generators})
+    from_comps = {c[0]: {c} for c in identity} if track_from else None
+    to_by_dst = {c[3]: {c} for c in identity} if track_to else None
+
+    trace = []
+
+    def chain_products(first_word, first_coeff, loops):
+        results = []
+        frontier = [(first_word, first_coeff)]
+        while frontier:
+            results += frontier
+            frontier = [(word + ell[1], c)
+                        for word, coeff in frontier for ell in loops
+                        if (c := out_alg.mul_basis(coeff, ell[2])) is not None]
+        return results
+
+    while True:
+        step = None
+        for _, op in queue:
+            x, _, unit_coeff, y = op
+            loops = [o for o in by_src.get(x, ()) if o[3] == y and o != op]
+            if any(out_alg.is_idem(l[2]) for l in loops):
+                continue
+            step = (op, loops)
+            break
+        if step is None:
+            break
+        cancel_op, loops = step
+        x, _, unit_coeff, y = cancel_op
+        into_y = [o for o in by_dst.get(y, ()) if o[0] not in (x, y)]
+        from_x = [o for o in by_src.get(x, ()) if o[3] not in (x, y)]
+        trace.append((x, y))
+
+        heads = []
+        for A in into_y:
+            for word_a, coeff_a in chain_products(A[1], A[2], loops):
+                heads.append((A[0], word_a, coeff_a))
+        corrections = []
+        for (src, word_a, coeff_a) in heads:
+            for B in from_x:
+                if (c := out_alg.mul_basis(coeff_a, B[2])) is not None:
+                    corrections.append((src, word_a + B[1], c, B[3]))
+        pieces = None
+        if track_to:
+            pieces = []
+            for word_l, coeff_l in chain_products((), unit_coeff, loops):
+                for B in from_x:
+                    if (c := out_alg.mul_basis(coeff_l, B[2])) is not None:
+                        pieces.append((word_l + B[1], c, B[3]))
+
+        if track_from:
+            tail_x = from_comps[x]
+            for (s, w1, c1) in heads:
+                acc = from_comps[s]
+                for (_, w2, c2, orig) in tail_x:
+                    if (c := out_alg.mul_basis(c1, c2)) is not None:
+                        _toggle(acc, (s, w1 + w2, c, orig))
+            del from_comps[x]
+            del from_comps[y]
+        if track_to:
+            for (orig, w0, c0, _) in list(to_by_dst.get(y, ())):
+                for (w1, c1, tgt) in pieces:
+                    if (c := out_alg.mul_basis(c0, c1)) is not None:
+                        _toggle(to_by_dst.setdefault(tgt, set()),
+                                (orig, w0 + w1, c, tgt))
+            to_by_dst[y] = set()
+            to_by_dst[x] = set()
+
+        for op in (by_src.get(x, set()) | by_dst.get(x, set())
+                   | by_src.get(y, set()) | by_dst.get(y, set())):
+            add_op(op)
+        for op in corrections:
+            add_op(op)
+        del alive[x], alive[y]
+
+    reduced = BorderedObject(out_alg, in_alg, tuple(alive),
+                             {g: S.out_idem[g] for g in alive},
+                             {g: S.in_idem[g] for g in alive}, ops)
+    from_mor = None
+    to_mor = None
+    if track_from:
+        comps = set()
+        for g in alive:
+            comps ^= from_comps[g]
+        from_mor = Morphism(reduced, S, comps)
+    if track_to:
+        comps = set()
+        for g, bucket in to_by_dst.items():
+            if g in alive:
+                comps ^= bucket
+        to_mor = Morphism(S, reduced, comps)
+    return StructureReduction(reduced, from_mor, to_mor, tuple(trace))
+
+
+def assert_same_reduction(S):
+    got = reduce_structure(S, track_from=True, track_to=True)
+    want = five_loop_reduce_structure(S, track_from=True, track_to=True)
+    assert got.reduced.generators == want.reduced.generators
+    assert got.reduced.sorted_ops() == want.reduced.sorted_ops()
+    assert got.trace == want.trace
+    assert got.from_reduced.sorted_comps() == want.from_reduced.sorted_comps()
+    assert got.to_reduced.sorted_comps() == want.to_reduced.sorted_comps()
+
+
+class TestReduceStructureOracle:
+    """``reduce_structure`` gives, tuple for tuple, the reduced structure,
+    the trace and both tracked morphisms of the five-loop cancellation."""
+
+    def test_standard_corpus(self, standard_corpus):
+        for S in standard_corpus:
+            assert_same_reduction(S)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelled_corpus(self, standard_corpus, seed):
+        # fresh labels change the sort keys, and with them the queue order
+        for S in standard_corpus:
+            assert_same_reduction(shuffled(S, seed))
+
+    def test_input_carrying_structures(self, z2, cfa2, az2, az1, azbar1):
+        # azbar_k1 x az_k1 cancels pairs with parallel operations, so its
+        # corrections and tracked maps run along the loops
+        for S in (box_tensor(cfa2, cfda_azbar(z2)), box_tensor(cfa2, az2),
+                  box_tensor(azbar1, az1)):
+            assert_same_reduction(S)

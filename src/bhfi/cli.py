@@ -19,7 +19,6 @@ from .errors import (DivergenceError, NotEquivalentError, ParseError,
                      RelationViolation)
 from .files import BUILTIN_NAMES, builtin_structure, dump_structure, \
     load_structure
-from .homology import homology
 from .strands import algebra, split_pmc
 from .structures import check_structure, require_valid
 
@@ -76,7 +75,7 @@ def _cmd_hfhat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"), ("DD", "DD")))
     from .structures import mor_complex_DD
     mc = mor_complex_DD(P0, P1)
-    _emit(args, {"hf_dim": homology(mc.complex).dimension})
+    _emit(args, {"hf_dim": mc.homology().dimension})
     return 0
 
 

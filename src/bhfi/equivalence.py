@@ -20,7 +20,7 @@ import math
 from ._record import record
 from .errors import (DivergenceError, InsufficientArityError,
                      NotEquivalentError, generator_cap)
-from .homology import F2Matrix, _bits, homology
+from .homology import F2Matrix, _bits
 from .standard import cfda_az, cfda_azbar
 from .strands import chord_nilpotency_bound
 from .structures import (Morphism, box_tensor, component_differential,
@@ -66,8 +66,7 @@ def homology_basis_of_mor(P, Q):
     """Cycle representatives of a homology basis of the morphism complex,
     one block of the differential's support graph at a time."""
     mc = mor_complex_DD(P, Q)
-    data = homology(mc.complex)
-    return [mc.morphism_of(v) for v in data.cycles]
+    return [mc.morphism_of(v) for v in mc.homology().cycles]
 
 
 def _acyclic_cone_trace(f):
@@ -77,33 +76,49 @@ def _acyclic_cone_trace(f):
     return f.cone_trace()
 
 
-def _first_acyclic_sum(stage, basis, what, to_morphism, cone_size,
+def _first_acyclic_sum(stage, runs, what, to_morphism, cone_size,
                       max_sum_size):
-    """Walk F2 sums of the ``basis`` bit-vectors, singletons first, in
+    """Walk F2 sums of a basis of bit-vectors, singletons first, in
     combination order, and certify the first candidate whose cone cancels
-    to nothing.  The cones reduced may hold at most ``BHFI_MAX_GENERATORS``
-    generators in total; past that the walk raises DivergenceError, and
-    NotEquivalentError when every sum fails.  Both errors name ``stage``."""
+    to nothing.  The basis arrives as ``runs``, an iterable of lists whose
+    concatenation is the basis; the singletons of each run are tried
+    before the next run is drawn, so a hit never computes the runs after
+    it.  Sums of two or more, the ``search_index`` and the messages see
+    the whole basis.  The cones reduced may hold at most
+    ``BHFI_MAX_GENERATORS`` generators in total; past that the walk raises
+    DivergenceError, and NotEquivalentError when every sum fails.  Both
+    errors name ``stage``."""
     cap = generator_cap()
+    basis = []
+    runs = iter(runs)
+
+    def picks():
+        for run in runs:
+            start = len(basis)
+            basis.extend(run)
+            yield from ((i,) for i in range(start, len(basis)))
+        for size in range(2, max_sum_size + 1):
+            yield from itertools.combinations(range(len(basis)), size)
+
     tried = 0
-    for size in range(1, max_sum_size + 1):
-        for pick in itertools.combinations(range(len(basis)), size):
-            if (tried + 1) * cone_size > cap:
-                candidates = sum(math.comb(len(basis), k)
-                                 for k in range(1, max_sum_size + 1))
-                raise DivergenceError(
-                    f"{stage}: {tried} of {candidates} candidates reduced "
-                    f"({len(basis)}-vector {what}, sums of up to "
-                    f"{max_sum_size}); the next cone would pass "
-                    f"BHFI_MAX_GENERATORS={cap} generators in total")
-            tried += 1
-            mask = 0
-            for i in pick:
-                mask ^= basis[i]
-            candidate = to_morphism(mask)
-            trace = _acyclic_cone_trace(candidate)
-            if trace is not None:
-                return EquivalenceCertificate(candidate, trace, pick)
+    for pick in picks():
+        if (tried + 1) * cone_size > cap:
+            basis.extend(itertools.chain.from_iterable(runs))
+            candidates = sum(math.comb(len(basis), k)
+                             for k in range(1, max_sum_size + 1))
+            raise DivergenceError(
+                f"{stage}: {tried} of {candidates} candidates reduced "
+                f"({len(basis)}-vector {what}, sums of up to "
+                f"{max_sum_size}); the next cone would pass "
+                f"BHFI_MAX_GENERATORS={cap} generators in total")
+        tried += 1
+        mask = 0
+        for i in pick:
+            mask ^= basis[i]
+        candidate = to_morphism(mask)
+        trace = _acyclic_cone_trace(candidate)
+        if trace is not None:
+            return EquivalenceCertificate(candidate, trace, pick)
     raise NotEquivalentError(
         f"{stage}: no acyclic cone among sums of up to {max_sum_size} of "
         f"the {len(basis)}-vector {what}")
@@ -114,13 +129,16 @@ def find_homotopy_equivalence(P, Q):
 
     Walks F2 combinations of morphism-homology classes, singletons first,
     in canonical order; the first candidate whose cone cancels to nothing
-    wins.  Raises NotEquivalentError when sums of up to ``MAX_SUM_SIZE``
-    classes fail, which signals that the caller's equivalence claim was
-    wrong, and DivergenceError past the cone cap of the walk.
+    wins.  The classes come one support block at a time, so the blocks
+    after a singleton hit are never echeloned.  Raises NotEquivalentError
+    when sums of up to ``MAX_SUM_SIZE`` classes fail, which signals that
+    the caller's equivalence claim was wrong, and DivergenceError past the
+    cone cap of the walk.
     """
     mc = mor_complex_DD(P, Q)
+    d = mc.differential
     return _first_acyclic_sum(
-        "find_homotopy_equivalence", homology(mc.complex).cycles,
+        "find_homotopy_equivalence", map(d.cycles, range(len(d.blocks))),
         "homology basis", mc.morphism_of,
         len(P.generators) + len(Q.generators), MAX_SUM_SIZE)
 
@@ -223,7 +241,7 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
                  for e in unknowns)
     kernel = F2Matrix(len(row), len(unknowns), cols).nullspace_basis()
     return _first_acyclic_sum(
-        "search_small_equivalence", kernel, "kernel",
+        "search_small_equivalence", (kernel,), "kernel",
         lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),
         len(A.generators) + len(B.generators), max_sum_size)
 

@@ -17,7 +17,7 @@ import json
 
 from .errors import ParseError
 from .strands import (AlgebraElement, PointedMatchedCircle, _pair_labels,
-                      algebra, split_pmc)
+                      _strand_points, algebra, split_pmc)
 from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
 
 
@@ -30,7 +30,7 @@ def circle_from_json(data):
 
 def diagram_from_json(circle, data):
     try:
-        moving = tuple(tuple(s) for s in data["moving"])
+        moving = _strand_points(circle, data["moving"])
         horizontal = _pair_labels(circle, data["horizontal"])
         diag = algebra(circle).diagram(moving, horizontal)
     except (KeyError, TypeError, ValueError) as exc:

@@ -187,28 +187,7 @@ class ChainComplex:
     def support_blocks(self):
         """Connected components of the differential's support graph,
         as sorted tuples of generator indices."""
-        n = self.dim
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for j in range(n):
-            m = self.d.cols[j]
-            while m:
-                r = _lowbit(m)
-                m &= m - 1
-                ra, rb = find(j), find(r)
-                if ra != rb:
-                    parent[ra] = rb
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        return tuple(tuple(sorted(g)) for g in
-                     sorted(groups.values(), key=lambda g: g[0]))
+        return _components([_bits(c) for c in self.d.cols])
 
     def to_json(self):
         return {
@@ -250,48 +229,97 @@ class HomologyData:
     cycles: tuple        # explicit cycle representatives, one per class
 
 
+def _components(rows):
+    """Connected components of the support graph of a square differential
+    whose column j has a 1 in each row of ``rows[j]``: sorted tuples of
+    indices, ordered by their first index."""
+    n = len(rows)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for j, col in enumerate(rows):
+        if col:
+            root = find(j)
+            for r in col:
+                top = find(r)
+                if top != root:
+                    parent[top] = root
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(sorted(map(tuple, groups.values())))
+
+
+class BlockDifferential:
+    """A square F2 differential kept one support block at a time.
+
+    ``rows[j]`` lists the rows of column j.  ``blocks`` are the connected
+    components of the support graph (``_components``), and ``matrices[b]``
+    is block b's differential in local indices, the positions in the
+    block.  Every column of a block has its rows in that block, so d² = 0
+    is checked block by block, the blocks' elimination is the elimination
+    of the whole differential, and ``cycles(b)`` echelons block b only
+    when it is first asked for."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.blocks = _components(rows)
+        self.matrices = []
+        for block in self.blocks:
+            pos = {g: i for i, g in enumerate(block)}
+            cols = []
+            for g in block:
+                col = 0
+                for r in rows[g]:
+                    col ^= 1 << pos[r]
+                cols.append(col)
+            for g in block:
+                twice = 0
+                for r in rows[g]:
+                    twice ^= cols[pos[r]]
+                if twice:
+                    raise ValueError("differential does not square to zero")
+            self.matrices.append(F2Matrix(len(block), len(block),
+                                          tuple(cols)))
+        self._cycles = {}
+
+    def cycles(self, b):
+        """The cycle representatives of block b, as vectors over all the
+        indices: the kernel vectors that are independent of the boundaries
+        and of the kernel vectors before them, the pivot columns of
+        ``[im | ker]``."""
+        if b not in self._cycles:
+            block = self.blocks[b]
+            _, cols, trans, order = self.matrices[b]._echelon()
+            im = [cols[j] for _, j in order]
+            ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
+            both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
+            _, _, _, both_order = both._echelon()
+            self._cycles[b] = [
+                sum(1 << block[i] for i in _bits(ker[j - len(im)]))
+                for _, j in both_order if j >= len(im)]
+        return self._cycles[b]
+
+    def homology(self):
+        cycles = tuple(z for b in range(len(self.blocks))
+                       for z in self.cycles(b))
+        return HomologyData(len(cycles), cycles)
+
+
 def homology(C):
     """Homology dimension plus explicit, deterministic cycle representatives.
 
     Representatives are found block by block in the support graph of the
-    differential, so each comes from a single block (the grading surrogate
-    used downstream by the equivalence search).  Within a block, the kernel
-    vectors that are independent of the boundaries and of the kernel
-    vectors before them are kept: the pivot columns of ``[im | ker]``.
+    differential (``BlockDifferential``), so each comes from a single
+    block (the grading surrogate used downstream by the equivalence
+    search).
     """
-    cycles = []
-    for block in C.support_blocks():
-        _, cols, trans, order = _restrict_columns(C.d, block)._echelon()
-        im = [cols[j] for _, j in order]
-        ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
-        both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
-        _, _, _, both_order = both._echelon()
-        for _, j in both_order:
-            if j >= len(im):
-                cycles.append(_unrestrict(ker[j - len(im)], block))
-    return HomologyData(len(cycles), tuple(cycles))
-
-
-def _restrict_columns(mat, block):
-    pos = {g: i for i, g in enumerate(block)}
-    cols = []
-    for g in block:
-        m, out = mat.cols[g], 0
-        while m:
-            r = _lowbit(m)
-            m &= m - 1
-            out ^= 1 << pos[r]
-        cols.append(out)
-    return F2Matrix(len(block), len(block), tuple(cols))
-
-
-def _unrestrict(vec, block):
-    out, m = 0, vec
-    while m:
-        i = _lowbit(m)
-        m &= m - 1
-        out ^= 1 << block[i]
-    return out
+    return BlockDifferential([_bits(c) for c in C.d.cols]).homology()
 
 
 def express_in_homology(C, hom, vec):

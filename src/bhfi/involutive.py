@@ -107,7 +107,7 @@ def _iota_pipeline(P0, P1):
     az_p0 = box_tensor(az, P0)
     az_p1 = box_tensor(az, P1)
     mc = mor_complex_DD(P0, P1)
-    hom = homology(mc.complex)
+    hom = mc.homology()
     reps = [mc.morphism_of(v) for v in hom.cycles]
     psi0_inv = find_homotopy_equivalence(P0, az_p0).forward
     psi1 = find_homotopy_equivalence(az_p1, P1).forward

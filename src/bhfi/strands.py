@@ -132,6 +132,19 @@ def _pair_labels(circle, labels):
     return labels
 
 
+def _strand_points(circle, moving):
+    """The moving strands as sorted pairs of points: each strand two JSON
+    integers in 1..4k.  A bool or a float would equal a point, and so find
+    the interned diagram of that point."""
+    strands = [tuple(s) for s in moving]
+    for s in strands:
+        if len(s) != 2 or not all(type(p) is int and 1 <= p <= circle.n_points
+                                  for p in s):
+            raise ValueError(f"strand {list(s)!r} is not two points of a "
+                             f"genus-{circle.k} circle")
+    return tuple(sorted(strands))
+
+
 # ---------------------------------------------------------------------------
 # crossing counts
 
@@ -163,13 +176,13 @@ class StrandDiagram(int):
     """
 
     def __new__(cls, circle, moving=(), horizontal=frozenset()):
-        moving = tuple(sorted(tuple(s) for s in moving))
+        moving = _strand_points(circle, moving)
         horizontal = _pair_labels(circle, horizontal)
         Z = circle
         srcs = [Z.pair_label(i) for i, _ in moving]
         dsts = [Z.pair_label(j) for _, j in moving]
         for i, j in moving:
-            if not 1 <= i < j <= Z.n_points:
+            if not i < j:
                 raise ValueError(f"strand {(i, j)} is not strictly increasing")
         if len(set(i for i, _ in moving)) != len(moving) or \
            len(set(j for _, j in moving)) != len(moving):

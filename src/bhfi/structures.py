@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from ._record import record
 from .errors import DivergenceError, RelationViolation, refuse_past_cap
-from .homology import ChainComplex, F2Matrix, _bits
+from .homology import BlockDifferential, ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
 
 
@@ -515,14 +515,13 @@ def _chains_consuming(B2, start, outs):
 
 
 def _chains_reading(B2, starts, word):
-    """All op-chains in B2 from one of ``starts`` (generators sharing one
-    idempotent) whose outputs read ``word``, as (start, concatenated inputs,
-    end generator).  Chains grow from the operations that output
-    ``word[0]``, so a start with no such operation costs nothing."""
+    """All op-chains in B2 from one of ``starts`` (one or more generators
+    sharing one idempotent) whose outputs read ``word``, as (start,
+    concatenated inputs, end generator).  Chains grow from the operations
+    that output ``word[0]``, so a start with no such operation costs
+    nothing."""
     if not word:
         return [(g2, (), g2) for g2 in starts]
-    if not starts:
-        return []
     idem = B2.out_idem[starts[0]]
     return [(op[0], op[1] + ins, end)
             for op in B2.ops_with_out(word[0]) if B2.out_idem[op[0]] == idem
@@ -563,9 +562,12 @@ def box_tensor(B1, B2):
 def _pair_with_chains(ops, B2, partners):
     """Pair each operation (or morphism component) (x, word, a, x2) of a
     left factor with the chains of B2 from ``partners[x]`` that read
-    ``word``: the terms of its box tensor with B2."""
+    ``word``: the terms of its box tensor with B2.  An operation whose
+    source has no partner pairs with nothing and is skipped."""
     out = set()
     for x, word, a, x2 in ops:
+        if not partners[x]:
+            continue
         for g2, ins, end in _chains_reading(B2, partners[x], word):
             _toggle(out, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
     return out
@@ -819,12 +821,27 @@ def box_morphism_right_comps(B, f):
 @record
 class MorComplex:
     """The chain complex of type D structure morphisms P -> Q, with its
-    basis of elementary morphisms."""
+    basis of elementary morphisms.  The differential is kept one support
+    block at a time; the dense ``complex`` is built on first use."""
 
     P: BorderedObject
     Q: BorderedObject
     basis: tuple              # (p, coefficient diagram, q) triples
-    complex: ChainComplex
+    differential: BlockDifferential
+
+    @property
+    def complex(self):
+        if not hasattr(self, "_complex"):
+            alg, n = self.P.out_alg, len(self.basis)
+            object.__setattr__(self, "_complex", ChainComplex(
+                tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in self.basis),
+                F2Matrix.from_entries(n, n, (
+                    (r, j) for j, col in enumerate(self.differential.rows)
+                    for r in col))))
+        return self._complex
+
+    def homology(self):
+        return self.differential.homology()
 
     @property
     def _pos(self):
@@ -848,7 +865,8 @@ class MorComplex:
 
 
 def mor_complex_DD(P, Q):
-    """Morphism complex between two type D structures over one algebra."""
+    """Morphism complex between two type D structures over one algebra,
+    with d² = 0 checked on every support block."""
     if P.out_alg is not Q.out_alg or not P.in_alg.is_trivial \
        or not Q.in_alg.is_trivial:
         raise ValueError("morphism complexes need type D structures over "
@@ -867,14 +885,10 @@ def mor_complex_DD(P, Q):
                 basis.append((p, a, q))
     basis = tuple(sorted(basis, key=lambda t: (t[0], alg.sort_key(t[1]), t[2])))
     pos = {t: i for i, t in enumerate(basis)}
-    n = len(basis)
-    entries = []
-    for i, (p, a, q) in enumerate(basis):
-        for src, _, out, dst in component_differential(P, Q, (p, (), a, q)):
-            entries.append((pos[(src, out, dst)], i))
-    gens = tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in basis)
-    cx = ChainComplex(gens, F2Matrix.from_entries(n, n, entries))
-    return MorComplex(P, Q, basis, cx)
+    rows = [[pos[(src, out, dst)] for src, _, out, dst
+             in component_differential(P, Q, (p, (), a, q))]
+            for p, a, q in basis]
+    return MorComplex(P, Q, basis, BlockDifferential(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,20 @@ class TestMalformedFiles:
         self.refused(path, "bad diagram payload",
                      "hfhat", "--builtin", "cfd0")
 
+    @pytest.mark.parametrize("point", [True, 1.0], ids=json.dumps)
+    def test_strand_endpoint_that_is_not_a_point(self, tmp_path, point):
+        # true once verified with exit 0, as the strand from point 1, and
+        # 1.0 failed only through a TypeError in the diagram code
+        path = tmp_path / "strand.json"
+        dump_structure(builtin_structure("cfd0"), path)
+        payload = json.loads(path.read_text())
+        payload["ops"][0]["out"][0]["moving"] = [[point, 3]]
+        path.write_text(json.dumps(payload))
+        strand = json.dumps([point, 3]).replace("true", "True")
+        self.refused(path, f"bad diagram payload: strand {strand} is not "
+                           "two points of a genus-1 circle")
+        self.refused(path, "bad diagram payload", "hfhat", "--builtin", "cfd0")
+
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\"kind\": \"D\"}\x80")

@@ -1,3 +1,5 @@
+import itertools
+import math
 import time
 
 import pytest
@@ -8,8 +10,12 @@ from bhfi import (DivergenceError, InsufficientArityError, Morphism,
                   homology, homology_basis_of_mor, identity_da,
                   identity_morphism, is_contractible, mor_complex_DD,
                   omega_equivalence, verify_morphism_bounded)
+from bhfi.equivalence import MAX_SUM_SIZE, EquivalenceCertificate
+from bhfi.errors import generator_cap
+from bhfi.homology import BlockDifferential
 from bhfi.standard import cfda_az, torus_chord
 from bhfi.structures import BorderedObject
+from test_homology import dense_homology
 
 
 class TestHomologyBasis:
@@ -204,6 +210,135 @@ class TestSearchGuard:
             "find_homotopy_equivalence: 1 of 15 candidates reduced "
             "(4-vector homology basis, sums of up to 4); the next cone would "
             "pass BHFI_MAX_GENERATORS=4 generators in total")
+
+
+def eager_search(P, Q):
+    """The oracle for ``find_homotopy_equivalence``: the whole homology
+    basis of the dense morphism complex first, then every sum of up to
+    ``MAX_SUM_SIZE`` of its vectors in combination order."""
+    stage = "find_homotopy_equivalence"
+    mc = mor_complex_DD(P, Q)
+    basis = dense_homology(mc.complex).cycles
+    cap, cone_size = generator_cap(), len(P.generators) + len(Q.generators)
+    tried = 0
+    for size in range(1, MAX_SUM_SIZE + 1):
+        for pick in itertools.combinations(range(len(basis)), size):
+            if (tried + 1) * cone_size > cap:
+                candidates = sum(math.comb(len(basis), k)
+                                 for k in range(1, MAX_SUM_SIZE + 1))
+                raise DivergenceError(
+                    f"{stage}: {tried} of {candidates} candidates reduced "
+                    f"({len(basis)}-vector homology basis, sums of up to "
+                    f"{MAX_SUM_SIZE}); the next cone would pass "
+                    f"BHFI_MAX_GENERATORS={cap} generators in total")
+            tried += 1
+            mask = 0
+            for i in pick:
+                mask ^= basis[i]
+            candidate = mc.morphism_of(mask)
+            trace = candidate.cone_trace()
+            if trace is not None:
+                return EquivalenceCertificate(candidate, trace, pick)
+    raise NotEquivalentError(
+        f"{stage}: no acyclic cone among sums of up to {MAX_SUM_SIZE} of "
+        f"the {len(basis)}-vector homology basis")
+
+
+def direct_sum(A, B):
+    a = A.relabeled({g: f"a{g}" for g in A.generators})
+    b = B.relabeled({g: f"b{g}" for g in B.generators})
+    return BorderedObject(A.out_alg, A.in_alg, a.generators + b.generators,
+                          {**a.out_idem, **b.out_idem},
+                          {**a.in_idem, **b.in_idem}, a.ops | b.ops)
+
+
+def same_certificate(lazy, eager):
+    return (lazy.forward.comps, lazy.search_index, lazy.evidence) == \
+        (eager.forward.comps, eager.search_index, eager.evidence)
+
+
+def outcome(search, P, Q):
+    """The certificate of a search, or the type and text of its error."""
+    try:
+        return search(P, Q)
+    except (DivergenceError, NotEquivalentError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def rungs_and_g2(az1, cfd0, z2, cfd0_k2):
+    """az^n x cfd0 against cfd0 for n = 1..3, and az x cfd0_k2 against
+    cfd0_k2, in both directions."""
+    rung, pairs = cfd0, []
+    for _ in range(3):
+        rung = box_tensor(az1, rung)
+        pairs += [(rung, cfd0), (cfd0, rung)]
+    twisted = box_tensor(cfda_az(z2), cfd0_k2)
+    return pairs + [(twisted, cfd0_k2), (cfd0_k2, twisted)]
+
+
+class TestLazySearch:
+    """The walk that echelons one support block at a time returns what the
+    walk over the whole dense basis returns."""
+
+    @pytest.fixture(scope="class")
+    def twisted(self, az1, cfd_inf):
+        once = box_tensor(az1, cfd_inf)
+        return once, box_tensor(az1, once)
+
+    def test_certificates_match_the_eager_walk(self, twisted, rungs_and_g2,
+                                               cfd0, cfd_inf):
+        pairs = [(cfd_inf, twisted[0]), (twisted[0], cfd_inf),
+                 (twisted[0], twisted[1]), (twisted[1], twisted[0])]
+        pairs += [(P, Q) for P, Q in rungs_and_g2]
+        pairs.append((direct_sum(cfd0, cfd_inf), direct_sum(cfd_inf, cfd0)))
+        for P, Q in pairs:
+            assert same_certificate(find_homotopy_equivalence(P, Q),
+                                    eager_search(P, Q))
+
+    def test_a_hit_in_block_one_echelons_no_later_block(
+            self, monkeypatch, twisted):
+        # Mor(az x cfd_inf, az x az x cfd_inf) has four blocks and its two
+        # classes in block 1; the second is the equivalence
+        reached = []
+        cycles = BlockDifferential.cycles
+
+        def recording(self, b):
+            reached.append(b)
+            return cycles(self, b)
+
+        monkeypatch.setattr(BlockDifferential, "cycles", recording)
+        cert = find_homotopy_equivalence(*twisted)
+        assert cert.search_index == (1,)
+        assert reached == [0, 1]
+        assert same_certificate(cert, eager_search(*twisted))
+        mc = mor_complex_DD(*twisted)
+        assert len(mc.differential.blocks) == 4
+        assert [len(mc.differential.cycles(b)) for b in range(4)] == \
+            [0, 2, 0, 0]
+
+    def test_sums_of_two_see_the_whole_basis(self, cfd0, cfd_inf):
+        # each summand's identity alone is no equivalence; their sum, the
+        # classes 0 and 3 of six one-class blocks, is
+        P = direct_sum(cfd0, cfd_inf)
+        cert = find_homotopy_equivalence(P, P)
+        assert cert.search_index == (0, 3)
+        assert same_certificate(cert, eager_search(P, P))
+
+    def test_errors_name_the_whole_basis(self, monkeypatch, cfd0, cfd_inf):
+        P = direct_sum(cfd0, cfd_inf)
+        # no equivalence: every sum fails
+        lazy = outcome(find_homotopy_equivalence, cfd0, cfd_inf)
+        assert lazy == outcome(eager_search, cfd0, cfd_inf)
+        assert lazy[0] is NotEquivalentError
+        # the cap stops the walk at the third singleton, in block 2 of 6
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "8")
+        lazy = outcome(find_homotopy_equivalence, P, P)
+        assert lazy == outcome(eager_search, P, P)
+        assert lazy == (DivergenceError, (
+            "find_homotopy_equivalence: 2 of 56 candidates reduced "
+            "(6-vector homology basis, sums of up to 4); the next cone "
+            "would pass BHFI_MAX_GENERATORS=8 generators in total"))
 
 
 class TestCertificateSerialization:

@@ -4,7 +4,7 @@ import pytest
 
 from bhfi import (ChainComplex, ChainMap, F2Matrix, homology,
                   is_quasi_isomorphism, mapping_cone, reduce)
-from bhfi.homology import express_in_homology
+from bhfi.homology import BlockDifferential, HomologyData, express_in_homology
 
 
 def random_two_term_complex(rng, max_dim=14):
@@ -289,3 +289,67 @@ class TestReduceOnCones:
         red = reduce(mapping_cone(ChainMap(C, C, F2Matrix.identity(C.dim))))
         assert red.reduced.dim == 0
         assert red.homotopy.rank() == C.dim
+
+
+def dense_homology(C):
+    """The whole-matrix oracle for ``homology``: the support blocks found
+    bit by bit on the dense columns, and each block's columns restricted
+    to it before the same ``[im | ker]`` echelon."""
+    n = C.dim
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for j in range(n):
+        for r in range(n):
+            if C.d.entry(r, j) and find(j) != find(r):
+                parent[find(j)] = find(r)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    cycles = []
+    for block in sorted(blocks.values()):
+        local = F2Matrix(len(block), len(block), tuple(
+            sum(1 << i for i, r in enumerate(block) if C.d.entry(r, g))
+            for g in block))
+        _, cols, trans, order = local._echelon()
+        im = [cols[j] for _, j in order]
+        ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
+        both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
+        for _, j in both._echelon()[3]:
+            if j >= len(im):
+                cycles.append(sum(1 << block[i] for i in range(len(block))
+                                  if ker[j - len(im)] >> i & 1))
+    return HomologyData(len(cycles), tuple(cycles))
+
+
+class TestBlockDifferential:
+    def test_cycles_match_the_dense_oracle_on_seeded_cones(self):
+        rng = random.Random(43)
+        blocks = 0
+        for _ in range(80):
+            C = random_cone(rng)
+            rows = [[r for r in range(C.dim) if C.d.entry(r, j)]
+                    for j in range(C.dim)]
+            d = BlockDifferential(rows)
+            blocks = max(blocks, len(d.blocks))
+            assert d.blocks == C.support_blocks()
+            assert d.homology() == homology(C) == dense_homology(C)
+        assert blocks > 1
+
+    def test_cycles_are_computed_per_block_on_request(self):
+        d = BlockDifferential([[1], [], [], [], [3], []])
+        assert d.blocks == ((0, 1), (2,), (3, 4), (5,))
+        assert d.cycles(1) == [1 << 2]
+        assert list(d._cycles) == [1]
+        assert d.homology().cycles == (1 << 2, 1 << 5)
+
+    def test_a_later_block_with_nonzero_square_raises(self):
+        # block (0, 1) is a complex; in block (2, 3, 4), d(e2) = e3 and
+        # d(e3) = e4, so d² e2 = e4
+        with pytest.raises(ValueError,
+                           match="differential does not square to zero"):
+            BlockDifferential([[1], [], [3], [4], []])

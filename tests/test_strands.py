@@ -333,6 +333,13 @@ class TestInterning:
         with pytest.raises(ValueError, match="no matched pair"):
             StrandDiagram(z1, (), {label})
 
+    @pytest.mark.parametrize("strand", [(True, 3), (1.0, 3), (0, 3), (1, 5),
+                                        ("1", 3), (1, 2, 3)], ids=repr)
+    def test_strand_endpoints_are_points_of_the_circle(self, z1, strand):
+        with pytest.raises(ValueError, match=re.escape(
+                f"strand {list(strand)!r} is not two points")):
+            StrandDiagram(z1, (strand,), ())
+
     def test_different_circles_are_unequal(self, z1):
         other = z1.reverse()
         assert StrandDiagram(z1, (), {1}) != StrandDiagram(other, (), {1})

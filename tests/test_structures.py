@@ -21,6 +21,7 @@ from bhfi.structures import (TRIVIAL, BorderedObject, TensorAlgebra,
                              _terms_after, box_morphism_left,
                              box_morphism_right, elementary_morphism,
                              structure_residue, zero_morphism)
+from test_homology import dense_homology
 
 
 def labels(morphism):
@@ -532,6 +533,46 @@ class TestStructureResidue:
 
 
 class TestBoxTensor:
+    def test_operations_without_a_partner_read_no_chains(self, monkeypatch,
+                                                         az2, cfd0_k2):
+        # az_k2 has 2,579 operations; only those out of a generator whose
+        # input idempotent is cfd0_k2's are paired, and the rest cost
+        # nothing
+        from bhfi import structures
+        from bhfi.structures import (_chains_consuming, _chains_reading,
+                                     _partners, _toggle)
+
+        def every_chain_reading(B2, starts, word):
+            # the walk as it was, called for every operation
+            if not word:
+                return [(g2, (), g2) for g2 in starts]
+            if not starts:
+                return []
+            return [(op[0], op[1] + ins, end)
+                    for op in B2.ops_with_out(word[0])
+                    if B2.out_idem[op[0]] == B2.out_idem[starts[0]]
+                    for ins, end in _chains_consuming(B2, op[3], word[1:])]
+
+        partners = _partners(az2.generators, az2.in_idem,
+                             cfd0_k2.generators, cfd0_k2.out_idem)
+        old = set()
+        for x, word, a, x2 in az2.ops:
+            for g2, ins, end in every_chain_reading(cfd0_k2, partners[x],
+                                                    word):
+                _toggle(old, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+        starts = []
+
+        def recording(B2, given, word):
+            starts.append(given)
+            return _chains_reading(B2, given, word)
+
+        monkeypatch.setattr(structures, "_chains_reading", recording)
+        paired = box_tensor(az2, cfd0_k2)
+        assert paired.ops == old
+        assert all(starts)
+        assert len(starts) == sum(1 for op in az2.ops if partners[op[0]])
+        assert len(starts) < len(az2.ops)
+
     def test_pairing_dimension_two(self, cfa1, cfd0):
         C = box_tensor_AD(cfa1, cfd0)
         assert sorted(C.generators) == ["u|n", "v|n"]
@@ -725,6 +766,32 @@ class TestMorComplex:
     def test_circle_mismatch(self, cfd0, cfd0_k2):
         with pytest.raises(ValueError):
             mor_complex_DD(cfd0, cfd0_k2)
+
+    def test_block_cycles_match_the_dense_oracle(self, rungs, az2, cfd0,
+                                                 cfd_inf, cfd_m1, cfd0_k2):
+        pairs = [(P, Q) for rung in rungs for torus in (cfd_inf, cfd_m1, cfd0)
+                 for P, Q in ((rung, torus), (torus, rung))]
+        twisted = box_tensor(az2, cfd0_k2)
+        pairs += [(twisted, cfd0_k2), (cfd0_k2, twisted)]
+        for P, Q in pairs:
+            mc = mor_complex_DD(P, Q)
+            data = mc.homology()
+            assert data == dense_homology(mc.complex)
+            assert data == homology(mc.complex)
+            assert mc.differential.blocks == mc.complex.support_blocks()
+
+    def test_a_block_with_nonzero_square_raises(self, rungs, cfd0):
+        # az x az x cfd0 without one of its operations is no structure,
+        # and its morphism complexes have d² != 0
+        P = rungs[2]
+        op = next(op for op in P.ops
+                  if (op[0], op[3]) == ("h2|h1|n", "h2|r1.3|n"))
+        broken = BorderedObject(P.out_alg, P.in_alg, P.generators,
+                                P.out_idem, P.in_idem, P.ops - {op})
+        for args in ((broken, cfd0), (cfd0, broken)):
+            with pytest.raises(ValueError,
+                               match="differential does not square to zero"):
+                mor_complex_DD(*args)
 
     def test_size_cap_counts_the_basis(self, monkeypatch, az1, cfd_m1):
         twisted = box_tensor(az1, cfd_m1)

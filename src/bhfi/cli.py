@@ -66,8 +66,11 @@ def _resolve_inputs(args, kinds=None, genus=None):
 def _emit(args, payload):
     text = json.dumps(payload, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     print(text)
 
 
@@ -123,16 +126,17 @@ def _cmd_mcg(args):
 
 def _cmd_dump_standard(args):
     outdir = args.out or "fixtures"
-    os.makedirs(outdir, exist_ok=True)
     names = ["cfd_inf", "cfd_m1", "cfd0"]
     for k in (1, 2):
         names += [f"cfd0_k{k}", f"cfa0_k{k}", f"ddid_k{k}",
                   f"az_k{k}", f"azbar_k{k}"]
-    written = []
-    for name in names:
-        path = os.path.join(outdir, f"{name}.json")
-        dump_structure(builtin_structure(name), path)
-        written.append(path)
+    written = [os.path.join(outdir, f"{name}.json") for name in names]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for name, path in zip(names, written):
+            dump_structure(builtin_structure(name), path)
+    except OSError as exc:
+        raise ParseError(f"cannot write {exc.filename}: {exc}") from exc
     print(json.dumps({"written": written}, sort_keys=True))
     return 0
 

@@ -33,10 +33,13 @@ def diagram_from_json(circle, data):
         moving = _strand_points(circle, data["moving"])
         horizontal = _pair_labels(circle, data["horizontal"])
         diag = algebra(circle).diagram(moving, horizontal)
+        left = data.get("left_idem", diag.left_idem)
+        # a repeated label shrinks the set; a bool or a float is refused
+        agrees = _pair_labels(circle, left) == diag.left_idem and \
+            len(left) == len(diag.left_idem)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc
-    if sorted(diag.left_idem) != sorted(data.get("left_idem",
-                                                 sorted(diag.left_idem))):
+    if not agrees:
         raise ParseError("diagram left idempotent disagrees with its strands")
     return diag
 
@@ -212,7 +215,7 @@ def builtin_structure(name):
             ("azbar_k", lambda k: standard.cfda_azbar(split_pmc(k)))):
         if name.startswith(prefix):
             tail = name[len(prefix):]
-            if not tail.isdigit() or int(tail) < 1:
+            if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
                 raise ParseError(f"bad genus in builtin name {name!r}")
             return builder(int(tail))
     raise ParseError(f"unknown builtin {name!r}")

@@ -9,8 +9,8 @@ from ._record import record
 from .equivalence import (find_homotopy_equivalence,
                           find_structure_equivalence)
 from .errors import RelationViolation
-from .homology import (ChainComplex, ChainMap, F2Matrix, express_in_homology,
-                       homology, mapping_cone)
+from .homology import (ChainComplex, ChainMap, F2Matrix, _commutator,
+                       express_in_homology, homology, mapping_cone)
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          box_morphism_right, box_morphism_right_comps,
@@ -276,7 +276,7 @@ def mcg_action(M, P, chi, chi_inv):
         M, P, paired_insertion(chi, chi_inv, P), theta1, theta0)
     cx = to_chain_complex(action.source)
     mat = action.to_matrix(cx, cx)
-    if not (mat * cx.d + cx.d * mat).is_zero():
+    if not _commutator(mat, cx, cx).is_zero():
         raise RelationViolation("mapping class composite is not a chain map")
     hom = homology(cx)
     return _on_homology(cx, hom, map(mat.apply, hom.cycles),

@@ -8,7 +8,8 @@ from __future__ import annotations
 from ._record import record
 from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
-from .homology import F2Matrix, _bits, express_in_homology, homology
+from .homology import (F2Matrix, _bits, _commutator, express_in_homology,
+                       homology)
 from .involutive import (conjugation_composite, conjugation_cone,
                          paired_insertion)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
@@ -125,8 +126,8 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
     c_inf, c_m1, c_0 = cxs
     r1 = iotas[1] * i_mat + i_mat * iotas[0]
     r2 = iotas[2] * p_mat + p_mat * iotas[1]
-    if (c_m1.d * G0 + G0 * c_inf.d + r1).is_zero() and \
-       (c_0.d * H0 + H0 * c_m1.d + r2).is_zero() and \
+    if (_commutator(G0, c_inf, c_m1) + r1).is_zero() and \
+       (_commutator(H0, c_m1, c_0) + r2).is_zero() and \
        (p_mat * G0 + H0 * i_mat).is_zero():
         return G0, H0
     # linear solve, assembled column by column.  Unknowns: the entries of
@@ -173,12 +174,12 @@ def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
 
 @record
 class TriangleReport:
+    """The homology dimensions of a verified surgery sequence.  A report
+    is made only when every check passed, so its flags are all true."""
+
     hat_dims: tuple
     involutive_dims: tuple
-    hat_exact: bool
-    involutive_exact: bool
-    levelwise_exact: bool
-    chain_maps_ok: bool
+    hat_exact = involutive_exact = levelwise_exact = chain_maps_ok = True
 
     def to_json(self):
         return {
@@ -199,56 +200,61 @@ def _subspace_eq(vectors_a, vectors_b, dim):
     return ra == rb == rab
 
 
-def _levelwise_exact(f_mat, g_mat, cxs):
-    """0 -> A -f-> B -g-> C -> 0 is exact at each level, given g f = 0:
-    f injective, g surjective and the ranks adding up to dim B."""
-    rf, rg = f_mat.rank(), g_mat.rank()
-    return rf == cxs[0].dim and rg == cxs[2].dim and rf + rg == cxs[1].dim
-
-
-def _triangle_exact(cxs, homs, f_mat, g_mat, node_names, failures):
-    """Exactness of the homology triangle of a levelwise short exact
-    sequence of the complexes ``cxs`` with homologies ``homs``, with the
-    connecting map built from explicit lifts."""
-    cxA, cxB, cxC = cxs
-    hA, hB, hC = homs
-    fa = [f_mat.apply(z) for z in hA.cycles]
-    fa_classes = [express_in_homology(cxB, hB, v) for v in fa]
-    gb = [g_mat.apply(z) for z in hB.cycles]
-    gb_classes = [express_in_homology(cxC, hC, v) for v in gb]
+def _check_sequence(cxs, f, g, names, failures):
+    """Check that 0 -> A -f-> B -g-> C -> 0 on the complexes ``cxs``,
+    named ``names``, is a short exact sequence of chain maps with an
+    exact homology triangle, appending what fails to ``failures``.  Given
+    g f = 0 it is exact at each level when f is injective, g surjective
+    and the ranks add up to dim B.  The triangle, with the connecting map
+    built from explicit lifts, is checked only when the rest holds.
+    Returns the three homologies."""
+    A, B, C = cxs
+    homs = hA, hB, hC = [homology(cx) for cx in cxs]
+    found = len(failures)
+    for mat, src, tgt, at in ((f, A, B, 0), (g, B, C, 1)):
+        if not _commutator(mat, src, tgt).is_zero():
+            failures.append(f"{names[at]} -> {names[at + 1]}: "
+                            "not a chain map")
+    if not (g * f).is_zero():
+        failures.append(f"{names[0]} -> {names[2]}: composite is nonzero")
+    rf, rg = f.rank(), g.rank()
+    if (rf, rg, rf + rg) != (A.dim, C.dim, B.dim):
+        failures.append(f"{names[1]}: not levelwise short exact")
+    if len(failures) > found:
+        return homs
+    fa_classes = [express_in_homology(B, hB, f.apply(z)) for z in hA.cycles]
+    gb_classes = [express_in_homology(C, hC, g.apply(z)) for z in hB.cycles]
     # connecting map: lift along g, differentiate, pull back along f
     delta_classes = []
     for z in hC.cycles:
-        w = g_mat.solve(z)
+        w = g.solve(z)
         if w is None:
-            failures.append(f"{node_names[2]}: class fails to lift")
-            return False
-        a = f_mat.solve(cxB.d.apply(w))
+            failures.append(f"{names[2]}: class fails to lift")
+            return homs
+        a = f.solve(B.d.apply(w))
         if a is None:
-            failures.append(f"{node_names[0]}: connecting image misses")
-            return False
-        cls = express_in_homology(cxA, hA, a)
+            failures.append(f"{names[0]}: connecting image misses")
+            return homs
+        cls = express_in_homology(A, hA, a)
         if cls is None:
-            failures.append(f"{node_names[0]}: connecting value not a cycle")
-            return False
+            failures.append(f"{names[0]}: connecting value not a cycle")
+            return homs
         delta_classes.append(cls)
 
     mat_f = F2Matrix(hB.dimension, hA.dimension, tuple(fa_classes))
     mat_g = F2Matrix(hC.dimension, hB.dimension, tuple(gb_classes))
     mat_d = F2Matrix(hA.dimension, hC.dimension, tuple(delta_classes))
-    ok = True
     # image = kernel at each of the three nodes
     checks = [(mat_f.image_basis(), mat_g.nullspace_basis(),
-               hB.dimension, node_names[1]),
+               hB.dimension, names[1]),
               (mat_g.image_basis(), mat_d.nullspace_basis(),
-               hC.dimension, node_names[2]),
+               hC.dimension, names[2]),
               (mat_d.image_basis(), mat_f.nullspace_basis(),
-               hA.dimension, node_names[0])]
+               hA.dimension, names[0])]
     for image, kernel, dim, name in checks:
         if not _subspace_eq(image, kernel, dim):
             failures.append(f"{name}: image != kernel")
-            ok = False
-    return ok
+    return homs
 
 
 def verify_hfi_triangle(X):
@@ -256,9 +262,9 @@ def verify_hfi_triangle(X):
 
     Builds the three paired complexes, the involutions through the
     interpolating pieces, the cone complexes with their block maps, and
-    checks: chain-map property, levelwise short exactness, and exactness
-    of both homology triangles.  The involutions and the two connecting
-    homotopies are all the conjugation composite of ``bhfi.involutive``.
+    checks both sequences with ``_check_sequence``.  The involutions and
+    the two connecting homotopies are all the conjugation composite of
+    ``bhfi.involutive``.
     """
     z1 = split_pmc(1)
     data = build_triangle_data()
@@ -273,25 +279,18 @@ def verify_hfi_triangle(X):
              for P, omega_p, psi_p in zip(framings, omegas, psis)]
     cxs = [to_chain_complex(conj.source) for conj in conjs]
     iotas = [conj.to_matrix(cx, cx) for conj, cx in zip(conjs, cxs)]
+    nodes = ("inf", "minus_one", "zero")
     failures = []
-    for idx, (cx, conj) in enumerate(zip(cxs, iotas)):
-        if not (conj * cx.d + cx.d * conj).is_zero():
-            failures.append(f"node {idx}: involution is not a chain map")
+    for node, cx, conj in zip(nodes, cxs, iotas):
+        if not _commutator(conj, cx, cx).is_zero():
+            failures.append(f"{node}: involution is not a chain map")
 
     pairs = [conj.source for conj in conjs]
     i_mat = Morphism(pairs[0], pairs[1], box_morphism_right_comps(
         X, data.phi)).to_matrix(cxs[0], cxs[1])
     p_mat = Morphism(pairs[1], pairs[2], box_morphism_right_comps(
         X, data.psi)).to_matrix(cxs[1], cxs[2])
-    chain_maps_ok = (i_mat * cxs[0].d + cxs[1].d * i_mat).is_zero() and \
-        (p_mat * cxs[1].d + cxs[2].d * p_mat).is_zero()
-    if not chain_maps_ok:
-        failures.append("i or p fails the chain map identity")
-    if not (p_mat * i_mat).is_zero():
-        failures.append("p after i is nonzero")
-    levelwise = _levelwise_exact(i_mat, p_mat, cxs)
-    if not levelwise:
-        failures.append("levelwise short exactness fails")
+    hat_homs = _check_sequence(cxs, i_mat, p_mat, nodes, failures)
 
     # homotopies realized through the same composite, then corrected if the
     # realization only commutes up to homotopy
@@ -300,10 +299,6 @@ def verify_hfi_triangle(X):
     G_mat, H_mat = _solve_homotopy_pair(
         cxs, i_mat, p_mat, iotas, G0.to_matrix(cxs[0], cxs[1]),
         H0.to_matrix(cxs[1], cxs[2]))
-
-    hat_homs = [homology(cx) for cx in cxs]
-    hat_exact = _triangle_exact(cxs, hat_homs, i_mat, p_mat,
-                                ("inf", "minus_one", "zero"), failures)
 
     cones = [conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
              for cx, conj in zip(cxs, iotas)]
@@ -319,25 +314,10 @@ def verify_hfi_triangle(X):
 
     I_blk = block_map(i_mat, G_mat, cones[0], cones[1])
     P_blk = block_map(p_mat, H_mat, cones[1], cones[2])
-    blocks_ok = (I_blk * cones[0].d + cones[1].d * I_blk).is_zero() and \
-        (P_blk * cones[1].d + cones[2].d * P_blk).is_zero() and \
-        (P_blk * I_blk).is_zero()
-    if not blocks_ok:
-        failures.append("involutive cone block maps fail")
-    inv_levelwise = _levelwise_exact(I_blk, P_blk, cones)
-    if not inv_levelwise:
-        failures.append("involutive levelwise exactness fails")
-    cone_homs = [homology(cone) for cone in cones]
-    inv_exact = _triangle_exact(cones, cone_homs, I_blk, P_blk,
-                                ("HFI inf", "HFI minus_one", "HFI zero"),
+    cone_homs = _check_sequence(cones, I_blk, P_blk,
+                                tuple(f"HFI {node}" for node in nodes),
                                 failures)
     if failures:
         raise RelationViolation("; ".join(failures))
-    return TriangleReport(
-        hat_dims=tuple(h.dimension for h in hat_homs),
-        involutive_dims=tuple(h.dimension for h in cone_homs),
-        hat_exact=hat_exact,
-        involutive_exact=inv_exact,
-        levelwise_exact=levelwise and inv_levelwise,
-        chain_maps_ok=chain_maps_ok and blocks_ok,
-    )
+    return TriangleReport(tuple(h.dimension for h in hat_homs),
+                          tuple(h.dimension for h in cone_homs))

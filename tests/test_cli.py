@@ -319,18 +319,49 @@ class TestStrandsGuards:
                 name: {"generators": 1, "operations": k, "violations": 0}}
 
 
+def refused_in_process(argv, detail):
+    """``bhfi argv`` in a fresh process exits 2 with a parse error whose
+    detail holds ``detail``, writing nothing to stdout."""
+    code, out, err = run_process(*argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "parse"
+    assert detail in report["detail"]
+
+
+class TestRefusedArguments:
+    """A bad builtin name or an unwritable --out path exits 2 with a parse
+    error, never with a traceback; each run in a fresh process."""
+
+    @pytest.mark.parametrize("name", ["cfd0_k\u00b2", "cfd0_k\u0663"])
+    def test_builtin_genus_that_is_not_ascii_decimal(self, name):
+        # a superscript two once died in int() with a ValueError
+        # traceback, and an Arabic-Indic three was read as genus 3
+        refused_in_process(["verify", "--builtin", name],
+                           f"bad genus in builtin name {name!r}")
+
+    def test_out_in_a_missing_directory(self, tmp_path):
+        # the report was computed, then open() raised FileNotFoundError
+        path = tmp_path / "missing" / "x.json"
+        refused_in_process(builtins("hfhat", "cfd0", "cfd0")
+                           + ["--out", str(path)], f"cannot write {path}: ")
+
+    def test_dump_standard_out_that_is_a_file(self, tmp_path):
+        # os.makedirs once raised FileExistsError
+        path = tmp_path / "taken"
+        path.write_text("")
+        refused_in_process(["dump-standard", "--out", str(path)],
+                           f"cannot write {path}: ")
+
+
 class TestMalformedFiles:
     """Malformed structure files exit 2 with a parse error, never with a
     traceback; each is read by a fresh process."""
 
     def refused(self, path, detail, *argv):
-        code, out, err = run_process(*(argv or ("verify",)), str(path))
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        report = json.loads(err)
-        assert report["error"] == "parse"
-        assert detail in report["detail"]
+        refused_in_process([*(argv or ("verify",)), str(path)], detail)
 
     @staticmethod
     def cfd0_with_extra(tmp_path, idem, horizontal=None):
@@ -379,6 +410,21 @@ class TestMalformedFiles:
         self.refused(path, f"bad diagram payload: strand {strand} is not "
                            "two points of a genus-1 circle")
         self.refused(path, "bad diagram payload", "hfhat", "--builtin", "cfd0")
+
+    @pytest.mark.parametrize("left, detail", [
+        ([True], "bad diagram payload: no matched pair True"),
+        ([1.0], "bad diagram payload: no matched pair 1.0"),
+        ([1, 1], "diagram left idempotent disagrees with its strands"),
+    ], ids=["true", "1.0", "repeated"])
+    def test_left_idempotent_that_is_not_pair_labels(self, tmp_path, left,
+                                                     detail):
+        # true and 1.0 once equalled pair 1, and the file verified
+        path = tmp_path / "left.json"
+        with open(os.path.join(ROOT, "fixtures", "cfd_m1.json")) as fh:
+            payload = json.load(fh)
+        payload["ops"][0]["out"][0]["left_idem"] = left
+        path.write_text(json.dumps(payload))
+        self.refused(path, detail)
 
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.json"

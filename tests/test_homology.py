@@ -353,3 +353,47 @@ class TestBlockDifferential:
         with pytest.raises(ValueError,
                            match="differential does not square to zero"):
             BlockDifferential([[1], [], [3], [4], []])
+
+
+@pytest.fixture
+def block_builds(monkeypatch):
+    """The rows of every BlockDifferential built while the test runs."""
+    built = []
+    init = BlockDifferential.__init__
+
+    def counting(self, rows):
+        built.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(BlockDifferential, "__init__", counting)
+    return built
+
+
+class TestKeptBlocks:
+    """A ChainComplex checks d² = 0 through its one BlockDifferential,
+    which homology() and support_blocks() then read."""
+
+    def test_construction_builds_one_block_differential(self, block_builds):
+        d = F2Matrix.from_entries(4, 4, [(1, 0), (3, 2)])
+        C = ChainComplex(("a", "b", "c", "d"), d)
+        assert block_builds == [[[1], [], [3], []]]
+        assert C.support_blocks() == ((0, 1), (2, 3))
+
+    def test_homology_and_blocks_build_no_more(self, block_builds):
+        rng = random.Random(19)
+        C = random_cone(rng)
+        block_builds.clear()
+        first, second = homology(C), homology(C)
+        blocks = C.support_blocks()
+        assert block_builds == []
+        assert first == second == dense_homology(C)
+        assert blocks == BlockDifferential(
+            [[r for r in range(C.dim) if C.d.entry(r, j)]
+             for j in range(C.dim)]).blocks
+
+    def test_nonzero_square_in_the_second_block_raises(self):
+        # (0, 1) is a complex; in (2, 3, 4), d² e2 = e4
+        d = F2Matrix.from_entries(5, 5, [(1, 0), (3, 2), (4, 3)])
+        with pytest.raises(ValueError,
+                           match="differential does not square to zero"):
+            ChainComplex(tuple("abcde"), d)

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from bhfi import (F2Matrix, build_triangle_data, check_structure,
-                  is_contractible, verify_hfi_triangle)
+import bhfi.triangle as triangle
+from bhfi import (ChainComplex, F2Matrix, build_triangle_data,
+                  check_structure, is_contractible, verify_hfi_triangle)
 from bhfi.errors import RelationViolation
 from bhfi.standard import cfa_zero_handlebody
 from bhfi.structures import AInfModule, box_morphism_right
+from bhfi.triangle import _check_sequence
 
 
 def comp_labels(morphism):
@@ -80,13 +82,75 @@ class TestHfiTriangle:
         assert report.hat_exact and report.involutive_exact
 
 
+def complex_of(n, entries):
+    """The complex on generators g0..g(n-1) whose differential has a 1 at
+    each (row, column) of ``entries``."""
+    return ChainComplex(tuple(f"g{i}" for i in range(n)),
+                        F2Matrix.from_entries(n, n, entries))
+
+
+def map_of(source, target, entries):
+    return F2Matrix.from_entries(target.dim, source.dim, entries)
+
+
+class TestCheckSequence:
+    """``_check_sequence`` on hand-built sequences 0 -> A -> B -> C -> 0."""
+
+    NAMES = ("A", "B", "C")
+
+    def check(self, cxs, f_entries, g_entries):
+        A, B, C = cxs
+        failures = []
+        homs = _check_sequence(cxs, map_of(A, B, f_entries),
+                               map_of(B, C, g_entries), self.NAMES, failures)
+        return failures, [h.dimension for h in homs]
+
+    def test_exact_sequence_with_a_connecting_map(self):
+        # A = <a>, B = <b0 -> b1>, C = <c>: f(a) = b1, g(b0) = c, and the
+        # connecting map carries the class of c to that of a
+        cxs = complex_of(1, []), complex_of(2, [(1, 0)]), complex_of(1, [])
+        assert self.check(cxs, [(1, 0)], [(0, 0)]) == ([], [1, 0, 1])
+
+    def test_split_exact_sequence(self):
+        cxs = complex_of(1, []), complex_of(2, []), complex_of(1, [])
+        assert self.check(cxs, [(0, 0)], [(0, 1)]) == ([], [1, 2, 1])
+
+    def test_f_not_injective(self):
+        cxs = complex_of(2, []), complex_of(2, []), complex_of(1, [])
+        failures, _ = self.check(cxs, [(0, 0), (0, 1)], [(0, 1)])
+        assert failures == ["B: not levelwise short exact"]
+
+    def test_g_after_f_nonzero(self):
+        # f injective, g surjective and the ranks add up to dim B
+        cxs = complex_of(1, []), complex_of(2, []), complex_of(1, [])
+        failures, _ = self.check(cxs, [(0, 0)], [(0, 0), (0, 1)])
+        assert failures == ["A -> C: composite is nonzero"]
+
+    def test_f_not_a_chain_map(self):
+        # f(a0) = b0 but d(b0) = b1 while d(a0) = 0; g kills im f
+        cxs = complex_of(2, []), complex_of(3, [(1, 0)]), complex_of(1, [])
+        failures, _ = self.check(cxs, [(0, 0), (1, 1)], [(0, 2)])
+        assert failures == ["A -> B: not a chain map"]
+
+    def test_triangle_checks_both_levels(self, cfa1, monkeypatch):
+        seen = []
+
+        def recording(cxs, f, g, names, failures):
+            seen.append(names)
+            return _check_sequence(cxs, f, g, names, failures)
+
+        monkeypatch.setattr(triangle, "_check_sequence", recording)
+        verify_hfi_triangle(cfa1)
+        assert seen == [("inf", "minus_one", "zero"),
+                        ("HFI inf", "HFI minus_one", "HFI zero")]
+
+
 class TestHomotopySolve:
     """The linear-solve branch of the homotopy correction, reached by
     handing it candidates that fail the identities."""
 
     @staticmethod
     def captured_system(cfa1, monkeypatch):
-        import bhfi.triangle as triangle
         seen = []
         original = triangle._solve_homotopy_pair
 

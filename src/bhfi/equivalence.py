@@ -99,6 +99,8 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, cone_size,
             yield from ((i,) for i in range(start, len(basis)))
         for size in range(2, max_sum_size + 1):
             yield from itertools.combinations(range(len(basis)), size)
+        if not basis:           # the zero morphism is then the only class
+            yield ()
 
     tried = 0
     for pick in picks():

@@ -120,6 +120,10 @@ def structure_from_json(data):
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing structure fields: {exc}") from exc
     try:
+        for label in (g["label"] for g in gens):
+            if not isinstance(label, str):   # labels sort as strings
+                raise ParseError("bad structure payload: generator label "
+                                 f"{json.dumps(label)} is not a string")
         if kind == "D":
             circle = circle_from_json(data["circle"])
             delta = [(o["src"], element_from_json(circle, o["out"]), o["dst"])

@@ -2,7 +2,7 @@
 
 Matrices are stored column-major as Python integers (bit i of column j is
 the (i, j) entry), which makes row operations single XORs of arbitrary
-width.  Every elimination in the package (rank, kernel, image, solving,
+width.  Every elimination in the package (rank, kernel, solving,
 homology representatives, cancellation) is ``F2Matrix._echelon``, which
 pivots on the first available row in index order, so every result is
 reproducible across runs.
@@ -128,10 +128,6 @@ class F2Matrix:
         """Vectors (bitmasks over columns) spanning the kernel, in order."""
         _, cols, trans, _ = self._echelon()
         return [trans[j] for j in range(self.ncols) if cols[j] == 0]
-
-    def image_basis(self):
-        pivots, cols, _, order = self._echelon()
-        return [cols[j] for _, j in order]
 
     def solve(self, target):
         """A preimage bitmask with self * x = target, or None."""
@@ -340,18 +336,16 @@ def express_in_homology(C, hom, vec):
     return sol & ((1 << k) - 1)
 
 
-def mapping_cone(f):
+def mapping_cone(f, actions={}):
     """Cone of a chain map: the source copy first, f in the off-diagonal
-    block."""
+    block, carrying the given ``actions`` on the cone."""
     ns, nt = f.source.dim, f.target.dim
     gens = tuple(f"S:{g}" for g in f.source.generators) + \
         tuple(f"T:{g}" for g in f.target.generators)
-    cols = []
-    for j in range(ns):
-        cols.append(f.source.d.cols[j] | (f.matrix.cols[j] << ns))
-    for j in range(nt):
-        cols.append(f.target.d.cols[j] << ns)
-    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)))
+    cols = [d | m << ns for d, m in zip(f.source.d.cols, f.matrix.cols)]
+    cols += [d << ns for d in f.target.d.cols]
+    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)),
+                        actions)
 
 
 def is_quasi_isomorphism(f):

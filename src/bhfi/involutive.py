@@ -14,7 +14,7 @@ from .homology import (ChainComplex, ChainMap, F2Matrix, _commutator,
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          box_morphism_right, box_morphism_right_comps,
-                         identity_da, identity_morphism, mor_complex_DD,
+                         identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure,
                          to_chain_complex, validate_bounded)
 
@@ -29,9 +29,7 @@ class InvolutiveTypeD:
     psi: Morphism            # az boxtimes P -> P
 
     def __post_init__(self):
-        if self.psi.target.generators != self.structure.generators:
-            raise ValueError("psi must land in the underlying structure")
-        _certify_psi(self.psi)
+        _certify_psi(self.psi, self.structure, "structure")
 
 
 @record
@@ -44,12 +42,12 @@ class InvolutiveAInf:
     psi: Morphism            # M boxtimes azbar -> M
 
     def __post_init__(self):
-        if self.psi.target.generators != self.module.generators:
-            raise ValueError("psi must land in the underlying module")
-        _certify_psi(self.psi)
+        _certify_psi(self.psi, self.module, "module")
 
 
-def _certify_psi(psi):
+def _certify_psi(psi, underlying, what):
+    if psi.target.generators != underlying.generators:
+        raise ValueError(f"psi must land in the underlying {what}")
     if not psi.is_cycle():
         raise RelationViolation("psi is not a morphism cycle")
     if psi.cone_trace() is None:
@@ -119,13 +117,13 @@ def _iota_pipeline(P0, P1):
 
 
 def _on_homology(cx, hom, cycles, failure):
-    """The square matrix, on the homology basis ``hom`` of ``cx``, whose
-    columns are the classes of ``cycles``; raises ``failure`` when one of
-    them is not a cycle."""
+    """The matrix, into the homology basis ``hom`` of ``cx``, whose columns
+    are the classes of ``cycles``; raises ``failure`` when one of them is
+    not a cycle."""
     cols = tuple(express_in_homology(cx, hom, z) for z in cycles)
     if None in cols:
         raise RelationViolation(failure)
-    return F2Matrix(hom.dimension, hom.dimension, cols)
+    return F2Matrix(hom.dimension, len(cols), cols)
 
 
 def _involutive_cone(cx, hom, images):
@@ -146,9 +144,8 @@ def iota_on_mor(P0, P1):
     n = hom.dimension
     iota = _on_homology(cx, hom, images,
                         "conjugated class is not a cycle class")
-    one_plus = iota + F2Matrix.identity(n)
-    ker_dim = len(one_plus.nullspace_basis())
-    coker_dim = n - one_plus.rank()
+    # 1 + iota is square, so its kernel and cokernel have one dimension
+    ker_dim = coker_dim = n - (iota + F2Matrix.identity(n)).rank()
     cone = _involutive_cone(cx, hom, images)
     cone_h = homology(cone)
     hfi_dim = cone_h.dimension
@@ -177,16 +174,17 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
     """The map  M boxtimes P -> M boxtimes P'  through an inserted
     equivalence, as a morphism of chain-complex structures.
 
-    The five steps: relabel M x P as M x (Id x P); apply Id_M x omega_p,
+    The four steps: relabel M x P as M x (Id x P); apply Id_M x omega_p,
     where omega_p: Id x P -> (L x R) x P is the inserted equivalence
-    already paired with P; reassociate to (M x L) x (R x P), checked to
-    hold strictly; apply Id x theta_p with theta_p: R x P -> P'; apply
-    theta_m x Id with theta_m: M x L -> M.  L and R are read off the
-    sources of theta_m and theta_p, so the strict check also certifies
-    that the two halves fit the target of omega_p.  With theta_p a
-    twisted-to-plain equivalence (P' = P) this is the conjugation map;
-    with theta_p a homotopy into another framing it realizes that
-    homotopy on the paired complexes.
+    already paired with P; apply Id x theta_p with theta_p: R x P -> P',
+    whose source (M x L) x (R x P) is checked to be the target of step 2
+    strictly, generator order included; apply theta_m x Id with
+    theta_m: M x L -> M.  L and R are read off the sources of theta_m
+    and theta_p, so the strict check also certifies that the two halves
+    fit the target of omega_p.  With theta_p a twisted-to-plain
+    equivalence (P' = P) this is the conjugation map; with theta_p a
+    homotopy into another framing it realizes that homotopy on the
+    paired complexes.
     """
     base = box_tensor(M, P)
     step2 = box_morphism_right(M, omega_p)
@@ -195,20 +193,18 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
                for m in M.generators for p in P.generators
                if f"{m}|{p}" in generators}
     step1 = morphism_from_generator_map(base, step2.source, relabel)
-    step4 = box_morphism_right(theta_m.source, theta_p)
-    regrouped = step4.source
-    if set(step2.target.generators) != set(regrouped.generators) or \
+    step3 = box_morphism_right(theta_m.source, theta_p)
+    regrouped = step3.source
+    if step2.target.generators != regrouped.generators or \
        step2.target.ops != regrouped.ops:
         raise RelationViolation("box tensor failed to reassociate strictly")
-    step3 = Morphism(step2.target, regrouped,
-                     identity_morphism(step2.target).comps)
-    # step 4's target is step 5's source, and M x P' is the base when
+    # step 3's target is step 4's source, and M x P' is the base when
     # the two thetas land in M and P
     ends = (theta_m.target, theta_p.target)
-    step5 = Morphism(step4.target,
+    step4 = Morphism(step3.target,
                      base if ends == (M, P) else box_tensor(*ends),
                      box_morphism_left_comps(theta_m, theta_p.target))
-    return step1.then(step2).then(step3).then(step4).then(step5)
+    return step1.then(step2).then(step3).then(step4)
 
 
 def _idem_label(P, p):
@@ -221,10 +217,9 @@ def conjugation_cone(src, tgt, incl, conj):
     carries the source copy onto the target copy by ``incl``.  With
     ``incl`` the identity of one complex this is the involutive complex of
     the conjugation ``conj``."""
-    cone = mapping_cone(ChainMap(src, tgt, incl + conj))
-    q = F2Matrix(cone.dim, cone.dim,
-                 tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim)
-    return ChainComplex(cone.generators, cone.d, actions={"Q": q})
+    q = tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim
+    return mapping_cone(ChainMap(src, tgt, incl + conj),
+                        {"Q": F2Matrix(len(q), len(q), q)})
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
 from .homology import (F2Matrix, _bits, _commutator, express_in_homology,
                        homology)
-from .involutive import (conjugation_composite, conjugation_cone,
-                         paired_insertion)
+from .involutive import (_on_homology, conjugation_composite,
+                         conjugation_cone, paired_insertion)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
                        torus_chord)
 from .strands import split_pmc
@@ -192,22 +192,21 @@ class TriangleReport:
         }
 
 
-def _subspace_eq(vectors_a, vectors_b, dim):
-    ra = F2Matrix(dim, len(vectors_a), tuple(vectors_a)).rank()
-    rb = F2Matrix(dim, len(vectors_b), tuple(vectors_b)).rank()
-    rab = F2Matrix(dim, len(vectors_a) + len(vectors_b),
-                   tuple(vectors_a) + tuple(vectors_b)).rank()
-    return ra == rb == rab
+def _exact_at(into, out_of, dim):
+    """Exactness at a node of dimension ``dim`` between the maps ``into``
+    and ``out_of`` it: the composite vanishes and the ranks add up to dim."""
+    return (out_of * into).is_zero() and into.rank() + out_of.rank() == dim
 
 
 def _check_sequence(cxs, f, g, names, failures):
     """Check that 0 -> A -f-> B -g-> C -> 0 on the complexes ``cxs``,
     named ``names``, is a short exact sequence of chain maps with an
-    exact homology triangle, appending what fails to ``failures``.  Given
-    g f = 0 it is exact at each level when f is injective, g surjective
-    and the ranks add up to dim B.  The triangle, with the connecting map
-    built from explicit lifts, is checked only when the rest holds.
-    Returns the three homologies."""
+    exact homology triangle, appending what fails to ``failures``.  Both
+    read exactness with the rule of ``_exact_at``; levelwise, with zeros
+    at the ends, it asks g f = 0, f injective, g surjective and the ranks
+    to add up to dim B.  The triangle, with the connecting map built from
+    explicit lifts, is checked only when the rest holds.  Returns the
+    three homologies."""
     A, B, C = cxs
     homs = hA, hB, hC = [homology(cx) for cx in cxs]
     found = len(failures)
@@ -222,8 +221,10 @@ def _check_sequence(cxs, f, g, names, failures):
         failures.append(f"{names[1]}: not levelwise short exact")
     if len(failures) > found:
         return homs
-    fa_classes = [express_in_homology(B, hB, f.apply(z)) for z in hA.cycles]
-    gb_classes = [express_in_homology(C, hC, g.apply(z)) for z in hB.cycles]
+    mat_f = _on_homology(B, hB, map(f.apply, hA.cycles),
+                         f"{names[1]}: image of a class is not a cycle")
+    mat_g = _on_homology(C, hC, map(g.apply, hB.cycles),
+                         f"{names[2]}: image of a class is not a cycle")
     # connecting map: lift along g, differentiate, pull back along f
     delta_classes = []
     for z in hC.cycles:
@@ -241,18 +242,11 @@ def _check_sequence(cxs, f, g, names, failures):
             return homs
         delta_classes.append(cls)
 
-    mat_f = F2Matrix(hB.dimension, hA.dimension, tuple(fa_classes))
-    mat_g = F2Matrix(hC.dimension, hB.dimension, tuple(gb_classes))
     mat_d = F2Matrix(hA.dimension, hC.dimension, tuple(delta_classes))
-    # image = kernel at each of the three nodes
-    checks = [(mat_f.image_basis(), mat_g.nullspace_basis(),
-               hB.dimension, names[1]),
-              (mat_g.image_basis(), mat_d.nullspace_basis(),
-               hC.dimension, names[2]),
-              (mat_d.image_basis(), mat_f.nullspace_basis(),
-               hA.dimension, names[0])]
-    for image, kernel, dim, name in checks:
-        if not _subspace_eq(image, kernel, dim):
+    for into, out_of, hom, name in ((mat_f, mat_g, hB, names[1]),
+                                    (mat_g, mat_d, hC, names[2]),
+                                    (mat_d, mat_f, hA, names[0])):
+        if not _exact_at(into, out_of, hom.dimension):
             failures.append(f"{name}: image != kernel")
     return homs
 
@@ -291,6 +285,8 @@ def verify_hfi_triangle(X):
     p_mat = Morphism(pairs[1], pairs[2], box_morphism_right_comps(
         X, data.psi)).to_matrix(cxs[1], cxs[2])
     hat_homs = _check_sequence(cxs, i_mat, p_mat, nodes, failures)
+    if failures:
+        raise RelationViolation("; ".join(failures))
 
     # homotopies realized through the same composite, then corrected if the
     # realization only commutes up to homotopy
@@ -303,17 +299,15 @@ def verify_hfi_triangle(X):
     cones = [conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
              for cx, conj in zip(cxs, iotas)]
 
-    def block_map(f_mat, h_mat, src, dst):
-        ns, nt = src.dim // 2, dst.dim // 2
-        cols = []
-        for j in range(ns):
-            cols.append(f_mat.cols[j] | (h_mat.cols[j] << nt))
-        for j in range(ns):
-            cols.append(f_mat.cols[j] << nt)
-        return F2Matrix(2 * nt, 2 * ns, tuple(cols))
+    def block_map(f_mat, h_mat):
+        """[[f, 0], [h, f]] between the cones, source copies first."""
+        nt = f_mat.nrows
+        cols = [f | h << nt for f, h in zip(f_mat.cols, h_mat.cols)]
+        return F2Matrix(2 * nt, 2 * f_mat.ncols,
+                        tuple(cols + [f << nt for f in f_mat.cols]))
 
-    I_blk = block_map(i_mat, G_mat, cones[0], cones[1])
-    P_blk = block_map(p_mat, H_mat, cones[1], cones[2])
+    I_blk = block_map(i_mat, G_mat)
+    P_blk = block_map(p_mat, H_mat)
     cone_homs = _check_sequence(cones, I_blk, P_blk,
                                 tuple(f"HFI {node}" for node in nodes),
                                 failures)

@@ -426,6 +426,21 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, detail)
 
+    @pytest.mark.parametrize("label", [5, True, None], ids=json.dumps)
+    def test_generator_label_that_is_not_a_string(self, tmp_path, label):
+        # 5 next to "5" once verified; hfhat then died in a sort with a
+        # TypeError, and hfihat on the duplicate labels
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps({
+            "kind": "D",
+            "circle": {"k": 1, "matching": [[1, 3], [2, 4]]},
+            "generators": [{"label": label, "idem": [1]},
+                           {"label": "5", "idem": [1]}], "ops": []}))
+        detail = ("bad structure payload: generator label "
+                  f"{json.dumps(label)} is not a string")
+        self.refused(path, detail)
+        self.refused(path, detail, "hfhat", "--builtin", "cfd0")
+
     def test_non_utf8_bytes(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{\"kind\": \"D\"}\x80")
@@ -485,6 +500,52 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, f"operation {payload['ops'].index(op)} of a "
                            "kind-A structure carries an algebra output")
+
+
+class TestContractibleFiles:
+    """Type D files with no homology: the zero morphism is the one class
+    of each search, and hfihat reports zero."""
+
+    ZERO = {"Q": [], "hf_dim": 0, "hfi_dim": 0, "iota": [], "ker": 0}
+
+    @staticmethod
+    def d_file(tmp_path, labels, ops=()):
+        path = tmp_path / f"d_{''.join(labels) or 'empty'}.json"
+        path.write_text(json.dumps({
+            "kind": "D",
+            "circle": {"k": 1, "matching": [[1, 3], [2, 4]]},
+            "generators": [{"label": g, "idem": [1]} for g in labels],
+            "ops": [{"src": s, "inputs": [], "dst": t,
+                     "out": [{"moving": [], "horizontal": [1]}]}
+                    for s, t in ops]}))
+        return str(path)
+
+    def report(self, capsys, *argv):
+        code, out, err = run(capsys, "hfihat", *argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    def test_contractible_file(self, tmp_path, capsys):
+        # once exit 4: no acyclic cone among sums of the empty basis
+        path = self.d_file(tmp_path, "xy", [("x", "y")])
+        assert self.report(capsys, path, "--builtin", "cfd0") == self.ZERO
+        assert self.report(capsys, path, path) == self.ZERO
+
+    def test_file_without_generators(self, tmp_path, capsys):
+        path = self.d_file(tmp_path, "")
+        assert self.report(capsys, path, "--builtin", "cfd0") == self.ZERO
+
+    def test_zero_morphism_with_a_live_cone_still_fails(self, tmp_path,
+                                                        capsys):
+        # one generator and no operation: the zero morphism is tried, and
+        # its cone does not cancel
+        path = self.d_file(tmp_path, "x")
+        code, out, err = run(capsys, "hfihat", path, "--builtin", "cfd0")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "search",
+            "detail": "find_homotopy_equivalence: no acyclic cone among "
+                      "sums of up to 4 of the 0-vector homology basis"}
 
 
 def test_genus_2_hfihat_bytes_across_hash_seeds():

@@ -5,6 +5,7 @@ import pytest
 from bhfi import (ChainComplex, ChainMap, F2Matrix, homology,
                   is_quasi_isomorphism, mapping_cone, reduce)
 from bhfi.homology import BlockDifferential, HomologyData, express_in_homology
+from bhfi.involutive import conjugation_cone
 
 
 def random_two_term_complex(rng, max_dim=14):
@@ -397,3 +398,28 @@ class TestKeptBlocks:
         with pytest.raises(ValueError,
                            match="differential does not square to zero"):
             ChainComplex(tuple("abcde"), d)
+
+    def test_involutive_cone_builds_one_block_differential(self,
+                                                           block_builds):
+        # C = <a -> b>; a -> b alone is a chain map, the conjugation here
+        C = ChainComplex(("a", "b"), F2Matrix.from_entries(2, 2, [(1, 0)]))
+        eye, conj = F2Matrix.identity(2), F2Matrix.from_entries(2, 2,
+                                                                [(1, 0)])
+        block_builds.clear()
+        cone = conjugation_cone(C, C, eye, conj)
+        assert len(block_builds) == 1
+        assert cone.d == mapping_cone(ChainMap(C, C, eye + conj)).d
+        assert cone.actions["Q"] == F2Matrix.from_entries(4, 4,
+                                                          [(2, 0), (3, 1)])
+
+    def test_cone_carries_the_actions_it_is_given(self):
+        C = ChainComplex(("a", "b"), F2Matrix.from_entries(2, 2, [(1, 0)]))
+        swap = F2Matrix.from_entries(4, 4, [(2, 0), (3, 1)])
+        cone = mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
+                            {"Q": swap})
+        assert cone.actions == {"Q": swap}
+        assert mapping_cone(ChainMap(C, C, F2Matrix.identity(2))) \
+            .actions == {}
+        with pytest.raises(ValueError, match="does not commute with d"):
+            mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
+                         {"Q": F2Matrix.from_entries(4, 4, [(1, 0)])})

@@ -8,11 +8,13 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   homology, identity_da, involutive_pair, iota_on_mor,
                   is_contractible, mcg_action, mor_complex_DD,
                   standard_involutive_a, standard_involutive_d)
-from bhfi.files import builtin_structure
+from bhfi.errors import RelationViolation
+from bhfi.files import builtin_structure, structure_from_json
 from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
-                             paired_insertion)
+                             conjugation_composite, paired_insertion)
 from bhfi.standard import cfda_az, cfda_azbar
-from bhfi.structures import box_morphism_left, zero_morphism
+from bhfi.structures import (BorderedObject, Morphism, box_morphism_left,
+                             zero_morphism)
 
 
 class TestIotaOnMor:
@@ -111,6 +113,36 @@ class TestInvolutivePair:
             homology(involutive_pair(A, D)).dimension
 
 
+def d_file_structure(z1, labels, ops=()):
+    """A type D structure over the genus-1 split circle whose generators
+    all sit at pair 1, with an operation of coefficient the horizontal
+    strand of pair 1 (the idempotent) from src to dst for each of ``ops``,
+    read from its JSON payload as a file would be."""
+    return structure_from_json({
+        "kind": "D", "circle": z1.to_json(),
+        "generators": [{"label": g, "idem": [1]} for g in labels],
+        "ops": [{"src": s, "inputs": [], "dst": t,
+                 "out": [{"moving": [], "horizontal": [1]}]}
+                for s, t in ops]})
+
+
+class TestContractibleStructure:
+    """With no homology the zero morphism is the only class, and its cone
+    certifies it when both ends are contractible."""
+
+    def test_zero_morphism_is_the_certified_equivalence(self, z1, az1):
+        for P in (d_file_structure(z1, "xy", [("x", "y")]),
+                  d_file_structure(z1, "")):
+            cert = find_homotopy_equivalence(box_tensor(az1, P), P)
+            assert cert.search_index == () and not cert.forward.comps
+
+    def test_both_routes_agree(self, z1, cfa1, cfd0):
+        P = d_file_structure(z1, "xy", [("x", "y")])
+        cx = involutive_pair(standard_involutive_a(cfa1),
+                             standard_involutive_d(P))
+        assert homology(cx).dimension == iota_on_mor(cfd0, P).hfi_dim == 0
+
+
 class TestMcgAction:
     def test_identity_bimodule_acts_by_identity(self, cfa1, cfd0, z1):
         ident = identity_da(z1)
@@ -196,6 +228,15 @@ class TestPairedInsertion:
 
 
 class TestInvolutiveWrappers:
+    def test_psi_that_lands_elsewhere_rejected(self, cfa1, cfd0, cfd_inf):
+        with pytest.raises(ValueError, match="^psi must land in the "
+                                             "underlying structure$"):
+            InvolutiveTypeD(cfd_inf, standard_involutive_d(cfd0).psi)
+        other = cfa1.relabeled({g: f"g_{g}" for g in cfa1.generators})
+        with pytest.raises(ValueError, match="^psi must land in the "
+                                             "underlying module$"):
+            InvolutiveAInf(other, standard_involutive_a(cfa1).psi)
+
     def test_non_equivalence_rejected(self, cfa1, cfd0, az1):
         from bhfi import RelationViolation
         from bhfi.structures import zero_morphism
@@ -278,6 +319,40 @@ class TestPairOnceCertifyOnce:
                 InvolutiveTypeD(cfd0, psi_d)
             with pytest.raises(RelationViolation, match="cone does not"):
                 InvolutiveAInf(cfa1, psi_a)
+
+
+class TestConjugationComposite:
+    """The composite is four morphisms: the regrouped pairing is step 2's
+    target itself, checked strictly, so no identity re-points it."""
+
+    @staticmethod
+    def halves(cfa1, cfd0, z1):
+        omega = paired_insertion(cfda_azbar(z1), cfda_az(z1), cfd0)
+        return (omega, standard_involutive_d(cfd0).psi,
+                standard_involutive_a(cfa1).psi)
+
+    def test_three_compositions(self, monkeypatch, cfa1, cfd0, z1):
+        omega, psi_d, psi_a = self.halves(cfa1, cfd0, z1)
+        real, composed = Morphism.then, []
+
+        def counted(f, g):
+            composed.append(g)
+            return real(f, g)
+
+        monkeypatch.setattr(Morphism, "then", counted)
+        conj = conjugation_composite(cfa1, cfd0, omega, psi_d, psi_a)
+        assert len(composed) == 3
+        assert conj.source == conj.target == box_tensor(cfa1, cfd0)
+
+    def test_reordered_regrouping_refused(self, cfa1, cfd0, z1):
+        omega, psi_d, psi_a = self.halves(cfa1, cfd0, z1)
+        S = psi_d.source            # az x P, its generators reversed
+        flipped = BorderedObject(S.out_alg, S.in_alg, S.generators[::-1],
+                                 S.out_idem, S.in_idem, S.ops)
+        theta_p = Morphism(flipped, psi_d.target, psi_d.comps)
+        with pytest.raises(RelationViolation,
+                           match="failed to reassociate strictly"):
+            conjugation_composite(cfa1, cfd0, omega, theta_p, psi_a)
 
 
 class TestPipelineInvariance:

@@ -7,8 +7,8 @@ from bhfi import (ChainComplex, F2Matrix, build_triangle_data,
                   check_structure, is_contractible, verify_hfi_triangle)
 from bhfi.errors import RelationViolation
 from bhfi.standard import cfa_zero_handlebody
-from bhfi.structures import AInfModule, box_morphism_right
-from bhfi.triangle import _check_sequence
+from bhfi.structures import AInfModule, Morphism, box_morphism_right
+from bhfi.triangle import _check_sequence, _exact_at
 
 
 def comp_labels(morphism):
@@ -81,6 +81,30 @@ class TestHfiTriangle:
         assert report.hat_dims == (2, 2, 4)
         assert report.hat_exact and report.involutive_exact
 
+    def test_named_failure_raised_before_the_homotopies(self, cfa1,
+                                                        monkeypatch):
+        # one unit component more on the minus_one involution, the only
+        # node with a nonzero differential; the homotopy solve that then
+        # fails is never reached
+        real, built = triangle.conjugation_composite, []
+
+        def perturbed(*args):
+            conj = real(*args)
+            built.append(conj)
+            if len(built) == 2:
+                g = conj.source.generators[0]
+                unit = next(iter(conj.comps))[2]
+                conj = Morphism(conj.source, conj.target,
+                                conj.comps ^ {(g, (), unit, g)})
+            return conj
+
+        monkeypatch.setattr(triangle, "conjugation_composite", perturbed)
+        with pytest.raises(RelationViolation,
+                           match="^minus_one: involution is not a chain "
+                                 "map$"):
+            verify_hfi_triangle(cfa1)
+        assert len(built) == 3          # the involutions, not G0 and H0
+
 
 def complex_of(n, entries):
     """The complex on generators g0..g(n-1) whose differential has a 1 at
@@ -132,6 +156,24 @@ class TestCheckSequence:
         failures, _ = self.check(cxs, [(0, 0), (1, 1)], [(0, 2)])
         assert failures == ["A -> B: not a chain map"]
 
+    def test_corrupted_map_on_homology(self, monkeypatch):
+        # the split sequence with f_* sending the class of a to b0 + b1,
+        # so that g_* f_* != 0 while the ranks still add up
+        real, made = triangle._on_homology, []
+
+        def corrupted(cx, hom, cycles, failure):
+            mat = real(cx, hom, cycles, failure)
+            made.append(mat)
+            if len(made) == 1:
+                mat = F2Matrix(mat.nrows, mat.ncols, (0b11,))
+            return mat
+
+        monkeypatch.setattr(triangle, "_on_homology", corrupted)
+        cxs = complex_of(1, []), complex_of(2, []), complex_of(1, [])
+        assert self.check(cxs, [(0, 0)], [(0, 1)]) == \
+            (["B: image != kernel"], [1, 2, 1])
+        assert len(made) == 2           # f_* and g_*
+
     def test_triangle_checks_both_levels(self, cfa1, monkeypatch):
         seen = []
 
@@ -143,6 +185,44 @@ class TestCheckSequence:
         verify_hfi_triangle(cfa1)
         assert seen == [("inf", "minus_one", "zero"),
                         ("HFI inf", "HFI minus_one", "HFI zero")]
+
+
+def spans_agree(vectors_a, vectors_b, dim):
+    """The span comparison that once read exactness on homology: the
+    ranks of each set and of both together agree."""
+    ra = F2Matrix(dim, len(vectors_a), tuple(vectors_a)).rank()
+    rb = F2Matrix(dim, len(vectors_b), tuple(vectors_b)).rank()
+    rab = F2Matrix(dim, len(vectors_a) + len(vectors_b),
+                   tuple(vectors_a) + tuple(vectors_b)).rank()
+    return ra == rb == rab
+
+
+class TestExactnessRule:
+    """``_exact_at`` (the composite vanishes and the ranks add up) against
+    the span comparison of the image of f with the kernel of g."""
+
+    def test_matches_span_comparison(self):
+        outcomes = []
+        for seed in range(400):
+            rng = random.Random(seed)
+            n0, n1, n2 = (rng.randrange(0, 6) for _ in range(3))
+            g = F2Matrix(n2, n1, tuple(rng.getrandbits(n2)
+                                       for _ in range(n1)))
+            kernel = g.nullspace_basis()
+            cols = [rng.getrandbits(n1) for _ in range(n0)]
+            if seed % 2:
+                # g f = 0: each column of f is a random sum of kernel vectors
+                cols = [0] * n0
+                for j in range(n0):
+                    for v in kernel:
+                        cols[j] ^= v * rng.getrandbits(1)
+            f = F2Matrix(n1, n0, tuple(cols))
+            exact = _exact_at(f, g, n1)
+            assert exact == spans_agree(f.cols, kernel, n1), seed
+            outcomes.append((seed % 2, exact))
+        # both outcomes, with and without g f = 0
+        assert all(outcomes.count((odd, exact)) > 20
+                   for odd in (0, 1) for exact in (True, False)), outcomes
 
 
 class TestHomotopySolve:

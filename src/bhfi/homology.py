@@ -157,9 +157,10 @@ class ChainComplex:
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
-        # checks d² = 0 block by block; kept for homology() and the blocks
-        object.__setattr__(self, "_blocks", BlockDifferential(
-            [_bits(c) for c in self.d.cols]))
+        # d² = 0, checked block by block unless d is a BlockDifferential's
+        # matrix(); the blocks are kept for homology() and support_blocks()
+        object.__setattr__(self, "_blocks", getattr(self.d, "_blocks", None)
+                           or BlockDifferential(list(map(_bits, self.d.cols))))
         for name, mat in self.actions.items():
             if (mat.nrows, mat.ncols) != (n, n):
                 raise ValueError(f"action {name!r} has the wrong shape")
@@ -289,6 +290,13 @@ class BlockDifferential:
             self.matrices.append(F2Matrix(len(block), len(block),
                                           tuple(cols)))
         self._cycles = {}
+
+    def matrix(self):
+        """The dense differential; a ChainComplex on it adopts these blocks."""
+        d = F2Matrix.from_entries(len(self.rows), len(self.rows), (
+            (r, j) for j, col in enumerate(self.rows) for r in col))
+        object.__setattr__(d, "_blocks", self)
+        return d
 
     def cycles(self, b):
         """The cycle representatives of block b, as vectors over all the

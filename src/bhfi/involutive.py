@@ -116,13 +116,10 @@ def _iota_pipeline(P0, P1):
     return mc.complex, hom, images
 
 
-def _on_homology(cx, hom, cycles, failure):
-    """The matrix, into the homology basis ``hom`` of ``cx``, whose columns
-    are the classes of ``cycles``; raises ``failure`` when one of them is
-    not a cycle."""
+def _on_homology(cx, hom, cycles):
+    """The matrix, into the homology basis ``hom`` of ``cx``, of the classes
+    of ``cycles``; each caller's chain-map check certifies them as cycles."""
     cols = tuple(express_in_homology(cx, hom, z) for z in cycles)
-    if None in cols:
-        raise RelationViolation(failure)
     return F2Matrix(hom.dimension, len(cols), cols)
 
 
@@ -139,22 +136,22 @@ def _involutive_cone(cx, hom, images):
 
 def iota_on_mor(P0, P1):
     """The involution report for the pairing encoded by two type D
-    structures over one circle."""
+    structures over one circle.  The cone is built first: its chain-map
+    check on incl + conj certifies that the conjugated images are cycles,
+    and its action check that Q carries cycles to cycles."""
     cx, hom, images = _iota_pipeline(P0, P1)
+    cone = _involutive_cone(cx, hom, images)
     n = hom.dimension
-    iota = _on_homology(cx, hom, images,
-                        "conjugated class is not a cycle class")
+    iota = _on_homology(cx, hom, images)
     # 1 + iota is square, so its kernel and cokernel have one dimension
     ker_dim = coker_dim = n - (iota + F2Matrix.identity(n)).rank()
-    cone = _involutive_cone(cx, hom, images)
     cone_h = homology(cone)
     hfi_dim = cone_h.dimension
     if hfi_dim != ker_dim + coker_dim:
         raise RelationViolation(
             "involutive homology disagrees with the kernel/cokernel count")
     q_matrix = _on_homology(cone, cone_h,
-                            map(cone.actions["Q"].apply, cone_h.cycles),
-                            "Q does not descend to homology")
+                            map(cone.actions["Q"].apply, cone_h.cycles))
     return IotaReport(hf_dim=n, iota_matrix=iota, ker_dim=ker_dim,
                       coker_dim=coker_dim, hfi_dim=hfi_dim,
                       q_action=q_matrix)
@@ -274,5 +271,4 @@ def mcg_action(M, P, chi, chi_inv):
     if not _commutator(mat, cx, cx).is_zero():
         raise RelationViolation("mapping class composite is not a chain map")
     hom = homology(cx)
-    return _on_homology(cx, hom, map(mat.apply, hom.cycles),
-                        "action does not descend to homology")
+    return _on_homology(cx, hom, map(mat.apply, hom.cycles))

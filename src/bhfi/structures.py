@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
+from functools import cached_property
 from operator import itemgetter
 
 from ._record import record
@@ -822,33 +823,26 @@ def box_morphism_right_comps(B, f):
 class MorComplex:
     """The chain complex of type D structure morphisms P -> Q, with its
     basis of elementary morphisms.  The differential is kept one support
-    block at a time; the dense ``complex`` is built on first use."""
+    block at a time; the dense ``complex``, built on first use, adopts it."""
 
     P: BorderedObject
     Q: BorderedObject
     basis: tuple              # (p, coefficient diagram, q) triples
     differential: BlockDifferential
 
-    @property
+    @cached_property
     def complex(self):
-        if not hasattr(self, "_complex"):
-            alg, n = self.P.out_alg, len(self.basis)
-            object.__setattr__(self, "_complex", ChainComplex(
-                tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in self.basis),
-                F2Matrix.from_entries(n, n, (
-                    (r, j) for j, col in enumerate(self.differential.rows)
-                    for r in col))))
-        return self._complex
+        alg = self.P.out_alg
+        return ChainComplex(
+            tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in self.basis),
+            self.differential.matrix())
 
     def homology(self):
         return self.differential.homology()
 
-    @property
+    @cached_property
     def _pos(self):
-        if not hasattr(self, "_pos_cache"):
-            object.__setattr__(self, "_pos_cache",
-                               {t: i for i, t in enumerate(self.basis)})
-        return self._pos_cache
+        return {t: i for i, t in enumerate(self.basis)}
 
     def vector_of(self, morphism):
         vec = 0

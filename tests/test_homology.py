@@ -3,7 +3,9 @@ import random
 import pytest
 
 from bhfi import (ChainComplex, ChainMap, F2Matrix, homology,
-                  is_quasi_isomorphism, mapping_cone, reduce)
+                  involutive_pair, iota_on_mor, is_quasi_isomorphism,
+                  mapping_cone, mor_complex_DD, reduce, standard_involutive_a,
+                  standard_involutive_d, verify_hfi_triangle)
 from bhfi.homology import BlockDifferential, HomologyData, express_in_homology
 from bhfi.involutive import conjugation_cone
 
@@ -423,3 +425,37 @@ class TestKeptBlocks:
         with pytest.raises(ValueError, match="does not commute with d"):
             mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
                          {"Q": F2Matrix.from_entries(4, 4, [(1, 0)])})
+
+
+class TestPipelineBlockBuilds:
+    """Each complex a pipeline reads blocks of is split into blocks once;
+    a Mor complex's dense view adopts the blocks it was built with."""
+
+    def test_mor_complex_view_adopts_its_blocks(self, cfd0_k2, block_builds):
+        block_builds.clear()
+        mc = mor_complex_DD(cfd0_k2, cfd0_k2)
+        assert len(block_builds) == 1
+        assert mc.complex.support_blocks() == mc.differential.blocks
+        assert homology(mc.complex) == mc.homology()
+        assert len(block_builds) == 1
+        n, rows = len(mc.basis), block_builds[0]
+        assert mc.complex.d == F2Matrix.from_entries(n, n, [
+            (r, j) for j, col in enumerate(rows) for r in col])
+
+    def test_iota_on_mor_genus_2(self, cfd0_k2, block_builds):
+        block_builds.clear()
+        iota_on_mor(cfd0_k2, cfd0_k2)
+        sizes = [len(rows) for rows in block_builds]
+        assert len(sizes) == 5
+        assert sizes.count(max(sizes)) == 1     # the Mor complex, once
+
+    def test_triangle_genus_1(self, cfa1, block_builds):
+        block_builds.clear()
+        verify_hfi_triangle(cfa1)
+        assert len(block_builds) == 9
+
+    def test_involutive_pair_genus_1(self, cfa1, cfd0, block_builds):
+        A, D = standard_involutive_a(cfa1), standard_involutive_d(cfd0)
+        block_builds.clear()
+        involutive_pair(A, D)
+        assert len(block_builds) == 3

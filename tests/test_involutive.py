@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from bhfi import structures
+from bhfi import involutive, structures
 from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   find_homotopy_equivalence, find_structure_equivalence,
                   homology, identity_da, involutive_pair, iota_on_mor,
@@ -72,6 +72,22 @@ class TestCfiHat:
             assert homology(cone).dimension == rep.hfi_dim
             q = cone.actions["Q"]
             assert (q * q).is_zero()
+
+
+class TestNonCycleConjugation:
+    """A conjugated image that is not a cycle fails the one check both
+    routes share: the involutive cone's chain-map check on incl + conj."""
+
+    def test_both_routes_fail_at_the_cone(self, cfd_m1, monkeypatch):
+        cx, hom, images = _iota_pipeline(cfd_m1, cfd_m1)
+        j = next(j for j in range(cx.dim) if cx.d.cols[j])
+        broken = (cx, hom, [images[0] ^ 1 << j] + images[1:])
+        monkeypatch.setattr(involutive, "_iota_pipeline",
+                            lambda P0, P1: broken)
+        for route in (iota_on_mor, cfi_hat):
+            with pytest.raises(ValueError, match="^not a chain map$") as err:
+                route(cfd_m1, cfd_m1)
+            assert "_involutive_cone" in [e.name for e in err.traceback]
 
 
 class TestInvolutivePair:

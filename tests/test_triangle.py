@@ -3,8 +3,9 @@ import random
 import pytest
 
 import bhfi.triangle as triangle
-from bhfi import (ChainComplex, F2Matrix, build_triangle_data,
-                  check_structure, is_contractible, verify_hfi_triangle)
+from bhfi import (ChainComplex, ChainMap, F2Matrix, build_triangle_data,
+                  check_structure, is_contractible, mapping_cone,
+                  verify_hfi_triangle)
 from bhfi.errors import RelationViolation
 from bhfi.standard import cfa_zero_handlebody
 from bhfi.structures import AInfModule, Morphism, box_morphism_right
@@ -161,8 +162,8 @@ class TestCheckSequence:
         # so that g_* f_* != 0 while the ranks still add up
         real, made = triangle._on_homology, []
 
-        def corrupted(cx, hom, cycles, failure):
-            mat = real(cx, hom, cycles, failure)
+        def corrupted(cx, hom, cycles):
+            mat = real(cx, hom, cycles)
             made.append(mat)
             if len(made) == 1:
                 mat = F2Matrix(mat.nrows, mat.ncols, (0b11,))
@@ -185,6 +186,73 @@ class TestCheckSequence:
         verify_hfi_triangle(cfa1)
         assert seen == [("inf", "minus_one", "zero"),
                         ("HFI inf", "HFI minus_one", "HFI zero")]
+
+
+def random_complex(rng, max_dim=6):
+    """A random complex: a random map from the last generators into the
+    first, so that d² = 0."""
+    n = rng.randrange(1, max_dim + 1)
+    split = rng.randrange(0, n + 1)
+    return complex_of(n, [(r, c) for c in range(split, n)
+                          for r in range(split) if rng.getrandbits(1)])
+
+
+def random_chain_map(rng, X, Y):
+    """A uniformly random chain map X -> Y: a random vector of the kernel
+    of f -> f d + d f on the entries of f (entry (r, c) at r * X.dim + c)."""
+    m, n = Y.dim, X.dim
+    cols = []
+    for r in range(m):
+        for c in range(n):
+            img = 0
+            for s in range(n):          # E_rc d: row c of d_X moved to row r
+                img ^= X.d.entry(c, s) << (r * n + s)
+            for t in range(m):          # d E_rc: column r of d_Y moved to c
+                img ^= Y.d.entry(t, r) << (t * n + c)
+            cols.append(img)
+    vec = 0
+    for v in F2Matrix(m * n, m * n, tuple(cols)).nullspace_basis():
+        if rng.getrandbits(1):
+            vec ^= v
+    return F2Matrix.from_entries(m, n, [divmod(k, n) for k in range(m * n)
+                                        if vec >> k & 1])
+
+
+def rank_on_homology(phi, X, Y):
+    """rank of phi_*, from the cycles of X and the boundaries of Y alone:
+    dim (phi(Z_X) + B_Y) - dim B_Y."""
+    images = [phi.apply(z) for z in X.d.nullspace_basis()]
+    both = F2Matrix(Y.dim, len(images) + Y.dim, tuple(images) + Y.d.cols)
+    return both.rank() - Y.d.rank()
+
+
+class TestConnectingMapOnCones:
+    """0 -> Y -> Cone(phi) -> X -> 0, with the T copy as the inclusion and
+    the S copy as the projection.  Its connecting map is phi_*, so the
+    cone's homology has dimension h(X) + h(Y) - 2 rank(phi_*)."""
+
+    def test_seeded_cones(self):
+        rng = random.Random(21)
+        ranks = []
+        for _ in range(120):
+            X, Y = random_complex(rng), random_complex(rng)
+            phi = random_chain_map(rng, X, Y)
+            cone = mapping_cone(ChainMap(X, Y, phi))
+            incl = F2Matrix(cone.dim, Y.dim,
+                            tuple(1 << (X.dim + j) for j in range(Y.dim)))
+            proj = F2Matrix(X.dim, cone.dim,
+                            tuple(1 << j for j in range(X.dim)) +
+                            (0,) * Y.dim)
+            failures = []
+            homs = _check_sequence((Y, cone, X), incl, proj,
+                                   ("Y", "Cone", "X"), failures)
+            r = rank_on_homology(phi, X, Y)
+            hX, hY = X.dim - 2 * X.d.rank(), Y.dim - 2 * Y.d.rank()
+            assert failures == []
+            assert [h.dimension for h in homs] == [hY, hX + hY - 2 * r, hX]
+            ranks.append(r)
+        assert sum(r >= 2 for r in ranks) >= 10
+        assert max(ranks) >= 3
 
 
 def spans_agree(vectors_a, vectors_b, dim):

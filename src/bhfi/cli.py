@@ -126,10 +126,9 @@ def _cmd_mcg(args):
 
 def _cmd_dump_standard(args):
     outdir = args.out or "fixtures"
-    names = ["cfd_inf", "cfd_m1", "cfd0"]
-    for k in (1, 2):
-        names += [f"cfd0_k{k}", f"cfa0_k{k}", f"ddid_k{k}",
-                  f"az_k{k}", f"azbar_k{k}"]
+    # each fixed builtin once, then every genus family at genus 1 and 2
+    names = list(dict.fromkeys(name.format(n=k) for k in (1, 2)
+                               for name in BUILTIN_NAMES))
     written = [os.path.join(outdir, f"{name}.json") for name in names]
     try:
         os.makedirs(outdir, exist_ok=True)

@@ -10,6 +10,8 @@ modules:
 
 where an element is a list of diagrams, each
 ``{"left_idem": [...], "moving": [[i, j], ...], "horizontal": [...]}``.
+The builtin names live in one table, ``_BUILTINS``, which
+``BUILTIN_NAMES``, ``builtin_structure`` and ``dump-standard`` all read.
 """
 from __future__ import annotations
 
@@ -51,55 +53,33 @@ def element_from_json(circle, data):
 
 
 def structure_to_json(S):
-    kind = S.kind
-    gens = []
-    ops = []
+    kind, o, i = S.kind, S.out_alg, S.in_alg
     if kind == "D":
-        circle = {"circle": S.out_alg.circle.to_json()}
-        for g in S.generators:
-            gens.append({"label": g, "idem": sorted(S.out_idem[g])})
-        for src, _, out, dst in S.sorted_ops():
-            ops.append({"src": src, "inputs": [],
-                        "out": [out.to_json()], "dst": dst})
+        circle = o.circle.to_json()
+        idems = [sorted(S.out_idem[g]) for g in S.generators]
     elif kind == "A":
-        circle = {"circle": S.in_alg.circle.to_json()}
-        for g in S.generators:
-            gens.append({"label": g, "idem": sorted(S.in_idem[g])})
-        for src, ins, _, dst in S.sorted_ops():
-            ops.append({"src": src,
-                        "inputs": [[b.to_json()] for b in ins],
-                        "dst": dst})
+        circle = i.circle.to_json()
+        idems = [sorted(S.in_idem[g]) for g in S.generators]
     elif kind == "DA":
-        circle = {"circle": {"out": S.out_alg.circle.to_json(),
-                             "in": S.in_alg.circle.to_json()}}
-        for g in S.generators:
-            gens.append({"label": g,
-                         "idem": [sorted(S.out_idem[g]),
-                                  sorted(S.in_idem[g])]})
-        for src, ins, out, dst in S.sorted_ops():
-            ops.append({"src": src,
-                        "inputs": [[b.to_json()] for b in ins],
-                        "out": [out.to_json()], "dst": dst})
+        circle = {"out": o.circle.to_json(), "in": i.circle.to_json()}
+        idems = [[sorted(S.out_idem[g]), sorted(S.in_idem[g])]
+                 for g in S.generators]
     elif kind == "DD":
-        circle = {"circle": {"left": S.out_alg.left.circle.to_json(),
-                             "right": S.out_alg.right.circle.to_json()}}
-        for g in S.generators:
-            gens.append({"label": g,
-                         "idem": [sorted(S.out_idem[g][0]),
-                                  sorted(S.out_idem[g][1])]})
-        for src, _, out, dst in S.sorted_ops():
-            ops.append({"src": src, "inputs": [],
-                        "out": [[out[0].to_json()], [out[1].to_json()]],
-                        "dst": dst})
+        circle = {"left": o.left.circle.to_json(),
+                  "right": o.right.circle.to_json()}
+        idems = [[sorted(a), sorted(b)]
+                 for a, b in (S.out_idem[g] for g in S.generators)]
     else:
         raise ParseError(f"cannot serialize a {kind}-kind object")
-    return {"kind": kind, **circle, "generators": gens, "ops": ops}
-
-
-def _idempotent(circle, pairs):
-    """A generator idempotent: k pair labels of its circle, read as the
-    basic idempotent of the circle's algebra."""
-    return algebra(circle).idempotent(_pair_labels(circle, pairs)).left_idem
+    ops = []
+    for src, ins, out, dst in S.sorted_ops():
+        op = {"src": src, "inputs": [[b.to_json()] for b in ins], "dst": dst}
+        if kind != "A":     # an A operation outputs the ground field's unit
+            op["out"] = [[t.to_json()] for t in out] if kind == "DD" \
+                else [out.to_json()]
+        ops.append(op)
+    gens = [{"label": g, "idem": idem} for g, idem in zip(S.generators, idems)]
+    return {"kind": kind, "circle": circle, "generators": gens, "ops": ops}
 
 
 def _refuse(kind, ops, key, what):
@@ -110,6 +90,29 @@ def _refuse(kind, ops, key, what):
         if o.get(key):
             raise ParseError(f"operation {i} of a kind-{kind} structure "
                              f"carries {what}")
+
+
+def _per_circle(kind, field, what):
+    """The two entries, one per circle, of a DA or DD generator's ``idem``
+    or a DD operation's ``out``; any other count is refused."""
+    if len(field) != 2:
+        raise ParseError(f"{what} of a kind-{kind} structure must have two "
+                         f"entries, one per circle, not {len(field)}")
+    return field
+
+
+def _generators(kind, gens, *circles):
+    """Each generator of a file as its label and its idempotent on each
+    circle: k pair labels, read as the basic idempotent of the circle's
+    algebra.  A DA or DD generator's ``idem`` has one entry per circle."""
+    out = []
+    for g in gens:
+        idem = [g["idem"]] if len(circles) == 1 else _per_circle(
+            kind, g["idem"], f"generator {json.dumps(g['label'])} idem")
+        out.append((g["label"], *(
+            algebra(c).idempotent(_pair_labels(c, p)).left_idem
+            for c, p in zip(circles, idem))))
+    return out
 
 
 def structure_from_json(data):
@@ -129,10 +132,8 @@ def structure_from_json(data):
             delta = [(o["src"], element_from_json(circle, o["out"]), o["dst"])
                      for o in ops]
             _refuse(kind, ops, "inputs", "algebra inputs")
-            return TypeDStructure(
-                circle, [(g["label"], _idempotent(circle, g["idem"]))
-                         for g in gens],
-                delta)
+            return TypeDStructure(circle, _generators(kind, gens, circle),
+                                  delta)
         if kind == "A":
             circle = circle_from_json(data["circle"])
             operations = [(o["src"],
@@ -140,10 +141,8 @@ def structure_from_json(data):
                             for e in o["inputs"]],
                            o["dst"]) for o in ops]
             _refuse(kind, ops, "out", "an algebra output")
-            return AInfModule(
-                circle, [(g["label"], _idempotent(circle, g["idem"]))
-                         for g in gens],
-                operations)
+            return AInfModule(circle, _generators(kind, gens, circle),
+                              operations)
         if kind == "DA":
             out_circle = circle_from_json(data["circle"]["out"])
             in_circle = circle_from_json(data["circle"]["in"])
@@ -154,22 +153,19 @@ def structure_from_json(data):
                            o["dst"]) for o in ops]
             return DABimodule(
                 out_circle, in_circle,
-                [(g["label"], _idempotent(out_circle, g["idem"][0]),
-                  _idempotent(in_circle, g["idem"][1])) for g in gens],
-                operations)
+                _generators(kind, gens, out_circle, in_circle), operations)
         if kind == "DD":
             left = circle_from_json(data["circle"]["left"])
             right = circle_from_json(data["circle"]["right"])
-            delta = [(o["src"],
-                      (element_from_json(left, o["out"][0]),
-                       element_from_json(right, o["out"][1])),
-                      o["dst"]) for o in ops]
+            delta = []
+            for i, o in enumerate(ops):
+                a, b = _per_circle(kind, o["out"], f"operation {i} out")
+                delta.append((o["src"], (element_from_json(left, a),
+                                         element_from_json(right, b)),
+                              o["dst"]))
             _refuse(kind, ops, "inputs", "algebra inputs")
-            return DDBimodule(
-                left, right,
-                [(g["label"], _idempotent(left, g["idem"][0]),
-                  _idempotent(right, g["idem"][1])) for g in gens],
-                delta)
+            return DDBimodule(left, right,
+                              _generators(kind, gens, left, right), delta)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -201,29 +197,32 @@ def dump_structure(S, path):
 # ---------------------------------------------------------------------------
 # builtin registry
 
+# name -> (builder in bhfi.standard, its argument); for a genus family
+# "..._k{n}" the argument is a function of the genus n.  Builders are
+# looked up by name on each call, so a wrapped builder is the one called.
+_BUILTINS = {
+    "cfd_inf": ("cfd_solid_torus", "infinity"),
+    "cfd_m1": ("cfd_solid_torus", "minus_one"),
+    "cfd0": ("cfd_solid_torus", "zero"),
+    "cfd0_k{n}": ("cfd_zero_handlebody", int),
+    "cfa0_k{n}": ("cfa_zero_handlebody", int),
+    "ddid_k{n}": ("dd_identity", split_pmc),
+    "az_k{n}": ("cfda_az", split_pmc),
+    "azbar_k{n}": ("cfda_azbar", split_pmc),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
 
 def builtin_structure(name):
     """Structures addressable by name on the command line."""
     from . import standard
-    if name == "cfd_inf":
-        return standard.cfd_solid_torus("infinity")
-    if name == "cfd_m1":
-        return standard.cfd_solid_torus("minus_one")
-    if name == "cfd0":
-        return standard.cfd_solid_torus("zero")
-    for prefix, builder in (
-            ("cfd0_k", standard.cfd_zero_handlebody),
-            ("cfa0_k", standard.cfa_zero_handlebody),
-            ("ddid_k", lambda k: standard.dd_identity(split_pmc(k))),
-            ("az_k", lambda k: standard.cfda_az(split_pmc(k))),
-            ("azbar_k", lambda k: standard.cfda_azbar(split_pmc(k)))):
-        if name.startswith(prefix):
+    for pattern, (builder, arg) in _BUILTINS.items():
+        prefix, family, _ = pattern.partition("{n}")
+        if not family and name == pattern:
+            return getattr(standard, builder)(arg)
+        if family and name.startswith(prefix):
             tail = name[len(prefix):]
             if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
                 raise ParseError(f"bad genus in builtin name {name!r}")
-            return builder(int(tail))
+            return getattr(standard, builder)(arg(int(tail)))
     raise ParseError(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = ("cfd_inf", "cfd_m1", "cfd0", "cfd0_k{n}", "cfa0_k{n}",
-                 "ddid_k{n}", "az_k{n}", "azbar_k{n}")

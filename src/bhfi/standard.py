@@ -4,6 +4,7 @@ bimodules, and the surgery morphisms between the three solid-torus framings.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -68,6 +69,13 @@ _FACTOR_ACTION = {((1, 2),): {"u": "t"},
                   ((2, 3),): {"t": "v"}}
 
 
+def _factor_action(f):
+    """The right action of a genus-1 factor on {t, u, v}, as a map."""
+    if f.is_idempotent:
+        return {x: x for x, i in _FACTOR_IDEM.items() if f.horizontal == {i}}
+    return _FACTOR_ACTION.get(f.moving, {})
+
+
 def cfa_zero_handlebody(k):
     """The dg A-infinity module of the 0-framed genus-k handlebody on the
     basis {t, u, v}^k; only one- and two-input operations are nonzero."""
@@ -75,38 +83,20 @@ def cfa_zero_handlebody(k):
         raise ValueError("genus must be a positive integer")
     zk = split_pmc(k)
     basis = algebra(zk).basis      # refuses oversized genera before 3^k words
-    gens = []
+    gens, operations = [], []
     for word in itertools.product("tuv", repeat=k):
         label = "".join(word)
-        idem = frozenset(2 * i + _FACTOR_IDEM[x] for i, x in enumerate(word))
-        gens.append((label, idem))
-    operations = []
-    for word in itertools.product("tuv", repeat=k):
-        label = "".join(word)
-        for i, x in enumerate(word):
-            if x == "u":
-                out = "".join(word[:i] + ("v",) + word[i + 1:])
-                operations.append((label, [], out))
+        gens.append((label, frozenset(2 * i + _FACTOR_IDEM[x]
+                                      for i, x in enumerate(word))))
+        operations += [(label, [], label[:i] + "v" + label[i + 1:])
+                       for i, x in enumerate(word) if x == "u"]
     for b in basis:
-        factors = split_factors(b)
-        if factors is None:
-            continue
-        for word in itertools.product("tuv", repeat=k):
-            new = []
-            for x, f in zip(word, factors):
-                if f.is_idempotent:
-                    if f.horizontal != {_FACTOR_IDEM[x]}:
-                        new = None
-                        break
-                    new.append(x)
-                else:
-                    img = _FACTOR_ACTION.get(f.moving, {}).get(x)
-                    if img is None:
-                        new = None
-                        break
-                    new.append(img)
-            if new is not None:
-                operations.append(("".join(word), [b], "".join(new)))
+        if (factors := split_factors(b)) is not None:
+            # the words the factors act on, each with its image
+            for pairs in itertools.product(*(_factor_action(f).items()
+                                             for f in factors)):
+                word, image = zip(*pairs)
+                operations.append(("".join(word), [b], "".join(image)))
     return AInfModule(zk, gens, operations)
 
 
@@ -147,26 +137,19 @@ def _gen_label(pairs):
     return "i" + ".".join(str(p) for p in sorted(pairs))
 
 
-_AZ_CACHE = {}
-
-
+@functools.cache
 def cfda_az(circle):
     """DA bimodule of the interpolating piece: one generator per algebra
     basis element, right multiplication as the two-input operation, and the
     chord-sum one-input operation."""
-    key = (circle, False)
-    if key not in _AZ_CACHE:
-        _AZ_CACHE[key] = _cfda_interpolating(circle, dualized=False)
-    return _AZ_CACHE[key]
+    return _cfda_interpolating(circle, dualized=False)
 
 
+@functools.cache
 def cfda_azbar(circle):
     """The reversed interpolating piece: generators indexed by dual basis
     elements; the transpose differential and the dual right action."""
-    key = (circle, True)
-    if key not in _AZ_CACHE:
-        _AZ_CACHE[key] = _cfda_interpolating(circle, dualized=True)
-    return _AZ_CACHE[key]
+    return _cfda_interpolating(circle, dualized=True)
 
 
 def _cfda_interpolating(circle, dualized):

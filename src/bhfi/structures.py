@@ -17,8 +17,9 @@ written once against this shape.
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from ._record import record
@@ -137,15 +138,9 @@ class TensorAlgebra:
                      for b in self.right.basis_between(left[1], right[1]))
 
 
-_TENSOR_CACHE = {}
-
-
+@cache
 def tensor_algebra(left, right):
-    key = (id(left), id(right))
-    alg = _TENSOR_CACHE.get(key)
-    if alg is None:
-        alg = _TENSOR_CACHE[key] = TensorAlgebra(left, right)
-    return alg
+    return TensorAlgebra(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +148,25 @@ def tensor_algebra(left, right):
 
 
 def _coefficient_terms(value):
-    """Normalize a coefficient to its F2 list of basis terms."""
+    """The basis terms of a coefficient: an AlgebraElement's terms, the
+    tuples of terms of a tuple of coefficients, or a basis element."""
     if isinstance(value, AlgebraElement):
-        return value.sorted_terms()
-    return [value]
+        return value.terms
+    if isinstance(value, tuple):
+        return itertools.product(*map(_coefficient_terms, value))
+    return (value,)
+
+
+def _expand(entries):
+    """The F2 set of operations spelled by the entries (source, input
+    sums, output sum, target): the product of each entry's term sets,
+    summed over the entries, so that a term met twice cancels."""
+    ops = set()
+    for src, ins, out, dst in entries:
+        for t in itertools.product(*map(_coefficient_terms, ins),
+                                   _coefficient_terms(out)):
+            ops ^= {(src, t[:-1], t[-1], dst)}
+    return ops
 
 
 _SRC, _OUT, _DST = itemgetter(0), itemgetter(2), itemgetter(3)
@@ -276,15 +286,11 @@ class TypeDStructure(BorderedObject):
 
     def __init__(self, circle, generators, delta):
         self.circle = circle
-        alg = algebra(circle)
         gens = [g for g, _ in generators]
-        out_idem = {g: frozenset(i) for g, i in generators}
-        in_idem = {g: TRIVIAL.UNIT for g in gens}
-        ops = set()
-        for src, coeff, dst in delta:
-            for term in _coefficient_terms(coeff):
-                ops ^= {(src, (), term, dst)}
-        super().__init__(alg, TRIVIAL, gens, out_idem, in_idem, ops)
+        super().__init__(algebra(circle), TRIVIAL, gens,
+                         {g: frozenset(i) for g, i in generators},
+                         dict.fromkeys(gens, TRIVIAL.UNIT),
+                         _expand((s, (), c, t) for s, c, t in delta))
 
     def delta1(self):
         """The delta map as (source, AlgebraElement, target) triples."""
@@ -300,57 +306,36 @@ class AInfModule(BorderedObject):
 
     def __init__(self, circle, generators, operations):
         self.circle = circle
-        alg = algebra(circle)
         gens = [g for g, _ in generators]
-        in_idem = {g: frozenset(i) for g, i in generators}
-        out_idem = {g: TRIVIAL.UNIT for g in gens}
-        ops = set()
-        for entry in operations:
-            src, ins, dst = entry
-            words = [()]
-            for a in ins:
-                words = [w + (t,) for w in words
-                         for t in _coefficient_terms(a)]
-            for w in words:
-                ops ^= {(src, w, TRIVIAL.UNIT, dst)}
-        super().__init__(TRIVIAL, alg, gens, out_idem, in_idem, ops)
+        super().__init__(TRIVIAL, algebra(circle), gens,
+                         dict.fromkeys(gens, TRIVIAL.UNIT),
+                         {g: frozenset(i) for g, i in generators},
+                         _expand((s, w, TRIVIAL.UNIT, t)
+                                 for s, w, t in operations))
 
 
 class DABimodule(BorderedObject):
     """Type DA bimodule: algebra output on one circle, inputs on another."""
 
     def __init__(self, out_circle, in_circle, generators, operations):
-        out_alg = algebra(out_circle)
-        in_alg = algebra(in_circle)
-        gens = [g for g, _, _ in generators]
-        out_idem = {g: frozenset(o) for g, o, _ in generators}
-        in_idem = {g: frozenset(i) for g, _, i in generators}
-        ops = set()
-        for src, ins, out, dst in operations:
-            words = [()]
-            for a in ins:
-                words = [w + (t,) for w in words
-                         for t in _coefficient_terms(a)]
-            for term in _coefficient_terms(out):
-                for w in words:
-                    ops ^= {(src, w, term, dst)}
-        super().__init__(out_alg, in_alg, gens, out_idem, in_idem, ops)
+        super().__init__(algebra(out_circle), algebra(in_circle),
+                         [g for g, _, _ in generators],
+                         {g: frozenset(o) for g, o, _ in generators},
+                         {g: frozenset(i) for g, _, i in generators},
+                         _expand(operations))
 
 
 class DDBimodule(BorderedObject):
     """Type DD bimodule: a type D structure over a tensor of two algebras."""
 
     def __init__(self, circle_left, circle_right, generators, delta):
-        out_alg = tensor_algebra(algebra(circle_left), algebra(circle_right))
         gens = [g for g, _, _ in generators]
-        out_idem = {g: (frozenset(a), frozenset(b)) for g, a, b in generators}
-        in_idem = {g: TRIVIAL.UNIT for g in gens}
-        ops = set()
-        for src, (ca, cb), dst in delta:
-            for ta in _coefficient_terms(ca):
-                for tb in _coefficient_terms(cb):
-                    ops ^= {(src, (), (ta, tb), dst)}
-        super().__init__(out_alg, TRIVIAL, gens, out_idem, in_idem, ops)
+        super().__init__(
+            tensor_algebra(algebra(circle_left), algebra(circle_right)),
+            TRIVIAL, gens,
+            {g: (frozenset(a), frozenset(b)) for g, a, b in generators},
+            dict.fromkeys(gens, TRIVIAL.UNIT),
+            _expand((s, (), (ca, cb), t) for s, (ca, cb), t in delta))
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +730,7 @@ def zero_morphism(S, T):
 
 
 def elementary_morphism(P, Q, src, coeff, dst):
-    comps = set()
-    for term in _coefficient_terms(coeff):
-        comps ^= {(src, (), term, dst)}
-    return Morphism(P, Q, comps)
+    return Morphism(P, Q, _expand([(src, (), coeff, dst)]))
 
 
 def _generator_map_comps(S, mapping):

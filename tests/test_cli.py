@@ -7,7 +7,9 @@ import time
 import pytest
 
 from bhfi.cli import main
-from bhfi.files import builtin_structure, dump_structure, load_structure
+from bhfi.files import BUILTIN_NAMES, builtin_structure, dump_structure, \
+    load_structure
+from bhfi.strands import split_pmc
 
 
 def run(capsys, *argv):
@@ -159,6 +161,34 @@ class TestDumpStandard:
             T = builtin_structure(name)
             assert S.generators == T.generators
             assert S.ops == T.ops
+
+
+class TestBuiltinRegistry:
+    def test_dump_standard_writes_every_family_at_genus_1_and_2(
+            self, capsys, tmp_path):
+        code, out, _ = run(capsys, "dump-standard", "--out", str(tmp_path))
+        assert code == 0
+        names = [os.path.splitext(os.path.basename(path))[0]
+                 for path in json.loads(out)["written"]]
+        fixed = [n for n in BUILTIN_NAMES if "{n}" not in n]
+        families = [n for n in BUILTIN_NAMES if "{n}" in n]
+        assert names == fixed + [n.format(n=k) for k in (1, 2)
+                                 for n in families]
+        for name in names:
+            assert builtin_structure(name).kind in ("D", "A", "DA", "DD")
+
+    def test_builders_are_looked_up_when_called(self, monkeypatch):
+        from bhfi import standard
+        calls = []
+        original = standard.cfda_az
+
+        def wrapper(circle):
+            calls.append(circle)
+            return original(circle)
+
+        monkeypatch.setattr(standard, "cfda_az", wrapper)
+        assert builtin_structure("az_k1") is original(split_pmc(1))
+        assert calls == [split_pmc(1)]
 
 
 class TestGenusTwoEndToEnd:
@@ -490,6 +520,27 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, f"operation 0 of a kind-{payload['kind']} "
                            "structure carries algebra inputs")
+
+    @pytest.mark.parametrize("name, field, count, detail", [
+        ("az_k1", "idem", 1, 'generator "h1" idem of a kind-DA structure'),
+        ("az_k1", "idem", 3, 'generator "h1" idem of a kind-DA structure'),
+        ("ddid_k1", "idem", 1, 'generator "i1" idem of a kind-DD structure'),
+        ("ddid_k1", "idem", 3, 'generator "i1" idem of a kind-DD structure'),
+        ("ddid_k1", "out", 1, "operation 0 out of a kind-DD structure"),
+        ("ddid_k1", "out", 3, "operation 0 out of a kind-DD structure"),
+    ])
+    def test_two_circle_field_without_two_entries(self, tmp_path, name,
+                                                  field, count, detail):
+        # one entry once raised an IndexError out of verify, and a third
+        # entry of a DD idem was dropped, so that the file verified
+        path = tmp_path / f"{name}.json"
+        dump_structure(builtin_structure(name), path)
+        payload = json.loads(path.read_text())
+        entry = payload["generators" if field == "idem" else "ops"][0]
+        entry[field] = (entry[field] * 2)[:count]
+        path.write_text(json.dumps(payload))
+        self.refused(path, f"{detail} must have two entries, one per "
+                           f"circle, not {count}")
 
     def test_output_on_a_kind_a_operation(self, tmp_path):
         path = tmp_path / "cfa0_k1.json"

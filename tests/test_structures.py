@@ -16,8 +16,9 @@ from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
                   is_contractible, mor_complex_DD, reduce_structure,
                   split_pmc, validate_bounded)
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
-from bhfi.strands import StrandsAlgebra
-from bhfi.structures import (TRIVIAL, BorderedObject, TensorAlgebra,
+from bhfi.strands import AlgebraElement, StrandsAlgebra
+from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
+                             DABimodule, DDBimodule, TensorAlgebra, _expand,
                              _terms_after, box_morphism_left,
                              box_morphism_right, elementary_morphism,
                              structure_residue, zero_morphism)
@@ -947,7 +948,8 @@ class TestJsonRoundTrip:
         from bhfi.files import builtin_structure, structure_from_json, \
             structure_to_json
         names = ["cfd_inf", "cfd_m1", "cfd0", "cfd0_k2", "cfa0_k1",
-                 "ddid_k1", "az_k1", "azbar_k1"]
+                 "ddid_k1", "az_k1", "azbar_k1",
+                 "cfa0_k2", "ddid_k2", "az_k2", "azbar_k2"]
         for name in names:
             S = builtin_structure(name)
             T = structure_from_json(structure_to_json(S))
@@ -963,6 +965,121 @@ class TestJsonRoundTrip:
             structure_from_json({"kind": "Z"})
         with pytest.raises(ParseError):
             structure_from_json({"kind": "D", "generators": [], "ops": []})
+
+
+# The loops each constructor once ran on its own, kept as the oracle for
+# the one term expansion that replaced them.
+
+def _loop_terms(value):
+    if isinstance(value, AlgebraElement):
+        return value.sorted_terms()
+    return [value]
+
+
+def loop_type_d(delta):
+    ops = set()
+    for src, coeff, dst in delta:
+        for term in _loop_terms(coeff):
+            ops ^= {(src, (), term, dst)}
+    return ops
+
+
+def loop_ainf(operations):
+    ops = set()
+    for src, ins, dst in operations:
+        words = [()]
+        for a in ins:
+            words = [w + (t,) for w in words for t in _loop_terms(a)]
+        for w in words:
+            ops ^= {(src, w, TRIVIAL.UNIT, dst)}
+    return ops
+
+
+def loop_da(operations):
+    ops = set()
+    for src, ins, out, dst in operations:
+        words = [()]
+        for a in ins:
+            words = [w + (t,) for w in words for t in _loop_terms(a)]
+        for term in _loop_terms(out):
+            for w in words:
+                ops ^= {(src, w, term, dst)}
+    return ops
+
+
+def loop_dd(delta):
+    ops = set()
+    for src, (ca, cb), dst in delta:
+        for ta in _loop_terms(ca):
+            for tb in _loop_terms(cb):
+                ops ^= {(src, (), (ta, tb), dst)}
+    return ops
+
+
+def loop_elementary(src, coeff, dst):
+    comps = set()
+    for term in _loop_terms(coeff):
+        comps ^= {(src, (), term, dst)}
+    return comps
+
+
+class TestExpand:
+    """The one term expansion against the five loops it replaced, on
+    seeded entries drawn from small pools, so that terms repeat within
+    and across entries and some cancel."""
+
+    GENS = ("x", "y", "z")
+
+    @staticmethod
+    def random_sum(rng, pool):
+        """A bare basis element, or a sum of up to three of them."""
+        if rng.random() < 0.3:
+            return rng.choice(pool)
+        return AlgebraElement(pool[0].circle,
+                              frozenset(rng.sample(pool, rng.randint(0, 3))))
+
+    def entries(self, seed, alg):
+        rng = random.Random(seed)
+        pool = rng.sample(alg.basis, 6)
+        return [(rng.choice(self.GENS),
+                 [self.random_sum(rng, pool)
+                  for _ in range(rng.randint(0, 3))],
+                 (self.random_sum(rng, pool), self.random_sum(rng, pool)),
+                 rng.choice(self.GENS)) for _ in range(40)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_kind_matches_its_loop(self, seed, z1, z2):
+        circle = (z1, z2)[seed % 2]
+        alg = algebra(circle)
+        entries = self.entries(seed, alg)
+        # the constructors do not check idempotents against coefficients
+        idem = alg.idempotent_diagrams[0].left_idem
+        ones = [(g, idem) for g in self.GENS]
+        twos = [(g, i, i) for g, i in ones]
+        delta = [(s, out[0], t) for s, _, out, t in entries]
+        assert TypeDStructure(circle, ones, delta).ops == loop_type_d(delta)
+        ainf = [(s, ins, t) for s, ins, _, t in entries]
+        assert AInfModule(circle, ones, ainf).ops == loop_ainf(ainf)
+        da = [(s, ins, out[0], t) for s, ins, out, t in entries]
+        assert DABimodule(circle, circle, twos, da).ops == loop_da(da)
+        dd = [(s, out, t) for s, _, out, t in entries]
+        assert DDBimodule(circle, circle, twos, dd).ops == loop_dd(dd)
+        # the draws repeat terms across entries, some of which cancel,
+        # and spell words of several sums
+        assert len(loop_type_d(delta)) < \
+            sum(len(_loop_terms(c)) for _, c, _ in delta)
+        assert any(len(ins) > 1 for _, ins, _ in ainf)
+        P = TypeDStructure(circle, ones, [])
+        for s, _, (coeff, _), t in entries:
+            assert elementary_morphism(P, P, s, coeff, t).comps == \
+                loop_elementary(s, coeff, t)
+
+    def test_a_term_met_twice_cancels(self, z1):
+        a, b = [d for d in algebra(z1).basis if not d.is_idempotent][:2]
+        twice = AlgebraElement(z1, frozenset({a, b}))
+        delta = [("x", twice, "x"), ("x", a, "x")]
+        assert _expand([(s, (), c, t) for s, c, t in delta]) == \
+            {("x", (), b, "x")} == loop_type_d(delta)
 
 
 class TestTrackedLoopReduction:

@@ -3,7 +3,8 @@
 Type D structures are compared through the homology of their morphism
 complex: rigidity of the standard modules guarantees a unique equivalence
 class, so the search walks homology classes (smallest combinations first)
-and certifies each candidate by cancelling its mapping cone to nothing.
+and certifies the first candidate whose mapping cone cancels to nothing;
+one rank of each candidate's unit part tells, exactly, which cone will.
 
 Input-carrying structures (A-infinity modules, DA bimodules) are compared
 by cancelling both sides as far as the safe (series-free) reduction goes,
@@ -71,12 +72,39 @@ def homology_basis_of_mor(P, Q):
 
 def _acyclic_cone_trace(f):
     """Reduction trace of the cone when it cancels away; None otherwise.
-    Each call is one candidate of a search; certificates of a morphism
-    already searched read ``Morphism.cone_trace`` directly."""
+    Each call is one search candidate whose cone is reduced; certificates
+    of a morphism already searched read ``Morphism.cone_trace`` directly."""
     return f.cone_trace()
 
 
-def _first_acyclic_sum(stage, runs, what, to_morphism, cone_size,
+def _unit_part(S, T):
+    """The exact test of a cycle S -> T that its cone cancels to nothing:
+    the cone's unit part, the F2 complex on S and T of the operations and
+    components that read no input and carry an idempotent, has no
+    homology: twice its rank is |S| + |T|.
+
+    Cancellation (after pairing with the DD identity, whose coefficients
+    are never idempotent) is never blocked on the cone of a cycle, and
+    modulo the non-idempotent ideal each step is one elimination step of
+    the unit part.  The columns of S and T are built once."""
+    is_idem = S.out_alg.is_idem
+    pos_s = {g: i for i, g in enumerate(S.generators)}
+    pos_t = {g: len(pos_s) + i for i, g in enumerate(T.generators)}
+    size = len(pos_s) + len(pos_t)
+
+    def columns(ops, src_pos, dst_pos, cols):
+        for src, ins, out, dst in ops:
+            if not ins and is_idem(out):
+                cols[src_pos[src]] ^= 1 << dst_pos[dst]
+        return cols
+
+    fixed = columns(T.ops, pos_t, pos_t, columns(S.ops, pos_s, pos_s,
+                                                 [0] * size))
+    return lambda f: 2 * F2Matrix(size, size, columns(
+        f.comps, pos_s, pos_t, fixed.copy())).rank() == size
+
+
+def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
                       max_sum_size):
     """Walk F2 sums of a basis of bit-vectors, singletons first, in
     combination order, and certify the first candidate whose cone cancels
@@ -84,11 +112,15 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, cone_size,
     concatenation is the basis; the singletons of each run are tried
     before the next run is drawn, so a hit never computes the runs after
     it.  Sums of two or more, the ``search_index`` and the messages see
-    the whole basis.  The cones reduced may hold at most
-    ``BHFI_MAX_GENERATORS`` generators in total; past that the walk raises
-    DivergenceError, and NotEquivalentError when every sum fails.  Both
-    errors name ``stage``."""
+    the whole basis.  Every candidate is a cycle ``source -> target``, and
+    only one that passes ``_unit_part`` has its cone reduced.  The walk
+    may pass at most ``BHFI_MAX_GENERATORS`` cone generators in total,
+    counting every candidate; past that it raises DivergenceError, and
+    NotEquivalentError when every sum fails.  Both errors name
+    ``stage``."""
     cap = generator_cap()
+    cone_size = len(source.generators) + len(target.generators)
+    may_cancel = _unit_part(source, target)
     basis = []
     runs = iter(runs)
 
@@ -118,8 +150,8 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, cone_size,
         for i in pick:
             mask ^= basis[i]
         candidate = to_morphism(mask)
-        trace = _acyclic_cone_trace(candidate)
-        if trace is not None:
+        if may_cancel(candidate) and \
+                (trace := _acyclic_cone_trace(candidate)) is not None:
             return EquivalenceCertificate(candidate, trace, pick)
     raise NotEquivalentError(
         f"{stage}: no acyclic cone among sums of up to {max_sum_size} of "
@@ -141,8 +173,7 @@ def find_homotopy_equivalence(P, Q):
     d = mc.differential
     return _first_acyclic_sum(
         "find_homotopy_equivalence", map(d.cycles, range(len(d.blocks))),
-        "homology basis", mc.morphism_of,
-        len(P.generators) + len(Q.generators), MAX_SUM_SIZE)
+        "homology basis", mc.morphism_of, P, Q, MAX_SUM_SIZE)
 
 
 def verify_morphism_bounded(f, ell):
@@ -236,16 +267,22 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
                     unknowns.append((src, w, out, dst))
     unknowns.sort(key=A.op_sort_key)
     # rows in first-seen order: each kernel vector is its own column plus
-    # the unique sum of earlier independent columns, whatever the row order
-    row = {}
-    cols = tuple(sum(1 << row.setdefault(t, len(row))
-                     for t in component_differential(A, B, e))
-                 for e in unknowns)
+    # the unique sum of earlier independent columns, whatever the row order.
+    # Each column is set in one buffer: a sum of shifted ints costs time
+    # quadratic in the row count.
+    row, cols = {}, []
+    for e in unknowns:
+        rows = [row.setdefault(t, len(row))
+                for t in component_differential(A, B, e)]
+        col = bytearray(len(row) + 7 >> 3)
+        for r in rows:
+            col[r >> 3] |= 1 << (r & 7)
+        cols.append(int.from_bytes(col, "little"))
     kernel = F2Matrix(len(row), len(unknowns), cols).nullspace_basis()
     return _first_acyclic_sum(
         "search_small_equivalence", (kernel,), "kernel",
         lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),
-        len(A.generators) + len(B.generators), max_sum_size)
+        A, B, max_sum_size)
 
 
 def find_structure_equivalence(A, B):

@@ -137,19 +137,19 @@ def _gen_label(pairs):
     return "i" + ".".join(str(p) for p in sorted(pairs))
 
 
-@functools.cache
 def cfda_az(circle):
     """DA bimodule of the interpolating piece: one generator per algebra
     basis element, right multiplication as the two-input operation, and the
     chord-sum one-input operation."""
-    return _cfda_interpolating(circle, dualized=False)
+    algebra(circle).basis       # refuses past the cap, also when cached
+    return _interpolating(circle, False)
 
 
-@functools.cache
 def cfda_azbar(circle):
     """The reversed interpolating piece: generators indexed by dual basis
     elements; the transpose differential and the dual right action."""
-    return _cfda_interpolating(circle, dualized=True)
+    algebra(circle).basis       # refuses past the cap, also when cached
+    return _interpolating(circle, True)
 
 
 def _cfda_interpolating(circle, dualized):
@@ -191,6 +191,9 @@ def _cfda_interpolating(circle, dualized):
             src, dst = (w, x) if dualized else (x, w)
             ops.append((name[src], [], unit[src], name[dst]))
     return DABimodule(circle, circle, gens, ops)
+
+
+_interpolating = functools.cache(_cfda_interpolating)
 
 
 def surgery_maps():

@@ -342,17 +342,19 @@ class StrandsAlgebra:
 
     @property
     def basis(self):
-        return self._basis()
-
-    def _basis(self):
-        if not hasattr(self, "_basis_cached"):
-            # the exact count is exponential in k: the bound refuses first
-            refuse_past_cap("strands basis", self._basis_lower_bound(),
-                            "diagrams", lower_bound=True)
-            refuse_past_cap("strands basis", self._count_basis(), "diagrams")
-            self._basis_cached = tuple(sorted(self._enumerate_basis(),
-                                              key=StrandDiagram.sort_key))
-        return self._basis_cached
+        """Both refusals run on every read, the second on the cached
+        length once the basis is listed, so a cap lowered later in the
+        process refuses it too."""
+        # the exact count is exponential in k: the bound refuses first
+        refuse_past_cap("strands basis", self._basis_lower_bound(),
+                        "diagrams", lower_bound=True)
+        basis = getattr(self, "_basis_cached", None)
+        refuse_past_cap("strands basis", self._count_basis()
+                        if basis is None else len(basis), "diagrams")
+        if basis is None:
+            basis = self._basis_cached = tuple(sorted(
+                self._enumerate_basis(), key=StrandDiagram.sort_key))
+        return basis
 
     def _basis_lower_bound(self):
         """A closed-form lower bound on the basis size, cheap at any genus:

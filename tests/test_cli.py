@@ -122,6 +122,23 @@ class TestGeneratorCap:
                       "BHFI_MAX_GENERATORS=200000"}
 
 
+    def test_lowered_cap_refuses_cached_structures(self, capsys,
+                                                     monkeypatch):
+        # az_k2 is built and cached under the default cap; under a lower
+        # one, it and azbar_k2 are refused as in a fresh process
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        builtin_structure("az_k2")
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "100")
+        fresh = run_process(*builtins("verify", "azbar_k2"))
+        assert fresh[:2] == (5, "")
+        assert json.loads(fresh[2]) == {
+            "error": "divergence",
+            "detail": "strands basis: at least 114 diagrams exceed "
+                      "BHFI_MAX_GENERATORS=100"}
+        for name in ("az_k2", "azbar_k2"):
+            assert run(capsys, *builtins("verify", name)) == fresh
+
+
 class TestMaxSumSize:
     def test_other_commands_reject_it(self, capsys):
         for command in ("hfhat", "hfihat"):

@@ -1,6 +1,11 @@
+import importlib.util
 import itertools
 import math
+import os
+import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,12 +15,18 @@ from bhfi import (DivergenceError, InsufficientArityError, Morphism,
                   homology, homology_basis_of_mor, identity_da,
                   identity_morphism, is_contractible, mor_complex_DD,
                   omega_equivalence, verify_morphism_bounded)
-from bhfi.equivalence import MAX_SUM_SIZE, EquivalenceCertificate
+from bhfi import structures
+from bhfi.equivalence import MAX_SUM_SIZE, EquivalenceCertificate, _unit_part
 from bhfi.errors import generator_cap
-from bhfi.homology import BlockDifferential
-from bhfi.standard import cfda_az, torus_chord
+from bhfi.homology import BlockDifferential, F2Matrix, _bits
+from bhfi.involutive import iota_on_mor
+from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.structures import BorderedObject
 from test_homology import dense_homology
+from test_structures import (captured_search_system, search_unknowns,
+                             summed_search_columns)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestHomologyBasis:
@@ -176,6 +187,17 @@ class TestSmallSearch:
                                      max_sum_size=1)
 
 
+@pytest.fixture(scope="module")
+def doubled(cfd0):
+    """cfd0 + cfd0, which no class of Mor(cfd0, cfd0 + cfd0) matches."""
+    return BorderedObject(
+        cfd0.out_alg, cfd0.in_alg, ("n0", "n1"),
+        {"n0": cfd0.out_idem["n"], "n1": cfd0.out_idem["n"]},
+        {"n0": cfd0.in_idem["n"], "n1": cfd0.in_idem["n"]},
+        {(f"n{i}", ins, out, f"n{i}") for i in (0, 1)
+         for _, ins, out, _ in cfd0.ops})
+
+
 class TestSearchGuard:
     def test_candidate_cones_bounded_by_generator_cap(self, monkeypatch, z1,
                                                        az1, azbar1):
@@ -191,15 +213,10 @@ class TestSearchGuard:
         assert "10 of 523685 candidates" in message
         assert "60-vector kernel" in message
 
-    def test_homology_walk_bounded_by_generator_cap(self, monkeypatch, cfd0):
+    def test_homology_walk_bounded_by_generator_cap(self, monkeypatch, cfd0,
+                                                    doubled):
         # Mor(cfd0, cfd0 + cfd0) has four classes and no equivalence; each
         # candidate cone has three generators
-        doubled = BorderedObject(
-            cfd0.out_alg, cfd0.in_alg, ("n0", "n1"),
-            {"n0": cfd0.out_idem["n"], "n1": cfd0.out_idem["n"]},
-            {"n0": cfd0.in_idem["n"], "n1": cfd0.in_idem["n"]},
-            {(f"n{i}", ins, out, f"n{i}") for i in (0, 1)
-             for _, ins, out, _ in cfd0.ops})
         with pytest.raises(NotEquivalentError) as err:
             find_homotopy_equivalence(cfd0, doubled)
         assert str(err.value).startswith("find_homotopy_equivalence:")
@@ -339,6 +356,118 @@ class TestLazySearch:
             "find_homotopy_equivalence: 2 of 56 candidates reduced "
             "(6-vector homology basis, sums of up to 4); the next cone "
             "would pass BHFI_MAX_GENERATORS=8 generators in total"))
+
+
+def load_relabel():
+    """``relabel`` from the benchmark's workloads, which is not a package."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up here
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.relabel
+
+
+def captured(run):
+    """``captured_search_system``, with the package restored on return."""
+    with pytest.MonkeyPatch.context() as mp:
+        return captured_search_system(mp, run)
+
+
+@pytest.fixture(scope="module")
+def seed_1_bridge(z2, cfa2):
+    """The bridge search of the relabelled genus-2 A side, seed 1: its
+    ends, arity and linear system, captured before the kernel."""
+    M = load_relabel()(cfa2, random.Random(1), "m")
+    return captured(lambda eq: eq.find_structure_equivalence(
+        box_tensor(M, cfda_azbar(z2)), M))
+
+
+def cone_verdicts(S, T, cycles):
+    """For each cycle S -> T: (unit-part verdict, whether its cone
+    cancels to nothing)."""
+    may_cancel = _unit_part(S, T)
+    return [(may_cancel(f), f.cone_trace() is not None) for f in cycles]
+
+
+def kernel_cycles(ends, system):
+    """The morphisms of a bounded search's kernel vectors."""
+    A, B, arity = ends
+    unknowns = search_unknowns(A, B, arity)
+    return [Morphism(A, B, {unknowns[j] for j in _bits(v)})
+            for v in F2Matrix(*system).nullspace_basis()]
+
+
+class TestUnitPart:
+    """The rank test on a candidate's unit part decides, without reducing
+    it, whether the candidate's cone cancels to nothing."""
+
+    def test_morphism_classes(self, az1, cfd0, cfd_inf, cfd_m1,
+                              rungs_and_g2):
+        # singletons and pairs of the homology classes of Mor between
+        # az^n x cfd0 (n <= 3) and the framed tori, and between az x
+        # cfd0_k2 and cfd0_k2
+        rung, pairs = cfd0, list(rungs_and_g2[-2:])
+        for _ in range(4):
+            pairs += [(P, Q) for torus in (cfd0, cfd_inf, cfd_m1)
+                      for P, Q in ((rung, torus), (torus, rung))]
+            rung = box_tensor(az1, rung)
+        verdicts = []
+        for P, Q in pairs:
+            mc = mor_complex_DD(P, Q)
+            basis = mc.homology().cycles
+            sums = [*basis, *(u ^ v for u, v in
+                              itertools.combinations(basis, 2))]
+            verdicts += cone_verdicts(P, Q, map(mc.morphism_of, sums))
+        assert all(test == reduced for test, reduced in verdicts)
+        assert Counter(reduced for _, reduced in verdicts) == \
+            {True: 24, False: 36}
+
+    @pytest.mark.parametrize("left, size, hits", [
+        ("azbar", 60, 0), ("az", 61, 1)])
+    def test_genus_1_kernels(self, z1, az1, azbar1, left, size, hits):
+        # the kernels of identity_da -> azbar x az and -> az x azbar
+        pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
+        ends, system = captured(lambda eq: eq.search_small_equivalence(
+            identity_da(z1), box_tensor(*pieces)))
+        verdicts = cone_verdicts(*ends[:2], kernel_cycles(ends, system))
+        assert len(verdicts) == size
+        assert all(test == reduced for test, reduced in verdicts)
+        assert sum(reduced for _, reduced in verdicts) == hits
+
+    def test_relabelled_genus_2_bridge(self, seed_1_bridge):
+        ends, system = seed_1_bridge
+        verdicts = cone_verdicts(*ends[:2], kernel_cycles(ends, system))
+        assert len(verdicts) == 736
+        assert all(test == reduced for test, reduced in verdicts)
+        assert sum(reduced for _, reduced in verdicts) == 5
+
+    def test_bridge_columns_match_summed_shifts(self, seed_1_bridge):
+        (A, B, arity), system = seed_1_bridge
+        assert system == summed_search_columns(A, B, arity)
+
+
+class TestConeReductions:
+    """A search reduces the cone of a candidate only when its unit part
+    is acyclic."""
+
+    @pytest.fixture
+    def reduced(self, monkeypatch):
+        calls = []
+        real = structures.contraction_trace
+        monkeypatch.setattr(structures, "contraction_trace",
+                            lambda S: calls.append(S) or real(S))
+        return calls
+
+    def test_involution_reduces_the_two_hits(self, reduced, cfd0_k2):
+        iota_on_mor(cfd0_k2, cfd0_k2)
+        assert len(reduced) == 2
+
+    def test_failed_search_reduces_no_cone(self, reduced, cfd0, doubled):
+        with pytest.raises(NotEquivalentError):
+            find_homotopy_equivalence(cfd0, doubled)
+        assert reduced == []
 
 
 class TestCertificateSerialization:

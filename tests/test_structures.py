@@ -20,7 +20,8 @@ from bhfi.strands import AlgebraElement, StrandsAlgebra
 from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
                              DABimodule, DDBimodule, TensorAlgebra, _expand,
                              _terms_after, box_morphism_left,
-                             box_morphism_right, elementary_morphism,
+                             box_morphism_right, component_differential,
+                             elementary_morphism,
                              structure_residue, zero_morphism)
 from test_homology import dense_homology
 
@@ -1139,10 +1140,8 @@ def per_element_mor_columns(mc):
     return tuple(cols)
 
 
-def per_element_search_system(A, B, max_arity):
-    """(rows, unknowns, columns) of the bounded search's linear system,
-    from one one-component morphism per unknown, with the rows in residue
-    term order."""
+def search_unknowns(A, B, max_arity):
+    """The unknowns of the bounded search's linear system, in its order."""
     from bhfi.equivalence import _chained_words
     out_alg, in_alg = A.out_alg, A.in_alg
     unknowns = []
@@ -1153,7 +1152,26 @@ def per_element_search_system(A, B, max_arity):
                 words = [()] if in_alg.is_trivial else _chained_words(
                     in_alg, A.in_idem[src], B.in_idem[dst], max_arity - 1)
                 unknowns += [(src, w, out, dst) for w in words]
-    unknowns.sort(key=A.op_sort_key)
+    return sorted(unknowns, key=A.op_sort_key)
+
+
+def summed_search_columns(A, B, max_arity):
+    """(rows, unknowns, columns) of the bounded search's linear system,
+    rows in first-seen order, each column a sum of shifted ints: the
+    search's own assembly must give the same ints."""
+    unknowns = search_unknowns(A, B, max_arity)
+    row = {}
+    cols = tuple(sum(1 << row.setdefault(t, len(row))
+                     for t in component_differential(A, B, e))
+                 for e in unknowns)
+    return len(row), len(unknowns), cols
+
+
+def per_element_search_system(A, B, max_arity):
+    """(rows, unknowns, columns) of the bounded search's linear system,
+    from one one-component morphism per unknown, with the rows in residue
+    term order."""
+    unknowns = search_unknowns(A, B, max_arity)
     residues = [two_loop_differential(Morphism(A, B, {e})) for e in unknowns]
     terms = sorted(set().union(*residues), key=B.op_sort_key)
     row = {t: i for i, t in enumerate(terms)}
@@ -1326,6 +1344,7 @@ class TestComponentDifferential:
                 box_tensor(cfa2, az2), cfa2))
         assert arity == 3
         assert_same_system(system, per_element_search_system(A, B, arity))
+        assert system == summed_search_columns(A, B, arity)
 
 
 class TestBoxMorphismRightChains:

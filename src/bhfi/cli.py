@@ -94,6 +94,9 @@ def _cmd_verify(args):
     results = {}
     bad = 0
     refs = (args.builtin or []) + args.inputs
+    if not refs:
+        raise ParseError("verify: expected at least 1 input (files or "
+                         "--builtin), got 0")
     for ref, S in zip(refs, _resolve_inputs(args)):
         violations = check_structure(S)
         results[ref] = {
@@ -164,26 +167,22 @@ def build_parser():
     return parser
 
 
+# the stderr label and exit code of each reported error, tried in order
+_EXIT_CODES = {ParseError: ("parse", 2), RelationViolation: ("relations", 3),
+               NotEquivalentError: ("search", 4),
+               DivergenceError: ("divergence", 5)}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "parse", "detail": str(exc)}),
+    except tuple(_EXIT_CODES) as exc:
+        label, code = next(entry for cls, entry in _EXIT_CODES.items()
+                           if isinstance(exc, cls))
+        print(json.dumps({"error": label, "detail": str(exc)}),
               file=sys.stderr)
-        return 2
-    except RelationViolation as exc:
-        print(json.dumps({"error": "relations", "detail": str(exc)}),
-              file=sys.stderr)
-        return 3
-    except NotEquivalentError as exc:
-        print(json.dumps({"error": "search", "detail": str(exc)}),
-              file=sys.stderr)
-        return 4
-    except DivergenceError as exc:
-        print(json.dumps({"error": "divergence", "detail": str(exc)}),
-              file=sys.stderr)
-        return 5
+        return code
 
 
 if __name__ == "__main__":

@@ -141,7 +141,7 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
             candidates = sum(math.comb(len(basis), k)
                              for k in range(1, max_sum_size + 1))
             raise DivergenceError(
-                f"{stage}: {tried} of {candidates} candidates reduced "
+                f"{stage}: {tried} of {candidates} candidates tried "
                 f"({len(basis)}-vector {what}, sums of up to "
                 f"{max_sum_size}); the next cone would pass "
                 f"BHFI_MAX_GENERATORS={cap} generators in total")
@@ -249,8 +249,9 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
     Solves the morphism-cycle condition as a linear system over the
     elementary components with at most ``max_arity - 1`` inputs, then walks
     combinations of the solution space looking for an acyclic cone.  The
-    cones reduced may hold at most ``BHFI_MAX_GENERATORS`` generators in
-    total; past that the search raises DivergenceError.
+    cones of the candidates tried, reduced or not, may hold at most
+    ``BHFI_MAX_GENERATORS`` generators in total; past that the search
+    raises DivergenceError.
     """
     out_alg, in_alg = A.out_alg, A.in_alg
     unknowns = []

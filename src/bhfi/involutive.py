@@ -14,9 +14,8 @@ from .homology import (ChainComplex, ChainMap, F2Matrix, _commutator,
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          box_morphism_right, box_morphism_right_comps,
-                         identity_da, mor_complex_DD,
-                         morphism_from_generator_map, reduce_structure,
-                         to_chain_complex, validate_bounded)
+                         mor_complex_DD, reduce_structure, to_chain_complex,
+                         validate_bounded)
 
 
 @record
@@ -171,42 +170,32 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
     """The map  M boxtimes P -> M boxtimes P'  through an inserted
     equivalence, as a morphism of chain-complex structures.
 
-    The four steps: relabel M x P as M x (Id x P); apply Id_M x omega_p,
-    where omega_p: Id x P -> (L x R) x P is the inserted equivalence
-    already paired with P; apply Id x theta_p with theta_p: R x P -> P',
-    whose source (M x L) x (R x P) is checked to be the target of step 2
-    strictly, generator order included; apply theta_m x Id with
-    theta_m: M x L -> M.  L and R are read off the sources of theta_m
-    and theta_p, so the strict check also certifies that the two halves
-    fit the target of omega_p.  With theta_p a twisted-to-plain
-    equivalence (P' = P) this is the conjugation map; with theta_p a
-    homotopy into another framing it realizes that homotopy on the
-    paired complexes.
+    The three steps: apply Id_M x omega_p, where omega_p: P -> (L x R) x P
+    is the inserted equivalence already paired with P; apply Id x theta_p
+    with theta_p: R x P -> P', whose source (M x L) x (R x P) is checked
+    to be the target of step 1 strictly, generator order included; apply
+    theta_m x Id with theta_m: M x L -> M.  L and R are read off the
+    sources of theta_m and theta_p, so the strict check also certifies
+    that the two halves fit the target of omega_p.  With theta_p a
+    twisted-to-plain equivalence (P' = P) this is the conjugation map;
+    with theta_p a homotopy into another framing it realizes that
+    homotopy on the paired complexes.
     """
     base = box_tensor(M, P)
-    step2 = box_morphism_right(M, omega_p)
-    generators = set(base.generators)
-    relabel = {f"{m}|{p}": f"{m}|e_{_idem_label(P, p)}|{p}"
-               for m in M.generators for p in P.generators
-               if f"{m}|{p}" in generators}
-    step1 = morphism_from_generator_map(base, step2.source, relabel)
-    step3 = box_morphism_right(theta_m.source, theta_p)
-    regrouped = step3.source
-    if step2.target.generators != regrouped.generators or \
-       step2.target.ops != regrouped.ops:
+    step1 = Morphism(base, box_tensor(M, omega_p.target),
+                     box_morphism_right_comps(M, omega_p))
+    step2 = box_morphism_right(theta_m.source, theta_p)
+    regrouped = step2.source
+    if step1.target.generators != regrouped.generators or \
+       step1.target.ops != regrouped.ops:
         raise RelationViolation("box tensor failed to reassociate strictly")
-    # step 3's target is step 4's source, and M x P' is the base when
+    # step 2's target is step 3's source, and M x P' is the base when
     # the two thetas land in M and P
     ends = (theta_m.target, theta_p.target)
-    step4 = Morphism(step3.target,
+    step3 = Morphism(step2.target,
                      base if ends == (M, P) else box_tensor(*ends),
                      box_morphism_left_comps(theta_m, theta_p.target))
-    return step1.then(step2).then(step3).then(step4)
-
-
-def _idem_label(P, p):
-    alg = P.out_alg
-    return alg.label_of(alg.idem_element(P.out_idem[p]))
+    return step1.then(step2).then(step3)
 
 
 def conjugation_cone(src, tgt, incl, conj):
@@ -224,17 +213,17 @@ def conjugation_cone(src, tgt, incl, conj):
 
 
 def paired_insertion(L, R, P):
-    """The equivalence  Id x P -> (L x R) x P  that every conjugation,
-    mapping class action and triangle homotopy inserts.  By rigidity its
-    class is unique, so it is searched for after pairing with P, from
-    Id x P into the cancelled (L x R) x P, and carried back along the
-    tracked inclusion; the bimodule-level equivalence Id -> L x R is never
-    built (its tracked cancellation explodes at genus two).  The target is
+    """The equivalence  P -> (L x R) x P  that every conjugation, mapping
+    class action and triangle homotopy inserts: Id ~ L x R paired with P,
+    starting at P itself, since Id x P is canonically P.  By rigidity its
+    class is unique, so it is searched for after pairing with P, from P
+    into the cancelled (L x R) x P, and carried back along the tracked
+    inclusion; the bimodule-level equivalence Id -> L x R is never built
+    (its tracked cancellation explodes at genus two).  The target is
     paired as L x (R x P), which has the same generators and operations as
     (L x R) x P without building the bimodule L x R."""
     red = reduce_structure(box_tensor(L, box_tensor(R, P)), track_from=True)
-    bridge = find_homotopy_equivalence(
-        box_tensor(identity_da(P.out_alg.circle), P), red.reduced)
+    bridge = find_homotopy_equivalence(P, red.reduced)
     return bridge.forward.then(red.from_reduced)
 
 

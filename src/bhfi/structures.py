@@ -292,14 +292,6 @@ class TypeDStructure(BorderedObject):
                          dict.fromkeys(gens, TRIVIAL.UNIT),
                          _expand((s, (), c, t) for s, c, t in delta))
 
-    def delta1(self):
-        """The delta map as (source, AlgebraElement, target) triples."""
-        grouped = {}
-        for src, _, out, dst in self.ops:
-            grouped.setdefault((src, dst), set()).add(out)
-        return [(s, AlgebraElement(self.circle, frozenset(v)), t)
-                for (s, t), v in sorted(grouped.items())]
-
 
 class AInfModule(BorderedObject):
     """A-infinity module: operations m_{1+j} against algebra inputs."""

@@ -74,6 +74,15 @@ class TestVerify:
         assert code == 3
         assert json.loads(err)["error"] == "relations"
 
+    def test_no_inputs_refused(self, capsys):
+        # verifying nothing once printed {} and exited 0
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "parse",
+            "detail": "verify: expected at least 1 input (files or "
+                      "--builtin), got 0"}
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):

@@ -224,7 +224,7 @@ class TestSearchGuard:
         with pytest.raises(DivergenceError) as err:
             find_homotopy_equivalence(cfd0, doubled)
         assert str(err.value) == (
-            "find_homotopy_equivalence: 1 of 15 candidates reduced "
+            "find_homotopy_equivalence: 1 of 15 candidates tried "
             "(4-vector homology basis, sums of up to 4); the next cone would "
             "pass BHFI_MAX_GENERATORS=4 generators in total")
 
@@ -244,7 +244,7 @@ def eager_search(P, Q):
                 candidates = sum(math.comb(len(basis), k)
                                  for k in range(1, MAX_SUM_SIZE + 1))
                 raise DivergenceError(
-                    f"{stage}: {tried} of {candidates} candidates reduced "
+                    f"{stage}: {tried} of {candidates} candidates tried "
                     f"({len(basis)}-vector homology basis, sums of up to "
                     f"{MAX_SUM_SIZE}); the next cone would pass "
                     f"BHFI_MAX_GENERATORS={cap} generators in total")
@@ -353,7 +353,7 @@ class TestLazySearch:
         lazy = outcome(find_homotopy_equivalence, P, P)
         assert lazy == outcome(eager_search, P, P)
         assert lazy == (DivergenceError, (
-            "find_homotopy_equivalence: 2 of 56 candidates reduced "
+            "find_homotopy_equivalence: 2 of 56 candidates tried "
             "(6-vector homology basis, sums of up to 4); the next cone "
             "would pass BHFI_MAX_GENERATORS=8 generators in total"))
 

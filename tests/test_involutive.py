@@ -14,7 +14,7 @@ from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
                              conjugation_composite, paired_insertion)
 from bhfi.standard import cfda_az, cfda_azbar
 from bhfi.structures import (BorderedObject, Morphism, box_morphism_left,
-                             zero_morphism)
+                             morphism_from_generator_map, zero_morphism)
 
 
 class TestIotaOnMor:
@@ -181,23 +181,39 @@ class TestMcgAction:
 
 
 class TestPairedInsertion:
-    """Every pipeline inserts Id ~ L x R after pairing with P.  The
-    bimodule-level insertion it replaced, the equivalence Id -> L x R
-    tensored with P, is kept here as the oracle."""
+    """Every pipeline inserts Id ~ L x R after pairing with P, starting at
+    P.  The bimodule-level insertion it replaced, the equivalence
+    Id -> L x R tensored with P, is kept here as the oracle, precomposed
+    with the canonical isomorphism P -> Id x P."""
 
-    @pytest.mark.parametrize("framing", ["infinity", "minus_one", "zero"])
+    # the reversed labels sort against the idempotents, so Mor(P, X) and
+    # Mor(Id x P, X) order their bases differently
+    @pytest.mark.parametrize("framing, labels", [
+        ("infinity", None), ("minus_one", None), ("zero", None),
+        ("minus_one", {"a": "z", "b": "y"})],
+        ids=["infinity", "minus_one", "zero", "minus_one_reversed"])
     @pytest.mark.parametrize("order", ["azbar,az", "az,azbar"])
-    def test_homotopic_to_bimodule_insertion(self, framing, order, z1, az1,
-                                             azbar1):
+    def test_homotopic_to_bimodule_insertion(self, framing, labels, order,
+                                             z1, az1, azbar1):
         P = cfd_solid_torus(framing)
+        if labels:
+            P = P.relabeled(labels)
         L, R = (azbar1, az1) if order == "azbar,az" else (az1, azbar1)
         paired = paired_insertion(L, R, P)
         assert is_contractible(paired.cone())
         old = find_structure_equivalence(identity_da(z1), box_tensor(L, R))
-        diff = paired + box_morphism_left(old.forward, P)
+        alg = P.out_alg
+        iso = morphism_from_generator_map(P, box_tensor(identity_da(z1), P), {
+            p: f"e_{alg.label_of(alg.idem_element(P.out_idem[p]))}|{p}"
+            for p in P.generators})
+        assert iso.is_cycle()
+        diff = paired + iso.then(box_morphism_left(old.forward, P))
         mc = mor_complex_DD(diff.source, diff.target)
         vec = mc.vector_of(diff)
         assert vec == 0 or mc.complex.d.solve(vec) is not None
+
+    def test_starts_at_p(self, az1, azbar1, cfd0):
+        assert paired_insertion(azbar1, az1, cfd0).source is cfd0
 
     def test_every_pipeline_inserts_through_it(self, monkeypatch, cfa1,
                                                cfd0, az1, azbar1):
@@ -310,7 +326,7 @@ class TestPairOnceCertifyOnce:
         involutive_pair(A, D)
         # each structure hashes and compares by value, so no operand pair
         # is built twice, not even as a copy
-        assert len(pairs) == len(set(pairs)) == 8
+        assert len(pairs) == len(set(pairs)) == 6
 
     @pytest.mark.parametrize("build, name", [
         (standard_involutive_a, "cfa0_k1"), (standard_involutive_d, "cfd0")])
@@ -338,8 +354,9 @@ class TestPairOnceCertifyOnce:
 
 
 class TestConjugationComposite:
-    """The composite is four morphisms: the regrouped pairing is step 2's
-    target itself, checked strictly, so no identity re-points it."""
+    """The composite is three morphisms: the insertion starts at P, so no
+    relabeling leads into it, and the regrouped pairing is step 1's target
+    itself, checked strictly, so no identity re-points it."""
 
     @staticmethod
     def halves(cfa1, cfd0, z1):
@@ -357,7 +374,7 @@ class TestConjugationComposite:
 
         monkeypatch.setattr(Morphism, "then", counted)
         conj = conjugation_composite(cfa1, cfd0, omega, psi_d, psi_a)
-        assert len(composed) == 3
+        assert len(composed) == 2
         assert conj.source == conj.target == box_tensor(cfa1, cfd0)
 
     def test_reordered_regrouping_refused(self, cfa1, cfd0, z1):
@@ -369,6 +386,44 @@ class TestConjugationComposite:
         with pytest.raises(RelationViolation,
                            match="failed to reassociate strictly"):
             conjugation_composite(cfa1, cfd0, omega, theta_p, psi_a)
+
+
+def count_builds(monkeypatch, run):
+    """Run ``run`` and return how many box tensors and compositions it
+    builds.  An identity bimodule built on the way fails the run."""
+    counts = {"box_tensor": 0, "then": 0}
+    real_box, real_then = structures.box_tensor, Morphism.then
+
+    def box(B1, B2):
+        counts["box_tensor"] += 1
+        return real_box(B1, B2)
+
+    def then(f, g):
+        counts["then"] += 1
+        return real_then(f, g)
+
+    def no_identity(circle):
+        raise AssertionError("a pipeline built the identity bimodule")
+
+    patch_everywhere(monkeypatch, real_box, box)
+    patch_everywhere(monkeypatch, structures.identity_da, no_identity)
+    monkeypatch.setattr(Morphism, "then", then)
+    run()
+    return counts
+
+
+class TestPipelineBuilds:
+    """The pipelines pair and compose a pinned number of times and never
+    build the identity bimodule: the inserted equivalence starts at P."""
+
+    def test_mcg_action(self, monkeypatch, cfa1, cfd0, az1, azbar1):
+        assert count_builds(monkeypatch, lambda: mcg_action(
+            cfa1, cfd0, az1, azbar1)) == {"box_tensor": 10, "then": 5}
+
+    def test_involutive_pair(self, monkeypatch, cfa1, cfd0):
+        A, D = standard_involutive_a(cfa1), standard_involutive_d(cfd0)
+        assert count_builds(monkeypatch, lambda: involutive_pair(A, D)) == \
+            {"box_tensor": 6, "then": 3}
 
 
 class TestPipelineInvariance:

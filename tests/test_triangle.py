@@ -106,6 +106,13 @@ class TestHfiTriangle:
             verify_hfi_triangle(cfa1)
         assert len(built) == 3          # the involutions, not G0 and H0
 
+    def test_pinned_builds(self, cfa1, monkeypatch):
+        # the five conjugation composites insert from P, so none builds
+        # the identity bimodule or relabels into it
+        from test_involutive import count_builds
+        assert count_builds(monkeypatch, lambda: verify_hfi_triangle(cfa1)) \
+            == {"box_tensor": 33, "then": 21}
+
 
 def complex_of(n, entries):
     """The complex on generators g0..g(n-1) whose differential has a 1 at

@@ -19,8 +19,10 @@ from .errors import (DivergenceError, NotEquivalentError, ParseError,
                      RelationViolation)
 from .files import BUILTIN_NAMES, builtin_structure, dump_structure, \
     load_structure
+from .involutive import iota_on_mor, mcg_action
 from .strands import algebra, split_pmc
-from .structures import check_structure, require_valid
+from .structures import check_structure, mor_complex_DD, require_valid
+from .triangle import verify_hfi_triangle
 
 
 def _resolve_inputs(args, kinds=None, genus=None):
@@ -76,7 +78,6 @@ def _emit(args, payload):
 
 def _cmd_hfhat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"), ("DD", "DD")))
-    from .structures import mor_complex_DD
     mc = mor_complex_DD(P0, P1)
     _emit(args, {"hf_dim": mc.homology().dimension})
     return 0
@@ -84,7 +85,6 @@ def _cmd_hfhat(args):
 
 def _cmd_hfihat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"),))
-    from .involutive import iota_on_mor
     report = iota_on_mor(P0, P1)
     _emit(args, report.to_json())
     return 0
@@ -113,7 +113,6 @@ def _cmd_verify(args):
 
 def _cmd_triangle(args):
     (X,) = _resolve_inputs(args, (("A",),), genus=1)
-    from .triangle import verify_hfi_triangle
     report = verify_hfi_triangle(X)
     _emit(args, report.to_json())
     return 0
@@ -121,7 +120,6 @@ def _cmd_triangle(args):
 
 def _cmd_mcg(args):
     M, P, chi, chi_inv = _resolve_inputs(args, (("A", "D", "DA", "DA"),))
-    from .involutive import mcg_action
     matrix = mcg_action(M, P, chi, chi_inv)
     _emit(args, {"action": matrix.to_lists()})
     return 0

@@ -201,9 +201,10 @@ def verify_morphism_bounded(f, ell):
 
 def find_isomorphism(A, B):
     """A generator bijection matching idempotents and operation sets, or
-    None.  Deterministic: candidates are tried in label order."""
-    if len(A.generators) != len(B.generators):
-        return None
+    None.  Deterministic: the first valid bijection when A's generators
+    are assigned in order (buckets in key order), each trying B's bucket
+    in order; an assignment is dropped as soon as an operation between
+    assigned generators has no image in B, which no completion can fix."""
 
     def bucket(S):
         out = {}
@@ -214,19 +215,38 @@ def find_isomorphism(A, B):
         return out
 
     ba, bb = bucket(A), bucket(B)
-    if set(ba) != set(bb) or any(len(ba[k]) != len(bb[k]) for k in ba):
+    if set(ba) != set(bb) or len(A.ops) != len(B.ops) or \
+            any(len(ba[k]) != len(bb[k]) for k in ba):
         return None
     keys = sorted(ba)
-    pools = [list(itertools.permutations(bb[k])) for k in keys]
-    for assignment in itertools.product(*pools):
-        mapping = {}
-        for k, perm in zip(keys, assignment):
-            mapping.update(dict(zip(ba[k], perm)))
-        relabeled = frozenset((mapping[s], ins, out, mapping[t])
-                              for s, ins, out, t in A.ops)
-        if relabeled == B.ops:
+    order = [g for k in keys for g in ba[k]]
+    pools = [bb[k] for k in keys for _ in ba[k]]
+    at = {g: i for i, g in enumerate(order)}
+    closing = [[] for _ in order]       # ops whose later end is order[i]
+    for op in A.ops:
+        closing[max(at[op[0]], at[op[3]])].append(op)
+    # iterative, since models can be large: one candidate iterator for
+    # each assigned generator and the one being assigned
+    mapping, used, frames = {}, set(), [iter(pools[0])] if order else []
+    while frames:
+        depth = len(frames) - 1
+        g = order[depth]
+        used.discard(mapping.pop(g, None))
+        for h in frames[-1]:
+            if h not in used:
+                mapping[g] = h
+                if all((mapping[s], ins, out, mapping[t]) in B.ops
+                       for s, ins, out, t in closing[depth]):
+                    break
+        else:
+            mapping.pop(g, None)
+            frames.pop()
+            continue
+        used.add(mapping[g])
+        if len(frames) == len(order):
             return mapping
-    return None
+        frames.append(iter(pools[len(frames)]))
+    return None if order else {}
 
 
 def _chained_words(alg, start, end, max_len):

@@ -167,19 +167,17 @@ def cfi_hat(P0, P1):
 
 
 def conjugation_composite(M, P, omega_p, theta_p, theta_m):
-    """The map  M boxtimes P -> M boxtimes P'  through an inserted
+    """The map  M boxtimes P -> M boxtimes P  through an inserted
     equivalence, as a morphism of chain-complex structures.
 
     The three steps: apply Id_M x omega_p, where omega_p: P -> (L x R) x P
     is the inserted equivalence already paired with P; apply Id x theta_p
-    with theta_p: R x P -> P', whose source (M x L) x (R x P) is checked
+    with theta_p: R x P -> P, whose source (M x L) x (R x P) is checked
     to be the target of step 1 strictly, generator order included; apply
     theta_m x Id with theta_m: M x L -> M.  L and R are read off the
     sources of theta_m and theta_p, so the strict check also certifies
-    that the two halves fit the target of omega_p.  With theta_p a
-    twisted-to-plain equivalence (P' = P) this is the conjugation map;
-    with theta_p a homotopy into another framing it realizes that
-    homotopy on the paired complexes.
+    that the two halves fit the target of omega_p.  With theta_p and
+    theta_m the twisted-to-plain equivalences this is the conjugation map.
     """
     base = box_tensor(M, P)
     step1 = Morphism(base, box_tensor(M, omega_p.target),
@@ -189,11 +187,8 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
     if step1.target.generators != regrouped.generators or \
        step1.target.ops != regrouped.ops:
         raise RelationViolation("box tensor failed to reassociate strictly")
-    # step 2's target is step 3's source, and M x P' is the base when
-    # the two thetas land in M and P
-    ends = (theta_m.target, theta_p.target)
-    step3 = Morphism(step2.target,
-                     base if ends == (M, P) else box_tensor(*ends),
+    # step 2's target is step 3's source, and the thetas land in M and P
+    step3 = Morphism(step2.target, base,
                      box_morphism_left_comps(theta_m, theta_p.target))
     return step1.then(step2).then(step3)
 

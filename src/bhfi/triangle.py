@@ -14,7 +14,7 @@ from .involutive import (_on_homology, conjugation_composite,
                          conjugation_cone, paired_insertion)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
                        torus_chord)
-from .strands import split_pmc
+from .strands import algebra, split_pmc
 from .structures import (Morphism, box_morphism_right_comps, box_tensor,
                          to_chain_complex)
 
@@ -42,7 +42,6 @@ def build_triangle_data():
     """
     z1 = split_pmc(1)
     az = cfda_az(z1)
-    from .strands import algebra
     alg = algebra(z1)
     i0, i1 = alg.idempotent({1}), alg.idempotent({2})
 
@@ -112,27 +111,21 @@ def build_triangle_data():
 # the involutive exact-sequence verification
 
 
-def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas, G0, H0):
+def _solve_homotopy_pair(cxs, i_mat, p_mat, iotas):
     """Homotopies G and H over F2 with  dG + Gd = iota.i + i.iota,
     dH + Hd = iota.p + p.iota and p.G + H.i = 0, so that the
     involutive-cone block maps are chain maps and compose to zero.
 
-    The candidate realizations G0, H0 are returned when they satisfy the
-    identities.  Otherwise the linear system in the entries of G and H is
-    solved afresh (the candidates are not used), and the solution with
-    every free unknown zero is returned.  Existence follows from the square
-    identities holding up to homotopy; failure raises.
+    Solves the linear system in the entries of G and H and returns the
+    solution with every free unknown zero.  Existence follows from the
+    square identities holding up to homotopy; failure raises.
     """
     c_inf, c_m1, c_0 = cxs
     r1 = iotas[1] * i_mat + i_mat * iotas[0]
     r2 = iotas[2] * p_mat + p_mat * iotas[1]
-    if (_commutator(G0, c_inf, c_m1) + r1).is_zero() and \
-       (_commutator(H0, c_m1, c_0) + r2).is_zero() and \
-       (p_mat * G0 + H0 * i_mat).is_zero():
-        return G0, H0
-    # linear solve, assembled column by column.  Unknowns: the entries of
-    # G (n1 x n0), then of H (n2 x n1); equations: the entries of dG + Gd,
-    # dH + Hd and pG + Hi, at offsets 0, e1 and e12; all row by row.
+    # assembled column by column.  Unknowns: the entries of G (n1 x n0),
+    # then of H (n2 x n1); equations: the entries of dG + Gd, dH + Hd and
+    # pG + Hi, at offsets 0, e1 and e12; all row by row.
     # G[t][c] enters equation (r, c) of dG + Gd and of pG + Hi for each 1
     # in column t of d_m1 and of p (spread with stride n0), and equation
     # (t, c') of dG + Gd for each 1 in row c of d_inf; H likewise.
@@ -241,21 +234,20 @@ def verify_hfi_triangle(X):
 
     Builds the three paired complexes, the involutions through the
     interpolating pieces, the cone complexes with their block maps, and
-    checks both sequences with ``_check_sequence``.  The involutions and
-    the two connecting homotopies are all the conjugation composite of
-    ``bhfi.involutive``.
+    checks both sequences with ``_check_sequence``.  The involutions are
+    the conjugation composite of ``bhfi.involutive`` on the targets of the
+    diagram's three equivalences; the two connecting homotopies come from
+    one linear solve.
     """
     z1 = split_pmc(1)
     data = build_triangle_data()
     az, azb = cfda_az(z1), cfda_azbar(z1)
     psi_x = find_structure_equivalence(box_tensor(X, azb), X).forward
 
-    framings = [cfd_solid_torus("infinity"), cfd_solid_torus("minus_one"),
-                cfd_solid_torus("zero")]
-    omegas = [paired_insertion(azb, az, P) for P in framings]
-    psis = [data.psi_inf, data.psi_m1, data.psi_0]
-    conjs = [conjugation_composite(X, P, omega_p, psi_p, psi_x)
-             for P, omega_p, psi_p in zip(framings, omegas, psis)]
+    conjs = [conjugation_composite(X, psi_p.target,
+                                   paired_insertion(azb, az, psi_p.target),
+                                   psi_p, psi_x)
+             for psi_p in (data.psi_inf, data.psi_m1, data.psi_0)]
     cxs = [to_chain_complex(conj.source) for conj in conjs]
     iotas = [conj.to_matrix(cx, cx) for conj, cx in zip(conjs, cxs)]
     nodes = ("inf", "minus_one", "zero")
@@ -273,13 +265,7 @@ def verify_hfi_triangle(X):
     if failures:
         raise RelationViolation("; ".join(failures))
 
-    # homotopies realized through the same composite, then corrected if the
-    # realization only commutes up to homotopy
-    G0 = conjugation_composite(X, framings[0], omegas[0], data.G, psi_x)
-    H0 = conjugation_composite(X, framings[1], omegas[1], data.H, psi_x)
-    G_mat, H_mat = _solve_homotopy_pair(
-        cxs, i_mat, p_mat, iotas, G0.to_matrix(cxs[0], cxs[1]),
-        H0.to_matrix(cxs[1], cxs[2]))
+    G_mat, H_mat = _solve_homotopy_pair(cxs, i_mat, p_mat, iotas)
 
     cones = [conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
              for cx, conj in zip(cxs, iotas)]

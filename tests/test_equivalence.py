@@ -16,12 +16,13 @@ from bhfi import (DivergenceError, InsufficientArityError, Morphism,
                   identity_morphism, is_contractible, mor_complex_DD,
                   omega_equivalence, verify_morphism_bounded)
 from bhfi import structures
-from bhfi.equivalence import MAX_SUM_SIZE, EquivalenceCertificate, _unit_part
+from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
+                              _unit_part, find_isomorphism)
 from bhfi.errors import generator_cap
 from bhfi.homology import BlockDifferential, F2Matrix, _bits
 from bhfi.involutive import iota_on_mor
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
-from bhfi.structures import BorderedObject
+from bhfi.structures import BorderedObject, reduce_structure
 from test_homology import dense_homology
 from test_structures import (captured_search_system, search_unknowns,
                              summed_search_columns)
@@ -468,6 +469,96 @@ class TestConeReductions:
         with pytest.raises(NotEquivalentError):
             find_homotopy_equivalence(cfd0, doubled)
         assert reduced == []
+
+
+def product_walk(A, B):
+    """The walk that ``find_isomorphism`` replaced, kept as its oracle:
+    every product of the buckets' permutations, in order, each checked
+    whole."""
+    if len(A.generators) != len(B.generators):
+        return None
+
+    def bucket(S):
+        out = {}
+        for g in S.generators:
+            key = (S.out_alg.idem_sort_key(S.out_idem[g]),
+                   S.in_alg.idem_sort_key(S.in_idem[g]))
+            out.setdefault(key, []).append(g)
+        return out
+
+    ba, bb = bucket(A), bucket(B)
+    if set(ba) != set(bb) or any(len(ba[k]) != len(bb[k]) for k in ba):
+        return None
+    keys = sorted(ba)
+    pools = [list(itertools.permutations(bb[k])) for k in keys]
+    for assignment in itertools.product(*pools):
+        mapping = {}
+        for k, perm in zip(keys, assignment):
+            mapping.update(dict(zip(ba[k], perm)))
+        relabeled = frozenset((mapping[s], ins, out, mapping[t])
+                              for s, ins, out, t in A.ops)
+        if relabeled == B.ops:
+            return mapping
+    return None
+
+
+def reduced_pair(M):
+    """The reduced models that ``find_structure_equivalence(M x azbar, M)``
+    matches."""
+    twisted = box_tensor(M, cfda_azbar(M.in_alg.circle))
+    return (reduce_structure(twisted, track_to=True).reduced,
+            reduce_structure(M, track_from=True).reduced)
+
+
+def rewired(S):
+    """S with the target of its first operation that has one moved to
+    another generator of the same idempotents: as many operations, and in
+    these cases no isomorphism to S."""
+    def mates(g):
+        return [h for h in S.generators if h != g and
+                (S.out_idem[h], S.in_idem[h]) == (S.out_idem[g],
+                                                  S.in_idem[g])]
+
+    op = next(op for op in sorted(S.ops, key=S.op_sort_key) if mates(op[3]))
+    ops = S.ops - {op} | {op[:3] + (mates(op[3])[0],)}
+    return BorderedObject(S.out_alg, S.in_alg, S.generators, S.out_idem,
+                          S.in_idem, ops)
+
+
+class TestFindIsomorphism:
+    """The backtracking search returns the product walk's mapping: the
+    first valid assignment in the same order, or None."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, cfa1, cfa2):
+        from test_triangle import disjoint_copies
+        relabel = load_relabel()
+        out = {f"{n} copies of cfa0_k1":
+               reduced_pair(disjoint_copies(cfa1, n)) for n in range(1, 5)}
+        out["cfa0_k2"] = reduced_pair(cfa2)
+        for seed in (2, 3, 4, 7, 8, 9, 10, 12, 13):
+            M = relabel(cfa2, random.Random(seed), "m")
+            out[f"cfa0_k2 relabelled, seed {seed}"] = reduced_pair(M)
+        return out
+
+    def test_matches_the_product_walk(self, pairs):
+        found = {name: find_isomorphism(A, B) for name, (A, B) in
+                 pairs.items()}
+        for name, (A, B) in pairs.items():
+            assert found[name] == product_walk(A, B), name
+        # seeds 2, 3 and 10 reduce to models with no isomorphism
+        assert {name for name, mapping in found.items()
+                if mapping is None} == {
+            f"cfa0_k2 relabelled, seed {seed}" for seed in (2, 3, 10)}
+
+    @pytest.mark.parametrize("name", ["2 copies of cfa0_k1",
+                                      "3 copies of cfa0_k1", "cfa0_k2"])
+    def test_rewired_model_has_none(self, pairs, name):
+        A, B = pairs[name]
+        B = rewired(B)
+        assert len(B.ops) == len(A.ops)
+        assert find_isomorphism(A, B) is None
+        assert product_walk(A, B) is None
 
 
 class TestCertificateSerialization:

@@ -19,11 +19,9 @@ import itertools
 import math
 
 from ._record import record
-from .errors import (DivergenceError, InsufficientArityError,
-                     NotEquivalentError, generator_cap)
+from .errors import DivergenceError, NotEquivalentError, generator_cap
 from .homology import F2Matrix, _bits
 from .standard import cfda_az, cfda_azbar
-from .strands import chord_nilpotency_bound
 from .structures import (Morphism, box_tensor, component_differential,
                          identity_da, mor_complex_DD,
                          morphism_from_generator_map, reduce_structure)
@@ -63,13 +61,6 @@ class EquivalenceCertificate:
                 f"classes {self.search_index}>")
 
 
-def homology_basis_of_mor(P, Q):
-    """Cycle representatives of a homology basis of the morphism complex,
-    one block of the differential's support graph at a time."""
-    mc = mor_complex_DD(P, Q)
-    return [mc.morphism_of(v) for v in mc.homology().cycles]
-
-
 def _acyclic_cone_trace(f):
     """Reduction trace of the cone when it cancels away; None otherwise.
     Each call is one search candidate whose cone is reduced; certificates
@@ -104,20 +95,19 @@ def _unit_part(S, T):
         f.comps, pos_s, pos_t, fixed.copy())).rank() == size
 
 
-def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
-                      max_sum_size):
+def _first_acyclic_sum(stage, runs, what, to_morphism, source, target):
     """Walk F2 sums of a basis of bit-vectors, singletons first, in
     combination order, and certify the first candidate whose cone cancels
     to nothing.  The basis arrives as ``runs``, an iterable of lists whose
     concatenation is the basis; the singletons of each run are tried
     before the next run is drawn, so a hit never computes the runs after
-    it.  Sums of two or more, the ``search_index`` and the messages see
-    the whole basis.  Every candidate is a cycle ``source -> target``, and
-    only one that passes ``_unit_part`` has its cone reduced.  The walk
-    may pass at most ``BHFI_MAX_GENERATORS`` cone generators in total,
-    counting every candidate; past that it raises DivergenceError, and
-    NotEquivalentError when every sum fails.  Both errors name
-    ``stage``."""
+    it.  Sums of two to ``MAX_SUM_SIZE`` vectors, the ``search_index`` and
+    the messages see the whole basis.  Every candidate is a cycle ``source
+    -> target``, and only one that passes ``_unit_part`` has its cone
+    reduced.  The walk may pass at most ``BHFI_MAX_GENERATORS`` cone
+    generators in total, counting every candidate; past that it raises
+    DivergenceError, and NotEquivalentError when every sum fails.  Both
+    errors name ``stage``."""
     cap = generator_cap()
     cone_size = len(source.generators) + len(target.generators)
     may_cancel = _unit_part(source, target)
@@ -129,7 +119,7 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
             start = len(basis)
             basis.extend(run)
             yield from ((i,) for i in range(start, len(basis)))
-        for size in range(2, max_sum_size + 1):
+        for size in range(2, MAX_SUM_SIZE + 1):
             yield from itertools.combinations(range(len(basis)), size)
         if not basis:           # the zero morphism is then the only class
             yield ()
@@ -139,11 +129,11 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
         if (tried + 1) * cone_size > cap:
             basis.extend(itertools.chain.from_iterable(runs))
             candidates = sum(math.comb(len(basis), k)
-                             for k in range(1, max_sum_size + 1))
+                             for k in range(1, MAX_SUM_SIZE + 1))
             raise DivergenceError(
                 f"{stage}: {tried} of {candidates} candidates tried "
                 f"({len(basis)}-vector {what}, sums of up to "
-                f"{max_sum_size}); the next cone would pass "
+                f"{MAX_SUM_SIZE}); the next cone would pass "
                 f"BHFI_MAX_GENERATORS={cap} generators in total")
         tried += 1
         mask = 0
@@ -154,7 +144,7 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, source, target,
                 (trace := _acyclic_cone_trace(candidate)) is not None:
             return EquivalenceCertificate(candidate, trace, pick)
     raise NotEquivalentError(
-        f"{stage}: no acyclic cone among sums of up to {max_sum_size} of "
+        f"{stage}: no acyclic cone among sums of up to {MAX_SUM_SIZE} of "
         f"the {len(basis)}-vector {what}")
 
 
@@ -173,26 +163,7 @@ def find_homotopy_equivalence(P, Q):
     d = mc.differential
     return _first_acyclic_sum(
         "find_homotopy_equivalence", map(d.cycles, range(len(d.blocks))),
-        "homology basis", mc.morphism_of, P, Q, MAX_SUM_SIZE)
-
-
-def verify_morphism_bounded(f, ell):
-    """Check the morphism relations with up to ell+1 algebra inputs.
-
-    ``ell`` must reach the chord nilpotency bound of the input circle; at
-    that point a bounded solution always extends, so a clean check
-    certifies a genuine homomorphism.
-    """
-    in_alg = f.source.in_alg
-    if in_alg.is_trivial:
-        bound = 0
-    else:
-        bound = chord_nilpotency_bound(in_alg.circle)
-    if ell < bound:
-        raise InsufficientArityError(
-            f"bounded verification needs ell >= {bound}")
-    residue = f.differential()
-    return all(len(op[1]) > ell + 1 for op in residue.comps)
+        "homology basis", mc.morphism_of, P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +234,7 @@ def _chained_words(alg, start, end, max_len):
     return [w for w, at in [((), start)] + words if at == end]
 
 
-def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
+def search_small_equivalence(A, B, max_arity=2):
     """Bounded-arity equivalence search between two small structures.
 
     Solves the morphism-cycle condition as a linear system over the
@@ -303,7 +274,7 @@ def search_small_equivalence(A, B, max_arity=2, max_sum_size=MAX_SUM_SIZE):
     return _first_acyclic_sum(
         "search_small_equivalence", (kernel,), "kernel",
         lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),
-        A, B, max_sum_size)
+        A, B)
 
 
 def find_structure_equivalence(A, B):
@@ -333,7 +304,7 @@ def find_structure_equivalence(A, B):
     return EquivalenceCertificate(forward, trace, index)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def omega_equivalence(circle):
     """The equivalence from the identity DA bimodule into the composite of
     the two interpolating-piece bimodules (reversed then standard).

@@ -49,7 +49,3 @@ class NotEquivalentError(BhfiError):
 
 class DivergenceError(BhfiError):
     """An iteration that should terminate (bounded inputs) did not."""
-
-
-class InsufficientArityError(BhfiError):
-    """A bounded verification was requested below the sound arity bound."""

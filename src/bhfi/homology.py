@@ -173,29 +173,10 @@ class ChainComplex:
     def dim(self):
         return len(self.generators)
 
-    def index(self, label):
-        return self.generators.index(label)
-
-    def vector(self, labels):
-        out = 0
-        for l in labels:
-            out ^= 1 << self.index(l)
-        return out
-
     def support_blocks(self):
         """Connected components of the differential's support graph,
         as sorted tuples of generator indices."""
         return self._blocks.blocks
-
-    def to_json(self):
-        return {
-            "generators": list(self.generators),
-            "differential": [sorted(_bits(self.d.cols[j]))
-                             for j in range(self.dim)],
-            "actions": {name: [sorted(_bits(mat.cols[j]))
-                               for j in range(self.dim)]
-                        for name, mat in sorted(self.actions.items())},
-        }
 
 
 def _bits(mask):
@@ -354,10 +335,6 @@ def mapping_cone(f, actions={}):
     cols += [d << ns for d in f.target.d.cols]
     return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)),
                         actions)
-
-
-def is_quasi_isomorphism(f):
-    return homology(mapping_cone(f)).dimension == 0
 
 
 @record

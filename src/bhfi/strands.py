@@ -300,9 +300,6 @@ class AlgebraElement:
     def sorted_terms(self):
         return sorted(self.terms, key=StrandDiagram.sort_key)
 
-    def to_json(self):
-        return [t.to_json() for t in self.sorted_terms()]
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -663,10 +660,6 @@ def algebra_basis(circle):
     return list(algebra(circle).basis)
 
 
-def chord_element(circle, i, j):
-    return algebra(circle).chord(i, j)
-
-
 def chord_term_count(circle):
     """The number of diagrams with one moving strand, which are the terms
     of all the chords: a strand between two pairs leaves k - 1 of the other
@@ -674,11 +667,6 @@ def chord_term_count(circle):
     k, comb = circle.k, math.comb
     return (comb(4 * k, 2) - 2 * k) * comb(2 * k - 2, k - 1) + \
         2 * k * comb(2 * k - 1, k - 1)
-
-
-def chord_nilpotency_bound(circle):
-    """Any product of more than 2k(4k-1) chords vanishes."""
-    return 2 * circle.k * (4 * circle.k - 1)
 
 
 def include_split(elements):
@@ -727,17 +715,3 @@ def split_factors(diagram):
     if any(len(m) + len(h) != 1 for m, h in factors):
         return None
     return tuple(alg.diagram(m, h) for m, h in factors)
-
-
-def project_split(x):
-    """Project a genus-k element onto the image of the block inclusion.
-
-    Returns the F2 set of k-tuples of genus-1 diagrams; diagrams that do not
-    stay within a single block are sent to zero.
-    """
-    out = set()
-    for t in x.terms:
-        fac = split_factors(t)
-        if fac is not None:
-            out ^= {fac}
-    return frozenset(out)

@@ -1,6 +1,6 @@
 """Bordered structures: type D, A-infinity, DA and DD objects over strands
-algebras, with box tensor products, morphism complexes, duals, relation
-checkers and cancellation.
+algebras, with box tensor products, morphism complexes, relation checkers
+and cancellation.
 
 Every structure kind is stored the same way: a finite list of generators
 carrying an idempotent on the algebra-output side and one on the
@@ -204,10 +204,6 @@ class BorderedObject:
         if i:
             return "A"
         return "CX"
-
-    @property
-    def max_arity(self):
-        return max((len(op[1]) for op in self.ops), default=0) + 1
 
     def op_sort_key(self, op):
         src, ins, out, dst = op
@@ -717,14 +713,6 @@ def identity_morphism(S):
     return morphism_from_generator_map(S, S, {g: g for g in S.generators})
 
 
-def zero_morphism(S, T):
-    return Morphism(S, T, frozenset())
-
-
-def elementary_morphism(P, Q, src, coeff, dst):
-    return Morphism(P, Q, _expand([(src, (), coeff, dst)]))
-
-
 def _generator_map_comps(S, mapping):
     """The components g -> mapping[g] with identity coefficients."""
     return [(g, (), S.out_alg.idem_element(S.out_idem[g]), mapping[g])
@@ -739,15 +727,10 @@ def morphism_from_generator_map(S, T, mapping):
 # -- tensoring morphisms with identities -------------------------------------
 
 
-def box_morphism_left(f, P):
-    """(f boxtimes Id_P): f between left-hand structures, P on the right."""
-    return Morphism(box_tensor(f.source, P), box_tensor(f.target, P),
-                    box_morphism_left_comps(f, P))
-
-
 def box_morphism_left_comps(f, P):
-    """The components of (f boxtimes Id_P), for callers that already hold
-    its endpoints f.source x P and f.target x P."""
+    """The components of (f boxtimes Id_P): f between left-hand structures,
+    P on the right, for callers that already hold its endpoints
+    f.source x P and f.target x P."""
     B1 = f.source
     partners = _partners(B1.generators, B1.in_idem, P.generators, P.out_idem)
     return _pair_with_chains(f.comps, P, partners)
@@ -860,24 +843,7 @@ def mor_complex_DD(P, Q):
 
 
 # ---------------------------------------------------------------------------
-# duals and identity bimodules
-
-
-def dual_type_d(P):
-    """The dual type D structure, written over the same (reflection
-    symmetric) circle: arrows reverse and coefficients reflect."""
-    circle = P.out_alg.circle
-    refl = {}
-    for g in P.generators:
-        refl[g] = frozenset(circle.reflect_pair_label(p)
-                            for p in P.out_idem[g])
-    gens = tuple(f"{g}*" for g in P.generators)
-    out_idem = {f"{g}*": refl[g] for g in P.generators}
-    in_idem = {f"{g}*": TRIVIAL.UNIT for g in P.generators}
-    ops = set()
-    for (x, _, a, y) in P.ops:
-        ops.add((f"{y}*", (), a.reflect(), f"{x}*"))
-    return BorderedObject(P.out_alg, TRIVIAL, gens, out_idem, in_idem, ops)
+# identity bimodules
 
 
 def identity_da(circle):

@@ -1,9 +1,11 @@
-"""The package names the traced benchmark run wraps must keep resolving.
+"""The package names the benchmark reads must keep resolving.
 
-``perfbench/tracer.py`` patches functions by (module, attribute); a rename
-or deletion in the package would otherwise surface only as a crash of a
-traced benchmark run.
+``perfbench/tracer.py`` patches functions by (module, attribute), and
+``perfbench/workloads.py`` calls ``bhfi.<name>`` and names it imports from
+``bhfi`` modules; a rename or deletion in the package would otherwise
+surface only as a crash or a failed job of a benchmark run.
 """
+import ast
 import importlib
 import importlib.util
 import os
@@ -24,10 +26,27 @@ def load_tracer():
     return module
 
 
+def workload_names():
+    """The (module, attribute) pairs that ``perfbench/workloads.py`` reads
+    from the package: ``bhfi.<name>`` and ``from bhfi... import <name>``."""
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "bhfi":
+            names.add(("bhfi", node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "bhfi":
+            names |= {(node.module, alias.name) for alias in node.names}
+    return names
+
+
 TRACER = load_tracer()
 WRAPPED = sorted({(module, attr)
                   for module, attrs in TRACER.LAYERS.values()
-                  for attr, _ in attrs} | {TRACER.CANDIDATE})
+                  for attr, _ in attrs} | {TRACER.CANDIDATE}
+                 | workload_names())
 
 
 @pytest.mark.parametrize("module,attr", WRAPPED,

@@ -9,12 +9,11 @@ from collections import Counter
 
 import pytest
 
-from bhfi import (DivergenceError, InsufficientArityError, Morphism,
-                  NotEquivalentError, algebra, box_tensor, box_tensor_DA_D,
-                  find_homotopy_equivalence, find_structure_equivalence,
-                  homology, homology_basis_of_mor, identity_da,
+from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
+                  box_tensor, box_tensor_DA_D, find_homotopy_equivalence,
+                  find_structure_equivalence, homology, identity_da,
                   identity_morphism, is_contractible, mor_complex_DD,
-                  omega_equivalence, verify_morphism_bounded)
+                  omega_equivalence)
 from bhfi import structures
 from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
                               _unit_part, find_isomorphism)
@@ -32,14 +31,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 class TestHomologyBasis:
     def test_self_classes_of_zero_framing(self, cfd0):
-        classes = homology_basis_of_mor(cfd0, cfd0)
+        mc = mor_complex_DD(cfd0, cfd0)
+        classes = [mc.morphism_of(v) for v in mc.homology().cycles]
         assert len(classes) == 2
         flat = {op[2].label for c in classes for op in c.comps}
         assert flat == {"h1", "r1.3"}
 
     def test_identity_class_is_present(self, cfd0, cfd_m1):
         for P in (cfd0, cfd_m1):
-            classes = homology_basis_of_mor(P, P)
             mc = mor_complex_DD(P, P)
             hom = homology(mc.complex)
             idv = mc.vector_of(identity_morphism(P))
@@ -48,12 +47,15 @@ class TestHomologyBasis:
 
     def test_twisted_basis_has_two_classes(self, cfd0, az1):
         twisted = box_tensor_DA_D(az1, cfd0)
-        assert len(homology_basis_of_mor(cfd0, twisted)) == 2
-        assert len(homology_basis_of_mor(twisted, cfd0)) == 2
+        for P, Q in ((cfd0, twisted), (twisted, cfd0)):
+            mc = mor_complex_DD(P, Q)
+            assert len([mc.morphism_of(v)
+                        for v in mc.homology().cycles]) == 2
 
     def test_genus_2_twisted_basis_has_four_classes(self, cfd0_k2, z2):
         twisted = box_tensor_DA_D(cfda_az(z2), cfd0_k2)
-        assert len(homology_basis_of_mor(cfd0_k2, twisted)) == 4
+        mc = mor_complex_DD(cfd0_k2, twisted)
+        assert len([mc.morphism_of(v) for v in mc.homology().cycles]) == 4
 
 
 class TestFindHomotopyEquivalence:
@@ -109,31 +111,11 @@ class TestFindHomotopyEquivalence:
         assert vec == 0 or mc.complex.d.solve(vec) is not None
 
 
-class TestVerifyMorphismBounded:
-    def test_identity_verifies(self, az1):
-        assert verify_morphism_bounded(identity_morphism(az1), 6)
-
-    def test_insufficient_arity(self, az1):
-        with pytest.raises(InsufficientArityError):
-            verify_morphism_bounded(identity_morphism(az1), 3)
-
-    def test_non_cycle_fails(self, az1, z1):
-        alg = algebra(z1)
-        bad = identity_morphism(az1) + Morphism(az1, az1, {
-            ("h2", (), torus_chord(1, 2), "r1.2")})
-        assert not verify_morphism_bounded(bad, 6)
-
-    def test_monotone_in_bound(self, az1):
-        for ell in (6, 7, 8):
-            assert verify_morphism_bounded(identity_morphism(az1), ell)
-
-
 class TestOmega:
     def test_exists_and_certified(self, z1):
         cert = omega_equivalence(z1)
         assert cert.forward.is_cycle()
         assert is_contractible(cert.forward.cone())
-        assert verify_morphism_bounded(cert.forward, 6)
 
     def test_leading_term_hits_idempotent_pairs(self, z1):
         cert = omega_equivalence(z1)
@@ -181,11 +163,12 @@ class TestSmallSearch:
         assert cert.forward.is_cycle()
         assert is_contractible(cert.forward.cone())
 
-    def test_direct_search_rejects_inequivalent(self, z1, az1):
-        from bhfi.equivalence import search_small_equivalence
+    def test_direct_search_rejects_inequivalent(self, monkeypatch, z1, az1):
+        from bhfi import equivalence
+        monkeypatch.setattr(equivalence, "MAX_SUM_SIZE", 1)
         with pytest.raises(NotEquivalentError):
-            search_small_equivalence(identity_da(z1), az1, max_arity=1,
-                                     max_sum_size=1)
+            equivalence.search_small_equivalence(identity_da(z1), az1,
+                                                 max_arity=1)
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from bhfi import (ChainComplex, ChainMap, F2Matrix, homology,
-                  involutive_pair, iota_on_mor, is_quasi_isomorphism,
-                  mapping_cone, mor_complex_DD, reduce, standard_involutive_a,
-                  standard_involutive_d, verify_hfi_triangle)
+                  involutive_pair, iota_on_mor, mapping_cone, mor_complex_DD,
+                  reduce, standard_involutive_a, standard_involutive_d,
+                  verify_hfi_triangle)
 from bhfi.homology import BlockDifferential, HomologyData, express_in_homology
 from bhfi.involutive import conjugation_cone
 
@@ -148,13 +148,11 @@ class TestMappingCone:
             C = random_two_term_complex(rng)
             f = ChainMap(C, C, F2Matrix.identity(C.dim))
             assert homology(mapping_cone(f)).dimension == 0
-            assert is_quasi_isomorphism(f)
 
     def test_cone_of_zero_is_direct_sum(self):
         C = ChainComplex(("a", "b", "c"), F2Matrix.zero(3, 3))
         f = ChainMap(C, C, F2Matrix.zero(3, 3))
         assert homology(mapping_cone(f)).dimension == 6
-        assert not is_quasi_isomorphism(f)
 
     def test_cone_of_one_plus_identity_involution(self):
         # direct 4x4 check: involution = identity on a two-dimensional
@@ -214,16 +212,6 @@ class TestReduce:
             assert lhs.cols == rhs.cols
             pi = red.to_reduced.matrix * red.from_reduced.matrix
             assert pi.cols == F2Matrix.identity(red.reduced.dim).cols
-
-
-class TestJson:
-    def test_complex_dump_shape(self):
-        q = F2Matrix.from_entries(2, 2, [(1, 0)])
-        C = ChainComplex(("x", "Qx"), F2Matrix.zero(2, 2), actions={"Q": q})
-        data = C.to_json()
-        assert data["generators"] == ["x", "Qx"]
-        assert data["differential"] == [[], []]
-        assert data["actions"]["Q"] == [[1], []]
 
 
 def random_chain_map(rng, C):

@@ -13,8 +13,9 @@ from bhfi.files import builtin_structure, structure_from_json
 from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
                              conjugation_composite, paired_insertion)
 from bhfi.standard import cfda_az, cfda_azbar
-from bhfi.structures import (BorderedObject, Morphism, box_morphism_left,
-                             morphism_from_generator_map, zero_morphism)
+from bhfi.structures import (BorderedObject, Morphism,
+                             box_morphism_left_comps,
+                             morphism_from_generator_map)
 
 
 class TestIotaOnMor:
@@ -207,7 +208,10 @@ class TestPairedInsertion:
             p: f"e_{alg.label_of(alg.idem_element(P.out_idem[p]))}|{p}"
             for p in P.generators})
         assert iso.is_cycle()
-        diff = paired + iso.then(box_morphism_left(old.forward, P))
+        f = old.forward
+        left = Morphism(box_tensor(f.source, P), box_tensor(f.target, P),
+                        box_morphism_left_comps(f, P))
+        diff = paired + iso.then(left)
         mc = mor_complex_DD(diff.source, diff.target)
         vec = mc.vector_of(diff)
         assert vec == 0 or mc.complex.d.solve(vec) is not None
@@ -271,11 +275,10 @@ class TestInvolutiveWrappers:
 
     def test_non_equivalence_rejected(self, cfa1, cfd0, az1):
         from bhfi import RelationViolation
-        from bhfi.structures import zero_morphism
         twisted = box_tensor(az1, cfd0)
         import pytest
         with pytest.raises(RelationViolation):
-            InvolutiveTypeD(cfd0, zero_morphism(twisted, cfd0))
+            InvolutiveTypeD(cfd0, Morphism(twisted, cfd0))
 
     def test_functoriality_square(self, cfa1, cfd0, z1, az1, azbar1):
         # the action of a square is the square of the action, exercised on
@@ -344,8 +347,8 @@ class TestPairOnceCertifyOnce:
     def test_a_refused_certificate_stays_refused(self, cfa1, cfd0, az1,
                                                  azbar1):
         from bhfi import RelationViolation
-        psi_d = zero_morphism(box_tensor(az1, cfd0), cfd0)
-        psi_a = zero_morphism(box_tensor(cfa1, azbar1), cfa1)
+        psi_d = Morphism(box_tensor(az1, cfd0), cfd0)
+        psi_a = Morphism(box_tensor(cfa1, azbar1), cfa1)
         for _ in range(2):      # the second time reads the kept trace
             with pytest.raises(RelationViolation, match="cone does not"):
                 InvolutiveTypeD(cfd0, psi_d)

@@ -6,8 +6,8 @@ import re
 import pytest
 
 from bhfi import (DivergenceError, PointedMatchedCircle, algebra,
-                  algebra_basis, check_structure, chord_element, dd_identity,
-                  homology, include_split, split_pmc, strands)
+                  algebra_basis, check_structure, dd_identity, homology,
+                  include_split, split_pmc, strands)
 from bhfi.cli import main
 from bhfi.files import structure_to_json
 from bhfi.standard import (_cfda_interpolating, cfa_zero_handlebody,
@@ -23,17 +23,17 @@ class TestSolidTori:
     def test_infinity(self, cfd_inf):
         assert cfd_inf.generators == ("r",)
         assert cfd_inf.ops == {("r", (), d, "r") for d in
-                               chord_element(split_pmc(1), 2, 4).terms}
+                               algebra(split_pmc(1)).chord(2, 4).terms}
 
     def test_minus_one(self, cfd_m1):
         assert sorted(cfd_m1.generators) == ["a", "b"]
-        coeff = chord_element(split_pmc(1), 1, 2) + \
-            chord_element(split_pmc(1), 3, 4)
+        coeff = algebra(split_pmc(1)).chord(1, 2) + \
+            algebra(split_pmc(1)).chord(3, 4)
         assert cfd_m1.ops == {("a", (), d, "b") for d in coeff.terms}
 
     def test_zero(self, cfd0):
         assert cfd0.ops == {("n", (), d, "n") for d in
-                            chord_element(split_pmc(1), 1, 3).terms}
+                            algebra(split_pmc(1)).chord(1, 3).terms}
 
     def test_unknown_framing(self):
         with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ class TestZeroHandlebody:
         for k in (2, 3):
             P = cfd_zero_handlebody(k)
             alg1 = algebra(z1)
-            rho = chord_element(z1, 1, 3)
+            rho = algebra(z1).chord(1, 3)
             idem = alg1.element([alg1.idempotent({1})])
             expected = set()
             for slot in range(k):
@@ -207,8 +207,8 @@ class TestInterpolatingPiece:
             assert a in alg.diff_basis(b)
 
     def test_higher_operations_vanish(self, az1, azbar1):
-        assert az1.max_arity <= 2
-        assert azbar1.max_arity <= 2
+        assert all(len(op[1]) <= 1 for op in az1.ops)
+        assert all(len(op[1]) <= 1 for op in azbar1.ops)
 
 
 class TestBuildersAreLinearInTheTables:

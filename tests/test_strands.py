@@ -9,8 +9,7 @@ import sys
 
 import pytest
 
-from bhfi import (DivergenceError, algebra, algebra_basis, chord_element,
-                  chord_nilpotency_bound, include_split, project_split,
+from bhfi import (DivergenceError, algebra, algebra_basis, include_split,
                   split_pmc)
 from bhfi.strands import (PointedMatchedCircle, StrandDiagram, StrandsAlgebra,
                           _inversions)
@@ -109,31 +108,31 @@ class TestBasis:
 
 class TestChordElements:
     def test_genus_1_chord_is_single_diagram(self, z1):
-        el = chord_element(z1, 1, 3)
+        el = algebra(z1).chord(1, 3)
         assert {d.label for d in el.terms} == {"r1.3"}
-        assert {d.label for d in chord_element(z1, 1, 2).terms} == {"r1.2"}
+        assert {d.label for d in algebra(z1).chord(1, 2).terms} == {"r1.2"}
 
     def test_invalid_endpoints(self, z1):
         with pytest.raises(ValueError):
-            chord_element(z1, 3, 1)
+            algebra(z1).chord(3, 1)
         with pytest.raises(ValueError):
-            chord_element(z1, 2, 2)
+            algebra(z1).chord(2, 2)
 
     def test_genus_2_completions_brute_force(self, z2):
-        el = chord_element(z2, 1, 2)
+        el = algebra(z2).chord(1, 2)
         expected = {d for d in algebra_basis(z2)
                     if d.moving == ((1, 2),)}
         assert el.terms == expected
 
     def test_same_pair_chord_completions(self, z2):
-        el = chord_element(z2, 1, 3)
+        el = algebra(z2).chord(1, 3)
         assert {frozenset(d.horizontal) for d in el.terms} == \
             {frozenset({2}), frozenset({3}), frozenset({4})}
 
 
 class TestMultiplication:
     def test_known_products(self, z1):
-        r = lambda i, j: chord_element(z1, i, j)
+        r = lambda i, j: algebra(z1).chord(i, j)
         assert r(1, 2) * r(2, 3) == r(1, 3)
         alg = algebra(z1)
         i0 = alg.element([alg.idempotent({1})])
@@ -221,10 +220,6 @@ class TestDifferential:
 
 
 class TestNilpotency:
-    def test_bound_values(self, z1, z2):
-        assert chord_nilpotency_bound(z1) == 6
-        assert chord_nilpotency_bound(z2) == 28
-
     def test_exhaustive_products_of_seven_chords(self, z1):
         alg = algebra(z1)
         chords = alg.chords()
@@ -240,22 +235,10 @@ class TestNilpotency:
 class TestSplitMaps:
     def test_inclusion_example(self, z1):
         alg = algebra(z1)
-        rho13 = chord_element(z1, 1, 3)
+        rho13 = algebra(z1).chord(1, 3)
         i0 = alg.element([alg.idempotent({1})])
         image = include_split([rho13, i0])
         assert {d.label for d in image.terms} == {"r1.3_h3"}
-
-    def test_projection_kills_cross_block(self, z2):
-        assert not project_split(chord_element(z2, 3, 5))
-
-    def test_projection_inverts_inclusion(self, z1):
-        alg = algebra(z1)
-        rng = random.Random(11)
-        for _ in range(50):
-            factors = [rng.choice(alg.basis) for _ in range(2)]
-            els = [alg.element([f]) for f in factors]
-            assert project_split(include_split(els)) == \
-                {tuple(factors)}
 
     def test_inclusion_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,9 @@ class F2Matrix:
         cols = tuple(self.cols) if self.cols else tuple([0] * self.ncols)
         if len(cols) != self.ncols:
             raise ValueError("column count mismatch")
-        mask = (1 << self.nrows) - 1
-        object.__setattr__(self, "cols", tuple(c & mask for c in cols))
+        if any(c >> self.nrows for c in cols):     # copy only to mask
+            cols = tuple(c & ((1 << self.nrows) - 1) for c in cols)
+        object.__setattr__(self, "cols", cols)
 
     # -- constructors ------------------------------------------------------
 
@@ -157,7 +158,7 @@ class ChainComplex:
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
-        # d² = 0, checked block by block unless d is a BlockDifferential's
+        # d² = 0, checked on the rows unless d is a BlockDifferential's
         # matrix(); the blocks are kept for homology() and support_blocks()
         object.__setattr__(self, "_blocks", getattr(self.d, "_blocks", None)
                            or BlockDifferential(list(map(_bits, self.d.cols))))
@@ -240,36 +241,24 @@ def _components(rows):
 
 
 class BlockDifferential:
-    """A square F2 differential kept one support block at a time.
-
-    ``rows[j]`` lists the rows of column j.  ``blocks`` are the connected
-    components of the support graph (``_components``), and ``matrices[b]``
-    is block b's differential in local indices, the positions in the
-    block.  Every column of a block has its rows in that block, so d² = 0
-    is checked block by block, the blocks' elimination is the elimination
-    of the whole differential, and ``cycles(b)`` echelons block b only
-    when it is first asked for."""
+    """A square F2 differential kept as row lists, ``rows[j]`` the rows of
+    column j, and nothing denser.  ``blocks`` are the connected components
+    of the support graph (``_components``); every column of a block has
+    its rows in it, so eliminating the blocks eliminates the whole
+    differential.  d² = 0 is checked on the rows at construction, and
+    ``cycles(b)`` builds block b's matrix in local indices (positions in
+    the block) only to eliminate it, when first asked for."""
 
     def __init__(self, rows):
         self.rows = rows
         self.blocks = _components(rows)
-        self.matrices = []
-        for block in self.blocks:
-            pos = {g: i for i, g in enumerate(block)}
-            cols = []
-            for g in block:
-                col = 0
-                for r in rows[g]:
-                    col ^= 1 << pos[r]
-                cols.append(col)
-            for g in block:
-                twice = 0
-                for r in rows[g]:
-                    twice ^= cols[pos[r]]
-                if twice:
-                    raise ValueError("differential does not square to zero")
-            self.matrices.append(F2Matrix(len(block), len(block),
-                                          tuple(cols)))
+        for col in rows:
+            twice = []
+            for r in col:
+                twice += rows[r]
+            twice.sort()
+            if twice[::2] != twice[1::2]:
+                raise ValueError("differential does not square to zero")
         self._cycles = {}
 
     def matrix(self):
@@ -279,6 +268,22 @@ class BlockDifferential:
         object.__setattr__(d, "_blocks", self)
         return d
 
+    def _split(self, b):
+        """Block b's boundaries and kernel vectors in local indices, read
+        off one echelon of its matrix."""
+        block = self.blocks[b]
+        pos = {g: i for i, g in enumerate(block)}
+        cols = []
+        for g in block:
+            col = 0
+            for r in self.rows[g]:
+                col ^= 1 << pos[r]
+            cols.append(col)
+        _, cols, trans, order = F2Matrix(len(block), len(block),
+                                         tuple(cols))._echelon()
+        return ([cols[j] for _, j in order],
+                [trans[j] for j in range(len(block)) if cols[j] == 0])
+
     def cycles(self, b):
         """The cycle representatives of block b, as vectors over all the
         indices: the kernel vectors that are independent of the boundaries
@@ -286,9 +291,7 @@ class BlockDifferential:
         ``[im | ker]``."""
         if b not in self._cycles:
             block = self.blocks[b]
-            _, cols, trans, order = self.matrices[b]._echelon()
-            im = [cols[j] for _, j in order]
-            ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
+            im, ker = self._split(b)
             both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
             _, _, _, both_order = both._echelon()
             self._cycles[b] = [
@@ -303,13 +306,10 @@ class BlockDifferential:
 
 
 def homology(C):
-    """Homology dimension plus explicit, deterministic cycle representatives.
-
-    Representatives are found block by block in the support graph of the
-    differential (the ``BlockDifferential`` that checked d² = 0 when C
-    was built), so each comes from a single block (the grading surrogate
-    used downstream by the equivalence search).
-    """
+    """Homology dimension plus explicit, deterministic cycle representatives,
+    found block by block by the ``BlockDifferential`` that checked d² = 0
+    when C was built, so each comes from a single block (the grading
+    surrogate used downstream by the equivalence search)."""
     return C._blocks.homology()
 
 

@@ -142,16 +142,17 @@ def cfda_az(circle):
     basis element, right multiplication as the two-input operation, and the
     chord-sum one-input operation."""
     algebra(circle).basis       # refuses past the cap, also when cached
-    return _interpolating(circle, False)
+    return _cfda_interpolating(circle, False)
 
 
 def cfda_azbar(circle):
     """The reversed interpolating piece: generators indexed by dual basis
     elements; the transpose differential and the dual right action."""
     algebra(circle).basis       # refuses past the cap, also when cached
-    return _interpolating(circle, True)
+    return _cfda_interpolating(circle, True)
 
 
+@functools.cache
 def _cfda_interpolating(circle, dualized):
     """One walk over the product triples u.v -> w and the differential
     pairs x -> w of the algebra, read in one of two directions.
@@ -191,9 +192,6 @@ def _cfda_interpolating(circle, dualized):
             src, dst = (w, x) if dualized else (x, w)
             ops.append((name[src], [], unit[src], name[dst]))
     return DABimodule(circle, circle, gens, ops)
-
-
-_interpolating = functools.cache(_cfda_interpolating)
 
 
 def surgery_maps():

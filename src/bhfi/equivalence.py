@@ -22,9 +22,9 @@ from ._record import record
 from .errors import DivergenceError, NotEquivalentError, generator_cap
 from .homology import F2Matrix, _bits
 from .standard import cfda_az, cfda_azbar
-from .structures import (Morphism, box_tensor, component_differential,
-                         identity_da, mor_complex_DD,
-                         morphism_from_generator_map, reduce_structure)
+from .structures import (Morphism, _term_walk, box_tensor, identity_da,
+                         mor_complex_DD, morphism_from_generator_map,
+                         reduce_structure)
 
 # the largest sums of basis vectors that the searches try, and the inputs
 # plus one that a component of a bridge between reduced models may read
@@ -262,10 +262,9 @@ def search_small_equivalence(A, B, max_arity=2):
     # the unique sum of earlier independent columns, whatever the row order.
     # Each column is set in one buffer: a sum of shifted ints costs time
     # quadratic in the row count.
-    row, cols = {}, []
+    row, cols, walk = {}, [], _term_walk(B, A)
     for e in unknowns:
-        rows = [row.setdefault(t, len(row))
-                for t in component_differential(A, B, e)]
+        rows = [row.setdefault(t, len(row)) for t in walk(e, set())]
         col = bytearray(len(row) + 7 >> 3)
         for r in rows:
             col[r >> 3] |= 1 << (r & 7)

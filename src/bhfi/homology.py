@@ -132,16 +132,19 @@ class F2Matrix:
 
     def solve(self, target):
         """A preimage bitmask with self * x = target, or None."""
+        return self.solve_all((target,))[0]
+
+    def solve_all(self, targets):
+        """``solve`` for each of ``targets``, from one elimination."""
         pivots, cols, trans, _ = self._echelon()
-        cur, x = target, 0
-        while cur:
-            r = _lowbit(cur)
-            j = pivots.get(r)
-            if j is None:
-                return None
-            cur ^= cols[j]
-            x ^= trans[j]
-        return x
+        out = []
+        for cur in targets:
+            x = 0
+            while cur and (j := pivots.get(_lowbit(cur))) is not None:
+                cur ^= cols[j]
+                x ^= trans[j]
+            out.append(None if cur else x)
+        return out
 
 
 @record
@@ -313,16 +316,13 @@ def homology(C):
     return C._blocks.homology()
 
 
-def express_in_homology(C, hom, vec):
-    """Coordinates of a cycle's class in the basis ``hom.cycles``; None if
-    the vector is not a cycle class combination (should not happen)."""
-    n = C.dim
+def express_in_homology(C, hom, vecs):
+    """Coordinates of each cycle's class in the basis ``hom.cycles``, all
+    read off one elimination of [cycles | d]; None for a vector that is
+    not a cycle class combination (should not happen)."""
     k = len(hom.cycles)
-    cols = list(hom.cycles) + list(C.d.cols)
-    sol = F2Matrix(n, k + n, tuple(cols)).solve(vec)
-    if sol is None:
-        return None
-    return sol & ((1 << k) - 1)
+    return [None if x is None else x & ((1 << k) - 1) for x in F2Matrix(
+        C.dim, k + C.dim, tuple(hom.cycles) + C.d.cols).solve_all(vecs)]
 
 
 def mapping_cone(f, actions={}):

@@ -118,7 +118,7 @@ def _iota_pipeline(P0, P1):
 def _on_homology(cx, hom, cycles):
     """The matrix, into the homology basis ``hom`` of ``cx``, of the classes
     of ``cycles``; each caller's chain-map check certifies them as cycles."""
-    cols = tuple(express_in_homology(cx, hom, z) for z in cycles)
+    cols = tuple(express_in_homology(cx, hom, cycles))
     return F2Matrix(hom.dimension, len(cols), cols)
 
 

@@ -417,8 +417,11 @@ class StrandsAlgebra:
         return tuple(d for d in self.basis if d.is_idempotent)
 
     def idempotent(self, pairs):
-        """The basic idempotent occupying the given matched pairs."""
-        return self.diagram((), pairs)
+        """The basic idempotent occupying the given matched pairs: its
+        interned diagram, looked up by the pair set with no sorted key."""
+        key = ((), frozenset(pairs))
+        diag = self._diagrams.get(key)
+        return self.diagram(*key) if diag is None else diag
 
     def unit(self):
         return AlgebraElement(self.circle,

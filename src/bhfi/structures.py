@@ -338,71 +338,88 @@ def _toggle(acc, op):
         acc.add(op)
 
 
-def _terms_after(T, op, acc):
-    """Toggle into ``acc`` the relation terms that start with ``op`` (an
-    operation or a morphism component into T): op followed by each
-    operation of T out of its target, the differential of its coefficient,
-    and the differential or a split of each of its inputs."""
-    x, w, a, y = op
-    out_alg, in_alg = T.out_alg, T.in_alg
-    for _, w2, b, z in T.ops_from(y):
-        if (c := out_alg.mul_basis(a, b)) is not None:
-            _toggle(acc, (x, w + w2, c, z))
-    for c in out_alg.diff_basis(a):
-        _toggle(acc, (x, w, c, y))
-    for pos, b in enumerate(w):
-        head, tail = w[:pos], w[pos + 1:]
-        for b0 in in_alg.diff_preimages(b):
-            _toggle(acc, (x, head + (b0,) + tail, a, y))
-        for b1, b2 in in_alg.mul_preimages(b):
-            _toggle(acc, (x, head + (b1, b2) + tail, a, y))
+def _term_walk(T, S=None):
+    """One call's relation-term walk: a function that toggles into a set,
+    and returns it, the terms of an operation or component (x, w, a, y)
+    into T in order: S's operations into x before it (S given), T's out of
+    y after it, a's differential, then each input's differentials and
+    splits.  Each of these is computed once per walk and then reused."""
+    mul, in_alg = T.out_alg.mul_basis, T.in_alg
+    heads, tails, splits = {}, {}, {}
+
+    def walk(comp, acc):
+        x, w, a, y = comp
+        if S is not None:
+            if (hs := heads.get((x, a))) is None:
+                hs = heads[x, a] = [(s, w0, c) for s, w0, b, _ in S.ops_into(x)
+                                    if (c := mul(b, a)) is not None]
+            for s, w0, c in hs:
+                if (t := (s, w0 + w, c, y)) in acc:
+                    acc.discard(t)
+                else:
+                    acc.add(t)
+        if (ts := tails.get((a, y))) is None:
+            ts = tails[a, y] = []
+            for _, w2, b, z in T.ops_from(y):
+                if (c := mul(a, b)) is not None:
+                    ts.append((w2, c, z))
+            for c in T.out_alg.diff_basis(a):
+                ts.append(((), c, y))
+        for w2, c, z in ts:
+            if (t := (x, w + w2, c, z)) in acc:
+                acc.discard(t)
+            else:
+                acc.add(t)
+        if (vs := splits.get(w)) is None:
+            vs = splits[w] = [
+                w[:pos] + part + w[pos + 1:] for pos, b in enumerate(w)
+                for part in [(b0,) for b0 in in_alg.diff_preimages(b)]
+                + list(in_alg.mul_preimages(b))]
+        for v in vs:
+            if (t := (x, v, a, y)) in acc:
+                acc.discard(t)
+            else:
+                acc.add(t)
+        return acc
+
+    return walk
 
 
 def structure_residue(S):
-    """Leftover terms of the structure relation, as operations.  Every term
-    starts at its operation's source, so terms cancel only among the
-    operations out of one generator: each generator's terms are summed on
-    their own, and only their leftovers are kept."""
-    residue = set()
+    """Leftover terms of the structure relation, as operations, from one
+    ``_term_walk``.  A term cancels only against terms from its source, so
+    walking one generator at a time keeps one partial sum at a time."""
+    walk, acc = _term_walk(S), set()
     for ops in S._grouped(_SRC).values():
-        acc = set()
         for op in ops:
-            _terms_after(S, op, acc)
-        residue |= acc
-    return residue
-
-
-def component_differential(S, T, comp):
-    """The morphism-complex differential of one component (x, w, a, y) of
-    a morphism S -> T, as an F2 set of components: each operation of S into
-    x composed before it, then the terms of ``_terms_after``."""
-    x, w, a, y = comp
-    acc = set()
-    for s, w0, b, _ in S.ops_into(x):
-        if (c := S.out_alg.mul_basis(b, a)) is not None:
-            _toggle(acc, (s, w0 + w, c, y))
-    _terms_after(T, comp, acc)
+            walk(op, acc)
     return acc
 
 
+def component_differential(S, T, comp):
+    """The morphism-complex differential of one component of a morphism
+    S -> T, as an F2 set of components: a one-component ``_term_walk``."""
+    return _term_walk(T, S)(comp, set())
+
+
 def idempotent_violations(S):
-    """Operations whose coefficients do not match the generator idempotents."""
-    bad = []
-    for op in S.ops:
-        src, ins, out, dst = op
-        if S.out_alg.left_idem_of(out) != S.out_idem[src] or \
-           S.out_alg.right_idem_of(out) != S.out_idem[dst]:
-            bad.append(op)
-            continue
-        chain = [S.in_idem[src]]
-        for b in ins:
-            if S.in_alg.left_idem_of(b) != chain[-1]:
-                bad.append(op)
-                break
-            chain.append(S.in_alg.right_idem_of(b))
-        else:
-            if chain[-1] != S.in_idem[dst]:
-                bad.append(op)
+    """Operations whose coefficients do not match the generator idempotents;
+    each distinct coefficient and input word is read once, as the two
+    idempotents it runs between (None when its letters do not chain)."""
+    out_alg, in_alg = S.out_alg, S.in_alg
+    outs, words, bad = {}, {}, []
+    for src, ins, out, dst in S.ops:
+        if out not in outs:
+            outs[out] = (out_alg.left_idem_of(out), out_alg.right_idem_of(out))
+        if ins and ins not in words:
+            lefts = [in_alg.left_idem_of(b) for b in ins]
+            rights = [in_alg.right_idem_of(b) for b in ins]
+            words[ins] = (lefts[0], rights[-1]) \
+                if lefts[1:] == rights[:-1] else None
+        span = (S.in_idem[src], S.in_idem[dst])
+        if outs[out] != (S.out_idem[src], S.out_idem[dst]) or (
+                words[ins] != span if ins else span[0] != span[1]):
+            bad.append((src, ins, out, dst))
     return sorted(bad, key=S.op_sort_key)
 
 
@@ -547,21 +564,16 @@ def _pair_with_chains(ops, B2, partners):
     return out
 
 
-def _incidence(ops, sources, targets):
-    """The F2 matrix with a 1 at (target, source) for each operation or
-    component (source, inputs, coefficient, target) of ``ops``."""
-    spos = {g: i for i, g in enumerate(sources)}
-    tpos = {g: i for i, g in enumerate(targets)}
-    return F2Matrix.from_entries(len(tpos), len(spos), [
-        (tpos[dst], spos[src]) for src, _, _, dst in ops])
-
-
 def to_chain_complex(S):
-    """View a both-sides-trivial structure as a based chain complex."""
+    """View a both-sides-trivial structure as a based chain complex, each
+    generator's row list read off its operations (one per target)."""
     if S.kind != "CX":
         raise ValueError("structure still carries algebra actions")
-    return ChainComplex(S.generators,
-                        _incidence(S.ops, S.generators, S.generators))
+    pos = {g: i for i, g in enumerate(S.generators)}
+    rows = [[] for _ in pos]
+    for src, _, _, dst in S.ops:
+        rows[pos[src]].append(pos[dst])
+    return ChainComplex(S.generators, BlockDifferential(rows).matrix())
 
 
 def box_tensor_AD(M, P):
@@ -663,11 +675,11 @@ class Morphism:
         return Morphism(self.source, other.target, acc)
 
     def differential(self):
-        """The morphism-complex differential: by linearity, the sum of the
-        ``component_differential`` of each component."""
-        acc = set()
+        """The morphism-complex differential: by linearity, every
+        component's terms toggled into one set by one ``_term_walk``."""
+        walk, acc = _term_walk(self.target, self.source), set()
         for comp in self.comps:
-            acc ^= component_differential(self.source, self.target, comp)
+            walk(comp, acc)
         return Morphism(self.source, self.target, acc)
 
     def is_cycle(self):
@@ -702,8 +714,10 @@ class Morphism:
         """The matrix of a morphism of both-sides-trivial structures between
         the given based complexes, matched by generator label.  Nothing is
         checked: callers test the chain-map identity themselves."""
-        return _incidence(self.comps, source_cx.generators,
-                          target_cx.generators)
+        spos = {g: i for i, g in enumerate(source_cx.generators)}
+        tpos = {g: i for i, g in enumerate(target_cx.generators)}
+        return F2Matrix.from_entries(len(tpos), len(spos), [
+            (tpos[dst], spos[src]) for src, _, _, dst in self.comps])
 
     def __repr__(self):
         return f"<morphism: {len(self.comps)} components>"
@@ -836,9 +850,9 @@ def mor_complex_DD(P, Q):
                 basis.append((p, a, q))
     basis = tuple(sorted(basis, key=lambda t: (t[0], alg.sort_key(t[1]), t[2])))
     pos = {t: i for i, t in enumerate(basis)}
+    walk = _term_walk(Q, P)
     rows = [[pos[(src, out, dst)] for src, _, out, dst
-             in component_differential(P, Q, (p, (), a, q))]
-            for p, a, q in basis]
+             in walk((p, (), a, q), set())] for p, a, q in basis]
     return MorComplex(P, Q, basis, BlockDifferential(rows))
 
 

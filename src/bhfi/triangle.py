@@ -218,9 +218,8 @@ def _check_sequence(cxs, f, g, names, failures):
     mat_f = _on_homology(B, hB, map(f.apply, hA.cycles))
     mat_g = _on_homology(C, hC, map(g.apply, hB.cycles))
     # the connecting map: lift along g, differentiate, pull back along f
-    mat_d = F2Matrix(hA.dimension, hC.dimension, tuple(
-        express_in_homology(A, hA, f.solve(B.d.apply(g.solve(z))))
-        for z in hC.cycles))
+    mat_d = F2Matrix(hA.dimension, hC.dimension, tuple(express_in_homology(
+        A, hA, f.solve_all(map(B.d.apply, g.solve_all(hC.cycles))))))
     for into, out_of, hom, name in ((mat_f, mat_g, hB, names[1]),
                                     (mat_g, mat_d, hC, names[2]),
                                     (mat_d, mat_f, hA, names[0])):

@@ -181,8 +181,7 @@ class TestMappingCone:
                 continue
             f = ChainMap(C, C, mat)
             hd = homology(C)
-            img = [express_in_homology(C, hd, mat.apply(z))
-                   for z in hd.cycles]
+            img = express_in_homology(C, hd, map(mat.apply, hd.cycles))
             hf = F2Matrix(hd.dimension, hd.dimension, tuple(img))
             cone_dim = homology(mapping_cone(f)).dimension
             assert cone_dim == 2 * hd.dimension - 2 * hf.rank()

@@ -19,7 +19,7 @@ from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.strands import AlgebraElement, StrandsAlgebra
 from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
                              DABimodule, DDBimodule, TensorAlgebra, _expand,
-                             _terms_after, box_morphism_left_comps,
+                             box_morphism_left_comps,
                              box_morphism_right, component_differential,
                              structure_residue)
 from test_homology import dense_homology
@@ -484,12 +484,33 @@ def _refusal_in_fresh_process(hash_seed):
     return done.stdout.strip()
 
 
+def terms_after(T, op, acc):
+    """Toggle into ``acc`` the relation terms that start with ``op``, one
+    operation at a time with nothing kept between calls: op followed by
+    each operation of T out of its target, the differential of its
+    coefficient, and the differential or a split of each of its inputs."""
+    x, w, a, y = op
+    out_alg, in_alg = T.out_alg, T.in_alg
+    for _, w2, b, z in T.ops_from(y):
+        if (c := out_alg.mul_basis(a, b)) is not None:
+            toggle(acc, (x, w + w2, c, z))
+    for c in out_alg.diff_basis(a):
+        toggle(acc, (x, w, c, y))
+    for pos, b in enumerate(w):
+        head, tail = w[:pos], w[pos + 1:]
+        for b0 in in_alg.diff_preimages(b):
+            toggle(acc, (x, head + (b0,) + tail, a, y))
+        for b1, b2 in in_alg.mul_preimages(b):
+            toggle(acc, (x, head + (b1, b2) + tail, a, y))
+
+
 def one_set_residue(S):
     """The relation residue with the terms of every operation toggled
-    into one set: the oracle for the sums per source generator."""
+    into one set by the per-operation walk: the oracle for the term walk
+    and its sums per source generator."""
     acc = set()
     for op in S.ops:
-        _terms_after(S, op, acc)
+        terms_after(S, op, acc)
     return acc
 
 
@@ -531,6 +552,20 @@ class TestStructureResidue:
                     every_source_broken.add((B.kind, len(B.generators) > 1))
         assert every_source_broken >= {("D", True), ("DA", True),
                                        ("CX", True)}
+
+    def test_matches_one_set_on_broken_genus_2_bimodules(self, z2, az2):
+        # az_k2 and azbar_k2 (2,579 operations each) are past the size cut
+        # of the test above
+        rng = random.Random(20261019)
+        for S in (az2, cfda_azbar(z2)):
+            for _ in range(3):
+                B = with_op_from_each(rng, S)
+                residue = one_set_residue(B)
+                assert residue
+                assert structure_residue(B) == residue
+                assert check_structure(B) == [
+                    ("relation", op)
+                    for op in sorted(residue, key=B.op_sort_key)]
 
 
 class TestBoxTensor:

@@ -183,5 +183,15 @@ def main(argv=None):
         return code
 
 
+def run():
+    """Entry of ``python -m bhfi.cli`` and ``bhfi``: main, flush, os._exit.
+    Exit-time writers must finish before run returns control; atexit hooks
+    of wrapping tools (coverage) do not run.  Exceptions exit as before."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

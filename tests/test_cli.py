@@ -231,16 +231,17 @@ class TestGenusTwoEndToEnd:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_process(*argv, **env_vars):
+def run_process(*argv, stdout=subprocess.PIPE, **env_vars):
     """Run the CLI in a fresh interpreter, with ``env_vars`` added to the
-    environment; returns (code, stdout, stderr)."""
+    environment; returns (code, stdout, stderr).  Stdout is captured unless
+    ``stdout`` names another target, and is then None."""
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
                                               else ""), **env_vars)
     proc = subprocess.run([sys.executable, "-m", "bhfi.cli", *argv],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
+                          cwd=ROOT, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -633,3 +634,63 @@ def test_genus_2_hfihat_bytes_across_hash_seeds():
     assert code == 0
     report = json.loads(out)
     assert (report["hf_dim"], report["hfi_dim"], report["ker"]) == (4, 8, 4)
+
+
+class TestProcessExit:
+    """``python -m bhfi.cli`` ends through ``run``: main, a flush of both
+    streams, then ``os._exit``, with the bytes and codes of main.  An empty
+    PYTHONUNBUFFERED counts as unset, so stdout is block-buffered, as in a
+    shell pipeline, and only run's flush writes the report."""
+
+    @staticmethod
+    def buffered(*argv, **kwargs):
+        return run_process(*argv, PYTHONUNBUFFERED="", **kwargs)
+
+    def test_relation_violation_exits_3(self, tmp_path):
+        # az_k1 with its first operation dropped breaks one relation
+        path = tmp_path / "az_k1_broken.json"
+        dump_structure(builtin_structure("az_k1"), path)
+        payload = json.loads(path.read_text())
+        del payload["ops"][0]
+        path.write_text(json.dumps(payload))
+        code, out, err = self.buffered("verify", str(path))
+        assert code == 3
+        assert json.loads(out) == {str(path): {
+            "generators": 8, "operations": 24, "violations": 1}}
+        assert json.loads(err) == {"error": "relations",
+                                   "detail": "1 relation violations"}
+
+    def test_out_file_matches_stdout(self, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, err = self.buffered(
+            *builtins("hfhat", "cfd0", "cfd_inf"), "--out", str(target))
+        assert (code, err) == (0, "")
+        assert target.read_text() == out == '{"hf_dim": 1}\n'
+
+    def test_unknown_subcommand_prints_usage(self):
+        code, out, err = self.buffered("bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: bhfi ")
+        assert "invalid choice: 'bogus'" in err
+
+    def test_closed_stdout_is_an_error(self):
+        # the report cannot be written: never exit 0 with it lost
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = self.buffered(
+                *builtins("hfhat", "cfd0", "cfd_inf"), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert code != 0
+        assert "BrokenPipeError" in err
+
+    def test_console_script_is_the_main_entry(self):
+        # read as text: tomllib is not in Python 3.10
+        with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+            scripts = fh.read().split("[project.scripts]")[1]
+        target = scripts.split("\n[")[0].split("=")[1].strip().strip('"')
+        module, func = target.split(":")
+        with open(os.path.join(ROOT, "src", *module.split(".")) + ".py") as fh:
+            tail = fh.read().split('if __name__ == "__main__":')[1]
+        assert tail.split() == [f"{func}()"]

@@ -15,14 +15,13 @@ import json
 import os
 import sys
 
+from . import involutive, triangle
 from .errors import (DivergenceError, NotEquivalentError, ParseError,
                      RelationViolation)
 from .files import BUILTIN_NAMES, builtin_structure, dump_structure, \
     load_structure
-from .involutive import iota_on_mor, mcg_action
 from .strands import algebra, split_pmc
 from .structures import check_structure, mor_complex_DD, require_valid
-from .triangle import verify_hfi_triangle
 
 
 def _resolve_inputs(args, kinds=None, genus=None):
@@ -85,7 +84,7 @@ def _cmd_hfhat(args):
 
 def _cmd_hfihat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"),))
-    report = iota_on_mor(P0, P1)
+    report = involutive.iota_on_mor(P0, P1)
     _emit(args, report.to_json())
     return 0
 
@@ -113,14 +112,14 @@ def _cmd_verify(args):
 
 def _cmd_triangle(args):
     (X,) = _resolve_inputs(args, (("A",),), genus=1)
-    report = verify_hfi_triangle(X)
+    report = triangle.verify_hfi_triangle(X)
     _emit(args, report.to_json())
     return 0
 
 
 def _cmd_mcg(args):
     M, P, chi, chi_inv = _resolve_inputs(args, (("A", "D", "DA", "DA"),))
-    matrix = mcg_action(M, P, chi, chi_inv)
+    matrix = involutive.mcg_action(M, P, chi, chi_inv)
     _emit(args, {"action": matrix.to_lists()})
     return 0
 

@@ -46,10 +46,15 @@ def diagram_from_json(circle, data):
     return diag
 
 
-def element_from_json(circle, data):
-    return AlgebraElement(circle,
-                          frozenset(diagram_from_json(circle, d)
-                                    for d in data))
+def element_from_json(circle, data, memo):
+    """The element of a payload, decoded once per file: ``memo`` maps the
+    circle and the payload's ``repr``, exact, so ``true``, ``1`` and ``1.0``
+    stay apart, to the element."""
+    key = (circle, repr(data))
+    if key not in memo:
+        memo[key] = AlgebraElement(circle, frozenset(
+            diagram_from_json(circle, d) for d in data))
+    return memo[key]
 
 
 def structure_to_json(S):
@@ -122,6 +127,7 @@ def structure_from_json(data):
         ops = data["ops"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing structure fields: {exc}") from exc
+    memo = {}
     try:
         for label in (g["label"] for g in gens):
             if not isinstance(label, str):   # labels sort as strings
@@ -129,15 +135,15 @@ def structure_from_json(data):
                                  f"{json.dumps(label)} is not a string")
         if kind == "D":
             circle = circle_from_json(data["circle"])
-            delta = [(o["src"], element_from_json(circle, o["out"]), o["dst"])
-                     for o in ops]
+            delta = [(o["src"], element_from_json(circle, o["out"], memo),
+                      o["dst"]) for o in ops]
             _refuse(kind, ops, "inputs", "algebra inputs")
             return TypeDStructure(circle, _generators(kind, gens, circle),
                                   delta)
         if kind == "A":
             circle = circle_from_json(data["circle"])
             operations = [(o["src"],
-                           [element_from_json(circle, e)
+                           [element_from_json(circle, e, memo)
                             for e in o["inputs"]],
                            o["dst"]) for o in ops]
             _refuse(kind, ops, "out", "an algebra output")
@@ -147,9 +153,9 @@ def structure_from_json(data):
             out_circle = circle_from_json(data["circle"]["out"])
             in_circle = circle_from_json(data["circle"]["in"])
             operations = [(o["src"],
-                           [element_from_json(in_circle, e)
+                           [element_from_json(in_circle, e, memo)
                             for e in o["inputs"]],
-                           element_from_json(out_circle, o["out"]),
+                           element_from_json(out_circle, o["out"], memo),
                            o["dst"]) for o in ops]
             return DABimodule(
                 out_circle, in_circle,
@@ -160,8 +166,8 @@ def structure_from_json(data):
             delta = []
             for i, o in enumerate(ops):
                 a, b = _per_circle(kind, o["out"], f"operation {i} out")
-                delta.append((o["src"], (element_from_json(left, a),
-                                         element_from_json(right, b)),
+                delta.append((o["src"], (element_from_json(left, a, memo),
+                                         element_from_json(right, b, memo)),
                               o["dst"]))
             _refuse(kind, ops, "inputs", "algebra inputs")
             return DDBimodule(left, right,

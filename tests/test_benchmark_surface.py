@@ -8,12 +8,15 @@ surface only as a crash or a failed job of a benchmark run.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import sys
+import time
 
 import pytest
 
 from bhfi import algebra, split_pmc
+from test_cli import run_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -65,3 +68,17 @@ def test_product_counter_reads_the_algebras():
     assert isinstance(alg._mul_cache, dict)
     alg.mul_basis(alg.basis[-1], alg.basis[-1])
     assert TRACER.products_computed() >= max(before, 1)
+
+
+def test_traced_cli_child_installs_over_lazy_submodules(tmp_path):
+    # cli_child imports bhfi.cli, whose deferred submodules are not yet
+    # executed, and then patches all of them through sys.modules
+    code, out, err = run_python(
+        [os.path.join(ROOT, "perfbench", "cli_child.py"),
+         "hfhat", "--builtin", "cfd0", "--builtin", "cfd_inf"],
+        PERFBENCH_T0=repr(time.monotonic()), PERFBENCH_SPAN_DIR=str(tmp_path))
+    assert (code, out) == (0, '{"hf_dim": 1}\n'), err
+    (span_file,) = tmp_path.glob("*.jsonl")
+    records = [json.loads(line)
+               for line in span_file.read_text().splitlines()]
+    assert any("counters" in rec for rec in records)

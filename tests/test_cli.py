@@ -231,18 +231,23 @@ class TestGenusTwoEndToEnd:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_process(*argv, stdout=subprocess.PIPE, **env_vars):
-    """Run the CLI in a fresh interpreter, with ``env_vars`` added to the
+def run_python(args, stdout=subprocess.PIPE, **env_vars):
+    """Run a fresh interpreter on ``args``, with ``env_vars`` added to the
     environment; returns (code, stdout, stderr).  Stdout is captured unless
     ``stdout`` names another target, and is then None."""
     src = os.path.join(ROOT, "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path
                                               else ""), **env_vars)
-    proc = subprocess.run([sys.executable, "-m", "bhfi.cli", *argv],
+    proc = subprocess.run([sys.executable, *args],
                           cwd=ROOT, env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_process(*argv, stdout=subprocess.PIPE, **env_vars):
+    """Run the CLI in a fresh interpreter; see ``run_python``."""
+    return run_python(["-m", "bhfi.cli", *argv], stdout, **env_vars)
 
 
 def builtins(command, *names):
@@ -532,6 +537,22 @@ class TestMalformedFiles:
             "generators": [{"label": "n", "idem": [1]}], "ops": []}))
         self.refused(path, "bad circle payload: points must be JSON integers")
 
+    @pytest.mark.parametrize("point", [True, 1.0], ids=json.dumps)
+    def test_repeated_payload_with_a_point_that_is_not_an_integer(
+            self, tmp_path, point):
+        # payloads are decoded once per file: the second operation repeats
+        # the first with true or 1.0 for point 1, and must not reuse it
+        path = tmp_path / "repeat.json"
+        dump_structure(builtin_structure("cfd0"), path)
+        payload = json.loads(path.read_text())
+        op = json.loads(json.dumps(payload["ops"][0]))
+        op["out"][0]["moving"] = [[point, 3]]
+        payload["ops"].append(op)
+        path.write_text(json.dumps(payload))
+        strand = json.dumps([point, 3]).replace("true", "True")
+        self.refused(path, f"bad diagram payload: strand {strand} is not "
+                           "two points of a genus-1 circle")
+
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
@@ -694,3 +715,36 @@ class TestProcessExit:
         with open(os.path.join(ROOT, "src", *module.split(".")) + ".py") as fh:
             tail = fh.read().split('if __name__ == "__main__":')[1]
         assert tail.split() == [f"{func}()"]
+
+
+# what each command compiles: the deferred submodules it executed
+LAZY = ("standard", "equivalence", "involutive", "triangle")
+EXECUTED = f"""
+import json, sys, types
+from bhfi.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [name for name in {LAZY!r}
+                         if type(sys.modules["bhfi." + name])
+                         is types.ModuleType]]))
+"""
+
+COMPILED = [
+    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], []),
+    (["verify", "fixtures/az_k1.json"], []),
+    (builtins("hfhat", "cfd0", "cfd_inf"), ["standard"]),
+    (builtins("verify", "ddid_k1"), ["standard"]),
+    (builtins("hfihat", "cfd0", "cfd_m1"),
+     ["standard", "equivalence", "involutive"]),
+    (builtins("mcg", "cfa0_k1", "cfd0", "az_k1", "azbar_k1"),
+     ["standard", "equivalence", "involutive"]),
+    (builtins("triangle", "cfa0_k1"), list(LAZY)),
+]
+
+
+@pytest.mark.parametrize("argv, executed", COMPILED,
+                         ids=[" ".join(a) for a, _ in COMPILED])
+def test_command_executes_only_the_modules_it_runs(argv, executed):
+    # the type is read from sys.modules, so the test loads nothing itself
+    code, out, err = run_python(["-c", EXECUTED, *argv])
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1]) == [0, executed]

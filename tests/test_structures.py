@@ -973,6 +973,32 @@ class TestJsonRoundTrip:
             assert T.out_idem == S.out_idem
             assert T.in_idem == S.in_idem
 
+    def test_each_distinct_payload_is_decoded_once(self, monkeypatch):
+        # fixtures/az_k2.json holds 4,496 element payloads, 238 of them
+        # distinct, one diagram each; each is decoded once per file
+        import json
+        from bhfi import files
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "fixtures", "az_k2.json")) as fh:
+            data = json.load(fh)
+        circle_in, circle_out = (json.dumps(data["circle"][side])
+                                 for side in ("in", "out"))
+        distinct = {(circle_in, repr(e)): e for o in data["ops"]
+                    for e in o["inputs"]}
+        distinct.update({(circle_out, repr(o["out"])): o["out"]
+                         for o in data["ops"]})
+        decoded = []
+        original = files.diagram_from_json
+
+        def counted(circle, payload):
+            decoded.append(payload)
+            return original(circle, payload)
+
+        monkeypatch.setattr(files, "diagram_from_json", counted)
+        S = files.structure_from_json(data)
+        assert len(decoded) == sum(map(len, distinct.values())) == 238
+        assert S.ops == files.builtin_structure("az_k2").ops
+
     def test_parse_error_on_garbage(self):
         from bhfi.errors import ParseError
         from bhfi.files import structure_from_json

@@ -13,12 +13,12 @@ from .errors import (BhfiError, DivergenceError, NotEquivalentError,
 from .strands import (AlgebraElement, PointedMatchedCircle, StrandDiagram,
                       algebra, algebra_basis, include_split, split_pmc)
 from .homology import (ChainComplex, ChainMap, F2Matrix, homology,
-                       mapping_cone, reduce)
+                       mapping_cone)
 from .structures import (AInfModule, BorderedObject, DABimodule, DDBimodule,
                          Morphism, TypeDStructure, box_tensor, box_tensor_AD,
                          box_tensor_DA_D, box_tensor_DD_side, check_structure,
-                         identity_da, identity_morphism, is_contractible,
-                         mor_complex_DD, reduce_structure, to_chain_complex,
+                         identity_da, identity_morphism, mor_complex_DD,
+                         reduce_structure, to_chain_complex,
                          validate_bounded)
 
 

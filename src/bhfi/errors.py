@@ -6,7 +6,12 @@ import os
 
 def generator_cap():
     """The largest object a stage may build: ``BHFI_MAX_GENERATORS``."""
-    return int(os.environ.get("BHFI_MAX_GENERATORS", "200000"))
+    text = os.environ.get("BHFI_MAX_GENERATORS", "200000")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("BHFI_MAX_GENERATORS must be a decimal integer, "
+                         f"not {text!r}") from None
 
 
 def size_text(size, lower_bound=False):

@@ -3,9 +3,9 @@
 Matrices are stored column-major as Python integers (bit i of column j is
 the (i, j) entry), which makes row operations single XORs of arbitrary
 width.  Every elimination in the package (rank, kernel, solving,
-homology representatives, cancellation) is ``F2Matrix._echelon``, which
-pivots on the first available row in index order, so every result is
-reproducible across runs.
+homology representatives) is ``F2Matrix._echelon``, which pivots on the
+first available row in index order, so every result is reproducible across
+runs.
 """
 from __future__ import annotations
 
@@ -336,45 +336,3 @@ def mapping_cone(f, actions={}):
     return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)),
                         actions)
 
-
-@record
-class Reduction:
-    reduced: ChainComplex
-    to_reduced: ChainMap
-    from_reduced: ChainMap
-    homotopy: F2Matrix    # h on the original complex: dh + hd = id + from*to
-
-
-def reduce(C):
-    """Cancel the differential completely (always possible over a field).
-
-    Returns the reduced complex (zero differential), the mutually inverse
-    homotopy equivalences, and a homotopy h on the original complex with
-    dh + hd = id + from_reduced . to_reduced.  One echelon of d gives the
-    boundaries d(c_j) of its pivot columns and their lifts c_j; with the
-    cycle representatives z_i of ``homology(C)`` they form a basis of C.
-    h sends d(c_j) to c_j, ``to_reduced`` sends z_i to e_i, both send the
-    rest of the basis to 0, and ``from_reduced`` is the matrix of the z_i.
-    Reduced generator i is named after the top bit of z_i, its own column.
-    """
-    n = C.dim
-    _, cols, trans, order = C.d._echelon()
-    bounds = [cols[j] for _, j in order]
-    lifts = [trans[j] for _, j in order]
-    cycles = list(homology(C).cycles)
-    k = len(cycles)
-    # the kernel of [basis | identity] holds the basis coordinates of
-    # each generator, one vector per identity column
-    units = [1 << g for g in range(n)]
-    coords = F2Matrix(n, 2 * n, tuple(bounds + cycles + lifts + units)) \
-        .nullspace_basis()
-    red = ChainComplex(tuple(C.generators[z.bit_length() - 1]
-                             for z in cycles),
-                       F2Matrix.zero(k, k))
-    to_mat = F2Matrix(k, n, tuple(x >> len(bounds) for x in coords))
-    homotopy = F2Matrix(n, n, tuple(lifts) + (0,) * (n - len(lifts))) * \
-        F2Matrix(n, n, tuple(coords))
-    return Reduction(red,
-                     ChainMap(C, red, to_mat),
-                     ChainMap(red, C, F2Matrix(n, k, tuple(cycles))),
-                     homotopy)

@@ -16,7 +16,7 @@ written once against this shape.
 """
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 from collections import Counter
 from functools import cache, cached_property
@@ -394,12 +394,6 @@ def structure_residue(S):
         for op in ops:
             walk(op, acc)
     return acc
-
-
-def component_differential(S, T, comp):
-    """The morphism-complex differential of one component of a morphism
-    S -> T, as an F2 set of components: a one-component ``_term_walk``."""
-    return _term_walk(T, S)(comp, set())
 
 
 def idempotent_violations(S):
@@ -906,46 +900,28 @@ def reduce_structure(S, track_from=False, track_to=False):
     reduction always completes.
     """
     out_alg, in_alg = S.out_alg, S.in_alg
-    ops = set(S.ops)
+    ops = set()
     alive = dict.fromkeys(S.generators)      # insertion-ordered set
     by_src, by_dst = {}, {}
-    # the cancellable operations as (op_sort_key, op), kept sorted; sort
-    # keys are unique, so the ops themselves are never compared
-    queue = []
-    ranks = {}
-
-    def is_candidate(op):
-        return not op[1] and op[0] != op[3] and out_alg.is_idem(op[2])
-
-    def enqueue(op):
-        if is_candidate(op):
-            rank = ranks.get(op)
-            if rank is None:
-                rank = ranks[op] = S.op_sort_key(op)
-            bisect.insort(queue, (rank, op))
-
-    def dequeue(op):
-        if is_candidate(op):
-            del queue[bisect.bisect_left(queue, (ranks[op],))]
+    # each cancellable operation as (op_sort_key, op), pushed when added and
+    # stale once toggled away; sort keys are unique, so two entries compare
+    # their operations only when the entries are equal
+    heap = []
 
     def add_op(op):
         if op in ops:
             ops.discard(op)
             by_src[op[0]].discard(op)
             by_dst[op[3]].discard(op)
-            dequeue(op)
         else:
             ops.add(op)
             by_src.setdefault(op[0], set()).add(op)
             by_dst.setdefault(op[3], set()).add(op)
-            enqueue(op)
+            if not op[1] and op[0] != op[3] and out_alg.is_idem(op[2]):
+                heapq.heappush(heap, (S.op_sort_key(op), op))
 
     for op in S.ops:
-        by_src.setdefault(op[0], set()).add(op)
-        by_dst.setdefault(op[3], set()).add(op)
-        if is_candidate(op):
-            ranks[op] = S.op_sort_key(op)
-    queue.extend(sorted((rank, op) for op, rank in ranks.items()))
+        add_op(op)
 
     # accumulated morphisms, both starting from the identity, indexed for
     # cheap composition
@@ -963,19 +939,19 @@ def reduce_structure(S, track_from=False, track_to=False):
                 for _, w2, b, t in seconds
                 if (c := out_alg.mul_basis(a, b)) is not None]
 
-    while True:
-        step = None
-        for _, op in queue:
-            x, _, _, y = op
-            loops = [o for o in by_src.get(x, ()) if o[3] == y and o != op]
-            if any(out_alg.is_idem(l[2]) for l in loops):
-                continue            # series provably fails to terminate
-            step = (op, loops)
-            break
-        if step is None:
-            break
-        cancel_op, loops = step
-        x, _, _, y = cancel_op
+    blocked = []
+    while heap:
+        entry = heapq.heappop(heap)
+        op = entry[1]
+        # an operation pushed twice pops twice in a row: nothing is pushed
+        # while popping
+        if op not in ops or blocked and blocked[-1] == entry:
+            continue
+        x, _, _, y = op
+        loops = [o for o in by_src[x] if o[3] == y and o != op]
+        if any(out_alg.is_idem(l[2]) for l in loops):
+            blocked.append(entry)   # series provably fails to terminate
+            continue
         into_y = [o for o in by_dst.get(y, ()) if o[0] not in (x, y)]
         from_x = [o for o in by_src.get(x, ()) if o[3] not in (x, y)]
         trace.append((x, y))
@@ -985,7 +961,7 @@ def reduce_structure(S, track_from=False, track_to=False):
         # carries an idempotent, and a nonzero product of basis elements
         # has the total strand length of its factors, so each fold adds
         # length until the products vanish.
-        series, frontier = [], [cancel_op]
+        series, frontier = [], [op]
         while frontier:
             series += frontier
             frontier = compose(frontier, loops)
@@ -1007,6 +983,9 @@ def reduce_structure(S, track_from=False, track_to=False):
         for op in compose(heads, from_x):
             add_op(op)
         del alive[x], alive[y]
+        for entry in blocked:
+            heapq.heappush(heap, entry)
+        blocked.clear()
 
     reduced = BorderedObject(out_alg, in_alg, tuple(alive),
                              {g: S.out_idem[g] for g in alive},
@@ -1034,8 +1013,3 @@ def contraction_trace(S):
         S = box_tensor_DD_side(S, dd_identity(S.in_alg.circle))
     red = reduce_structure(S)
     return None if red.reduced.generators else red.trace
-
-
-def is_contractible(S):
-    """True when the structure cancels away completely."""
-    return contraction_trace(S) is not None

@@ -281,6 +281,18 @@ class TestWrongKindInputs:
         assert report["detail"].startswith(argv[0] + ": ")
         assert detail in report["detail"]
 
+    @pytest.mark.parametrize("cap", ["abc", " 5e3"])
+    def test_malformed_cap_is_a_parse_error(self, cap):
+        code, out, err = run_process(*builtins("hfhat", "cfd0", "cfd0"),
+                                     BHFI_MAX_GENERATORS=cap)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "parse", "detail": "BHFI_MAX_GENERATORS must be a "
+            f"decimal integer, not {cap!r}"}
+
     def test_hfhat_on_dd_identities(self, capsys):
         code, out, _ = run(capsys, *builtins("hfhat", "ddid_k1", "ddid_k1"))
         assert code == 0

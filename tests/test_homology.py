@@ -5,7 +5,7 @@ import pytest
 
 from bhfi import (ChainComplex, ChainMap, F2Matrix, box_tensor, homology,
                   involutive_pair, iota_on_mor, mapping_cone, mor_complex_DD,
-                  reduce, standard_involutive_a, standard_involutive_d,
+                  standard_involutive_a, standard_involutive_d,
                   verify_hfi_triangle)
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
                            express_in_homology)
@@ -187,34 +187,6 @@ class TestMappingCone:
             assert cone_dim == 2 * hd.dimension - 2 * hf.rank()
 
 
-class TestReduce:
-    def test_acyclic_two_generator(self):
-        C = ChainComplex(("x", "y"), F2Matrix.from_entries(2, 2, [(1, 0)]))
-        red = reduce(C)
-        assert red.reduced.dim == 0
-
-    def test_zero_differential_is_fixed(self):
-        C = ChainComplex(("a", "b"), F2Matrix.zero(2, 2))
-        red = reduce(C)
-        assert red.reduced.generators == C.generators
-        assert red.to_reduced.matrix.cols == F2Matrix.identity(2).cols
-
-    def test_reduction_preserves_homology_on_randoms(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            C = random_two_term_complex(rng)
-            red = reduce(C)
-            assert red.reduced.d.is_zero()
-            assert red.reduced.dim == homology(C).dimension
-            # recorded homotopies: both composites homotopic to identity
-            eye = F2Matrix.identity(C.dim)
-            lhs = C.d * red.homotopy + red.homotopy * C.d
-            rhs = eye + red.from_reduced.matrix * red.to_reduced.matrix
-            assert lhs.cols == rhs.cols
-            pi = red.to_reduced.matrix * red.from_reduced.matrix
-            assert pi.cols == F2Matrix.identity(red.reduced.dim).cols
-
-
 def random_chain_map(rng, C):
     """A uniformly random chain self-map of C: a random vector of the
     kernel of f -> fd + df on the entries of f."""
@@ -244,43 +216,6 @@ def random_cone(rng, max_dim=9):
     differential usually has several support blocks."""
     return mapping_cone(random_chain_map(rng, random_two_term_complex(
         rng, max_dim=max_dim)))
-
-
-class TestReduceOnCones:
-    def test_identities_on_seeded_cones(self):
-        rng = random.Random(31)
-        blocks = 0
-        for _ in range(60):
-            C = random_cone(rng)
-            blocks = max(blocks, len(C.support_blocks()))
-            red = reduce(C)
-            assert red.reduced.d.is_zero()
-            assert red.reduced.dim == homology(C).dimension
-            to_m, from_m = red.to_reduced.matrix, red.from_reduced.matrix
-            lhs = C.d * red.homotopy + red.homotopy * C.d
-            rhs = F2Matrix.identity(C.dim) + from_m * to_m
-            assert lhs.cols == rhs.cols
-            assert (to_m * from_m).cols == \
-                F2Matrix.identity(red.reduced.dim).cols
-        assert blocks > 1
-
-    def test_reduced_names_are_distinct_cycle_tops(self):
-        rng = random.Random(37)
-        for _ in range(60):
-            C = random_cone(rng)
-            red = reduce(C)
-            names = red.reduced.generators
-            assert len(set(names)) == len(names)
-            tops = [C.generators[z.bit_length() - 1]
-                    for z in red.from_reduced.matrix.cols]
-            assert list(names) == tops
-
-    def test_acyclic_cone_reduces_to_nothing(self):
-        rng = random.Random(41)
-        C = random_two_term_complex(rng)
-        red = reduce(mapping_cone(ChainMap(C, C, F2Matrix.identity(C.dim))))
-        assert red.reduced.dim == 0
-        assert red.homotopy.rank() == C.dim
 
 
 def dense_homology(C):

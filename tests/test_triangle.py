@@ -5,12 +5,11 @@ import pytest
 
 import bhfi.triangle as triangle
 from bhfi import (ChainComplex, ChainMap, F2Matrix, build_triangle_data,
-                  check_structure, is_contractible, mapping_cone,
-                  verify_hfi_triangle)
+                  check_structure, mapping_cone, verify_hfi_triangle)
 from bhfi.errors import RelationViolation
 from bhfi.standard import cfa_zero_handlebody
 from bhfi.structures import (AInfModule, Morphism, box_morphism_right,
-                             box_tensor)
+                             box_tensor, contraction_trace)
 from bhfi.triangle import _check_sequence, _exact_at
 
 
@@ -63,7 +62,7 @@ class TestTriangleData:
     def test_equivalences_have_acyclic_cones(self):
         data = build_triangle_data()
         for mor in (data.psi_inf, data.psi_m1, data.psi_0):
-            assert is_contractible(mor.cone())
+            assert contraction_trace(mor.cone()) is not None
 
 
 class TestHfiTriangle:

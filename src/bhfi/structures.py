@@ -23,7 +23,8 @@ from functools import cache, cached_property
 from operator import itemgetter
 
 from ._record import record
-from .errors import DivergenceError, RelationViolation, refuse_past_cap
+from .errors import (DivergenceError, ParseError, RelationViolation,
+                     refuse_past_cap)
 from .homology import BlockDifferential, ChainComplex, F2Matrix, _bits
 from .strands import AlgebraElement, algebra
 
@@ -504,7 +505,8 @@ def _chains_reading(B2, starts, word):
     sharing one idempotent) whose outputs read ``word``, as (start,
     concatenated inputs, end generator).  Chains grow from the operations
     that output ``word[0]``, so a start with no such operation costs
-    nothing."""
+    nothing; ``_pair_with_chains`` calls it only for a word that is empty
+    or starts with a letter B2 outputs."""
     if not word:
         return [(g2, (), g2) for g2 in starts]
     idem = B2.out_idem[starts[0]]
@@ -523,38 +525,62 @@ def _partners(gens1, idem1, gens2, idem2):
     return {g1: buckets.get(idem1[g1], ()) for g1 in gens1}
 
 
+def _label_pairs(gens1, partners, labels, stage):
+    """Label each pair (g1, g2) of one of ``gens1`` with one of its
+    ``partners`` once, as ``labels[g1][g2] = "g1|g2"``, and return the
+    pairs by label, in order.  Two pairs with one label raise ParseError."""
+    pairs = {}
+    for g1 in filter(partners.get, gens1):
+        row = labels.setdefault(g1, {})
+        for g2 in partners[g1]:
+            label = row[g2] = f"{g1}|{g2}"
+            if (first := pairs.setdefault(label, (g1, g2))) != (g1, g2):
+                raise ParseError(f"{stage}: generators {first} and "
+                                 f"{(g1, g2)} pair to one label {label!r}")
+    return pairs
+
+
+def _pairing(stage, B1, B2):
+    """The pairs of B1 with B2 by label (``_label_pairs``), and the terms
+    of that pairing: the operations out of generators with a partner,
+    paired by ``_pair_with_chains``."""
+    partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
+    refuse_past_cap(stage, sum(map(len, partners.values())), "generators")
+    labels = {}
+    pairs = _label_pairs(B1.generators, partners, labels, stage)
+    ops = [B1.ops_from(g1) for g1 in B1.generators if partners[g1]]
+    return pairs, _pair_with_chains(itertools.chain.from_iterable(ops), B2,
+                                    partners, labels)
+
+
 def box_tensor(B1, B2):
     """Box tensor product pairing B1's algebra inputs with B2's outputs."""
     if B1.in_alg is not B2.out_alg:
         raise ValueError("input algebra of the first factor must match the "
                          "output algebra of the second")
-    partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
-    refuse_past_cap("box_tensor", sum(map(len, partners.values())),
-                    "generators")
-    gens = []
-    out_idem, in_idem = {}, {}
-    for g1 in B1.generators:
-        for g2 in partners[g1]:
-            label = f"{g1}|{g2}"
-            gens.append(label)
-            out_idem[label] = B1.out_idem[g1]
-            in_idem[label] = B2.in_idem[g2]
-    return BorderedObject(B1.out_alg, B2.in_alg, tuple(gens),
-                          out_idem, in_idem,
-                          _pair_with_chains(B1.ops, B2, partners))
+    pairs, ops = _pairing("box_tensor", B1, B2)
+    return BorderedObject(B1.out_alg, B2.in_alg, tuple(pairs),
+                          {g: B1.out_idem[g1] for g, (g1, _) in pairs.items()},
+                          {g: B2.in_idem[g2] for g, (_, g2) in pairs.items()},
+                          ops)
 
 
-def _pair_with_chains(ops, B2, partners):
+def _pair_with_chains(ops, B2, partners, labels):
     """Pair each operation (or morphism component) (x, word, a, x2) of a
     left factor with the chains of B2 from ``partners[x]`` that read
-    ``word``: the terms of its box tensor with B2.  An operation whose
-    source has no partner pairs with nothing and is skipped."""
+    ``word``: the terms of its box tensor with B2.  Only the operations
+    that can pair are walked: one whose source has no partner, or whose
+    word starts with a letter that B2 never outputs, reads no chain and is
+    skipped.  Each term's ends are the shared strings ``labels[x][g2]``
+    and ``labels[x2][end]``, so ``labels`` must cover the targets too."""
+    outputs = B2._grouped(_OUT)
     out = set()
     for x, word, a, x2 in ops:
-        if not partners[x]:
+        if not partners[x] or word and word[0] not in outputs:
             continue
+        src = labels[x]
         for g2, ins, end in _chains_reading(B2, partners[x], word):
-            _toggle(out, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+            _toggle(out, (src[g2], ins, a, labels[x2][end]))
     return out
 
 
@@ -589,10 +615,12 @@ def box_tensor_DD_side(B, X):
     ``X`` is a no-input structure over a tensor algebra whose left factor is
     ``B``'s input algebra.  The result is a no-input structure over
     ``B.out_alg`` tensor the carried factor (the trivial output of an
-    A-infinity module is dropped).  It is the ``box_tensor`` of B with the
-    carried view of X, whose operations output X's left coefficients and
-    read the right ones as one-letter inputs; each carried word is then
-    multiplied out from the carried idempotent of its source.
+    A-infinity module is dropped).  It pairs B with the carried view of
+    X, whose operations output X's left coefficients and read the right
+    ones as one-letter inputs, through the generator loop and chain walk
+    of ``box_tensor`` (``_pairing``: the same walked operations and shared
+    labels); each term's carried word is multiplied out from the carried
+    idempotent of its source, with no paired structure in between.
     """
     if not isinstance(X.out_alg, TensorAlgebra) or \
        X.out_alg.left is not B.in_alg:
@@ -603,21 +631,19 @@ def box_tensor_DD_side(B, X):
         {x: idem[0] for x, idem in X.out_idem.items()},
         {x: idem[1] for x, idem in X.out_idem.items()},
         [(x, (right,), left, y) for x, _, (left, right), y in X.ops])
-    partners = _partners(B.generators, B.in_idem, X.generators, view.out_idem)
-    refuse_past_cap("box_tensor_DD_side", sum(map(len, partners.values())),
-                    "generators")
-    paired = box_tensor(B, view)
+    pairs, terms = _pairing("box_tensor_DD_side", B, view)
     trivial_out = B.out_alg.is_trivial
     res_alg = carried if trivial_out else tensor_algebra(B.out_alg, carried)
-    out_idem = {g: idem if trivial_out else (paired.out_idem[g], idem)
-                for g, idem in paired.in_idem.items()}
+    right = {g: view.in_idem[x] for g, (_, x) in pairs.items()}
+    out_idem = right if trivial_out else {
+        g: (B.out_idem[b], right[g]) for g, (b, _) in pairs.items()}
     ops = set()
-    for src, word, a, dst in paired.ops:
-        start = carried.idem_element(paired.in_idem[src])
+    for src, word, a, dst in terms:
+        start = carried.idem_element(right[src])
         if (prod := carried.mul_many((start,) + word)) is not None:
             _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
-    return BorderedObject(res_alg, TRIVIAL, paired.generators, out_idem,
-                          dict.fromkeys(paired.generators, TRIVIAL.UNIT), ops)
+    return BorderedObject(res_alg, TRIVIAL, tuple(right), out_idem,
+                          dict.fromkeys(right, TRIVIAL.UNIT), ops)
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +716,21 @@ class Morphism:
         return self._cone_trace
 
     def cone(self):
-        """Mapping cone, a structure of the same kind."""
+        """Mapping cone, a structure of the same kind; each generator's
+        ``S:``/``T:`` label is made once and shared by its operations."""
         S, T = self.source, self.target
-        gens = tuple(f"S:{g}" for g in S.generators) + \
-            tuple(f"T:{g}" for g in T.generators)
-        out_idem = {f"S:{g}": v for g, v in S.out_idem.items()}
-        out_idem.update({f"T:{g}": v for g, v in T.out_idem.items()})
-        in_idem = {f"S:{g}": v for g, v in S.in_idem.items()}
-        in_idem.update({f"T:{g}": v for g, v in T.in_idem.items()})
-        ops = {(f"S:{s}", w, a, f"S:{t}") for s, w, a, t in S.ops}
-        ops |= {(f"T:{s}", w, a, f"T:{t}") for s, w, a, t in T.ops}
-        ops |= {(f"S:{s}", w, a, f"T:{t}") for s, w, a, t in self.comps}
-        return BorderedObject(S.out_alg, S.in_alg, gens, out_idem,
-                              in_idem, ops)
+        s, t = ({g: f"{tag}:{g}" for g in X.generators}
+                for tag, X in (("S", S), ("T", T)))
+        out_idem = {s[g]: v for g, v in S.out_idem.items()} | \
+            {t[g]: v for g, v in T.out_idem.items()}
+        in_idem = {s[g]: v for g, v in S.in_idem.items()} | \
+            {t[g]: v for g, v in T.in_idem.items()}
+        ops = {(s[x], w, a, s[y]) for x, w, a, y in S.ops}
+        ops |= {(t[x], w, a, t[y]) for x, w, a, y in T.ops}
+        ops |= {(s[x], w, a, t[y]) for x, w, a, y in self.comps}
+        return BorderedObject(S.out_alg, S.in_alg,
+                              (*s.values(), *t.values()), out_idem, in_idem,
+                              ops)
 
     def to_matrix(self, source_cx, target_cx):
         """The matrix of a morphism of both-sides-trivial structures between
@@ -738,10 +766,15 @@ def morphism_from_generator_map(S, T, mapping):
 def box_morphism_left_comps(f, P):
     """The components of (f boxtimes Id_P): f between left-hand structures,
     P on the right, for callers that already hold its endpoints
-    f.source x P and f.target x P."""
-    B1 = f.source
-    partners = _partners(B1.generators, B1.in_idem, P.generators, P.out_idem)
-    return _pair_with_chains(f.comps, P, partners)
+    f.source x P and f.target x P.  The labels cover both endpoints, since
+    each component ends in f.target x P; the walk starts from the partners
+    of f.source, made last."""
+    labels = {}
+    for B1 in (f.target, f.source):
+        partners = _partners(B1.generators, B1.in_idem, P.generators,
+                             P.out_idem)
+        _label_pairs(B1.generators, partners, labels, "box_morphism_left")
+    return _pair_with_chains(f.comps, P, partners, labels)
 
 
 def box_morphism_right(B, f):
@@ -758,15 +791,22 @@ def box_morphism_right_comps(B, f):
     (the prefix), exactly one component of f, then a chain of P2
     operations (the suffix).  Only a word letter that some component of f
     outputs can take the component, so the walk visits just the operations
-    that read such a letter, at those positions."""
+    that read such a letter, at those positions.  Labels are made for the
+    walked operations' ends alone, and partners in P1 for their sources,
+    made last."""
     P1, P2 = f.source, f.target
-    partners = _partners(B.generators, B.in_idem, P1.generators, P1.out_idem)
     f_by_out = {}
     for comp in f.comps:
         f_by_out.setdefault((comp[0], comp[2]), []).append(comp)
     letters = {comp[2] for comp in f.comps}
+    walked = {op for c in letters for op in B.ops_reading(c)}
+    labels = {}
+    for P, ends in ((P2, {op[3] for op in walked}),
+                    (P1, {op[0] for op in walked})):
+        partners = _partners(ends, B.in_idem, P.generators, P.out_idem)
+        _label_pairs(ends, partners, labels, "box_morphism_right")
     comps = set()
-    for b, word, a, b2 in {op for c in letters for op in B.ops_reading(c)}:
+    for b, word, a, b2 in walked:
         for t, out in enumerate(word):
             if out not in letters:
                 continue
@@ -775,8 +815,8 @@ def box_morphism_right_comps(B, f):
                     for _, ins2, _, mid in f_by_out.get((at, out), ()):
                         for ins3, end in _chains_consuming(P2, mid,
                                                            word[t + 1:]):
-                            _toggle(comps, (f"{b}|{p}", ins1 + ins2 + ins3,
-                                            a, f"{b2}|{end}"))
+                            _toggle(comps, (labels[b][p], ins1 + ins2 + ins3,
+                                            a, labels[b2][end]))
     return comps
 
 

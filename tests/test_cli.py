@@ -293,6 +293,25 @@ class TestWrongKindInputs:
             "error": "parse", "detail": "BHFI_MAX_GENERATORS must be a "
             f"decimal integer, not {cap!r}"}
 
+    def test_colliding_pair_labels_are_a_parse_error(self, tmp_path):
+        # M ⊠ P would name both a ⊠ b|c and a|b ⊠ c "a|b|c"; files, since
+        # builtins are resolved first
+        paths = []
+        for name, mapping in (("cfa0_k1", {"t": "a", "u": "a|b", "v": "v"}),
+                              ("cfd_m1", {"a": "c", "b": "b|c"}),
+                              ("az_k1", None), ("azbar_k1", None)):
+            S = builtin_structure(name)
+            paths.append(str(tmp_path / f"{name}.json"))
+            dump_structure(S.relabeled(mapping) if mapping else S, paths[-1])
+        code, out, err = run_process("mcg", *paths)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "parse", "detail": "box_tensor: generators ('a', 'b|c') "
+            "and ('a|b', 'c') pair to one label 'a|b|c'"}
+
     def test_hfhat_on_dd_identities(self, capsys):
         code, out, _ = run(capsys, *builtins("hfhat", "ddid_k1", "ddid_k1"))
         assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -393,13 +394,20 @@ class TestConjugationComposite:
 
 def count_builds(monkeypatch, run):
     """Run ``run`` and return how many box tensors and compositions it
-    builds.  An identity bimodule built on the way fails the run."""
+    builds; a DD-side pairing, which pairs without a ``box_tensor`` call,
+    counts under its own key once it is built.  An identity bimodule
+    built on the way fails the run."""
     counts = {"box_tensor": 0, "then": 0}
     real_box, real_then = structures.box_tensor, Morphism.then
+    real_dd = structures.box_tensor_DD_side
 
     def box(B1, B2):
         counts["box_tensor"] += 1
         return real_box(B1, B2)
+
+    def dd_side(B, X):
+        counts["box_tensor_DD_side"] = counts.get("box_tensor_DD_side", 0) + 1
+        return real_dd(B, X)
 
     def then(f, g):
         counts["then"] += 1
@@ -409,6 +417,7 @@ def count_builds(monkeypatch, run):
         raise AssertionError("a pipeline built the identity bimodule")
 
     patch_everywhere(monkeypatch, real_box, box)
+    patch_everywhere(monkeypatch, real_dd, dd_side)
     patch_everywhere(monkeypatch, structures.identity_da, no_identity)
     monkeypatch.setattr(Morphism, "then", then)
     run()
@@ -421,7 +430,8 @@ class TestPipelineBuilds:
 
     def test_mcg_action(self, monkeypatch, cfa1, cfd0, az1, azbar1):
         assert count_builds(monkeypatch, lambda: mcg_action(
-            cfa1, cfd0, az1, azbar1)) == {"box_tensor": 10, "then": 5}
+            cfa1, cfd0, az1, azbar1)) == \
+            {"box_tensor": 8, "box_tensor_DD_side": 2, "then": 5}
 
     def test_involutive_pair(self, monkeypatch, cfa1, cfd0):
         A, D = standard_involutive_a(cfa1), standard_involutive_d(cfd0)
@@ -490,3 +500,19 @@ class TestCfiHatOracle:
         n = hom.dimension
         assert all(g.startswith("S:H:") for g in cone.generators[:n])
         assert all(g.startswith("T:") for g in cone.generators[n:])
+
+
+class TestGenus2Certificates:
+    """The genus-2 involutive certificates, pinned by digest: psi's sorted
+    components and its cone's cancellation trace.  The golden file pins
+    only genus 1."""
+
+    @pytest.mark.parametrize("build, name, digest", [
+        (standard_involutive_a, "cfa0_k2",
+         "eead40a82c79f9b7c26c3f0f9d0d8d610680e1ad241ecfd98ba57987484914ae"),
+        (standard_involutive_d, "cfd0_k2",
+         "329cd07aec1c097abb22de5af1f51713ddbe091b94760a439d02bd0e64c16afd")])
+    def test_psi_and_cone_trace(self, build, name, digest):
+        psi = build(builtin_structure(name)).psi
+        text = repr((psi.sorted_comps(), psi.cone_trace()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

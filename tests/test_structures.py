@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from bhfi import (DivergenceError, Morphism, TypeDStructure, algebra,
-                  box_tensor, box_tensor_AD, box_tensor_DA_D,
+from bhfi import (DivergenceError, Morphism, ParseError, TypeDStructure,
+                  algebra, box_tensor, box_tensor_AD, box_tensor_DA_D,
                   box_tensor_DD_side, check_structure, dd_identity, homology,
                   identity_da, identity_morphism, mor_complex_DD,
                   reduce_structure, split_pmc, validate_bounded)
@@ -19,7 +19,8 @@ from bhfi.strands import AlgebraElement, StrandsAlgebra
 from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
                              DABimodule, DDBimodule, TensorAlgebra, _expand,
                              _term_walk, box_morphism_left_comps,
-                             box_morphism_right, contraction_trace,
+                             box_morphism_right, box_morphism_right_comps,
+                             contraction_trace,
                              structure_residue)
 from test_homology import dense_homology
 
@@ -571,7 +572,8 @@ class TestBoxTensor:
     def test_operations_without_a_partner_read_no_chains(self, monkeypatch,
                                                          az2, cfd0_k2):
         # az_k2 has 2,579 operations; only those out of a generator whose
-        # input idempotent is cfd0_k2's are paired, and the rest cost
+        # input idempotent is cfd0_k2's, with a word that is empty or starts
+        # with a letter cfd0_k2 outputs, are walked, and the rest cost
         # nothing
         from bhfi import structures
         from bhfi.structures import (_chains_consuming, _chains_reading,
@@ -605,7 +607,10 @@ class TestBoxTensor:
         paired = box_tensor(az2, cfd0_k2)
         assert paired.ops == old
         assert all(starts)
-        assert len(starts) == sum(1 for op in az2.ops if partners[op[0]])
+        outputs = {op[2] for op in cfd0_k2.ops}
+        assert len(starts) == sum(
+            1 for op in az2.ops
+            if partners[op[0]] and (not op[1] or op[1][0] in outputs)) == 56
         assert len(starts) < len(az2.ops)
 
     def test_pairing_dimension_two(self, cfa1, cfd0):
@@ -690,6 +695,24 @@ class TestBoxTensor:
                 f"box_tensor: {n} generators exceed BHFI_MAX_GENERATORS=2")):
             box_tensor(az1, cfd0)
 
+    def test_colliding_pair_labels_are_a_parse_error(self, cfa1, cfd_m1,
+                                                       az1, tmp_path):
+        # a ⊠ b|c and a|b ⊠ c would both be "a|b|c"
+        M = cfa1.relabeled({"t": "a", "u": "a|b", "v": "v"})
+        P = cfd_m1.relabeled({"a": "c", "b": "b|c"})
+        with pytest.raises(ParseError, match=re.escape(
+                "box_tensor: generators ('a', 'b|c') and ('a|b', 'c') pair "
+                "to one label 'a|b|c'")):
+            box_tensor(M, P)
+        # a pairing's own "|" labels still dump and load
+        from bhfi.files import dump_structure, load_structure
+        twisted = box_tensor(az1, P)
+        assert "h2|b|c" in twisted.generators
+        dump_structure(twisted, tmp_path / "twisted.json")
+        back = load_structure(tmp_path / "twisted.json")
+        assert back.generators == twisted.generators
+        assert back.ops == twisted.ops
+
     def test_dd_side_generator_cap(self, z1, monkeypatch):
         ident, ddid = identity_da(z1), dd_identity(z1)
         n = len(box_tensor_DD_side(ident, ddid).generators)
@@ -772,6 +795,195 @@ class TestDDSide:
             assert out.generators == gens
             assert out.out_idem == out_idem
             assert out.ops == ops
+
+
+def kernel_oracle_box_tensor(B1, B2):
+    """box_tensor before the one pairing kernel: every operation of B1
+    scanned, and two new label strings for every term."""
+    from bhfi.structures import _chains_reading, _partners, _toggle
+    partners = _partners(B1.generators, B1.in_idem, B2.generators,
+                         B2.out_idem)
+    gens, out_idem, in_idem = [], {}, {}
+    for g1 in B1.generators:
+        for g2 in partners[g1]:
+            label = f"{g1}|{g2}"
+            gens.append(label)
+            out_idem[label] = B1.out_idem[g1]
+            in_idem[label] = B2.in_idem[g2]
+    ops = set()
+    for x, word, a, x2 in B1.ops:
+        if not partners[x]:
+            continue
+        for g2, ins, end in _chains_reading(B2, partners[x], word):
+            _toggle(ops, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+    return BorderedObject(B1.out_alg, B2.in_alg, tuple(gens), out_idem,
+                          in_idem, ops)
+
+
+def kernel_oracle_dd_side(B, X):
+    """box_tensor_DD_side before the one pairing kernel: the box tensor of
+    B with the carried view of X, then a second pass over its
+    operations."""
+    from bhfi.structures import _toggle, tensor_algebra
+    carried = X.out_alg.right
+    view = BorderedObject(
+        B.in_alg, carried, X.generators,
+        {x: idem[0] for x, idem in X.out_idem.items()},
+        {x: idem[1] for x, idem in X.out_idem.items()},
+        [(x, (right,), left, y) for x, _, (left, right), y in X.ops])
+    paired = kernel_oracle_box_tensor(B, view)
+    trivial_out = B.out_alg.is_trivial
+    res_alg = carried if trivial_out else tensor_algebra(B.out_alg, carried)
+    out_idem = {g: idem if trivial_out else (paired.out_idem[g], idem)
+                for g, idem in paired.in_idem.items()}
+    ops = set()
+    for src, word, a, dst in paired.ops:
+        start = carried.idem_element(paired.in_idem[src])
+        if (prod := carried.mul_many((start,) + word)) is not None:
+            _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
+    return BorderedObject(res_alg, TRIVIAL, paired.generators, out_idem,
+                          dict.fromkeys(paired.generators, TRIVIAL.UNIT), ops)
+
+
+def kernel_oracle_left_comps(f, P):
+    """box_morphism_left_comps before the one pairing kernel."""
+    from bhfi.structures import _chains_reading, _partners, _toggle
+    partners = _partners(f.source.generators, f.source.in_idem,
+                         P.generators, P.out_idem)
+    comps = set()
+    for x, word, a, x2 in f.comps:
+        if partners[x]:
+            for g2, ins, end in _chains_reading(P, partners[x], word):
+                _toggle(comps, (f"{x}|{g2}", ins, a, f"{x2}|{end}"))
+    return comps
+
+
+def kernel_oracle_right_comps(B, f):
+    """box_morphism_right_comps before the one pairing kernel."""
+    from bhfi.structures import _chains_consuming, _partners, _toggle
+    P1, P2 = f.source, f.target
+    partners = _partners(B.generators, B.in_idem, P1.generators,
+                         P1.out_idem)
+    f_by_out = {}
+    for comp in f.comps:
+        f_by_out.setdefault((comp[0], comp[2]), []).append(comp)
+    comps = set()
+    for b, word, a, b2 in B.ops:
+        for t, out in enumerate(word):
+            for p in partners[b]:
+                for ins1, at in _chains_consuming(P1, p, word[:t]):
+                    for _, ins2, _, mid in f_by_out.get((at, out), ()):
+                        for ins3, end in _chains_consuming(P2, mid,
+                                                           word[t + 1:]):
+                            _toggle(comps, (f"{b}|{p}", ins1 + ins2 + ins3,
+                                            a, f"{b2}|{end}"))
+    return comps
+
+
+def random_genus_1_left_factor(rng, z1, with_output):
+    """A random genus-1 A-infinity module (or DA bimodule, ``with_output``)
+    whose words of up to three letters chain between the input
+    idempotents of their ends, as do its output coefficients between the
+    output idempotents; the relations need not hold."""
+    alg = algebra(z1)
+    idems = [d.left_idem for d in alg.idempotent_diagrams]
+    gens = [f"g{i}" for i in range(rng.randrange(2, 6))]
+    in_idem = {g: rng.choice(idems) for g in gens}
+    out_idem = {g: rng.choice(idems) if with_output else TRIVIAL.UNIT
+                for g in gens}
+    ops = set()
+    for _ in range(rng.randrange(4, 16)):
+        x, word = rng.choice(gens), []
+        at = in_idem[x]
+        for _ in range(rng.randrange(4)):
+            letter = rng.choice([b for b in alg.basis if b.left_idem == at])
+            word.append(letter)
+            at = letter.right_idem
+        ends = [y for y in gens if in_idem[y] == at]
+        if not ends:
+            continue
+        y = rng.choice(ends)
+        outs = alg.basis_between(out_idem[x], out_idem[y]) if with_output \
+            else (TRIVIAL.UNIT,)
+        if outs:
+            ops ^= {(x, tuple(word), rng.choice(outs), y)}
+    return BorderedObject(alg if with_output else TRIVIAL, alg, gens,
+                          out_idem, in_idem, ops)
+
+
+def assert_shares_labels(S):
+    """Each operation's ends are the generator strings themselves."""
+    own = {g: g for g in S.generators}
+    assert all(own[x] is x and own[y] is y for x, _, _, y in S.ops)
+
+
+class TestPairingKernelOracle:
+    """Every pairing equals its pre-kernel form, generator tuple and
+    operation set, and names each generator pair with one string."""
+
+    def assert_box_tensor(self, B1, B2):
+        out, old = box_tensor(B1, B2), kernel_oracle_box_tensor(B1, B2)
+        assert out.generators == old.generators
+        assert out.out_idem == old.out_idem and out.in_idem == old.in_idem
+        assert out.ops == old.ops
+        assert_shares_labels(out)
+
+    def assert_dd_side(self, B, X):
+        out, old = box_tensor_DD_side(B, X), kernel_oracle_dd_side(B, X)
+        assert out.generators == old.generators
+        assert out.out_idem == old.out_idem
+        assert out.ops == old.ops
+        assert_shares_labels(out)
+
+    def test_genus_1_twists_of_framed_tori(self, az1, azbar1, cfd0, cfd_inf,
+                                           cfd_m1):
+        for B1 in (az1, azbar1):
+            for P in (cfd0, cfd_inf, cfd_m1):
+                self.assert_box_tensor(B1, P)
+
+    def test_az_k2_on_relabelled_cfd0_k2(self, az2, cfd0_k2):
+        self.assert_box_tensor(az2, cfd0_k2)
+        self.assert_box_tensor(az2, shuffled(cfd0_k2, 15))
+
+    def test_cfa0_k2_on_the_twisted_ladder(self, az2, cfa2, cfd0_k2):
+        P = cfd0_k2
+        for _ in range(3):
+            self.assert_box_tensor(cfa2, P)
+            P = box_tensor(az2, P)
+
+    def test_involutive_a_cone_on_the_dd_identity(self, z2,
+                                                  involutive_a_cone):
+        self.assert_dd_side(involutive_a_cone, dd_identity(z2))
+
+    def test_cone_shares_labels(self, involutive_a_cone):
+        assert_shares_labels(involutive_a_cone)
+
+    def test_random_genus_1_a_and_da_structures(self, z1, az1, azbar1,
+                                                cfd0, cfd_inf, cfd_m1):
+        rng = random.Random(20261019)
+        ddid = dd_identity(z1)
+        rights = (cfd0, cfd_inf, cfd_m1, box_tensor(az1, cfd_m1), az1,
+                  azbar1)
+        for trial in range(40):
+            B1 = random_genus_1_left_factor(rng, z1, trial % 2)
+            for B2 in rights:
+                self.assert_box_tensor(B1, B2)
+            self.assert_dd_side(B1, ddid)
+            self.assert_box_tensor(B1, random_genus_1_left_factor(
+                rng, z1, True))
+
+    def test_morphism_components(self, z1, z2, az1, az2, cfa2, cfd_m1,
+                                 cfd0_k2):
+        from bhfi import standard_involutive_d
+        from bhfi.equivalence import omega_equivalence
+        om = omega_equivalence(z1).forward
+        for P in (cfd_m1, shuffled(box_tensor(az1, cfd_m1), 16)):
+            assert box_morphism_left_comps(om, P) == \
+                kernel_oracle_left_comps(om, P)
+        psi = standard_involutive_d(cfd0_k2).psi
+        for B in (az2, cfa2):
+            assert box_morphism_right_comps(B, psi) == \
+                kernel_oracle_right_comps(B, psi)
 
 
 class TestMorComplex:

@@ -142,7 +142,7 @@ class TestHfiTriangle:
         # are solved for, not built as composites
         from test_involutive import count_builds
         assert count_builds(monkeypatch, lambda: verify_hfi_triangle(cfa1)) \
-            == {"box_tensor": 23, "then": 17}
+            == {"box_tensor": 22, "box_tensor_DD_side": 1, "then": 17}
 
 
 def complex_of(n, entries):

@@ -20,7 +20,7 @@ import math
 
 from ._record import record
 from .errors import DivergenceError, NotEquivalentError, generator_cap
-from .homology import F2Matrix, _bits
+from .homology import F2Matrix, _bits, rows_nullspace
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, _term_walk, box_tensor, identity_da,
                          mor_complex_DD, morphism_from_generator_map,
@@ -259,17 +259,10 @@ def search_small_equivalence(A, B, max_arity=2):
                     unknowns.append((src, w, out, dst))
     unknowns.sort(key=A.op_sort_key)
     # rows in first-seen order: each kernel vector is its own column plus
-    # the unique sum of earlier independent columns, whatever the row order.
-    # Each column is set in one buffer: a sum of shifted ints costs time
-    # quadratic in the row count.
-    row, cols, walk = {}, [], _term_walk(B, A)
-    for e in unknowns:
-        rows = [row.setdefault(t, len(row)) for t in walk(e, set())]
-        col = bytearray(len(row) + 7 >> 3)
-        for r in rows:
-            col[r >> 3] |= 1 << (r & 7)
-        cols.append(int.from_bytes(col, "little"))
-    kernel = F2Matrix(len(row), len(unknowns), cols).nullspace_basis()
+    # the unique sum of earlier independent columns, whatever the row order
+    row, walk = {}, _term_walk(B, A)
+    kernel = rows_nullspace([[row.setdefault(t, len(row))
+                              for t in walk(e, set())] for e in unknowns])
     return _first_acyclic_sum(
         "search_small_equivalence", (kernel,), "kernel",
         lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),

@@ -5,7 +5,9 @@ the (i, j) entry), which makes row operations single XORs of arbitrary
 width.  Every elimination in the package (rank, kernel, solving,
 homology representatives) is ``F2Matrix._echelon``, which pivots on the
 first available row in index order, so every result is reproducible across
-runs.
+runs.  Systems kept as row lists (a ``BlockDifferential``, the kernel of
+``rows_nullspace``) are split into connected components first, and each
+component is eliminated at its own row indices by ``_local_echelon``.
 """
 from __future__ import annotations
 
@@ -220,7 +222,8 @@ class HomologyData:
 def _components(rows):
     """Connected components of the support graph of a square differential
     whose column j has a 1 in each row of ``rows[j]``: sorted tuples of
-    indices, ordered by their first index."""
+    indices, ordered by their first index.  ``rows_nullspace`` passes the
+    graph that joins each column to the first column with each of its rows."""
     n = len(rows)
     parent = list(range(n))
 
@@ -241,6 +244,33 @@ def _components(rows):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return tuple(sorted(map(tuple, groups.values())))
+
+
+def _local_echelon(rows, cols):
+    """``_echelon`` of columns given as lists of rows out of the sorted
+    ``rows`` (a repeated entry cancels), at their positions in ``rows``."""
+    pos = {r: i for i, r in enumerate(rows)}
+    return F2Matrix.from_entries(len(rows), len(cols), (
+        (pos[r], j) for j, col in enumerate(cols) for r in col))._echelon()
+
+
+def rows_nullspace(cols):
+    """The ``nullspace_basis`` of the matrix whose column j has a 1 in each
+    row of ``cols[j]``, one connected component at a time: an echelon step
+    only adds columns of one component, and each pivot is still the lowest
+    row in global order, so the kernel vectors, sorted by their top bit
+    (their own column), are the dense ones, in the same order."""
+    owner = {}
+    links = [[owner.setdefault(r, j) for r in col]
+             for j, col in enumerate(cols)]
+    out = []
+    for comp in _components(links):
+        _, red, trans, _ = _local_echelon(
+            sorted({r for j in comp for r in cols[j]}),
+            [cols[j] for j in comp])
+        out += [sum(1 << comp[i] for i in _bits(t))
+                for c, t in zip(red, trans) if not c]
+    return sorted(out, key=int.bit_length)
 
 
 class BlockDifferential:
@@ -271,22 +301,6 @@ class BlockDifferential:
         object.__setattr__(d, "_blocks", self)
         return d
 
-    def _split(self, b):
-        """Block b's boundaries and kernel vectors in local indices, read
-        off one echelon of its matrix."""
-        block = self.blocks[b]
-        pos = {g: i for i, g in enumerate(block)}
-        cols = []
-        for g in block:
-            col = 0
-            for r in self.rows[g]:
-                col ^= 1 << pos[r]
-            cols.append(col)
-        _, cols, trans, order = F2Matrix(len(block), len(block),
-                                         tuple(cols))._echelon()
-        return ([cols[j] for _, j in order],
-                [trans[j] for j in range(len(block)) if cols[j] == 0])
-
     def cycles(self, b):
         """The cycle representatives of block b, as vectors over all the
         indices: the kernel vectors that are independent of the boundaries
@@ -294,7 +308,10 @@ class BlockDifferential:
         ``[im | ker]``."""
         if b not in self._cycles:
             block = self.blocks[b]
-            im, ker = self._split(b)
+            _, cols, trans, order = _local_echelon(
+                block, [self.rows[g] for g in block])
+            im = [cols[j] for _, j in order]
+            ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
             both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
             _, _, _, both_order = both._echelon()
             self._cycles[b] = [

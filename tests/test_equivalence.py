@@ -17,7 +17,7 @@ from bhfi import structures
 from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
                               _unit_part, find_isomorphism)
 from bhfi.errors import generator_cap
-from bhfi.homology import BlockDifferential, F2Matrix, _bits
+from bhfi.homology import BlockDifferential, F2Matrix, _bits, rows_nullspace
 from bhfi.involutive import iota_on_mor
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
 from bhfi.structures import (BorderedObject, contraction_trace,
@@ -430,6 +430,16 @@ class TestUnitPart:
     def test_bridge_columns_match_summed_shifts(self, seed_1_bridge):
         (A, B, arity), system = seed_1_bridge
         assert system == summed_search_columns(A, B, arity)
+
+
+@pytest.mark.parametrize("left", ["azbar", "az"])
+def test_split_search_kernel_is_the_dense_one(z1, az1, azbar1, left):
+    # the genus-1 search systems fall into 100 and 115 components
+    pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
+    _, system = captured(lambda eq: eq.search_small_equivalence(
+        identity_da(z1), box_tensor(*pieces)))
+    assert rows_nullspace(list(map(_bits, system[2]))) == \
+        F2Matrix(*system).nullspace_basis()
 
 
 class TestConeReductions:

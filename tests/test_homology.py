@@ -8,7 +8,7 @@ from bhfi import (ChainComplex, ChainMap, F2Matrix, box_tensor, homology,
                   standard_involutive_a, standard_involutive_d,
                   verify_hfi_triangle)
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
-                           express_in_homology)
+                           _components, express_in_homology, rows_nullspace)
 from bhfi.involutive import conjugation_cone
 
 
@@ -308,6 +308,62 @@ class TestBlockDifferential:
         with pytest.raises(ValueError,
                            match="differential does not square to zero"):
             BlockDifferential([[1], [], [3], [4], []])
+
+
+def random_row_lists(rng):
+    """(nrows, row lists) of a sparse system, each column inside a span of
+    up to three row bands, so it often splits; with zero columns, untouched
+    rows, and sums of earlier columns written as their concatenated row
+    lists, so repeated entries cancel."""
+    nrows = rng.randrange(0, 40)
+    bands = sorted(rng.sample(range(nrows + 1), min(nrows + 1, 4)))
+    cols = []
+    for _ in range(rng.randrange(0, 30)):
+        pick = rng.random()
+        if pick < 0.1 or len(bands) < 2:
+            cols.append([])
+        elif pick < 0.4 and cols:
+            cols.append([r for col in rng.sample(cols, min(len(cols), 3))
+                         for r in col])
+        else:
+            lo, hi = sorted(rng.sample(bands, 2))
+            cols.append([rng.randrange(lo, hi)
+                         for _ in range(rng.randrange(1, 4))])
+    return nrows, cols
+
+
+class TestRowsNullspace:
+    """``rows_nullspace`` eliminates one component at a time and returns
+    the dense ``nullspace_basis``, vector for vector and in order."""
+
+    @staticmethod
+    def dense(nrows, cols):
+        return F2Matrix.from_entries(nrows, len(cols), (
+            (r, j) for j, col in enumerate(cols) for r in col))
+
+    def test_seeded_sparse_systems(self):
+        rng = random.Random(61)
+        split = repeated = kernels = 0
+        for _ in range(300):
+            nrows, cols = random_row_lists(rng)
+            expected = self.dense(nrows, cols).nullspace_basis()
+            assert rows_nullspace(cols) == expected
+            owner = {}
+            split += len(_components([[owner.setdefault(r, j) for r in col]
+                                      for j, col in enumerate(cols)])) > 1
+            repeated += any(len(set(col)) < len(col) for col in cols)
+            kernels += bool(expected)
+        assert min(split, repeated, kernels) > 20
+
+    def test_edge_cases(self):
+        assert rows_nullspace([]) == []
+        # nrows = 0: every column is zero
+        assert rows_nullspace([[], []]) == \
+            self.dense(0, [[], []]).nullspace_basis() == [1, 2]
+        # rows 1 and 4 untouched; column 2 is column 0 written twice
+        cols = [[0, 2], [3], [0, 2, 0, 2], [], [5, 3], [5]]
+        assert rows_nullspace(cols) == \
+            self.dense(6, cols).nullspace_basis() == [4, 8, 2 | 16 | 32]
 
 
 @pytest.fixture

@@ -1447,8 +1447,10 @@ class _Captured(Exception):
 
 def captured_search_system(monkeypatch, run):
     """The arguments and the (rows, unknowns, columns) of the first bounded
-    search system that ``run`` assembles; the search stops there."""
+    search system that ``run`` assembles, its row lists read as the int
+    columns of an F2Matrix; the search stops there."""
     import bhfi.equivalence as equivalence
+    from bhfi.homology import F2Matrix
     seen = []
     real = equivalence.search_small_equivalence
 
@@ -1456,12 +1458,15 @@ def captured_search_system(monkeypatch, run):
         seen.append((A, B, max_arity))
         return real(A, B, max_arity)
 
-    def matrix(nrows, ncols, cols):
-        seen.append((nrows, ncols, tuple(cols)))
+    def kernel(cols):
+        m = F2Matrix.from_entries(
+            len({r for col in cols for r in col}), len(cols),
+            ((r, j) for j, col in enumerate(cols) for r in col))
+        seen.append((m.nrows, m.ncols, m.cols))
         raise _Captured
 
     monkeypatch.setattr(equivalence, "search_small_equivalence", search)
-    monkeypatch.setattr(equivalence, "F2Matrix", matrix)
+    monkeypatch.setattr(equivalence, "rows_nullspace", kernel)
     with pytest.raises(_Captured):
         run(equivalence)
     return seen[0], seen[1]

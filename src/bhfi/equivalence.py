@@ -225,11 +225,8 @@ def _chained_words(alg, start, end, max_len):
     words = []
     frontier = [((), start)]
     for _ in range(max_len):
-        nxt = []
-        for word, at in frontier:
-            for b in alg.basis_from(at):
-                nxt.append((word + (b,), alg.right_idem_of(b)))
-        frontier = nxt
+        frontier = [(word + (b,), alg.right_idem_of(b))
+                    for word, at in frontier for b in alg.basis_from(at)]
         words += frontier
     return [w for w, at in [((), start)] + words if at == end]
 
@@ -250,13 +247,9 @@ def search_small_equivalence(A, B, max_arity=2):
         for dst in B.generators:
             for out in out_alg.basis_between(A.out_idem[src],
                                              B.out_idem[dst]):
-                if in_alg.is_trivial:
-                    words = [()]
-                else:
-                    words = _chained_words(in_alg, A.in_idem[src],
-                                           B.in_idem[dst], max_arity - 1)
-                for w in words:
-                    unknowns.append((src, w, out, dst))
+                words = [()] if in_alg.is_trivial else _chained_words(
+                    in_alg, A.in_idem[src], B.in_idem[dst], max_arity - 1)
+                unknowns += [(src, w, out, dst) for w in words]
     unknowns.sort(key=A.op_sort_key)
     # rows in first-seen order: each kernel vector is its own column plus
     # the unique sum of earlier independent columns, whatever the row order

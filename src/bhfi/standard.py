@@ -107,11 +107,17 @@ def dd_identity(circle):
     Both output factors are written over the same reflection-symmetric
     circle; the second factor carries the reflected coefficients.  Both
     sizes, C(2k, k) generators and the terms of every chord, are checked
-    against the cap before anything is listed.
+    against the cap on every call, before anything is listed, so a lower
+    cap refuses a cached build too; the bimodule is built once per circle.
     """
     refuse_past_cap("dd_identity", math.comb(2 * circle.k, circle.k),
                     "generators")
     refuse_past_cap("dd_identity", chord_term_count(circle), "chord terms")
+    return _dd_identity(circle)
+
+
+@functools.cache
+def _dd_identity(circle):
     alg = algebra(circle)
     all_pairs = frozenset(circle.pairs)
     subsets = [frozenset(s) for s in

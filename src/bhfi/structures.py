@@ -550,7 +550,7 @@ def _pairing(stage, B1, B2):
     pairs = _label_pairs(B1.generators, partners, labels, stage)
     ops = [B1.ops_from(g1) for g1 in B1.generators if partners[g1]]
     return pairs, _pair_with_chains(itertools.chain.from_iterable(ops), B2,
-                                    partners, labels)
+                                    partners, labels, stage)
 
 
 def box_tensor(B1, B2):
@@ -565,22 +565,30 @@ def box_tensor(B1, B2):
                           ops)
 
 
-def _pair_with_chains(ops, B2, partners, labels):
+def _pair_with_chains(ops, B2, partners, labels, stage):
     """Pair each operation (or morphism component) (x, word, a, x2) of a
     left factor with the chains of B2 from ``partners[x]`` that read
     ``word``: the terms of its box tensor with B2.  Only the operations
     that can pair are walked: one whose source has no partner, or whose
     word starts with a letter that B2 never outputs, reads no chain and is
     skipped.  Each term's ends are the shared strings ``labels[x][g2]``
-    and ``labels[x2][end]``, so ``labels`` must cover the targets too."""
+    and ``labels[x2][end]``, so ``labels`` must cover the targets too; a
+    term that ends on no pair (an operation off its target's idempotent)
+    is a ValueError naming ``stage`` and the operation paired."""
     outputs = B2._grouped(_OUT)
     out = set()
-    for x, word, a, x2 in ops:
-        if not partners[x] or word and word[0] not in outputs:
-            continue
-        src = labels[x]
-        for g2, ins, end in _chains_reading(B2, partners[x], word):
-            _toggle(out, (src[g2], ins, a, labels[x2][end]))
+    try:
+        for x, word, a, x2 in ops:
+            if not partners[x] or word and word[0] not in outputs:
+                continue
+            src = labels[x]
+            for g2, ins, end in _chains_reading(B2, partners[x], word):
+                _toggle(out, (src[g2], ins, a, labels[x2][end]))
+    except KeyError as err:
+        raise ValueError(f"{stage}: pairing {(x, word, a, x2)!r} ends at "
+                         f"{err.args[0]!r}, which has no partner: an "
+                         "operation does not end at its target's "
+                         "idempotent") from None
     return out
 
 
@@ -637,10 +645,10 @@ def box_tensor_DD_side(B, X):
     right = {g: view.in_idem[x] for g, (_, x) in pairs.items()}
     out_idem = right if trivial_out else {
         g: (B.out_idem[b], right[g]) for g, (b, _) in pairs.items()}
+    start = {g: (carried.idem_element(idem),) for g, idem in right.items()}
     ops = set()
     for src, word, a, dst in terms:
-        start = carried.idem_element(right[src])
-        if (prod := carried.mul_many((start,) + word)) is not None:
+        if (prod := carried.mul_many(start[src] + word)) is not None:
             _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
     return BorderedObject(res_alg, TRIVIAL, tuple(right), out_idem,
                           dict.fromkeys(right, TRIVIAL.UNIT), ops)
@@ -774,7 +782,8 @@ def box_morphism_left_comps(f, P):
         partners = _partners(B1.generators, B1.in_idem, P.generators,
                              P.out_idem)
         _label_pairs(B1.generators, partners, labels, "box_morphism_left")
-    return _pair_with_chains(f.comps, P, partners, labels)
+    return _pair_with_chains(f.comps, P, partners, labels,
+                             "box_morphism_left")
 
 
 def box_morphism_right(B, f):
@@ -856,11 +865,8 @@ class MorComplex:
         return vec
 
     def morphism_of(self, vec):
-        comps = set()
-        for i in _bits(vec):
-            p, a, q = self.basis[i]
-            comps.add((p, (), a, q))
-        return Morphism(self.P, self.Q, comps)
+        return Morphism(self.P, self.Q, {(p, (), a, q) for p, a, q in
+                                         (self.basis[i] for i in _bits(vec))})
 
 
 def mor_complex_DD(P, Q):
@@ -877,12 +883,10 @@ def mor_complex_DD(P, Q):
         m * n * len(alg.basis_between(i, j))
         for i, m in p_idems.items() for j, n in q_idems.items()),
         "basis morphisms")
-    basis = []
-    for p in P.generators:
-        for q in Q.generators:
-            for a in alg.basis_between(P.out_idem[p], Q.out_idem[q]):
-                basis.append((p, a, q))
-    basis = tuple(sorted(basis, key=lambda t: (t[0], alg.sort_key(t[1]), t[2])))
+    basis = tuple(sorted(
+        ((p, a, q) for p in P.generators for q in Q.generators
+         for a in alg.basis_between(P.out_idem[p], Q.out_idem[q])),
+        key=lambda t: (t[0], alg.sort_key(t[1]), t[2])))
     pos = {t: i for i, t in enumerate(basis)}
     walk = _term_walk(Q, P)
     rows = [[pos[(src, out, dst)] for src, _, out, dst
@@ -898,18 +902,11 @@ def identity_da(circle):
     """The identity DA bimodule: one generator per idempotent, the right
     action feeding straight through."""
     alg = algebra(circle)
-    gens, out_idem, in_idem = [], {}, {}
-    for d in alg.idempotent_diagrams:
-        label = f"e_{d.label}"
-        gens.append(label)
-        out_idem[label] = d.left_idem
-        in_idem[label] = d.left_idem
-    ops = set()
-    for b in alg.basis:
-        src = f"e_{alg.idempotent(b.left_idem).label}"
-        dst = f"e_{alg.idempotent(b.right_idem).label}"
-        ops.add((src, (b,), b, dst))
-    return BorderedObject(alg, alg, tuple(gens), out_idem, in_idem, ops)
+    idem = {f"e_{d.label}": d.left_idem for d in alg.idempotent_diagrams}
+    label = {pairs: g for g, pairs in idem.items()}
+    ops = {(label[b.left_idem], (b,), b, label[b.right_idem])
+           for b in alg.basis}
+    return BorderedObject(alg, alg, tuple(idem), idem, idem, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -940,28 +937,34 @@ def reduce_structure(S, track_from=False, track_to=False):
     reduction always completes.
     """
     out_alg, in_alg = S.out_alg, S.in_alg
-    ops = set()
     alive = dict.fromkeys(S.generators)      # insertion-ordered set
-    by_src, by_dst = {}, {}
-    # each cancellable operation as (op_sort_key, op), pushed when added and
-    # stale once toggled away; sort keys are unique, so two entries compare
-    # their operations only when the entries are equal
-    heap = []
+    # each live operation sits in two buckets, its source's and its
+    # target's, and nowhere else: membership is ``op in by_src[op[0]]``
+    by_src = {g: set() for g in S.out_idem}
+    by_dst = {g: set() for g in S.out_idem}
+
+    def cancellable(op):
+        return not op[1] and op[0] != op[3] and out_alg.is_idem(op[2])
 
     def add_op(op):
-        if op in ops:
-            ops.discard(op)
-            by_src[op[0]].discard(op)
+        bucket = by_src[op[0]]
+        if op in bucket:
+            bucket.discard(op)
             by_dst[op[3]].discard(op)
         else:
-            ops.add(op)
-            by_src.setdefault(op[0], set()).add(op)
-            by_dst.setdefault(op[3], set()).add(op)
-            if not op[1] and op[0] != op[3] and out_alg.is_idem(op[2]):
+            bucket.add(op)
+            by_dst[op[3]].add(op)
+            if cancellable(op):
                 heapq.heappush(heap, (S.op_sort_key(op), op))
 
     for op in S.ops:
-        add_op(op)
+        by_src[op[0]].add(op)
+        by_dst[op[3]].add(op)
+    # each cancellable operation as (op_sort_key, op), pushed when added;
+    # sort keys are unique, so two entries compare their operations only
+    # when the entries are equal
+    heap = [(S.op_sort_key(op), op) for op in S.ops if cancellable(op)]
+    heapq.heapify(heap)
 
     # accumulated morphisms, both starting from the identity, indexed for
     # cheap composition
@@ -983,17 +986,18 @@ def reduce_structure(S, track_from=False, track_to=False):
     while heap:
         entry = heapq.heappop(heap)
         op = entry[1]
-        # an operation pushed twice pops twice in a row: nothing is pushed
-        # while popping
-        if op not in ops or blocked and blocked[-1] == entry:
-            continue
         x, _, _, y = op
+        # an entry is stale once its source is cancelled (its bucket is
+        # gone) or its operation is toggled away.  An operation pushed
+        # twice pops twice in a row: nothing is pushed while popping
+        if op not in by_src.get(x, ()) or blocked and blocked[-1] == entry:
+            continue
         loops = [o for o in by_src[x] if o[3] == y and o != op]
         if any(out_alg.is_idem(l[2]) for l in loops):
             blocked.append(entry)   # series provably fails to terminate
             continue
-        into_y = [o for o in by_dst.get(y, ()) if o[0] not in (x, y)]
-        from_x = [o for o in by_src.get(x, ()) if o[3] not in (x, y)]
+        into_y = [o for o in by_dst[y] if o[0] not in (x, y)]
+        from_x = [o for o in by_src[x] if o[3] not in (x, y)]
         trace.append((x, y))
 
         # the zig-zag series e.(loops)*, seeded with the cancelled operation,
@@ -1015,11 +1019,15 @@ def reduce_structure(S, track_from=False, track_to=False):
                 _toggle(to_by_dst[comp[3]], comp)
             del to_by_dst[x]
 
-        # drop the cancelled pair (add_op toggles each operation off),
-        # then apply the corrections
-        for op in (by_src.get(x, set()) | by_dst.get(x, set())
-                   | by_src.get(y, set()) | by_dst.get(y, set())):
-            add_op(op)
+        # drop the cancelled pair: its four buckets go whole, and each of
+        # their operations leaves its far end's bucket, which in this order
+        # is never gone: a bucket popped earlier took its operations out
+        # of the ones popped later.  Then apply the corrections
+        for g in (x, y):
+            for o in by_src.pop(g):
+                by_dst[o[3]].discard(o)
+            for o in by_dst.pop(g):
+                by_src[o[0]].discard(o)
         for op in compose(heads, from_x):
             add_op(op)
         del alive[x], alive[y]
@@ -1029,7 +1037,8 @@ def reduce_structure(S, track_from=False, track_to=False):
 
     reduced = BorderedObject(out_alg, in_alg, tuple(alive),
                              {g: S.out_idem[g] for g in alive},
-                             {g: S.in_idem[g] for g in alive}, ops)
+                             {g: S.in_idem[g] for g in alive},
+                             itertools.chain.from_iterable(by_src.values()))
     # the buckets of a cancelled pair are dropped, so each tracked
     # morphism is the union of the buckets left
     from_mor = to_mor = None

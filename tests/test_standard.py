@@ -166,6 +166,25 @@ class TestDDIdentity:
                 f"dd_identity: {what} exceed BHFI_MAX_GENERATORS={cap}")):
             dd_identity(z2)
 
+    def test_built_once_per_circle(self, z2):
+        assert dd_identity(z2) is dd_identity(z2)
+        assert dd_identity(split_pmc(2)) is dd_identity(z2)
+
+    @pytest.mark.parametrize("cap, what", [(5, "6 generators"),
+                                           (59, "60 chord terms")])
+    def test_lowered_cap_refuses_cached_build(self, z2, monkeypatch, cap,
+                                              what):
+        # built and cached under the default cap, then refused under a
+        # lower one with the text of a fresh build
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        cached = dd_identity(z2)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(cap))
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"dd_identity: {what} exceed BHFI_MAX_GENERATORS={cap}")):
+            dd_identity(z2)
+        monkeypatch.delenv("BHFI_MAX_GENERATORS")
+        assert dd_identity(z2) is cached
+
 
 class TestInterpolatingPiece:
     def test_generator_count_is_basis_size(self, z1, z2):

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -712,6 +713,23 @@ class TestBoxTensor:
         back = load_structure(tmp_path / "twisted.json")
         assert back.generators == twisted.generators
         assert back.ops == twisted.ops
+
+    def test_operation_off_its_idempotent_is_a_value_error(self, z1, az1):
+        # Q's operation reads r1.2 but ends at idempotent {1}, so pairing
+        # az's h1 --r1.2--> r1.2 with it ends on r1.2, which has no partner
+        r12 = next(b for b in algebra(z1).basis if b.label == "r1.2")
+        h2 = next(b for b in algebra(z1).basis if b.label == "h2")
+        Q = TypeDStructure(z1, [("n", {1}), ("m", {1})], [("n", r12, "m")])
+        X = DDBimodule(z1, z1, [("n", {1}, {2}), ("m", {1}, {2})],
+                       [("n", (r12, h2), "m")])
+        assert [v[0] for v in check_structure(Q) + check_structure(X)] \
+            == ["idempotent", "idempotent"]
+        for stage, pair, B in (("box_tensor", box_tensor, Q),
+                               ("box_tensor_DD_side", box_tensor_DD_side, X)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{stage}: pairing ('h1', (r1.2,), h2, 'r1.2') ends at "
+                    "'r1.2', which has no partner")):
+                pair(az1, B)
 
     def test_dd_side_generator_cap(self, z1, monkeypatch):
         ident, ddid = identity_da(z1), dd_identity(z1)
@@ -1802,3 +1820,49 @@ class TestReduceStructureOracle:
         for S in (box_tensor(cfa2, cfda_azbar(z2)), box_tensor(cfa2, az2),
                   box_tensor(azbar1, az1)):
             assert_same_reduction(S)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_involutive_a_reductions(self, z2, cfa2, involutive_a_cone, seed):
+        # the two reductions of standard_involutive_a(cfa0_k2): M x azbar,
+        # relabelled, and the DD side of psi's cone
+        for S in (box_tensor(cfa2, cfda_azbar(z2)),
+                  box_tensor_DD_side(involutive_a_cone, dd_identity(z2))):
+            assert_same_reduction(shuffled(S, seed))
+
+    def test_blocked_entries_are_pushed_back(self, z1, z2, cfa2,
+                                             monkeypatch):
+        # an entry whose pair has an idempotent loop is set aside and the
+        # same entry is pushed back after the next cancellation; entries
+        # of re-added operations are new tuples
+        import heapq
+
+        from bhfi import structures
+        popped, pushed_back = {}, []
+
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            popped[id(entry)] = entry
+            return entry
+
+        def heappush(heap, entry):
+            if popped.get(id(entry)) is entry:
+                pushed_back.append(entry)
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(structures, "heapq", SimpleNamespace(
+            heapify=heapq.heapify, heappop=heappop, heappush=heappush))
+        assert_same_reduction(box_tensor(cfa2, cfda_azbar(z2)))
+        assert pushed_back
+        # a -> e is blocked by its loop a -[r1.3]-> e until cancelling
+        # c -> d corrects that loop away; then the pushed-back entry cancels
+        r13 = next(b for b in algebra(z1).basis if b.label == "r1.3")
+        gens, one = ("a", "c", "d", "e"), TRIVIAL.UNIT
+        S = BorderedObject(TRIVIAL, algebra(z1), gens, dict.fromkeys(gens, one),
+                           dict.fromkeys(gens, frozenset({1})),
+                           {("a", (), one, "e"), ("a", (r13,), one, "e"),
+                            ("c", (), one, "d"), ("a", (r13,), one, "d"),
+                            ("c", (), one, "e")})
+        pushed_back.clear()
+        assert_same_reduction(S)
+        assert [e[1] for e in pushed_back] == [("a", (), one, "e")]
+        assert reduce_structure(S).trace == (("c", "d"), ("a", "e"))

@@ -30,10 +30,19 @@ def circle_from_json(data):
         raise ParseError(f"bad circle payload: {exc}") from exc
 
 
+def _distinct_pairs(circle, labels, what):
+    """The matched pairs ``labels`` names, each named once: a repeated
+    label would shrink the set, and so the diagram or the idempotent."""
+    pairs = _pair_labels(circle, labels)
+    if len(pairs) != len(labels):
+        raise ValueError(f"{what} {json.dumps(labels)} repeats a matched pair")
+    return pairs
+
+
 def diagram_from_json(circle, data):
     try:
         moving = _strand_points(circle, data["moving"])
-        horizontal = _pair_labels(circle, data["horizontal"])
+        horizontal = _distinct_pairs(circle, data["horizontal"], "horizontal")
         diag = algebra(circle).diagram(moving, horizontal)
         left = data.get("left_idem", diag.left_idem)
         # a repeated label shrinks the set; a bool or a float is refused
@@ -112,10 +121,11 @@ def _generators(kind, gens, *circles):
     algebra.  A DA or DD generator's ``idem`` has one entry per circle."""
     out = []
     for g in gens:
+        what = f"generator {json.dumps(g['label'])} idem"
         idem = [g["idem"]] if len(circles) == 1 else _per_circle(
-            kind, g["idem"], f"generator {json.dumps(g['label'])} idem")
+            kind, g["idem"], what)
         out.append((g["label"], *(
-            algebra(c).idempotent(_pair_labels(c, p)).left_idem
+            algebra(c).idempotent(_distinct_pairs(c, p, what)).left_idem
             for c, p in zip(circles, idem))))
     return out
 

@@ -931,13 +931,13 @@ def reduce_structure(S, track_from=False, track_to=False):
     series; the series terminates exactly when no parallel operation
     carries an idempotent (unit-like) coefficient, because everything else
     multiplies into the nilpotent ideal.  Pairs whose series would not
-    terminate are left alone, so the result can stop short of a minimal
+    terminate are blocked: each is left alone until a correction removes
+    the loop that blocks it, so the result can stop short of a minimal
     model for input-carrying structures (one-input minimal models honestly
     need infinitely many operations); for no-input structures the
     reduction always completes.
     """
     out_alg, in_alg = S.out_alg, S.in_alg
-    alive = dict.fromkeys(S.generators)      # insertion-ordered set
     # each live operation sits in two buckets, its source's and its
     # target's, and nowhere else: membership is ``op in by_src[op[0]]``
     by_src = {g: set() for g in S.out_idem}
@@ -951,6 +951,9 @@ def reduce_structure(S, track_from=False, track_to=False):
         if op in bucket:
             bucket.discard(op)
             by_dst[op[3]].discard(op)
+            # a loop is gone: each operation it blocked is queued again
+            for o in blocked.pop((op[0], op[3]), ()):
+                heapq.heappush(heap, (S.op_sort_key(o), o))
         else:
             bucket.add(op)
             by_dst[op[3]].add(op)
@@ -982,19 +985,18 @@ def reduce_structure(S, track_from=False, track_to=False):
                 for _, w2, b, t in seconds
                 if (c := out_alg.mul_basis(a, b)) is not None]
 
-    blocked = []
+    # (x, y) -> the operations x -> y an idempotent loop blocks; only
+    # ``add_op`` can unblock them, as dropping x or y drops them too
+    blocked = {}
     while heap:
-        entry = heapq.heappop(heap)
-        op = entry[1]
+        op = heapq.heappop(heap)[1]
         x, _, _, y = op
-        # an entry is stale once its source is cancelled (its bucket is
-        # gone) or its operation is toggled away.  An operation pushed
-        # twice pops twice in a row: nothing is pushed while popping
-        if op not in by_src.get(x, ()) or blocked and blocked[-1] == entry:
+        # stale: its source is cancelled or the operation is toggled away
+        if op not in by_src.get(x, ()):
             continue
         loops = [o for o in by_src[x] if o[3] == y and o != op]
         if any(out_alg.is_idem(l[2]) for l in loops):
-            blocked.append(entry)   # series provably fails to terminate
+            blocked.setdefault((x, y), set()).add(op)  # series never ends
             continue
         into_y = [o for o in by_dst[y] if o[0] not in (x, y)]
         from_x = [o for o in by_src[x] if o[3] not in (x, y)]
@@ -1030,12 +1032,9 @@ def reduce_structure(S, track_from=False, track_to=False):
                 by_src[o[0]].discard(o)
         for op in compose(heads, from_x):
             add_op(op)
-        del alive[x], alive[y]
-        for entry in blocked:
-            heapq.heappush(heap, entry)
-        blocked.clear()
 
-    reduced = BorderedObject(out_alg, in_alg, tuple(alive),
+    alive = tuple(g for g in S.generators if g in by_src)
+    reduced = BorderedObject(out_alg, in_alg, alive,
                              {g: S.out_idem[g] for g in alive},
                              {g: S.in_idem[g] for g in alive},
                              itertools.chain.from_iterable(by_src.values()))

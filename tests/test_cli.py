@@ -519,6 +519,39 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, detail)
 
+    @pytest.mark.parametrize("name, repeat, detail", [
+        ("cfd0", "idem", 'generator "n" idem [1, 1] repeats a matched pair'),
+        ("cfd0_k2", "idem",
+         'generator "n" idem [1, 1] repeats a matched pair'),
+        ("az_k1", "out idem",
+         'generator "h1" idem [2, 2] repeats a matched pair'),
+        ("az_k1", "in idem",
+         'generator "h1" idem [1, 1] repeats a matched pair'),
+        ("ddid_k1", "in idem",
+         'generator "i1" idem [1, 1] repeats a matched pair'),
+        ("cfd0", "horizontal",
+         "bad diagram payload: horizontal [1, 1] repeats a matched pair"),
+    ], ids=["D", "D genus 2", "DA out", "DA in", "DD", "horizontal"])
+    def test_repeated_pair_label(self, tmp_path, name, repeat, detail):
+        # [1, 1] was read as {1}: the genus-1 files verified, and genus 2
+        # was refused as "not a weight-0 diagram"
+        path = tmp_path / f"{name}.json"
+        dump_structure(builtin_structure(name), path)
+        payload = json.loads(path.read_text())
+        gen = payload["generators"][0]
+        if repeat == "idem":
+            gen["idem"] = [1, 1]
+        elif repeat == "horizontal":
+            gen["idem"] = [1]
+            payload["ops"] = [{"src": gen["label"], "inputs": [],
+                               "dst": gen["label"],
+                               "out": [{"moving": [], "horizontal": [1, 1]}]}]
+        else:
+            side = gen["idem"][repeat == "in idem"]
+            side.append(side[0])
+        path.write_text(json.dumps(payload))
+        self.refused(path, detail)
+
     @pytest.mark.parametrize("label", [5, True, None], ids=json.dumps)
     def test_generator_label_that_is_not_a_string(self, tmp_path, label):
         # 5 next to "5" once verified; hfhat then died in a sort with a

@@ -1829,40 +1829,84 @@ class TestReduceStructureOracle:
                   box_tensor_DD_side(involutive_a_cone, dd_identity(z2))):
             assert_same_reduction(shuffled(S, seed))
 
-    def test_blocked_entries_are_pushed_back(self, z1, z2, cfa2,
-                                             monkeypatch):
-        # an entry whose pair has an idempotent loop is set aside and the
-        # same entry is pushed back after the next cancellation; entries
-        # of re-added operations are new tuples
+    @staticmethod
+    def count_heap_calls(monkeypatch):
+        """Wrap the module's ``heapq``: the pop count and each pushed
+        operation, in order (``heapify`` is not counted)."""
         import heapq
 
         from bhfi import structures
-        popped, pushed_back = {}, []
+        calls = {"pops": 0, "pushed": []}
 
         def heappop(heap):
-            entry = heapq.heappop(heap)
-            popped[id(entry)] = entry
-            return entry
+            calls["pops"] += 1
+            return heapq.heappop(heap)
 
         def heappush(heap, entry):
-            if popped.get(id(entry)) is entry:
-                pushed_back.append(entry)
+            calls["pushed"].append(entry[1])
             heapq.heappush(heap, entry)
 
         monkeypatch.setattr(structures, "heapq", SimpleNamespace(
             heapify=heapq.heapify, heappop=heappop, heappush=heappush))
-        assert_same_reduction(box_tensor(cfa2, cfda_azbar(z2)))
-        assert pushed_back
+        return calls
+
+    @staticmethod
+    def hand_built_module(ops):
+        gens = tuple(sorted({g for op in ops for g in (op[0], op[3])}))
+        return BorderedObject(TRIVIAL, algebra(split_pmc(1)), gens,
+                              dict.fromkeys(gens, TRIVIAL.UNIT),
+                              dict.fromkeys(gens, frozenset({1})), ops)
+
+    def test_blocked_entries_are_pushed_back(self, z2, cfa2, monkeypatch):
+        # a blocked operation goes back on the heap only when a correction
+        # toggles away a loop between its ends
+        M = box_tensor(cfa2, cfda_azbar(z2))
+        assert_same_reduction(M)
+        calls = self.count_heap_calls(monkeypatch)
+        reduce_structure(M)
+        assert (calls["pops"], len(calls["pushed"])) == (534, 54)
         # a -> e is blocked by its loop a -[r1.3]-> e until cancelling
-        # c -> d corrects that loop away; then the pushed-back entry cancels
-        r13 = next(b for b in algebra(z1).basis if b.label == "r1.3")
-        gens, one = ("a", "c", "d", "e"), TRIVIAL.UNIT
-        S = BorderedObject(TRIVIAL, algebra(z1), gens, dict.fromkeys(gens, one),
-                           dict.fromkeys(gens, frozenset({1})),
-                           {("a", (), one, "e"), ("a", (r13,), one, "e"),
-                            ("c", (), one, "d"), ("a", (r13,), one, "d"),
-                            ("c", (), one, "e")})
-        pushed_back.clear()
+        # c -> d corrects that loop away; that is the one push, and a -> e
+        # cancels second
+        r13 = next(b for b in algebra(split_pmc(1)).basis
+                   if b.label == "r1.3")
+        one = TRIVIAL.UNIT
+        S = self.hand_built_module(
+            {("a", (), one, "e"), ("a", (r13,), one, "e"),
+             ("c", (), one, "d"), ("a", (r13,), one, "d"),
+             ("c", (), one, "e")})
         assert_same_reduction(S)
-        assert [e[1] for e in pushed_back] == [("a", (), one, "e")]
+        calls["pushed"].clear()
         assert reduce_structure(S).trace == (("c", "d"), ("a", "e"))
+        assert calls["pushed"] == [("a", (), one, "e")]
+
+    def test_requeued_entry_still_blocked(self, monkeypatch):
+        # a -> e has two idempotent loops.  Cancelling c -> d corrects only
+        # a -[r1.3]-> e away, so a -> e is queued, pops and is blocked again
+        # by a -[r1.2, r2.3]-> e; cancelling f -> b corrects that one away
+        # and a -> e cancels last
+        by_label = {b.label: b for b in algebra(split_pmc(1)).basis}
+        r13, r12, r23 = (by_label[k] for k in ("r1.3", "r1.2", "r2.3"))
+        one = TRIVIAL.UNIT
+        S = self.hand_built_module(
+            {("a", (), one, "e"), ("a", (r13,), one, "e"),
+             ("a", (r12, r23), one, "e"),
+             ("c", (), one, "d"), ("a", (r13,), one, "d"),
+             ("c", (), one, "e"),
+             ("f", (), one, "b"), ("a", (r12, r23), one, "b"),
+             ("f", (), one, "e")})
+        assert_same_reduction(S)
+        calls = self.count_heap_calls(monkeypatch)
+        assert reduce_structure(S).trace == (("c", "d"), ("f", "b"),
+                                             ("a", "e"))
+        assert calls["pushed"] == [("a", (), one, "e")] * 2
+        # without the second correction a -> e stays blocked for good
+        T = self.hand_built_module(S.ops - {("f", (), one, "b"),
+                                            ("a", (r12, r23), one, "b"),
+                                            ("f", (), one, "e")})
+        assert_same_reduction(T)
+        calls["pushed"].clear()
+        red = reduce_structure(T)
+        assert red.trace == (("c", "d"),)
+        assert ("a", (), one, "e") in red.reduced.ops
+        assert calls["pushed"] == [("a", (), one, "e")]

@@ -22,9 +22,9 @@ from ._record import record
 from .errors import DivergenceError, NotEquivalentError, generator_cap
 from .homology import F2Matrix, _bits, rows_nullspace
 from .standard import cfda_az, cfda_azbar
-from .structures import (Morphism, _term_walk, box_tensor, identity_da,
-                         mor_complex_DD, morphism_from_generator_map,
-                         reduce_structure)
+from .structures import (Morphism, _elementary_components, _term_walk,
+                         box_tensor, identity_da, mor_complex_DD,
+                         morphism_from_generator_map, reduce_structure)
 
 # the largest sums of basis vectors that the searches try, and the inputs
 # plus one that a component of a bridge between reduced models may read
@@ -63,8 +63,8 @@ class EquivalenceCertificate:
 
 def _acyclic_cone_trace(f):
     """Reduction trace of the cone when it cancels away; None otherwise.
-    Each call is one search candidate whose cone is reduced; certificates
-    of a morphism already searched read ``Morphism.cone_trace`` directly."""
+    Each call is one search candidate whose cone is reduced; a morphism no
+    search walked is certified through ``Morphism.cone_trace`` directly."""
     return f.cone_trace()
 
 
@@ -95,19 +95,19 @@ def _unit_part(S, T):
         f.comps, pos_s, pos_t, fixed.copy())).rank() == size
 
 
-def _first_acyclic_sum(stage, runs, what, to_morphism, source, target):
+def _first_acyclic_sum(stage, runs, what, comps, source, target):
     """Walk F2 sums of a basis of bit-vectors, singletons first, in
     combination order, and certify the first candidate whose cone cancels
-    to nothing.  The basis arrives as ``runs``, an iterable of lists whose
-    concatenation is the basis; the singletons of each run are tried
-    before the next run is drawn, so a hit never computes the runs after
-    it.  Sums of two to ``MAX_SUM_SIZE`` vectors, the ``search_index`` and
-    the messages see the whole basis.  Every candidate is a cycle ``source
-    -> target``, and only one that passes ``_unit_part`` has its cone
-    reduced.  The walk may pass at most ``BHFI_MAX_GENERATORS`` cone
-    generators in total, counting every candidate; past that it raises
-    DivergenceError, and NotEquivalentError when every sum fails.  Both
-    errors name ``stage``."""
+    to nothing; bit j of a vector is the component ``comps[j]``.  The
+    basis arrives as ``runs``, an iterable of lists whose concatenation is
+    the basis; the singletons of each run are tried before the next run is
+    drawn, so a hit never computes the runs after it.  Sums of two to
+    ``MAX_SUM_SIZE`` vectors, the ``search_index`` and the messages see the
+    whole basis.  Every candidate is a cycle ``source -> target``, and only
+    one that passes ``_unit_part`` has its cone reduced.  The walk may
+    pass at most ``BHFI_MAX_GENERATORS`` cone generators in total,
+    counting every candidate; past that it raises DivergenceError, and
+    NotEquivalentError when every sum fails.  Both errors name ``stage``."""
     cap = generator_cap()
     cone_size = len(source.generators) + len(target.generators)
     may_cancel = _unit_part(source, target)
@@ -139,7 +139,7 @@ def _first_acyclic_sum(stage, runs, what, to_morphism, source, target):
         mask = 0
         for i in pick:
             mask ^= basis[i]
-        candidate = to_morphism(mask)
+        candidate = Morphism(source, target, {comps[j] for j in _bits(mask)})
         if may_cancel(candidate) and \
                 (trace := _acyclic_cone_trace(candidate)) is not None:
             return EquivalenceCertificate(candidate, trace, pick)
@@ -163,7 +163,7 @@ def find_homotopy_equivalence(P, Q):
     d = mc.differential
     return _first_acyclic_sum(
         "find_homotopy_equivalence", map(d.cycles, range(len(d.blocks))),
-        "homology basis", mc.morphism_of, P, Q)
+        "homology basis", mc.basis, P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -220,46 +220,27 @@ def find_isomorphism(A, B):
     return None if order else {}
 
 
-def _chained_words(alg, start, end, max_len):
-    """Idempotent-chained input words from ``start`` to ``end``."""
-    words = []
-    frontier = [((), start)]
-    for _ in range(max_len):
-        frontier = [(word + (b,), alg.right_idem_of(b))
-                    for word, at in frontier for b in alg.basis_from(at)]
-        words += frontier
-    return [w for w, at in [((), start)] + words if at == end]
-
-
 def search_small_equivalence(A, B, max_arity=2):
     """Bounded-arity equivalence search between two small structures.
 
     Solves the morphism-cycle condition as a linear system over the
     elementary components with at most ``max_arity - 1`` inputs, then walks
-    combinations of the solution space looking for an acyclic cone.  The
-    cones of the candidates tried, reduced or not, may hold at most
-    ``BHFI_MAX_GENERATORS`` generators in total; past that the search
-    raises DivergenceError.
+    combinations of the solution space looking for an acyclic cone.  Past
+    ``BHFI_MAX_GENERATORS`` components (counted before any is listed) or
+    cone generators of the candidates tried, reduced or not, in total, the
+    search raises DivergenceError.  ``max_arity`` keeps its default of 2,
+    which the golden certificates and the genus-1 kernel tests pin; the
+    bridge of ``find_structure_equivalence`` passes ``BRIDGE_ARITY``.
     """
-    out_alg, in_alg = A.out_alg, A.in_alg
-    unknowns = []
-    for src in A.generators:
-        for dst in B.generators:
-            for out in out_alg.basis_between(A.out_idem[src],
-                                             B.out_idem[dst]):
-                words = [()] if in_alg.is_trivial else _chained_words(
-                    in_alg, A.in_idem[src], B.in_idem[dst], max_arity - 1)
-                unknowns += [(src, w, out, dst) for w in words]
-    unknowns.sort(key=A.op_sort_key)
+    unknowns = _elementary_components("search_small_equivalence", A, B,
+                                      max_arity)
     # rows in first-seen order: each kernel vector is its own column plus
     # the unique sum of earlier independent columns, whatever the row order
     row, walk = {}, _term_walk(B, A)
     kernel = rows_nullspace([[row.setdefault(t, len(row))
                               for t in walk(e, set())] for e in unknowns])
-    return _first_acyclic_sum(
-        "search_small_equivalence", (kernel,), "kernel",
-        lambda mask: Morphism(A, B, {unknowns[j] for j in _bits(mask)}),
-        A, B)
+    return _first_acyclic_sum("search_small_equivalence", (kernel,), "kernel",
+                              unknowns, A, B)
 
 
 def find_structure_equivalence(A, B):
@@ -282,7 +263,7 @@ def find_structure_equivalence(A, B):
                                         max_arity=BRIDGE_ARITY)
         bridge, index = cert.forward, cert.search_index
     forward = red_a.to_reduced.then(bridge).then(red_b.from_reduced)
-    trace = _acyclic_cone_trace(forward)
+    trace = forward.cone_trace()
     if trace is None:
         raise NotEquivalentError("composite through reduced models has a "
                                  "non-acyclic cone")

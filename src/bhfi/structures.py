@@ -208,7 +208,7 @@ class BorderedObject:
 
     def op_sort_key(self, op):
         src, ins, out, dst = op
-        return (src, tuple(self.in_alg.sort_key(b) for b in ins),
+        return (src, tuple(map(self.in_alg.sort_key, ins)),
                 self.out_alg.sort_key(out), dst)
 
     def sorted_ops(self):
@@ -387,9 +387,9 @@ def _term_walk(T, S=None):
 
 
 def structure_residue(S):
-    """Leftover terms of the structure relation, as operations, from one
-    ``_term_walk``.  A term cancels only against terms from its source, so
-    walking one generator at a time keeps one partial sum at a time."""
+    """Leftover terms of the structure relation, as operations: one
+    ``_term_walk`` toggles the terms of every operation, source by source,
+    into one set ``acc``, where a term met twice cancels."""
     walk, acc = _term_walk(S), set()
     for ops in S._grouped(_SRC).values():
         for op in ops:
@@ -830,25 +830,60 @@ def box_morphism_right_comps(B, f):
 
 
 # ---------------------------------------------------------------------------
-# morphism complexes of type D structures
+# elementary components and the morphism complexes of type D structures
+
+
+def _chained_words(alg, start, end, max_len):
+    """Idempotent-chained input words from ``start`` to ``end``."""
+    words = []
+    frontier = [((), start)]
+    for _ in range(max_len):
+        frontier = [(word + (b,), alg.right_idem_of(b))
+                    for word, at in frontier for b in alg.basis_from(at)]
+        words += frontier
+    return [w for w, at in [((), start)] + words if at == end]
+
+
+def _elementary_components(stage, A, B, max_arity=1):
+    """The elementary components A -> B, sorted by ``A.op_sort_key``: each
+    (a, word, out, b) with ``out`` a basis element between the output
+    idempotents of a and b, and ``word`` an idempotent-chained input word
+    of at most ``max_arity - 1`` letters between their input idempotents.
+    They are counted from the generators' idempotents alone and refused
+    past the cap, naming ``stage``, before any is listed."""
+    out_alg, in_alg = A.out_alg, A.in_alg
+    words = cache(lambda i, j: [()] if in_alg.is_trivial else
+                  _chained_words(in_alg, i, j, max_arity - 1))
+    a_idems = Counter((A.out_idem[a], A.in_idem[a]) for a in A.generators)
+    b_idems = Counter((B.out_idem[b], B.in_idem[b]) for b in B.generators)
+    refuse_past_cap(stage, sum(
+        m * n * len(out_alg.basis_between(o, p)) * len(words(i, j))
+        for (o, i), m in a_idems.items() for (p, j), n in b_idems.items()),
+        "basis morphisms")
+    return sorted(((a, w, out, b) for a in A.generators for b in B.generators
+                   for w in words(A.in_idem[a], B.in_idem[b])
+                   for out in out_alg.basis_between(A.out_idem[a],
+                                                    B.out_idem[b])),
+                  key=A.op_sort_key)
 
 
 @record
 class MorComplex:
     """The chain complex of type D structure morphisms P -> Q, with its
-    basis of elementary morphisms.  The differential is kept one support
-    block at a time; the dense ``complex``, built on first use, adopts it."""
+    basis of elementary components (``_elementary_components``).  The
+    differential is kept one support block at a time; the dense
+    ``complex``, built on first use, adopts it."""
 
     P: BorderedObject
     Q: BorderedObject
-    basis: tuple              # (p, coefficient diagram, q) triples
+    basis: tuple              # components (p, (), coefficient diagram, q)
     differential: BlockDifferential
 
     @cached_property
     def complex(self):
         alg = self.P.out_alg
         return ChainComplex(
-            tuple(f"{p}>{alg.label_of(a)}>{q}" for p, a, q in self.basis),
+            tuple(f"{p}>{alg.label_of(a)}>{q}" for p, _, a, q in self.basis),
             self.differential.matrix())
 
     def homology(self):
@@ -860,13 +895,12 @@ class MorComplex:
 
     def vector_of(self, morphism):
         vec = 0
-        for src, ins, out, dst in morphism.comps:
-            vec ^= 1 << self._pos[(src, out, dst)]
+        for comp in morphism.comps:
+            vec ^= 1 << self._pos[comp]
         return vec
 
     def morphism_of(self, vec):
-        return Morphism(self.P, self.Q, {(p, (), a, q) for p, a, q in
-                                         (self.basis[i] for i in _bits(vec))})
+        return Morphism(self.P, self.Q, {self.basis[i] for i in _bits(vec)})
 
 
 def mor_complex_DD(P, Q):
@@ -876,21 +910,10 @@ def mor_complex_DD(P, Q):
        or not Q.in_alg.is_trivial:
         raise ValueError("morphism complexes need type D structures over "
                          "one algebra")
-    alg = P.out_alg
-    p_idems = Counter(P.out_idem[p] for p in P.generators)
-    q_idems = Counter(Q.out_idem[q] for q in Q.generators)
-    refuse_past_cap("mor_complex_DD", sum(
-        m * n * len(alg.basis_between(i, j))
-        for i, m in p_idems.items() for j, n in q_idems.items()),
-        "basis morphisms")
-    basis = tuple(sorted(
-        ((p, a, q) for p in P.generators for q in Q.generators
-         for a in alg.basis_between(P.out_idem[p], Q.out_idem[q])),
-        key=lambda t: (t[0], alg.sort_key(t[1]), t[2])))
-    pos = {t: i for i, t in enumerate(basis)}
+    basis = tuple(_elementary_components("mor_complex_DD", P, Q))
+    pos = {c: i for i, c in enumerate(basis)}
     walk = _term_walk(Q, P)
-    rows = [[pos[(src, out, dst)] for src, _, out, dst
-             in walk((p, (), a, q), set())] for p, a, q in basis]
+    rows = [[pos[t] for t in walk(c, set())] for c in basis]
     return MorComplex(P, Q, basis, BlockDifferential(rows))
 
 

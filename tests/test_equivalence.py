@@ -19,9 +19,9 @@ from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
 from bhfi.errors import generator_cap
 from bhfi.homology import BlockDifferential, F2Matrix, _bits, rows_nullspace
 from bhfi.involutive import iota_on_mor
-from bhfi.standard import cfda_az, cfda_azbar, torus_chord
-from bhfi.structures import (BorderedObject, contraction_trace,
-                             reduce_structure)
+from bhfi.standard import cfda_az, cfda_azbar, dd_identity, torus_chord
+from bhfi.structures import (BorderedObject, _elementary_components,
+                             contraction_trace, reduce_structure)
 from test_homology import dense_homology
 from test_structures import (captured_search_system, search_unknowns,
                              summed_search_columns)
@@ -196,6 +196,30 @@ class TestSearchGuard:
         assert message.startswith("search_small_equivalence:")
         assert "10 of 523685 candidates" in message
         assert "60-vector kernel" in message
+
+    def test_bridge_system_bounded_by_generator_cap(self, monkeypatch, z1,
+                                                    az1, azbar1):
+        # 306 unknowns at arity 2: one past the cap, the system is refused
+        # before it is eliminated; at the cap, it is eliminated once and
+        # the walk stops at its own candidate refusal
+        from bhfi import equivalence
+        eliminated = []
+        monkeypatch.setattr(equivalence, "rows_nullspace",
+                            lambda rows: eliminated.append(len(rows)) or
+                            rows_nullspace(rows))
+        A, B = identity_da(z1), box_tensor(azbar1, az1)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "305")
+        with pytest.raises(DivergenceError) as err:
+            equivalence.search_small_equivalence(A, B)
+        assert str(err.value) == ("search_small_equivalence: 306 basis "
+                                  "morphisms exceed BHFI_MAX_GENERATORS=305")
+        assert eliminated == []
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "306")
+        with pytest.raises(DivergenceError) as err:
+            equivalence.search_small_equivalence(A, B)
+        assert str(err.value).startswith(
+            "search_small_equivalence: 9 of 523685 candidates tried")
+        assert eliminated == [306]
 
     def test_homology_walk_bounded_by_generator_cap(self, monkeypatch, cfd0,
                                                     doubled):
@@ -432,14 +456,27 @@ class TestUnitPart:
         assert system == summed_search_columns(A, B, arity)
 
 
-@pytest.mark.parametrize("left", ["azbar", "az"])
-def test_split_search_kernel_is_the_dense_one(z1, az1, azbar1, left):
+@pytest.mark.parametrize("left", ["azbar", "az", "seed 1"])
+def test_split_search_kernel_is_the_dense_one(request, z1, az1, azbar1,
+                                              cfd0, z2, cfd0_k2, left):
     # the genus-1 search systems fall into 100 and 115 components
-    pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
-    _, system = captured(lambda eq: eq.search_small_equivalence(
-        identity_da(z1), box_tensor(*pieces)))
+    if left == "seed 1":
+        (A, B, _), system = request.getfixturevalue("seed_1_bridge")
+    else:
+        pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
+        (A, B, _), system = captured(lambda eq: eq.search_small_equivalence(
+            identity_da(z1), box_tensor(*pieces)))
     assert rows_nullspace(list(map(_bits, system[2]))) == \
         F2Matrix(*system).nullspace_basis()
+    # the search lists the reference components at every arity, and so
+    # does one Mor complex, D or DD, at arity 1
+    for arity in (1, 2, 3):
+        assert _elementary_components("search", A, B, arity) == \
+            search_unknowns(A, B, arity)
+    P, Q = {"azbar": (box_tensor(az1, cfd0), cfd0),
+            "az": (dd_identity(z1),) * 2,
+            "seed 1": (box_tensor(cfda_az(z2), cfd0_k2), cfd0_k2)}[left]
+    assert list(mor_complex_DD(P, Q).basis) == search_unknowns(P, Q, 1)
 
 
 class TestConeReductions:
@@ -457,6 +494,21 @@ class TestConeReductions:
     def test_involution_reduces_the_two_hits(self, reduced, cfd0_k2):
         iota_on_mor(cfd0_k2, cfd0_k2)
         assert len(reduced) == 2
+
+    def test_only_walked_candidates_pass_the_alias(self, monkeypatch,
+                                                   cfa2, cfd0_k2):
+        # the composite that find_structure_equivalence certifies is no
+        # candidate: the A side's models match on the nose, so it walks none
+        from bhfi import equivalence
+        from bhfi.involutive import standard_involutive_a
+        calls = []
+        real = equivalence._acyclic_cone_trace
+        monkeypatch.setattr(equivalence, "_acyclic_cone_trace",
+                            lambda f: calls.append(f) or real(f))
+        standard_involutive_a(cfa2)
+        assert calls == []
+        iota_on_mor(cfd0_k2, cfd0_k2)
+        assert len(calls) == 2
 
     def test_failed_search_reduces_no_cone(self, reduced, cfd0, doubled):
         with pytest.raises(NotEquivalentError):

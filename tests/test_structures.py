@@ -1403,15 +1403,15 @@ def per_element_mor_columns(mc):
     basis element."""
     pos = {t: i for i, t in enumerate(mc.basis)}
     cols = []
-    for p, a, q in mc.basis:
-        img = two_loop_differential(Morphism(mc.P, mc.Q, {(p, (), a, q)}))
-        cols.append(sum(1 << pos[(s, o, d)] for s, _, o, d in img))
+    for comp in mc.basis:
+        img = two_loop_differential(Morphism(mc.P, mc.Q, {comp}))
+        cols.append(sum(1 << pos[t] for t in img))
     return tuple(cols)
 
 
 def search_unknowns(A, B, max_arity):
     """The unknowns of the bounded search's linear system, in its order."""
-    from bhfi.equivalence import _chained_words
+    from bhfi.structures import _chained_words
     out_alg, in_alg = A.out_alg, A.in_alg
     unknowns = []
     for src in A.generators:

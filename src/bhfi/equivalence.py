@@ -34,12 +34,16 @@ BRIDGE_ARITY = 3
 
 @record
 class EquivalenceCertificate:
-    """A certified homotopy equivalence: the morphism, the elimination
-    trace of its acyclic cone, and which basis combination produced it."""
+    """A certified homotopy equivalence: the morphism and which basis
+    combination produced it.  Construction refuses a morphism whose cone
+    does not cancel; the trace is the morphism's own cached one."""
 
     forward: Morphism
-    evidence: tuple
     search_index: tuple
+
+    def __post_init__(self):
+        if self.forward.cone_trace() is None:
+            raise NotEquivalentError("certificate: the cone does not cancel")
 
     def to_json(self):
         """Reproducibility record: components, selected classes, trace."""
@@ -54,7 +58,7 @@ class EquivalenceCertificate:
             })
         return {"components": comps,
                 "search_index": list(self.search_index),
-                "cone_trace": [list(pair) for pair in self.evidence]}
+                "cone_trace": list(map(list, self.forward.cone_trace()))}
 
     def __repr__(self):
         return (f"<equivalence: {len(self.forward.comps)} components, "
@@ -141,8 +145,8 @@ def _first_acyclic_sum(stage, runs, what, comps, source, target):
             mask ^= basis[i]
         candidate = Morphism(source, target, {comps[j] for j in _bits(mask)})
         if may_cancel(candidate) and \
-                (trace := _acyclic_cone_trace(candidate)) is not None:
-            return EquivalenceCertificate(candidate, trace, pick)
+                _acyclic_cone_trace(candidate) is not None:
+            return EquivalenceCertificate(candidate, pick)
     raise NotEquivalentError(
         f"{stage}: no acyclic cone among sums of up to {MAX_SUM_SIZE} of "
         f"the {len(basis)}-vector {what}")
@@ -249,7 +253,7 @@ def find_structure_equivalence(A, B):
     Both sides are cancelled as far as the series-free reduction reaches;
     if the reduced models are isomorphic on the nose, the equivalence is
     the composite through them, otherwise a bounded-arity search bridges
-    the small remainder.  The result is certified by cancelling its cone.
+    the small remainder.  The certificate cancels the result's cone.
     """
     red_a = reduce_structure(A, track_to=True)
     red_b = reduce_structure(B, track_from=True)
@@ -262,12 +266,8 @@ def find_structure_equivalence(A, B):
         cert = search_small_equivalence(red_a.reduced, red_b.reduced,
                                         max_arity=BRIDGE_ARITY)
         bridge, index = cert.forward, cert.search_index
-    forward = red_a.to_reduced.then(bridge).then(red_b.from_reduced)
-    trace = forward.cone_trace()
-    if trace is None:
-        raise NotEquivalentError("composite through reduced models has a "
-                                 "non-acyclic cone")
-    return EquivalenceCertificate(forward, trace, index)
+    return EquivalenceCertificate(
+        red_a.to_reduced.then(bridge).then(red_b.from_reduced), index)
 
 
 @functools.cache

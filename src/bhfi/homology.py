@@ -151,15 +151,15 @@ class F2Matrix:
 
 @record
 class ChainComplex:
-    """A based F2 chain complex with optional named scalar actions."""
+    """A based F2 chain complex, with an optional Q action: a chain map
+    q with q² = 0, which makes it a complex over F2[Q]/(Q²)."""
 
     generators: tuple
     d: F2Matrix
-    actions: dict = {}         # __post_init__ copies it
+    q: F2Matrix = None
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "actions", dict(self.actions))
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
@@ -167,12 +167,12 @@ class ChainComplex:
         # matrix(); the blocks are kept for homology() and support_blocks()
         object.__setattr__(self, "_blocks", getattr(self.d, "_blocks", None)
                            or BlockDifferential(list(map(_bits, self.d.cols))))
-        for name, mat in self.actions.items():
-            if (mat.nrows, mat.ncols) != (n, n):
-                raise ValueError(f"action {name!r} has the wrong shape")
-            if not _commutator(mat, self, self).is_zero():
-                raise ValueError(f"action {name!r} does not commute with d")
-            if name == "Q" and not (mat * mat).is_zero():
+        if (q := self.q) is not None:
+            if (q.nrows, q.ncols) != (n, n):
+                raise ValueError("Q action has the wrong shape")
+            if not _commutator(q, self, self).is_zero():
+                raise ValueError("Q action does not commute with d")
+            if not (q * q).is_zero():
                 raise ValueError("Q action must square to zero")
 
     @property
@@ -342,14 +342,13 @@ def express_in_homology(C, hom, vecs):
         C.dim, k + C.dim, tuple(hom.cycles) + C.d.cols).solve_all(vecs)]
 
 
-def mapping_cone(f, actions={}):
+def mapping_cone(f, q=None):
     """Cone of a chain map: the source copy first, f in the off-diagonal
-    block, carrying the given ``actions`` on the cone."""
+    block, carrying the Q action ``q`` on the cone, if given."""
     ns, nt = f.source.dim, f.target.dim
     gens = tuple(f"S:{g}" for g in f.source.generators) + \
         tuple(f"T:{g}" for g in f.target.generators)
     cols = [d | m << ns for d, m in zip(f.source.d.cols, f.matrix.cols)]
     cols += [d << ns for d in f.target.d.cols]
-    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)),
-                        actions)
+    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)), q)
 

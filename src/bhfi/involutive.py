@@ -68,14 +68,19 @@ def standard_involutive_a(M):
 
 @record
 class IotaReport:
-    """Everything the involutive pipeline reports for one pairing."""
+    """Everything the involutive pipeline reports for one pairing; it checks
+    hfi = ker + coker = 2 ker, as 1 + iota is square."""
 
     hf_dim: int
     iota_matrix: F2Matrix     # on the homology basis of the morphism complex
-    ker_dim: int
-    coker_dim: int
+    ker_dim: int              # of 1 + iota
     hfi_dim: int
     q_action: F2Matrix        # on the homology basis of the involutive cone
+
+    def __post_init__(self):
+        if self.hfi_dim != 2 * self.ker_dim:
+            raise RelationViolation("involutive homology disagrees with the "
+                                    "kernel/cokernel count")
 
     def to_json(self):
         return {
@@ -137,23 +142,17 @@ def iota_on_mor(P0, P1):
     """The involution report for the pairing encoded by two type D
     structures over one circle.  The cone is built first: its chain-map
     check on incl + conj certifies that the conjugated images are cycles,
-    and its action check that Q carries cycles to cycles."""
+    its action check that Q carries cycles to cycles, and the report
+    checks its own count."""
     cx, hom, images = _iota_pipeline(P0, P1)
     cone = _involutive_cone(cx, hom, images)
     n = hom.dimension
     iota = _on_homology(cx, hom, images)
-    # 1 + iota is square, so its kernel and cokernel have one dimension
-    ker_dim = coker_dim = n - (iota + F2Matrix.identity(n)).rank()
     cone_h = homology(cone)
-    hfi_dim = cone_h.dimension
-    if hfi_dim != ker_dim + coker_dim:
-        raise RelationViolation(
-            "involutive homology disagrees with the kernel/cokernel count")
-    q_matrix = _on_homology(cone, cone_h,
-                            map(cone.actions["Q"].apply, cone_h.cycles))
-    return IotaReport(hf_dim=n, iota_matrix=iota, ker_dim=ker_dim,
-                      coker_dim=coker_dim, hfi_dim=hfi_dim,
-                      q_action=q_matrix)
+    q_matrix = _on_homology(cone, cone_h, map(cone.q.apply, cone_h.cycles))
+    return IotaReport(hf_dim=n, iota_matrix=iota,
+                      ker_dim=n - (iota + F2Matrix.identity(n)).rank(),
+                      hfi_dim=cone_h.dimension, q_action=q_matrix)
 
 
 def cfi_hat(P0, P1):
@@ -172,9 +171,9 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
 
     The three steps: apply Id_M x omega_p, where omega_p: P -> (L x R) x P
     is the inserted equivalence already paired with P; apply Id x theta_p
-    with theta_p: R x P -> P, whose source (M x L) x (R x P) is checked
-    to be the target of step 1 strictly, generator order included; apply
-    theta_m x Id with theta_m: M x L -> M.  L and R are read off the
+    with theta_p: R x P -> P, whose source (M x L) x (R x P) ``then``
+    checks to be the target of step 1 strictly, generator order included;
+    apply theta_m x Id with theta_m: M x L -> M.  L and R are read off the
     sources of theta_m and theta_p, so the strict check also certifies
     that the two halves fit the target of omega_p.  With theta_p and
     theta_m the twisted-to-plain equivalences this is the conjugation map.
@@ -183,10 +182,6 @@ def conjugation_composite(M, P, omega_p, theta_p, theta_m):
     step1 = Morphism(base, box_tensor(M, omega_p.target),
                      box_morphism_right_comps(M, omega_p))
     step2 = box_morphism_right(theta_m.source, theta_p)
-    regrouped = step2.source
-    if step1.target.generators != regrouped.generators or \
-       step1.target.ops != regrouped.ops:
-        raise RelationViolation("box tensor failed to reassociate strictly")
     # step 2's target is step 3's source, and the thetas land in M and P
     step3 = Morphism(step2.target, base,
                      box_morphism_left_comps(theta_m, theta_p.target))
@@ -200,7 +195,7 @@ def conjugation_cone(src, tgt, incl, conj):
     the conjugation ``conj``."""
     q = tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim
     return mapping_cone(ChainMap(src, tgt, incl + conj),
-                        {"Q": F2Matrix(len(q), len(q), q)})
+                        F2Matrix(len(q), len(q), q))
 
 
 # ---------------------------------------------------------------------------

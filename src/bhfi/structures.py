@@ -261,13 +261,14 @@ class BorderedObject:
                 f"{len(self.ops)} operations>")
 
     def __eq__(self, other):
-        return (isinstance(other, BorderedObject)
-                and self.out_alg is other.out_alg
-                and self.in_alg is other.in_alg
-                and self.generators == other.generators
-                and self.out_idem == other.out_idem
-                and self.in_idem == other.in_idem
-                and self.ops == other.ops)
+        return self is other or (
+            isinstance(other, BorderedObject)
+            and self.out_alg is other.out_alg
+            and self.in_alg is other.in_alg
+            and self.generators == other.generators
+            and self.out_idem == other.out_idem
+            and self.in_idem == other.in_idem
+            and self.ops == other.ops)
 
     def __hash__(self):
         return hash((self.generators, self.ops))
@@ -678,19 +679,18 @@ class Morphism:
                 raise ValueError("component references unknown generators")
 
     def __add__(self, other):
-        if self.source is not other.source or self.target is not other.target:
-            if self.source.generators != other.source.generators or \
-               self.target.generators != other.target.generators:
-                raise ValueError("cannot add morphisms with different ends")
+        if self.source != other.source or self.target != other.target:
+            raise RelationViolation("+: the end structures differ")
         return Morphism(self.source, self.target, self.comps ^ other.comps)
 
     def sorted_comps(self):
         return sorted(self.comps, key=self.source.op_sort_key)
 
     def then(self, other):
-        """Composition: apply self first, then ``other``."""
-        if other.source.generators != self.target.generators:
-            raise ValueError("endpoint mismatch in composition")
+        """Composition: apply self first, then ``other``, whose source
+        must be self's target as one structure (``BorderedObject.__eq__``)."""
+        if other.source != self.target:
+            raise RelationViolation("then: the middle structures differ")
         out_alg = self.source.out_alg
         by_src = {}
         for comp in other.comps:

@@ -261,9 +261,8 @@ def eager_search(P, Q):
             for i in pick:
                 mask ^= basis[i]
             candidate = mc.morphism_of(mask)
-            trace = candidate.cone_trace()
-            if trace is not None:
-                return EquivalenceCertificate(candidate, trace, pick)
+            if candidate.cone_trace() is not None:
+                return EquivalenceCertificate(candidate, pick)
     raise NotEquivalentError(
         f"{stage}: no acyclic cone among sums of up to {MAX_SUM_SIZE} of "
         f"the {len(basis)}-vector homology basis")
@@ -278,8 +277,9 @@ def direct_sum(A, B):
 
 
 def same_certificate(lazy, eager):
-    return (lazy.forward.comps, lazy.search_index, lazy.evidence) == \
-        (eager.forward.comps, eager.search_index, eager.evidence)
+    return (lazy.forward.comps, lazy.search_index,
+            lazy.forward.cone_trace()) == \
+        (eager.forward.comps, eager.search_index, eager.forward.cone_trace())
 
 
 def outcome(search, P, Q):
@@ -386,7 +386,8 @@ def captured(run):
 @pytest.fixture(scope="module")
 def seed_1_bridge(z2, cfa2):
     """The bridge search of the relabelled genus-2 A side, seed 1: its
-    ends, arity and linear system, captured before the kernel."""
+    ends, arity, linear system and row lists, captured before the
+    kernel."""
     M = load_relabel()(cfa2, random.Random(1), "m")
     return captured(lambda eq: eq.find_structure_equivalence(
         box_tensor(M, cfda_azbar(z2)), M))
@@ -437,7 +438,7 @@ class TestUnitPart:
     def test_genus_1_kernels(self, z1, az1, azbar1, left, size, hits):
         # the kernels of identity_da -> azbar x az and -> az x azbar
         pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
-        ends, system = captured(lambda eq: eq.search_small_equivalence(
+        ends, system, _ = captured(lambda eq: eq.search_small_equivalence(
             identity_da(z1), box_tensor(*pieces)))
         verdicts = cone_verdicts(*ends[:2], kernel_cycles(ends, system))
         assert len(verdicts) == size
@@ -445,14 +446,14 @@ class TestUnitPart:
         assert sum(reduced for _, reduced in verdicts) == hits
 
     def test_relabelled_genus_2_bridge(self, seed_1_bridge):
-        ends, system = seed_1_bridge
+        ends, system, _ = seed_1_bridge
         verdicts = cone_verdicts(*ends[:2], kernel_cycles(ends, system))
         assert len(verdicts) == 736
         assert all(test == reduced for test, reduced in verdicts)
         assert sum(reduced for _, reduced in verdicts) == 5
 
     def test_bridge_columns_match_summed_shifts(self, seed_1_bridge):
-        (A, B, arity), system = seed_1_bridge
+        (A, B, arity), system, _ = seed_1_bridge
         assert system == summed_search_columns(A, B, arity)
 
 
@@ -461,13 +462,13 @@ def test_split_search_kernel_is_the_dense_one(request, z1, az1, azbar1,
                                               cfd0, z2, cfd0_k2, left):
     # the genus-1 search systems fall into 100 and 115 components
     if left == "seed 1":
-        (A, B, _), system = request.getfixturevalue("seed_1_bridge")
+        (A, B, _), system, rows = request.getfixturevalue("seed_1_bridge")
     else:
         pieces = (azbar1, az1) if left == "azbar" else (az1, azbar1)
-        (A, B, _), system = captured(lambda eq: eq.search_small_equivalence(
-            identity_da(z1), box_tensor(*pieces)))
-    assert rows_nullspace(list(map(_bits, system[2]))) == \
-        F2Matrix(*system).nullspace_basis()
+        (A, B, _), system, rows = captured(
+            lambda eq: eq.search_small_equivalence(identity_da(z1),
+                                                   box_tensor(*pieces)))
+    assert rows_nullspace(rows) == F2Matrix(*system).nullspace_basis()
     # the search lists the reference components at every arity, and so
     # does one Mor complex, D or DD, at arity 1
     for arity in (1, 2, 3):
@@ -604,6 +605,17 @@ class TestFindIsomorphism:
         assert len(B.ops) == len(A.ops)
         assert find_isomorphism(A, B) is None
         assert product_walk(A, B) is None
+
+
+class TestCertificateChecksItsCone:
+    def test_zero_morphism_refused(self, cfd0):
+        with pytest.raises(NotEquivalentError, match="does not cancel"):
+            EquivalenceCertificate(Morphism(cfd0, cfd0), ())
+
+    def test_trace_is_the_forward_maps_own(self, cfd0):
+        cert = EquivalenceCertificate(identity_morphism(cfd0), ())
+        assert cert.to_json()["cone_trace"] == \
+            [list(pair) for pair in cert.forward.cone_trace()]
 
 
 class TestCertificateSerialization:

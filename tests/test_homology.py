@@ -128,19 +128,19 @@ class TestHomology:
 class TestQAction:
     def test_valid_q(self):
         q = F2Matrix.from_entries(2, 2, [(1, 0)])
-        C = ChainComplex(("x", "Qx"), F2Matrix.zero(2, 2), actions={"Q": q})
-        assert (C.actions["Q"] * C.actions["Q"]).is_zero()
+        C = ChainComplex(("x", "Qx"), F2Matrix.zero(2, 2), q=q)
+        assert (C.q * C.q).is_zero()
 
     def test_q_must_square_to_zero(self):
         q = F2Matrix.identity(2)
         with pytest.raises(ValueError):
-            ChainComplex(("x", "y"), F2Matrix.zero(2, 2), actions={"Q": q})
+            ChainComplex(("x", "y"), F2Matrix.zero(2, 2), q=q)
 
     def test_action_must_commute(self):
         d = F2Matrix.from_entries(2, 2, [(1, 0)])
         q = F2Matrix.from_entries(2, 2, [(0, 1)])
         with pytest.raises(ValueError):
-            ChainComplex(("x", "y"), d, actions={"Q": q})
+            ChainComplex(("x", "y"), d, q=q)
 
 
 class TestMappingCone:
@@ -419,20 +419,17 @@ class TestKeptBlocks:
         cone = conjugation_cone(C, C, eye, conj)
         assert len(block_builds) == 1
         assert cone.d == mapping_cone(ChainMap(C, C, eye + conj)).d
-        assert cone.actions["Q"] == F2Matrix.from_entries(4, 4,
-                                                          [(2, 0), (3, 1)])
+        assert cone.q == F2Matrix.from_entries(4, 4, [(2, 0), (3, 1)])
 
     def test_cone_carries_the_actions_it_is_given(self):
         C = ChainComplex(("a", "b"), F2Matrix.from_entries(2, 2, [(1, 0)]))
         swap = F2Matrix.from_entries(4, 4, [(2, 0), (3, 1)])
-        cone = mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
-                            {"Q": swap})
-        assert cone.actions == {"Q": swap}
-        assert mapping_cone(ChainMap(C, C, F2Matrix.identity(2))) \
-            .actions == {}
+        cone = mapping_cone(ChainMap(C, C, F2Matrix.identity(2)), swap)
+        assert cone.q == swap
+        assert mapping_cone(ChainMap(C, C, F2Matrix.identity(2))).q is None
         with pytest.raises(ValueError, match="does not commute with d"):
             mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
-                         {"Q": F2Matrix.from_entries(4, 4, [(1, 0)])})
+                         F2Matrix.from_entries(4, 4, [(1, 0)]))
 
 
 class TestPipelineBlockBuilds:

@@ -11,8 +11,9 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   standard_involutive_d)
 from bhfi.errors import RelationViolation
 from bhfi.files import builtin_structure, structure_from_json
-from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, _iota_pipeline,
-                             conjugation_composite, paired_insertion)
+from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, IotaReport,
+                             _iota_pipeline, conjugation_composite,
+                             paired_insertion)
 from bhfi.standard import cfda_az, cfda_azbar
 from bhfi.structures import (BorderedObject, Morphism,
                              box_morphism_left_comps, contraction_trace,
@@ -24,7 +25,7 @@ class TestIotaOnMor:
         rep = iota_on_mor(cfd0, cfd0)
         assert rep.hf_dim == 2
         assert rep.iota_matrix.cols == F2Matrix.identity(2).cols
-        assert rep.ker_dim == rep.coker_dim == 2
+        assert rep.ker_dim == 2
         assert rep.hfi_dim == 4
 
     def test_one_dimensional_pairing(self, cfd_inf, cfd0):
@@ -66,13 +67,31 @@ class TestIotaOnMor:
         assert q.rank() == rep.ker_dim
 
 
+class TestIotaReportCount:
+    """The report checks hfi = ker + coker, where coker = ker since
+    1 + iota is square."""
+
+    @staticmethod
+    def report(hfi_dim):
+        return IotaReport(hf_dim=2, iota_matrix=F2Matrix.identity(2),
+                          ker_dim=2, hfi_dim=hfi_dim,
+                          q_action=F2Matrix.zero(hfi_dim, hfi_dim))
+
+    def test_count_checked(self):
+        assert self.report(4).hfi_dim == 4
+        for hfi_dim in (2, 3, 5):
+            with pytest.raises(RelationViolation,
+                               match="kernel/cokernel count"):
+                self.report(hfi_dim)
+
+
 class TestCfiHat:
     def test_cone_matches_report(self, cfd0, cfd_inf):
         for P0, P1 in ((cfd0, cfd0), (cfd_inf, cfd0)):
             rep = iota_on_mor(P0, P1)
             cone = cfi_hat(P0, P1)
             assert homology(cone).dimension == rep.hfi_dim
-            q = cone.actions["Q"]
+            q = cone.q
             assert (q * q).is_zero()
 
 
@@ -98,7 +117,7 @@ class TestInvolutivePair:
         D = standard_involutive_d(cfd0)
         cx = involutive_pair(A, D)
         assert homology(cx).dimension == 4
-        assert (cx.actions["Q"] * cx.actions["Q"]).is_zero()
+        assert (cx.q * cx.q).is_zero()
 
     def test_route_equality_genus_1(self, cfa1, cfd0):
         A = standard_involutive_a(cfa1)
@@ -388,7 +407,7 @@ class TestConjugationComposite:
                                  S.out_idem, S.in_idem, S.ops)
         theta_p = Morphism(flipped, psi_d.target, psi_d.comps)
         with pytest.raises(RelationViolation,
-                           match="failed to reassociate strictly"):
+                           match="^then: the middle structures differ$"):
             conjugation_composite(cfa1, cfd0, omega, theta_p, psi_a)
 
 
@@ -496,7 +515,7 @@ class TestCfiHatOracle:
         cx, hom, images = _iota_pipeline(P0, P1)
         d, q = hand_built_cfi(cx, hom, images)
         assert cone.d.cols == d.cols
-        assert cone.actions["Q"].cols == q.cols
+        assert cone.q.cols == q.cols
         n = hom.dimension
         assert all(g.startswith("S:H:") for g in cone.generators[:n])
         assert all(g.startswith("T:") for g in cone.generators[n:])
@@ -516,3 +535,12 @@ class TestGenus2Certificates:
         psi = build(builtin_structure(name)).psi
         text = repr((psi.sorted_comps(), psi.cone_trace()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_pairing_route_cone(self):
+        cone = involutive_pair(
+            standard_involutive_a(builtin_structure("cfa0_k2")),
+            standard_involutive_d(builtin_structure("cfd0_k2")))
+        assert homology(cone).dimension == 8
+        text = repr((cone.generators, cone.d.cols, cone.q.cols))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "37a0868e8c59fc434bd06bf97f650755a3748ff9ea010eaad8e55644f67b1dd5"

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from bhfi import (DivergenceError, Morphism, ParseError, TypeDStructure,
+from bhfi import (DivergenceError, Morphism, ParseError, RelationViolation,
+                  TypeDStructure,
                   algebra, box_tensor, box_tensor_AD, box_tensor_DA_D,
                   box_tensor_DD_side, check_structure, dd_identity, homology,
                   identity_da, identity_morphism, mor_complex_DD,
@@ -1096,6 +1097,26 @@ class TestMorphisms:
         rhs = phi.then(psi.then(identity_morphism(cfd0)))
         assert lhs.comps == rhs.comps
 
+    def test_one_structure_at_each_join(self, cfd0):
+        """``then`` and ``+`` take an equal copy of an endpoint, and refuse
+        one with the same generators but different operations."""
+        assert cfd0.ops
+        copy, bare = (BorderedObject(cfd0.out_alg, cfd0.in_alg,
+                                     cfd0.generators, cfd0.out_idem,
+                                     cfd0.in_idem, ops)
+                      for ops in (cfd0.ops, ()))
+        f = identity_morphism(cfd0)
+        assert f.then(Morphism(copy, cfd0, f.comps)).comps == f.comps
+        assert not (f + Morphism(copy, cfd0, f.comps)).comps
+        with pytest.raises(RelationViolation,
+                           match="^then: the middle structures differ$"):
+            f.then(Morphism(bare, cfd0, f.comps))
+        with pytest.raises(RelationViolation,
+                           match="^[+]: the end structures differ$"):
+            f + Morphism(bare, cfd0, f.comps)
+        with pytest.raises(RelationViolation, match="^[+]"):
+            f + Morphism(cfd0, bare, f.comps)
+
     def test_box_morphism_right_is_chain_map(self, az1, cfd0, cfd_m1, z1):
         # d(Id x f) = Id x df, on random not-necessarily-cycle morphisms
         rng = random.Random(31)
@@ -1464,9 +1485,11 @@ class _Captured(Exception):
 
 
 def captured_search_system(monkeypatch, run):
-    """The arguments and the (rows, unknowns, columns) of the first bounded
-    search system that ``run`` assembles, its row lists read as the int
-    columns of an F2Matrix; the search stops there."""
+    """The arguments, the (rows, unknowns, columns) and the row lists of
+    the first bounded search system that ``run`` assembles: the columns
+    are the row lists read as the int columns of an F2Matrix, and the row
+    lists are the ones the search hands its kernel.  The search stops
+    there."""
     import bhfi.equivalence as equivalence
     from bhfi.homology import F2Matrix
     seen = []
@@ -1481,13 +1504,14 @@ def captured_search_system(monkeypatch, run):
             len({r for col in cols for r in col}), len(cols),
             ((r, j) for j, col in enumerate(cols) for r in col))
         seen.append((m.nrows, m.ncols, m.cols))
+        seen.append(cols)
         raise _Captured
 
     monkeypatch.setattr(equivalence, "search_small_equivalence", search)
     monkeypatch.setattr(equivalence, "rows_nullspace", kernel)
     with pytest.raises(_Captured):
         run(equivalence)
-    return seen[0], seen[1]
+    return seen[0], seen[1], seen[2]
 
 
 def walker_box_morphism_right(B, f):
@@ -1607,13 +1631,13 @@ class TestComponentDifferential:
     def test_search_system_identity_to_composite(self, monkeypatch, z1, az1,
                                                  azbar1):
         target = box_tensor(az1, azbar1)
-        (A, B, arity), system = captured_search_system(
+        (A, B, arity), system, _ = captured_search_system(
             monkeypatch, lambda eq: eq.search_small_equivalence(
                 identity_da(z1), target))
         assert_same_system(system, per_element_search_system(A, B, arity))
 
     def test_search_system_genus_2_theta(self, monkeypatch, z2, cfa2, az2):
-        (A, B, arity), system = captured_search_system(
+        (A, B, arity), system, _ = captured_search_system(
             monkeypatch, lambda eq: eq.find_structure_equivalence(
                 box_tensor(cfa2, az2), cfa2))
         assert arity == 3

@@ -55,7 +55,7 @@ def _certify_psi(psi, underlying, what):
 
 
 def standard_involutive_d(P):
-    az = cfda_az(P.out_alg.circle)
+    az = cfda_az(P.out_alg.circle, P.out_idem.values())
     cert = find_homotopy_equivalence(box_tensor(az, P), P)
     return InvolutiveTypeD(P, cert.forward)
 
@@ -98,14 +98,15 @@ def _iota_pipeline(P0, P1):
     Computes the homology basis of the morphism complex, conjugates each
     representative f through the interpolating piece using the two certified
     equivalences, as psi1 . (Id_az x f) . psi0^-1.  The pairings az x P0
-    and az x P1 are built once and are the endpoints of every Id_az x f.
+    and az x P1 are built once and are the endpoints of every Id_az x f;
+    az has the operations out of P0's and P1's idempotents only.
     Returns the morphism complex, its homology basis and the vectors of the
     conjugated representatives.
     """
     validate_bounded(P0)
     validate_bounded(P1)
-    circle = P0.out_alg.circle
-    az = cfda_az(circle)
+    az = cfda_az(P0.out_alg.circle,
+                 {*P0.out_idem.values(), *P1.out_idem.values()})
     az_p0 = box_tensor(az, P0)
     az_p1 = box_tensor(az, P1)
     mc = mor_complex_DD(P0, P1)
@@ -222,7 +223,8 @@ def involutive_pair(A, D):
     conjugation composite) on the box tensor complex, over F2[Q]/(Q^2)."""
     M, P = A.module, D.structure
     circle = P.out_alg.circle
-    omega_p = paired_insertion(cfda_azbar(circle), cfda_az(circle), P)
+    omega_p = paired_insertion(cfda_azbar(circle),
+                               cfda_az(circle, P.out_idem.values()), P)
     conj = conjugation_composite(M, P, omega_p, D.psi, A.psi)
     cx = to_chain_complex(conj.source)
     return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim),

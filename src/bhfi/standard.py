@@ -143,37 +143,38 @@ def _gen_label(pairs):
     return "i" + ".".join(str(p) for p in sorted(pairs))
 
 
-def cfda_az(circle):
+def cfda_az(circle, idempotents=None):
     """DA bimodule of the interpolating piece: one generator per algebra
     basis element, right multiplication as the two-input operation, and the
-    chord-sum one-input operation."""
-    algebra(circle).basis       # refuses past the cap, also when cached
-    return _cfda_interpolating(circle, False)
+    chord-sum one-input operation.
+
+    Every generator is kept, in basis order, but only the operations out of
+    generators whose input idempotent is in ``idempotents`` are built: a
+    box tensor with a type D structure whose output idempotents lie there
+    reads no other.  ``None`` stands for every idempotent, the whole piece.
+    """
+    alg = algebra(circle)
+    alg.basis       # refuses past the cap, also when cached
+    return _cfda_az(circle, frozenset(
+        alg.idem_keys if idempotents is None else idempotents))
 
 
 def cfda_azbar(circle):
     """The reversed interpolating piece: generators indexed by dual basis
     elements; the transpose differential and the dual right action."""
     algebra(circle).basis       # refuses past the cap, also when cached
-    return _cfda_interpolating(circle, True)
+    return _cfda_azbar(circle)
 
 
 @functools.cache
-def _cfda_interpolating(circle, dualized):
-    """One walk over the product triples u.v -> w and the differential
-    pairs x -> w of the algebra, read in one of two directions.
-
-    az reads a triple as u (x) [v] -> w and, when u is a chord, as v -> w
-    with u's partner as coefficient; a differential pair is x -> w.  azbar
-    reads them backwards: w' (x) [u] -> v', w' -> u' with v's partner, and
-    w' -> x'.  Operations without a chord coefficient carry the idempotent
-    complementary to the source's anchor (left side for az, right for
-    azbar).
-    """
-    alg = algebra(circle)
-    all_pairs = frozenset(circle.pairs)
+def _interpolating_generators(alg, dualized):
+    """The generators of az (azbar when ``dualized``), one per basis element
+    a: its name, its unit (the idempotent complementary to a's anchor, the
+    left side for az and the right for azbar) and, when a is a chord, the
+    partner that carries a's strand, grouped by a's right idempotent."""
+    all_pairs = frozenset(alg.circle.pairs)
     star = "'" if dualized else ""
-    name, unit, partner, gens = {}, {}, {}, []
+    name, unit, partners, gens = {}, {}, {}, []
     for a in alg.basis:
         anchor, inn = (a.right_idem, a.left_idem) if dualized \
             else (a.left_idem, a.right_idem)
@@ -181,22 +182,53 @@ def _cfda_interpolating(circle, dualized):
         unit[a] = alg.idempotent(all_pairs - anchor)
         gens.append((name[a], unit[a].left_idem, inn))
         if len(a.moving) == 1:
-            ends = {circle.pair_label(p) for p in a.moving[0]}
+            ends = {alg.circle.pair_label(p) for p in a.moving[0]}
             if len(ends) == 2:
                 # a's strand, starting from the complement of a.right_idem
-                partner[a] = alg.diagram(a.moving,
-                                         all_pairs - a.horizontal - ends)
+                partners.setdefault(a.right_idem, {})[a] = alg.diagram(
+                    a.moving, all_pairs - a.horizontal - ends)
+    return gens, name, unit, partners
+
+
+@functools.cache
+def _cfda_az(circle, idempotents):
+    """az's operations out of each generator a with a.right_idem in
+    ``idempotents``, from the algebra on demand: a (x) [v] -> a.v with a's
+    unit, v over the basis from a.right_idem; a -> u.a with u's partner,
+    u over the chords into a.left_idem; a -> x with a's unit, x in d(a)."""
+    alg = algebra(circle)
+    gens, name, unit, partners = _interpolating_generators(alg, False)
+    ops = []
+    for a in alg.basis:
+        if a.right_idem not in idempotents:
+            continue
+        src, one = name[a], unit[a]
+        for v in alg.basis_from(a.right_idem):
+            if (w := alg.mul_basis(a, v)) is not None:
+                ops.append((src, [v], one, name[w]))
+        for u, partner in partners.get(a.left_idem, {}).items():
+            if (w := alg.mul_basis(u, a)) is not None:
+                ops.append((src, [], partner, name[w]))
+        ops += [(src, [], one, name[x]) for x in alg.diff_basis(a)]
+    return DABimodule(circle, circle, gens, ops)
+
+
+@functools.cache
+def _cfda_azbar(circle):
+    """One walk over the product triples u.v -> w and the differential
+    pairs x -> w of the algebra, read backwards: w' (x) [u] -> v',
+    w' -> u' with v's partner, and w' -> x'; the other operations carry
+    the source's unit."""
+    alg = algebra(circle)
+    gens, name, unit, partners = _interpolating_generators(alg, True)
     ops = []
     for w in alg.basis:
         for u, v in alg.mul_preimages(w):
-            src, feed, dst = (w, u, v) if dualized else (u, v, w)
-            ops.append((name[src], [feed], unit[src], name[dst]))
-            chord, src, dst = (v, w, u) if dualized else (u, v, w)
-            if chord in partner:
-                ops.append((name[src], [], partner[chord], name[dst]))
+            ops.append((name[w], [u], unit[w], name[v]))
+            if (partner := partners.get(v.right_idem, {}).get(v)) is not None:
+                ops.append((name[w], [], partner, name[u]))
         for x in alg.diff_preimages(w):
-            src, dst = (w, x) if dualized else (x, w)
-            ops.append((name[src], [], unit[src], name[dst]))
+            ops.append((name[w], [], unit[w], name[x]))
     return DABimodule(circle, circle, gens, ops)
 
 

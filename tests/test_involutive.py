@@ -323,7 +323,9 @@ class TestPairOnceCertifyOnce:
     def test_iota_on_mor_pairs_az_twice(self, monkeypatch, z2, cfd0_k2):
         P0 = cfd0_k2.relabeled({g: f"p{g}" for g in cfd0_k2.generators})
         P1 = cfd0_k2.relabeled({g: f"q{g}" for g in cfd0_k2.generators})
-        az, real, paired = cfda_az(z2), structures.box_tensor, []
+        # the piece cut to P0's and P1's idempotents, which the pipeline pairs
+        az = cfda_az(z2, {*P0.out_idem.values(), *P1.out_idem.values()})
+        real, paired = structures.box_tensor, []
 
         def counted(B1, B2):
             if B1 is az:
@@ -374,6 +376,52 @@ class TestPairOnceCertifyOnce:
                 InvolutiveTypeD(cfd0, psi_d)
             with pytest.raises(RelationViolation, match="cone does not"):
                 InvolutiveAInf(cfa1, psi_a)
+
+
+def _outs(*structures):
+    return {i for P in structures for i in P.out_idem.values()}
+
+
+class TestCutPiecePairsAsTheWhole:
+    """Each caller pairs az cut to its type D structures' idempotents; every
+    pairing with az and every Id_az x f it builds equals the one the whole
+    piece gives, generators in order and operation for operation."""
+
+    @pytest.mark.parametrize("run, names", [
+        ("iota", ("cfd0", "cfd0")), ("iota", ("cfd_inf", "cfd0")),
+        ("iota", ("cfd0", "cfd_m1")), ("iota", ("cfd_m1", "cfd_inf")),
+        ("iota", ("cfd0_k2", "cfd0_k2")),
+        ("d", ("cfd0",)), ("d", ("cfd_m1",)), ("d", ("cfd0_k2",)),
+        ("pair", ("cfa0_k1", "cfd_inf")), ("pair", ("cfa0_k2", "cfd0_k2"))])
+    def test_pairings_match_the_whole_piece(self, monkeypatch, run, names):
+        args = [builtin_structure(n) for n in names]
+        if run == "iota":
+            call, idems = lambda: _iota_pipeline(*args), _outs(*args)
+        elif run == "d":
+            call, idems = lambda: standard_involutive_d(*args), _outs(*args)
+        else:
+            A, D = standard_involutive_a(args[0]), standard_involutive_d(
+                args[1])
+            call, idems = lambda: involutive_pair(A, D), _outs(args[1])
+        circle = args[-1].out_alg.circle
+        whole, cut = cfda_az(circle), cfda_az(circle, idems)
+        pair, comps, seen = box_tensor, structures.box_morphism_right_comps, []
+
+        def recorded(real):
+            def wrapped(B, X):
+                out = real(B, X)
+                if B.generators == whole.generators:
+                    seen.append((real, B, X, out))
+                return out
+            return wrapped
+
+        patch_everywhere(monkeypatch, pair, recorded(pair))
+        patch_everywhere(monkeypatch, comps, recorded(comps))
+        call()
+        assert seen
+        for real, B, X, out in seen:
+            # a structure equals another only with its generators in order
+            assert B is cut and out == real(whole, X)
 
 
 class TestConjugationComposite:

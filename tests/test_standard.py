@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -7,10 +8,10 @@ import pytest
 
 from bhfi import (DivergenceError, PointedMatchedCircle, algebra,
                   algebra_basis, check_structure, dd_identity, homology,
-                  include_split, split_pmc, strands)
+                  include_split, split_pmc, standard, strands)
 from bhfi.cli import main
 from bhfi.files import structure_to_json
-from bhfi.standard import (_cfda_interpolating, cfa_zero_handlebody,
+from bhfi.standard import (_cfda_az, cfa_zero_handlebody,
                            cfd_solid_torus, cfd_zero_handlebody, cfda_az,
                            cfda_azbar, surgery_maps)
 from bhfi.structures import mor_complex_DD
@@ -185,6 +186,24 @@ class TestDDIdentity:
         monkeypatch.delenv("BHFI_MAX_GENERATORS")
         assert dd_identity(z2) is cached
 
+    @pytest.mark.parametrize("cap", [114, 237])
+    def test_lowered_cap_refuses_cached_interpolating_piece(
+            self, z2, monkeypatch, cap):
+        # az's cap is the basis count, 238 at genus 2 (114 its lower
+        # bound): a cached piece, whole or cut to some idempotents, is
+        # refused with the text of a fresh build
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        idems = {frozenset({1, 3})}
+        cached = cfda_az(z2), cfda_az(z2, idems)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(cap))
+        for build in (lambda: cfda_az(z2), lambda: cfda_az(z2, idems)):
+            with pytest.raises(DivergenceError, match=re.escape(
+                    f"strands basis: 238 diagrams exceed "
+                    f"BHFI_MAX_GENERATORS={cap}")):
+                build()
+        monkeypatch.delenv("BHFI_MAX_GENERATORS")
+        assert cfda_az(z2) is cached[0] and cfda_az(z2, idems) is cached[1]
+
 
 class TestInterpolatingPiece:
     def test_generator_count_is_basis_size(self, z1, z2):
@@ -230,12 +249,54 @@ class TestInterpolatingPiece:
         assert all(len(op[1]) <= 1 for op in azbar1.ops)
 
 
+def _idempotent_sets(circle):
+    """Each idempotent alone, and the sets the callers pass at this genus:
+    the output idempotents of a builtin type D structure and of each pair
+    of them."""
+    singles = [{i} for i in algebra(circle).idem_keys]
+    if circle.k == 1:
+        outs = [set(P.out_idem.values()) for P in map(
+            cfd_solid_torus, ("zero", "infinity", "minus_one"))]
+    else:
+        outs = [set(cfd_zero_handlebody(2).out_idem.values())]
+    return singles + outs + [a | b for a in outs for b in outs]
+
+
+class TestRestrictedInterpolatingPiece:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_operations_out_of_the_given_idempotents(self, k):
+        z = split_pmc(k)
+        whole = cfda_az(z)
+        for idems in _idempotent_sets(z):
+            cut = cfda_az(z, idems)
+            assert cut.generators == whole.generators
+            assert (cut.out_idem, cut.in_idem) == \
+                (whole.out_idem, whole.in_idem)
+            assert cut.ops == {op for op in whole.ops
+                               if whole.in_idem[op[0]] in idems}
+
+    def test_every_idempotent_is_the_whole_piece(self, z2):
+        assert cfda_az(z2, algebra(z2).idem_keys) is cfda_az(z2)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_built_without_the_preimage_tables(self, monkeypatch, k):
+        # a fresh algebra and a fresh az cache, so that nothing built
+        # before this test is read
+        monkeypatch.setattr(strands, "_ALGEBRAS", {})
+        monkeypatch.setattr(standard, "_cfda_az",
+                            functools.cache(_cfda_az.__wrapped__))
+        z = split_pmc(k)
+        for idems in [None] + _idempotent_sets(z):
+            cfda_az(z, idems)
+        assert algebra(z)._tables is None
+
+
 class TestBuildersAreLinearInTheTables:
     def test_az_multiplies_composable_pairs_only(self, monkeypatch):
         # a fresh algebra, so that the count is az's alone
         monkeypatch.setattr(strands, "_ALGEBRAS", {})
         z2 = split_pmc(2)
-        _cfda_interpolating.__wrapped__(z2, False)
+        _cfda_az.__wrapped__(z2, frozenset(algebra(z2).idem_keys))
         keys = algebra(z2)._mul_cache
         assert all(a.right_idem == b.left_idem for a, b in keys)
         assert len(keys) == 5286

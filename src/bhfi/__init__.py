@@ -3,9 +3,9 @@ bordered structure kinds with box tensor products and morphism complexes,
 the hat-flavor pairing, its involutive refinement with the Q-action, the
 mapping class group action, and a machine-verified surgery exact triangle.
 
-``standard``, ``equivalence``, ``involutive`` and ``triangle`` are placed in
-``sys.modules`` unexecuted and compile on their first attribute access, so a
-command that never runs them never pays for them.
+``standard``, ``files``, ``equivalence``, ``involutive`` and ``triangle`` are
+placed in ``sys.modules`` unexecuted and compile on their first attribute
+access, so a command that never runs them never pays for them.
 """
 
 from .errors import (BhfiError, DivergenceError, NotEquivalentError,
@@ -35,6 +35,7 @@ def _lazy(name):
 
 
 standard = _lazy("standard")
+files = _lazy("files")
 equivalence = _lazy("equivalence")
 involutive = _lazy("involutive")
 triangle = _lazy("triangle")

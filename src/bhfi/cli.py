@@ -1,25 +1,28 @@
-"""Command-line front end.
+"""usage: bhfi COMMAND [FILE ...] [--builtin NAME]... [--out PATH]
 
-Subcommands: hfhat, hfihat, verify, triangle, mcg, dump-standard.  Inputs
-are JSON structure files or builtin names (--builtin).  Reports are printed
-as JSON with sorted keys, so identical inputs give byte-identical output.
+COMMAND is hfhat, hfihat, verify, triangle, mcg or dump-standard.  The
+inputs are JSON structure files and builtins (--builtin NAME), builtins
+first.  The report is JSON with sorted keys, so identical inputs give
+byte-identical output; --out PATH also writes it there (dump-standard
+writes every builtin, at genus 1 and 2, into the directory PATH, by
+default fixtures).  Options and files come in any order, --opt=VALUE and
+unique prefixes of the options are accepted, -- ends the options, and -h
+or --help prints this text.
 
-Exit codes: 0 success, 2 parse error (including inputs of the wrong kind or
-over the wrong circle), 3 relation violation, 4 equivalence search failure,
-5 divergence.
+Exit codes: 0 success, 2 usage or parse error (including inputs of the
+wrong kind or over the wrong circle), 3 relation violation, 4 equivalence
+search failure, 5 divergence.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
-from . import involutive, triangle
+from . import files, involutive, standard, triangle
 from .errors import (DivergenceError, NotEquivalentError, ParseError,
                      RelationViolation)
-from .files import BUILTIN_NAMES, builtin_structure, dump_structure, \
-    load_structure
 from .strands import algebra, split_pmc
 from .structures import check_structure, mor_complex_DD, require_valid
 
@@ -33,8 +36,8 @@ def _resolve_inputs(args, kinds=None, genus=None):
     ``genus`` is given) are checked, raising ParseError, and then the
     structure relations of each input, raising RelationViolation.
     """
-    refs = [(builtin_structure, name) for name in args.builtin or []]
-    refs += [(load_structure, path) for path in args.inputs]
+    refs = [(standard.builtin_structure, name) for name in args.builtin]
+    refs += [(files.load_structure, path) for path in args.inputs]
     if kinds is None:
         return [load(ref) for load, ref in refs]
     cmd = args.command
@@ -92,7 +95,7 @@ def _cmd_hfihat(args):
 def _cmd_verify(args):
     results = {}
     bad = 0
-    refs = (args.builtin or []) + args.inputs
+    refs = args.builtin + args.inputs
     if not refs:
         raise ParseError("verify: expected at least 1 input (files or "
                          "--builtin), got 0")
@@ -128,40 +131,76 @@ def _cmd_dump_standard(args):
     outdir = args.out or "fixtures"
     # each fixed builtin once, then every genus family at genus 1 and 2
     names = list(dict.fromkeys(name.format(n=k) for k in (1, 2)
-                               for name in BUILTIN_NAMES))
+                               for name in standard.BUILTIN_NAMES))
     written = [os.path.join(outdir, f"{name}.json") for name in names]
     try:
         os.makedirs(outdir, exist_ok=True)
         for name, path in zip(names, written):
-            dump_structure(builtin_structure(name), path)
+            files.dump_structure(standard.builtin_structure(name), path)
     except OSError as exc:
         raise ParseError(f"cannot write {exc.filename}: {exc}") from exc
     print(json.dumps({"written": written}, sort_keys=True))
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bhfi",
-        description="hat-flavor bordered Floer calculator: pairings, the "
-                    "involutive refinement, mapping class actions and the "
-                    "surgery triangle, all over F2")
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {"hfhat": _cmd_hfhat, "hfihat": _cmd_hfihat,
+             "verify": _cmd_verify, "triangle": _cmd_triangle,
+             "mcg": _cmd_mcg, "dump-standard": _cmd_dump_standard}
 
-    def common(p):
-        p.add_argument("inputs", nargs="*", help="JSON structure files")
-        p.add_argument("--builtin", action="append",
-                       help="builtin structure name; known: "
-                            + ", ".join(BUILTIN_NAMES))
-        p.add_argument("--out", help="also write the JSON report here")
 
-    for name, fn in (("hfhat", _cmd_hfhat), ("hfihat", _cmd_hfihat),
-                     ("verify", _cmd_verify), ("triangle", _cmd_triangle),
-                     ("mcg", _cmd_mcg), ("dump-standard", _cmd_dump_standard)):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
-    return parser
+def _usage_error(message):
+    """The usage line and the message on stderr, then exit 2."""
+    print(__doc__.partition("\n")[0], f"bhfi: error: {message}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_option(word):
+    return word.startswith("-") and word != "-"
+
+
+def parse_args(argv):
+    """The command, inputs, builtin names and --out of ``argv``; the first
+    word that is not an option is the command.  -h or --help prints the
+    module docstring and the builtin names and exits 0; a usage error
+    exits 2."""
+    args = SimpleNamespace(command=None, inputs=[], builtin=[], out=None)
+    words = iter(argv)
+    options = True
+    for word in words:
+        if options and word == "--":
+            options = False
+        elif options and _is_option(word):
+            name, eq, value = word.partition("=")
+            known = ["--help"] if name == "-h" else \
+                [o for o in ("--builtin", "--out", "--help")
+                 if name[:2] == "--" and o.startswith(name)]
+            if known == ["--help"]:
+                print(f"{__doc__}\nBuiltin names, {{n}} a genus:\n  "
+                      + ", ".join(standard.BUILTIN_NAMES))
+                raise SystemExit(0)
+            if len(known) != 1:
+                _usage_error(f"unrecognized arguments: {word}")
+            if not eq:
+                value = next(words, None)
+                if value is None or _is_option(value):
+                    _usage_error(f"argument {known[0]}: expected one "
+                                 "argument")
+            if known[0] == "--builtin":
+                args.builtin.append(value)
+            else:
+                args.out = value
+        elif args.command is None:
+            if word not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _usage_error(f"argument command: invalid choice: {word!r} "
+                             f"(choose from {choices})")
+            args.command = word
+        else:
+            args.inputs.append(word)
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    return args
 
 
 # the stderr label and exit code of each reported error, tried in order
@@ -171,9 +210,9 @@ _EXIT_CODES = {ParseError: ("parse", 2), RelationViolation: ("relations", 3),
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
         label, code = next(entry for cls, entry in _EXIT_CODES.items()
                            if isinstance(exc, cls))

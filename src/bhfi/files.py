@@ -10,8 +10,8 @@ modules:
 
 where an element is a list of diagrams, each
 ``{"left_idem": [...], "moving": [[i, j], ...], "horizontal": [...]}``.
-The builtin names live in one table, ``_BUILTINS``, which
-``BUILTIN_NAMES``, ``builtin_structure`` and ``dump-standard`` all read.
+Like ``standard``, the module executes on first use: the CLI reaches it
+only for file inputs and ``dump-standard``.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import json
 
 from .errors import ParseError
 from .strands import (AlgebraElement, PointedMatchedCircle, _pair_labels,
-                      _strand_points, algebra, split_pmc)
+                      _strand_points, algebra)
 from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
 
 
@@ -209,36 +209,3 @@ def dump_structure(S, path):
         json.dump(structure_to_json(S), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-
-# ---------------------------------------------------------------------------
-# builtin registry
-
-# name -> (builder in bhfi.standard, its argument); for a genus family
-# "..._k{n}" the argument is a function of the genus n.  Builders are
-# looked up by name on each call, so a wrapped builder is the one called.
-_BUILTINS = {
-    "cfd_inf": ("cfd_solid_torus", "infinity"),
-    "cfd_m1": ("cfd_solid_torus", "minus_one"),
-    "cfd0": ("cfd_solid_torus", "zero"),
-    "cfd0_k{n}": ("cfd_zero_handlebody", int),
-    "cfa0_k{n}": ("cfa_zero_handlebody", int),
-    "ddid_k{n}": ("dd_identity", split_pmc),
-    "az_k{n}": ("cfda_az", split_pmc),
-    "azbar_k{n}": ("cfda_azbar", split_pmc),
-}
-BUILTIN_NAMES = tuple(_BUILTINS)
-
-
-def builtin_structure(name):
-    """Structures addressable by name on the command line."""
-    from . import standard
-    for pattern, (builder, arg) in _BUILTINS.items():
-        prefix, family, _ = pattern.partition("{n}")
-        if not family and name == pattern:
-            return getattr(standard, builder)(arg)
-        if family and name.startswith(prefix):
-            tail = name[len(prefix):]
-            if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
-                raise ParseError(f"bad genus in builtin name {name!r}")
-            return getattr(standard, builder)(arg(int(tail)))
-    raise ParseError(f"unknown builtin {name!r}")

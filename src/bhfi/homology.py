@@ -18,6 +18,9 @@ def _lowbit(x):
     return (x & -x).bit_length() - 1
 
 
+_NONZERO = b"\0" + b"\1" * 255    # byte -> 1 if any bit is set
+
+
 @record
 class F2Matrix:
     """A dense F2 matrix; columns as bitmasks."""
@@ -81,13 +84,16 @@ class F2Matrix:
                         tuple(self.apply(c) for c in other.cols))
 
     def transpose(self):
+        # one pass over each column's bytes, not one column copy per set bit
         rows = [0] * self.nrows
         for c, colmask in enumerate(self.cols):
-            m = colmask
-            while m:
-                r = _lowbit(m)
-                m &= m - 1
-                rows[r] ^= 1 << c
+            data = colmask.to_bytes((colmask.bit_length() + 7) // 8, "little")
+            flags = data.translate(_NONZERO)
+            k = flags.find(1)
+            while k >= 0:
+                for i in _bits(data[k]):
+                    rows[8 * k + i] ^= 1 << c
+                k = flags.find(1, k + 1)
         return F2Matrix(self.ncols, self.nrows, tuple(rows))
 
     def is_zero(self):

@@ -1,6 +1,8 @@
 """Constructors for the standard modules and bimodules: solid tori and
 handlebodies in both flavors, the DD identity, the interpolating-piece DA
 bimodules, and the surgery morphisms between the three solid-torus framings.
+The builtin names live in one table, ``_BUILTINS``, which
+``BUILTIN_NAMES``, ``builtin_structure`` and ``dump-standard`` all read.
 """
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import functools
 import itertools
 import math
 
-from .errors import refuse_past_cap
+from .errors import ParseError, refuse_past_cap
 from .strands import (AlgebraElement, algebra, chord_term_count, split_pmc,
                       split_factors)
 from .structures import (AInfModule, DABimodule, DDBimodule, Morphism,
@@ -248,3 +250,36 @@ def surgery_maps():
         ("b", (), torus_chord(2, 3), "n"),
     })
     return phi, psi
+
+
+# ---------------------------------------------------------------------------
+# builtin registry
+
+# name -> (builder in this module, its argument); for a genus family
+# "..._k{n}" the argument is a function of the genus n.  Builders are
+# looked up by name on each call, so a wrapped builder is the one called.
+_BUILTINS = {
+    "cfd_inf": ("cfd_solid_torus", "infinity"),
+    "cfd_m1": ("cfd_solid_torus", "minus_one"),
+    "cfd0": ("cfd_solid_torus", "zero"),
+    "cfd0_k{n}": ("cfd_zero_handlebody", int),
+    "cfa0_k{n}": ("cfa_zero_handlebody", int),
+    "ddid_k{n}": ("dd_identity", split_pmc),
+    "az_k{n}": ("cfda_az", split_pmc),
+    "azbar_k{n}": ("cfda_azbar", split_pmc),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
+def builtin_structure(name):
+    """Structures addressable by name on the command line."""
+    for pattern, (builder, arg) in _BUILTINS.items():
+        prefix, family, _ = pattern.partition("{n}")
+        if not family and name == pattern:
+            return globals()[builder](arg)
+        if family and name.startswith(prefix):
+            tail = name[len(prefix):]
+            if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
+                raise ParseError(f"bad genus in builtin name {name!r}")
+            return globals()[builder](arg(int(tail)))
+    raise ParseError(f"unknown builtin {name!r}")

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
+from bhfi import cli
 from bhfi.cli import main
-from bhfi.files import BUILTIN_NAMES, builtin_structure, dump_structure, \
-    load_structure
+from bhfi.files import dump_structure, load_structure
+from bhfi.standard import BUILTIN_NAMES, builtin_structure
 from bhfi.strands import split_pmc
 
 
@@ -781,27 +782,30 @@ class TestProcessExit:
         assert tail.split() == [f"{func}()"]
 
 
-# what each command compiles: the deferred submodules it executed
-LAZY = ("standard", "equivalence", "involutive", "triangle")
+# what each command compiles: the deferred submodules it executed, and
+# which of argparse and gettext it loaded
+LAZY = ("standard", "files", "equivalence", "involutive", "triangle")
 EXECUTED = f"""
 import json, sys, types
 from bhfi.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, [name for name in {LAZY!r}
                          if type(sys.modules["bhfi." + name])
-                         is types.ModuleType]]))
+                         is types.ModuleType],
+                  sorted({{"argparse", "gettext"}} & sys.modules.keys())]))
 """
 
 COMPILED = [
-    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], []),
-    (["verify", "fixtures/az_k1.json"], []),
+    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], ["files"]),
+    (["verify", "fixtures/az_k1.json"], ["files"]),
     (builtins("hfhat", "cfd0", "cfd_inf"), ["standard"]),
     (builtins("verify", "ddid_k1"), ["standard"]),
     (builtins("hfihat", "cfd0", "cfd_m1"),
      ["standard", "equivalence", "involutive"]),
     (builtins("mcg", "cfa0_k1", "cfd0", "az_k1", "azbar_k1"),
      ["standard", "equivalence", "involutive"]),
-    (builtins("triangle", "cfa0_k1"), list(LAZY)),
+    (builtins("triangle", "cfa0_k1"),
+     ["standard", "equivalence", "involutive", "triangle"]),
 ]
 
 
@@ -811,4 +815,61 @@ def test_command_executes_only_the_modules_it_runs(argv, executed):
     # the type is read from sys.modules, so the test loads nothing itself
     code, out, err = run_python(["-c", EXECUTED, *argv])
     assert (code, err) == (0, "")
-    assert json.loads(out.splitlines()[-1]) == [0, executed]
+    assert json.loads(out.splitlines()[-1]) == [0, executed, []]
+
+
+# argv forms of the one grammar, each with its exit code, stdout and stderr;
+# run in a directory holding cfd0.json and a copy named -x.json
+USAGE = "usage: bhfi COMMAND [FILE ...] [--builtin NAME]... [--out PATH]\n"
+HELP = (cli.__doc__ + "\nBuiltin names, {n} a genus:\n  cfd_inf, cfd_m1, "
+        "cfd0, cfd0_k{n}, cfa0_k{n}, ddid_k{n}, az_k{n}, azbar_k{n}\n")
+CHOICES = "'hfhat', 'hfihat', 'verify', 'triangle', 'mcg', 'dump-standard'"
+ONE = '{"hf_dim": 1}\n'
+TWO = '{"hf_dim": 2}\n'
+GRAMMAR = [
+    (["hfhat", "cfd0.json", "--builtin", "cfd_inf"], 0, ONE, ""),
+    (["hfhat", "--builtin", "cfd_inf", "cfd0.json"], 0, ONE, ""),
+    (["hfhat", "cfd0.json", "--out", "r.json", "cfd0.json"], 0, TWO, ""),
+    (["--builtin", "cfd0", "hfhat", "cfd0.json"], 0, TWO, ""),
+    (["hfhat", "--builtin=cfd0", "--out=r.json", "cfd0.json"], 0, TWO, ""),
+    (["hfhat", "--buil", "cfd0", "--b=cfd_inf", "--o", "r.json"], 0, ONE, ""),
+    (["hfhat", "--builtin", "cfd0", "--", "-x.json"], 0, TWO, ""),
+    (["-h"], 0, HELP, ""),
+    (["--help"], 0, HELP, ""),
+    (["--he"], 0, HELP, ""),
+    (["hfhat", "-h"], 0, HELP, ""),
+    (["verify", "--builtin", "cfd0", "--help"], 0, HELP, ""),
+    ([], 2, "", USAGE + "bhfi: error: the following arguments are "
+     "required: command\n"),
+    (["bogus"], 2, "", USAGE + "bhfi: error: argument command: invalid "
+     f"choice: 'bogus' (choose from {CHOICES})\n"),
+    (["bogus", "--help"], 2, "", USAGE + "bhfi: error: argument command: "
+     f"invalid choice: 'bogus' (choose from {CHOICES})\n"),
+    (["hfhat", "--builtin", "cfd0", "-x.json"], 2, "",
+     USAGE + "bhfi: error: unrecognized arguments: -x.json\n"),
+    (["hfhat", "--bogus=1"], 2, "",
+     USAGE + "bhfi: error: unrecognized arguments: --bogus=1\n"),
+    (["hfhat", "--", "--builtin", "cfd0"], 2, "", json.dumps({
+        "error": "parse", "detail": "cannot read --builtin: [Errno 2] No "
+        "such file or directory: '--builtin'"}) + "\n"),
+    (["hfhat", "cfd0.json", "--out"], 2, "",
+     USAGE + "bhfi: error: argument --out: expected one argument\n"),
+    (["hfhat", "--builtin", "--out", "r.json"], 2, "",
+     USAGE + "bhfi: error: argument --builtin: expected one argument\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GRAMMAR,
+                         ids=[" ".join(a) or "(none)" for a, *_ in GRAMMAR])
+def test_command_line_grammar(argv, code, out, err, capsys, tmp_path,
+                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("cfd0.json", "-x.json"):
+        dump_structure(builtin_structure("cfd0"), name)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+    if code == 0 and "r.json" in " ".join(argv):
+        assert (tmp_path / "r.json").read_text() == out

@@ -40,6 +40,22 @@ class TestF2Matrix:
             m = F2Matrix(r, c, tuple(rng.getrandbits(r) for _ in range(c)))
             assert m.rank() == m.transpose().rank()
 
+    @pytest.mark.parametrize("nrows, ncols, ones", [
+        (5000, 40, 6),          # long sparse columns, bits past byte 0
+        (20, 30, 15),           # short dense columns
+        (9, 70, 1),             # half the columns empty, a row past a byte
+    ])
+    def test_transpose_is_the_bit_by_bit_transpose(self, nrows, ncols, ones):
+        rng = random.Random(nrows)
+        cols = tuple(sum(1 << r for r in rng.sample(range(nrows), k))
+                     for k in (rng.randrange(ones + 1) for _ in range(ncols)))
+        rows = [0] * nrows
+        for c, col in enumerate(cols):
+            for r in range(nrows):
+                rows[r] |= (col >> r & 1) << c
+        assert F2Matrix(nrows, ncols, cols).transpose() == \
+            F2Matrix(ncols, nrows, tuple(rows))
+
     def test_solve_and_nullspace(self):
         rng = random.Random(7)
         for _ in range(40):

@@ -10,11 +10,11 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   mcg_action, mor_complex_DD, standard_involutive_a,
                   standard_involutive_d)
 from bhfi.errors import RelationViolation
-from bhfi.files import builtin_structure, structure_from_json
+from bhfi.files import structure_from_json
 from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, IotaReport,
                              _iota_pipeline, conjugation_composite,
                              paired_insertion)
-from bhfi.standard import cfda_az, cfda_azbar
+from bhfi.standard import builtin_structure, cfda_az, cfda_azbar
 from bhfi.structures import (BorderedObject, Morphism,
                              box_morphism_left_comps, contraction_trace,
                              morphism_from_generator_map)

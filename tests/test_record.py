@@ -135,8 +135,9 @@ def test_circle_hash_is_the_same_across_hash_seeds():
 def test_cli_import_leaves_out_dataclasses():
     # Every bhfi process imports the package, so each module it loads is
     # paid on every CLI call; dataclasses brings inspect, ast, dis and
-    # tokenize along.  The traced benchmark looks up the modules whose
-    # functions it wraps in sys.modules.
+    # tokenize along, and argparse brings gettext.  The traced benchmark
+    # looks up the modules whose functions it wraps in sys.modules, the
+    # deferred bhfi.files among them.
     done = subprocess.run(
         [sys.executable, "-S", "-c",
          "import json, sys, bhfi.cli; print(json.dumps(sorted(sys.modules)))"],
@@ -144,6 +145,8 @@ def test_cli_import_leaves_out_dataclasses():
         capture_output=True, text=True, check=True)
     loaded = set(json.loads(done.stdout))
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "argparse" not in loaded and "gettext" not in loaded
+    assert "bhfi.files" in loaded
     wrapped = {module for module, _ in TRACER.LAYERS.values()}
     assert wrapped <= loaded
     assert wrapped >= {"bhfi.equivalence", "bhfi.involutive", "bhfi.triangle"}

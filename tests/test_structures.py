@@ -1210,8 +1210,8 @@ class TestPivotOrder:
 
 class TestJsonRoundTrip:
     def test_all_builtins_round_trip(self):
-        from bhfi.files import builtin_structure, structure_from_json, \
-            structure_to_json
+        from bhfi.files import structure_from_json, structure_to_json
+        from bhfi.standard import builtin_structure
         names = ["cfd_inf", "cfd_m1", "cfd0", "cfd0_k2", "cfa0_k1",
                  "ddid_k1", "az_k1", "azbar_k1",
                  "cfa0_k2", "ddid_k2", "az_k2", "azbar_k2"]
@@ -1227,7 +1227,7 @@ class TestJsonRoundTrip:
         # fixtures/az_k2.json holds 4,496 element payloads, 238 of them
         # distinct, one diagram each; each is decoded once per file
         import json
-        from bhfi import files
+        from bhfi import files, standard
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         with open(os.path.join(root, "fixtures", "az_k2.json")) as fh:
             data = json.load(fh)
@@ -1247,7 +1247,7 @@ class TestJsonRoundTrip:
         monkeypatch.setattr(files, "diagram_from_json", counted)
         S = files.structure_from_json(data)
         assert len(decoded) == sum(map(len, distinct.values())) == 238
-        assert S.ops == files.builtin_structure("az_k2").ops
+        assert S.ops == standard.builtin_structure("az_k2").ops
 
     def test_parse_error_on_garbage(self):
         from bhfi.errors import ParseError

@@ -162,31 +162,53 @@ def cfi_hat(P0, P1):
 
 
 # ---------------------------------------------------------------------------
-# the conjugation composite, shared by the involutive pairing, the mapping
-# class group action and the surgery triangle
+# the conjugation, shared by the involutive pairing, the mapping class group
+# action and the surgery triangle
 
 
-def conjugation_composite(M, P, omega_p, theta_p, theta_m):
-    """The map  M boxtimes P -> M boxtimes P  through an inserted
-    equivalence, as a morphism of chain-complex structures.
+def paired_insertion(L, R, P):
+    """The equivalence  P -> (L x R) x P  that ``conjugation`` inserts:
+    Id ~ L x R paired with P, starting at P itself, since Id x P is
+    canonically P.  By rigidity its class is unique, so it is searched for
+    after pairing with P, from P into the cancelled (L x R) x P, and
+    carried back along the tracked inclusion; the bimodule-level
+    equivalence Id -> L x R is never built (its tracked cancellation
+    explodes at genus two).  The target is paired as L x (R x P), which
+    has the same generators and operations as (L x R) x P without building
+    the bimodule L x R."""
+    red = reduce_structure(box_tensor(L, box_tensor(R, P)), track_from=True)
+    bridge = find_homotopy_equivalence(P, red.reduced)
+    return bridge.forward.then(red.from_reduced)
+
+
+def conjugation(M, P, L, R, theta_p, theta_m):
+    """The map  M x P -> M x P  through the inserted equivalence
+    Id ~ L x R, checked to be a chain map.  Returns the pairing M x P, its
+    chain complex and the map's matrix on it.
 
     The three steps: apply Id_M x omega_p, where omega_p: P -> (L x R) x P
-    is the inserted equivalence already paired with P; apply Id x theta_p
-    with theta_p: R x P -> P, whose source (M x L) x (R x P) ``then``
-    checks to be the target of step 1 strictly, generator order included;
-    apply theta_m x Id with theta_m: M x L -> M.  L and R are read off the
-    sources of theta_m and theta_p, so the strict check also certifies
-    that the two halves fit the target of omega_p.  With theta_p and
-    theta_m the twisted-to-plain equivalences this is the conjugation map.
+    is ``paired_insertion(L, R, P)``; apply Id x theta_p with
+    theta_p: R x P -> P, whose source (M x L) x (R x P) ``then`` checks to
+    be the target of step 1 strictly, generator order included; apply
+    theta_m x Id with theta_m: M x L -> M.  The strict check also
+    certifies that theta_m and theta_p start at M x L and R x P.  With
+    theta_p and theta_m the twisted-to-plain equivalences this is the
+    conjugation map; with the equivalences out of chi_inv x P and M x chi
+    it is the action of the mapping class chi.
     """
     base = box_tensor(M, P)
+    omega_p = paired_insertion(L, R, P)
     step1 = Morphism(base, box_tensor(M, omega_p.target),
                      box_morphism_right_comps(M, omega_p))
     step2 = box_morphism_right(theta_m.source, theta_p)
     # step 2's target is step 3's source, and the thetas land in M and P
     step3 = Morphism(step2.target, base,
                      box_morphism_left_comps(theta_m, theta_p.target))
-    return step1.then(step2).then(step3)
+    cx = to_chain_complex(base)
+    mat = step1.then(step2).then(step3).to_matrix(cx, cx)
+    if not _commutator(mat, cx, cx).is_zero():
+        raise RelationViolation("conjugation is not a chain map")
+    return base, cx, mat
 
 
 def conjugation_cone(src, tgt, incl, conj):
@@ -203,32 +225,15 @@ def conjugation_cone(src, tgt, incl, conj):
 # the involutive pairing route
 
 
-def paired_insertion(L, R, P):
-    """The equivalence  P -> (L x R) x P  that every conjugation, mapping
-    class action and triangle homotopy inserts: Id ~ L x R paired with P,
-    starting at P itself, since Id x P is canonically P.  By rigidity its
-    class is unique, so it is searched for after pairing with P, from P
-    into the cancelled (L x R) x P, and carried back along the tracked
-    inclusion; the bimodule-level equivalence Id -> L x R is never built
-    (its tracked cancellation explodes at genus two).  The target is
-    paired as L x (R x P), which has the same generators and operations as
-    (L x R) x P without building the bimodule L x R."""
-    red = reduce_structure(box_tensor(L, box_tensor(R, P)), track_from=True)
-    bridge = find_homotopy_equivalence(P, red.reduced)
-    return bridge.forward.then(red.from_reduced)
-
-
 def involutive_pair(A, D):
     """The pairing of involutive structures: the cone of (identity plus the
-    conjugation composite) on the box tensor complex, over F2[Q]/(Q^2)."""
+    conjugation) on the box tensor complex, over F2[Q]/(Q^2)."""
     M, P = A.module, D.structure
     circle = P.out_alg.circle
-    omega_p = paired_insertion(cfda_azbar(circle),
-                               cfda_az(circle, P.out_idem.values()), P)
-    conj = conjugation_composite(M, P, omega_p, D.psi, A.psi)
-    cx = to_chain_complex(conj.source)
-    return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim),
-                            conj.to_matrix(cx, cx))
+    _, cx, conj = conjugation(M, P, cfda_azbar(circle),
+                              cfda_az(circle, P.out_idem.values()),
+                              D.psi, A.psi)
+    return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +241,12 @@ def involutive_pair(A, D):
 
 
 def mcg_action(M, P, chi, chi_inv):
-    """The homology action of a mapping class supplied as a bimodule pair.
-
-    Inserts the equivalence from the identity into chi boxtimes chi_inv,
-    paired with P, then contracts both halves with their unique
-    equivalences; the result is the induced matrix on the homology of the
-    pairing complex.
-    """
+    """The homology action of a mapping class supplied as a bimodule pair:
+    the matrix, on the homology of the pairing complex, of the
+    ``conjugation`` through Id ~ chi x chi_inv, contracted by the
+    equivalences chi_inv x P -> P and M x chi -> M."""
     theta1 = find_homotopy_equivalence(box_tensor(chi_inv, P), P).forward
     theta0 = find_structure_equivalence(box_tensor(M, chi), M).forward
-    action = conjugation_composite(
-        M, P, paired_insertion(chi, chi_inv, P), theta1, theta0)
-    cx = to_chain_complex(action.source)
-    mat = action.to_matrix(cx, cx)
-    if not _commutator(mat, cx, cx).is_zero():
-        raise RelationViolation("mapping class composite is not a chain map")
+    _, cx, mat = conjugation(M, P, chi, chi_inv, theta1, theta0)
     hom = homology(cx)
     return _on_homology(cx, hom, map(mat.apply, hom.cycles))

@@ -283,7 +283,6 @@ class TypeDStructure(BorderedObject):
     coefficients on the left."""
 
     def __init__(self, circle, generators, delta):
-        self.circle = circle
         gens = [g for g, _ in generators]
         super().__init__(algebra(circle), TRIVIAL, gens,
                          {g: frozenset(i) for g, i in generators},
@@ -295,7 +294,6 @@ class AInfModule(BorderedObject):
     """A-infinity module: operations m_{1+j} against algebra inputs."""
 
     def __init__(self, circle, generators, operations):
-        self.circle = circle
         gens = [g for g, _ in generators]
         super().__init__(TRIVIAL, algebra(circle), gens,
                          dict.fromkeys(gens, TRIVIAL.UNIT),

@@ -6,17 +6,15 @@ sequences are exact.
 from __future__ import annotations
 
 from ._record import record
-from .equivalence import find_structure_equivalence
 from .errors import RelationViolation
 from .homology import (F2Matrix, _bits, _commutator, express_in_homology,
                        homology)
-from .involutive import (_on_homology, conjugation_composite,
-                         conjugation_cone, paired_insertion)
+from .involutive import (_on_homology, conjugation, conjugation_cone,
+                         standard_involutive_a)
 from .standard import (cfd_solid_torus, cfda_az, cfda_azbar, surgery_maps,
                        torus_chord)
 from .strands import algebra, split_pmc
-from .structures import (Morphism, box_morphism_right_comps, box_tensor,
-                         to_chain_complex)
+from .structures import Morphism, box_morphism_right_comps, box_tensor
 
 
 @record
@@ -231,31 +229,22 @@ def _check_sequence(cxs, f, g, names, failures):
 def verify_hfi_triangle(X):
     """Verify the surgery sequence for a bounded one-input-circle module.
 
-    Builds the three paired complexes, the involutions through the
-    interpolating pieces, the cone complexes with their block maps, and
-    checks both sequences with ``_check_sequence``.  The involutions are
-    the conjugation composite of ``bhfi.involutive`` on the targets of the
-    diagram's three equivalences; the two connecting homotopies come from
-    one linear solve.
+    Pairs X with the three framings through ``conjugation``, which
+    checks each involution; then builds the cone complexes with their
+    block maps and checks both sequences with ``_check_sequence``.  Each
+    involution conjugates through the diagram's equivalence on the framing
+    and the certified psi of ``standard_involutive_a(X)``; the two
+    connecting homotopies come from one linear solve.
     """
     z1 = split_pmc(1)
     data = build_triangle_data()
     az, azb = cfda_az(z1), cfda_azbar(z1)
-    psi_x = find_structure_equivalence(box_tensor(X, azb), X).forward
-
-    conjs = [conjugation_composite(X, psi_p.target,
-                                   paired_insertion(azb, az, psi_p.target),
-                                   psi_p, psi_x)
-             for psi_p in (data.psi_inf, data.psi_m1, data.psi_0)]
-    cxs = [to_chain_complex(conj.source) for conj in conjs]
-    iotas = [conj.to_matrix(cx, cx) for conj, cx in zip(conjs, cxs)]
+    psi_x = standard_involutive_a(X).psi
+    pairs, cxs, iotas = zip(*(
+        conjugation(X, psi_p.target, azb, az, psi_p, psi_x)
+        for psi_p in (data.psi_inf, data.psi_m1, data.psi_0)))
     nodes = ("inf", "minus_one", "zero")
     failures = []
-    for node, cx, conj in zip(nodes, cxs, iotas):
-        if not _commutator(conj, cx, cx).is_zero():
-            failures.append(f"{node}: involution is not a chain map")
-
-    pairs = [conj.source for conj in conjs]
     i_mat = Morphism(pairs[0], pairs[1], box_morphism_right_comps(
         X, data.phi)).to_matrix(cxs[0], cxs[1])
     p_mat = Morphism(pairs[1], pairs[2], box_morphism_right_comps(

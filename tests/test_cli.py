@@ -175,6 +175,25 @@ class TestMcgCommand:
         assert code == 0
         assert json.loads(out)["action"] == [[1, 0], [0, 1]]
 
+    def test_conjugation_refusal_exits_3(self, capsys, monkeypatch):
+        # one component less on the conjugation's last step; the pairing
+        # with cfd_m1 has a nonzero differential, so the map is no longer
+        # a chain map
+        from bhfi import involutive
+        real = involutive.box_morphism_left_comps
+
+        def cut(f, P):
+            comps = real(f, P)
+            return comps - {max(comps)}
+
+        monkeypatch.setattr(involutive, "box_morphism_left_comps", cut)
+        code, out, err = run(capsys, "mcg", "--builtin", "cfa0_k1",
+                             "--builtin", "cfd_m1", "--builtin", "az_k1",
+                             "--builtin", "azbar_k1")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "relations",
+                                   "detail": "conjugation is not a chain map"}
+
 
 class TestDumpStandard:
     def test_round_trip_all(self, capsys, tmp_path):

@@ -12,8 +12,7 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
 from bhfi.errors import RelationViolation
 from bhfi.files import structure_from_json
 from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, IotaReport,
-                             _iota_pipeline, conjugation_composite,
-                             paired_insertion)
+                             _iota_pipeline, conjugation, paired_insertion)
 from bhfi.standard import builtin_structure, cfda_az, cfda_azbar
 from bhfi.structures import (BorderedObject, Morphism,
                              box_morphism_left_comps, contraction_trace,
@@ -241,7 +240,7 @@ class TestPairedInsertion:
 
     def test_every_pipeline_inserts_through_it(self, monkeypatch, cfa1,
                                                cfd0, az1, azbar1):
-        import bhfi.involutive
+        # every pipeline reaches the insertion through ``conjugation``
         import bhfi.triangle
         framings = []
 
@@ -249,8 +248,7 @@ class TestPairedInsertion:
             framings.append(P)
             return paired_insertion(L, R, P)
 
-        for module in (bhfi.involutive, bhfi.triangle):
-            monkeypatch.setattr(module, "paired_insertion", counted)
+        monkeypatch.setattr(involutive, "paired_insertion", counted)
         mcg_action(cfa1, cfd0, az1, azbar1)
         involutive_pair(standard_involutive_a(cfa1),
                         standard_involutive_d(cfd0))
@@ -292,6 +290,15 @@ class TestInvolutiveWrappers:
         with pytest.raises(ValueError, match="^psi must land in the "
                                              "underlying module$"):
             InvolutiveAInf(other, standard_involutive_a(cfa1).psi)
+
+    def test_non_cycle_rejected(self, cfd0):
+        # psi without one of its components still lands in cfd0
+        psi = standard_involutive_d(cfd0).psi
+        for comp in psi.comps:
+            with pytest.raises(RelationViolation,
+                               match="^psi is not a morphism cycle$"):
+                InvolutiveTypeD(cfd0, Morphism(psi.source, psi.target,
+                                               psi.comps - {comp}))
 
     def test_non_equivalence_rejected(self, cfa1, cfd0, az1):
         from bhfi import RelationViolation
@@ -425,18 +432,22 @@ class TestCutPiecePairsAsTheWhole:
 
 
 class TestConjugationComposite:
-    """The composite is three morphisms: the insertion starts at P, so no
-    relabeling leads into it, and the regrouped pairing is step 1's target
-    itself, checked strictly, so no identity re-points it."""
+    """The conjugation composes three morphisms: the insertion starts at
+    P, so no relabeling leads into it, and the regrouped pairing is step
+    1's target itself, checked strictly, so no identity re-points it."""
 
     @staticmethod
-    def halves(cfa1, cfd0, z1):
+    def halves(monkeypatch, cfa1, cfd0, z1):
+        """The two psi maps; the insertion is found here, once, so that
+        the compositions counted are the conjugation's own."""
         omega = paired_insertion(cfda_azbar(z1), cfda_az(z1), cfd0)
-        return (omega, standard_involutive_d(cfd0).psi,
+        monkeypatch.setattr(involutive, "paired_insertion",
+                            lambda L, R, P: omega)
+        return (standard_involutive_d(cfd0).psi,
                 standard_involutive_a(cfa1).psi)
 
     def test_three_compositions(self, monkeypatch, cfa1, cfd0, z1):
-        omega, psi_d, psi_a = self.halves(cfa1, cfd0, z1)
+        psi_d, psi_a = self.halves(monkeypatch, cfa1, cfd0, z1)
         real, composed = Morphism.then, []
 
         def counted(f, g):
@@ -444,19 +455,24 @@ class TestConjugationComposite:
             return real(f, g)
 
         monkeypatch.setattr(Morphism, "then", counted)
-        conj = conjugation_composite(cfa1, cfd0, omega, psi_d, psi_a)
+        pair, cx, conj = conjugation(cfa1, cfd0, cfda_azbar(z1),
+                                     cfda_az(z1), psi_d, psi_a)
         assert len(composed) == 2
-        assert conj.source == conj.target == box_tensor(cfa1, cfd0)
+        assert pair == box_tensor(cfa1, cfd0)
+        assert cx.generators == pair.generators
+        assert conj.nrows == conj.ncols == cx.dim
 
-    def test_reordered_regrouping_refused(self, cfa1, cfd0, z1):
-        omega, psi_d, psi_a = self.halves(cfa1, cfd0, z1)
+    def test_reordered_regrouping_refused(self, monkeypatch, cfa1, cfd0,
+                                          z1):
+        psi_d, psi_a = self.halves(monkeypatch, cfa1, cfd0, z1)
         S = psi_d.source            # az x P, its generators reversed
         flipped = BorderedObject(S.out_alg, S.in_alg, S.generators[::-1],
                                  S.out_idem, S.in_idem, S.ops)
         theta_p = Morphism(flipped, psi_d.target, psi_d.comps)
         with pytest.raises(RelationViolation,
                            match="^then: the middle structures differ$"):
-            conjugation_composite(cfa1, cfd0, omega, theta_p, psi_a)
+            conjugation(cfa1, cfd0, cfda_azbar(z1), cfda_az(z1), theta_p,
+                        psi_a)
 
 
 def count_builds(monkeypatch, run):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import bhfi.involutive as involutive
 import bhfi.triangle as triangle
 from bhfi import (ChainComplex, ChainMap, F2Matrix, build_triangle_data,
                   check_structure, mapping_cone, verify_hfi_triangle)
@@ -64,6 +65,15 @@ class TestTriangleData:
         for mor in (data.psi_inf, data.psi_m1, data.psi_0):
             assert contraction_trace(mor.cone()) is not None
 
+    def test_non_cycle_surgery_map_refused(self, monkeypatch):
+        phi, psi = triangle.surgery_maps()
+        cut = Morphism(phi.source, phi.target, phi.comps - {min(phi.comps)})
+        monkeypatch.setattr(triangle, "surgery_maps", lambda: (cut, psi))
+        with pytest.raises(RelationViolation,
+                           match=r"^phi is not a cycle; leftover paths: "
+                                 r"\[\('r', \(\), r2\.4, 'b'\)\]$"):
+            build_triangle_data()
+
 
 class TestHfiTriangle:
     def test_standard_module(self, cfa1):
@@ -114,27 +124,41 @@ class TestHfiTriangle:
 
     def test_named_failure_raised_before_the_homotopies(self, cfa1,
                                                         monkeypatch):
-        # one unit component more on the minus_one involution, the only
-        # node with a nonzero differential; the homotopy solve that would
-        # then fail is never reached
-        real, built = triangle.conjugation_composite, []
+        # one component less on the last step of the minus_one
+        # involution, the only node with a nonzero differential; the
+        # conjugation refuses it, and the homotopy solve that would then
+        # fail is never reached
+        real, built = involutive.box_morphism_left_comps, []
+
+        def perturbed(theta_m, target):
+            comps = real(theta_m, target)
+            built.append(comps)
+            return comps - {min(comps)} if len(built) == 2 else comps
+
+        def solve(*args):
+            raise AssertionError("the homotopies were solved for")
+
+        monkeypatch.setattr(involutive, "box_morphism_left_comps", perturbed)
+        monkeypatch.setattr(triangle, "_solve_homotopy_pair", solve)
+        with pytest.raises(RelationViolation,
+                           match="^conjugation is not a chain map$"):
+            verify_hfi_triangle(cfa1)
+        assert len(built) == 2          # the third is never built
+
+    def test_involutive_sequence_refused(self, cfa1, monkeypatch):
+        # one entry more in G: the hat sequence passes, and the cone block
+        # maps no longer compose to zero
+        real = triangle._solve_homotopy_pair
 
         def perturbed(*args):
-            conj = real(*args)
-            built.append(conj)
-            if len(built) == 2:
-                g = conj.source.generators[0]
-                unit = next(iter(conj.comps))[2]
-                conj = Morphism(conj.source, conj.target,
-                                conj.comps ^ {(g, (), unit, g)})
-            return conj
+            G, H = real(*args)
+            return G + F2Matrix.from_entries(G.nrows, G.ncols, [(0, 0)]), H
 
-        monkeypatch.setattr(triangle, "conjugation_composite", perturbed)
+        monkeypatch.setattr(triangle, "_solve_homotopy_pair", perturbed)
         with pytest.raises(RelationViolation,
-                           match="^minus_one: involution is not a chain "
-                                 "map$"):
+                           match="^HFI inf -> HFI zero: composite is "
+                                 "nonzero$"):
             verify_hfi_triangle(cfa1)
-        assert len(built) == 3          # the three involutions
 
     def test_pinned_builds(self, cfa1, monkeypatch):
         # the three conjugation composites insert from P, so none builds

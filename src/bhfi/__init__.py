@@ -11,15 +11,13 @@ access, so a command that never runs them never pays for them.
 from .errors import (BhfiError, DivergenceError, NotEquivalentError,
                      ParseError, RelationViolation)
 from .strands import (AlgebraElement, PointedMatchedCircle, StrandDiagram,
-                      algebra, algebra_basis, include_split, split_pmc)
-from .homology import (ChainComplex, ChainMap, F2Matrix, homology,
-                       mapping_cone)
+                      algebra, include_split, split_pmc)
+from .homology import ChainComplex, F2Matrix, homology
 from .structures import (AInfModule, BorderedObject, DABimodule, DDBimodule,
                          Morphism, TypeDStructure, box_tensor, box_tensor_AD,
-                         box_tensor_DA_D, box_tensor_DD_side, check_structure,
-                         identity_da, identity_morphism, mor_complex_DD,
-                         reduce_structure, to_chain_complex,
-                         validate_bounded)
+                         box_tensor_DD_side, check_structure, identity_da,
+                         identity_morphism, mor_complex_DD, reduce_structure,
+                         to_chain_complex, validate_bounded)
 
 
 def _lazy(name):

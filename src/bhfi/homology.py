@@ -199,20 +199,6 @@ def _bits(mask):
     return out
 
 
-@record
-class ChainMap:
-    source: ChainComplex
-    target: ChainComplex
-    matrix: F2Matrix
-
-    def __post_init__(self):
-        if self.matrix.ncols != self.source.dim or \
-           self.matrix.nrows != self.target.dim:
-            raise ValueError("matrix shape does not match the complexes")
-        if not _commutator(self.matrix, self.source, self.target).is_zero():
-            raise ValueError("not a chain map")
-
-
 def _commutator(f, source, target):
     """f d + d f for a map f from the complex ``source`` to ``target``;
     zero exactly when f is a chain map."""
@@ -346,15 +332,3 @@ def express_in_homology(C, hom, vecs):
     k = len(hom.cycles)
     return [None if x is None else x & ((1 << k) - 1) for x in F2Matrix(
         C.dim, k + C.dim, tuple(hom.cycles) + C.d.cols).solve_all(vecs)]
-
-
-def mapping_cone(f, q=None):
-    """Cone of a chain map: the source copy first, f in the off-diagonal
-    block, carrying the Q action ``q`` on the cone, if given."""
-    ns, nt = f.source.dim, f.target.dim
-    gens = tuple(f"S:{g}" for g in f.source.generators) + \
-        tuple(f"T:{g}" for g in f.target.generators)
-    cols = [d | m << ns for d, m in zip(f.source.d.cols, f.matrix.cols)]
-    cols += [d << ns for d in f.target.d.cols]
-    return ChainComplex(gens, F2Matrix(ns + nt, ns + nt, tuple(cols)), q)
-

@@ -9,8 +9,8 @@ from ._record import record
 from .equivalence import (find_homotopy_equivalence,
                           find_structure_equivalence)
 from .errors import RelationViolation
-from .homology import (ChainComplex, ChainMap, F2Matrix, _commutator,
-                       express_in_homology, homology, mapping_cone)
+from .homology import (ChainComplex, F2Matrix, _commutator,
+                       express_in_homology, homology)
 from .standard import cfda_az, cfda_azbar
 from .structures import (Morphism, box_tensor, box_morphism_left_comps,
                          box_morphism_right, box_morphism_right_comps,
@@ -131,7 +131,8 @@ def _on_homology(cx, hom, cycles):
 def _involutive_cone(cx, hom, images):
     """The involutive complex: the conjugation cone from the homology of
     ``cx``, a complex with zero differential, into ``cx``, with the cycle
-    representatives as the inclusion and ``images`` as the involution."""
+    representatives as the inclusion and ``images`` as the involution.
+    The cone's d² = 0 is the one check that the images are cycles."""
     n, m = hom.dimension, cx.dim
     classes = ChainComplex(tuple(f"H:{i}" for i in range(n)),
                            F2Matrix.zero(n, n))
@@ -141,10 +142,10 @@ def _involutive_cone(cx, hom, images):
 
 def iota_on_mor(P0, P1):
     """The involution report for the pairing encoded by two type D
-    structures over one circle.  The cone is built first: its chain-map
-    check on incl + conj certifies that the conjugated images are cycles,
-    its action check that Q carries cycles to cycles, and the report
-    checks its own count."""
+    structures over one circle.  The cone is built first: its d² = 0
+    certifies incl + conj as a chain map, so the conjugated images are
+    cycles, its action check that Q carries cycles to cycles, and the
+    report checks its own count."""
     cx, hom, images = _iota_pipeline(P0, P1)
     cone = _involutive_cone(cx, hom, images)
     n = hom.dimension
@@ -212,13 +213,24 @@ def conjugation(M, P, L, R, theta_p, theta_m):
 
 
 def conjugation_cone(src, tgt, incl, conj):
-    """The cone of (incl + conj): src -> tgt over F2[Q]/(Q^2), where Q
+    """The cone of (incl + conj): src -> tgt over F2[Q]/(Q^2), the source
+    copy first (labels ``S:``), then the target copy (``T:``), where Q
     carries the source copy onto the target copy by ``incl``.  With
     ``incl`` the identity of one complex this is the involutive complex of
-    the conjugation ``conj``."""
-    q = tuple(c << src.dim for c in incl.cols) + (0,) * tgt.dim
-    return mapping_cone(ChainMap(src, tgt, incl + conj),
-                        F2Matrix(len(q), len(q), q))
+    the conjugation ``conj``.  The lower-left block of the cone's d² is
+    (incl + conj) d + d (incl + conj), so the cone's own d² = 0 check
+    certifies incl + conj as a chain map, and its Q check certifies incl.
+    Only incl's shape is checked here: F2Matrix masks out-of-range bits."""
+    ns, nt = src.dim, tgt.dim
+    if (incl.nrows, incl.ncols) != (nt, ns):
+        raise ValueError("matrix shape does not match the complexes")
+    n = ns + nt
+    cols = [d | m << ns for d, m in zip(src.d.cols, (incl + conj).cols)]
+    cols += [d << ns for d in tgt.d.cols]
+    q = tuple(c << ns for c in incl.cols) + (0,) * nt
+    return ChainComplex(tuple(f"S:{g}" for g in src.generators) +
+                        tuple(f"T:{g}" for g in tgt.generators),
+                        F2Matrix(n, n, tuple(cols)), F2Matrix(n, n, q))
 
 
 # ---------------------------------------------------------------------------

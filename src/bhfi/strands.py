@@ -658,11 +658,6 @@ def algebra(circle):
 # public operations
 
 
-def algebra_basis(circle):
-    """All weight-0 basic strand diagrams, canonically ordered."""
-    return list(algebra(circle).basis)
-
-
 def chord_term_count(circle):
     """The number of diagrams with one moving strand, which are the terms
     of all the chords: a strand between two pairs leaves k - 1 of the other

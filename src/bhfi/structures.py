@@ -609,12 +609,6 @@ def box_tensor_AD(M, P):
     return to_chain_complex(box_tensor(M, P))
 
 
-def box_tensor_DA_D(B, P):
-    """Pair a DA bimodule with a type D structure; a type D structure."""
-    validate_bounded(P)
-    return box_tensor(B, P)
-
-
 def box_tensor_DD_side(B, X):
     """Pair a DA bimodule (or A-infinity module) with the left factor of a
     DD-type structure, carrying the right factor along.

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
-                  box_tensor, box_tensor_DA_D, find_homotopy_equivalence,
+                  box_tensor, find_homotopy_equivalence,
                   find_structure_equivalence, homology, identity_da,
                   identity_morphism, mor_complex_DD, omega_equivalence)
 from bhfi import structures
@@ -46,14 +46,14 @@ class TestHomologyBasis:
             assert express_in_homology(mc.complex, hom, [idv]) != [None]
 
     def test_twisted_basis_has_two_classes(self, cfd0, az1):
-        twisted = box_tensor_DA_D(az1, cfd0)
+        twisted = box_tensor(az1, cfd0)
         for P, Q in ((cfd0, twisted), (twisted, cfd0)):
             mc = mor_complex_DD(P, Q)
             assert len([mc.morphism_of(v)
                         for v in mc.homology().cycles]) == 2
 
     def test_genus_2_twisted_basis_has_four_classes(self, cfd0_k2, z2):
-        twisted = box_tensor_DA_D(cfda_az(z2), cfd0_k2)
+        twisted = box_tensor(cfda_az(z2), cfd0_k2)
         mc = mor_complex_DD(cfd0_k2, twisted)
         assert len([mc.morphism_of(v) for v in mc.homology().cycles]) == 4
 
@@ -70,7 +70,7 @@ class TestFindHomotopyEquivalence:
     def test_twisted_equivalence_matches_displayed_map(self, cfd_inf, az1):
         # the found class agrees with the displayed equivalence up to
         # homotopy: their difference has an acyclic-cone-free class test
-        twisted = box_tensor_DA_D(az1, cfd_inf)
+        twisted = box_tensor(az1, cfd_inf)
         cert = find_homotopy_equivalence(twisted, cfd_inf)
         alg = algebra(cfd_inf.out_alg.circle)
         displayed = Morphism(twisted, cfd_inf, {
@@ -88,7 +88,7 @@ class TestFindHomotopyEquivalence:
             find_homotopy_equivalence(cfd0, cfd_inf)
 
     def test_genus_2_twist(self, cfd0_k2, z2):
-        twisted = box_tensor_DA_D(cfda_az(z2), cfd0_k2)
+        twisted = box_tensor(cfda_az(z2), cfd0_k2)
         cert = find_homotopy_equivalence(cfd0_k2, twisted)
         assert cert.forward.is_cycle()
         assert contraction_trace(cert.forward.cone()) is not None
@@ -96,7 +96,7 @@ class TestFindHomotopyEquivalence:
     def test_certificates_from_permuted_orders_agree(self, cfd0, az1):
         # uniqueness shadow: certificates found under different generator
         # orders differ by a boundary
-        twisted = box_tensor_DA_D(az1, cfd0)
+        twisted = box_tensor(az1, cfd0)
         cert1 = find_homotopy_equivalence(twisted, cfd0)
         permuted = BorderedObject(
             twisted.out_alg, twisted.in_alg,
@@ -621,7 +621,7 @@ class TestCertificateChecksItsCone:
 class TestCertificateSerialization:
     def test_round_trippable_record(self, cfd0, az1):
         import json
-        twisted = box_tensor_DA_D(az1, cfd0)
+        twisted = box_tensor(az1, cfd0)
         cert = find_homotopy_equivalence(twisted, cfd0)
         blob = json.dumps(cert.to_json(), sort_keys=True)
         data = json.loads(blob)

@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from bhfi import (ChainComplex, ChainMap, F2Matrix, box_tensor, homology,
-                  involutive_pair, iota_on_mor, mapping_cone, mor_complex_DD,
+from bhfi import (ChainComplex, F2Matrix, box_tensor, homology,
+                  involutive_pair, iota_on_mor, mor_complex_DD,
                   standard_involutive_a, standard_involutive_d,
                   verify_hfi_triangle)
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
@@ -159,25 +159,55 @@ class TestQAction:
             ChainComplex(("x", "y"), d, q=q)
 
 
+def hand_built_cone(X, Y, incl, conj):
+    """(d, Q) of the cone of incl + conj: X -> Y as row lists, written out
+    independently of ``conjugation_cone``: d = [[d_X, 0], [incl + conj,
+    d_Y]] and Q = [[0, 0], [incl, 0]], the X copy first."""
+    zero = [0] * Y.dim
+    f = [[a ^ b for a, b in zip(r, s)]
+         for r, s in zip(incl.to_lists(), conj.to_lists())]
+    d = [row + zero for row in X.d.to_lists()]
+    d += [a + b for a, b in zip(f, Y.d.to_lists())]
+    q = [[0] * (X.dim + Y.dim) for _ in range(X.dim)]
+    q += [row + zero for row in incl.to_lists()]
+    return d, q
+
+
+def checked_cone(X, Y, incl, conj):
+    """``conjugation_cone(X, Y, incl, conj)``, checked against the
+    hand-built blocks and labels."""
+    cone = conjugation_cone(X, Y, incl, conj)
+    assert (cone.d.to_lists(), cone.q.to_lists()) == \
+        hand_built_cone(X, Y, incl, conj)
+    assert cone.generators == tuple(f"S:{g}" for g in X.generators) + \
+        tuple(f"T:{g}" for g in Y.generators)
+    return cone
+
+
+def plain_cone(X, Y, f):
+    """The cone of a chain map f: X -> Y, a conjugation cone with a zero
+    conjugation."""
+    return checked_cone(X, Y, f, F2Matrix.zero(Y.dim, X.dim))
+
+
 class TestMappingCone:
     def test_cone_of_identity_is_acyclic(self):
         rng = random.Random(17)
         for _ in range(10):
             C = random_two_term_complex(rng)
-            f = ChainMap(C, C, F2Matrix.identity(C.dim))
-            assert homology(mapping_cone(f)).dimension == 0
+            cone = plain_cone(C, C, F2Matrix.identity(C.dim))
+            assert homology(cone).dimension == 0
 
     def test_cone_of_zero_is_direct_sum(self):
         C = ChainComplex(("a", "b", "c"), F2Matrix.zero(3, 3))
-        f = ChainMap(C, C, F2Matrix.zero(3, 3))
-        assert homology(mapping_cone(f)).dimension == 6
+        assert homology(plain_cone(C, C, F2Matrix.zero(3, 3))).dimension == 6
 
     def test_cone_of_one_plus_identity_involution(self):
         # direct 4x4 check: involution = identity on a two-dimensional
         # homology, the relevant map is zero, cone splits
         C = ChainComplex(("p", "q"), F2Matrix.zero(2, 2))
-        f = ChainMap(C, C, F2Matrix.identity(2) + F2Matrix.identity(2))
-        cone = mapping_cone(f)
+        eye = F2Matrix.identity(2)
+        cone = checked_cone(C, C, eye, eye)
         assert cone.dim == 4
         assert homology(cone).dimension == 4
 
@@ -195,11 +225,10 @@ class TestMappingCone:
                     break
             else:
                 continue
-            f = ChainMap(C, C, mat)
             hd = homology(C)
             img = express_in_homology(C, hd, map(mat.apply, hd.cycles))
             hf = F2Matrix(hd.dimension, hd.dimension, tuple(img))
-            cone_dim = homology(mapping_cone(f)).dimension
+            cone_dim = homology(plain_cone(C, C, mat)).dimension
             assert cone_dim == 2 * hd.dimension - 2 * hf.rank()
 
 
@@ -222,16 +251,16 @@ def random_chain_map(rng, C):
     for v in F2Matrix(n * n, n * n, tuple(cols)).nullspace_basis():
         if rng.getrandbits(1):
             vec ^= v
-    return ChainMap(C, C, F2Matrix.from_entries(
+    return F2Matrix.from_entries(
         n, n, [(r, c) for r in range(n) for c in range(n)
-               if (vec >> (r * n + c)) & 1]))
+               if (vec >> (r * n + c)) & 1])
 
 
 def random_cone(rng, max_dim=9):
     """The cone of a random chain self-map of a random complex; its
     differential usually has several support blocks."""
-    return mapping_cone(random_chain_map(rng, random_two_term_complex(
-        rng, max_dim=max_dim)))
+    C = random_two_term_complex(rng, max_dim=max_dim)
+    return plain_cone(C, C, random_chain_map(rng, C))
 
 
 def dense_homology(C):
@@ -432,20 +461,47 @@ class TestKeptBlocks:
         eye, conj = F2Matrix.identity(2), F2Matrix.from_entries(2, 2,
                                                                 [(1, 0)])
         block_builds.clear()
-        cone = conjugation_cone(C, C, eye, conj)
+        cone = checked_cone(C, C, eye, conj)
         assert len(block_builds) == 1
-        assert cone.d == mapping_cone(ChainMap(C, C, eye + conj)).d
         assert cone.q == F2Matrix.from_entries(4, 4, [(2, 0), (3, 1)])
 
     def test_cone_carries_the_actions_it_is_given(self):
+        # Q is incl on the lower-left block, whatever the conjugation
         C = ChainComplex(("a", "b"), F2Matrix.from_entries(2, 2, [(1, 0)]))
+        eye, zero = F2Matrix.identity(2), F2Matrix.zero(2, 2)
         swap = F2Matrix.from_entries(4, 4, [(2, 0), (3, 1)])
-        cone = mapping_cone(ChainMap(C, C, F2Matrix.identity(2)), swap)
-        assert cone.q == swap
-        assert mapping_cone(ChainMap(C, C, F2Matrix.identity(2))).q is None
-        with pytest.raises(ValueError, match="does not commute with d"):
-            mapping_cone(ChainMap(C, C, F2Matrix.identity(2)),
-                         F2Matrix.from_entries(4, 4, [(1, 0)]))
+        assert checked_cone(C, C, eye, zero).q == swap
+        assert checked_cone(C, C, eye, eye).q == swap
+        assert checked_cone(C, C, zero, eye).q == F2Matrix.zero(4, 4)
+
+
+class TestConjugationConeRefusals:
+    """The builder checks only the shape; the cone's own d² = 0 refuses an
+    incl + conj that is not a chain map, and its Q check an incl that is
+    not one.  C = <a -> b>; b -> a is not a chain map."""
+
+    C = ChainComplex(("a", "b"), F2Matrix.from_entries(2, 2, [(1, 0)]))
+    back = F2Matrix.from_entries(2, 2, [(0, 1)])
+
+    def test_sum_not_a_chain_map_fails_the_square(self):
+        with pytest.raises(ValueError,
+                           match="^differential does not square to zero$"):
+            conjugation_cone(self.C, self.C, F2Matrix.identity(2), self.back)
+
+    def test_incl_not_a_chain_map_fails_the_action_check(self):
+        # incl + conj = 0 is a chain map, so only Q can refuse it
+        with pytest.raises(ValueError,
+                           match="^Q action does not commute with d$"):
+            conjugation_cone(self.C, self.C, self.back, self.back)
+
+    def test_wrong_shape_refused(self):
+        # F2Matrix masks out-of-range bits, so an incl a row short would
+        # build a cone without any error
+        D = ChainComplex(("x", "y", "z"), F2Matrix.zero(3, 3))
+        for incl in (F2Matrix.zero(2, 2), F2Matrix.zero(3, 3)):
+            with pytest.raises(ValueError, match="^matrix shape does not "
+                               "match the complexes$"):
+                conjugation_cone(self.C, D, incl, incl)
 
 
 class TestPipelineBlockBuilds:

@@ -96,7 +96,8 @@ class TestCfiHat:
 
 class TestNonCycleConjugation:
     """A conjugated image that is not a cycle fails the one check both
-    routes share: the involutive cone's chain-map check on incl + conj."""
+    routes share: the involutive cone's own d² = 0, whose lower-left block
+    is the chain-map identity of incl + conj."""
 
     def test_both_routes_fail_at_the_cone(self, cfd_m1, monkeypatch):
         cx, hom, images = _iota_pipeline(cfd_m1, cfd_m1)
@@ -105,7 +106,8 @@ class TestNonCycleConjugation:
         monkeypatch.setattr(involutive, "_iota_pipeline",
                             lambda P0, P1: broken)
         for route in (iota_on_mor, cfi_hat):
-            with pytest.raises(ValueError, match="^not a chain map$") as err:
+            with pytest.raises(ValueError, match="^differential does not "
+                               "square to zero$") as err:
                 route(cfd_m1, cfd_m1)
             assert "_involutive_cone" in [e.name for e in err.traceback]
 
@@ -583,6 +585,44 @@ class TestCfiHatOracle:
         n = hom.dimension
         assert all(g.startswith("S:H:") for g in cone.generators[:n])
         assert all(g.startswith("T:") for g in cone.generators[n:])
+
+
+def hand_built_pair(cx, conj):
+    """The pairing route's involutive complex written out block by block,
+    independently of ``conjugation_cone``: (d, Q) = ([[d, 0], [1 + c, d]],
+    [[0, 0], [1, 0]]) on two copies of ``cx``, with c = ``conj``."""
+    n = cx.dim
+    cols = [cx.d.cols[j] | ((1 << j) ^ conj.cols[j]) << n for j in range(n)]
+    cols += [cx.d.cols[j] << n for j in range(n)]
+    q_cols = [1 << (n + j) for j in range(n)] + [0] * n
+    return (F2Matrix(2 * n, 2 * n, tuple(cols)),
+            F2Matrix(2 * n, 2 * n, tuple(q_cols)))
+
+
+class TestInvolutivePairOracle:
+    """The pairing route's cone against the hand-built blocks, with c the
+    matrix that ``conjugation`` returns; c is the identity on these
+    pairings but cfa0_k1 x cfd_m1, where 1 + c has rank 1."""
+
+    @pytest.mark.parametrize("a, d", [
+        ("cfa0_k1", "cfd_inf"), ("cfa0_k1", "cfd_m1"), ("cfa0_k1", "cfd0"),
+        ("cfa0_k2", "cfd0_k2")])
+    def test_matches_hand_built_cone(self, a, d, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(conjugation(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(involutive, "conjugation", recording)
+        cone = involutive_pair(standard_involutive_a(builtin_structure(a)),
+                               standard_involutive_d(builtin_structure(d)))
+        (_, cx, conj), = seen
+        want_d, want_q = hand_built_pair(cx, conj)
+        assert cone.d.cols == want_d.cols
+        assert cone.q.cols == want_q.cols
+        assert cone.generators == tuple(f"S:{g}" for g in cx.generators) + \
+            tuple(f"T:{g}" for g in cx.generators)
 
 
 class TestGenus2Certificates:

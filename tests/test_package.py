@@ -10,16 +10,16 @@ import bhfi
 
 # every public name the package bound when it imported all submodules
 PUBLIC = """
-AInfModule AlgebraElement BhfiError BorderedObject ChainComplex ChainMap
+AInfModule AlgebraElement BhfiError BorderedObject ChainComplex
 DABimodule DDBimodule DivergenceError EquivalenceCertificate F2Matrix
 InvolutiveAInf InvolutiveTypeD IotaReport Morphism NotEquivalentError
 ParseError PointedMatchedCircle RelationViolation StrandDiagram TriangleData
-TypeDStructure algebra algebra_basis box_tensor box_tensor_AD box_tensor_DA_D
+TypeDStructure algebra box_tensor box_tensor_AD
 box_tensor_DD_side build_triangle_data cfa_zero_handlebody cfd_solid_torus
 cfd_zero_handlebody cfda_az cfda_azbar cfi_hat check_structure dd_identity
 equivalence errors find_homotopy_equivalence find_structure_equivalence
 homology identity_da identity_morphism include_split involutive
-involutive_pair iota_on_mor mapping_cone mcg_action mor_complex_DD
+involutive_pair iota_on_mor mcg_action mor_complex_DD
 omega_equivalence reduce_structure split_pmc standard
 standard_involutive_a standard_involutive_d strands structures surgery_maps
 to_chain_complex triangle validate_bounded verify_hfi_triangle

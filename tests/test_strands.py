@@ -9,8 +9,7 @@ import sys
 
 import pytest
 
-from bhfi import (DivergenceError, algebra, algebra_basis, include_split,
-                  split_pmc)
+from bhfi import DivergenceError, algebra, include_split, split_pmc
 from bhfi.strands import (PointedMatchedCircle, StrandDiagram, StrandsAlgebra,
                           _inversions)
 from bhfi.structures import TRIVIAL, TrivialAlgebra, tensor_algebra
@@ -78,23 +77,23 @@ class TestCircle:
 
 class TestBasis:
     def test_genus_1_has_eight_elements(self, z1):
-        basis = algebra_basis(z1)
+        basis = algebra(z1).basis
         assert len(basis) == 8
 
     def test_genus_1_element_names(self, z1):
-        labels = {d.label for d in algebra_basis(z1)}
+        labels = {d.label for d in algebra(z1).basis}
         assert labels == {"h1", "h2", "r1.2", "r2.3", "r3.4",
                           "r1.3", "r2.4", "r1.4"}
 
     def test_genus_2_count_matches_brute_force(self, z2):
-        assert len(algebra_basis(z2)) == brute_force_basis_count(z2)
+        assert len(algebra(z2).basis) == brute_force_basis_count(z2)
 
     def test_genus_1_count_matches_brute_force(self, z1):
-        assert len(algebra_basis(z1)) == brute_force_basis_count(z1)
+        assert len(algebra(z1).basis) == brute_force_basis_count(z1)
 
     def test_canonical_order_is_stable(self, z2):
-        first = [d.label for d in algebra_basis(z2)]
-        second = [d.label for d in algebra_basis(split_pmc(2))]
+        first = [d.label for d in algebra(z2).basis]
+        second = [d.label for d in algebra(split_pmc(2)).basis]
         assert first == second
 
     def test_idempotent_absorption(self, z1):
@@ -120,7 +119,7 @@ class TestChordElements:
 
     def test_genus_2_completions_brute_force(self, z2):
         el = algebra(z2).chord(1, 2)
-        expected = {d for d in algebra_basis(z2)
+        expected = {d for d in algebra(z2).basis
                     if d.moving == ((1, 2),)}
         assert el.terms == expected
 

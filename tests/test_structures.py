@@ -11,8 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from bhfi import (DivergenceError, Morphism, ParseError, RelationViolation,
-                  TypeDStructure,
-                  algebra, box_tensor, box_tensor_AD, box_tensor_DA_D,
+                  TypeDStructure, algebra, box_tensor, box_tensor_AD,
                   box_tensor_DD_side, check_structure, dd_identity, homology,
                   identity_da, identity_morphism, mor_complex_DD,
                   reduce_structure, split_pmc, validate_bounded)
@@ -647,11 +646,11 @@ class TestBoxTensor:
 
     def test_da_d_passes_relations(self, az1, cfd0, cfd_inf, cfd_m1):
         for P in (cfd0, cfd_inf, cfd_m1):
-            out = box_tensor_DA_D(az1, P)
+            out = box_tensor(az1, P)
             assert check_structure(out) == []
 
     def test_az_twist_of_infinity_matches_table(self, az1, cfd_inf, z1):
-        out = box_tensor_DA_D(az1, cfd_inf)
+        out = box_tensor(az1, cfd_inf)
         assert sorted(out.generators) == \
             ["h2|r", "r1.2|r", "r1.4|r", "r2.4|r", "r3.4|r"]
         alg = algebra(z1)
@@ -669,7 +668,7 @@ class TestBoxTensor:
         assert out.ops == expected
 
     def test_az_twist_of_minus_one_generators(self, az1, cfd_m1):
-        out = box_tensor_DA_D(az1, cfd_m1)
+        out = box_tensor(az1, cfd_m1)
         assert sorted(out.generators) == \
             ["h1|a", "h2|b", "r1.2|b", "r1.3|a", "r1.4|b", "r2.3|a",
              "r2.4|b", "r3.4|b"]

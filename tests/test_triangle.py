@@ -5,9 +5,10 @@ import pytest
 
 import bhfi.involutive as involutive
 import bhfi.triangle as triangle
-from bhfi import (ChainComplex, ChainMap, F2Matrix, build_triangle_data,
-                  check_structure, mapping_cone, verify_hfi_triangle)
+from bhfi import (ChainComplex, F2Matrix, build_triangle_data,
+                  check_structure, verify_hfi_triangle)
 from bhfi.errors import RelationViolation
+from bhfi.involutive import conjugation_cone
 from bhfi.standard import cfa_zero_handlebody
 from bhfi.structures import (AInfModule, Morphism, box_morphism_right,
                              box_tensor, contraction_trace)
@@ -291,7 +292,9 @@ def rank_on_homology(phi, X, Y):
 class TestConnectingMapOnCones:
     """0 -> Y -> Cone(phi) -> X -> 0, with the T copy as the inclusion and
     the S copy as the projection.  Its connecting map is phi_*, so the
-    cone's homology has dimension h(X) + h(Y) - 2 rank(phi_*)."""
+    cone's homology has dimension h(X) + h(Y) - 2 rank(phi_*).  The cone
+    is the conjugation cone with a zero conjugation, whose differential
+    is [[d_X, 0], [phi, d_Y]], written out here as row lists."""
 
     def test_seeded_cones(self):
         rng = random.Random(21)
@@ -299,7 +302,10 @@ class TestConnectingMapOnCones:
         for _ in range(120):
             X, Y = random_complex(rng), random_complex(rng)
             phi = random_chain_map(rng, X, Y)
-            cone = mapping_cone(ChainMap(X, Y, phi))
+            cone = conjugation_cone(X, Y, phi, F2Matrix.zero(Y.dim, X.dim))
+            assert cone.d.to_lists() == \
+                [row + [0] * Y.dim for row in X.d.to_lists()] + \
+                [a + b for a, b in zip(phi.to_lists(), Y.d.to_lists())]
             incl = F2Matrix(cone.dim, Y.dim,
                             tuple(1 << (X.dim + j) for j in range(Y.dim)))
             proj = F2Matrix(X.dim, cone.dim,

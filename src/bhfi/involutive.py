@@ -55,7 +55,9 @@ def _certify_psi(psi, underlying, what):
 
 
 def standard_involutive_d(P):
-    az = cfda_az(P.out_alg.circle, P.out_idem.values())
+    # the pairing reads az over P's idempotents, on the letters P outputs
+    az = cfda_az(P.out_alg.circle, P.out_idem.values(),
+                 {op[2] for op in P.ops})
     cert = find_homotopy_equivalence(box_tensor(az, P), P)
     return InvolutiveTypeD(P, cert.forward)
 
@@ -99,19 +101,22 @@ def _iota_pipeline(P0, P1):
     representative f through the interpolating piece using the two certified
     equivalences, as psi1 . (Id_az x f) . psi0^-1.  The pairings az x P0
     and az x P1 are built once and are the endpoints of every Id_az x f;
-    az has the operations out of P0's and P1's idempotents only.
+    az, built after the homology, has the generators over P0's and P1's
+    idempotents only, reading the letters of P0, P1 and the representatives.
     Returns the morphism complex, its homology basis and the vectors of the
     conjugated representatives.
     """
     validate_bounded(P0)
     validate_bounded(P1)
-    az = cfda_az(P0.out_alg.circle,
-                 {*P0.out_idem.values(), *P1.out_idem.values()})
-    az_p0 = box_tensor(az, P0)
-    az_p1 = box_tensor(az, P1)
     mc = mor_complex_DD(P0, P1)
     hom = mc.homology()
     reps = [mc.morphism_of(v) for v in hom.cycles]
+    az = cfda_az(P0.out_alg.circle,
+                 {*P0.out_idem.values(), *P1.out_idem.values()},
+                 {c[2] for cs in (P0.ops, P1.ops, *(f.comps for f in reps))
+                  for c in cs})
+    az_p0 = box_tensor(az, P0)
+    az_p1 = box_tensor(az, P1)
     psi0_inv = find_homotopy_equivalence(P0, az_p0).forward
     psi1 = find_homotopy_equivalence(az_p1, P1).forward
     images = []
@@ -243,7 +248,8 @@ def involutive_pair(A, D):
     M, P = A.module, D.structure
     circle = P.out_alg.circle
     _, cx, conj = conjugation(M, P, cfda_azbar(circle),
-                              cfda_az(circle, P.out_idem.values()),
+                              cfda_az(circle, P.out_idem.values(),
+                                      {op[2] for op in P.ops}),
                               D.psi, A.psi)
     return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
 

@@ -145,20 +145,23 @@ def _gen_label(pairs):
     return "i" + ".".join(str(p) for p in sorted(pairs))
 
 
-def cfda_az(circle, idempotents=None):
+def cfda_az(circle, idempotents=None, letters=None):
     """DA bimodule of the interpolating piece: one generator per algebra
     basis element, right multiplication as the two-input operation, and the
     chord-sum one-input operation.
 
-    Every generator is kept, in basis order, but only the operations out of
-    generators whose input idempotent is in ``idempotents`` are built: a
-    box tensor with a type D structure whose output idempotents lie there
-    reads no other.  ``None`` stands for every idempotent, the whole piece.
+    Only the generators whose input idempotent is in ``idempotents`` are
+    kept, with the whole piece's labels and order, and the two-input
+    operations read only ``letters``: a box tensor with a type D structure
+    over those idempotents, whose outputs are among those letters, reads no
+    other.  ``None`` is every idempotent, or every letter between them.
     """
     alg = algebra(circle)
-    alg.basis       # refuses past the cap, also when cached
+    if idempotents is None:
+        alg.basis       # refuses past the cap, also when cached
     return _cfda_az(circle, frozenset(
-        alg.idem_keys if idempotents is None else idempotents))
+        alg.idem_keys if idempotents is None else idempotents),
+        None if letters is None else frozenset(letters))
 
 
 def cfda_azbar(circle):
@@ -169,46 +172,46 @@ def cfda_azbar(circle):
 
 
 @functools.cache
-def _interpolating_generators(alg, dualized):
-    """The generators of az (azbar when ``dualized``), one per basis element
-    a: its name, its unit (the idempotent complementary to a's anchor, the
-    left side for az and the right for azbar) and, when a is a chord, the
-    partner that carries a's strand, grouped by a's right idempotent."""
-    all_pairs = frozenset(alg.circle.pairs)
-    star = "'" if dualized else ""
-    name, unit, partners, gens = {}, {}, {}, []
-    for a in alg.basis:
-        anchor, inn = (a.right_idem, a.left_idem) if dualized \
-            else (a.left_idem, a.right_idem)
-        name[a] = a.label + star
-        unit[a] = alg.idempotent(all_pairs - anchor)
-        gens.append((name[a], unit[a].left_idem, inn))
-        if len(a.moving) == 1:
-            ends = {alg.circle.pair_label(p) for p in a.moving[0]}
-            if len(ends) == 2:
-                # a's strand, starting from the complement of a.right_idem
-                partners.setdefault(a.right_idem, {})[a] = alg.diagram(
-                    a.moving, all_pairs - a.horizontal - ends)
-    return gens, name, unit, partners
+def _chords_into(alg, idem):
+    """Each chord u into ``idem`` between two pairs, a strand from a pair p
+    outside ``idem`` up to a pair q in it, the rest of ``idem`` horizontal,
+    with its partner: u's strand from the complement of ``idem``."""
+    Z, rest = alg.circle, frozenset(alg.circle.pairs) - idem
+    return [(alg.diagram(((i, j),), idem - {q}),
+             alg.diagram(((i, j),), rest - {p}))
+            for q in idem for p in rest
+            for i in Z.pair_points(p) for j in Z.pair_points(q) if i < j]
 
 
 @functools.cache
-def _cfda_az(circle, idempotents):
-    """az's operations out of each generator a with a.right_idem in
-    ``idempotents``, from the algebra on demand: a (x) [v] -> a.v with a's
-    unit, v over the basis from a.right_idem; a -> u.a with u's partner,
-    u over the chords into a.left_idem; a -> x with a's unit, x in d(a)."""
+def _cfda_az(circle, idempotents, letters=None):
+    """az's generators a with a.right_idem in ``idempotents``, in basis
+    order, and their operations, from the algebra on demand: a (x) [v] ->
+    a.v with a's unit, v a letter from a.right_idem into ``idempotents``;
+    a -> u.a with u's partner, u a chord into a.left_idem; a -> x with a's
+    unit, x in d(a).  Each target has a's or v's right idempotent, so the
+    kept generators are closed under every operation."""
     alg = algebra(circle)
-    gens, name, unit, partners = _interpolating_generators(alg, False)
-    ops = []
-    for a in alg.basis:
-        if a.right_idem not in idempotents:
-            continue
-        src, one = name[a], unit[a]
-        for v in alg.basis_from(a.right_idem):
+    all_pairs = frozenset(circle.pairs)
+    whole = idempotents == frozenset(alg.idem_keys)
+    kept = alg.basis if whole else sorted(itertools.chain.from_iterable(
+        map(alg.basis_into, idempotents)), key=alg.sort_key)
+    if letters is None:
+        letters = kept if whole else itertools.chain.from_iterable(
+            alg.basis_between(x, y) for x in idempotents for y in idempotents)
+    reads = {}
+    for v in letters:
+        if v.right_idem in idempotents:
+            reads.setdefault(v.left_idem, []).append(v)
+    name = {a: a.label for a in kept}
+    gens, ops = [], []
+    for a in kept:
+        src, one = name[a], alg.idempotent(all_pairs - a.left_idem)
+        gens.append((src, one.left_idem, a.right_idem))
+        for v in reads.get(a.right_idem, ()):
             if (w := alg.mul_basis(a, v)) is not None:
                 ops.append((src, [v], one, name[w]))
-        for u, partner in partners.get(a.left_idem, {}).items():
+        for u, partner in _chords_into(alg, a.left_idem):
             if (w := alg.mul_basis(u, a)) is not None:
                 ops.append((src, [], partner, name[w]))
         ops += [(src, [], one, name[x]) for x in alg.diff_basis(a)]
@@ -220,14 +223,20 @@ def _cfda_azbar(circle):
     """One walk over the product triples u.v -> w and the differential
     pairs x -> w of the algebra, read backwards: w' (x) [u] -> v',
     w' -> u' with v's partner, and w' -> x'; the other operations carry
-    the source's unit."""
+    the source's unit, the idempotent complementary to w.right_idem."""
     alg = algebra(circle)
-    gens, name, unit, partners = _interpolating_generators(alg, True)
-    ops = []
+    all_pairs = frozenset(circle.pairs)
+    name, unit, partners, gens, ops = {}, {}, {}, [], []
+    for a in alg.basis:
+        name[a] = a.label + "'"
+        unit[a] = alg.idempotent(all_pairs - a.right_idem)
+        gens.append((name[a], unit[a].left_idem, a.left_idem))
+    for idem in alg.idem_keys:
+        partners.update(_chords_into(alg, idem))
     for w in alg.basis:
         for u, v in alg.mul_preimages(w):
             ops.append((name[w], [u], unit[w], name[v]))
-            if (partner := partners.get(v.right_idem, {}).get(v)) is not None:
+            if (partner := partners.get(v)) is not None:
                 ops.append((name[w], [], partner, name[u]))
         for x in alg.diff_preimages(w):
             ops.append((name[w], [], unit[w], name[x]))

@@ -12,11 +12,12 @@ horizontal strands.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from ._record import record
-from .errors import refuse_past_cap
+from .errors import generator_cap, refuse_past_cap
 
 
 def _as_pairs(matching):
@@ -307,14 +308,18 @@ class AlgebraElement:
 
 
 _MISS = object()     # not cached yet; a cached None is a zero product
+# what a pair does at its first point, given whether it must: (here, owed)
+_CHOICES = {False: ((0, 0),), True: ((1, 0), (0, 1))}
 
 
 class StrandsAlgebra:
     """The weight-0 summand of the strands algebra of a matched circle.
 
-    Interns its diagrams, one object per diagram, and caches the canonical
-    basis, products, differentials and the idempotent groupings; the
-    reverse lookups the relation checkers need are built on first request.
+    Interns its diagrams, one object per diagram, and caches products,
+    differentials and the basis listings: between two idempotents, from
+    one, into one, and whole, each listed straight from its idempotents and
+    refused past the cap by its own size; the reverse lookups the relation
+    checkers need are built from the whole basis on first request.
     Products and differentials are composed on the smeared diagrams.
     """
 
@@ -323,8 +328,7 @@ class StrandsAlgebra:
         self._diagrams = {}
         self._mul_cache = {}
         self._diff_cache = {}
-        self._between = None
-        self._from = None
+        self._between, self._from, self._into = {}, {}, {}
         self._tables = None
 
     def diagram(self, moving=(), horizontal=()):
@@ -339,18 +343,19 @@ class StrandsAlgebra:
 
     @property
     def basis(self):
-        """Both refusals run on every read, the second on the cached
-        length once the basis is listed, so a cap lowered later in the
-        process refuses it too."""
+        """The listings from each idempotent, in order.  Both refusals run
+        on every read, the second on the cached length once the basis is
+        listed, so a cap lowered later in the process refuses it too."""
         # the exact count is exponential in k: the bound refuses first
         refuse_past_cap("strands basis", self._basis_lower_bound(),
                         "diagrams", lower_bound=True)
         basis = getattr(self, "_basis_cached", None)
-        refuse_past_cap("strands basis", self._count_basis()
-                        if basis is None else len(basis), "diagrams")
         if basis is None:
-            basis = self._basis_cached = tuple(sorted(
-                self._enumerate_basis(), key=StrandDiagram.sort_key))
+            keys = self.idem_keys
+            self._refuse_listing([(x, y) for x in keys for y in keys])
+            basis = self._basis_cached = tuple(itertools.chain.from_iterable(
+                map(self.basis_from, keys)))
+        refuse_past_cap("strands basis", len(basis), "diagrams")
         return basis
 
     def _basis_lower_bound(self):
@@ -365,56 +370,73 @@ class StrandsAlgebra:
         return bound
 
     def _count_basis(self):
-        """The number of basis diagrams, counted without building one.
+        """The number of basis diagrams, counted without building one."""
+        keys = self.idem_keys
+        return sum(self._sweep(x, y, 1) for x in keys for y in keys)
 
-        Walks the points in order, keeping for each state (source pairs,
-        target pairs, open strands) the number of ways to reach it: a point
-        may end one open strand, start a new one, or both.  Each closed
-        state then takes every horizontal completion on its free pairs.
-        """
-        Z = self.circle
-        states = {(0, 0, 0): 1}
+    def _sweep(self, left, right, ways):
+        """Count (``ways`` 1) or list (``ways`` [()], as moving strands) the
+        diagrams from idempotent ``left`` to ``right``, in one pass over the
+        points.  A pair of ``left`` only has a strand leaving it, a pair of
+        ``right`` only one arriving, and a pair of both carries either a
+        horizontal or both strands.  At its first point a pair takes what it
+        does there and owes the rest to its second point; a strand arriving
+        closes one of the open strands, before one may leave that point.
+        A state is (starts owed, ends owed, open strands' starts)."""
+        Z, counting = self.circle, ways == 1
+        states = {(0, 0, ()): ways}
         for point in range(1, Z.n_points + 1):
-            bit = 1 << Z.pair_label(point)
+            p = Z.pair_label(point)
+            bit, first = 1 << p, point == Z.pair_points(p)[0]
+            # (end here, start here, start owed, end owed)
+            moves = [(e, s, so, eo)
+                     for s, so in _CHOICES[p in left]
+                     for e, eo in _CHOICES[p in right]]
+            if p in left and p in right:
+                moves.append((0, 0, 0, 0))      # a horizontal
             nxt = {}
-            for (srcs, dsts, open_), ways in states.items():
-                ends = [(dsts, open_, ways)]
-                if open_ and not dsts & bit:
-                    ends.append((dsts | bit, open_ - 1, ways * open_))
-                for d, o, w in ends:
-                    key = (srcs, d, o)
-                    nxt[key] = nxt.get(key, 0) + w
-                    if not srcs & bit and srcs.bit_count() < Z.k:
-                        key = (srcs | bit, d, o + 1)
-                        nxt[key] = nxt.get(key, 0) + w
+            for (owed_s, owed_e, opened), value in states.items():
+                for e, s, so, eo in moves if first else \
+                        [(owed_e & bit, owed_s & bit, 0, 0)]:
+                    ends = [(opened, value)] if not e else [
+                        (opened[:n] + opened[n + 1:],
+                         value if counting else [m + ((i, point),)
+                                                 for m in value])
+                        for n, i in enumerate(opened)]
+                    for rest, v in ends:
+                        key = ((owed_s & ~bit) | so * bit,
+                               (owed_e & ~bit) | eo * bit,
+                               rest + (point,) if s else rest)
+                        nxt[key] = nxt[key] + v if key in nxt else v
             states = nxt
-        return sum(
-            ways * math.comb(2 * Z.k - (srcs | dsts).bit_count(),
-                             Z.k - srcs.bit_count())
-            for (srcs, dsts, open_), ways in states.items() if not open_)
+        return states.get((0, 0, ()), ways * 0)
 
-    def _enumerate_basis(self):
-        Z = self.circle
-        strands = [(i, j) for i in range(1, Z.n_points + 1)
-                   for j in range(i + 1, Z.n_points + 1)]
-        out = []
-        for m in range(Z.k + 1):
-            for combo in itertools.combinations(strands, m):
-                srcs = [Z.pair_label(i) for i, _ in combo]
-                dsts = [Z.pair_label(j) for _, j in combo]
-                if len(set(i for i, _ in combo)) != m or \
-                   len(set(j for _, j in combo)) != m:
-                    continue
-                if len(set(srcs)) != m or len(set(dsts)) != m:
-                    continue
-                free = [p for p in Z.pairs if p not in srcs and p not in dsts]
-                for horiz in itertools.combinations(free, Z.k - m):
-                    out.append(self.diagram(combo, horiz))
-        return out
+    def _refuse_listing(self, spans):
+        """Refuse past the cap the diagrams between the idempotent pairs
+        ``spans``, counted only when a bound passes it: 5 ways for a pair
+        of both idempotents, 2 for a pair of one, k! ways to join them."""
+        if math.factorial(self.circle.k) * sum(
+                5 ** len(x & y) * 2 ** len(x ^ y)
+                for x, y in spans) > generator_cap():
+            refuse_past_cap("strands basis", sum(
+                self._sweep(x, y, 1) for x, y in spans), "diagrams")
+
+    def _listing(self, cache, key, spans):
+        """The basis diagrams between the idempotent pairs ``spans``, in
+        basis order, refused past the cap first and cached under ``key``."""
+        hit = cache.get(key)
+        if hit is None:
+            self._refuse_listing(spans)
+            pair_of = self.circle._pair_of
+            hit = cache[key] = tuple(sorted(
+                (self.diagram(m, x - {pair_of[i] for i, _ in m})
+                 for x, y in spans for m in self._sweep(x, y, [()])),
+                key=StrandDiagram.sort_key))
+        return hit
 
     @property
     def idempotent_diagrams(self):
-        return tuple(d for d in self.basis if d.is_idempotent)
+        return tuple(map(self.idempotent, self.idem_keys))
 
     def idempotent(self, pairs):
         """The basic idempotent occupying the given matched pairs: its
@@ -574,28 +596,31 @@ class StrandsAlgebra:
     def idem_element(self, idem_key):
         return self.idempotent(idem_key)
 
-    @property
+    @functools.cached_property
     def idem_keys(self):
-        return tuple(d.left_idem for d in self.idempotent_diagrams)
+        """The idempotents as pair sets: the k-subsets of the 2k pairs, in
+        basis order, counted against the cap before any is listed."""
+        Z = self.circle
+        refuse_past_cap("strands basis", math.comb(2 * Z.k, Z.k),
+                        "idempotents")
+        return tuple(map(frozenset, itertools.combinations(Z.pairs, Z.k)))
 
     def basis_between(self, left, right):
         """Canonically ordered basis elements with the given idempotents."""
-        self._group_basis()
-        return self._between.get((frozenset(left), frozenset(right)), ())
+        key = (frozenset(left), frozenset(right))
+        return self._listing(self._between, key, (key,))
 
     def basis_from(self, left):
         """Canonically ordered basis elements with left idempotent ``left``."""
-        self._group_basis()
-        return self._from.get(frozenset(left), ())
+        left = frozenset(left)
+        return self._listing(self._from, left,
+                             [(left, y) for y in self.idem_keys])
 
-    def _group_basis(self):
-        if self._between is None:
-            between, from_ = {}, {}
-            for a in self.basis:
-                between.setdefault((a.left_idem, a.right_idem), []).append(a)
-                from_.setdefault(a.left_idem, []).append(a)
-            self._between = {k: tuple(v) for k, v in between.items()}
-            self._from = {k: tuple(v) for k, v in from_.items()}
+    def basis_into(self, right):
+        """Canonically ordered basis elements ending at idempotent ``right``."""
+        right = frozenset(right)
+        return self._listing(self._into, right,
+                             [(x, right) for x in self.idem_keys])
 
     # -- reverse lookup tables for relation checking ----------------------
 

@@ -105,8 +105,8 @@ class TestErrors:
 
 class TestGeneratorCap:
     def test_hfihat_morphism_complex_over_cap(self, capsys, monkeypatch):
-        # the genus-2 basis (238 diagrams) and the box tensors (21
-        # generators) fit; Mor(P0, az x P0) does not
+        # the genus-2 listings and the box tensors (21 generators) fit;
+        # Mor(P0, az x P0) does not
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "300")
         code, out, err = run(capsys, "hfihat", "--builtin", "cfd0_k2",
                              "--builtin", "cfd0_k2")
@@ -117,12 +117,12 @@ class TestGeneratorCap:
             "detail": "mor_complex_DD: 304 basis morphisms exceed "
                       "BHFI_MAX_GENERATORS=300"}
 
-    def test_hfhat_genus_4_basis_over_cap(self, capsys, monkeypatch):
-        # 948,390 diagrams are counted, never enumerated
+    def test_verify_az_genus_4_basis_over_cap(self, capsys, monkeypatch):
+        # 948,390 diagrams are counted, never enumerated: the whole piece
+        # needs the whole basis
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
         start = time.monotonic()
-        code, out, err = run(capsys, "hfhat", "--builtin", "cfd0_k4",
-                             "--builtin", "cfd0_k4")
+        code, out, err = run(capsys, "verify", "--builtin", "az_k4")
         assert time.monotonic() - start < 10.0
         assert code == 5
         assert out == ""
@@ -130,6 +130,16 @@ class TestGeneratorCap:
             "error": "divergence",
             "detail": "strands basis: 948390 diagrams exceed "
                       "BHFI_MAX_GENERATORS=200000"}
+
+    def test_hfhat_genus_4_lists_only_its_morphisms(self, capsys,
+                                                    monkeypatch):
+        # the Mor complex lists the 16 diagrams between the handlebody's
+        # idempotent and itself, not the 948,390 of the whole basis
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        start = time.monotonic()
+        assert run(capsys, "hfhat", "--builtin", "cfd0_k4",
+                   "--builtin", "cfd0_k4") == (0, '{"hf_dim": 16}\n', "")
+        assert time.monotonic() - start < 10.0
 
 
     def test_lowered_cap_refuses_cached_structures(self, capsys,
@@ -360,12 +370,17 @@ class TestStrandsGuards:
     a fresh process so that no cached algebra helps."""
 
     @pytest.mark.parametrize("argv, detail", [
-        (builtins("hfhat", "cfd0_k7", "cfd0_k7"),
+        # the whole piece needs the whole strands basis
+        (builtins("verify", "az_k7"),
          "strands basis: at least 12471888 diagrams exceed "
          "BHFI_MAX_GENERATORS=200000"),
-        (builtins("hfhat", "cfd0_k12", "cfd0_k12"),
+        (builtins("verify", "az_k12"),
          "strands basis: at least 95048379244 diagrams exceed "
          "BHFI_MAX_GENERATORS=200000"),
+        # the handlebody's Mor complex lists its 2^18 diagrams from its
+        # idempotent to itself, counted first
+        (builtins("hfhat", "cfd0_k18", "cfd0_k18"),
+         "strands basis: 262144 diagrams exceed BHFI_MAX_GENERATORS=200000"),
         # cfd0_k40 verifies (below); az_k40 needs the whole strands basis
         (builtins("verify", "az_k40"),
          "strands basis: at least 523607517210398580621908974420 diagrams "
@@ -403,7 +418,8 @@ class TestStrandsGuards:
         (builtins("hfhat", "cfd0_k7500", "cfd0_k7500"),
          "cfd_zero_handlebody: 56242500 horizontal entries exceed "
          "BHFI_MAX_GENERATORS=200000"),
-    ], ids=["hfhat genus 7", "hfhat genus 12", "verify genus 40",
+    ], ids=["verify genus 7", "verify genus 12", "hfhat genus 18",
+            "verify genus 40",
             "verify ddid genus 12", "verify ddid genus 40",
             "verify cfa0 genus 40", "verify genus 7500",
             "verify ddid genus 7500", "verify cfa0 genus 7500",

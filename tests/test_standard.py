@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from bhfi.files import structure_to_json
 from bhfi.standard import (_cfda_az, cfa_zero_handlebody,
                            cfd_solid_torus, cfd_zero_handlebody, cfda_az,
                            cfda_azbar, surgery_maps)
-from bhfi.structures import mor_complex_DD
+from bhfi.structures import BorderedObject, box_tensor, mor_complex_DD
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "fixtures")
@@ -189,20 +190,33 @@ class TestDDIdentity:
     @pytest.mark.parametrize("cap", [114, 237])
     def test_lowered_cap_refuses_cached_interpolating_piece(
             self, z2, monkeypatch, cap):
-        # az's cap is the basis count, 238 at genus 2 (114 its lower
-        # bound): a cached piece, whole or cut to some idempotents, is
-        # refused with the text of a fresh build
+        # the whole az's cap is the basis count, 238 at genus 2 (114 its
+        # lower bound): a cached whole piece is refused with the text of a
+        # fresh build; a cut piece counts only its own listing (below)
         monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
-        idems = {frozenset({1, 3})}
-        cached = cfda_az(z2), cfda_az(z2, idems)
+        cached = cfda_az(z2)
         monkeypatch.setenv("BHFI_MAX_GENERATORS", str(cap))
-        for build in (lambda: cfda_az(z2), lambda: cfda_az(z2, idems)):
-            with pytest.raises(DivergenceError, match=re.escape(
-                    f"strands basis: 238 diagrams exceed "
-                    f"BHFI_MAX_GENERATORS={cap}")):
-                build()
+        with pytest.raises(DivergenceError, match=re.escape(
+                f"strands basis: 238 diagrams exceed "
+                f"BHFI_MAX_GENERATORS={cap}")):
+            cfda_az(z2)
         monkeypatch.delenv("BHFI_MAX_GENERATORS")
-        assert cfda_az(z2) is cached[0] and cfda_az(z2, idems) is cached[1]
+        assert cfda_az(z2) is cached
+
+    def test_lowered_cap_refuses_a_cut_piece_by_its_listing(
+            self, monkeypatch):
+        # the 21 diagrams into {1, 3}, the generators of az cut to that
+        # idempotent, in a fresh algebra and a fresh az cache
+        monkeypatch.setattr(strands, "_ALGEBRAS", {})
+        monkeypatch.setattr(standard, "_cfda_az",
+                            functools.cache(_cfda_az.__wrapped__))
+        z2, idems = split_pmc(2), {frozenset({1, 3})}
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "20")
+        with pytest.raises(DivergenceError, match=re.escape(
+                "strands basis: 21 diagrams exceed BHFI_MAX_GENERATORS=20")):
+            cfda_az(z2, idems)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "21")
+        assert len(cfda_az(z2, idems).generators) == 21
 
 
 class TestInterpolatingPiece:
@@ -249,6 +263,15 @@ class TestInterpolatingPiece:
         assert all(len(op[1]) <= 1 for op in azbar1.ops)
 
 
+def _type_d_structures(k):
+    """Type D structures over the genus-k split circle: the handlebody, and
+    at genus 1 the other framings, at genus 2 the handlebody twisted by az."""
+    P = cfd_zero_handlebody(k)
+    if k == 1:
+        return [P] + [cfd_solid_torus(f) for f in ("infinity", "minus_one")]
+    return [P, box_tensor(cfda_az(split_pmc(k)), P)]
+
+
 def _idempotent_sets(circle):
     """Each idempotent alone, and the sets the callers pass at this genus:
     the output idempotents of a builtin type D structure and of each pair
@@ -262,6 +285,32 @@ def _idempotent_sets(circle):
     return singles + outs + [a | b for a in outs for b in outs]
 
 
+def _cut_of(whole, idems, letters=None):
+    """The whole piece's generators whose input idempotent is in ``idems``,
+    in order, and its operations among them that read no letter or one of
+    ``letters`` (None: every letter)."""
+    kept = tuple(g for g in whole.generators if whole.in_idem[g] in idems)
+    ops = {op for op in whole.ops if whole.in_idem[op[0]] in idems
+           and whole.in_idem[op[3]] in idems
+           and (letters is None or set(op[1]) <= letters)}
+    return kept, ops
+
+
+def _shuffled(S, seed):
+    """A copy of ``S`` with fresh generator labels in a shuffled order."""
+    rng = random.Random(seed)
+    fresh = [f"g{i}" for i in range(len(S.generators))]
+    rng.shuffle(fresh)
+    T = S.relabeled(dict(zip(S.generators, fresh)))
+    rng.shuffle(fresh)
+    return BorderedObject(T.out_alg, T.in_alg, fresh, T.out_idem, T.in_idem,
+                          T.ops)
+
+
+def _pairing_bytes(S):
+    return json.dumps(structure_to_json(S), sort_keys=True).encode()
+
+
 class TestRestrictedInterpolatingPiece:
     @pytest.mark.parametrize("k", [1, 2])
     def test_operations_out_of_the_given_idempotents(self, k):
@@ -269,11 +318,54 @@ class TestRestrictedInterpolatingPiece:
         whole = cfda_az(z)
         for idems in _idempotent_sets(z):
             cut = cfda_az(z, idems)
-            assert cut.generators == whole.generators
+            kept, ops = _cut_of(whole, idems)
+            assert cut.generators == kept
             assert (cut.out_idem, cut.in_idem) == \
-                (whole.out_idem, whole.in_idem)
-            assert cut.ops == {op for op in whole.ops
-                               if whole.in_idem[op[0]] in idems}
+                ({g: whole.out_idem[g] for g in kept},
+                 {g: whole.in_idem[g] for g in kept})
+            assert cut.ops == ops
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_operations_reading_the_given_letters(self, k):
+        # the kept generators are closed under the operations that read
+        # the letters of a type D structure over the kept idempotents
+        z = split_pmc(k)
+        whole = cfda_az(z)
+        for P in _type_d_structures(k):
+            idems = set(P.out_idem.values())
+            letters = {op[2] for op in P.ops}
+            cut = cfda_az(z, idems, letters)
+            assert (cut.generators, cut.ops) == \
+                _cut_of(whole, idems, letters)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cut_pairs_byte_identically(self, k):
+        z = split_pmc(k)
+        whole = cfda_az(z)
+        for P in _type_d_structures(k):
+            for X in (P, _shuffled(P, 1), _shuffled(P, 2)):
+                cut = cfda_az(z, X.out_idem.values(),
+                              {op[2] for op in X.ops})
+                paired, want = box_tensor(cut, X), box_tensor(whole, X)
+                assert paired.generators == want.generators
+                assert _pairing_bytes(paired) == _pairing_bytes(want)
+
+    def test_genus_3_cut_pairs_as_the_whole_piece(self):
+        # the sha256 of the pairings with the whole az_k3, recorded from
+        # the builder that kept every generator and letter (the whole piece
+        # takes 17 s and 480 MB to build)
+        z3, P = split_pmc(3), cfd_zero_handlebody(3)
+        for X, digest in (
+                (P, "62a0051e07459c68a1422eb17f1e324a"
+                    "8729d9e30a43b515889b6a030368862b"),
+                (P.relabeled({"n": "g0"}),
+                 "66102f3ff2e2725543697c88ef461dd6"
+                 "479c55fd56f45edbeafcae9e5334ae96")):
+            cut = cfda_az(z3, X.out_idem.values(), {op[2] for op in X.ops})
+            paired = box_tensor(cut, X)
+            assert (len(paired.generators), len(paired.ops)) == (231, 1171)
+            assert hashlib.sha256(_pairing_bytes(paired)).hexdigest() == \
+                digest
 
     def test_every_idempotent_is_the_whole_piece(self, z2):
         assert cfda_az(z2, algebra(z2).idem_keys) is cfda_az(z2)

@@ -592,6 +592,92 @@ class TestPartialProducts:
         assert TRIVIAL.mul_basis(unit, unit) is unit
 
 
+def oracle_basis(circle):
+    """The whole basis from an independent enumeration: every set of at
+    most k strands on points with distinct start and end pairs, times the
+    horizontal completions, sorted by the diagrams' sort key."""
+    alg = StrandsAlgebra(circle)
+    strands = list(itertools.combinations(range(1, circle.n_points + 1), 2))
+    out = []
+    for m in range(circle.k + 1):
+        for combo in itertools.combinations(strands, m):
+            srcs = {circle.pair_label(i) for i, _ in combo}
+            dsts = {circle.pair_label(j) for _, j in combo}
+            if len(srcs) != m or len(dsts) != m:
+                continue
+            free = [p for p in circle.pairs if p not in srcs | dsts]
+            out += [alg.diagram(combo, h)
+                    for h in itertools.combinations(free, circle.k - m)]
+    return sorted(out, key=StrandDiagram.sort_key)
+
+
+LISTED_CIRCLES = dict(ORACLE_CIRCLES, **{"split genus 3":
+                                         lambda: split_pmc(3)})
+
+
+class TestListings:
+    """Each listing is the whole basis filtered, in the whole basis's
+    order, and is refused past the cap by its own count."""
+
+    @pytest.mark.parametrize("name", sorted(LISTED_CIRCLES))
+    def test_listings_filter_the_whole_basis(self, name):
+        circle = LISTED_CIRCLES[name]()
+        whole = oracle_basis(circle)
+        alg = StrandsAlgebra(circle)
+        keys = alg.idem_keys
+        assert keys == tuple(d.left_idem for d in whole if d.is_idempotent)
+        assert alg.idempotent_diagrams == tuple(
+            d for d in whole if d.is_idempotent)
+        for x in keys:
+            assert alg.basis_from(x) == tuple(
+                d for d in whole if d.left_idem == x)
+            assert alg.basis_into(x) == tuple(
+                d for d in whole if d.right_idem == x)
+        between = {}
+        for d in whole:
+            between.setdefault((d.left_idem, d.right_idem), []).append(d)
+        for x in keys:
+            for y in keys:
+                assert alg.basis_between(x, y) == tuple(
+                    between.get((x, y), ()))
+        assert alg.basis == tuple(whole)
+
+    def test_a_listing_is_refused_by_its_own_count(self, monkeypatch, z2):
+        x, y = frozenset({1, 3}), frozenset({2, 4})
+        for listing, size in (("basis_between", 9), ("basis_from", 45),
+                              ("basis_into", 21)):
+            alg = StrandsAlgebra(z2)
+            args = (x, y) if listing == "basis_between" else (x,)
+            monkeypatch.setenv("BHFI_MAX_GENERATORS", str(size - 1))
+            with pytest.raises(DivergenceError) as err:
+                getattr(alg, listing)(*args)
+            assert str(err.value) == (f"strands basis: {size} diagrams "
+                                      f"exceed BHFI_MAX_GENERATORS={size - 1}")
+            assert alg._diagrams == {}
+            monkeypatch.setenv("BHFI_MAX_GENERATORS", str(size))
+            assert len(getattr(alg, listing)(*args)) == size
+
+    def test_idempotents_are_refused_by_their_count(self, monkeypatch, z2):
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", "5")
+        with pytest.raises(DivergenceError, match=re.escape(
+                "strands basis: 6 idempotents exceed BHFI_MAX_GENERATORS=5")):
+            StrandsAlgebra(z2).idem_keys
+
+    def test_a_huge_listing_is_counted_not_listed(self, monkeypatch):
+        # genus 447, the largest handlebody under the default cap: 2^447
+        # diagrams from its idempotent to itself, one per subset of pairs
+        # carrying a strand, counted in one pass over the points
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        alg = StrandsAlgebra(split_pmc(447))
+        odd = frozenset(range(1, 2 * 447, 2))
+        assert alg._sweep(odd, odd, 1) == 2 ** 447
+        with pytest.raises(DivergenceError) as err:
+            alg.basis_between(odd, odd)
+        assert str(err.value) == ("strands basis: at least 10^134 diagrams "
+                                  "exceed BHFI_MAX_GENERATORS=200000")
+        assert alg._diagrams == {}
+
+
 class TestBasisGuard:
     @pytest.mark.parametrize("name", sorted(ORACLE_CIRCLES))
     def test_count_matches_the_basis(self, name):

@@ -157,17 +157,17 @@ def find_homotopy_equivalence(P, Q):
 
     Walks F2 combinations of morphism-homology classes, singletons first,
     in canonical order; the first candidate whose cone cancels to nothing
-    wins.  The classes come one support block at a time, so the blocks
-    after a singleton hit are never echeloned.  Raises NotEquivalentError
-    when sums of up to ``MAX_SUM_SIZE`` classes fail, which signals that
-    the caller's equivalence claim was wrong, and DivergenceError past the
-    cone cap of the walk.
+    wins.  The classes come one support block at a time, and a grading
+    class of the morphism complex is built only when its first block
+    comes up, so the classes after a singleton hit are never built.
+    Raises NotEquivalentError when sums of up to ``MAX_SUM_SIZE`` classes
+    fail, which signals that the caller's equivalence claim was wrong,
+    and DivergenceError past the cone cap of the walk.
     """
     mc = mor_complex_DD(P, Q)
-    d = mc.differential
-    return _first_acyclic_sum(
-        "find_homotopy_equivalence", map(d.cycles, range(len(d.blocks))),
-        "homology basis", mc.basis, P, Q)
+    return _first_acyclic_sum("find_homotopy_equivalence",
+                              mc.differential.runs(), "homology basis",
+                              mc.basis, P, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ class ChainComplex:
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
-        # d² = 0, checked on the rows unless d is a BlockDifferential's
-        # matrix(); the blocks are kept for homology() and support_blocks()
+        # d² = 0, checked on the rows unless d is the matrix() of a Block-
+        # or GradedDifferential, kept for homology() and support_blocks()
         object.__setattr__(self, "_blocks", getattr(self.d, "_blocks", None)
                            or BlockDifferential(list(map(_bits, self.d.cols))))
         if (q := self.q) is not None:
@@ -319,9 +319,9 @@ class BlockDifferential:
 
 def homology(C):
     """Homology dimension plus explicit, deterministic cycle representatives,
-    found block by block by the ``BlockDifferential`` that checked d² = 0
-    when C was built, so each comes from a single block (the grading
-    surrogate used downstream by the equivalence search)."""
+    found block by block by the differential that checked d² = 0 when C
+    was built, so each comes from a single block, in the order of the
+    blocks' first indices."""
     return C._blocks.homology()
 
 

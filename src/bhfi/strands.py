@@ -590,6 +590,15 @@ class StrandsAlgebra:
         return a.label
 
     @staticmethod
+    def multiplicity(a):
+        """Bit i - 1 is set when an odd number of a's moving strands cover
+        the interval from point i to i + 1."""
+        m = 0
+        for i, j in a.moving:
+            m ^= (1 << j - 1) - (1 << i - 1)
+        return m
+
+    @staticmethod
     def idem_sort_key(idem):
         return tuple(sorted(idem))
 

@@ -68,6 +68,10 @@ class TrivialAlgebra:
         return "1"
 
     @staticmethod
+    def multiplicity(a):
+        return 0
+
+    @staticmethod
     def idem_sort_key(idem):
         return (0,)
 
@@ -124,6 +128,10 @@ class TensorAlgebra:
 
     def label_of(self, a):
         return f"{self.left.label_of(a[0])}*{self.right.label_of(a[1])}"
+
+    def multiplicity(self, a):
+        return self.left.multiplicity(a[0]) | \
+            self.right.multiplicity(a[1]) << self.left.circle.n_points
 
     def idem_sort_key(self, idem):
         return (self.left.idem_sort_key(idem[0]),
@@ -863,13 +871,13 @@ def _elementary_components(stage, A, B, max_arity=1):
 class MorComplex:
     """The chain complex of type D structure morphisms P -> Q, with its
     basis of elementary components (``_elementary_components``).  The
-    differential is kept one support block at a time; the dense
-    ``complex``, built on first use, adopts it."""
+    differential is kept one grading class at a time, each class built on
+    first use; the dense ``complex``, built on first use, adopts it."""
 
     P: BorderedObject
     Q: BorderedObject
     basis: tuple              # components (p, (), coefficient diagram, q)
-    differential: BlockDifferential
+    differential: object      # a grading.GradedDifferential
 
     @cached_property
     def complex(self):
@@ -897,16 +905,16 @@ class MorComplex:
 
 def mor_complex_DD(P, Q):
     """Morphism complex between two type D structures over one algebra,
-    with d² = 0 checked on every support block."""
+    kept one grading class at a time (``grading.mor_differential``), with
+    d² = 0 checked on every block built."""
     if P.out_alg is not Q.out_alg or not P.in_alg.is_trivial \
        or not Q.in_alg.is_trivial:
         raise ValueError("morphism complexes need type D structures over "
                          "one algebra")
     basis = tuple(_elementary_components("mor_complex_DD", P, Q))
-    pos = {c: i for i, c in enumerate(basis)}
-    walk = _term_walk(Q, P)
-    rows = [[pos[t] for t in walk(c, set())] for c in basis]
-    return MorComplex(P, Q, basis, BlockDifferential(rows))
+    from .grading import mor_differential
+    return MorComplex(P, Q, basis,
+                      mor_differential(P, Q, basis, _term_walk(Q, P)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
                   box_tensor, find_homotopy_equivalence,
                   find_structure_equivalence, homology, identity_da,
                   identity_morphism, mor_complex_DD, omega_equivalence)
-from bhfi import structures
+from bhfi import grading, structures
 from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
                               _unit_part, find_isomorphism)
 from bhfi.errors import generator_cap
@@ -24,7 +24,7 @@ from bhfi.structures import (BorderedObject, _elementary_components,
                              contraction_trace, reduce_structure)
 from test_homology import dense_homology
 from test_structures import (captured_search_system, search_unknowns,
-                             summed_search_columns)
+                             shuffled, summed_search_columns)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -324,23 +324,37 @@ class TestLazySearch:
     def test_a_hit_in_block_one_echelons_no_later_block(
             self, monkeypatch, twisted):
         # Mor(az x cfd_inf, az x az x cfd_inf) has four blocks and its two
-        # classes in block 1; the second is the equivalence
-        reached = []
+        # classes in block 1; the second is the equivalence.  Its grading
+        # classes are blocks 0 and 3 and blocks 1 and 2, so block 1, the
+        # first of the second class, is reached after block 0; each block
+        # is recorded by its first index in the whole complex
+        reached, graded = [], []
         cycles = BlockDifferential.cycles
+        init = grading.GradedDifferential.__init__
 
         def recording(self, b):
-            reached.append(b)
+            reached.append((self, b))
             return cycles(self, b)
 
+        def keeping(self, classes, rows):
+            graded.append(self)
+            init(self, classes, rows)
+
         monkeypatch.setattr(BlockDifferential, "cycles", recording)
+        monkeypatch.setattr(grading.GradedDifferential, "__init__", keeping)
         cert = find_homotopy_equivalence(*twisted)
         assert cert.search_index == (1,)
-        assert reached == [0, 1]
+        [d] = graded
+        built = {id(part): c for c, part in d.parts.items()}
+        assert [d.classes[built[id(part)]][part.blocks[b][0]]
+                for part, b in reached] == [0, 2]
+        # no class whose first index comes after the hit's block is built
+        assert sorted(built.values()) == [
+            c for c, members in enumerate(d.classes) if members[0] <= 2]
         assert same_certificate(cert, eager_search(*twisted))
         mc = mor_complex_DD(*twisted)
         assert len(mc.differential.blocks) == 4
-        assert [len(mc.differential.cycles(b)) for b in range(4)] == \
-            [0, 2, 0, 0]
+        assert [len(z) for z in mc.differential.runs()] == [0, 2, 0, 0]
 
     def test_sums_of_two_see_the_whole_basis(self, cfd0, cfd_inf):
         # each summand's identity alone is no equivalence; their sum, the
@@ -364,6 +378,99 @@ class TestLazySearch:
             "find_homotopy_equivalence: 2 of 56 candidates tried "
             "(6-vector homology basis, sums of up to 4); the next cone "
             "would pass BHFI_MAX_GENERATORS=8 generators in total"))
+
+
+def same_outcome(P, Q):
+    """Whether the class-by-class search ends as ``eager_search`` does:
+    with the same certificate, or the same error type and text."""
+    lazy, eager = (outcome(find_homotopy_equivalence, P, Q),
+                   outcome(eager_search, P, Q))
+    if isinstance(lazy, EquivalenceCertificate) and \
+            isinstance(eager, EquivalenceCertificate):
+        return same_certificate(lazy, eager)
+    return lazy == eager
+
+
+@pytest.fixture(scope="module")
+def graded_pairs(az1, cfd0, cfd_inf, cfd_m1, z2, cfd0_k2):
+    """The genus-1 ladder az^n x cfd0 (n = 0..3), relabelled, against the
+    three framed tori in both directions; cfd0_k2 against az x cfd0_k2,
+    both ways."""
+    rung, pairs = cfd0, []
+    for n in range(4):
+        P = shuffled(rung, n)
+        pairs += [pair for torus in (cfd0, cfd_inf, cfd_m1)
+                  for pair in ((P, torus), (torus, P))]
+        rung = box_tensor(az1, rung)
+    twisted = box_tensor(cfda_az(z2), cfd0_k2)
+    return pairs + [(cfd0_k2, twisted), (twisted, cfd0_k2)]
+
+
+class TestGradedSearch:
+    """The search over a morphism complex built one grading class at a
+    time returns the eager search's certificate, and raises its errors
+    with their texts."""
+
+    def test_ladder_tori_and_genus_2(self, graded_pairs):
+        verdicts = Counter()
+        for P, Q in graded_pairs:
+            assert same_outcome(P, Q)
+            verdicts[type(outcome(find_homotopy_equivalence, P, Q))] += 1
+        # the rungs are cfd0 up to homotopy: 8 equivalences on the ladder
+        # and 2 at genus 2; the other framings fail every sum
+        assert verdicts == {EquivalenceCertificate: 10, tuple: 16}
+
+    def test_hits_that_are_sums_of_two_classes(self, az1, cfd0, cfd_inf,
+                                               cfd_m1):
+        twisted = box_tensor(az1, cfd0)
+        pairs = [(direct_sum(cfd0, cfd_inf), direct_sum(cfd0, cfd_inf)),
+                 (direct_sum(cfd0, cfd_m1), direct_sum(cfd_m1, cfd0)),
+                 (direct_sum(twisted, cfd_inf), direct_sum(cfd0, cfd_inf))]
+        for P, Q in pairs:
+            assert len(find_homotopy_equivalence(P, Q).search_index) == 2
+            assert same_outcome(P, Q)
+
+    def test_errors_under_lowered_caps(self, monkeypatch, az1, cfd0,
+                                       cfd_inf, cfd_m1, cfd0_k2, z2):
+        # each cap admits the whole basis, and stops the walk before the
+        # first, second or fifth cone of |P| + |Q| generators unless the
+        # basis count alone admits more
+        pairs = [(direct_sum(cfd0, cfd_inf), direct_sum(cfd_inf, cfd0)),
+                 (direct_sum(cfd0, cfd_m1), direct_sum(cfd_m1, cfd0)),
+                 (cfd0, box_tensor(az1, box_tensor(az1, cfd_m1))),
+                 (cfd0_k2, box_tensor(cfda_az(z2), cfd0_k2))]
+        ends = []
+        for P, Q in pairs:
+            monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+            n = len(mor_complex_DD(P, Q).basis)
+            cone = len(P.generators) + len(Q.generators)
+            for tried in (0, 1, 4):
+                monkeypatch.setenv("BHFI_MAX_GENERATORS",
+                                   str(max(n, (tried + 1) * cone - 1)))
+                assert same_outcome(P, Q)
+                lazy = outcome(find_homotopy_equivalence, P, Q)
+                ends.append(lazy[0].__name__ if isinstance(lazy, tuple)
+                            else "certificate")
+        # the direct sums need sums of two classes; the third pair has no
+        # equivalence; the genus-2 hit is the first singleton
+        assert ends == 6 * ["DivergenceError"] + \
+            3 * ["NotEquivalentError"] + 3 * ["certificate"]
+
+    def test_genus_2_search_builds_80_of_304_rows(self, monkeypatch, z2,
+                                                  cfd0_k2):
+        twisted = box_tensor(cfda_az(z2), cfd0_k2)
+        built = []
+        init = BlockDifferential.__init__
+
+        def counting(self, rows):
+            built.append(len(rows))
+            init(self, rows)
+
+        monkeypatch.setattr(BlockDifferential, "__init__", counting)
+        cert = find_homotopy_equivalence(cfd0_k2, twisted)
+        assert built == [80]
+        assert len(mor_complex_DD(cfd0_k2, twisted).basis) == 304
+        assert same_certificate(cert, eager_search(cfd0_k2, twisted))
 
 
 def load_relabel():

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,7 @@ from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
                              box_morphism_right, box_morphism_right_comps,
                              contraction_trace,
                              structure_residue)
+from bhfi.homology import BlockDifferential
 from test_homology import dense_homology
 
 
@@ -1080,6 +1082,94 @@ class TestMorComplex:
             mor_complex_DD(P0, Q)
         assert str(err.value) == ("mor_complex_DD: 147232 basis morphisms "
                                   "exceed BHFI_MAX_GENERATORS=147231")
+
+
+def eager_differential(P, Q):
+    """The whole Mor(P, Q) as one BlockDifferential on the rows of every
+    component, with no grading."""
+    basis = mor_complex_DD(P, Q).basis
+    pos = {c: i for i, c in enumerate(basis)}
+    walk = _term_walk(Q, P)
+    return BlockDifferential([[pos[t] for t in walk(c, set())]
+                              for c in basis])
+
+
+class TestGradingClasses:
+    """Mor(P, Q) is built one grading class at a time, and every class is
+    a union of support blocks of the whole complex."""
+
+    def test_multiplicity_adds_under_products_and_d(self, z1, z2):
+        for alg in map(algebra, (z1, z2)):
+            mult = alg.multiplicity
+            for a in alg.basis:
+                assert all(mult(c) == mult(a) for c in alg.diff_basis(a))
+                for b in alg.basis_from(a.right_idem):
+                    if (c := alg.mul_basis(a, b)) is not None:
+                        assert mult(c) == mult(a) ^ mult(b)
+        a = algebra(z1).chord(1, 3).sorted_terms()[0]
+        b = algebra(z2).chord(2, 7).sorted_terms()[0]
+        assert (algebra(z1).multiplicity(a), algebra(z2).multiplicity(b)) \
+            == (0b11, 0b111110)
+        assert TensorAlgebra(algebra(z1), algebra(z2)).multiplicity(
+            (a, b)) == 0b11 | 0b111110 << 4
+        assert TRIVIAL.multiplicity(TRIVIAL.UNIT) == 0
+
+    def test_every_class_is_a_union_of_blocks(self, rungs, az1, az2, cfd0,
+                                              cfd_inf, cfd_m1, cfd0_k2):
+        pairs = [(P, Q) for rung in rungs
+                 for torus in (cfd_inf, cfd_m1, cfd0)
+                 for P, Q in ((rung, torus), (torus, rung))]
+        pairs += [(cfd_m1, box_tensor(az1, cfd_m1))]
+        twisted = box_tensor(az2, cfd0_k2)
+        pairs += [(twisted, cfd0_k2), (cfd0_k2, twisted)]
+        blocks_per_class = Counter()
+        for P, Q in pairs:
+            d = mor_complex_DD(P, Q).differential
+            blocks = eager_differential(P, Q).blocks
+            owner = {i: c for c, members in enumerate(d.classes)
+                     for i in members}
+            assert sorted(owner) == sorted(i for b in blocks for i in b)
+            assert [members[0] for members in d.classes] == \
+                sorted({min(members) for members in d.classes})
+            for block in blocks:
+                assert len({owner[i] for i in block}) == 1
+            blocks_per_class.update(Counter(owner[b[0]] for b in blocks)
+                                    .values())
+            assert d.blocks == blocks
+        assert blocks_per_class[1] and len(blocks_per_class) > 1
+
+    def test_cfd_m1_class_with_two_of_three_blocks(self, az1, cfd_m1):
+        # the second class's blocks start at 1 and 8, after the first
+        # class's one block starts at 0: the runs read them in that order
+        P, Q = cfd_m1, box_tensor(az1, cfd_m1)
+        mc = mor_complex_DD(P, Q)
+        assert [len(members) for members in mc.differential.classes] == \
+            [18, 16]
+        eager = eager_differential(P, Q)
+        assert [(b[0], len(b)) for b in eager.blocks] == \
+            [(0, 18), (1, 8), (8, 8)]
+        assert mc.differential.blocks == eager.blocks
+        # the same cycles, block by block in that order
+        assert list(mc.differential.runs()) == list(map(eager.cycles,
+                                                        range(3)))
+        assert mc.homology() == dense_homology(mc.complex)
+
+    def test_genus_2_classes_are_the_blocks(self, az2, cfd0_k2):
+        P, Q = cfd0_k2, box_tensor(az2, cfd0_k2)
+        d = mor_complex_DD(P, Q).differential
+        assert d.classes == eager_differential(P, Q).blocks
+        assert [len(members) for members in d.classes][0] == 80
+
+    def test_a_term_outside_its_class_raises(self, monkeypatch, az1,
+                                             cfd_m1):
+        # with every component alone in a class, a nonzero row leaves it
+        from bhfi import grading
+        monkeypatch.setattr(grading, "graded_classes", lambda edges, b:
+                            tuple((i,) for i in range(len(b))))
+        with pytest.raises(ValueError,
+                           match="^mor_complex_DD: .* leaves its grading "
+                                 "class$"):
+            mor_complex_DD(cfd_m1, box_tensor(az1, cfd_m1)).homology()
 
 
 class TestMorphisms:

@@ -2,19 +2,17 @@
 
 A grading that the differential never leaves splits a complex into
 classes, each a union of support blocks.  ``graded_classes`` finds them
-from potentials on a graph modulo its loops, and a ``GradedDifferential``
-keeps one ``BlockDifferential`` per class, built when first read, so a
-search that stops early never builds the classes after its hit.
-``mor_differential`` grades a morphism complex by multiplicity; only the
-morphism complexes use this module, and they import it on their first
-build.
+from potentials on a graph modulo its loops, and ``mor_differential``
+grades a morphism complex by multiplicity, into a ``BlockDifferential``
+that builds each class when first read, so a search that stops early
+never builds the classes after its hit.  Only the morphism complexes use
+this module, and they import it on their first build.
 """
 from __future__ import annotations
 
-import heapq
-from functools import cache, cached_property
+from functools import cache
 
-from .homology import BlockDifferential, F2Matrix, HomologyData, _bits
+from .homology import BlockDifferential, F2Matrix
 
 
 def graded_classes(edges, points):
@@ -64,60 +62,6 @@ def graded_classes(edges, points):
     return tuple(map(tuple, classes.values()))
 
 
-class GradedDifferential:
-    """A square F2 differential split into grading classes that it never
-    leaves: ``classes`` are sorted index tuples ordered by first index, and
-    ``rows(members)`` gives a class's rows at its positions in ``members``.
-    Each class is a ``BlockDifferential`` on those positions, ``parts[c]``,
-    built with this differential for the first class and when ``runs()``
-    reaches its first index for the others, so d² = 0 is checked on every
-    block built; ``blocks``, ``homology()`` and ``matrix()`` read them all."""
-
-    def __init__(self, classes, rows):
-        self.classes, self._rows, self.parts = classes, rows, {}
-        if classes:
-            self.part(0)
-
-    def part(self, c):
-        if c not in self.parts:
-            self.parts[c] = BlockDifferential(self._rows(self.classes[c]))
-        return self.parts[c]
-
-    def runs(self):
-        """The cycles of each support block over all the indices, by first
-        index: a heap holds the blocks of the classes built so far and the
-        first index of each class not yet built."""
-        heap = [(members[0], c, -1) for c, members in enumerate(self.classes)]
-        while heap:
-            _, c, b = heapq.heappop(heap)
-            at, part = self.classes[c], self.part(c)
-            if b < 0:
-                for k, block in enumerate(part.blocks):
-                    heapq.heappush(heap, (at[block[0]], c, k))
-            else:
-                yield [sum(1 << at[i] for i in _bits(z))
-                       for z in part.cycles(b)]
-
-    @cached_property
-    def blocks(self):
-        return tuple(sorted(tuple(at[i] for i in block)
-                            for c, at in enumerate(self.classes)
-                            for block in self.part(c).blocks))
-
-    def homology(self):
-        cycles = tuple(z for run in self.runs() for z in run)
-        return HomologyData(len(cycles), cycles)
-
-    def matrix(self):
-        """The dense differential; a ChainComplex on it adopts this one."""
-        n = sum(map(len, self.classes))
-        d = F2Matrix.from_entries(n, n, (
-            (at[r], at[j]) for c, at in enumerate(self.classes)
-            for j, col in enumerate(self.part(c).rows) for r in col))
-        object.__setattr__(d, "_blocks", self)
-        return d
-
-
 def mor_differential(P, Q, basis, walk):
     """The differential of Mor(P, Q) on ``basis``, its components
     (p, (), a, q), by grading class.  The class of a component is the
@@ -141,4 +85,4 @@ def mor_differential(P, Q, basis, walk):
             raise ValueError(f"mor_complex_DD: {err} leaves its grading "
                              "class") from None
 
-    return GradedDifferential(classes, rows)
+    return BlockDifferential.graded(classes, rows)

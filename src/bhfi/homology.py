@@ -5,11 +5,14 @@ the (i, j) entry), which makes row operations single XORs of arbitrary
 width.  Every elimination in the package (rank, kernel, solving,
 homology representatives) is ``F2Matrix._echelon``, which pivots on the
 first available row in index order, so every result is reproducible across
-runs.  Systems kept as row lists (a ``BlockDifferential``, the kernel of
-``rows_nullspace``) are split into connected components first, and each
-component is eliminated at its own row indices by ``_local_echelon``.
+runs.  Systems kept as row lists (a ``BlockDifferential``, class by class;
+the kernel of ``rows_nullspace``) are split into connected components
+first, and each component is eliminated at its own row indices by
+``_local_echelon``.
 """
 from __future__ import annotations
+
+import heapq
 
 from ._record import record
 
@@ -169,8 +172,7 @@ class ChainComplex:
         n = len(self.generators)
         if self.d.nrows != n or self.d.ncols != n:
             raise ValueError("differential must be square on the generators")
-        # d² = 0, checked on the rows unless d is the matrix() of a Block-
-        # or GradedDifferential, kept for homology() and support_blocks()
+        # d² = 0 checked here, or by the BlockDifferential that made d
         object.__setattr__(self, "_blocks", getattr(self.d, "_blocks", None)
                            or BlockDifferential(list(map(_bits, self.d.cols))))
         if (q := self.q) is not None:
@@ -266,55 +268,94 @@ def rows_nullspace(cols):
 
 
 class BlockDifferential:
-    """A square F2 differential kept as row lists, ``rows[j]`` the rows of
-    column j, and nothing denser.  ``blocks`` are the connected components
-    of the support graph (``_components``); every column of a block has
-    its rows in it, so eliminating the blocks eliminates the whole
-    differential.  d² = 0 is checked on the rows at construction, and
-    ``cycles(b)`` builds block b's matrix in local indices (positions in
-    the block) only to eliminate it, when first asked for."""
+    """A square F2 differential kept as row lists and nothing denser, split
+    by ``graded(classes, rows)`` into ``classes`` that it never leaves:
+    sorted index tuples ordered by first index, ``rows(members)`` a
+    class's rows at its positions in ``members``; ``BlockDifferential(
+    rows)`` is one class of every index.  ``parts[c]`` holds class c's
+    rows, support blocks (``_components``) and cycles found so far, built
+    and checked d² = 0 at once for the first class and when ``runs()``
+    reaches its first index for the others.  ``cycles(c, b)`` builds block
+    b's matrix in local indices only to eliminate it, when first asked
+    for; ``blocks``, ``homology()`` and ``matrix()`` read every class."""
 
     def __init__(self, rows):
-        self.rows = rows
-        self.blocks = _components(rows)
-        for col in rows:
-            twice = []
-            for r in col:
-                twice += rows[r]
-            twice.sort()
-            if twice[::2] != twice[1::2]:
-                raise ValueError("differential does not square to zero")
-        self._cycles = {}
+        self._open((tuple(range(len(rows))),) if rows else (), lambda _: rows)
 
-    def matrix(self):
-        """The dense differential; a ChainComplex on it adopts these blocks."""
-        d = F2Matrix.from_entries(len(self.rows), len(self.rows), (
-            (r, j) for j, col in enumerate(self.rows) for r in col))
-        object.__setattr__(d, "_blocks", self)
+    @classmethod
+    def graded(cls, classes, rows):
+        d = cls.__new__(cls)
+        d._open(classes, rows)
         return d
 
-    def cycles(self, b):
-        """The cycle representatives of block b, as vectors over all the
-        indices: the kernel vectors that are independent of the boundaries
-        and of the kernel vectors before them, the pivot columns of
-        ``[im | ker]``."""
-        if b not in self._cycles:
-            block = self.blocks[b]
+    def _open(self, classes, rows):
+        self.classes, self._rows, self.parts = classes, rows, {}
+        if classes:
+            self.part(0)
+
+    def part(self, c):
+        if c not in self.parts:
+            rows = self._rows(self.classes[c])
+            for col in rows:
+                twice = []
+                for r in col:
+                    twice += rows[r]
+                twice.sort()
+                if twice[::2] != twice[1::2]:
+                    raise ValueError("differential does not square to zero")
+            self.parts[c] = rows, _components(rows), {}
+        return self.parts[c]
+
+    def runs(self):
+        """The cycles of each support block, by first index; a class is
+        built when its first index comes up in the merge of ``starts``."""
+        def starts(c, at):
+            yield at[0], c, -1
+            for b, block in enumerate(self.part(c)[1]):
+                yield at[block[0]], c, b
+
+        for _, c, b in heapq.merge(*map(starts, range(len(self.classes)),
+                                        self.classes)):
+            if b >= 0:
+                yield self.cycles(c, b)
+
+    def cycles(self, c, b):
+        """The cycle representatives of block b of class c, as vectors over
+        all the indices: the kernel vectors that are independent of the
+        boundaries and of the kernel vectors before them, the pivot columns
+        of ``[im | ker]``."""
+        rows, blocks, done = self.part(c)
+        if b not in done:
+            block, at = blocks[b], self.classes[c]
             _, cols, trans, order = _local_echelon(
-                block, [self.rows[g] for g in block])
+                block, [rows[g] for g in block])
             im = [cols[j] for _, j in order]
             ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
             both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
             _, _, _, both_order = both._echelon()
-            self._cycles[b] = [
-                sum(1 << block[i] for i in _bits(ker[j - len(im)]))
+            done[b] = [
+                sum(1 << at[block[i]] for i in _bits(ker[j - len(im)]))
                 for _, j in both_order if j >= len(im)]
-        return self._cycles[b]
+        return done[b]
+
+    @property
+    def blocks(self):
+        return tuple(sorted(tuple(at[i] for i in block)
+                            for c, at in enumerate(self.classes)
+                            for block in self.part(c)[1]))
 
     def homology(self):
-        cycles = tuple(z for b in range(len(self.blocks))
-                       for z in self.cycles(b))
+        cycles = tuple(z for run in self.runs() for z in run)
         return HomologyData(len(cycles), cycles)
+
+    def matrix(self):
+        """The dense differential; a ChainComplex on it adopts this one."""
+        n = sum(map(len, self.classes))
+        d = F2Matrix.from_entries(n, n, (
+            (at[r], j) for c, at in enumerate(self.classes)
+            for j, col in zip(at, self.part(c)[0]) for r in col))
+        object.__setattr__(d, "_blocks", self)
+        return d
 
 
 def homology(C):

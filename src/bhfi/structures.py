@@ -877,7 +877,7 @@ class MorComplex:
     P: BorderedObject
     Q: BorderedObject
     basis: tuple              # components (p, (), coefficient diagram, q)
-    differential: object      # a grading.GradedDifferential
+    differential: object      # a BlockDifferential by grading class
 
     @cached_property
     def complex(self):

@@ -817,8 +817,9 @@ class TestProcessExit:
         assert tail.split() == [f"{func}()"]
 
 
-# what each command compiles: the deferred submodules it executed, and
-# which of argparse and gettext it loaded
+# what each command compiles: the deferred submodules it executed, which
+# of argparse and gettext it loaded, and whether it imported bhfi.grading,
+# which only a Mor build imports
 LAZY = ("standard", "files", "equivalence", "involutive", "triangle")
 EXECUTED = f"""
 import json, sys, types
@@ -827,30 +828,31 @@ code = main(sys.argv[1:])
 print(json.dumps([code, [name for name in {LAZY!r}
                          if type(sys.modules["bhfi." + name])
                          is types.ModuleType],
-                  sorted({{"argparse", "gettext"}} & sys.modules.keys())]))
+                  sorted({{"argparse", "gettext"}} & sys.modules.keys()),
+                  "bhfi.grading" in sys.modules]))
 """
 
 COMPILED = [
-    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], ["files"]),
-    (["verify", "fixtures/az_k1.json"], ["files"]),
-    (builtins("hfhat", "cfd0", "cfd_inf"), ["standard"]),
-    (builtins("verify", "ddid_k1"), ["standard"]),
+    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], ["files"], True),
+    (["verify", "fixtures/az_k1.json"], ["files"], False),
+    (builtins("hfhat", "cfd0", "cfd_inf"), ["standard"], True),
+    (builtins("verify", "ddid_k1"), ["standard"], False),
     (builtins("hfihat", "cfd0", "cfd_m1"),
-     ["standard", "equivalence", "involutive"]),
+     ["standard", "equivalence", "involutive"], True),
     (builtins("mcg", "cfa0_k1", "cfd0", "az_k1", "azbar_k1"),
-     ["standard", "equivalence", "involutive"]),
+     ["standard", "equivalence", "involutive"], True),
     (builtins("triangle", "cfa0_k1"),
-     ["standard", "equivalence", "involutive", "triangle"]),
+     ["standard", "equivalence", "involutive", "triangle"], True),
 ]
 
 
-@pytest.mark.parametrize("argv, executed", COMPILED,
-                         ids=[" ".join(a) for a, _ in COMPILED])
-def test_command_executes_only_the_modules_it_runs(argv, executed):
+@pytest.mark.parametrize("argv, executed, graded", COMPILED,
+                         ids=[" ".join(a) for a, _, _ in COMPILED])
+def test_command_executes_only_the_modules_it_runs(argv, executed, graded):
     # the type is read from sys.modules, so the test loads nothing itself
     code, out, err = run_python(["-c", EXECUTED, *argv])
     assert (code, err) == (0, "")
-    assert json.loads(out.splitlines()[-1]) == [0, executed, []]
+    assert json.loads(out.splitlines()[-1]) == [0, executed, [], graded]
 
 
 # argv forms of the one grammar, each with its exit code, stdout and stderr;

@@ -13,7 +13,7 @@ from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
                   box_tensor, find_homotopy_equivalence,
                   find_structure_equivalence, homology, identity_da,
                   identity_morphism, mor_complex_DD, omega_equivalence)
-from bhfi import grading, structures
+from bhfi import structures
 from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
                               _unit_part, find_isomorphism)
 from bhfi.errors import generator_cap
@@ -328,28 +328,21 @@ class TestLazySearch:
         # classes are blocks 0 and 3 and blocks 1 and 2, so block 1, the
         # first of the second class, is reached after block 0; each block
         # is recorded by its first index in the whole complex
-        reached, graded = [], []
+        reached = []
         cycles = BlockDifferential.cycles
-        init = grading.GradedDifferential.__init__
 
-        def recording(self, b):
-            reached.append((self, b))
-            return cycles(self, b)
-
-        def keeping(self, classes, rows):
-            graded.append(self)
-            init(self, classes, rows)
+        def recording(self, c, b):
+            reached.append((self, c, b))
+            return cycles(self, c, b)
 
         monkeypatch.setattr(BlockDifferential, "cycles", recording)
-        monkeypatch.setattr(grading.GradedDifferential, "__init__", keeping)
         cert = find_homotopy_equivalence(*twisted)
         assert cert.search_index == (1,)
-        [d] = graded
-        built = {id(part): c for c, part in d.parts.items()}
-        assert [d.classes[built[id(part)]][part.blocks[b][0]]
-                for part, b in reached] == [0, 2]
+        [d] = {d for d, _, _ in reached}
+        assert [d.classes[c][d.parts[c][1][b][0]]
+                for _, c, b in reached] == [0, 2]
         # no class whose first index comes after the hit's block is built
-        assert sorted(built.values()) == [
+        assert sorted(d.parts) == [
             c for c, members in enumerate(d.classes) if members[0] <= 2]
         assert same_certificate(cert, eager_search(*twisted))
         mc = mor_complex_DD(*twisted)
@@ -460,13 +453,14 @@ class TestGradedSearch:
                                                   cfd0_k2):
         twisted = box_tensor(cfda_az(z2), cfd0_k2)
         built = []
-        init = BlockDifferential.__init__
+        part = BlockDifferential.part
 
-        def counting(self, rows):
-            built.append(len(rows))
-            init(self, rows)
+        def counting(self, c):
+            if c not in self.parts:
+                built.append(len(part(self, c)[0]))
+            return part(self, c)
 
-        monkeypatch.setattr(BlockDifferential, "__init__", counting)
+        monkeypatch.setattr(BlockDifferential, "part", counting)
         cert = find_homotopy_equivalence(cfd0_k2, twisted)
         assert built == [80]
         assert len(mor_complex_DD(cfd0_k2, twisted).basis) == 304

@@ -10,6 +10,7 @@ from bhfi import (ChainComplex, F2Matrix, box_tensor, homology,
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
                            _components, express_in_homology, rows_nullspace)
 from bhfi.involutive import conjugation_cone
+from bhfi.structures import BorderedObject
 
 
 def random_two_term_complex(rng, max_dim=14):
@@ -343,8 +344,8 @@ class TestBlockDifferential:
     def test_cycles_are_computed_per_block_on_request(self):
         d = BlockDifferential([[1], [], [], [], [3], []])
         assert d.blocks == ((0, 1), (2,), (3, 4), (5,))
-        assert d.cycles(1) == [1 << 2]
-        assert list(d._cycles) == [1]
+        assert d.cycles(0, 1) == [1 << 2]
+        assert list(d.parts[0][2]) == [1]
         assert d.homology().cycles == (1 << 2, 1 << 5)
 
     def test_a_later_block_with_nonzero_square_raises(self):
@@ -353,6 +354,78 @@ class TestBlockDifferential:
         with pytest.raises(ValueError,
                            match="differential does not square to zero"):
             BlockDifferential([[1], [], [3], [4], []])
+
+
+def graded_by(rows, classes):
+    """The differential on ``rows`` with ``classes``, each class's rows at
+    its positions."""
+    def class_rows(members):
+        pos = {g: i for i, g in enumerate(members)}
+        return [[pos[r] for r in rows[g]] for g in members]
+
+    return BlockDifferential.graded(classes, class_rows)
+
+
+def random_classes(rng, blocks):
+    """The blocks dealt at random into up to four classes, each a sorted
+    tuple, ordered by first index."""
+    dealt = {}
+    for block in blocks:
+        dealt.setdefault(rng.randrange(4), []).extend(block)
+    return tuple(sorted(tuple(sorted(c)) for c in dealt.values()))
+
+
+class TestClasses:
+    """One class of every index and classes that are unions of its
+    support blocks read the same differential."""
+
+    def test_random_unions_of_blocks_read_as_one_class(self):
+        rng = random.Random(44)
+        split = interleaved = 0
+        for _ in range(200):
+            C = random_cone(rng)
+            rows = [_bits(col) for col in C.d.cols]
+            one = BlockDifferential(rows)
+            classes = random_classes(rng, one.blocks)
+            graded = graded_by(rows, classes)
+            split += len(classes) > 1
+            # a class whose blocks are not consecutive in index order
+            interleaved += any(classes[i][-1] > classes[i + 1][0]
+                               for i in range(len(classes) - 1))
+            assert list(graded.runs()) == list(one.runs())
+            assert graded.blocks == one.blocks == C.support_blocks()
+            assert graded.homology() == one.homology() == homology(C)
+            assert graded.matrix() == one.matrix() == C.d
+        assert split > 40 and interleaved > 20
+
+    def test_a_later_class_with_nonzero_square_raises_when_reached(self):
+        # a random cone's blocks in random classes, then a class after
+        # them in which d(e_n) = e_n+1 and d(e_n+1) = e_n+2
+        rng = random.Random(45)
+        for _ in range(20):
+            C = random_cone(rng)
+            n = C.dim
+            rows = [_bits(col) for col in C.d.cols] + [[n + 1], [n + 2], []]
+            classes = random_classes(rng, BlockDifferential(rows[:n]).blocks)
+            d = graded_by(rows, classes + ((n, n + 1, n + 2),))
+            runs = d.runs()
+            for _ in range(len(C.support_blocks())):
+                next(runs)
+            with pytest.raises(ValueError,
+                               match="differential does not square to zero"):
+                next(runs)
+
+    def test_no_index_has_homology_zero(self, cfd0):
+        empty = HomologyData(0, ())
+        for d in (BlockDifferential([]), BlockDifferential.graded((), None)):
+            assert (d.classes, d.blocks, list(d.runs())) == ((), (), [])
+            assert d.homology() == empty and d.matrix() == F2Matrix(0, 0)
+        assert homology(ChainComplex((), F2Matrix.zero(0, 0))) == empty
+        E = BorderedObject(cfd0.out_alg, cfd0.in_alg, (), {}, {}, ())
+        for P, Q in ((E, cfd0), (cfd0, E), (E, E)):
+            mc = mor_complex_DD(P, Q)
+            assert mc.homology() == homology(mc.complex) == empty
+        assert iota_on_mor(E, cfd0).hf_dim == 0
 
 
 def random_row_lists(rng):
@@ -413,15 +486,17 @@ class TestRowsNullspace:
 
 @pytest.fixture
 def block_builds(monkeypatch):
-    """The rows of every BlockDifferential built while the test runs."""
+    """The rows of every class of a BlockDifferential built while the test
+    runs."""
     built = []
-    init = BlockDifferential.__init__
+    part = BlockDifferential.part
 
-    def counting(self, rows):
-        built.append(rows)
-        init(self, rows)
+    def counting(self, c):
+        if c not in self.parts:
+            built.append(part(self, c)[0])
+        return part(self, c)
 
-    monkeypatch.setattr(BlockDifferential, "__init__", counting)
+    monkeypatch.setattr(BlockDifferential, "part", counting)
     return built
 
 

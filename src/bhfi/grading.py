@@ -21,17 +21,23 @@ def graded_classes(edges, points):
     an edge (s, m, t), the potential of t is that of s plus m, from a root
     of each connected piece of the graph; m and the potentials are F2
     vectors as bitmasks, taken modulo the loops, the sums of m around the
-    graph's cycles.  The loops are echeloned as ``_echelon`` echelons
-    columns, and a vector is reduced by clearing every pivot bit, lowest
-    first: one value per class, and linear, so each m and each potential
-    is reduced once."""
-    up, loops = {}, []
+    graph's cycles.  The pieces are a union-find with path compression:
+    each node keeps its potential over its parent, and a lookup points
+    every node it passes at the root, so the whole pass is near-linear.
+    The loops are echeloned as ``_echelon`` echelons columns, and a vector
+    is reduced by clearing every pivot bit, lowest first: one value per
+    class, and linear, so each m and each potential is reduced once."""
+    up, loops = {}, []          # g: (parent, potential over it); roots absent
 
-    def find(g):                # (root, potential); a root is not in ``up``
-        m = 0
+    def find(g):                # (root, potential), pointing g's path at it
+        path = []
         while g in up:
-            g, step = up[g]
-            m ^= step
+            path.append(g)
+            g = up[g][0]
+        m = 0
+        for node in reversed(path):
+            m ^= up[node][1]
+            up[node] = g, m
         return g, m
 
     for s, m, t in edges:
@@ -64,18 +70,22 @@ def graded_classes(edges, points):
 
 def mor_differential(P, Q, basis, walk):
     """The differential of Mor(P, Q) on ``basis``, its components
-    (p, (), a, q), by grading class.  The class of a component is the
-    multiplicity of a plus potentials of p and q on the graphs of P's and
-    Q's operations, each operation s -> t with coefficient b an edge
-    (s, mult(b), t).  Nonzero products add multiplicities and d keeps
-    them, so d never leaves a class.  A class's rows come from ``walk``,
-    the complex's ``_term_walk``; a term outside its class is a
+    (p, (), a, q) as ``_elementary_components`` lists them, by grading
+    class, every component graded in one near-linear pass.  The class of
+    a component is the multiplicity of a plus potentials of p and q on
+    the graphs of P's and Q's operations, whose nodes are P's generators
+    and then Q's, numbered; each operation s -> t with coefficient b is an
+    edge (s, mult(b), t).  Nonzero products add multiplicities and d
+    keeps them, so d never leaves a class.  A class's rows come from
+    ``walk``, the complex's ``_term_walk``; a term outside its class is a
     ValueError, never dropped."""
     mult = cache(P.out_alg.multiplicity)
+    node_p = {p: n for n, p in enumerate(P.generators)}
+    node_q = {q: n for n, q in enumerate(Q.generators, len(node_p))}
     classes = graded_classes(
-        [((side, s), mult(b), (side, t))
-         for side, S in enumerate((P, Q)) for s, _, b, t in S.ops],
-        [(mult(a), (0, p), (1, q)) for p, _, a, q in basis])
+        [(node[s], mult(b), node[t])
+         for node, S in ((node_p, P), (node_q, Q)) for s, _, b, t in S.ops],
+        [(mult(a), node_p[p], node_q[q]) for p, _, a, q in basis])
 
     def rows(members):
         pos = {basis[i]: n for n, i in enumerate(members)}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from functools import cache, cached_property
 from operator import itemgetter
 
@@ -833,38 +832,39 @@ def box_morphism_right_comps(B, f):
 # elementary components and the morphism complexes of type D structures
 
 
-def _chained_words(alg, start, end, max_len):
-    """Idempotent-chained input words from ``start`` to ``end``."""
-    words = []
-    frontier = [((), start)]
-    for _ in range(max_len):
-        frontier = [(word + (b,), alg.right_idem_of(b))
-                    for word, at in frontier for b in alg.basis_from(at)]
-        words += frontier
-    return [w for w, at in [((), start)] + words if at == end]
-
-
 def _elementary_components(stage, A, B, max_arity=1):
-    """The elementary components A -> B, sorted by ``A.op_sort_key``: each
-    (a, word, out, b) with ``out`` a basis element between the output
-    idempotents of a and b, and ``word`` an idempotent-chained input word
-    of at most ``max_arity - 1`` letters between their input idempotents.
-    They are counted from the generators' idempotents alone and refused
-    past the cap, naming ``stage``, before any is listed."""
+    """The elementary components A -> B, each (a, word, out, b) with
+    ``out`` a basis element between the output idempotents of a and b and
+    ``word`` an idempotent-chained input word of at most ``max_arity - 1``
+    letters between their input idempotents.  They are counted and refused
+    past the cap, naming ``stage``, before any is listed, then listed in
+    ``A.op_sort_key`` order with no key built: a by label, its words in
+    preorder over the ``basis_from`` listings, the outputs merged by
+    ``sort_key`` across the spans to B's output idempotents, b by label."""
     out_alg, in_alg = A.out_alg, A.in_alg
-    words = cache(lambda i, j: [()] if in_alg.is_trivial else
-                  _chained_words(in_alg, i, j, max_arity - 1))
-    a_idems = Counter((A.out_idem[a], A.in_idem[a]) for a in A.generators)
-    b_idems = Counter((B.out_idem[b], B.in_idem[b]) for b in B.generators)
+    depth = 0 if in_alg.is_trivial else max_arity - 1
+    spans = {}              # B's generators by input, then output idempotent
+    for b in sorted(B.generators):
+        spans.setdefault(B.in_idem[b], {}).setdefault(B.out_idem[b],
+                                                      []).append(b)
+
+    def preorder(word, at):
+        yield word, at
+        for b in in_alg.basis_from(at) if len(word) < depth else ():
+            yield from preorder(word + (b,), in_alg.right_idem_of(b))
+
+    words = cache(lambda i: list(preorder((), i)))      # (word, end)
+    targets = cache(lambda o, j: list(heapq.merge(      # (out, bs)
+        *([(out, bs) for out in out_alg.basis_between(o, p)]
+          for p, bs in spans.get(j, {}).items()),
+        key=lambda pair: out_alg.sort_key(pair[0]))))
+    a_gens = sorted(A.generators)
     refuse_past_cap(stage, sum(
-        m * n * len(out_alg.basis_between(o, p)) * len(words(i, j))
-        for (o, i), m in a_idems.items() for (p, j), n in b_idems.items()),
-        "basis morphisms")
-    return sorted(((a, w, out, b) for a in A.generators for b in B.generators
-                   for w in words(A.in_idem[a], B.in_idem[b])
-                   for out in out_alg.basis_between(A.out_idem[a],
-                                                    B.out_idem[b])),
-                  key=A.op_sort_key)
+        len(bs) * len(out_alg.basis_between(A.out_idem[a], p))
+        for a in a_gens for _, j in words(A.in_idem[a])
+        for p, bs in spans.get(j, {}).items()), "basis morphisms")
+    return [(a, w, out, b) for a in a_gens for w, j in words(A.in_idem[a])
+            for out, bs in targets(A.out_idem[a], j) for b in bs]
 
 
 @record

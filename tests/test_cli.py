@@ -747,14 +747,23 @@ class TestContractibleFiles:
                       "sums of up to 4 of the 0-vector homology basis"}
 
 
-def test_genus_2_hfihat_bytes_across_hash_seeds():
-    argv = builtins("hfihat", "cfd0_k2", "cfd0_k2")
-    runs = [run_process(*argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
-    assert runs[0] == runs[1]
-    code, out, _ = runs[0]
-    assert code == 0
-    report = json.loads(out)
-    assert (report["hf_dim"], report["hfi_dim"], report["ker"]) == (4, 8, 4)
+def test_genus_2_hfihat_bytes_across_hash_seeds(tmp_path):
+    # and on relabelled files: the Mor listings bucket the generators of
+    # az x P by their frozenset idempotents, and the labels sort anew
+    P, files = builtin_structure("cfd0_k2"), ["hfihat"]
+    for prefix in ("p", "q"):
+        files.append(str(tmp_path / f"{prefix}.json"))
+        dump_structure(P.relabeled({g: f"{prefix}{i}" for i, g
+                                    in enumerate(P.generators)}), files[-1])
+    for argv in (builtins("hfihat", "cfd0_k2", "cfd0_k2"), files):
+        runs = [run_process(*argv, PYTHONHASHSEED=seed)
+                for seed in ("0", "1")]
+        assert runs[0] == runs[1]
+        code, out, _ = runs[0]
+        assert code == 0
+        report = json.loads(out)
+        assert (report["hf_dim"], report["hfi_dim"], report["ker"]) == \
+            (4, 8, 4)
 
 
 class TestProcessExit:

@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
-                  box_tensor, find_homotopy_equivalence,
+                  box_tensor, cfd_zero_handlebody, find_homotopy_equivalence,
                   find_structure_equivalence, homology, identity_da,
-                  identity_morphism, mor_complex_DD, omega_equivalence)
+                  identity_morphism, mor_complex_DD, omega_equivalence,
+                  split_pmc)
 from bhfi import structures
 from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
                               _unit_part, find_isomorphism)
@@ -23,8 +24,9 @@ from bhfi.standard import cfda_az, cfda_azbar, dd_identity, torus_chord
 from bhfi.structures import (BorderedObject, _elementary_components,
                              contraction_trace, reduce_structure)
 from test_homology import dense_homology
-from test_structures import (captured_search_system, search_unknowns,
-                             shuffled, summed_search_columns)
+from test_structures import (_Captured, captured_search_system,
+                             search_unknowns, shuffled,
+                             summed_search_columns)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -579,6 +581,81 @@ def test_split_search_kernel_is_the_dense_one(request, z1, az1, azbar1,
             "az": (dd_identity(z1),) * 2,
             "seed 1": (box_tensor(cfda_az(z2), cfd0_k2), cfd0_k2)}[left]
     assert list(mor_complex_DD(P, Q).basis) == search_unknowns(P, Q, 1)
+
+
+class TestListingOrder:
+    """``_elementary_components`` lists in ``op_sort_key`` order without a
+    sort: it equals the sorted reference listing for every kind of caller,
+    and builds no sort key."""
+
+    @pytest.fixture(scope="class")
+    def type_d_pairs(self, az1, cfd0, cfd_inf, cfd_m1, z2, cfd0_k2):
+        # shuffled labels s0, s1, ..., s10, ... sort as strings, "s10"
+        # before "s2", on the ladder rungs (3, 13 and 55 generators)
+        pairs, rung = [], cfd0
+        for n in range(3):
+            rung = box_tensor(az1, rung)
+            relabelled = shuffled(rung, n)
+            for torus in (cfd0, cfd_inf, cfd_m1):
+                pairs += [(relabelled, torus), (torus, relabelled)]
+        twisted = shuffled(box_tensor(cfda_az(z2), cfd0_k2), 5)
+        pairs += [(twisted, cfd0_k2), (cfd0_k2, twisted)]
+        P = cfd_zero_handlebody(3)
+        az = cfda_az(split_pmc(3), P.out_idem.values(), {o[2] for o in P.ops})
+        twisted = shuffled(box_tensor(az, P), 7)
+        return pairs + [(twisted, P), (P, twisted)]
+
+    def test_type_d_pairs_at_genus_1_to_3(self, type_d_pairs):
+        sizes = []
+        for P, Q in type_d_pairs:
+            listed = _elementary_components("test", P, Q)
+            assert listed == search_unknowns(P, Q, 1)
+            sizes.append(len(listed))
+        assert max(sizes) == 21632
+
+    def test_dd_pairs_over_the_tensor_algebra(self, z1, z2):
+        for circle in (z1, z2):
+            D = dd_identity(circle)
+            for P, Q in ((D, shuffled(D, 3)), (shuffled(D, 4), D)):
+                listed = _elementary_components("test", P, Q)
+                assert listed == search_unknowns(P, Q, 1)
+                assert list(mor_complex_DD(P, Q).basis) == listed
+        assert len(listed) == 3494
+
+    @pytest.mark.parametrize("seed", [1, 11, 38])
+    def test_bridge_systems_of_the_relabelled_a_side(self, monkeypatch, z2,
+                                                     cfa2, seed):
+        import bhfi.equivalence as equivalence
+        ends = []
+
+        def search(A, B, max_arity=2):
+            ends.append((A, B))
+            raise _Captured
+        monkeypatch.setattr(equivalence, "search_small_equivalence", search)
+        M = load_relabel()(cfa2, random.Random(seed), "m")
+        with pytest.raises(_Captured):
+            find_structure_equivalence(box_tensor(M, cfda_azbar(z2)), M)
+        A, B = ends[0]
+        sizes = []
+        for arity in (1, 2, 3):
+            listed = _elementary_components("test", A, B, arity)
+            assert listed == search_unknowns(A, B, arity)
+            sizes.append(len(listed))
+        assert sizes == ([69, 1481, 24630] if seed == 38
+                         else [25, 877, 16278])
+
+    def test_no_sort_key_is_built(self, monkeypatch, seed_1_bridge,
+                                  type_d_pairs):
+        calls = []
+        real = BorderedObject.op_sort_key
+        monkeypatch.setattr(BorderedObject, "op_sort_key",
+                            lambda S, op: calls.append(op) or real(S, op))
+        (A, B, _), _, _ = seed_1_bridge
+        for arity in (1, 2, 3):
+            _elementary_components("test", A, B, arity)
+        for P, Q in type_d_pairs:
+            _elementary_components("test", P, Q)
+        assert calls == []
 
 
 class TestConeReductions:

@@ -5,9 +5,9 @@ mapping class group action, and a machine-verified surgery exact triangle.
 
 A command compiles only the modules it runs: ``standard``, ``files``,
 ``equivalence``, ``involutive`` and ``triangle`` sit in ``sys.modules``
-unexecuted until first used, and ``pairing`` (the box tensor kernel),
-``cancellation`` and ``typea`` (the type A side) are imported when one of
-their names is first read, through ``__getattr__`` (``_forward``).
+unexecuted until first used, and ``grading``, ``morphisms`` (with
+cancellation), ``pairing`` (the box tensor kernel) and ``typea`` (the type
+A side) are imported on first use, directly or through ``_forward``.
 """
 
 

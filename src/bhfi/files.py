@@ -57,12 +57,17 @@ def diagram_from_json(circle, data):
 
 def element_from_json(circle, data, memo):
     """The element of a payload, decoded once per file: ``memo`` maps the
-    circle and the payload's ``repr``, exact, so ``true``, ``1`` and ``1.0``
-    stay apart, to the element."""
-    key = (circle, repr(data))
+    identities of the circle and of the payload's diagrams, which
+    ``load_structure`` shares, and on a miss the circle with the payload's
+    ``repr``, exact, so ``true``, ``1`` and ``1.0`` stay apart, to the
+    element."""
+    key = (id(circle), *map(id, data))
     if key not in memo:
-        memo[key] = AlgebraElement(circle, frozenset(
-            diagram_from_json(circle, d) for d in data))
+        exact = (circle, repr(data))
+        if exact not in memo:
+            memo[exact] = AlgebraElement(circle, frozenset(
+                diagram_from_json(circle, d) for d in data))
+        memo[key] = memo[exact]
     return memo[key]
 
 
@@ -189,15 +194,25 @@ def structure_from_json(data):
     raise ParseError(f"unknown structure kind {kind!r}")
 
 
+def _shared_diagrams():
+    """An ``object_hook`` that returns one object per exact diagram payload,
+    keyed by its ``repr``, so ``true``, ``1`` and ``1.0`` stay apart."""
+    seen = {}
+
+    def hook(obj):
+        return seen.setdefault(repr(obj), obj) if "moving" in obj else obj
+    return hook
+
+
 def load_structure(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_hook=_shared_diagrams())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # also an integer past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests its JSON too deeply: {exc}") from exc

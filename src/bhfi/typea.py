@@ -40,15 +40,14 @@ def _factor_action(f):
     return _FACTOR_ACTION.get(f.moving, {})
 
 
-def split_factors(diagram):
-    """Decompose a split-circle diagram into genus-1 blocks, or None.
+def split_factors(diagram, alg):
+    """Decompose a split-circle diagram into blocks of ``alg``, the genus-1
+    algebra, or None.
 
     Fails (None) when a strand crosses a block boundary or the occupied
     slots do not distribute one per block.
     """
-    Z = diagram.circle
-    k = Z.k
-    alg = algebra(split_pmc(1))
+    k = diagram.circle.k
     factors = [[[], set()] for _ in range(k)]
     for i, j in diagram.moving:
         block = (i - 1) // 4
@@ -70,6 +69,7 @@ def cfa_zero_handlebody(k):
         raise ValueError("genus must be a positive integer")
     zk = split_pmc(k)
     basis = algebra(zk).basis      # refuses oversized genera before 3^k words
+    alg1 = algebra(split_pmc(1))
     gens, operations = [], []
     for word in itertools.product("tuv", repeat=k):
         label = "".join(word)
@@ -78,7 +78,7 @@ def cfa_zero_handlebody(k):
         operations += [(label, [], label[:i] + "v" + label[i + 1:])
                        for i, x in enumerate(word) if x == "u"]
     for b in basis:
-        if (factors := split_factors(b)) is not None:
+        if (factors := split_factors(b, alg1)) is not None:
             # the words the factors act on, each with its image
             for pairs in itertools.product(*(_factor_action(f).items()
                                              for f in factors)):

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from bhfi import cli
 from bhfi.cli import main
-from bhfi.files import dump_structure, load_structure
+from bhfi.errors import ParseError
+from bhfi.files import dump_structure, load_structure, structure_from_json
 from bhfi.standard import BUILTIN_NAMES, builtin_structure
 from bhfi.strands import split_pmc
 
@@ -643,21 +646,40 @@ class TestMalformedFiles:
             "generators": [{"label": "n", "idem": [1]}], "ops": []}))
         self.refused(path, "bad circle payload: points must be JSON integers")
 
-    @pytest.mark.parametrize("point", [True, 1.0], ids=json.dumps)
+    @pytest.mark.parametrize("name, field, value, detail", [
+        ("cfd0", "moving", [[True, 3]],
+         "strand [True, 3] is not two points of a genus-1 circle"),
+        ("cfd0", "moving", [[1.0, 3]],
+         "strand [1.0, 3] is not two points of a genus-1 circle"),
+        ("cfd0_k2", "horizontal", [True], "no matched pair True"),
+        ("cfd0_k2", "horizontal", [1.0], "no matched pair 1.0"),
+    ], ids=["true", "1.0", "horizontal-true", "horizontal-1.0"])
     def test_repeated_payload_with_a_point_that_is_not_an_integer(
-            self, tmp_path, point):
-        # payloads are decoded once per file: the second operation repeats
-        # the first with true or 1.0 for point 1, and must not reuse it
+            self, tmp_path, name, field, value, detail):
+        # payloads are decoded once per file, and diagram payloads parsed
+        # into one object each: an appended operation repeats the last with
+        # true or 1.0 for point or pair 1, which a key compared with ==
+        # would find and reuse
         path = tmp_path / "repeat.json"
-        dump_structure(builtin_structure("cfd0"), path)
+        dump_structure(builtin_structure(name), path)
         payload = json.loads(path.read_text())
-        op = json.loads(json.dumps(payload["ops"][0]))
-        op["out"][0]["moving"] = [[point, 3]]
+        op = json.loads(json.dumps(payload["ops"][-1]))
+        op["out"][0][field] = value
         payload["ops"].append(op)
         path.write_text(json.dumps(payload))
-        strand = json.dumps([point, 3]).replace("true", "True")
-        self.refused(path, f"bad diagram payload: strand {strand} is not "
-                           "two points of a genus-1 circle")
+        self.refused(path, f"bad diagram payload: {detail}")
+        with pytest.raises(ParseError, match=re.escape(detail)):
+            structure_from_json(payload)     # the caller's unshared dicts
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on the digits of an integer")
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json raises a plain ValueError, not a JSONDecodeError, on an
+        # integer of more digits than the interpreter converts; it once
+        # ended in a traceback and exit 1
+        path = tmp_path / "digits.json"
+        path.write_text('{"kind": "D", "circle": {"k": 1%s}}' % ("0" * 5000))
+        self.refused(path, "is not valid JSON: Exceeds the limit")
 
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
@@ -705,6 +727,29 @@ class TestMalformedFiles:
         path.write_text(json.dumps(payload))
         self.refused(path, f"operation {payload['ops'].index(op)} of a "
                            "kind-A structure carries an algebra output")
+
+
+class TestDecodeMemory:
+    def test_load_peaks_well_below_the_bare_parse(self):
+        # each distinct diagram payload is parsed into one shared object:
+        # the az_k2 file holds 4,496 diagram payloads, 238 of them distinct.
+        # Unshared, the load peaked above json.load (104 %)
+        path = os.path.join(ROOT, "fixtures", "az_k2.json")
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        load_structure(path)     # the algebra and its tables, built once
+        ratio = peak(lambda: load_structure(path)) / peak(parse)
+        assert ratio <= 0.6, ratio
 
 
 class TestContractibleFiles:

@@ -113,6 +113,17 @@ class TestCfaHandlebody:
     def test_generator_count(self):
         assert len(cfa_zero_handlebody(3).generators) == 27
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_genus_1_circle_per_build(self, monkeypatch, k):
+        # split_pmc checks its cap on every call, so the genus-1 algebra of
+        # the factors is built once per build, not once per basis element
+        from bhfi import typea
+        calls, real = [], typea.split_pmc
+        monkeypatch.setattr(typea, "split_pmc",
+                            lambda n: calls.append(n) or real(n))
+        cfa_zero_handlebody(k)
+        assert sorted(calls) == [1, k]
+
 
 class TestDDIdentity:
     def test_genus_1_generators(self, z1):

@@ -20,11 +20,11 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import files, involutive, standard, triangle
+from . import files, involutive, mor, standard, triangle
 from .errors import (DivergenceError, NotEquivalentError, ParseError,
                      RelationViolation)
 from .strands import algebra, split_pmc
-from .structures import check_structure, mor_complex_DD, require_valid
+from .structures import check_structure, require_valid
 
 
 def _resolve_inputs(args, kinds=None, genus=None):
@@ -80,7 +80,7 @@ def _emit(args, payload):
 
 def _cmd_hfhat(args):
     P0, P1 = _resolve_inputs(args, (("D", "D"), ("DD", "DD")))
-    mc = mor_complex_DD(P0, P1)
+    mc = mor.mor_complex_DD(P0, P1)
     _emit(args, {"hf_dim": mc.homology().dimension})
     return 0
 
@@ -99,6 +99,10 @@ def _cmd_verify(args):
     if not refs:
         raise ParseError("verify: expected at least 1 input (files or "
                          "--builtin), got 0")
+    for i, ref in enumerate(refs):
+        if ref in refs[:i]:
+            raise ParseError(f"verify: input {ref!r} is given twice; the "
+                             "report has one row per input")
     for ref, S in zip(refs, _resolve_inputs(args)):
         violations = check_structure(S)
         results[ref] = {

@@ -15,9 +15,10 @@ import math
 from . import _forward
 from ._record import record
 from .errors import DivergenceError, NotEquivalentError, generator_cap
-from .homology import F2Matrix, _bits
+from .homology import _bits
+from .matrices import F2Matrix
+from .mor import mor_complex_DD
 from .morphisms import Morphism
-from .structures import mor_complex_DD
 
 __getattr__ = _forward(__name__, typea="find_isomorphism omega_equivalence "
                        "find_structure_equivalence search_small_equivalence")
@@ -41,7 +42,6 @@ class EquivalenceCertificate:
 
     def to_json(self):
         """Reproducibility record: components, selected classes, trace."""
-        out_alg = self.forward.source.out_alg
         comps = []
         for src, ins, out, dst in self.forward.sorted_comps():
             comps.append({

@@ -5,13 +5,13 @@ import os
 
 
 def generator_cap():
-    """The largest object a stage may build: ``BHFI_MAX_GENERATORS``."""
+    """The largest object a stage may build: ``BHFI_MAX_GENERATORS``, in
+    ASCII decimal digits only (no sign, space or underscore)."""
     text = os.environ.get("BHFI_MAX_GENERATORS", "200000")
-    try:
-        return int(text)
-    except ValueError:
+    if not (text.isascii() and text.isdigit()):
         raise ParseError("BHFI_MAX_GENERATORS must be a decimal integer, "
-                         f"not {text!r}") from None
+                         f"not {text!r}")
+    return int(text)
 
 
 def size_text(size, lower_bound=False):

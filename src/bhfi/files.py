@@ -17,15 +17,23 @@ from __future__ import annotations
 
 import json
 
+from .elements import AlgebraElement
 from .errors import ParseError
-from .strands import (AlgebraElement, PointedMatchedCircle, _pair_labels,
-                      _strand_points, algebra)
-from .structures import AInfModule, DABimodule, DDBimodule, TypeDStructure
+from .strands import (PointedMatchedCircle, _pair_labels, _strand_points,
+                      algebra)
+from .structures import AInfModule, DABimodule, TypeDStructure
 
 
 def circle_from_json(data):
     try:
-        return PointedMatchedCircle.from_json(data)
+        k = data["k"]
+        if type(k) is not int:      # no float, string or bool genus
+            raise ValueError(f"genus must be a JSON integer, not {k!r}")
+        matching = tuple(map(tuple, data["matching"]))
+        for p in [q for pair in matching for q in pair]:
+            if type(p) is not int:  # 1.0 == True == 1 would pass as point 1
+                raise ValueError(f"points must be JSON integers, not {p!r}")
+        return PointedMatchedCircle(k, matching)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad circle payload: {exc}") from exc
 
@@ -185,6 +193,7 @@ def structure_from_json(data):
                                          element_from_json(right, b, memo)),
                               o["dst"]))
             _refuse(kind, ops, "inputs", "algebra inputs")
+            from .dd import DDBimodule
             return DDBimodule(left, right,
                               _generators(kind, gens, left, right), delta)
     except ParseError:

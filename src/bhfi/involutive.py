@@ -8,11 +8,12 @@ from . import _forward
 from ._record import record
 from .equivalence import find_homotopy_equivalence
 from .errors import RelationViolation
-from .homology import ChainComplex, F2Matrix, express_in_homology, homology
-from .pairing import box_tensor, box_morphism_right_comps, validate_bounded
-from .standard import cfda_az
+from .homology import homology
+from .matrices import ChainComplex, F2Matrix, express_in_homology
+from .mor import mor_complex_DD
 from .morphisms import Morphism
-from .structures import mor_complex_DD
+from .pairing import box_tensor, box_morphism_right_comps, validate_bounded
+from .pieces import cfda_az
 
 __getattr__ = _forward(__name__, typea="InvolutiveAInf conjugation "
                        "involutive_pair mcg_action paired_insertion "

@@ -8,7 +8,7 @@ import itertools
 
 from ._record import record
 from .errors import RelationViolation
-from .homology import F2Matrix
+from .matrices import F2Matrix
 from .structures import BorderedObject, _term_walk, _toggle
 
 
@@ -265,7 +265,7 @@ def contraction_trace(S):
     provably terminates.
     """
     if not S.in_alg.is_trivial:
-        from .standard import dd_identity
+        from .dd import dd_identity
         from .typea import box_tensor_DD_side
         S = box_tensor_DD_side(S, dd_identity(S.in_alg.circle))
     red = reduce_structure(S)

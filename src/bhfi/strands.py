@@ -15,7 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import attrgetter
 
+from . import _forward
 from ._record import record
 from .errors import generator_cap, refuse_past_cap
 
@@ -92,17 +94,6 @@ class PointedMatchedCircle:
 
     def to_json(self):
         return {"k": self.k, "matching": [list(p) for p in self.matching]}
-
-    @staticmethod
-    def from_json(data):
-        k = data["k"]
-        if type(k) is not int:      # no float, string or bool genus
-            raise ValueError(f"genus must be a JSON integer, not {k!r}")
-        matching = tuple(map(tuple, data["matching"]))
-        for p in itertools.chain.from_iterable(matching):
-            if type(p) is not int:  # 1.0 == True == 1 would pass as point 1
-                raise ValueError(f"points must be JSON integers, not {p!r}")
-        return PointedMatchedCircle(k, matching)
 
     def __repr__(self):
         tag = "-" if self.reversed_orientation else ""
@@ -239,15 +230,6 @@ class StrandDiagram(int):
         parts += [f"h{p}" for p in sorted(self.horizontal)]
         return "_".join(parts)
 
-    def reflect(self):
-        """The corresponding diagram of the orientation-reversed circle,
-        written back in the coordinates of the (reflection-symmetric) circle."""
-        Z = self.circle
-        moving = tuple(sorted((Z.reflect_point(j), Z.reflect_point(i))
-                              for i, j in self.moving))
-        horizontal = frozenset(Z.reflect_pair_label(p) for p in self.horizontal)
-        return algebra(Z).diagram(moving, horizontal)
-
     def to_json(self):
         return {"left_idem": sorted(self.left_idem),
                 "moving": [list(s) for s in self.moving],
@@ -255,56 +237,6 @@ class StrandDiagram(int):
 
     def __repr__(self):
         return self.label
-
-
-@record
-class AlgebraElement:
-    """An F2 linear combination of strand diagrams over one circle."""
-
-    circle: PointedMatchedCircle
-    terms: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", frozenset(self.terms))
-        for t in self.terms:
-            if t.circle != self.circle:
-                raise ValueError("terms over a different circle")
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.circle, self.terms ^ other.terms)
-
-    def __mul__(self, other):
-        self._check(other)
-        alg = algebra(self.circle)
-        acc = set()
-        for a in self.terms:
-            for b in other.terms:
-                if (c := alg.mul_basis(a, b)) is not None:
-                    acc ^= {c}
-        return AlgebraElement(self.circle, frozenset(acc))
-
-    def d(self):
-        alg = algebra(self.circle)
-        acc = set()
-        for a in self.terms:
-            acc ^= alg.diff_basis(a)
-        return AlgebraElement(self.circle, frozenset(acc))
-
-    def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.circle != self.circle:
-            raise ValueError("operands lie over different circles")
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms, key=StrandDiagram.sort_key)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(t.label for t in self.sorted_terms())
 
 
 _MISS = object()     # not cached yet; a cached None is a zero product
@@ -316,10 +248,11 @@ class StrandsAlgebra:
     """The weight-0 summand of the strands algebra of a matched circle.
 
     Interns its diagrams, one object per diagram, and caches products,
-    differentials and the basis listings: between two idempotents, from
-    one, into one, and whole, each listed straight from its idempotents and
-    refused past the cap by its own size; the reverse lookups the relation
-    checkers need are built from the whole basis on first request.
+    differentials and the basis listings between two idempotents, from
+    one and into one, each listed straight from its idempotents and
+    refused past the cap by its own size.  The whole basis and the reverse
+    lookups the relation checkers need (``tables``) and the sums of
+    diagrams (``elements``) are methods read through ``__getattr__``.
     Products and differentials are composed on the smeared diagrams.
     """
 
@@ -340,34 +273,6 @@ class StrandsAlgebra:
         return diag
 
     # -- basis ---------------------------------------------------------
-
-    @property
-    def basis(self):
-        """The listings from each idempotent, in order.  Both refusals run
-        on every read, the second on the cached length once the basis is
-        listed, so a cap lowered later in the process refuses it too."""
-        # the exact count is exponential in k: the bound refuses first
-        refuse_past_cap("strands basis", self._basis_lower_bound(),
-                        "diagrams", lower_bound=True)
-        basis = getattr(self, "_basis_cached", None)
-        if basis is None:
-            keys = self.idem_keys
-            self._refuse_listing([(x, y) for x in keys for y in keys])
-            basis = self._basis_cached = tuple(itertools.chain.from_iterable(
-                map(self.basis_from, keys)))
-        refuse_past_cap("strands basis", len(basis), "diagrams")
-        return basis
-
-    def _basis_lower_bound(self):
-        """A closed-form lower bound on the basis size, cheap at any genus:
-        the idempotents, the diagrams with one moving strand (between two
-        pairs, or within one), and the diagrams whose two moving strands end
-        on four distinct pairs (three ways to join four such points)."""
-        k, comb = self.circle.k, math.comb
-        bound = comb(2 * k, k) + chord_term_count(self.circle)
-        if k >= 2:
-            bound += 3 * 16 * comb(2 * k, 4) * comb(2 * k - 4, k - 2)
-        return bound
 
     def _sweep(self, left, right, ways):
         """Count (``ways`` 1) or list (``ways`` [()], as moving strands) the
@@ -439,16 +344,6 @@ class StrandsAlgebra:
         key = ((), frozenset(pairs))
         diag = self._diagrams.get(key)
         return self.diagram(*key) if diag is None else diag
-
-    def unit(self):
-        return AlgebraElement(self.circle,
-                              frozenset(self.idempotent_diagrams))
-
-    def element(self, diagrams):
-        return AlgebraElement(self.circle, frozenset(diagrams))
-
-    def zero(self):
-        return AlgebraElement(self.circle)
 
     # -- ring operations -------------------------------------------------
 
@@ -563,26 +458,11 @@ class StrandsAlgebra:
     # -- idempotent bookkeeping (generic-algebra interface) ---------------
 
     is_trivial = False
-
-    @staticmethod
-    def left_idem_of(a):
-        return a.left_idem
-
-    @staticmethod
-    def right_idem_of(a):
-        return a.right_idem
-
-    @staticmethod
-    def is_idem(a):
-        return a.is_idempotent
-
-    @staticmethod
-    def sort_key(a):
-        return a.sort_key()
-
-    @staticmethod
-    def label_of(a):
-        return a.label
+    left_idem_of = staticmethod(attrgetter("left_idem"))
+    right_idem_of = staticmethod(attrgetter("right_idem"))
+    is_idem = staticmethod(attrgetter("is_idempotent"))
+    sort_key = staticmethod(attrgetter("_sort_key"))
+    label_of = staticmethod(attrgetter("label"))
 
     @staticmethod
     def multiplicity(a):
@@ -597,8 +477,7 @@ class StrandsAlgebra:
     def idem_sort_key(idem):
         return tuple(sorted(idem))
 
-    def idem_element(self, idem_key):
-        return self.idempotent(idem_key)
+    idem_element = idempotent
 
     @functools.cached_property
     def idem_keys(self):
@@ -626,53 +505,33 @@ class StrandsAlgebra:
         return self._listing(self._into, right,
                              [(x, right) for x in self.idem_keys])
 
-    # -- reverse lookup tables for relation checking ----------------------
-
-    def _ensure_tables(self):
-        if self._tables is not None:
-            return
-        mul_pre = {}
-        diff_pre = {}
-        for a in self.basis:
-            for c in self.diff_basis(a):
-                diff_pre.setdefault(c, []).append(a)
-        for a in self.basis:
-            for b in self.basis_from(a.right_idem):
-                if (c := self.mul_basis(a, b)) is not None:
-                    mul_pre.setdefault(c, []).append((a, b))
-        self._mul_pre = {k: tuple(v) for k, v in mul_pre.items()}
-        self._diff_pre = {k: tuple(v) for k, v in diff_pre.items()}
-        self._tables = True
-
-    def mul_preimages(self, c):
-        self._ensure_tables()
-        return self._mul_pre.get(c, ())
-
-    def diff_preimages(self, c):
-        self._ensure_tables()
-        return self._diff_pre.get(c, ())
-
-    # -- named elements ----------------------------------------------------
-
-    def chord(self, i, j):
-        """a(rho_{i,j}): one moving strand i -> j, all horizontal completions."""
+    def chord_terms(self, i, j):
+        """The terms of the chord a(rho_{i,j}): one moving strand i -> j,
+        with every horizontal completion."""
         Z = self.circle
         if not 1 <= i < j <= Z.n_points:
             raise ValueError("chord endpoints must satisfy 1 <= i < j <= 4k")
         occupied = {Z.pair_label(i), Z.pair_label(j)}
         free = [p for p in Z.pairs if p not in occupied]
-        terms = [self.diagram(((i, j),), h)
-                 for h in itertools.combinations(free, Z.k - 1)]
-        return AlgebraElement(Z, frozenset(terms))
+        return [self.diagram(((i, j),), h)
+                for h in itertools.combinations(free, Z.k - 1)]
 
-    def chords(self):
-        """All chord elements a(rho_{i,j}), i < j, in lexicographic order."""
-        Z = self.circle
-        return [self.chord(i, j)
-                for i in range(1, Z.n_points + 1)
-                for j in range(i + 1, Z.n_points + 1)]
+    # -- reverse lookups for relation checking ---------------------------
+
+    def mul_preimages(self, c):
+        return (self._tables or self._ensure_tables())[0].get(c, ())
+
+    def diff_preimages(self, c):
+        return (self._tables or self._ensure_tables())[1].get(c, ())
+
+    def __getattr__(self, name):
+        """A method of ``_DEFERRED``, its module imported on first use."""
+        return _DEFERRED(name).__get__(self)
 
 
+_DEFERRED = _forward(
+    "StrandsAlgebra", tables="basis _basis_lower_bound "
+    "_ensure_tables", elements="chord chords element unit zero")
 _ALGEBRAS = {}
 
 
@@ -681,10 +540,6 @@ def algebra(circle):
     if alg is None:
         alg = _ALGEBRAS[circle] = StrandsAlgebra(circle)
     return alg
-
-
-# ---------------------------------------------------------------------------
-# public operations
 
 
 def chord_term_count(circle):

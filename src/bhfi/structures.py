@@ -1,6 +1,4 @@
-"""Bordered structures: type D, A-infinity, DA and DD objects over strands
-algebras, with relation checkers, morphisms and the morphism complexes of
-type D structures.
+"""Bordered structures over strands algebras, and their relation checker.
 
 Every structure kind is stored the same way: a finite list of generators
 carrying an idempotent on the algebra-output side and one on the
@@ -9,36 +7,32 @@ algebra-input side, plus a finite F2 set of operations
     (source, algebra inputs, algebra output, target)
 
 with basis-element coefficients.  Type D structures have no inputs,
-A-infinity modules have trivial output, DD bimodules output into a tensor
-algebra, chain complexes have both sides trivial.  All of the calculus is
-written once against this shape.  Morphisms with cancellation, the box
-tensor kernel and the type A side are the modules ``morphisms``,
-``pairing`` and ``typea``, imported when one of their names here is first
-read.
+A-infinity modules have trivial output, DD bimodules (``dd``) output into
+a tensor algebra, chain complexes have both sides trivial.  All of the
+calculus is written once against this shape.  The names here of ``dd``,
+``mor``, ``morphisms``, ``pairing`` and ``typea`` import them on first use.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
-from functools import cache, cached_property
 from operator import itemgetter
 
 from . import _forward
-from ._record import record
-from .errors import RelationViolation, refuse_past_cap
-from .homology import ChainComplex, _bits
-from .strands import AlgebraElement, algebra
+from .errors import RelationViolation
+from .strands import StrandsAlgebra, algebra
 
 __getattr__ = _forward(
-    __name__, morphisms="Morphism StructureReduction contraction_trace "
-    "identity_morphism morphism_from_generator_map reduce_structure",
+    __name__, dd="DDBimodule TensorAlgebra tensor_algebra",
+    mor="MorComplex mor_complex_DD", morphisms="Morphism "
+    "StructureReduction contraction_trace identity_morphism "
+    "morphism_from_generator_map reduce_structure",
     pairing="box_morphism_right box_morphism_right_comps box_tensor "
     "validate_bounded", typea="box_morphism_left_comps box_tensor_AD "
     "box_tensor_DD_side identity_da to_chain_complex")
 
 
 # ---------------------------------------------------------------------------
-# the two auxiliary algebras of the generic interface
+# the trivial algebra of the generic interface
 
 
 class TrivialAlgebra:
@@ -61,7 +55,7 @@ class TrivialAlgebra:
     def left_idem_of(a):
         return TrivialAlgebra.UNIT
 
-    right_idem_of = left_idem_of
+    right_idem_of = idem_element = label_of = left_idem_of
 
     @staticmethod
     def is_idem(a):
@@ -71,21 +65,11 @@ class TrivialAlgebra:
     def sort_key(a):
         return (0,)
 
-    @staticmethod
-    def label_of(a):
-        return "1"
+    idem_sort_key = sort_key
 
     @staticmethod
     def multiplicity(a):
         return 0
-
-    @staticmethod
-    def idem_sort_key(idem):
-        return (0,)
-
-    @staticmethod
-    def idem_element(idem_key):
-        return TrivialAlgebra.UNIT
 
     @staticmethod
     def basis_between(left, right):
@@ -95,83 +79,17 @@ class TrivialAlgebra:
 TRIVIAL = TrivialAlgebra()
 
 
-class TensorAlgebra:
-    """Tensor product of two strands algebras; basis = pairs of diagrams.
-
-    A product is the pair of the two factors' own cached products, or
-    None when either is zero; it is not cached here.
-    """
-
-    is_trivial = False
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def mul_basis(self, a, b):
-        left = self.left.mul_basis(a[0], b[0])
-        if left is None:
-            return None
-        right = self.right.mul_basis(a[1], b[1])
-        if right is None:
-            return None
-        return (left, right)
-
-    def diff_basis(self, a):
-        out = {(c, a[1]) for c in self.left.diff_basis(a[0])}
-        out ^= {(a[0], c) for c in self.right.diff_basis(a[1])}
-        return frozenset(out)
-
-    def left_idem_of(self, a):
-        return (self.left.left_idem_of(a[0]), self.right.left_idem_of(a[1]))
-
-    def right_idem_of(self, a):
-        return (self.left.right_idem_of(a[0]), self.right.right_idem_of(a[1]))
-
-    def is_idem(self, a):
-        return self.left.is_idem(a[0]) and self.right.is_idem(a[1])
-
-    def sort_key(self, a):
-        return (self.left.sort_key(a[0]), self.right.sort_key(a[1]))
-
-    def label_of(self, a):
-        return f"{self.left.label_of(a[0])}*{self.right.label_of(a[1])}"
-
-    def multiplicity(self, a):
-        return self.left.multiplicity(a[0]) | \
-            self.right.multiplicity(a[1]) << self.left.circle.n_points
-
-    def idem_sort_key(self, idem):
-        return (self.left.idem_sort_key(idem[0]),
-                self.right.idem_sort_key(idem[1]))
-
-    def idem_element(self, idem_key):
-        return (self.left.idem_element(idem_key[0]),
-                self.right.idem_element(idem_key[1]))
-
-    def basis_between(self, left, right):
-        return tuple((a, b)
-                     for a in self.left.basis_between(left[0], right[0])
-                     for b in self.right.basis_between(left[1], right[1]))
-
-
-@cache
-def tensor_algebra(left, right):
-    return TensorAlgebra(left, right)
-
-
 # ---------------------------------------------------------------------------
 # the common structure container
 
 
 def _coefficient_terms(value):
-    """The basis terms of a coefficient: an AlgebraElement's terms, the
-    tuples of terms of a tuple of coefficients, or a basis element."""
-    if isinstance(value, AlgebraElement):
-        return value.terms
+    """The basis terms of a coefficient: the tuples of terms of a tuple of
+    coefficients, a sum's ``terms`` (an ``AlgebraElement``), or a basis
+    element."""
     if isinstance(value, tuple):
         return itertools.product(*map(_coefficient_terms, value))
-    return (value,)
+    return getattr(value, "terms", (value,))
 
 
 def _expand(entries):
@@ -217,7 +135,7 @@ class BorderedObject:
         if o and i:
             return "DA"
         if o:
-            return "DD" if isinstance(self.out_alg, TensorAlgebra) else "D"
+            return "D" if isinstance(self.out_alg, StrandsAlgebra) else "DD"
         if i:
             return "A"
         return "CX"
@@ -327,19 +245,6 @@ class DABimodule(BorderedObject):
                          {g: frozenset(o) for g, o, _ in generators},
                          {g: frozenset(i) for g, _, i in generators},
                          _expand(operations))
-
-
-class DDBimodule(BorderedObject):
-    """Type DD bimodule: a type D structure over a tensor of two algebras."""
-
-    def __init__(self, circle_left, circle_right, generators, delta):
-        gens = [g for g, _, _ in generators]
-        super().__init__(
-            tensor_algebra(algebra(circle_left), algebra(circle_right)),
-            TRIVIAL, gens,
-            {g: (frozenset(a), frozenset(b)) for g, a, b in generators},
-            dict.fromkeys(gens, TRIVIAL.UNIT),
-            _expand((s, (), (ca, cb), t) for s, (ca, cb), t in delta))
 
 
 # ---------------------------------------------------------------------------
@@ -456,93 +361,3 @@ def require_valid(S, what="structure"):
         raise RelationViolation(f"{what} fails {len(bad)} structure "
                                 f"relations; first: {bad[0]}")
     return S
-
-
-# ---------------------------------------------------------------------------
-# elementary components and the morphism complexes of type D structures
-
-
-def _elementary_components(stage, A, B, max_arity=1):
-    """The elementary components A -> B, each (a, word, out, b) with
-    ``out`` a basis element between the output idempotents of a and b and
-    ``word`` an idempotent-chained input word of at most ``max_arity - 1``
-    letters between their input idempotents.  They are counted and refused
-    past the cap, naming ``stage``, before any is listed, then listed in
-    ``A.op_sort_key`` order with no key built: a by label, its words in
-    preorder over the ``basis_from`` listings, the outputs merged by
-    ``sort_key`` across the spans to B's output idempotents, b by label."""
-    out_alg, in_alg = A.out_alg, A.in_alg
-    depth = 0 if in_alg.is_trivial else max_arity - 1
-    spans = {}              # B's generators by input, then output idempotent
-    for b in sorted(B.generators):
-        spans.setdefault(B.in_idem[b], {}).setdefault(B.out_idem[b],
-                                                      []).append(b)
-
-    def preorder(word, at):
-        yield word, at
-        for b in in_alg.basis_from(at) if len(word) < depth else ():
-            yield from preorder(word + (b,), in_alg.right_idem_of(b))
-
-    words = cache(lambda i: list(preorder((), i)))      # (word, end)
-    targets = cache(lambda o, j: list(heapq.merge(      # (out, bs)
-        *([(out, bs) for out in out_alg.basis_between(o, p)]
-          for p, bs in spans.get(j, {}).items()),
-        key=lambda pair: out_alg.sort_key(pair[0]))))
-    a_gens = sorted(A.generators)
-    refuse_past_cap(stage, sum(
-        len(bs) * len(out_alg.basis_between(A.out_idem[a], p))
-        for a in a_gens for _, j in words(A.in_idem[a])
-        for p, bs in spans.get(j, {}).items()), "basis morphisms")
-    return [(a, w, out, b) for a in a_gens for w, j in words(A.in_idem[a])
-            for out, bs in targets(A.out_idem[a], j) for b in bs]
-
-
-@record
-class MorComplex:
-    """The chain complex of type D structure morphisms P -> Q, with its
-    basis of elementary components (``_elementary_components``).  The
-    differential is kept one grading class at a time, each class built on
-    first use; the dense ``complex``, built on first use, adopts it."""
-
-    P: BorderedObject
-    Q: BorderedObject
-    basis: tuple              # components (p, (), coefficient diagram, q)
-    differential: object      # a BlockDifferential by grading class
-
-    @cached_property
-    def complex(self):
-        alg = self.P.out_alg
-        return ChainComplex(
-            tuple(f"{p}>{alg.label_of(a)}>{q}" for p, _, a, q in self.basis),
-            self.differential.matrix())
-
-    def homology(self):
-        return self.differential.homology()
-
-    @cached_property
-    def _pos(self):
-        return {t: i for i, t in enumerate(self.basis)}
-
-    def vector_of(self, morphism):
-        vec = 0
-        for comp in morphism.comps:
-            vec ^= 1 << self._pos[comp]
-        return vec
-
-    def morphism_of(self, vec):
-        from .morphisms import Morphism
-        return Morphism(self.P, self.Q, {self.basis[i] for i in _bits(vec)})
-
-
-def mor_complex_DD(P, Q):
-    """Morphism complex between two type D structures over one algebra,
-    kept one grading class at a time (``grading.mor_differential``), with
-    d² = 0 checked on every block built."""
-    if P.out_alg is not Q.out_alg or not P.in_alg.is_trivial \
-       or not Q.in_alg.is_trivial:
-        raise ValueError("morphism complexes need type D structures over "
-                         "one algebra")
-    basis = tuple(_elementary_components("mor_complex_DD", P, Q))
-    from .grading import mor_differential
-    return MorComplex(P, Q, basis,
-                      mor_differential(P, Q, basis, _term_walk(Q, P)))

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import RelationViolation
-from .homology import (F2Matrix, _bits, _commutator, express_in_homology,
-                       homology)
+from .homology import _bits, homology
 from .involutive import _on_homology, conjugation_cone
-from .pairing import box_morphism_right_comps, box_tensor
-from .standard import cfd_solid_torus, cfda_az, torus_chord
-from .strands import algebra, split_pmc
+from .matrices import F2Matrix, _commutator, express_in_homology
 from .morphisms import Morphism
+from .pairing import box_morphism_right_comps, box_tensor
+from .pieces import cfda_az
+from .standard import cfd_solid_torus, torus_chord
+from .strands import algebra, split_pmc
 from .typea import cfda_azbar, conjugation, standard_involutive_a
 
 

@@ -9,21 +9,22 @@ import functools
 import itertools
 
 from ._record import record
+from .dd import TensorAlgebra, tensor_algebra
 from .equivalence import (EquivalenceCertificate, _first_acyclic_sum,
                           find_homotopy_equivalence)
 from .errors import RelationViolation
-from .homology import (BlockDifferential, ChainComplex, F2Matrix, _commutator,
-                       homology, rows_nullspace)
+from .homology import BlockDifferential, homology
 from .involutive import _certify_psi, _on_homology, conjugation_cone
+from .matrices import ChainComplex, F2Matrix, _commutator, rows_nullspace
+from .mor import _elementary_components
 from .morphisms import Morphism, morphism_from_generator_map, reduce_structure
 from .pairing import (_label_pairs, _pair_with_chains, _pairing, _partners,
                       box_morphism_right, box_morphism_right_comps,
                       box_tensor, validate_bounded)
-from .standard import _chords_into, cfda_az
+from .pieces import _chords_into, cfda_az
 from .strands import algebra, split_pmc
 from .structures import (TRIVIAL, AInfModule, BorderedObject, DABimodule,
-                         TensorAlgebra, _elementary_components, _term_walk,
-                         _toggle, tensor_algebra)
+                         _term_walk, _toggle)
 
 
 _FACTOR_IDEM = {"t": 2, "u": 1, "v": 1}

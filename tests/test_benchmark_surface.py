@@ -85,7 +85,8 @@ def test_traced_cli_child_installs_over_lazy_submodules(tmp_path):
 
 
 def traced_counts(tmp_path, argv):
-    """The spans per layer and the candidate count of one traced command."""
+    """The spans per layer, with the products counter, and the candidate
+    count of one traced command."""
     code, out, err = run_python(
         [os.path.join(ROOT, "perfbench", "cli_child.py"), *argv],
         PERFBENCH_T0=repr(time.monotonic()), PERFBENCH_SPAN_DIR=str(tmp_path))
@@ -96,14 +97,16 @@ def traced_counts(tmp_path, argv):
         rec = json.loads(line)
         if "counters" in rec:
             candidates = rec["counters"]["equivalence.candidates"]
+            counts["strands.products"] = rec["counters"]["strands.products"]
         else:
             counts[rec["name"]] = counts.get(rec["name"], 0) + 1
     return counts, candidates
 
 
-# the traced layers of a command on the type D route and of one on the
-# type A side: the tracer patches functions by name, so a function moved
-# out of its home module that it missed would read 0 here
+# the traced layers of a command on the type D route, of one on the type
+# A side and of the two az_k2 checks, whose preimage tables the tracer
+# wraps on StrandsAlgebra: the tracer patches functions by name, so a
+# function moved out of its home module that it missed would read 0 here
 TRACED = [
     (["hfihat", "--builtin", "cfd0", "--builtin", "cfd_m1"],
      {"structures.reduce": 2, "structures.box_tensor": 2,
@@ -113,11 +116,18 @@ TRACED = [
       "az_k1", "--builtin", "azbar_k1"],
      {"structures.reduce": 7, "structures.box_tensor": 10,
       "structures.mor_complex": 2, "equivalence.search": 4}, 3),
+    (["verify", "--builtin", "az_k2"],
+     {"standard.build": 1, "strands.tables": 476, "structures.check": 1,
+      "strands.products": 5286}, 0),
+    (["verify", "fixtures/az_k2.json"],
+     {"files.load": 2, "strands.tables": 476, "structures.check": 1,
+      "strands.products": 5286}, 0),
 ]
 
 
 @pytest.mark.parametrize("argv, spans, candidates", TRACED,
-                         ids=[argv[0] for argv, _, _ in TRACED])
+                         ids=["hfihat", "mcg", "verify builtin az_k2",
+                              "verify az_k2 file"])
 def test_tracer_sees_every_moved_function(tmp_path, argv, spans,
                                           candidates):
     counts, seen = traced_counts(tmp_path, argv)

@@ -87,6 +87,24 @@ class TestVerify:
             "detail": "verify: expected at least 1 input (files or "
                       "--builtin), got 0"}
 
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "ddid_k1", "--builtin", "ddid_k1"],
+        ["--builtin", "ddid_k1", "ddid_k1"]],
+        ids=["two builtins", "a builtin and a file"])
+    def test_repeated_reference_refused(self, capsys, tmp_path, monkeypatch,
+                                        argv):
+        # the report keys its rows by reference, so a repeat once printed
+        # one row for two inputs; the file named ddid_k1 is not JSON, so
+        # reading it would fail otherwise
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ddid_k1").write_text("{not json")
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "parse",
+            "detail": "verify: input 'ddid_k1' is given twice; the report "
+                      "has one row per input"}
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
@@ -314,7 +332,8 @@ class TestWrongKindInputs:
         assert report["detail"].startswith(argv[0] + ": ")
         assert detail in report["detail"]
 
-    @pytest.mark.parametrize("cap", ["abc", " 5e3"])
+    @pytest.mark.parametrize("cap", ["abc", " 5e3", "-1", "+5", "1_0", " 7 ",
+                                     "\u0661\u0660", ""])
     def test_malformed_cap_is_a_parse_error(self, cap):
         code, out, err = run_process(*builtins("hfhat", "cfd0", "cfd0"),
                                      BHFI_MAX_GENERATORS=cap)
@@ -325,6 +344,14 @@ class TestWrongKindInputs:
         assert json.loads(err) == {
             "error": "parse", "detail": "BHFI_MAX_GENERATORS must be a "
             f"decimal integer, not {cap!r}"}
+
+    def test_zero_is_a_cap(self):
+        code, out, err = run_process(*builtins("hfhat", "cfd0", "cfd0"),
+                                     BHFI_MAX_GENERATORS="0")
+        assert (code, out) == (5, "")
+        assert json.loads(err) == {
+            "error": "divergence", "detail": "split_pmc: 4 points exceed "
+            "BHFI_MAX_GENERATORS=0"}
 
     def test_colliding_pair_labels_are_a_parse_error(self, tmp_path):
         # M ⊠ P would name both a ⊠ b|c and a|b ⊠ c "a|b|c"; files, since
@@ -879,10 +906,14 @@ class TestProcessExit:
 
 # what each command compiles: the deferred submodules it executed, which
 # of argparse and gettext it loaded, and the plain submodules imported on
-# first use that it imported: grading (a Mor build), morphisms (with
-# cancellation), pairing (the box tensor kernel) and typea (the type A side)
-LAZY = ("standard", "files", "equivalence", "involutive", "triangle")
-PLAIN = ("grading", "morphisms", "pairing", "typea")
+# first use that it imported: morphisms (with cancellation), pairing (the
+# box tensor kernel), typea (the type A side), matrices (dense linear
+# algebra), dd (the DD side), pieces (az and the type D handlebody),
+# elements (sums of diagrams) and tables (the whole strands basis)
+LAZY = ("standard", "files", "mor", "equivalence", "involutive", "triangle",
+        "homology")
+PLAIN = ("morphisms", "pairing", "typea", "matrices", "dd", "pieces",
+         "elements", "tables")
 EXECUTED = f"""
 import json, sys, types
 from bhfi.cli import main
@@ -895,23 +926,30 @@ print(json.dumps([code, [name for name in {LAZY!r}
                    if "bhfi." + name in sys.modules]]))
 """
 
-HFIHAT = ["grading", "morphisms", "pairing"]
+HFIHAT = ["mor", "equivalence", "involutive", "homology"]
+PAIRED = ["morphisms", "pairing", "matrices", "pieces"]
+TYPEA = ["morphisms", "pairing", "typea", "matrices", "dd", "pieces",
+         "tables"]
 COMPILED = [
-    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"], ["files"],
-     ["grading"]),
-    (["verify", "fixtures/az_k1.json"], ["files"], []),
-    (builtins("hfhat", "cfd0", "cfd_inf"), ["standard"], ["grading"]),
-    (builtins("verify", "ddid_k1"), ["standard"], []),
-    (builtins("verify", "az_k2"), ["standard"], []),
-    (builtins("hfihat", "cfd0", "cfd_m1"),
-     ["standard", "equivalence", "involutive"], HFIHAT),
+    (["hfhat", "fixtures/cfd0.json", "fixtures/cfd0.json"],
+     ["files", "mor", "homology"], ["elements"]),
+    (["verify", "fixtures/az_k1.json"], ["files"], ["elements", "tables"]),
+    (["verify", "fixtures/az_k2.json"], ["files"], ["elements", "tables"]),
+    (builtins("hfhat", "cfd0", "cfd_inf"), ["standard", "mor", "homology"],
+     []),
+    (builtins("hfhat", "cfd0_k2", "cfd0_k2"),
+     ["standard", "mor", "homology"], ["pieces"]),
+    (builtins("verify", "ddid_k1"), ["standard"], ["dd"]),
+    (builtins("verify", "az_k2"), ["standard"], ["pieces", "tables"]),
+    (builtins("hfihat", "cfd0", "cfd_m1"), ["standard", *HFIHAT],
+     [*PAIRED, "tables"]),
     (["hfihat", "fixtures/cfd0.json", "fixtures/cfd_m1.json"],
-     ["standard", "files", "equivalence", "involutive"], HFIHAT),
+     ["files", *HFIHAT], [*PAIRED, "elements", "tables"]),
     (builtins("mcg", "cfa0_k1", "cfd0", "az_k1", "azbar_k1"),
-     ["standard", "equivalence", "involutive"], [*HFIHAT, "typea"]),
+     ["standard", *HFIHAT], TYPEA),
     (builtins("triangle", "cfa0_k1"),
-     ["standard", "equivalence", "involutive", "triangle"],
-     [*HFIHAT, "typea"]),
+     ["standard", "mor", "equivalence", "involutive", "triangle",
+      "homology"], TYPEA),
 ]
 
 
@@ -920,11 +958,12 @@ COMPILED = [
 def test_command_executes_only_the_modules_it_runs(argv, executed, imported):
     # the type is read from sys.modules, so the test loads nothing itself;
     # hfhat and verify import neither morphisms and cancellation nor the
-    # box tensor kernel, and no command on type D structures imports the
-    # type A side
+    # box tensor kernel, no verify executes homology, and no command on
+    # type D structures imports the type A side
     code, out, err = run_python(["-c", EXECUTED, *argv])
     assert (code, err) == (0, "")
     assert json.loads(out.splitlines()[-1]) == [0, executed, [], imported]
+    assert argv[0] != "verify" or "homology" not in executed
 
 
 # argv forms of the one grammar, each with its exit code, stdout and stderr;

@@ -21,8 +21,9 @@ from bhfi.errors import generator_cap
 from bhfi.homology import BlockDifferential, F2Matrix, _bits, rows_nullspace
 from bhfi.involutive import iota_on_mor
 from bhfi.standard import cfda_az, cfda_azbar, dd_identity, torus_chord
-from bhfi.structures import (BorderedObject, _elementary_components,
-                             contraction_trace, reduce_structure)
+from bhfi.mor import _elementary_components
+from bhfi.structures import (BorderedObject, contraction_trace,
+                             reduce_structure)
 from test_homology import dense_homology
 from test_structures import (_Captured, captured_search_system,
                              search_unknowns, shuffled,

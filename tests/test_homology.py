@@ -8,7 +8,8 @@ from bhfi import (ChainComplex, F2Matrix, box_tensor, homology,
                   standard_involutive_a, standard_involutive_d,
                   verify_hfi_triangle)
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
-                           _components, express_in_homology, rows_nullspace)
+                           _components, echelon, express_in_homology,
+                           rows_nullspace)
 from bhfi.involutive import conjugation_cone
 from bhfi.structures import BorderedObject
 
@@ -289,11 +290,11 @@ def dense_homology(C):
         pos = {g: i for i, g in enumerate(block)}
         local = F2Matrix(len(block), len(block), tuple(
             sum(1 << pos[r] for r in _bits(C.d.cols[g])) for g in block))
-        _, cols, trans, order = local._echelon()
+        _, cols, trans, order = echelon(local.cols)
         im = [cols[j] for _, j in order]
         ker = [trans[j] for j in range(len(block)) if cols[j] == 0]
         both = F2Matrix(len(block), len(im) + len(ker), tuple(im + ker))
-        for _, j in both._echelon()[3]:
+        for _, j in echelon(both.cols)[3]:
             if j >= len(im):
                 cycles.append(sum(1 << block[i] for i in range(len(block))
                                   if ker[j - len(im)] >> i & 1))

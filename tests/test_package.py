@@ -1,12 +1,14 @@
-"""The package's public names resolve, although four submodules load lazily.
+"""The package's public names resolve, although its submodules load lazily.
 
-``bhfi`` executes ``standard``, ``equivalence``, ``involutive`` and
-``triangle`` on first use; the names it re-exports from them must keep
-resolving as attributes, through ``from bhfi import`` and in ``dir``.
+``bhfi`` executes ``standard``, ``files``, ``mor``, ``equivalence``,
+``involutive``, ``triangle`` and ``homology`` on first use; the names it
+re-exports from them must keep resolving as attributes, through ``from
+bhfi import`` and in ``dir``.
 """
 import pytest
 
 import bhfi
+from test_cli import run_python
 
 # every public name the package bound when it imported all submodules
 PUBLIC = """
@@ -51,3 +53,22 @@ def test_re_exports_are_the_submodule_names():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         bhfi.nope
+
+
+# what runs before ``bhfi.homology`` is read, in a fresh process each: the
+# package attribute stays the function whether the submodule executed or not
+HOMOLOGY_AFTER = {
+    "verify": "from bhfi.cli import main\n"
+              "main(['verify', '--builtin', 'ddid_k1'])",
+    "hfihat": "from bhfi.cli import main\n"
+              "main(['hfihat', '--builtin', 'cfd0', '--builtin', 'cfd_m1'])",
+    "import": "import bhfi.homology"}
+
+
+@pytest.mark.parametrize("before", HOMOLOGY_AFTER.values(),
+                         ids=list(HOMOLOGY_AFTER))
+def test_homology_stays_the_function(before):
+    code, out, err = run_python(["-c", before + "\nimport sys, bhfi\n"
+                                 "module = sys.modules['bhfi.homology']\n"
+                                 "print(bhfi.homology is module.homology)"])
+    assert (code, err, out.splitlines()[-1]) == (0, "", "True")

@@ -8,13 +8,14 @@ import re
 import pytest
 
 from bhfi import (DivergenceError, PointedMatchedCircle, algebra,
-                  check_structure, dd_identity, homology, split_pmc, standard,
+                  check_structure, dd_identity, homology, pieces, split_pmc,
                   strands)
 from bhfi.cli import main
 from bhfi.files import structure_to_json
-from bhfi.standard import (_cfda_az, cfa_zero_handlebody,
-                           cfd_solid_torus, cfd_zero_handlebody, cfda_az,
-                           cfda_azbar, surgery_maps)
+from bhfi.pieces import _cfda_az
+from bhfi.standard import (cfa_zero_handlebody, cfd_solid_torus,
+                           cfd_zero_handlebody, cfda_az, cfda_azbar,
+                           surgery_maps)
 from bhfi.structures import BorderedObject, box_tensor, mor_complex_DD
 from test_strands import include_split
 
@@ -220,7 +221,7 @@ class TestDDIdentity:
         # the 21 diagrams into {1, 3}, the generators of az cut to that
         # idempotent, in a fresh algebra and a fresh az cache
         monkeypatch.setattr(strands, "_ALGEBRAS", {})
-        monkeypatch.setattr(standard, "_cfda_az",
+        monkeypatch.setattr(pieces, "_cfda_az",
                             functools.cache(_cfda_az.__wrapped__))
         z2, idems = split_pmc(2), {frozenset({1, 3})}
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "20")
@@ -387,7 +388,7 @@ class TestRestrictedInterpolatingPiece:
         # a fresh algebra and a fresh az cache, so that nothing built
         # before this test is read
         monkeypatch.setattr(strands, "_ALGEBRAS", {})
-        monkeypatch.setattr(standard, "_cfda_az",
+        monkeypatch.setattr(pieces, "_cfda_az",
                             functools.cache(_cfda_az.__wrapped__))
         z = split_pmc(k)
         for idems in [None] + _idempotent_sets(z):

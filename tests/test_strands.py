@@ -105,7 +105,8 @@ class TestCircle:
             assert z.reverse().matching == z.matching
 
     def test_json_round_trip(self, z2):
-        assert PointedMatchedCircle.from_json(z2.to_json()) == z2
+        from bhfi.files import circle_from_json
+        assert circle_from_json(z2.to_json()) == z2
 
 
 class TestBasis:

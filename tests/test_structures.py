@@ -18,14 +18,15 @@ from bhfi import (DivergenceError, Morphism, ParseError, RelationViolation,
                   identity_da, identity_morphism, mor_complex_DD,
                   reduce_structure, split_pmc, validate_bounded)
 from bhfi.standard import cfda_az, cfda_azbar, torus_chord
-from bhfi.strands import AlgebraElement, StrandsAlgebra
+from bhfi.elements import AlgebraElement
+from bhfi.strands import StrandsAlgebra
 from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
                              DABimodule, DDBimodule, TensorAlgebra, _expand,
                              _term_walk, box_morphism_left_comps,
                              box_morphism_right, box_morphism_right_comps,
                              contraction_trace,
                              structure_residue)
-from bhfi.homology import BlockDifferential, F2Matrix
+from bhfi.homology import BlockDifferential, F2Matrix, echelon
 from test_homology import dense_homology
 
 
@@ -1167,8 +1168,8 @@ class TestGradingClasses:
     def test_a_term_outside_its_class_raises(self, monkeypatch, az1,
                                              cfd_m1):
         # with every component alone in a class, a nonzero row leaves it
-        from bhfi import grading
-        monkeypatch.setattr(grading, "graded_classes", lambda edges, b:
+        from bhfi import mor
+        monkeypatch.setattr(mor, "graded_classes", lambda edges, b:
                             tuple((i,) for i in range(len(b))))
         with pytest.raises(ValueError,
                            match="^mor_complex_DD: .* leaves its grading "
@@ -1176,7 +1177,7 @@ class TestGradingClasses:
             mor_complex_DD(cfd_m1, box_tensor(az1, cfd_m1)).homology()
 
     def test_compressed_union_find_gives_the_walked_classes(self):
-        from bhfi.grading import graded_classes
+        from bhfi.mor import graded_classes
         looped = split = 0
         for seed in range(300):
             rng = random.Random(seed)
@@ -1195,7 +1196,7 @@ class TestGradingClasses:
     def test_a_long_path_fed_leaf_first_is_graded_in_seconds(self):
         # every node's walk up the uncompressed chain to the root at n
         # would take about n² / 2 = 1.25e9 hops
-        from bhfi.grading import graded_classes
+        from bhfi.mor import graded_classes
         n = 50_000
         start = time.monotonic()
         classes = graded_classes([(i, 1, i + 1) for i in range(n)],
@@ -1223,8 +1224,7 @@ def walked_classes(edges, points):
             loops.append(ms ^ m ^ mt)
         else:
             up[rs] = (rt, ms ^ m ^ mt)
-    pivots, cols, _, _ = F2Matrix(max(loops, default=0).bit_length(),
-                                  len(loops), loops)._echelon()
+    pivots, cols, _, _ = echelon(loops)
     loops = [cols[j] for _, j in sorted(pivots.items())]
 
     def reduced(x):

@@ -3,19 +3,16 @@ bordered structure kinds with box tensor products and morphism complexes,
 the hat-flavor pairing, its involutive refinement with the Q-action, the
 mapping class group action, and a machine-verified surgery exact triangle.
 
-A command compiles only the modules it runs: ``standard``, ``files``,
-``mor``, ``equivalence``, ``involutive``, ``triangle`` and ``homology`` sit
-in ``sys.modules`` unexecuted until first used, and the other submodules
-but ``strands`` and ``structures`` are imported on first use, directly or
-through ``_forward``.
+A command compiles only the modules it runs: the ``_lazy`` submodules sit
+in ``sys.modules`` unexecuted until first used, and each name of
+``_EXPORTS`` is read from its defining module, imported on first use.
 """
 
 
 def _forward(home, **places):
     """The ``__getattr__`` of ``home``, as its AttributeError names it:
-    each name that ``places`` lists under a submodule is read from it,
-    imported on first use, on every access.  Defined before the
-    submodules below, which import it."""
+    each name that ``places`` lists under a submodule is read from it on
+    every access.  Defined before the submodules below, which import it."""
     from importlib import import_module
     where = {name: module for module, names in places.items()
              for name in names.split()}
@@ -50,22 +47,20 @@ standard, files, mor, equivalence, involutive, triangle = map(_lazy, (
     "standard", "files", "mor", "equivalence", "involutive", "triangle"))
 _lazy("homology")       # not bound here: ``bhfi.homology`` is the function
 
-# the names re-exported from the deferred submodules, by home module
+# the names re-exported from the deferred submodules, by defining module
 _EXPORTS = dict(
     homology="homology", matrices="ChainComplex F2Matrix",
     elements="AlgebraElement", dd="DDBimodule dd_identity",
     standard="cfd_solid_torus", pieces="cfd_zero_handlebody cfda_az",
-    mor="mor_complex_DD", structures="Morphism box_tensor box_tensor_AD "
-    "box_tensor_DD_side identity_da identity_morphism reduce_structure "
-    "to_chain_complex validate_bounded",
-    equivalence="EquivalenceCertificate find_homotopy_equivalence "
-    "find_structure_equivalence omega_equivalence",
-    involutive="InvolutiveAInf InvolutiveTypeD IotaReport cfi_hat "
-    "involutive_pair iota_on_mor mcg_action standard_involutive_a "
-    "standard_involutive_d",
-    typea="cfa_zero_handlebody cfda_azbar",
-    triangle="TriangleData build_triangle_data surgery_maps "
-    "verify_hfi_triangle")
+    mor="mor_complex_DD", pairing="box_tensor validate_bounded",
+    morphisms="Morphism identity_morphism reduce_structure",
+    equivalence="EquivalenceCertificate find_homotopy_equivalence",
+    involutive="InvolutiveTypeD IotaReport cfi_hat iota_on_mor "
+    "standard_involutive_d", typea="InvolutiveAInf box_tensor_AD "
+    "box_tensor_DD_side cfa_zero_handlebody cfda_azbar identity_da "
+    "find_structure_equivalence involutive_pair mcg_action omega_equivalence "
+    "standard_involutive_a to_chain_complex", triangle="TriangleData "
+    "build_triangle_data surgery_maps verify_hfi_triangle")
 __getattr__ = _forward(__name__, **_EXPORTS)
 
 

@@ -1,6 +1,5 @@
 """Elements of a strands algebra beyond its basis: ``AlgebraElement``, an
-F2 sum of diagrams, with its arithmetic, and the algebra's unit and
-chords, which ``StrandsAlgebra`` reads from here as its methods."""
+F2 sum of diagrams, with its arithmetic."""
 from __future__ import annotations
 
 from ._record import record
@@ -55,29 +54,4 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         return " + ".join(t.label for t in self.sorted_terms())
-
-
-def unit(self):
-    return AlgebraElement(self.circle, frozenset(self.idempotent_diagrams))
-
-
-def element(self, diagrams):
-    return AlgebraElement(self.circle, frozenset(diagrams))
-
-
-def zero(self):
-    return AlgebraElement(self.circle)
-
-
-def chord(self, i, j):
-    """a(rho_{i,j}), the sum of its ``chord_terms``."""
-    return AlgebraElement(self.circle, frozenset(self.chord_terms(i, j)))
-
-
-def chords(self):
-    """All chord elements a(rho_{i,j}), i < j, in lexicographic order."""
-    Z = self.circle
-    return [chord(self, i, j)
-            for i in range(1, Z.n_points + 1)
-            for j in range(i + 1, Z.n_points + 1)]
 

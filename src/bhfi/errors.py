@@ -8,10 +8,13 @@ def generator_cap():
     """The largest object a stage may build: ``BHFI_MAX_GENERATORS``, in
     ASCII decimal digits only (no sign, space or underscore)."""
     text = os.environ.get("BHFI_MAX_GENERATORS", "200000")
-    if not (text.isascii() and text.isdigit()):
-        raise ParseError("BHFI_MAX_GENERATORS must be a decimal integer, "
-                         f"not {text!r}")
-    return int(text)
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:      # past the interpreter's integer-string limit
+            pass
+    raise ParseError("BHFI_MAX_GENERATORS must be a decimal integer, "
+                     f"not {text!r}")
 
 
 def size_text(size, lower_bound=False):

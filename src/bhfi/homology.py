@@ -8,8 +8,7 @@ in index order, so every result is reproducible across runs.  Systems
 kept as row lists (a ``BlockDifferential``, class by class; the kernel of
 ``rows_nullspace``) are eliminated one connected component at a time, at
 its own row indices (``_local_echelon``).  The dense matrices, chain
-complexes and coordinates in homology are ``matrices``, read through here
-too."""
+complexes and coordinates in homology are ``matrices``."""
 from __future__ import annotations
 
 import heapq
@@ -17,8 +16,8 @@ import heapq
 from . import _forward
 from ._record import record
 
-__getattr__ = _forward(__name__, matrices="ChainComplex F2Matrix "
-                       "express_in_homology rows_nullspace")
+# an old home, kept for the layers of perfbench/tracer.py, which patch it
+__getattr__ = _forward(__name__, matrices="express_in_homology")
 
 
 def _lowbit(x):

@@ -1,7 +1,7 @@
-"""The conjugation involution on the hat Floer complex of a gluing, its
+"""The conjugation involution on a gluing's hat Floer complex, its
 involutive homology with the Q-action by the morphism-space route, and
-the conjugation cone that every route builds.  The involutive-pairing
-route and the mapping class group action pipeline are in ``typea``."""
+the conjugation cone of every route.  The involutive pairing and the mcg
+action are in ``typea``; the tracer and ``cli`` read them through here."""
 from __future__ import annotations
 
 from . import _forward
@@ -15,8 +15,8 @@ from .morphisms import Morphism
 from .pairing import box_tensor, box_morphism_right_comps, validate_bounded
 from .pieces import cfda_az
 
-__getattr__ = _forward(__name__, typea="InvolutiveAInf conjugation "
-                       "involutive_pair mcg_action paired_insertion "
+# old homes, kept for the layers of perfbench/tracer.py, which patch them
+__getattr__ = _forward(__name__, typea="involutive_pair mcg_action "
                        "standard_involutive_a")
 
 

@@ -17,7 +17,6 @@ import itertools
 import math
 from operator import attrgetter
 
-from . import _forward
 from ._record import record
 from .errors import generator_cap, refuse_past_cap
 
@@ -45,7 +44,7 @@ class PointedMatchedCircle:
         matching = _as_pairs(self.matching)
         object.__setattr__(self, "matching", matching)
         # counted first, so that a huge k lists no 4k points
-        if len(matching) != 2 * self.k:
+        if len(matching) != 2 * self.k or any(len(p) != 2 for p in matching):
             raise ValueError("matching must consist of 2k pairs")
         points = [p for pair in matching for p in pair]
         if sorted(points) != list(range(1, 4 * self.k + 1)):
@@ -251,9 +250,8 @@ class StrandsAlgebra:
     differentials and the basis listings between two idempotents, from
     one and into one, each listed straight from its idempotents and
     refused past the cap by its own size.  The whole basis and the reverse
-    lookups the relation checkers need (``tables``) and the sums of
-    diagrams (``elements``) are methods read through ``__getattr__``.
-    Products and differentials are composed on the smeared diagrams.
+    lookups the relation checkers need are built by ``tables`` on first
+    use.  Products and differentials are composed on the smeared diagrams.
     """
 
     def __init__(self, circle):
@@ -505,6 +503,12 @@ class StrandsAlgebra:
         return self._listing(self._into, right,
                              [(x, right) for x in self.idem_keys])
 
+    @property
+    def basis(self):
+        """Every basis diagram, refused past the cap on each read."""
+        from .tables import basis
+        return basis(self)
+
     def chord_terms(self, i, j):
         """The terms of the chord a(rho_{i,j}): one moving strand i -> j,
         with every horizontal completion."""
@@ -524,14 +528,11 @@ class StrandsAlgebra:
     def diff_preimages(self, c):
         return (self._tables or self._ensure_tables())[1].get(c, ())
 
-    def __getattr__(self, name):
-        """A method of ``_DEFERRED``, its module imported on first use."""
-        return _DEFERRED(name).__get__(self)
+    def _ensure_tables(self):
+        from .tables import preimage_tables
+        return preimage_tables(self)
 
 
-_DEFERRED = _forward(
-    "StrandsAlgebra", tables="basis _basis_lower_bound "
-    "_ensure_tables", elements="chord chords element unit zero")
 _ALGEBRAS = {}
 
 

@@ -6,6 +6,7 @@
 surface only as a crash or a failed job of a benchmark run.
 """
 import ast
+import glob
 import importlib
 import importlib.util
 import json
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from bhfi import algebra, split_pmc
+from bhfi.strands import StrandsAlgebra
 from test_cli import run_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +62,36 @@ def test_wrapped_attribute_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def forwarded_names():
+    """The (module, name) pairs that the module-level ``_forward`` calls
+    in ``src/bhfi`` list, read from the source: the package's own call,
+    over ``_EXPORTS``, lists none in the call itself."""
+    pairs = set()
+    for path in glob.glob(os.path.join(ROOT, "src", "bhfi", "*.py")):
+        module = "bhfi." + os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            call = getattr(node, "value", None)
+            if isinstance(call, ast.Call) and \
+                    getattr(call.func, "id", None) == "_forward":
+                pairs |= {(module, name) for kw in call.keywords if kw.arg
+                          for name in ast.literal_eval(kw.value).split()}
+    return pairs
+
+
+def test_only_the_tracer_reads_old_homes():
+    # a name answers from a module that does not define it only where a
+    # layer of the tracer patches it there
+    patched = set()
+    for module, attrs in TRACER.LAYERS.values():
+        defined = vars(importlib.import_module(module))
+        patched |= {(module, attr) for attr, _ in attrs
+                    if attr.split(".")[0] not in defined}
+    assert forwarded_names() == patched
+    assert "__getattr__" not in vars(StrandsAlgebra)
 
 
 def test_product_counter_reads_the_algebras():

@@ -14,6 +14,7 @@ from bhfi.errors import ParseError
 from bhfi.files import dump_structure, load_structure, structure_from_json
 from bhfi.standard import BUILTIN_NAMES, builtin_structure
 from bhfi.strands import split_pmc
+from test_strands import NOT_PAIRS
 
 
 def run(capsys, *argv):
@@ -319,6 +320,13 @@ WRONG_KIND = [
 ]
 
 
+# one digit past the interpreter's integer-string limit, which int() refuses
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERLONG_CAP = pytest.param("9" * (INT_DIGITS + 1), id="overlong",
+                            marks=pytest.mark.skipif(
+                                not INT_DIGITS, reason="no such limit"))
+
+
 class TestWrongKindInputs:
     @pytest.mark.parametrize("argv, detail", WRONG_KIND,
                              ids=[" ".join(a) for a, _ in WRONG_KIND])
@@ -333,7 +341,7 @@ class TestWrongKindInputs:
         assert detail in report["detail"]
 
     @pytest.mark.parametrize("cap", ["abc", " 5e3", "-1", "+5", "1_0", " 7 ",
-                                     "\u0661\u0660", ""])
+                                     "\u0661\u0660", "", OVERLONG_CAP])
     def test_malformed_cap_is_a_parse_error(self, cap):
         code, out, err = run_process(*builtins("hfhat", "cfd0", "cfd0"),
                                      BHFI_MAX_GENERATORS=cap)
@@ -652,6 +660,19 @@ class TestMalformedFiles:
             "circle": {"k": 1000000000, "matching": [[1, 3], [2, 4]]},
             "generators": [{"label": "n", "idem": [1]}], "ops": []}))
         self.refused(path, "matching must consist of 2k pairs")
+
+    @pytest.mark.parametrize("matching", NOT_PAIRS, ids=json.dumps)
+    def test_matching_sets_that_are_not_pairs(self, tmp_path, matching):
+        # once verified, hfhat reported a dimension, and hfihat ran its
+        # search, or died in it with a KeyError traceback
+        path = tmp_path / "matching.json"
+        path.write_text(json.dumps({
+            "kind": "D", "circle": {"k": 1, "matching": matching},
+            "generators": [{"label": "n", "idem": [1]}], "ops": []}))
+        detail = "bad circle payload: matching must consist of 2k pairs"
+        self.refused(path, detail)
+        for command in ("hfhat", "hfihat"):
+            refused_in_process([command, str(path), str(path)], detail)
 
     @pytest.mark.parametrize("k", [1.5, True, "1"])
     def test_genus_that_is_not_an_integer(self, tmp_path, k):

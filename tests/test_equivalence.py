@@ -15,15 +15,18 @@ from bhfi import (DivergenceError, Morphism, NotEquivalentError, algebra,
                   identity_morphism, mor_complex_DD, omega_equivalence,
                   split_pmc)
 from bhfi import morphisms
-from bhfi.equivalence import (MAX_SUM_SIZE, EquivalenceCertificate,
-                              _unit_part, find_isomorphism)
+from bhfi.dd import dd_identity
+from bhfi.equivalence import MAX_SUM_SIZE, EquivalenceCertificate, _unit_part
 from bhfi.errors import generator_cap
-from bhfi.homology import BlockDifferential, F2Matrix, _bits, rows_nullspace
+from bhfi.homology import BlockDifferential, _bits
 from bhfi.involutive import iota_on_mor
-from bhfi.standard import cfda_az, cfda_azbar, dd_identity, torus_chord
+from bhfi.matrices import F2Matrix, rows_nullspace
 from bhfi.mor import _elementary_components
-from bhfi.structures import (BorderedObject, contraction_trace,
-                             reduce_structure)
+from bhfi.morphisms import contraction_trace, reduce_structure
+from bhfi.pieces import cfda_az
+from bhfi.standard import torus_chord
+from bhfi.structures import BorderedObject
+from bhfi.typea import cfda_azbar, find_isomorphism
 from test_homology import dense_homology
 from test_structures import (_Captured, captured_search_system,
                              search_unknowns, shuffled,
@@ -45,7 +48,7 @@ class TestHomologyBasis:
             mc = mor_complex_DD(P, P)
             hom = homology(mc.complex)
             idv = mc.vector_of(identity_morphism(P))
-            from bhfi.homology import express_in_homology
+            from bhfi.matrices import express_in_homology
             assert express_in_homology(mc.complex, hom, [idv]) != [None]
 
     def test_twisted_basis_has_two_classes(self, cfd0, az1):
@@ -160,18 +163,17 @@ class TestStructureEquivalence:
 
 class TestSmallSearch:
     def test_direct_search_finds_identity_class(self, z1):
-        from bhfi.equivalence import search_small_equivalence
+        from bhfi.typea import search_small_equivalence
         ident = identity_da(z1)
         cert = search_small_equivalence(ident, ident, max_arity=1)
         assert cert.forward.is_cycle()
         assert contraction_trace(cert.forward.cone()) is not None
 
     def test_direct_search_rejects_inequivalent(self, monkeypatch, z1, az1):
-        from bhfi import equivalence
+        from bhfi import equivalence, typea
         monkeypatch.setattr(equivalence, "MAX_SUM_SIZE", 1)
         with pytest.raises(NotEquivalentError):
-            equivalence.search_small_equivalence(identity_da(z1), az1,
-                                                 max_arity=1)
+            typea.search_small_equivalence(identity_da(z1), az1, max_arity=1)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +191,7 @@ class TestSearchGuard:
     def test_candidate_cones_bounded_by_generator_cap(self, monkeypatch, z1,
                                                        az1, azbar1):
         # a 60-vector kernel: 523,685 candidate sums of up to four
-        from bhfi.equivalence import search_small_equivalence
+        from bhfi.typea import search_small_equivalence
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "320")
         start = time.monotonic()
         with pytest.raises(DivergenceError) as err:
@@ -205,7 +207,7 @@ class TestSearchGuard:
         # 306 unknowns at arity 2: one past the cap, the system is refused
         # before it is eliminated; at the cap, it is eliminated once and
         # the walk stops at its own candidate refusal
-        from bhfi import equivalence, typea
+        from bhfi import typea
         eliminated = []
         monkeypatch.setattr(typea, "rows_nullspace",
                             lambda rows: eliminated.append(len(rows)) or
@@ -213,13 +215,13 @@ class TestSearchGuard:
         A, B = identity_da(z1), box_tensor(azbar1, az1)
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "305")
         with pytest.raises(DivergenceError) as err:
-            equivalence.search_small_equivalence(A, B)
+            typea.search_small_equivalence(A, B)
         assert str(err.value) == ("search_small_equivalence: 306 basis "
                                   "morphisms exceed BHFI_MAX_GENERATORS=305")
         assert eliminated == []
         monkeypatch.setenv("BHFI_MAX_GENERATORS", "306")
         with pytest.raises(DivergenceError) as err:
-            equivalence.search_small_equivalence(A, B)
+            typea.search_small_equivalence(A, B)
         assert str(err.value).startswith(
             "search_small_equivalence: 9 of 523685 candidates tried")
         assert eliminated == [306]
@@ -680,7 +682,7 @@ class TestConeReductions:
         # the composite that find_structure_equivalence certifies is no
         # candidate: the A side's models match on the nose, so it walks none
         from bhfi import equivalence
-        from bhfi.involutive import standard_involutive_a
+        from bhfi.typea import standard_involutive_a
         calls = []
         real = equivalence._acyclic_cone_trace
         monkeypatch.setattr(equivalence, "_acyclic_cone_trace",

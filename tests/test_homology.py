@@ -8,9 +8,9 @@ from bhfi import (ChainComplex, F2Matrix, box_tensor, homology,
                   standard_involutive_a, standard_involutive_d,
                   verify_hfi_triangle)
 from bhfi.homology import (BlockDifferential, HomologyData, _bits,
-                           _components, echelon, express_in_homology,
-                           rows_nullspace)
+                           _components, echelon)
 from bhfi.involutive import conjugation_cone
+from bhfi.matrices import express_in_homology, rows_nullspace
 from bhfi.structures import BorderedObject
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bhfi import involutive, structures, typea
+from bhfi import involutive, typea
 from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   find_homotopy_equivalence, find_structure_equivalence,
                   homology, identity_da, involutive_pair, iota_on_mor,
@@ -11,12 +11,15 @@ from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
                   standard_involutive_d)
 from bhfi.errors import RelationViolation
 from bhfi.files import structure_from_json
-from bhfi.involutive import (InvolutiveAInf, InvolutiveTypeD, IotaReport,
-                             _iota_pipeline, conjugation, paired_insertion)
-from bhfi.standard import builtin_structure, cfda_az, cfda_azbar
-from bhfi.structures import (BorderedObject, Morphism,
-                             box_morphism_left_comps, contraction_trace,
-                             morphism_from_generator_map)
+from bhfi.involutive import InvolutiveTypeD, IotaReport, _iota_pipeline
+from bhfi.morphisms import (Morphism, contraction_trace,
+                            morphism_from_generator_map)
+from bhfi.pairing import box_morphism_right_comps
+from bhfi.pieces import cfda_az
+from bhfi.standard import builtin_structure
+from bhfi.structures import BorderedObject
+from bhfi.typea import (InvolutiveAInf, box_morphism_left_comps, cfda_azbar,
+                        conjugation, paired_insertion)
 
 
 class TestIotaOnMor:
@@ -335,7 +338,7 @@ class TestPairOnceCertifyOnce:
         # the piece cut to P0's and P1's idempotents, which the pipeline
         # pairs, has the whole piece's generators over them
         kept = _kept(cfda_az(z2), _outs(P0, P1))
-        real, paired = structures.box_tensor, []
+        real, paired = box_tensor, []
 
         def counted(B1, B2):
             if B1.generators == kept:
@@ -352,7 +355,7 @@ class TestPairOnceCertifyOnce:
     def test_involutive_pair_builds_each_pairing_once(self, monkeypatch,
                                                        cfa1, cfd0):
         A, D = standard_involutive_a(cfa1), standard_involutive_d(cfd0)
-        real, pairs = structures.box_tensor, []
+        real, pairs = box_tensor, []
 
         def counted(B1, B2):
             pairs.append((B1, B2))
@@ -367,7 +370,7 @@ class TestPairOnceCertifyOnce:
     @pytest.mark.parametrize("build, name", [
         (standard_involutive_a, "cfa0_k1"), (standard_involutive_d, "cfd0")])
     def test_psi_cone_reduced_once(self, monkeypatch, build, name):
-        real, reduced = structures.contraction_trace, []
+        real, reduced = contraction_trace, []
 
         def counted(S):
             reduced.append(S.ops)
@@ -424,7 +427,7 @@ class TestCutPiecePairsAsTheWhole:
         circle = args[-1].out_alg.circle
         whole = cfda_az(circle)
         kept = _kept(whole, idems)
-        pair, comps, seen = box_tensor, structures.box_morphism_right_comps, []
+        pair, comps, seen = box_tensor, box_morphism_right_comps, []
 
         def recorded(real):
             def wrapped(B, X):
@@ -493,8 +496,8 @@ def count_builds(monkeypatch, run):
     counts under its own key once it is built.  An identity bimodule
     built on the way fails the run."""
     counts = {"box_tensor": 0, "then": 0}
-    real_box, real_then = structures.box_tensor, Morphism.then
-    real_dd = structures.box_tensor_DD_side
+    real_box, real_then = box_tensor, Morphism.then
+    real_dd = typea.box_tensor_DD_side
 
     def box(B1, B2):
         counts["box_tensor"] += 1
@@ -513,7 +516,7 @@ def count_builds(monkeypatch, run):
 
     patch_everywhere(monkeypatch, real_box, box)
     patch_everywhere(monkeypatch, real_dd, dd_side)
-    patch_everywhere(monkeypatch, structures.identity_da, no_identity)
+    patch_everywhere(monkeypatch, identity_da, no_identity)
     monkeypatch.setattr(Morphism, "then", then)
     run()
     return counts

@@ -5,6 +5,8 @@
 re-exports from them must keep resolving as attributes, through ``from
 bhfi import`` and in ``dir``.
 """
+import importlib
+
 import pytest
 
 import bhfi
@@ -44,9 +46,13 @@ def test_star_import_binds_every_public_name():
 
 
 def test_re_exports_are_the_submodule_names():
-    assert bhfi.cfda_az is bhfi.standard.cfda_az
-    assert bhfi.iota_on_mor is bhfi.involutive.iota_on_mor
-    assert bhfi.TriangleData is bhfi.triangle.TriangleData
+    # each re-exported name is listed under, and read from, the module
+    # that defines it
+    for home, names in bhfi._EXPORTS.items():
+        module = importlib.import_module(f"bhfi.{home}")
+        for name in names.split():
+            assert getattr(bhfi, name) is getattr(module, name), name
+            assert getattr(bhfi, name).__module__ == f"bhfi.{home}", name
     assert callable(bhfi.homology)      # the function, not the submodule
 
 

@@ -7,17 +7,19 @@ import re
 
 import pytest
 
-from bhfi import (DivergenceError, PointedMatchedCircle, algebra,
-                  check_structure, dd_identity, homology, pieces, split_pmc,
-                  strands)
+from bhfi import (AlgebraElement, DivergenceError, PointedMatchedCircle,
+                  algebra, check_structure, dd_identity, homology, pieces,
+                  split_pmc, strands)
 from bhfi.cli import main
 from bhfi.files import structure_to_json
-from bhfi.pieces import _cfda_az
-from bhfi.standard import (cfa_zero_handlebody, cfd_solid_torus,
-                           cfd_zero_handlebody, cfda_az, cfda_azbar,
-                           surgery_maps)
-from bhfi.structures import BorderedObject, box_tensor, mor_complex_DD
-from test_strands import include_split
+from bhfi.mor import mor_complex_DD
+from bhfi.pairing import box_tensor
+from bhfi.pieces import _cfda_az, cfd_zero_handlebody, cfda_az
+from bhfi.standard import cfd_solid_torus
+from bhfi.structures import BorderedObject
+from bhfi.triangle import surgery_maps
+from bhfi.typea import cfa_zero_handlebody, cfda_azbar
+from test_strands import chord, chords, include_split
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "fixtures")
@@ -27,17 +29,16 @@ class TestSolidTori:
     def test_infinity(self, cfd_inf):
         assert cfd_inf.generators == ("r",)
         assert cfd_inf.ops == {("r", (), d, "r") for d in
-                               algebra(split_pmc(1)).chord(2, 4).terms}
+                               chord(split_pmc(1), 2, 4).terms}
 
     def test_minus_one(self, cfd_m1):
         assert sorted(cfd_m1.generators) == ["a", "b"]
-        coeff = algebra(split_pmc(1)).chord(1, 2) + \
-            algebra(split_pmc(1)).chord(3, 4)
+        coeff = chord(split_pmc(1), 1, 2) + chord(split_pmc(1), 3, 4)
         assert cfd_m1.ops == {("a", (), d, "b") for d in coeff.terms}
 
     def test_zero(self, cfd0):
         assert cfd0.ops == {("n", (), d, "n") for d in
-                            algebra(split_pmc(1)).chord(1, 3).terms}
+                            chord(split_pmc(1), 1, 3).terms}
 
     def test_unknown_framing(self):
         with pytest.raises(ValueError):
@@ -57,10 +58,9 @@ class TestZeroHandlebody:
     def test_coefficient_squares_to_zero(self, z2):
         P = cfd_zero_handlebody(2)
         total = None
-        alg = algebra(z2)
-        coeff = alg.zero()
+        coeff = AlgebraElement(z2)
         for _, _, c, _ in P.ops:
-            coeff = coeff + alg.element([c])
+            coeff = coeff + AlgebraElement(z2, [c])
         assert not coeff * coeff
 
     def test_matches_block_inclusion_of_tensor_factors(self, z1):
@@ -68,9 +68,8 @@ class TestZeroHandlebody:
         # factors under the block inclusion
         for k in (2, 3):
             P = cfd_zero_handlebody(k)
-            alg1 = algebra(z1)
-            rho = algebra(z1).chord(1, 3)
-            idem = alg1.element([alg1.idempotent({1})])
+            rho = chord(z1, 1, 3)
+            idem = AlgebraElement(z1, [algebra(z1).idempotent({1})])
             expected = set()
             for slot in range(k):
                 factors = [rho if i == slot else idem for i in range(k)]
@@ -152,13 +151,12 @@ class TestDDIdentity:
 
     def test_tensor_product_is_the_factorwise_product(self, z2):
         DD = dd_identity(z2)
-        alg = algebra(z2)
         coeffs = sorted({c for _, _, c, _ in DD.ops}, key=DD.out_alg.sort_key)
         nonzero = 0
         for a in coeffs:
             for b in coeffs:
-                left = alg.element([a[0]]) * alg.element([b[0]])
-                right = alg.element([a[1]]) * alg.element([b[1]])
+                left = AlgebraElement(z2, [a[0]]) * AlgebraElement(z2, [b[0]])
+                right = AlgebraElement(z2, [a[1]]) * AlgebraElement(z2, [b[1]])
                 got = DD.out_alg.mul_basis(a, b)
                 assert (set() if got is None else {got}) == {
                     (x, y) for x in left.terms for y in right.terms}, (a, b)
@@ -169,7 +167,7 @@ class TestDDIdentity:
         for k in (1, 2, 3):
             Z = split_pmc(k)
             assert strands.chord_term_count(Z) == \
-                sum(len(c.terms) for c in algebra(Z).chords())
+                sum(len(c.terms) for c in chords(Z))
         assert [strands.chord_term_count(split_pmc(k)) for k in (5, 6, 7)] \
             == [13860, 72072, 360360]
 

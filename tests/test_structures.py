@@ -17,17 +17,21 @@ from bhfi import (DivergenceError, Morphism, ParseError, RelationViolation,
                   box_tensor_DD_side, check_structure, dd_identity, homology,
                   identity_da, identity_morphism, mor_complex_DD,
                   reduce_structure, split_pmc, validate_bounded)
-from bhfi.standard import cfda_az, cfda_azbar, torus_chord
+from bhfi.dd import DDBimodule, TensorAlgebra
 from bhfi.elements import AlgebraElement
+from bhfi.homology import BlockDifferential, echelon
+from bhfi.matrices import F2Matrix
+from bhfi.morphisms import contraction_trace
+from bhfi.pairing import box_morphism_right, box_morphism_right_comps
+from bhfi.pieces import cfda_az
+from bhfi.standard import torus_chord
 from bhfi.strands import StrandsAlgebra
 from bhfi.structures import (TRIVIAL, AInfModule, BorderedObject,
-                             DABimodule, DDBimodule, TensorAlgebra, _expand,
-                             _term_walk, box_morphism_left_comps,
-                             box_morphism_right, box_morphism_right_comps,
-                             contraction_trace,
+                             DABimodule, _expand, _term_walk,
                              structure_residue)
-from bhfi.homology import BlockDifferential, F2Matrix, echelon
+from bhfi.typea import box_morphism_left_comps, cfda_azbar
 from test_homology import dense_homology
+from test_strands import chord
 
 
 def labels(morphism):
@@ -773,7 +777,7 @@ class TestBoxTensor:
             assert out.ops == ops
 
     def test_morphism_tensor_matches_nested_scan(self, az1, z1, cfd_m1):
-        from bhfi.equivalence import omega_equivalence
+        from bhfi.typea import omega_equivalence
         P = shuffled(box_tensor(az1, cfd_m1), 13)
         f = omega_equivalence(z1).forward
         gen_set = set(box_tensor(f.source, P).generators)
@@ -847,7 +851,8 @@ def kernel_oracle_dd_side(B, X):
     """box_tensor_DD_side before the one pairing kernel: the box tensor of
     B with the carried view of X, then a second pass over its
     operations."""
-    from bhfi.structures import _toggle, tensor_algebra
+    from bhfi.dd import tensor_algebra
+    from bhfi.structures import _toggle
     carried = X.out_alg.right
     view = BorderedObject(
         B.in_alg, carried, X.generators,
@@ -1000,7 +1005,7 @@ class TestPairingKernelOracle:
     def test_morphism_components(self, z1, z2, az1, az2, cfa2, cfd_m1,
                                  cfd0_k2):
         from bhfi import standard_involutive_d
-        from bhfi.equivalence import omega_equivalence
+        from bhfi.typea import omega_equivalence
         om = omega_equivalence(z1).forward
         for P in (cfd_m1, shuffled(box_tensor(az1, cfd_m1), 16)):
             assert box_morphism_left_comps(om, P) == \
@@ -1111,8 +1116,8 @@ class TestGradingClasses:
                 for b in alg.basis_from(a.right_idem):
                     if (c := alg.mul_basis(a, b)) is not None:
                         assert mult(c) == mult(a) ^ mult(b)
-        a = algebra(z1).chord(1, 3).sorted_terms()[0]
-        b = algebra(z2).chord(2, 7).sorted_terms()[0]
+        a = chord(z1, 1, 3).sorted_terms()[0]
+        b = chord(z2, 2, 7).sorted_terms()[0]
         assert (algebra(z1).multiplicity(a), algebra(z2).multiplicity(b)) \
             == (0b11, 0b111110)
         assert TensorAlgebra(algebra(z1), algebra(z2)).multiplicity(
@@ -1248,7 +1253,7 @@ class TestMorphisms:
         assert f.then(identity_morphism(cfd_m1)).comps == f.comps
 
     def test_composition_associative(self, cfd0):
-        from bhfi.standard import surgery_maps
+        from bhfi.triangle import surgery_maps
         phi, psi = surgery_maps()
         lhs = phi.then(psi).then(identity_morphism(cfd0))
         rhs = phi.then(psi.then(identity_morphism(cfd0)))
@@ -1305,7 +1310,7 @@ class TestMorphisms:
         assert contraction_trace(Morphism(cfd0, cfd0).cone()) is None
 
     def test_box_morphism_left_cycle(self, az1, azbar1, cfd0, z1):
-        from bhfi.equivalence import omega_equivalence
+        from bhfi.typea import omega_equivalence
         om = omega_equivalence(z1).forward
         f = Morphism(box_tensor(om.source, cfd0),
                      box_tensor(om.target, cfd0),
@@ -1642,7 +1647,6 @@ def assert_same_system(system, oracle):
     """The same equations over the same unknowns, rows in any order, and
     the same kernel basis: the search numbers its rows in first-seen
     order, the oracle in residue term order."""
-    from bhfi.homology import F2Matrix
     ours, theirs = F2Matrix(*system), F2Matrix(*oracle)
     assert (ours.nrows, ours.ncols) == (theirs.nrows, theirs.ncols)
     assert sorted(ours.transpose().cols) == sorted(theirs.transpose().cols)
@@ -1660,7 +1664,6 @@ def captured_search_system(monkeypatch, run):
     lists are the ones the search hands its kernel.  The search stops
     there."""
     import bhfi.typea as typea
-    from bhfi.homology import F2Matrix
     seen = []
     real = typea.search_small_equivalence
 
@@ -1816,7 +1819,7 @@ class TestComponentDifferential:
 
 class TestBoxMorphismRightChains:
     def test_surgery_map(self, az1):
-        from bhfi.standard import surgery_maps
+        from bhfi.triangle import surgery_maps
         phi, _ = surgery_maps()
         comps, _ = walker_box_morphism_right(az1, phi)
         assert box_morphism_right(az1, phi).comps == comps

@@ -9,10 +9,11 @@ from bhfi import (ChainComplex, F2Matrix, build_triangle_data,
                   check_structure, verify_hfi_triangle)
 from bhfi.errors import RelationViolation
 from bhfi.involutive import conjugation_cone
-from bhfi.standard import cfa_zero_handlebody
-from bhfi.structures import (AInfModule, Morphism, box_morphism_right,
-                             box_tensor, contraction_trace)
+from bhfi.morphisms import Morphism, contraction_trace
+from bhfi.pairing import box_morphism_right, box_tensor
+from bhfi.structures import AInfModule
 from bhfi.triangle import _check_sequence, _exact_at
+from bhfi.typea import cfa_zero_handlebody
 
 
 def comp_labels(morphism):

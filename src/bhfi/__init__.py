@@ -56,10 +56,10 @@ _EXPORTS = dict(
     morphisms="Morphism identity_morphism reduce_structure",
     equivalence="EquivalenceCertificate find_homotopy_equivalence",
     involutive="InvolutiveTypeD IotaReport cfi_hat iota_on_mor "
-    "standard_involutive_d", typea="InvolutiveAInf box_tensor_AD "
-    "box_tensor_DD_side cfa_zero_handlebody cfda_azbar identity_da "
-    "find_structure_equivalence involutive_pair mcg_action omega_equivalence "
-    "standard_involutive_a to_chain_complex", triangle="TriangleData "
+    "standard_involutive_d", typea="InvolutiveAInf box_tensor_AD mcg_action "
+    "box_tensor_DD_side cfa_zero_handlebody cfda_azbar involutive_pair "
+    "find_structure_equivalence standard_involutive_a to_chain_complex",
+    omega="identity_da omega_equivalence", triangle="TriangleData "
     "build_triangle_data surgery_maps verify_hfi_triangle")
 __getattr__ = _forward(__name__, **_EXPORTS)
 

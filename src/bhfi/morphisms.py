@@ -8,7 +8,6 @@ import itertools
 
 from ._record import record
 from .errors import RelationViolation
-from .matrices import F2Matrix
 from .structures import BorderedObject, _term_walk, _toggle
 
 
@@ -64,16 +63,41 @@ class Morphism:
         return Morphism(self.source, self.target, acc)
 
     def is_cycle(self):
-        return not self.differential().comps
+        """Whether the differential is zero, read one source generator p at
+        a time into a set of its own: S's operations out of p followed by
+        components, then the tails and splits of the components out of p.
+        ``differential`` builds the whole morphism instead."""
+        S, mul, walk = self.source, self.target.out_alg.mul_basis, \
+            _term_walk(self.target)
+        by_src = {}
+        for comp in self.comps:
+            by_src.setdefault(comp[0], []).append(comp)
+        for p in S.generators:
+            acc = set()
+            for _, w0, b, s in S.ops_from(p):
+                for _, w, a, y in by_src.get(s, ()):
+                    if (c := mul(b, a)) is not None:
+                        _toggle(acc, (p, w0 + w, c, y))
+            for comp in by_src.get(p, ()):
+                walk(comp, acc)
+            if acc:
+                return False
+        return True
 
     def cone_trace(self):
-        """``contraction_trace`` of the cone: its reduction trace when it
-        cancels away, None otherwise.  Computed on the first call and kept
-        with this morphism, so a search and a later certificate of the
-        same morphism reduce its cone once."""
+        """``contraction_trace`` of the cone or, with inputs, of its DD side
+        (``box_tensor_DD_side`` of this morphism's parts).  Computed on the
+        first call and kept with this morphism, so a search and a later
+        certificate of the same morphism reduce its cone once."""
         if not hasattr(self, "_cone_trace"):
-            object.__setattr__(self, "_cone_trace",
-                               contraction_trace(self.cone()))
+            if self.source.in_alg.is_trivial:
+                cone = self.cone()
+            else:
+                from .dd import dd_identity
+                from .typea import box_tensor_DD_side
+                cone = box_tensor_DD_side(
+                    self, dd_identity(self.source.in_alg.circle))
+            object.__setattr__(self, "_cone_trace", contraction_trace(cone))
         return self._cone_trace
 
     def cone(self):
@@ -92,15 +116,6 @@ class Morphism:
         return BorderedObject(S.out_alg, S.in_alg,
                               (*s.values(), *t.values()), out_idem, in_idem,
                               ops)
-
-    def to_matrix(self, source_cx, target_cx):
-        """The matrix of a morphism of both-sides-trivial structures between
-        the given based complexes, matched by generator label.  Nothing is
-        checked: callers test the chain-map identity themselves."""
-        spos = {g: i for i, g in enumerate(source_cx.generators)}
-        tpos = {g: i for i, g in enumerate(target_cx.generators)}
-        return F2Matrix.from_entries(len(tpos), len(spos), [
-            (tpos[dst], spos[src]) for src, _, _, dst in self.comps])
 
     def __repr__(self):
         return f"<morphism: {len(self.comps)} components>"
@@ -257,16 +272,6 @@ def reduce_structure(S, track_from=False, track_to=False):
 
 
 def contraction_trace(S):
-    """The reduction trace when the structure cancels away completely;
-    None otherwise.
-
-    Structures with algebra inputs are first converted to the no-input side
-    by pairing with the DD identity of the input circle, where cancellation
-    provably terminates.
-    """
-    if not S.in_alg.is_trivial:
-        from .dd import dd_identity
-        from .typea import box_tensor_DD_side
-        S = box_tensor_DD_side(S, dd_identity(S.in_alg.circle))
+    """The reduction trace when the no-input S cancels away, else None."""
     red = reduce_structure(S)
     return None if red.reduced.generators else red.trace

@@ -88,32 +88,19 @@ def _partners(gens1, idem1, gens2, idem2):
     return {g1: buckets.get(idem1[g1], ()) for g1 in gens1}
 
 
-def _label_pairs(gens1, partners, labels, stage):
+def _label_pairs(gens1, partners, labels, stage, tag=""):
     """Label each pair (g1, g2) of one of ``gens1`` with one of its
-    ``partners`` once, as ``labels[g1][g2] = "g1|g2"``, and return the
-    pairs by label, in order.  Two pairs with one label raise ParseError."""
+    ``partners`` once, as ``labels[g1][g2] = tag + "g1|g2"``, and return
+    the pairs by label, in order.  One label twice raises ParseError."""
     pairs = {}
     for g1 in filter(partners.get, gens1):
         row = labels.setdefault(g1, {})
         for g2 in partners[g1]:
-            label = row[g2] = f"{g1}|{g2}"
+            label = row[g2] = f"{tag}{g1}|{g2}"
             if (first := pairs.setdefault(label, (g1, g2))) != (g1, g2):
                 raise ParseError(f"{stage}: generators {first} and "
                                  f"{(g1, g2)} pair to one label {label!r}")
     return pairs
-
-
-def _pairing(stage, B1, B2):
-    """The pairs of B1 with B2 by label (``_label_pairs``), and the terms
-    of that pairing: the operations out of generators with a partner,
-    paired by ``_pair_with_chains``."""
-    partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
-    refuse_past_cap(stage, sum(map(len, partners.values())), "generators")
-    labels = {}
-    pairs = _label_pairs(B1.generators, partners, labels, stage)
-    ops = [B1.ops_from(g1) for g1 in B1.generators if partners[g1]]
-    return pairs, _pair_with_chains(itertools.chain.from_iterable(ops), B2,
-                                    partners, labels, stage)
 
 
 def box_tensor(B1, B2):
@@ -121,24 +108,32 @@ def box_tensor(B1, B2):
     if B1.in_alg is not B2.out_alg:
         raise ValueError("input algebra of the first factor must match the "
                          "output algebra of the second")
-    pairs, ops = _pairing("box_tensor", B1, B2)
-    return BorderedObject(B1.out_alg, B2.in_alg, tuple(pairs),
-                          {g: B1.out_idem[g1] for g, (g1, _) in pairs.items()},
-                          {g: B2.in_idem[g2] for g, (_, g2) in pairs.items()},
-                          ops)
+    partners = _partners(B1.generators, B1.in_idem, B2.generators, B2.out_idem)
+    refuse_past_cap("box_tensor", sum(map(len, partners.values())),
+                    "generators")
+    labels = {}
+    pairs = _label_pairs(B1.generators, partners, labels, "box_tensor")
+    ops = [B1.ops_from(g1) for g1 in B1.generators if partners[g1]]
+    return BorderedObject(
+        B1.out_alg, B2.in_alg, tuple(pairs),
+        {g: B1.out_idem[g1] for g, (g1, _) in pairs.items()},
+        {g: B2.in_idem[g2] for g, (_, g2) in pairs.items()},
+        _pair_with_chains(itertools.chain.from_iterable(ops), B2, partners,
+                          labels, "box_tensor"))
 
 
-def _pair_with_chains(ops, B2, partners, labels, stage):
+def _pair_with_chains(ops, B2, partners, labels, stage, dst_labels=None):
     """Pair each operation (or morphism component) (x, word, a, x2) of a
     left factor with the chains of B2 from ``partners[x]`` that read
     ``word``: the terms of its box tensor with B2.  Only the operations
     that can pair are walked: one whose source has no partner, or whose
     word starts with a letter that B2 never outputs, reads no chain and is
     skipped.  Each term's ends are the shared strings ``labels[x][g2]``
-    and ``labels[x2][end]``, so ``labels`` must cover the targets too; a
-    term that ends on no pair (an operation off its target's idempotent)
-    is a ValueError naming ``stage`` and the operation paired."""
+    and ``dst_labels[x2][end]`` (``labels`` by default); a term that
+    ends on no pair (an operation off its target's idempotent) is a
+    ValueError naming ``stage`` and the operation paired."""
     outputs = B2._grouped(_OUT)
+    dst_labels = labels if dst_labels is None else dst_labels
     out = set()
     try:
         for x, word, a, x2 in ops:
@@ -146,7 +141,7 @@ def _pair_with_chains(ops, B2, partners, labels, stage):
                 continue
             src = labels[x]
             for g2, ins, end in _chains_reading(B2, partners[x], word):
-                _toggle(out, (src[g2], ins, a, labels[x2][end]))
+                _toggle(out, (src[g2], ins, a, dst_labels[x2][end]))
     except KeyError as err:
         raise ValueError(f"{stage}: pairing {(x, word, a, x2)!r} ends at "
                          f"{err.args[0]!r}, which has no partner: an "

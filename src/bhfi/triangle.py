@@ -14,7 +14,8 @@ from .pairing import box_morphism_right_comps, box_tensor
 from .pieces import cfda_az
 from .standard import cfd_solid_torus, torus_chord
 from .strands import algebra, split_pmc
-from .typea import cfda_azbar, conjugation, standard_involutive_a
+from .typea import (cfda_azbar, conjugation, standard_involutive_a,
+                    to_matrix)
 
 
 @record
@@ -263,10 +264,10 @@ def verify_hfi_triangle(X):
         for psi_p in (data.psi_inf, data.psi_m1, data.psi_0)))
     nodes = ("inf", "minus_one", "zero")
     failures = []
-    i_mat = Morphism(pairs[0], pairs[1], box_morphism_right_comps(
-        X, data.phi)).to_matrix(cxs[0], cxs[1])
-    p_mat = Morphism(pairs[1], pairs[2], box_morphism_right_comps(
-        X, data.psi)).to_matrix(cxs[1], cxs[2])
+    i_mat = to_matrix(Morphism(pairs[0], pairs[1], box_morphism_right_comps(
+        X, data.phi)), cxs[0], cxs[1])
+    p_mat = to_matrix(Morphism(pairs[1], pairs[2], box_morphism_right_comps(
+        X, data.psi)), cxs[1], cxs[2])
     hat_homs = _check_sequence(cxs, i_mat, p_mat, nodes, failures)
     if failures:
         raise RelationViolation("; ".join(failures))

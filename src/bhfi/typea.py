@@ -12,13 +12,13 @@ from ._record import record
 from .dd import TensorAlgebra, tensor_algebra
 from .equivalence import (EquivalenceCertificate, _first_acyclic_sum,
                           find_homotopy_equivalence)
-from .errors import RelationViolation
+from .errors import RelationViolation, refuse_past_cap
 from .homology import BlockDifferential, homology
 from .involutive import _certify_psi, _on_homology, conjugation_cone
 from .matrices import ChainComplex, F2Matrix, _commutator, rows_nullspace
 from .mor import _elementary_components
 from .morphisms import Morphism, morphism_from_generator_map, reduce_structure
-from .pairing import (_label_pairs, _pair_with_chains, _pairing, _partners,
+from .pairing import (_label_pairs, _pair_with_chains, _partners,
                       box_morphism_right, box_morphism_right_comps,
                       box_tensor, validate_bounded)
 from .pieces import _chords_into, cfda_az
@@ -132,6 +132,16 @@ def to_chain_complex(S):
     return ChainComplex(S.generators, BlockDifferential(rows).matrix())
 
 
+def to_matrix(f, source_cx, target_cx):
+    """The matrix of a morphism f of both-sides-trivial structures between
+    the given based complexes, matched by generator label.  Nothing is
+    checked: callers test the chain-map identity themselves."""
+    spos = {g: i for i, g in enumerate(source_cx.generators)}
+    tpos = {g: i for i, g in enumerate(target_cx.generators)}
+    return F2Matrix.from_entries(len(tpos), len(spos), [
+        (tpos[dst], spos[src]) for src, _, _, dst in f.comps])
+
+
 def box_tensor_AD(M, P):
     """Pair an A-infinity module with a type D structure; a chain complex."""
     validate_bounded(P)
@@ -139,37 +149,49 @@ def box_tensor_AD(M, P):
 
 
 def box_tensor_DD_side(B, X):
-    """Pair a DA bimodule (or A-infinity module) with the left factor of a
-    DD-type structure, carrying the right factor along.
-
-    ``X`` is a no-input structure over a tensor algebra whose left factor is
-    ``B``'s input algebra.  The result is a no-input structure over
-    ``B.out_alg`` tensor the carried factor (the trivial output of an
-    A-infinity module is dropped).  It pairs B with the carried view of
-    X, whose operations output X's left coefficients and read the right
-    ones as one-letter inputs, through the generator loop and chain walk
-    of ``box_tensor`` (``_pairing``: the same walked operations and shared
-    labels); each term's carried word is multiplied out from the carried
-    idempotent of its source, with no paired structure in between.
-    """
+    """Pair a DA bimodule (or A-infinity module) B, or the cone of a
+    morphism B of such structures, with the left factor of a DD-type
+    structure X, carrying the right factor along: a no-input structure
+    over B's output algebra tensor the carried factor (the trivial output
+    of an A-infinity module is dropped).  A cone is paired from its parts
+    with no cone built: S's operations, T's operations and the components,
+    labelled ``S:x|e`` and ``T:y|e``.  Each part goes through the chain
+    walk of ``box_tensor`` with the carried view of X, whose operations
+    output X's left coefficients and read the right ones as one-letter
+    inputs; the cap counts the pairs of every part.  Each term's carried
+    word is multiplied out from the carried idempotent of its source."""
+    parts, comps = ((B, ""),), ()
+    if isinstance(B, Morphism):
+        parts, comps = ((B.source, "S:"), (B.target, "T:")), B.comps
+        B = B.source
     if not isinstance(X.out_alg, TensorAlgebra) or \
        X.out_alg.left is not B.in_alg:
         raise ValueError("left output factor must match the input algebra")
-    carried = X.out_alg.right
+    carried, stage = X.out_alg.right, "box_tensor_DD_side"
+    trivial_out = B.out_alg.is_trivial
     view = BorderedObject(
         B.in_alg, carried, X.generators,
         {x: idem[0] for x, idem in X.out_idem.items()},
         {x: idem[1] for x, idem in X.out_idem.items()},
         [(x, (right,), left, y) for x, _, (left, right), y in X.ops])
-    pairs, terms = _pairing("box_tensor_DD_side", B, view)
-    trivial_out = B.out_alg.is_trivial
+    partners = [_partners(P.generators, P.in_idem, view.generators,
+                          view.out_idem) for P, _ in parts]
+    refuse_past_cap(stage, sum(len(g) for p in partners for g in p.values()),
+                    "generators")
+    # the parts' terms have disjoint ends, so they are read one after another
+    labels, out_idem, right, terms = [{} for _ in parts], {}, {}, []
+    for (P, tag), p, lab in zip(parts, partners, labels):
+        for g, (b, x) in _label_pairs(P.generators, p, lab, stage,
+                                      tag).items():
+            right[g] = idem = view.in_idem[x]
+            out_idem[g] = idem if trivial_out else (P.out_idem[b], idem)
+        terms.append(_pair_with_chains(P.ops, view, p, lab, stage))
+    terms.append(_pair_with_chains(comps, view, partners[0], labels[0], stage,
+                                   labels[-1]))
     res_alg = carried if trivial_out else tensor_algebra(B.out_alg, carried)
-    right = {g: view.in_idem[x] for g, (_, x) in pairs.items()}
-    out_idem = right if trivial_out else {
-        g: (B.out_idem[b], right[g]) for g, (b, _) in pairs.items()}
     start = {g: (carried.idem_element(idem),) for g, idem in right.items()}
     ops = set()
-    for src, word, a, dst in terms:
+    for src, word, a, dst in itertools.chain.from_iterable(terms):
         if (prod := carried.mul_many(start[src] + word)) is not None:
             _toggle(ops, (src, (), prod if trivial_out else (a, prod), dst))
     return BorderedObject(res_alg, TRIVIAL, tuple(right), out_idem,
@@ -189,17 +211,6 @@ def box_morphism_left_comps(f, P):
         _label_pairs(B1.generators, partners, labels, "box_morphism_left")
     return _pair_with_chains(f.comps, P, partners, labels,
                              "box_morphism_left")
-
-
-def identity_da(circle):
-    """The identity DA bimodule: one generator per idempotent, the right
-    action feeding straight through."""
-    alg = algebra(circle)
-    idem = {f"e_{d.label}": d.left_idem for d in alg.idempotent_diagrams}
-    label = {pairs: g for g, pairs in idem.items()}
-    ops = {(label[b.left_idem], (b,), b, label[b.right_idem])
-           for b in alg.basis}
-    return BorderedObject(alg, alg, tuple(idem), idem, idem, ops)
 
 
 # the inputs plus one that a component of a bridge between reduced models
@@ -303,20 +314,6 @@ def find_structure_equivalence(A, B):
         red_a.to_reduced.then(bridge).then(red_b.from_reduced), index)
 
 
-@functools.cache
-def omega_equivalence(circle):
-    """The equivalence from the identity DA bimodule into the composite of
-    the two interpolating-piece bimodules (reversed then standard).
-
-    No pipeline calls this: they all insert the paired equivalence of
-    ``paired_insertion`` instead, because the tracked
-    cancellation of the composite explodes past genus one.  It stays public
-    only because the golden tests pin its certificate digest.
-    """
-    composite = box_tensor(cfda_azbar(circle), cfda_az(circle))
-    return find_structure_equivalence(identity_da(circle), composite)
-
-
 @record
 class InvolutiveAInf:
     """An A-infinity module with a certified equivalence from its twist by
@@ -375,7 +372,7 @@ def conjugation(M, P, L, R, theta_p, theta_m):
     step3 = Morphism(step2.target, base,
                      box_morphism_left_comps(theta_m, theta_p.target))
     cx = to_chain_complex(base)
-    mat = step1.then(step2).then(step3).to_matrix(cx, cx)
+    mat = to_matrix(step1.then(step2).then(step3), cx, cx)
     if not _commutator(mat, cx, cx).is_zero():
         raise RelationViolation("conjugation is not a chain map")
     return base, cx, mat

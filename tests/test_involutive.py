@@ -5,10 +5,10 @@ import pytest
 
 from bhfi import involutive, typea
 from bhfi import (F2Matrix, box_tensor, cfd_solid_torus, cfi_hat,
-                  find_homotopy_equivalence, find_structure_equivalence,
-                  homology, identity_da, involutive_pair, iota_on_mor,
-                  mcg_action, mor_complex_DD, standard_involutive_a,
-                  standard_involutive_d)
+                  dd_identity, find_homotopy_equivalence,
+                  find_structure_equivalence, homology, identity_da,
+                  involutive_pair, iota_on_mor, mcg_action, mor_complex_DD,
+                  standard_involutive_a, standard_involutive_d)
 from bhfi.errors import RelationViolation
 from bhfi.files import structure_from_json
 from bhfi.involutive import InvolutiveTypeD, IotaReport, _iota_pipeline
@@ -378,7 +378,12 @@ class TestPairOnceCertifyOnce:
 
         patch_everywhere(monkeypatch, real, counted)
         inv = build(builtin_structure(name))
-        assert reduced.count(inv.psi.cone().ops) == 1
+        # a cone with inputs is reduced as its pairing with the DD identity
+        cone = inv.psi.cone()
+        if not cone.in_alg.is_trivial:
+            cone = typea.box_tensor_DD_side(cone,
+                                            dd_identity(cone.in_alg.circle))
+        assert reduced.count(cone.ops) == 1
 
     def test_a_refused_certificate_stays_refused(self, cfa1, cfd0, az1,
                                                  azbar1):
@@ -637,6 +642,39 @@ class TestInvolutivePairOracle:
         assert cone.generators == tuple(f"S:{g}" for g in cx.generators) + \
             tuple(f"T:{g}" for g in cx.generators)
 
+
+
+class TestCycleCheck:
+    """``Morphism.is_cycle`` reads d(psi) one source generator at a time.
+    On every pinned psi it agrees with the whole ``differential``, and
+    with one component removed both say that psi is no cycle."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self, cfa1, cfd0, cfa2, cfd0_k2):
+        import random
+
+        from test_equivalence import load_relabel
+        relabel = load_relabel()
+        out = {"cfa0_k1": standard_involutive_a(cfa1).psi,
+               "cfd0": standard_involutive_d(cfd0).psi,
+               "cfa0_k2": standard_involutive_a(cfa2).psi,
+               "cfd0_k2": standard_involutive_d(cfd0_k2).psi}
+        # the relabelled genus-2 A sides whose psi digests CI pins
+        for seed in (1, 11, 38):
+            M = relabel(cfa2, random.Random(seed), "m")
+            out[f"cfa0_k2, seed {seed}"] = standard_involutive_a(M).psi
+        return out
+
+    @pytest.mark.parametrize("name", [
+        "cfa0_k1", "cfd0", "cfa0_k2", "cfd0_k2", "cfa0_k2, seed 1",
+        "cfa0_k2, seed 11", "cfa0_k2, seed 38"])
+    def test_agrees_with_the_differential(self, pinned, name):
+        psi = pinned[name]
+        assert psi.is_cycle() and not psi.differential().comps
+        comps = psi.sorted_comps()
+        for comp in (comps[0], comps[len(comps) // 2], comps[-1]):
+            cut = Morphism(psi.source, psi.target, psi.comps - {comp})
+            assert not cut.is_cycle() and cut.differential().comps, comp
 
 class TestGenus2Certificates:
     """The genus-2 involutive certificates, pinned by digest: psi's sorted

@@ -777,7 +777,7 @@ class TestBoxTensor:
             assert out.ops == ops
 
     def test_morphism_tensor_matches_nested_scan(self, az1, z1, cfd_m1):
-        from bhfi.typea import omega_equivalence
+        from bhfi.omega import omega_equivalence
         P = shuffled(box_tensor(az1, cfd_m1), 13)
         f = omega_equivalence(z1).forward
         gen_set = set(box_tensor(f.source, P).generators)
@@ -822,6 +822,70 @@ class TestDDSide:
             assert out.out_idem == out_idem
             assert out.ops == ops
 
+
+
+CONE_MAPS = ["genus-1 psi", "genus-2 psi", "omega", "mcg theta_0",
+             "triangle psi_X", "identity of cfa0_k1"]
+
+
+class TestConeDDSideByParts:
+    """A morphism's cone is paired with the DD identity from its parts,
+    with no cone built: the same generators in order, idempotents,
+    operations and shared labels as the DD side of ``cone()``, and the
+    same refusal past the cap."""
+
+    @pytest.fixture(scope="class")
+    def maps(self, z1, cfa1, cfa2, az1):
+        from bhfi.omega import omega_equivalence
+        from bhfi.typea import (find_structure_equivalence,
+                                standard_involutive_a)
+        from test_triangle import disjoint_copies
+        return {
+            "genus-1 psi": standard_involutive_a(cfa1).psi,
+            "genus-2 psi": standard_involutive_a(cfa2).psi,
+            # a DA morphism: the DD side is over the tensor algebra
+            "omega": omega_equivalence(z1).forward,
+            # mcg_action's equivalence M x chi -> M of the CLI's mcg job
+            "mcg theta_0": find_structure_equivalence(box_tensor(cfa1, az1),
+                                                      cfa1).forward,
+            "triangle psi_X": standard_involutive_a(
+                disjoint_copies(cfa1, 2)).psi,
+            # source and target share their labels
+            "identity of cfa0_k1": identity_morphism(cfa1)}
+
+    @pytest.mark.parametrize("name", CONE_MAPS)
+    def test_matches_the_cone(self, maps, name):
+        f = maps[name]
+        X = dd_identity(f.source.in_alg.circle)
+        out, old = box_tensor_DD_side(f, X), box_tensor_DD_side(f.cone(), X)
+        assert out.generators == old.generators
+        assert out.out_idem == old.out_idem
+        assert out.ops == old.ops
+        assert_shares_labels(out)
+
+    @pytest.mark.parametrize("name", CONE_MAPS)
+    def test_same_refusal_past_the_cap(self, maps, name, monkeypatch):
+        f = maps[name]
+        circle = f.source.in_alg.circle
+        X = dd_identity(circle)
+        n = len(box_tensor_DD_side(f.cone(), X).generators)
+        monkeypatch.setenv("BHFI_MAX_GENERATORS", str(n - 1))
+
+        def refusal(run):
+            with pytest.raises(DivergenceError) as err:
+                run()
+            return str(err.value)
+
+        assert refusal(lambda: box_tensor_DD_side(f, X)) == \
+            refusal(lambda: box_tensor_DD_side(f.cone(), X)) == \
+            f"box_tensor_DD_side: {n} generators exceed " \
+            f"BHFI_MAX_GENERATORS={n - 1}"
+        # the certificate's route, from a fresh morphism whose trace is not
+        # kept, builds the DD identity under the cap as the old one did
+        assert refusal(lambda: Morphism(f.source, f.target,
+                                        f.comps).cone_trace()) == \
+            refusal(lambda: box_tensor_DD_side(f.cone(),
+                                               dd_identity(circle)))
 
 def kernel_oracle_box_tensor(B1, B2):
     """box_tensor before the one pairing kernel: every operation of B1
@@ -1005,7 +1069,7 @@ class TestPairingKernelOracle:
     def test_morphism_components(self, z1, z2, az1, az2, cfa2, cfd_m1,
                                  cfd0_k2):
         from bhfi import standard_involutive_d
-        from bhfi.typea import omega_equivalence
+        from bhfi.omega import omega_equivalence
         om = omega_equivalence(z1).forward
         for P in (cfd_m1, shuffled(box_tensor(az1, cfd_m1), 16)):
             assert box_morphism_left_comps(om, P) == \
@@ -1304,13 +1368,13 @@ class TestMorphisms:
 
     def test_cone_of_identity_contracts(self, cfd0, cfd_m1, az1):
         for S in (cfd0, cfd_m1, az1):
-            assert contraction_trace(identity_morphism(S).cone()) is not None
+            assert identity_morphism(S).cone_trace() is not None
 
     def test_cone_of_zero_map_keeps_generators(self, cfd0):
         assert contraction_trace(Morphism(cfd0, cfd0).cone()) is None
 
     def test_box_morphism_left_cycle(self, az1, azbar1, cfd0, z1):
-        from bhfi.typea import omega_equivalence
+        from bhfi.omega import omega_equivalence
         om = omega_equivalence(z1).forward
         f = Morphism(box_tensor(om.source, cfd0),
                      box_tensor(om.target, cfd0),

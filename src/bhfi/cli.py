@@ -78,17 +78,22 @@ def _emit(args, payload):
     print(text)
 
 
-def _cmd_hfhat(args):
-    P0, P1 = _resolve_inputs(args, (("D", "D"), ("DD", "DD")))
-    mc = mor.mor_complex_DD(P0, P1)
-    _emit(args, {"hf_dim": mc.homology().dimension})
-    return 0
+# each report command: the kind sequences it accepts, its genus, its report
+_REPORTS = {
+    "hfhat": ((("D", "D"), ("DD", "DD")), None, lambda P0, P1: {
+        "hf_dim": mor.mor_complex_DD(P0, P1).homology().dimension}),
+    "hfihat": ((("D", "D"),), None,
+               lambda P0, P1: involutive.iota_on_mor(P0, P1).to_json()),
+    "triangle": ((("A",),), 1,
+                 lambda X: triangle.verify_hfi_triangle(X).to_json()),
+    "mcg": ((("A", "D", "DA", "DA"),), None, lambda *inputs: {
+        "action": involutive.mcg_action(*inputs).to_lists()}),
+}
 
 
-def _cmd_hfihat(args):
-    P0, P1 = _resolve_inputs(args, (("D", "D"),))
-    report = involutive.iota_on_mor(P0, P1)
-    _emit(args, report.to_json())
+def _cmd_report(args):
+    kinds, genus, report = _REPORTS[args.command]
+    _emit(args, report(*_resolve_inputs(args, kinds, genus)))
     return 0
 
 
@@ -117,20 +122,6 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_triangle(args):
-    (X,) = _resolve_inputs(args, (("A",),), genus=1)
-    report = triangle.verify_hfi_triangle(X)
-    _emit(args, report.to_json())
-    return 0
-
-
-def _cmd_mcg(args):
-    M, P, chi, chi_inv = _resolve_inputs(args, (("A", "D", "DA", "DA"),))
-    matrix = involutive.mcg_action(M, P, chi, chi_inv)
-    _emit(args, {"action": matrix.to_lists()})
-    return 0
-
-
 def _cmd_dump_standard(args):
     outdir = args.out or "fixtures"
     # each fixed builtin once, then every genus family at genus 1 and 2
@@ -147,9 +138,9 @@ def _cmd_dump_standard(args):
     return 0
 
 
-_COMMANDS = {"hfhat": _cmd_hfhat, "hfihat": _cmd_hfihat,
-             "verify": _cmd_verify, "triangle": _cmd_triangle,
-             "mcg": _cmd_mcg, "dump-standard": _cmd_dump_standard}
+_COMMANDS = {"hfhat": _cmd_report, "hfihat": _cmd_report,
+             "verify": _cmd_verify, "triangle": _cmd_report,
+             "mcg": _cmd_report, "dump-standard": _cmd_dump_standard}
 
 
 def _usage_error(message):

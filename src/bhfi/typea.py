@@ -28,49 +28,23 @@ from .structures import (TRIVIAL, AInfModule, BorderedObject, DABimodule,
 
 
 _FACTOR_IDEM = {"t": 2, "u": 1, "v": 1}
-# genus-1 right action on {t, u, v}; keys are local moving strands
-_FACTOR_ACTION = {((1, 2),): {"u": "t"},
-                  ((1, 3),): {"u": "v"},
-                  ((2, 3),): {"t": "v"}}
-
-
-def _factor_action(f):
-    """The right action of a genus-1 factor on {t, u, v}, as a map."""
-    if f.is_idempotent:
-        return {x: x for x, i in _FACTOR_IDEM.items() if f.horizontal == {i}}
-    return _FACTOR_ACTION.get(f.moving, {})
-
-
-def split_factors(diagram, alg):
-    """Decompose a split-circle diagram into blocks of ``alg``, the genus-1
-    algebra, or None.
-
-    Fails (None) when a strand crosses a block boundary or the occupied
-    slots do not distribute one per block.
-    """
-    k = diagram.circle.k
-    factors = [[[], set()] for _ in range(k)]
-    for i, j in diagram.moving:
-        block = (i - 1) // 4
-        if block != (j - 1) // 4:
-            return None
-        factors[block][0].append((i - 4 * block, j - 4 * block))
-    for p in diagram.horizontal:
-        block = (p - 1) // 2
-        factors[block][1].add(p - 2 * block)
-    if any(len(m) + len(h) != 1 for m, h in factors):
-        return None
-    return tuple(alg.diagram(m, h) for m, h in factors)
+# the genus-1 right action on {t, u, v}, keyed by the (moving strands,
+# horizontal pairs) of its diagram; block n shifts them by 4n and 2n
+_GENUS_1_ACTION = {((), (2,)): {"t": "t"},
+                   ((), (1,)): {"u": "u", "v": "v"},
+                   (((1, 2),), ()): {"u": "t"},
+                   (((1, 3),), ()): {"u": "v"},
+                   (((2, 3),), ()): {"t": "v"}}
 
 
 def cfa_zero_handlebody(k):
     """The dg A-infinity module of the 0-framed genus-k handlebody on the
-    basis {t, u, v}^k; only one- and two-input operations are nonzero."""
+    basis {t, u, v}^k: one-input operations, and two-input ones from the
+    k-fold product of the genus-1 action, a word mapped letter by letter."""
     if k < 1:
         raise ValueError("genus must be a positive integer")
-    zk = split_pmc(k)
-    basis = algebra(zk).basis      # refuses oversized genera before 3^k words
-    alg1 = algebra(split_pmc(1))
+    alg = algebra(split_pmc(k))
+    alg.basis      # refuses oversized genera before 3^k words
     gens, operations = [], []
     for word in itertools.product("tuv", repeat=k):
         label = "".join(word)
@@ -78,14 +52,17 @@ def cfa_zero_handlebody(k):
                                       for i, x in enumerate(word))))
         operations += [(label, [], label[:i] + "v" + label[i + 1:])
                        for i, x in enumerate(word) if x == "u"]
-    for b in basis:
-        if (factors := split_factors(b, alg1)) is not None:
-            # the words the factors act on, each with its image
-            for pairs in itertools.product(*(_factor_action(f).items()
-                                             for f in factors)):
-                word, image = zip(*pairs)
-                operations.append(("".join(word), [b], "".join(image)))
-    return AInfModule(zk, gens, operations)
+    for rows in itertools.product(_GENUS_1_ACTION.items(), repeat=k):
+        keys, actions = zip(*rows)
+        b = alg.diagram([(i + 4 * n, j + 4 * n)
+                         for n, (moving, _) in enumerate(keys)
+                         for i, j in moving],
+                        [p + 2 * n for n, (_, pairs) in enumerate(keys)
+                         for p in pairs])
+        for letters in itertools.product(*(a.items() for a in actions)):
+            word, image = zip(*letters)
+            operations.append(("".join(word), [b], "".join(image)))
+    return AInfModule(alg.circle, gens, operations)
 
 
 def cfda_azbar(circle):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,7 @@ from bhfi.mor import mor_complex_DD
 from bhfi.pairing import box_tensor
 from bhfi.pieces import _cfda_az, cfd_zero_handlebody, cfda_az
 from bhfi.standard import cfd_solid_torus
-from bhfi.structures import BorderedObject
+from bhfi.structures import AInfModule, BorderedObject
 from bhfi.triangle import surgery_maps
 from bhfi.typea import cfa_zero_handlebody, cfda_azbar
 from test_strands import chord, chords, include_split
@@ -115,14 +116,84 @@ class TestCfaHandlebody:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_one_genus_1_circle_per_build(self, monkeypatch, k):
-        # split_pmc checks its cap on every call, so the genus-1 algebra of
-        # the factors is built once per build, not once per basis element
+        # split_pmc checks its cap on every call, so the one call, for
+        # genus k, shows that a build does no setup per basis element
         from bhfi import typea
         calls, real = [], typea.split_pmc
         monkeypatch.setattr(typea, "split_pmc",
                             lambda n: calls.append(n) or real(n))
         cfa_zero_handlebody(k)
-        assert sorted(calls) == [1, k]
+        assert calls == [k]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_product_equals_split_construction(self, k):
+        new, old = cfa_zero_handlebody(k), split_handlebody(k)
+        assert new.generators == old.generators
+        assert new.in_idem == old.in_idem
+        assert new.ops == old.ops
+
+    def test_genus_4_refused_by_the_basis_count(self, monkeypatch):
+        # the first genus whose exact basis count passes the default cap
+        # while the lower bound does not: 3^4 words would build otherwise
+        monkeypatch.delenv("BHFI_MAX_GENERATORS", raising=False)
+        with pytest.raises(DivergenceError, match=re.escape(
+                "strands basis: 948390 diagrams exceed "
+                "BHFI_MAX_GENERATORS=200000")):
+            cfa_zero_handlebody(4)
+
+
+# the reference for the handlebody's product construction: the genus-1
+# action keyed by the local moving strands, read off every genus-k basis
+# diagram that splits into one genus-1 diagram per block
+_SPLIT_IDEM = {"t": 2, "u": 1, "v": 1}
+_SPLIT_ACTION = {((1, 2),): {"u": "t"},
+                 ((1, 3),): {"u": "v"},
+                 ((2, 3),): {"t": "v"}}
+
+
+def _factor_action(f):
+    """The right action of a genus-1 factor on {t, u, v}, as a map."""
+    if f.is_idempotent:
+        return {x: x for x, i in _SPLIT_IDEM.items() if f.horizontal == {i}}
+    return _SPLIT_ACTION.get(f.moving, {})
+
+
+def split_factors(diagram, alg):
+    """Decompose a split-circle diagram into blocks of ``alg``, the genus-1
+    algebra, or None when a strand crosses a block boundary or the
+    occupied slots do not distribute one per block."""
+    k = diagram.circle.k
+    factors = [[[], set()] for _ in range(k)]
+    for i, j in diagram.moving:
+        block = (i - 1) // 4
+        if block != (j - 1) // 4:
+            return None
+        factors[block][0].append((i - 4 * block, j - 4 * block))
+    for p in diagram.horizontal:
+        block = (p - 1) // 2
+        factors[block][1].add(p - 2 * block)
+    if any(len(m) + len(h) != 1 for m, h in factors):
+        return None
+    return tuple(alg.diagram(m, h) for m, h in factors)
+
+
+def split_handlebody(k):
+    zk = split_pmc(k)
+    alg1 = algebra(split_pmc(1))
+    gens, operations = [], []
+    for word in itertools.product("tuv", repeat=k):
+        label = "".join(word)
+        gens.append((label, frozenset(2 * i + _SPLIT_IDEM[x]
+                                      for i, x in enumerate(word))))
+        operations += [(label, [], label[:i] + "v" + label[i + 1:])
+                       for i, x in enumerate(word) if x == "u"]
+    for b in algebra(zk).basis:
+        if (factors := split_factors(b, alg1)) is not None:
+            for pairs in itertools.product(*(_factor_action(f).items()
+                                             for f in factors)):
+                word, image = zip(*pairs)
+                operations.append(("".join(word), [b], "".join(image)))
+    return AInfModule(zk, gens, operations)
 
 
 class TestDDIdentity:

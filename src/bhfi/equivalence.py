@@ -43,14 +43,10 @@ class EquivalenceCertificate:
 
     def to_json(self):
         """Reproducibility record: components, selected classes, trace."""
-        comps = []
-        for src, ins, out, dst in self.forward.sorted_comps():
-            comps.append({
-                "src": src,
-                "inputs": [[b.to_json()] for b in ins],
-                "out": [out.to_json()] if hasattr(out, "to_json") else [],
-                "dst": dst,
-            })
+        comps = [{"src": src, "inputs": [[b.to_json()] for b in ins],
+                  "out": [out.to_json()] if hasattr(out, "to_json") else [],
+                  "dst": dst}
+                 for src, ins, out, dst in self.forward.sorted_comps()]
         return {"components": comps,
                 "search_index": list(self.search_index),
                 "cone_trace": list(map(list, self.forward.cone_trace()))}
@@ -148,17 +144,14 @@ def _first_acyclic_sum(stage, runs, what, comps, source, target):
 
 
 def find_homotopy_equivalence(P, Q):
-    """The unique-up-to-homotopy equivalence between two type D structures.
-
-    Walks F2 combinations of morphism-homology classes, singletons first,
-    in canonical order; the first candidate whose cone cancels to nothing
-    wins.  The classes come one support block at a time, and a grading
-    class of the morphism complex is built only when its first block
-    comes up, so the classes after a singleton hit are never built.
-    Raises NotEquivalentError when sums of up to ``MAX_SUM_SIZE`` classes
-    fail, which signals that the caller's equivalence claim was wrong,
-    and DivergenceError past the cone cap of the walk.
-    """
+    """The unique-up-to-homotopy equivalence between two type D structures:
+    the first F2 sum of morphism-homology classes, singletons first, in
+    canonical order, whose cone cancels to nothing.  The classes come one
+    support block at a time, and a grading class of the morphism complex
+    is built when its first block comes up, so none after a singleton hit
+    is.  Raises NotEquivalentError when sums of up to ``MAX_SUM_SIZE``
+    classes fail (the caller's equivalence claim was wrong), and
+    DivergenceError past the cone cap of the walk."""
     mc = mor_complex_DD(P, Q)
     return _first_acyclic_sum("find_homotopy_equivalence",
                               mc.differential.runs(), "homology basis",

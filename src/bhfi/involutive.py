@@ -11,7 +11,7 @@ from .errors import RelationViolation
 from .homology import homology
 from .matrices import ChainComplex, F2Matrix, express_in_homology
 from .mor import mor_complex_DD
-from .morphisms import Morphism
+from .morphisms import Morphism, collector_paused
 from .pairing import box_tensor, box_morphism_right_comps, validate_bounded
 from .pieces import cfda_az
 
@@ -43,6 +43,7 @@ def _certify_psi(psi, underlying, what):
                                 "(its cone does not cancel)")
 
 
+@collector_paused
 def standard_involutive_d(P):
     # the pairing reads az over P's idempotents, on the letters P outputs
     az = cfda_az(P.out_alg.circle, P.out_idem.values(),
@@ -68,27 +69,18 @@ class IotaReport:
                                     "kernel/cokernel count")
 
     def to_json(self):
-        return {
-            "hf_dim": self.hf_dim,
-            "iota": self.iota_matrix.to_lists(),
-            "ker": self.ker_dim,
-            "hfi_dim": self.hfi_dim,
-            "Q": self.q_action.to_lists(),
-        }
+        return {"hf_dim": self.hf_dim, "iota": self.iota_matrix.to_lists(),
+                "ker": self.ker_dim, "hfi_dim": self.hfi_dim,
+                "Q": self.q_action.to_lists()}
 
 
 def _iota_pipeline(P0, P1):
-    """Steps shared by the involution report and the involutive complex.
-
-    Computes the homology basis of the morphism complex, conjugates each
-    representative f through the interpolating piece using the two certified
-    equivalences, as psi1 . (Id_az x f) . psi0^-1.  The pairings az x P0
-    and az x P1 are built once and are the endpoints of every Id_az x f;
-    az, built after the homology, has the generators over P0's and P1's
-    idempotents only, reading the letters of P0, P1 and the representatives.
-    Returns the morphism complex, its homology basis and the vectors of the
-    conjugated representatives.
-    """
+    """The morphism complex, its homology basis, and the vectors of the
+    representatives f conjugated as psi1 . (Id_az x f) . psi0^-1 by the two
+    certified equivalences.  az x P0 and az x P1 are built once, as the
+    ends of every Id_az x f; az, built after the homology, has the
+    generators over P0's and P1's idempotents only, reading the letters of
+    P0, P1 and the representatives."""
     validate_bounded(P0)
     validate_bounded(P1)
     mc = mor_complex_DD(P0, P1)
@@ -128,6 +120,7 @@ def _involutive_cone(cx, hom, images):
                             F2Matrix(m, n, tuple(images)))
 
 
+@collector_paused
 def iota_on_mor(P0, P1):
     """The involution report for the pairing encoded by two type D
     structures over one circle.  The cone is built first: its d² = 0
@@ -145,6 +138,7 @@ def iota_on_mor(P0, P1):
                       hfi_dim=cone_h.dimension, q_action=q_matrix)
 
 
+@collector_paused
 def cfi_hat(P0, P1):
     """The involutive complex of the pairing, a complex over F2[Q]/(Q^2)."""
     return _involutive_cone(*_iota_pipeline(P0, P1))

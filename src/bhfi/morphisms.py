@@ -3,12 +3,29 @@ differential, mapping cones) and cancellation, which reduces a structure
 along tracked homotopy equivalences and certifies that a cone cancels."""
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import itertools
 
 from ._record import record
 from .errors import RelationViolation
 from .structures import BorderedObject, _term_walk, _toggle
+
+
+def collector_paused(fn):
+    """``fn`` with the cycle collector off during each call if it was on:
+    a pipeline keeps millions of tuples alive, none in a cycle."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 @record
@@ -86,9 +103,8 @@ class Morphism:
 
     def cone_trace(self):
         """``contraction_trace`` of the cone or, with inputs, of its DD side
-        (``box_tensor_DD_side`` of this morphism's parts).  Computed on the
-        first call and kept with this morphism, so a search and a later
-        certificate of the same morphism reduce its cone once."""
+        (``box_tensor_DD_side`` of this morphism's parts), kept with this
+        morphism, so a search and a later certificate reduce it once."""
         if not hasattr(self, "_cone_trace"):
             if self.source.in_alg.is_trivial:
                 cone = self.cone()
@@ -145,71 +161,47 @@ class StructureReduction:
 
 
 def reduce_structure(S, track_from=False, track_to=False):
-    """Cancel length-zero idempotent-coefficient operations.
+    """Cancel length-zero idempotent-coefficient operations, and return
+    the reduced structure with (optionally) the homotopy equivalences in
+    and out of it, both honest morphisms of the same kind.
 
-    Returns the reduced structure together with (optionally) the homotopy
-    equivalences in and out of it, both honest morphisms of the same kind.
-
-    Cancelling a pair with parallel operations requires a correction
-    series; the series terminates exactly when no parallel operation
-    carries an idempotent (unit-like) coefficient, because everything else
-    multiplies into the nilpotent ideal.  Pairs whose series would not
-    terminate are blocked: each is left alone until a correction removes
-    the loop that blocks it, so the result can stop short of a minimal
-    model for input-carrying structures (one-input minimal models honestly
-    need infinitely many operations); for no-input structures the
-    reduction always completes.
+    A pair with parallel operations (loops) is cancelled along a
+    correction series, which ends exactly when no loop carries an
+    idempotent coefficient.  Any other pair is blocked until a correction
+    removes the loop that blocks it, so an input-carrying structure can
+    stop short of a minimal model (one-input minimal models need
+    infinitely many operations); a no-input structure always reduces
+    completely.
     """
     out_alg, in_alg = S.out_alg, S.in_alg
+    mul, is_idem, key = out_alg.mul_basis, out_alg.is_idem, out_alg.sort_key
     # each live operation sits in two buckets, its source's and its
     # target's, and nowhere else: membership is ``op in by_src[op[0]]``
     by_src = {g: set() for g in S.out_idem}
     by_dst = {g: set() for g in S.out_idem}
-
-    def cancellable(op):
-        return not op[1] and op[0] != op[3] and out_alg.is_idem(op[2])
-
-    def add_op(op):
-        bucket = by_src[op[0]]
-        if op in bucket:
-            bucket.discard(op)
-            by_dst[op[3]].discard(op)
-            # a loop is gone: each operation it blocked is queued again
-            for o in blocked.pop((op[0], op[3]), ()):
-                heapq.heappush(heap, (S.op_sort_key(o), o))
-        else:
-            bucket.add(op)
-            by_dst[op[3]].add(op)
-            if cancellable(op):
-                heapq.heappush(heap, (S.op_sort_key(op), op))
-
     for op in S.ops:
         by_src[op[0]].add(op)
         by_dst[op[3]].add(op)
-    # each cancellable operation as (op_sort_key, op), pushed when added;
-    # sort keys are unique, so two entries compare their operations only
-    # when the entries are equal
-    heap = [(S.op_sort_key(op), op) for op in S.ops if cancellable(op)]
+    # each cancellable operation (no inputs, an idempotent coefficient, two
+    # ends) as ((source, coefficient's sort key, target), op), in
+    # ``op_sort_key`` order; keys are unique, so ops are never compared
+    heap = [((x, key(a), y), (x, w, a, y)) for x, w, a, y in S.ops
+            if not w and x != y and is_idem(a)]
     heapq.heapify(heap)
 
-    # accumulated morphisms, both starting from the identity, indexed for
-    # cheap composition
     identity = _generator_map_comps(S, {g: g for g in S.generators})
     from_comps = {c[0]: {c} for c in identity} if track_from else None
-    to_by_dst = {c[3]: {c} for c in identity} if track_to else None
-
-    trace = []
+    zigzags, trace = [], []     # each cancelled y with its zig-zag
 
     def compose(firsts, seconds):
         """Each nonzero product of an operation in ``firsts`` followed by
-        one in ``seconds``, as (source, word, coefficient, target); the
-        generators in the middle are not matched."""
+        one in ``seconds``, whose middle generators are not matched."""
         return [(s, w1 + w2, c, t) for s, w1, a, _ in firsts
                 for _, w2, b, t in seconds
-                if (c := out_alg.mul_basis(a, b)) is not None]
+                if (c := mul(a, b)) is not None]
 
-    # (x, y) -> the operations x -> y an idempotent loop blocks; only
-    # ``add_op`` can unblock them, as dropping x or y drops them too
+    # (x, y) -> the operations x -> y an idempotent loop blocks; only a
+    # correction can unblock them, as dropping x or y drops them too
     blocked = {}
     while heap:
         op = heapq.heappop(heap)[1]
@@ -218,7 +210,7 @@ def reduce_structure(S, track_from=False, track_to=False):
         if op not in by_src.get(x, ()):
             continue
         loops = [o for o in by_src[x] if o[3] == y and o != op]
-        if any(out_alg.is_idem(l[2]) for l in loops):
+        if any(is_idem(l[2]) for l in loops):
             blocked.setdefault((x, y), set()).add(op)  # series never ends
             continue
         into_y = [o for o in by_dst[y] if o[0] not in (x, y)]
@@ -240,34 +232,53 @@ def reduce_structure(S, track_from=False, track_to=False):
                 _toggle(from_comps[comp[0]], comp)
             del from_comps[y]
         if track_to:
-            for comp in compose(to_by_dst.pop(y), compose(series, from_x)):
-                _toggle(to_by_dst[comp[3]], comp)
-            del to_by_dst[x]
+            zigzags.append((y, compose(series, from_x)))
 
         # drop the cancelled pair: its four buckets go whole, and each of
         # their operations leaves its far end's bucket, which in this order
         # is never gone: a bucket popped earlier took its operations out
-        # of the ones popped later.  Then apply the corrections
+        # of the ones popped later.  Then toggle in the corrections
         for g in (x, y):
             for o in by_src.pop(g):
                 by_dst[o[3]].discard(o)
             for o in by_dst.pop(g):
                 by_src[o[0]].discard(o)
         for op in compose(heads, from_x):
-            add_op(op)
+            s, w, a, t = op
+            if op in by_src[s]:
+                by_src[s].discard(op)
+                by_dst[t].discard(op)
+                # a loop is gone: each operation it blocked is queued again
+                for o in blocked.pop((s, t), ()):
+                    heapq.heappush(heap, ((s, key(o[2]), t), o))
+            else:
+                by_src[s].add(op)
+                by_dst[t].add(op)
+                if not w and s != t and is_idem(a):
+                    heapq.heappush(heap, ((s, key(a), t), op))
 
     alive = tuple(g for g in S.generators if g in by_src)
     reduced = BorderedObject(out_alg, in_alg, alive,
                              {g: S.out_idem[g] for g in alive},
                              {g: S.in_idem[g] for g in alive},
                              itertools.chain.from_iterable(by_src.values()))
-    # the buckets of a cancelled pair are dropped, so each tracked
-    # morphism is the union of the buckets left
+    # the buckets of a cancelled pair are dropped, so the tracked inclusion
+    # is the union of the buckets left
     from_mor = to_mor = None
     if track_from:
         from_mor = Morphism(reduced, S, set().union(*from_comps.values()))
     if track_to:
-        to_mor = Morphism(S, reduced, set().union(*to_by_dst.values()))
+        # the steps' projections composed last first, each image known when
+        # read: a survivor maps to itself, a cancelled x to zero and a
+        # cancelled y along its zig-zag to its targets' images
+        images = {c[0]: {c} for c in identity if c[0] in by_src}
+        for y, zigzag in reversed(zigzags):
+            image = images[y] = set()
+            for _, w1, a, t in zigzag:
+                for _, w2, b, z in images.get(t, ()):
+                    if (c := mul(a, b)) is not None:
+                        _toggle(image, (y, w1 + w2, c, z))
+        to_mor = Morphism(S, reduced, set().union(*images.values()))
     return StructureReduction(reduced, from_mor, to_mor, tuple(trace))
 
 

@@ -1,6 +1,5 @@
-"""A strands algebra as a whole, for ``StrandsAlgebra.basis`` and
-``_ensure_tables``: its basis, refused past the cap by its size, and the
-reverse product and differential tables of the relation checks."""
+"""A strands algebra as a whole: its basis, refused past the cap by its
+size, and the reverse product and differential tables of the checks."""
 from __future__ import annotations
 
 import itertools
@@ -10,17 +9,19 @@ from .errors import refuse_past_cap
 from .strands import chord_term_count
 
 
-def basis(alg):
-    """The listings from each idempotent, in order.  Both refusals run
-    on every read, the second on the cached length once the basis is
-    listed, so a cap lowered later in the process refuses it too."""
-    # the exact count is exponential in k: the bound refuses first
+def basis(alg, listing=True):
+    """The listings from each idempotent, in order, or with no ``listing``
+    only the refusals: a closed-form bound, as the exact count is
+    exponential in k, then that count, or the cached length once listed.
+    Both run on every read, so that a cap lowered later refuses too."""
     refuse_past_cap("strands basis", _basis_lower_bound(alg),
                     "diagrams", lower_bound=True)
     listed = alg.__dict__.get("_basis_cached")
     if listed is None:
         keys = alg.idem_keys
         alg._refuse_listing([(x, y) for x in keys for y in keys])
+        if not listing:
+            return None
         listed = alg._basis_cached = tuple(itertools.chain.from_iterable(
             map(alg.basis_from, keys)))
     refuse_past_cap("strands basis", len(listed), "diagrams")
@@ -28,10 +29,9 @@ def basis(alg):
 
 
 def _basis_lower_bound(alg):
-    """A closed-form lower bound on the basis size, cheap at any genus:
-    the idempotents, the diagrams with one moving strand (between two
-    pairs, or within one), and the diagrams whose two moving strands end
-    on four distinct pairs (three ways to join four such points)."""
+    """A lower bound on the basis size, cheap at any genus: the
+    idempotents, the diagrams with one moving strand, and those whose two
+    end on four distinct pairs (three ways to join four such points)."""
     k, comb = alg.circle.k, math.comb
     bound = comb(2 * k, k) + chord_term_count(alg.circle)
     if k >= 2:

@@ -9,7 +9,7 @@ from .errors import RelationViolation
 from .homology import _bits, homology
 from .involutive import _on_homology, conjugation_cone
 from .matrices import F2Matrix, _commutator, express_in_homology
-from .morphisms import Morphism
+from .morphisms import Morphism, collector_paused
 from .pairing import box_morphism_right_comps, box_tensor
 from .pieces import cfda_az
 from .standard import cfd_solid_torus, torus_chord
@@ -33,11 +33,8 @@ class TriangleData:
 
 def surgery_maps():
     """The two morphisms of the solid-torus short exact sequence."""
-    inf = cfd_solid_torus("infinity")
-    m1 = cfd_solid_torus("minus_one")
-    zero = cfd_solid_torus("zero")
-    z1 = split_pmc(1)
-    alg = algebra(z1)
+    inf, m1, zero = map(cfd_solid_torus, ("infinity", "minus_one", "zero"))
+    alg = algebra(split_pmc(1))
     phi = Morphism(inf, m1, {
         ("r", (), alg.idempotent({2}), "b"),
         ("r", (), torus_chord(2, 3), "a"),
@@ -62,12 +59,8 @@ def build_triangle_data():
     alg = algebra(z1)
     i0, i1 = alg.idempotent({1}), alg.idempotent({2})
 
-    d_inf = cfd_solid_torus("infinity")
-    d_m1 = cfd_solid_torus("minus_one")
-    d_0 = cfd_solid_torus("zero")
-    az_inf = box_tensor(az, d_inf)
-    az_m1 = box_tensor(az, d_m1)
-    az_0 = box_tensor(az, d_0)
+    d_inf, d_m1, d_0 = map(cfd_solid_torus, ("infinity", "minus_one", "zero"))
+    az_inf, az_m1, az_0 = (box_tensor(az, d) for d in (d_inf, d_m1, d_0))
 
     phi, psi = surgery_maps()
 
@@ -192,14 +185,12 @@ class TriangleReport:
     hat_exact = involutive_exact = levelwise_exact = chain_maps_ok = True
 
     def to_json(self):
-        return {
-            "hat_dims": list(self.hat_dims),
-            "involutive_dims": list(self.involutive_dims),
-            "hat_exact": self.hat_exact,
-            "involutive_exact": self.involutive_exact,
-            "levelwise_exact": self.levelwise_exact,
-            "chain_maps": self.chain_maps_ok,
-        }
+        return {"hat_dims": list(self.hat_dims),
+                "involutive_dims": list(self.involutive_dims),
+                "hat_exact": self.hat_exact,
+                "involutive_exact": self.involutive_exact,
+                "levelwise_exact": self.levelwise_exact,
+                "chain_maps": self.chain_maps_ok}
 
 
 def _exact_at(into, out_of, dim):
@@ -245,6 +236,7 @@ def _check_sequence(cxs, f, g, names, failures):
     return homs
 
 
+@collector_paused
 def verify_hfi_triangle(X):
     """Verify the surgery sequence for a bounded one-input-circle module.
 

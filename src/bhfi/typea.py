@@ -1,8 +1,7 @@
-"""The type A side, which only the pairing route, the mapping class group
-action and the surgery triangle read: builders of structures with algebra
-inputs, their pairings into type D structures and chain complexes, their
-equivalences (both sides cancelled, the reduced models matched, the
-result carried back along the reductions), and the conjugation."""
+"""The type A side, read only by the pairing route, the mapping class
+group action and the surgery triangle: structures with algebra inputs,
+their pairings, their equivalences (both sides cancelled, the reduced
+models matched, the result carried back), and the conjugation."""
 from __future__ import annotations
 
 import functools
@@ -17,7 +16,8 @@ from .homology import BlockDifferential, homology
 from .involutive import _certify_psi, _on_homology, conjugation_cone
 from .matrices import ChainComplex, F2Matrix, _commutator, rows_nullspace
 from .mor import _elementary_components
-from .morphisms import Morphism, morphism_from_generator_map, reduce_structure
+from .morphisms import (Morphism, collector_paused,
+                         morphism_from_generator_map, reduce_structure)
 from .pairing import (_label_pairs, _pair_with_chains, _partners,
                       box_morphism_right, box_morphism_right_comps,
                       box_tensor, validate_bounded)
@@ -25,6 +25,7 @@ from .pieces import _chords_into, cfda_az
 from .strands import algebra, split_pmc
 from .structures import (TRIVIAL, AInfModule, BorderedObject, DABimodule,
                          _term_walk, _toggle)
+from .tables import basis
 
 
 _FACTOR_IDEM = {"t": 2, "u": 1, "v": 1}
@@ -44,7 +45,7 @@ def cfa_zero_handlebody(k):
     if k < 1:
         raise ValueError("genus must be a positive integer")
     alg = algebra(split_pmc(k))
-    alg.basis      # refuses oversized genera before 3^k words
+    basis(alg, listing=False)   # refuses oversized genera, listing nothing
     gens, operations = [], []
     for word in itertools.product("tuv", repeat=k):
         label = "".join(word)
@@ -129,14 +130,13 @@ def box_tensor_DD_side(B, X):
     """Pair a DA bimodule (or A-infinity module) B, or the cone of a
     morphism B of such structures, with the left factor of a DD-type
     structure X, carrying the right factor along: a no-input structure
-    over B's output algebra tensor the carried factor (the trivial output
-    of an A-infinity module is dropped).  A cone is paired from its parts
-    with no cone built: S's operations, T's operations and the components,
-    labelled ``S:x|e`` and ``T:y|e``.  Each part goes through the chain
-    walk of ``box_tensor`` with the carried view of X, whose operations
-    output X's left coefficients and read the right ones as one-letter
-    inputs; the cap counts the pairs of every part.  Each term's carried
-    word is multiplied out from the carried idempotent of its source."""
+    over B's output algebra (dropped if trivial) tensor the carried
+    factor.  A cone is paired from its parts, S's operations, T's and the
+    components, labelled ``S:x|e`` and ``T:y|e``, with no cone built, each
+    by ``box_tensor``'s chain walk over the carried view of X, which
+    outputs X's left coefficients and reads the right ones as inputs; the
+    cap counts every part's pairs.  Each term's carried word is multiplied
+    out from the carried idempotent of its source."""
     parts, comps = ((B, ""),), ()
     if isinstance(B, Morphism):
         parts, comps = ((B.source, "S:"), (B.target, "T:")), B.comps
@@ -280,9 +280,8 @@ def find_structure_equivalence(A, B):
     red_b = reduce_structure(B, track_from=True)
     mapping = find_isomorphism(red_a.reduced, red_b.reduced)
     if mapping is not None:
-        bridge = morphism_from_generator_map(red_a.reduced, red_b.reduced,
-                                             mapping)
-        index = ()
+        bridge, index = morphism_from_generator_map(
+            red_a.reduced, red_b.reduced, mapping), ()
     else:
         cert = search_small_equivalence(red_a.reduced, red_b.reduced,
                                         max_arity=BRIDGE_ARITY)
@@ -294,8 +293,7 @@ def find_structure_equivalence(A, B):
 @record
 class InvolutiveAInf:
     """An A-infinity module with a certified equivalence from its twist by
-    the reversed interpolating piece.  Construction checks the certificate
-    the same way as for the type D side."""
+    the reversed interpolating piece, checked as on the type D side."""
 
     module: object
     psi: Morphism            # M boxtimes azbar -> M
@@ -304,6 +302,7 @@ class InvolutiveAInf:
         _certify_psi(self.psi, self.module, "module")
 
 
+@collector_paused
 def standard_involutive_a(M):
     azb = cfda_azbar(M.in_alg.circle)
     cert = find_structure_equivalence(box_tensor(M, azb), M)
@@ -355,6 +354,7 @@ def conjugation(M, P, L, R, theta_p, theta_m):
     return base, cx, mat
 
 
+@collector_paused
 def involutive_pair(A, D):
     """The pairing of involutive structures: the cone of (identity plus the
     conjugation) on the box tensor complex, over F2[Q]/(Q^2)."""
@@ -367,6 +367,7 @@ def involutive_pair(A, D):
     return conjugation_cone(cx, cx, F2Matrix.identity(cx.dim), conj)
 
 
+@collector_paused
 def mcg_action(M, P, chi, chi_inv):
     """The homology action of a mapping class supplied as a bimodule pair:
     the matrix, on the homology of the pairing complex, of the

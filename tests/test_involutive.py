@@ -699,3 +699,103 @@ class TestGenus2Certificates:
         text = repr((cone.generators, cone.d.cols, cone.q.cols))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "37a0868e8c59fc434bd06bf97f650755a3748ff9ea010eaad8e55644f67b1dd5"
+
+
+@pytest.fixture
+def collector_on():
+    """The cycle collector on for the test, as it was afterwards."""
+    import gc
+    was = gc.isenabled()
+    gc.enable()
+    yield gc
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPaused:
+    """``collector_paused`` turns the cycle collector off for the call and
+    leaves it as it found it, and wraps every involutive entry point."""
+
+    ENTRIES = {"involutive": ("standard_involutive_d", "iota_on_mor",
+                              "cfi_hat"),
+               "typea": ("standard_involutive_a", "involutive_pair",
+                         "mcg_action"),
+               "triangle": ("verify_hfi_triangle",)}
+
+    @staticmethod
+    def recording(seen, gc, fail=False):
+        from bhfi.morphisms import collector_paused
+
+        @collector_paused
+        def call():
+            """Records whether the collector is on."""
+            seen.append(gc.isenabled())
+            if fail:
+                raise ValueError("inside")
+            return "done"
+        return call
+
+    def test_on_again_after_a_return_and_after_a_raise(self, collector_on):
+        seen = []
+        assert self.recording(seen, collector_on)() == "done"
+        assert collector_on.isenabled()
+        with pytest.raises(ValueError, match="^inside$"):
+            self.recording(seen, collector_on, fail=True)()
+        assert collector_on.isenabled()
+        assert seen == [False, False]
+
+    def test_a_caller_that_turned_it_off_finds_it_off(self, collector_on):
+        seen = []
+        collector_on.disable()
+        self.recording(seen, collector_on)()
+        with pytest.raises(ValueError):
+            self.recording(seen, collector_on, fail=True)()
+        assert not collector_on.isenabled() and seen == [False, False]
+
+    def test_nested_calls_leave_it_off_until_the_outermost_returns(
+            self, collector_on):
+        from bhfi.morphisms import collector_paused
+        seen = []
+        inner = self.recording(seen, collector_on)
+
+        @collector_paused
+        def outer():
+            inner()
+            seen.append(collector_on.isenabled())
+            with pytest.raises(ValueError):
+                self.recording(seen, collector_on, fail=True)()
+            seen.append(collector_on.isenabled())
+
+        outer()
+        assert seen == [False, False, False, False]
+        assert collector_on.isenabled()
+
+    def test_wrapper_keeps_name_module_and_doc(self, collector_on):
+        call = self.recording([], collector_on)
+        assert (call.__name__, call.__module__, call.__doc__) == (
+            "call", __name__, "Records whether the collector is on.")
+
+    def test_every_entry_point_is_paused(self):
+        import importlib
+
+        from bhfi.morphisms import collector_paused
+        paused_code = collector_paused(len).__code__
+        for home, names in self.ENTRIES.items():
+            module = importlib.import_module(f"bhfi.{home}")
+            for name in names:
+                fn = getattr(module, name)
+                assert fn.__code__ is paused_code, name
+                assert (fn.__name__, fn.__module__, fn.__doc__) == (
+                    name, f"bhfi.{home}", fn.__wrapped__.__doc__), name
+
+    def test_pipeline_runs_with_it_off(self, collector_on, monkeypatch, cfd0,
+                                       cfd_m1):
+        seen = []
+        real = involutive.mor_complex_DD
+
+        def recorded(P, Q):
+            seen.append(collector_on.isenabled())
+            return real(P, Q)
+
+        monkeypatch.setattr(involutive, "mor_complex_DD", recorded)
+        assert iota_on_mor(cfd0, cfd_m1).hfi_dim == 2
+        assert seen == [False] and collector_on.isenabled()

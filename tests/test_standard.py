@@ -141,6 +141,24 @@ class TestCfaHandlebody:
                 "BHFI_MAX_GENERATORS=200000")):
             cfa_zero_handlebody(4)
 
+    def test_genus_3_build_lists_no_basis(self):
+        # in a fresh process, so that no earlier test has listed it: the
+        # cap is checked by count, and the operations name their diagrams
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        script = ("from bhfi.strands import algebra, split_pmc\n"
+                  "from bhfi.typea import cfa_zero_handlebody\n"
+                  "M = cfa_zero_handlebody(3)\n"
+                  "alg = algebra(split_pmc(3))\n"
+                  "print(len(M.ops), '_basis_cached' in vars(alg), "
+                  "len(alg._between), len(alg._from), len(alg._into))\n")
+        done = subprocess.run([sys.executable, "-c", script], check=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.stdout.split() == ["243", "False", "0", "0", "0"]
+
 
 # the reference for the handlebody's product construction: the genus-1
 # action keyed by the local moving strands, read off every genus-k basis
